@@ -13,8 +13,8 @@ Usage:
 import argparse
 from pathlib import Path
 
-from adaseries.harness import (ExperimentConfig, calibrate_constant, compute_bands,
-                               write_bands_csv)
+from adaseries.harness import (ExperimentConfig, calibrate_constant, calibrated_config,
+                               compute_bands, write_bands_csv)
 
 
 def main() -> None:
@@ -37,10 +37,7 @@ def main() -> None:
                                n=args.n, reps=args.reps, seed=args.seed,
                                c_gl=args.c_pen)
         if args.c_pen is None:
-            calib = calibrate_constant(cfg, calib_reps=args.calib_reps)
-            cfg = ExperimentConfig(model=args.model, target=args.target, case=case,
-                                   n=args.n, reps=args.reps, seed=args.seed,
-                                   c_gl=calib.chosen["gl"])
+            cfg = calibrated_config(cfg, calibrate_constant(cfg, calib_reps=args.calib_reps))
         bands = compute_bands(cfg)
         path = out_dir / f"bands_{args.model}_{args.target}_case{case}.csv"
         write_bands_csv(bands, path)

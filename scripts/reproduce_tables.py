@@ -12,11 +12,10 @@ Usage:
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from adaseries.harness import (ExperimentConfig, calibrate_constant,
-                               calibrated_config, run_experiment)
+                               calibrated_config, run_experiment, write_summary_csv)
 
 
 def main() -> None:
@@ -53,14 +52,7 @@ def main() -> None:
                 print(f"Case {case:d}   " + " ".join(f"{c:>18s}" for c in cells))
                 all_rows.extend(rows)
 
-    with open(out_dir / "tables.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "target", "case", "n", "selector", "c_pen",
-                         "reps", "mean_ise", "std_ise", "mean_m"])
-        for r in all_rows:
-            writer.writerow([r.model, r.target, r.case, r.n, r.selector,
-                             f"{r.c_pen:.10g}", r.reps, f"{r.mean_ise:.10g}",
-                             f"{r.std_ise:.10g}", f"{r.mean_m:.10g}"])
+    write_summary_csv(all_rows, out_dir / "tables.csv")
     print(f"\nwrote {out_dir / 'tables.csv'}")
 
 

@@ -33,12 +33,9 @@ class TrigBasis:
     Parameters
     ----------
     max_index : largest coefficient index j supported.
-    constant_fixed : density-model convention, index 0 is the known
-        constant 1 rather than an estimated coefficient.
     """
 
     max_index: int = 400
-    constant_fixed: bool = True
 
     def eval_one(self, j: int, x) -> np.ndarray:
         """Evaluate basis function j at points x in [0, 1]."""
@@ -71,11 +68,6 @@ class TrigBasis:
             if n_sin:
                 out[2 : 2 * n_sin + 1 : 2] = SQRT2 * np.sin(ang[:n_sin])
         return out
-
-
-def eval_basis(j: int, x, basis: TrigBasis | None = None) -> np.ndarray:
-    """Functional form of TrigBasis.eval_one."""
-    return (basis or TrigBasis()).eval_one(j, x)
 
 
 @dataclass(frozen=True)
@@ -124,11 +116,6 @@ class WeightSequence:
                 raise ValueError("custom weight index beyond provided values")
             out = vals[j_arr - 1]
         return out if out.shape else float(out)
-
-
-def weight(seq: WeightSequence, j):
-    """gamma_j of the given weight sequence."""
-    return seq.weight(j)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ import numpy as np
 from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
 from .dependence import (AR_TRUNCATION, ar_path_from_innovations, marginal_G_case3,
                          stream, uniform_series)
-from .estimators import empirical_coefficients
+from .estimators import CoefficientTable
 from .harness import ExperimentConfig, ExperimentContext
 from .quadrature import simpson_weights, unit_grid
-from .selection import lemma1_audit, penalty_vector, select_with_pens, theorem_penalty_config
+from .selection import lemma1_audit, penalty_vector
 from .targets import MarginalLaw, density_f1, density_f2, true_coefficients
 
 KS_THRESHOLD = 0.006
@@ -28,6 +28,7 @@ CASE3_MARGINAL_THRESHOLD = 0.005
 CASE3_MARGINAL_DRAWS = 10**6
 CASE3_RESIDUAL_BOUND = 2.0**-37
 DEPENDENCE_SCORE_SIGMAS = 5.0
+LEMMA_NS = 14  # stream namespace of the simulated oracle-inequality audit
 
 
 @dataclass(frozen=True)
@@ -210,40 +211,16 @@ def check_dependence_scores(seed: int = 0, n: int = 10**5) -> CheckResult:
                        f"max |z|: case1 {z1:.1f}, case2 {z2:.1f}, case3 {z3:.1f}")
 
 
-def lemma1_holds_for_table(theta_hat: np.ndarray, theta_true: np.ndarray,
-                           pens: np.ndarray, n: int = 1) -> bool:
-    """Vectorized-over-m version of the lemma audit (all m must pass).
-
-    Same quantities as selection.lemma1_audit; kept here for bulk fuzzing.
-    """
-    pens = np.asarray(pens, dtype=float)
-    M = pens.size
-    from .estimators import CoefficientTable
-
-    table = CoefficientTable(model="regression", n=n, m_max=theta_hat.size - 1,
-                             theta_hat=theta_hat)
-    m_sel = select_with_pens(table, pens).m_selected
-    diff_sq = (theta_hat[: M + 1] - theta_true[: M + 1]) ** 2
-    err_norm = np.cumsum(diff_sq)
-    tail = np.concatenate((np.cumsum((theta_true**2)[::-1])[::-1], [0.0]))
-    lhs = err_norm[m_sel] + tail[m_sel + 1]
-    dev = err_norm[1:] - pens / 6.0
-    suffix = np.maximum.accumulate(dev[::-1])[::-1]
-    rhs = 85.0 * np.maximum(tail[2 : M + 2], pens) + 42.0 * np.maximum(suffix, 0.0)
-    return bool(np.all(lhs <= rhs * (1.0 + 1e-9) + 1e-15))
-
-
 def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> CheckResult:
     """Audit the oracle inequality on simulated density replications."""
     cfg = ExperimentConfig(model="density", target="f1", case=1, n=n, reps=reps, seed=seed)
     ctx = ExperimentContext(cfg)
-    M = cfg.m_grid
-    pens = penalty_vector(theorem_penalty_config("density", 1), M, n)
     theta_true = true_coefficients(ctx.target.eval, 400)
     failures = 0
     for rep in range(reps):
-        table = empirical_coefficients(ctx.sample(rep, namespace=14), M, ctx.basis)
-        if not lemma1_holds_for_table(table.theta_hat, theta_true, pens, n):
+        _, table, sig_sq = ctx.replication(rep, LEMMA_NS)
+        pens = penalty_vector(cfg.gl_constant, cfg.m_grid, n, sig_sq)
+        if not lemma1_audit(table, pens, theta_true).all_passed:
             failures += 1
     return CheckResult("lemma1_simulation", failures == 0,
                        f"{reps - failures}/{reps} replications satisfied the bound")
@@ -262,8 +239,8 @@ def check_lemma1_fuzz(seed: int = 0, cases: int = 2000) -> CheckResult:
         steps = rng.uniform(0.0, scale**2, size=M)
         if rng.uniform() < 0.2:
             steps[:] = 0.0
-        pens = np.cumsum(steps)
-        if not lemma1_holds_for_table(theta_hat, theta_true, pens):
+        table = CoefficientTable(model="regression", n=1, m_max=M, theta_hat=theta_hat)
+        if not lemma1_audit(table, np.cumsum(steps), theta_true).all_passed:
             failures += 1
     return CheckResult("lemma1_fuzz", failures == 0,
                        f"{cases - failures}/{cases} random tables satisfied the bound")
@@ -274,15 +251,13 @@ def check_custom_pens(pens) -> CheckResult:
     theta_hat = np.array([1.0] + [0.1] * len(pens))
     theta_true = np.zeros(len(pens) + 1)
     theta_true[0] = 1.0
-    from .estimators import CoefficientTable
-
     table = CoefficientTable(model="density", n=100, m_max=len(pens), theta_hat=theta_hat)
     try:
-        audit = lemma1_audit(table, pens, theta_true, m=1)
+        audit = lemma1_audit(table, pens, theta_true)
     except ValueError as exc:
         return CheckResult("lemma1_custom_pens", False, f"argument error: {exc}")
-    return CheckResult("lemma1_custom_pens", audit.passed,
-                       f"lhs {audit.lhs:.4g} <= rhs {audit.rhs:.4g}")
+    return CheckResult("lemma1_custom_pens", audit.all_passed,
+                       f"lhs {audit.lhs:.4g} <= min_m rhs {float(np.min(audit.rhs)):.4g}")
 
 
 def run_all_checks(seed: int = 0, ks_draws: int = KS_DRAWS,

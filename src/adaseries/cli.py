@@ -18,6 +18,7 @@ from dataclasses import asdict
 from importlib import metadata as importlib_metadata
 from pathlib import Path
 
+from . import __version__
 from . import checks as checks_mod
 from .harness import (ExperimentConfig, calibrate_constant, compute_bands,
                       run_experiment, write_bands_csv, write_calibration_csv,
@@ -37,8 +38,8 @@ _CHECK_KEYS = {"ks_draws": int, "case3_draws": int, "lemma_reps": int,
 def _package_version() -> str:
     try:
         return importlib_metadata.version("adaseries")
-    except importlib_metadata.PackageNotFoundError:
-        return "unknown"
+    except importlib_metadata.PackageNotFoundError:  # run from a source checkout
+        return __version__
 
 
 def _parse_float_list(text: str) -> list[float]:

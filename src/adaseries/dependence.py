@@ -136,21 +136,6 @@ def uniform_series(case: int, n: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown dependence case {case}")
 
 
-def gen_case1(n: int, law: MarginalLaw, rng: np.random.Generator) -> np.ndarray:
-    """iid draws with the target marginal (quantile-transformed uniforms)."""
-    return law.quantile(uniform_series(1, n, rng))
-
-
-def gen_case2(n: int, law: MarginalLaw, rng: np.random.Generator) -> np.ndarray:
-    """Logistic-map draws with the target marginal."""
-    return law.quantile(uniform_series(2, n, rng))
-
-
-def gen_case3(n: int, law: MarginalLaw, rng: np.random.Generator) -> np.ndarray:
-    """Bilateral Bernoulli-AR draws with the target marginal."""
-    return law.quantile(uniform_series(3, n, rng))
-
-
 def gen_density_sample(n: int, case: int, law: MarginalLaw, seed: int,
                        rep_index: int, namespace: int = 0) -> Sample:
     rng = stream(seed, rep_index, namespace)

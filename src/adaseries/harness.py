@@ -1,10 +1,13 @@
 """Monte Carlo harness: replications, risk tables, percentile bands, calibration.
 
-A replication generates one sample from its (seed, rep_index) stream,
-builds one coefficient table, runs all requested selectors on that shared
-table, and scores each selected dimension by Simpson-grid ISE against the
-true function.  Replications are independent, so aggregates do not depend
-on worker count or completion order.
+A replication generates one sample from its (seed, rep_index) stream
+and builds one coefficient table and the noise level sigma_hat^2
+(ExperimentContext.replication, the one kernel shared by evaluation
+runs, bands, calibration and the oracle-inequality check).  Evaluation
+runs all requested selectors on that shared table and scores each
+selected dimension by Simpson-grid ISE against the true function.
+Replications are independent, so aggregates do not depend on worker
+count or completion order.
 
 Calibration searches a grid of penalty constants for the value minimizing
 mean ISE over replications drawn from a stream namespace disjoint from
@@ -18,20 +21,23 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .basis import TrigBasis
 from .dependence import Sample, gen_density_sample, gen_regression_sample
-from .estimators import empirical_coefficients, sigma_y_hat
+from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
 from .quadrature import simpson_weights, unit_grid
-from .selection import (PenaltyConfig, oracle_criteria, select_cv, select_ms,
-                        select_with_pens, penalty_vector, theorem_penalty_config)
+from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
+                        select_with_pens, theorem_constant)
 from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, MarginalLaw
 
 SELECTORS = ("oracle", "gl", "ms", "cv")
 DEFAULT_M_CAP = 100
+#: Simpson grid of the per-replication work: realized ISE(m) and the band
+#: evaluation points.  Normalizers, true coefficients and the exact risk
+#: use the finer quadrature.DEFAULT_GRID (4097 points).
 DEFAULT_GRID_SIZE = 1025
 
 #: Stream namespaces: evaluation and calibration draws never overlap.
@@ -73,6 +79,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown selectors {sorted(unknown)}")
         if self.m_max is not None and not 1 <= self.m_max <= self.n:
             raise ValueError("m_max must lie in 1..n")
+        if self.grid_size < 3 or self.grid_size % 2 == 0:
+            raise ValueError("grid_size must be odd and >= 3")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     @property
     def m_grid(self) -> int:
@@ -82,11 +94,23 @@ class ExperimentConfig:
     def gl_constant(self) -> float:
         if self.c_gl is not None:
             return self.c_gl
-        return theorem_penalty_config(self.model, self.case).c_pen
+        return theorem_constant(self.model, self.case)
 
     @property
     def ms_constant(self) -> float:
         return self.c_ms if self.c_ms is not None else self.gl_constant
+
+
+class Replication(NamedTuple):
+    """What every consumer of one replication shares.
+
+    sigma_sq is sigma_hat^2 for regression and 1.0 for densities, so
+    penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
+    """
+
+    sample: Sample
+    table: CoefficientTable
+    sigma_sq: float
 
 
 class ExperimentContext:
@@ -106,14 +130,24 @@ class ExperimentContext:
         self.weights = simpson_weights(cfg.grid_size)
         self.truth_grid = np.asarray(self.target.eval(self.grid), dtype=float)
         self.basis_grid = self.basis.design_matrix(self.grid, M)
-        self.gl_cfg = PenaltyConfig.custom(cfg.gl_constant,
-                                           uses_sigma_hat=(cfg.model == "regression"))
 
     def sample(self, rep_index: int, namespace: int = EVAL_NS) -> Sample:
         cfg = self.cfg
         if cfg.model == "density":
             return gen_density_sample(cfg.n, cfg.case, self.law, cfg.seed, rep_index, namespace)
         return gen_regression_sample(cfg.n, cfg.case, self.target, cfg.seed, rep_index, namespace)
+
+    def replication(self, rep_index: int, namespace: int = EVAL_NS) -> Replication:
+        """The replication kernel: sample, coefficient table and sigma_hat^2."""
+        sample = self.sample(rep_index, namespace)
+        table = empirical_coefficients(sample, self.cfg.m_grid, self.basis)
+        sig_sq = sigma_y_hat(sample) if self.cfg.model == "regression" else 1.0
+        return Replication(sample, table, sig_sq)
+
+    def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
+        """Realized ISE(m), m = 1..M, on the context's Simpson grid."""
+        return oracle_criteria(table, self.truth_grid, self.basis_grid, self.weights,
+                               self.cfg.m_grid)
 
 
 @dataclass(frozen=True)
@@ -163,19 +197,16 @@ def run_replication(cfg: ExperimentConfig, rep_index: int,
                     namespace: int = EVAL_NS) -> list[RepRecord]:
     """All requested selectors on one shared coefficient table."""
     ctx = ctx or ExperimentContext(cfg)
-    sample = ctx.sample(rep_index, namespace)
+    sample, table, sig_sq = ctx.replication(rep_index, namespace)
     M = cfg.m_grid
-    table = empirical_coefficients(sample, M, ctx.basis)
-    sig_sq = sigma_y_hat(sample) if cfg.model == "regression" else 1.0
-    ise_by_m = oracle_criteria(table, ctx.truth_grid, ctx.basis_grid, ctx.weights, M)
+    ise_by_m = ctx.ise_by_m(table)
 
     chosen = {}
     for sel in cfg.selectors:
         if sel == "oracle":
             m = int(np.argmin(ise_by_m)) + 1
         elif sel == "gl":
-            pens = penalty_vector(ctx.gl_cfg, M, cfg.n,
-                                  sig_sq if ctx.gl_cfg.uses_sigma_hat else None)
+            pens = penalty_vector(cfg.gl_constant, M, cfg.n, sig_sq)
             m = select_with_pens(table, pens).m_selected
         elif sel == "ms":
             m = select_ms(table, cfg.ms_constant, M, sig_sq).m_selected
@@ -281,11 +312,8 @@ def compute_bands(cfg: ExperimentConfig) -> BandTable:
     M = cfg.m_grid
     estimates = np.empty((cfg.reps, cfg.grid_size))
     for rep in range(cfg.reps):
-        sample = ctx.sample(rep, EVAL_NS)
-        table = empirical_coefficients(sample, M, ctx.basis)
-        sig_sq = sigma_y_hat(sample) if cfg.model == "regression" else 1.0
-        pens = penalty_vector(ctx.gl_cfg, M, cfg.n,
-                              sig_sq if ctx.gl_cfg.uses_sigma_hat else None)
+        _, table, sig_sq = ctx.replication(rep, EVAL_NS)
+        pens = penalty_vector(cfg.gl_constant, M, cfg.n, sig_sq)
         m = select_with_pens(table, pens).m_selected
         coefs = table.theta_hat[: m + 1]
         estimates[rep] = np.sum(coefs[:, None] * ctx.basis_grid[: m + 1], axis=0)
@@ -320,15 +348,11 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     ctx = ExperimentContext(cfg)
     M = cfg.m_grid
     totals = {sel: np.zeros(c_grid.size) for sel in ("gl", "ms")}
-    uses_sigma = cfg.model == "regression"
     for rep in range(calib_reps):
-        sample = ctx.sample(rep, CALIB_NS)
-        table = empirical_coefficients(sample, M, ctx.basis)
-        sig_sq = sigma_y_hat(sample) if uses_sigma else 1.0
-        ise_by_m = oracle_criteria(table, ctx.truth_grid, ctx.basis_grid, ctx.weights, M)
-        base_pens = np.arange(1, M + 1) * (sig_sq / cfg.n)
+        _, table, sig_sq = ctx.replication(rep, CALIB_NS)
+        ise_by_m = ctx.ise_by_m(table)
         for i, c in enumerate(c_grid):
-            pens = c * base_pens
+            pens = penalty_vector(c, M, cfg.n, sig_sq)
             totals["gl"][i] += ise_by_m[select_with_pens(table, pens).m_selected - 1]
             totals["ms"][i] += ise_by_m[select_ms(table, c, M, sig_sq).m_selected - 1]
     mean_ise = {sel: tot / calib_reps for sel, tot in totals.items()}

@@ -2,8 +2,12 @@
 
 All integrals in the package go through these helpers so that every
 quantity (normalizers, coefficients, ISE values) is computed with one
-well-understood rule.  The default resolution is 4097 points; doubling
-to 8193 is used in tests as a grid-refinement check.
+well-understood rule.  DEFAULT_GRID (4097 points) serves the quantities
+computed once per target: marginal normalizers and CDFs, true
+coefficients and the exact expected risk; doubling to 8193 is used in
+tests as a grid-refinement check.  The per-replication ISE and the bands
+use the coarser harness.DEFAULT_GRID_SIZE (1025 points, the --grid-size
+option).
 """
 
 from __future__ import annotations

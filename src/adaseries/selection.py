@@ -10,8 +10,8 @@ The penalized-contrast selector minimizes Xi_m + pen(m) with
     Xi_m = max_{m <= k <= M} ( || f_m - f_k ||^2 - pen(k) ),
 
 which by nestedness reduces to suffix maxima of the cumulative
-coefficient sums; select_gl with plain penalties is the m-tilde variant,
-with sigma_hat^2-scaled penalties the m-hat variant.
+coefficient sums; select_with_pens with plain penalties is the m-tilde
+variant, with sigma_hat^2-scaled penalties the m-hat variant.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .dependence import Sample
 from .estimators import CoefficientTable, ise_profile
 from .quadrature import DEFAULT_GRID, simpson_weights, unit_grid
 
-#: Theorem penalty constants c such that pen(m) = c * m / n (regression
-#: schemes additionally scale by sigma_hat^2).
+#: Theorem penalty constants c such that pen(m) = c * sigma^2 * m / n, with
+#: sigma^2 = sigma_hat^2 for regression and 1 for densities.
 PENALTY_PRESETS = {
     "density_iid": 36.0 * SUP_NORM_SQ,
     "regression_iid": 144.0 * SUP_NORM_SQ,
@@ -35,52 +35,24 @@ PENALTY_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Penalty shape pen(m) = c_pen * m / n, optionally times sigma_hat^2."""
-
-    scheme: str
-    c_pen: float
-    uses_sigma_hat: bool
-
-    def __post_init__(self):
-        if self.c_pen < 0.0:
-            raise ValueError("penalty constant must be nonnegative")
-
-    @classmethod
-    def preset(cls, scheme: str) -> "PenaltyConfig":
-        if scheme not in PENALTY_PRESETS:
-            raise ValueError(f"unknown penalty scheme {scheme!r}")
-        return cls(scheme=scheme, c_pen=PENALTY_PRESETS[scheme],
-                   uses_sigma_hat=scheme.startswith("regression"))
-
-    @classmethod
-    def custom(cls, c_pen: float, uses_sigma_hat: bool = False) -> "PenaltyConfig":
-        return cls(scheme="custom", c_pen=c_pen, uses_sigma_hat=uses_sigma_hat)
+def theorem_constant(model: str, case: int) -> float:
+    """Theorem penalty constant for a (model, dependence case) pair; case 1 is iid."""
+    scheme = f"{model}_{'iid' if case == 1 else 'dep'}"
+    if scheme not in PENALTY_PRESETS:
+        raise ValueError(f"unknown model {model!r}")
+    return PENALTY_PRESETS[scheme]
 
 
-def theorem_penalty_config(model: str, case: int) -> PenaltyConfig:
-    """Theorem preset for a (model, dependence case) pair; case 1 is iid."""
-    suffix = "iid" if case == 1 else "dep"
-    return PenaltyConfig.preset(f"{model}_{suffix}")
+def penalty_vector(c: float, M: int, n: int, sigma_sq: float = 1.0) -> np.ndarray:
+    """pen(m) = c * sigma_sq * m / n for m = 1..M (non-decreasing for c >= 0).
 
-
-def penalty(cfg: PenaltyConfig, m: int, n: int, sigma_sq: float | None = None) -> float:
-    """pen(m) for one dimension."""
-    if m < 1 or n < 1:
-        raise ValueError("penalty needs m >= 1 and n >= 1")
-    scale = 1.0
-    if cfg.uses_sigma_hat:
-        if sigma_sq is None:
-            raise ValueError(f"scheme {cfg.scheme!r} needs sigma_hat^2")
-        scale = sigma_sq
-    return cfg.c_pen * scale * m / n
-
-
-def penalty_vector(cfg: PenaltyConfig, M: int, n: int,
-                   sigma_sq: float | None = None) -> np.ndarray:
-    """pen(m) for m = 1..M (linear in m, hence non-decreasing)."""
-    return penalty(cfg, 1, n, sigma_sq) * np.arange(1, M + 1)
+    The single penalty formula of the package: penalized contrast, model
+    selection, bands, calibration and the oracle-inequality audit all
+    build their penalties here.
+    """
+    if c < 0.0:
+        raise ValueError("penalty constant must be nonnegative")
+    return c * sigma_sq * np.arange(1, M + 1) / n
 
 
 @dataclass(frozen=True)
@@ -91,10 +63,6 @@ class SelectionResult:
     m_selected: int
     penalties: np.ndarray
     criteria: np.ndarray
-
-    @property
-    def per_m(self):
-        return list(zip(self.penalties.tolist(), self.criteria.tolist()))
 
 
 def _coef_cumsum(table: CoefficientTable, M: int) -> np.ndarray:
@@ -123,8 +91,7 @@ def gl_contrast(table: CoefficientTable, pens) -> np.ndarray:
     return np.max(np.where(keep, terms, -np.inf), axis=1)
 
 
-def select_with_pens(table: CoefficientTable, pens,
-                     selector: str = "gl") -> SelectionResult:
+def select_with_pens(table: CoefficientTable, pens) -> SelectionResult:
     """Penalized-contrast selection with an explicit penalty subsequence.
 
     The criterion Xi_m + pen(m) equals max_{k >= m}(S_k - pen_k) - (S_m -
@@ -138,16 +105,8 @@ def select_with_pens(table: CoefficientTable, pens,
     shifted = S - pens
     suffix_max = np.maximum.accumulate(shifted[::-1])[::-1]
     crit = suffix_max - shifted
-    return SelectionResult(selector=selector, m_selected=_smallest_argmin(crit),
+    return SelectionResult(selector="gl", m_selected=_smallest_argmin(crit),
                            penalties=pens, criteria=crit)
-
-
-def select_gl(table: CoefficientTable, cfg: PenaltyConfig, M: int | None = None,
-              sigma_sq: float | None = None) -> SelectionResult:
-    """Penalized-contrast selection with pen(m) from a PenaltyConfig."""
-    M = table.m_max if M is None else M
-    pens = penalty_vector(cfg, M, table.n, sigma_sq)
-    return select_with_pens(table, pens, selector="gl")
 
 
 def select_ms(table: CoefficientTable, c: float, M: int | None = None,
@@ -160,7 +119,7 @@ def select_ms(table: CoefficientTable, c: float, M: int | None = None,
         raise ValueError("model-selection constant must be positive")
     M = table.m_max if M is None else M
     S = _coef_cumsum(table, M)
-    pens = c * sigma_sq * np.arange(1, M + 1) / table.n
+    pens = penalty_vector(c, M, table.n, sigma_sq)
     crit = -S + pens
     return SelectionResult(selector="ms", m_selected=_smallest_argmin(crit),
                            penalties=pens, criteria=crit)
@@ -198,11 +157,6 @@ def cv_profile(sample: Sample, M: int, basis: TrigBasis | None = None) -> np.nda
     return terms if sample.model == "density" else terms[1:]
 
 
-def cv_criterion(sample: Sample, m: int, basis: TrigBasis | None = None) -> float:
-    """Leave-one-out criterion CV(m) for a single dimension."""
-    return float(cv_profile(sample, m, basis)[m - 1])
-
-
 def select_cv(sample: Sample, M: int, basis: TrigBasis | None = None) -> SelectionResult:
     """Smallest argmin of CV(m) over m = 1..M."""
     crit = cv_profile(sample, M, basis)
@@ -235,32 +189,38 @@ def select_oracle(table: CoefficientTable, truth_fn, M: int | None = None,
 
 @dataclass(frozen=True)
 class Lemma1Audit:
-    """Pathwise oracle-inequality audit record."""
+    """Pathwise oracle-inequality audit of one table, for every m = 1..M.
 
-    m: int
+    lhs is the loss of the selected dimension; rhs, bias_sq and passed
+    are arrays whose entry m - 1 belongs to comparison dimension m.
+    """
+
     m_selected: int
     lhs: float
-    rhs: float
-    bias_sq: float
-    passed: bool
+    rhs: np.ndarray
+    bias_sq: np.ndarray
+    passed: np.ndarray
     tail_truncated_at: int
 
+    @property
+    def all_passed(self) -> bool:
+        return bool(np.all(self.passed))
 
-def lemma1_audit(table: CoefficientTable, pens, theta_true, m: int,
+
+def lemma1_audit(table: CoefficientTable, pens, theta_true,
                  rtol: float = 1e-9) -> Lemma1Audit:
-    """Check || f_mtilde - f ||^2 <= 85 max(bias_m^2, pen_m) + 42 max_k (...)_+ .
+    """Check || f_mtilde - f ||^2 <= 85 max(bias_m^2, pen_m) + 42 max_{k>=m} (...)_+ .
 
-    theta_true are the target's coefficients 0..J; the audit treats the
-    J-truncated projection as the target, for which the inequality is
-    exact (it holds pathwise for any coefficient sequence).  Requires a
-    non-decreasing, nonnegative penalty subsequence.
+    The bound is evaluated for every m = 1..M at once.  theta_true are the
+    target's coefficients 0..J; the audit treats the J-truncated projection
+    as the target, for which the inequality is exact (it holds pathwise for
+    any coefficient sequence).  Requires a non-decreasing, nonnegative
+    penalty subsequence.
     """
     pens = np.asarray(pens, dtype=float)
     M = pens.size
     if np.any(pens < 0.0) or np.any(np.diff(pens) < 0.0):
         raise ValueError("lemma audit needs nonnegative non-decreasing penalties")
-    if not 1 <= m <= M:
-        raise ValueError(f"audit dimension {m} outside 1..{M}")
     theta_true = np.asarray(theta_true, dtype=float)
     if theta_true.size < M + 1:
         raise ValueError("need true coefficients up to the dimension grid")
@@ -271,9 +231,10 @@ def lemma1_audit(table: CoefficientTable, pens, theta_true, m: int,
     tail = np.concatenate((np.cumsum((theta_true**2)[::-1])[::-1], [0.0]))
 
     lhs = float(err_norm[m_sel] + tail[m_sel + 1])
-    bias_sq = float(tail[m + 1])
-    dev = err_norm[m : M + 1] - pens[m - 1 :] / 6.0
-    rhs = 85.0 * max(bias_sq, float(pens[m - 1])) + 42.0 * max(float(np.max(dev)), 0.0)
+    bias_sq = tail[2 : M + 2]  # bias_m^2 = sum_{j > m} theta_j^2
+    dev = err_norm[1:] - pens / 6.0  # deviation at k, minus pen(k) / 6
+    suffix = np.maximum.accumulate(dev[::-1])[::-1]  # max over k >= m
+    rhs = 85.0 * np.maximum(bias_sq, pens) + 42.0 * np.maximum(suffix, 0.0)
     passed = lhs <= rhs * (1.0 + rtol) + 1e-15
-    return Lemma1Audit(m=m, m_selected=m_sel, lhs=lhs, rhs=rhs, bias_sq=bias_sq,
+    return Lemma1Audit(m_selected=m_sel, lhs=lhs, rhs=rhs, bias_sq=bias_sq,
                        passed=passed, tail_truncated_at=theta_true.size - 1)

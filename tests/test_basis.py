@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaseries.basis import (SUP_NORM_SQ, RateResult, TrigBasis, WeightSequence,
-                             eval_basis, optimal_dimension, rate_slope, weight)
+                             optimal_dimension, rate_slope)
 from adaseries.quadrature import simpson_weights, unit_grid
 
 
 def test_eval_basis_pinned_values():
-    assert eval_basis(0, 0.3) == pytest.approx(1.0)
-    assert eval_basis(1, 0.0) == pytest.approx(math.sqrt(2.0))  # sqrt2 * cos(0)
-    assert eval_basis(2, 0.25) == pytest.approx(math.sqrt(2.0))  # sqrt2 * sin(pi/2)
+    basis = TrigBasis()
+    assert basis.eval_one(0, 0.3) == pytest.approx(1.0)
+    assert basis.eval_one(1, 0.0) == pytest.approx(math.sqrt(2.0))  # sqrt2 * cos(0)
+    assert basis.eval_one(2, 0.25) == pytest.approx(math.sqrt(2.0))  # sqrt2 * sin(pi/2)
 
 
 def test_eval_basis_domain_errors():
@@ -57,15 +58,15 @@ def test_sup_norm_bound_and_even_equality():
 
 
 def test_weight_pinned_values():
-    assert weight(WeightSequence("polynomial", p=1.0), 2) == pytest.approx(0.25)
-    assert weight(WeightSequence("polynomial", p=1.5), 1) == pytest.approx(1.0)
+    assert WeightSequence("polynomial", p=1.0).weight(2) == pytest.approx(0.25)
+    assert WeightSequence("polynomial", p=1.5).weight(1) == pytest.approx(1.0)
     # decaying exponential form: gamma_j = exp(-j ** (2 p))
-    assert weight(WeightSequence("exponential", p=0.5), 4) == pytest.approx(math.exp(-4.0))
+    assert WeightSequence("exponential", p=0.5).weight(4) == pytest.approx(math.exp(-4.0))
 
 
 def test_weight_domain_error_at_zero():
     with pytest.raises(ValueError):
-        weight(WeightSequence("polynomial", p=1.0), 0)
+        WeightSequence("polynomial", p=1.0).weight(0)
 
 
 def test_custom_weights_validated():

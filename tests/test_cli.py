@@ -43,10 +43,13 @@ def test_missing_target_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_bad_flag_value_usage_error(tmp_path):
+@pytest.mark.parametrize("flag, value", [("--case", "9"), ("--grid-size", "1024"),
+                                         ("--seed", "-1"), ("--workers", "0")],
+                         ids=["case", "grid-size", "seed", "workers"])
+def test_bad_flag_value_usage_error(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--model", "density", "--target", "f1", "--case", "9",
-              "--n", "100", "--out", str(tmp_path)])
+        main(["simulate", "--model", "density", "--target", "f1", "--case", "1",
+              "--n", "100", "--reps", "2", flag, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
 
 

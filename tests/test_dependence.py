@@ -4,7 +4,7 @@ import pytest
 from adaseries.checks import dependence_score, ks_statistic
 from adaseries.dependence import (AR_SCALE, AR_TRUNCATION, arcsine_cdf,
                                   ar_path_from_innovations, bernoulli_ar_path,
-                                  dump_sample, gen_case1, gen_density_sample,
+                                  dump_sample, gen_density_sample,
                                   gen_regression_sample, logistic_path,
                                   marginal_G_case3, stream, uniform_series)
 from adaseries.quadrature import integrate
@@ -13,14 +13,14 @@ from adaseries.targets import regression_f1, regression_f2
 
 def test_case1_uniform_marginal_identity(law_uniform):
     rng = stream(3, 0)
-    z = gen_case1(50, law_uniform, rng)
+    z = law_uniform.quantile(uniform_series(1, 50, rng))
     raw = stream(3, 0).uniform(size=50)
     np.testing.assert_allclose(z, raw, atol=1e-8)
 
 
 def test_case1_ks_against_marginal(law_f1):
     rng = stream(11, 0)
-    z = gen_case1(10**5, law_f1, rng)
+    z = law_f1.quantile(uniform_series(1, 10**5, rng))
     assert ks_statistic(z, cdf=law_f1.cdf) < 0.006
 
 

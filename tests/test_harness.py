@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from adaseries.harness import (BandTable, ExperimentConfig, ExperimentContext,
+from adaseries.estimators import empirical_coefficients, sigma_y_hat
+from adaseries.harness import (CALIB_NS, BandTable, ExperimentConfig, ExperimentContext,
                                calibrate_constant, calibrated_config,
                                compute_bands, default_c_grid, run_experiment,
                                run_replication, write_bands_csv)
@@ -26,6 +27,9 @@ def test_config_validation():
         small_cfg(selectors=("oracle", "mystery"))
     with pytest.raises(ValueError):
         small_cfg(m_max=0)
+    for bad in (dict(grid_size=1024), dict(grid_size=1), dict(seed=-1), dict(workers=0)):
+        with pytest.raises(ValueError):
+            small_cfg(**bad)
     assert small_cfg(n=50).m_grid == 50
     assert small_cfg(n=5000).m_grid == 100
 
@@ -73,6 +77,20 @@ def test_regression_records_sigma():
     sig = {r.sigma_y_hat for r in records if r.rep_index == 0}
     assert len(sig) == 1  # shared within a replication
     assert sig.pop() > 0.5  # around sigma^2 + ||f||^2 ~ 1.07
+
+
+def test_replication_kernel_matches_direct_path():
+    for cfg in (small_cfg(), ExperimentConfig(model="regression", target="f2", case=2,
+                                              n=200, reps=2, seed=3)):
+        ctx = ExperimentContext(cfg)
+        sample, table, sig_sq = ctx.replication(1, CALIB_NS)
+        direct = ctx.sample(1, CALIB_NS)
+        np.testing.assert_array_equal(
+            table.theta_hat, empirical_coefficients(direct, cfg.m_grid).theta_hat)
+        assert sig_sq == (sigma_y_hat(direct) if cfg.model == "regression" else 1.0)
+        record = run_replication(cfg, 1, ctx, CALIB_NS)[0]
+        assert record.sigma_y_hat == sig_sq
+        np.testing.assert_array_equal(record.ise_by_m, ctx.ise_by_m(table))
 
 
 def test_bands_ordering_and_coverage():

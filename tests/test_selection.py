@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaseries.basis import TrigBasis
-from adaseries.checks import lemma1_holds_for_table
 from adaseries.dependence import Sample, gen_density_sample
 from adaseries.estimators import CoefficientTable, empirical_coefficients
-from adaseries.selection import (PenaltyConfig, cv_criterion, cv_profile,
-                                 gl_contrast, lemma1_audit, penalty,
-                                 penalty_vector, select_cv, select_gl, select_ms,
-                                 select_oracle, select_with_pens,
-                                 theorem_penalty_config)
+from adaseries.selection import (cv_profile, gl_contrast, lemma1_audit,
+                                 penalty_vector, select_cv, select_ms,
+                                 select_oracle, select_with_pens, theorem_constant)
 from adaseries.targets import MarginalLaw, density_f1, true_coefficients
 
 
@@ -23,34 +20,30 @@ def table_from(theta, model="density", n=100):
 
 
 def test_penalty_pinned_values():
-    cfg = PenaltyConfig.custom(36.0)
-    assert penalty(cfg, 10, 1000) == pytest.approx(0.36)
-    cfg_r = PenaltyConfig.custom(144.0, uses_sigma_hat=True)
-    assert penalty(cfg_r, 2, 100, sigma_sq=0.5) == pytest.approx(1.44)
-
-
-def test_penalty_requires_sigma_when_scaled():
-    cfg = PenaltyConfig.custom(10.0, uses_sigma_hat=True)
+    assert penalty_vector(36.0, 10, 1000)[9] == pytest.approx(0.36)
+    assert penalty_vector(144.0, 2, 100, sigma_sq=0.5)[1] == pytest.approx(1.44)
+    # one float order, c * sigma^2 * m / n, bit for bit
+    np.testing.assert_array_equal(penalty_vector(3.7, 5, 250, 0.3),
+                                  3.7 * 0.3 * np.arange(1, 6) / 250)
     with pytest.raises(ValueError):
-        penalty(cfg, 1, 10)
+        penalty_vector(-1.0, 3, 10)
 
 
 def test_penalty_monotone_in_m():
-    for cfg in (PenaltyConfig.preset("density_iid"),
-                PenaltyConfig.preset("regression_dep")):
-        pens = penalty_vector(cfg, 20, 500, sigma_sq=0.7)
+    for c in (theorem_constant("density", 1), theorem_constant("regression", 3)):
+        pens = penalty_vector(c, 20, 500, sigma_sq=0.7)
         assert np.all(pens >= 0.0)
         assert np.all(np.diff(pens) >= 0.0)
 
 
 def test_theorem_presets():
     # constants 36 / 144 / 288 / 1152 times the squared sup-norm constant 2
-    assert theorem_penalty_config("density", 1).c_pen == 72.0
-    assert theorem_penalty_config("regression", 1).c_pen == 288.0
-    assert theorem_penalty_config("density", 2).c_pen == 576.0
-    assert theorem_penalty_config("regression", 3).c_pen == 2304.0
-    assert theorem_penalty_config("regression", 1).uses_sigma_hat
-    assert not theorem_penalty_config("density", 3).uses_sigma_hat
+    assert theorem_constant("density", 1) == 72.0
+    assert theorem_constant("regression", 1) == 288.0
+    assert theorem_constant("density", 2) == 576.0
+    assert theorem_constant("regression", 3) == 2304.0
+    with pytest.raises(ValueError):
+        theorem_constant("other", 1)
 
 
 def test_gl_contrast_single_dimension():
@@ -107,18 +100,14 @@ def test_select_gl_preset_paths():
     rng = np.random.default_rng(29)
     theta = np.concatenate(([1.0], rng.standard_normal(20) * 0.3))
     table = table_from(theta, n=250)
-    cfg = PenaltyConfig.custom(3.0)
-    res = select_gl(table, cfg)
-    ref = select_with_pens(table, penalty_vector(cfg, 20, 250))
-    assert res.m_selected == ref.m_selected
-    np.testing.assert_array_equal(res.penalties, ref.penalties)
+    pens = penalty_vector(3.0, 20, 250)
+    res = select_with_pens(table, pens)
+    np.testing.assert_array_equal(res.penalties, pens)
     # the sigma-scaled variant shrinks penalties when sigma_hat^2 < 1
-    cfg_r = PenaltyConfig.custom(3.0, uses_sigma_hat=True)
+    scaled = penalty_vector(3.0, 20, 250, 0.5)
+    np.testing.assert_array_equal(scaled, 0.5 * pens)
     table_r = table_from(theta, model="regression", n=250)
-    res_r = select_gl(table_r, cfg_r, sigma_sq=0.5)
-    np.testing.assert_allclose(res_r.penalties, 0.5 * res.penalties)
-    with pytest.raises(ValueError):
-        select_gl(table_r, cfg_r)  # sigma_hat^2 required
+    np.testing.assert_array_equal(select_with_pens(table_r, scaled).penalties, scaled)
 
 
 def test_gl_and_ms_coincide_with_same_penalties():
@@ -128,8 +117,7 @@ def test_gl_and_ms_coincide_with_same_penalties():
         theta = np.concatenate(([1.0], rng.standard_normal(M) * rng.uniform(0.05, 2.0)))
         table = table_from(theta, n=int(rng.integers(10, 1000)))
         c = float(rng.uniform(0.1, 50.0))
-        pens = c * np.arange(1, M + 1) / table.n
-        gl = select_with_pens(table, pens)
+        gl = select_with_pens(table, penalty_vector(c, M, table.n))
         ms = select_ms(table, c)
         assert gl.m_selected == ms.m_selected
 
@@ -153,7 +141,7 @@ def density_sample_from(x):
 def test_cv_hand_example():
     # n = 2, draws at 0 and 0.25: theta_1 = sqrt(2)/2, cross term vanishes
     sample = density_sample_from([0.0, 0.25])
-    assert cv_criterion(sample, 1) == pytest.approx(0.5)
+    assert cv_profile(sample, 1)[0] == pytest.approx(0.5)
 
 
 def brute_force_cv(sample, M):
@@ -242,40 +230,58 @@ def test_oracle_never_beaten_on_shared_table():
         sample = gen_density_sample(300, 1, law, seed=31, rep_index=rep)
         table = empirical_coefficients(sample, 40)
         res_o = select_oracle(table, truth.eval, n_points=1025)
-        for other in (select_with_pens(table, penalty_vector(PenaltyConfig.custom(2.0), 40, 300)),
+        for other in (select_with_pens(table, penalty_vector(2.0, 40, 300)),
                       select_ms(table, 2.0),
                       select_cv(sample, 40)):
             assert res_o.criteria[res_o.m_selected - 1] <= res_o.criteria[other.m_selected - 1] + 1e-15
 
 
+def lemma1_holds(theta_hat, theta_true, pens):
+    table = table_from(theta_hat, model="regression", n=1)
+    return lemma1_audit(table, pens, theta_true).all_passed
+
+
 def test_lemma1_noiseless_zero_penalties():
     theta_true = np.concatenate(([1.0], 0.5 ** np.arange(1, 12)))
     table = table_from(theta_true.copy())
-    audit = lemma1_audit(table, np.zeros(11), theta_true, m=3)
-    assert audit.passed
-    assert audit.lhs <= 85.0 * audit.bias_sq + 1e-15
+    audit = lemma1_audit(table, np.zeros(11), theta_true)
+    assert audit.passed[2]
+    assert audit.lhs <= 85.0 * audit.bias_sq[2] + 1e-15
 
 
 def test_lemma1_rejects_bad_penalties():
     table = table_from([1.0, 0.1, 0.2])
     theta_true = np.zeros(3)
     with pytest.raises(ValueError):
-        lemma1_audit(table, [0.2, 0.1], theta_true, m=1)
+        lemma1_audit(table, [0.2, 0.1], theta_true)
     with pytest.raises(ValueError):
-        lemma1_audit(table, [-0.1, 0.2], theta_true, m=1)
+        lemma1_audit(table, [-0.1, 0.2], theta_true)
 
 
-def test_lemma1_audit_matches_bulk_checker():
+def per_m_rhs(theta_hat, theta_true, pens, m):
+    """The right-hand side for one comparison dimension m, written out directly."""
+    M = len(pens)
+    err = [float(np.sum((theta_hat[: k + 1] - theta_true[: k + 1]) ** 2))
+           for k in range(M + 1)]
+    bias_sq = float(np.sum(theta_true[m + 1 :] ** 2))
+    dev = max(err[k] - pens[k - 1] / 6.0 for k in range(m, M + 1))
+    return 85.0 * max(bias_sq, pens[m - 1]) + 42.0 * max(dev, 0.0), bias_sq
+
+
+def test_lemma1_audit_vectorized_matches_per_m():
     rng = np.random.default_rng(5)
     for _ in range(50):
         M = int(rng.integers(1, 15))
         theta_hat = rng.standard_normal(M + 1)
         theta_true = rng.standard_normal(M + 20)
         pens = np.cumsum(rng.uniform(0.0, 0.3, size=M))
-        per_m = all(lemma1_audit(table_from(theta_hat, model="regression"), pens,
-                                 theta_true, m).passed for m in range(1, M + 1))
-        assert per_m == lemma1_holds_for_table(theta_hat, theta_true, pens)
-        assert per_m  # the inequality is a theorem; failures are bugs
+        audit = lemma1_audit(table_from(theta_hat, model="regression"), pens, theta_true)
+        assert audit.rhs.shape == audit.bias_sq.shape == audit.passed.shape == (M,)
+        for m in range(1, M + 1):
+            rhs, bias_sq = per_m_rhs(theta_hat, theta_true, pens, m)
+            assert audit.rhs[m - 1] == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+            assert audit.bias_sq[m - 1] == pytest.approx(bias_sq, rel=1e-12, abs=1e-15)
+        assert audit.all_passed  # the inequality is a theorem; failures are bugs
 
 
 def test_lemma1_fuzz_moderate():
@@ -286,18 +292,18 @@ def test_lemma1_fuzz_moderate():
         theta_hat = rng.standard_normal(M + 1) * scale
         theta_true = rng.standard_normal(M + 1 + int(rng.integers(0, 40))) * scale
         pens = np.cumsum(rng.uniform(0.0, scale**2, size=M))
-        assert lemma1_holds_for_table(theta_hat, theta_true, pens)
+        assert lemma1_holds(theta_hat, theta_true, pens)
 
 
 def test_lemma1_on_simulated_replications():
     truth = density_f1()
     law = MarginalLaw(truth)
     theta_true = true_coefficients(truth.eval, 400)
-    pens = penalty_vector(theorem_penalty_config("density", 1), 50, 500)
+    pens = penalty_vector(theorem_constant("density", 1), 50, 500)
     for rep in range(40):
         sample = gen_density_sample(500, 1, law, seed=41, rep_index=rep)
         table = empirical_coefficients(sample, 50)
-        assert lemma1_holds_for_table(table.theta_hat, theta_true, pens, n=500)
+        assert lemma1_audit(table, pens, theta_true).all_passed
 
 
 @settings(max_examples=60)
@@ -312,4 +318,4 @@ def test_lemma1_property(data):
         min_size=M + 1 + extra, max_size=M + 1 + extra)))
     steps = np.array(data.draw(st.lists(
         st.floats(min_value=0.0, max_value=3.0), min_size=M, max_size=M)))
-    assert lemma1_holds_for_table(theta_hat, theta_true, np.cumsum(steps))
+    assert lemma1_holds(theta_hat, theta_true, np.cumsum(steps))
