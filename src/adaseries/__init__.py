@@ -10,14 +10,12 @@ reproduces the simulation risk tables and percentile bands.
 from .basis import RateResult, TrigBasis, WeightSequence, optimal_dimension
 from .dependence import (Sample, gen_density_sample, gen_regression_sample,
                          marginal_G_case3, stream, uniform_series)
-from .estimators import (CoefficientTable, SeriesEstimate, empirical_coefficients,
-                         ise, ise_of_estimate, l2_gap, sigma_y_hat)
+from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
 from .harness import (BandTable, ExperimentConfig, CalibrationResult, RepRecord,
                       SummaryRow, calibrate_constant, calibrated_config,
                       compute_bands, run_experiment, run_replication)
-from .selection import (Lemma1Audit, SelectionResult, gl_contrast, lemma1_audit,
-                        penalty_vector, select_cv, select_ms, select_oracle,
-                        select_with_pens, theorem_constant)
+from .selection import (Lemma1Audit, SelectionResult, lemma1_audit, penalty_vector,
+                        select_cv, select_ms, select_with_pens, theorem_constant)
 from .targets import (DensityTarget, MarginalLaw, RegressionTarget, density_f1,
                       density_f2, regression_f1, regression_f2, true_coefficients,
                       uniform_density)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
-from .dependence import (AR_TRUNCATION, ar_path_from_innovations, marginal_G_case3,
-                         stream, uniform_series)
-from .estimators import CoefficientTable
+from .dependence import (AR_TRUNCATION, Sample, ar_path_from_innovations,
+                         marginal_G_case3, stream, uniform_series)
+from .estimators import CoefficientTable, empirical_coefficients
 from .harness import ExperimentConfig, ExperimentContext
 from .quadrature import simpson_weights, unit_grid
 from .selection import lemma1_audit, penalty_vector
@@ -104,8 +104,9 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
     draws = law.quantile(rng.uniform(size=(reps * n)))
     thetas = np.empty((reps, m_top))
     for r in range(reps):
-        design = basis.design_matrix(draws[r * n : (r + 1) * n], m_top)
-        thetas[r] = np.sum(design[1:], axis=1) / n
+        sample = Sample(model="density", n=n, case=1, seed=seed, rep_index=r,
+                        x=draws[r * n : (r + 1) * n])
+        thetas[r] = empirical_coefficients(sample, m_top, basis).theta_hat[1:]
     variances = thetas.var(axis=0, ddof=1)
     ok = True
     ratios = []
@@ -218,7 +219,7 @@ def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> Che
     theta_true = true_coefficients(ctx.target.eval, 400)
     failures = 0
     for rep in range(reps):
-        _, table, sig_sq = ctx.replication(rep, LEMMA_NS)
+        table, sig_sq = ctx.replication(rep, LEMMA_NS)
         pens = penalty_vector(cfg.gl_constant, cfg.m_grid, n, sig_sq)
         if not lemma1_audit(table, pens, theta_true).all_passed:
             failures += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import sys
 from dataclasses import asdict
@@ -20,9 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from . import checks as checks_mod
-from .harness import (ExperimentConfig, calibrate_constant, compute_bands,
-                      run_experiment, write_bands_csv, write_calibration_csv,
-                      write_raw_csv, write_summary_csv)
+from .harness import (MIN_BAND_REPS, ExperimentConfig, calibrate_constant,
+                      calibration_grid, compute_bands, run_experiment, write_bands_csv,
+                      write_calibration_csv, write_raw_csv, write_summary_csv)
 
 _EXPERIMENT_KEYS = {
     "model": str, "target": str, "case": int, "n": int, "reps": int,
@@ -42,8 +43,11 @@ def _package_version() -> str:
         return __version__
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _parse_float_list(text: str, flag: str, parser: argparse.ArgumentParser) -> list[float]:
+    try:
+        return [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        parser.error(f"--{flag}: expected a comma list of numbers, got {text!r}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -166,6 +170,8 @@ def _write_metadata(out_dir: Path, cfg: ExperimentConfig | None, command: str,
 
 def _cmd_simulate(merged: dict, out_dir: Path, parser) -> int:
     cfg = _experiment_config(merged, parser)
+    if "ms" in cfg.selectors and cfg.ms_constant <= 0.0:
+        parser.error("selector ms needs a positive constant: set --c-pen-ms")
     rows, records = run_experiment(cfg, progress=True)
     write_raw_csv(records, out_dir / "raw.csv")
     write_summary_csv(rows, out_dir / "summary.csv")
@@ -178,6 +184,8 @@ def _cmd_simulate(merged: dict, out_dir: Path, parser) -> int:
 
 def _cmd_bands(merged: dict, out_dir: Path, parser) -> int:
     cfg = _experiment_config(merged, parser, default_reps=100)
+    if cfg.reps < MIN_BAND_REPS:
+        parser.error(f"bands need --reps >= {MIN_BAND_REPS}")
     bands = compute_bands(cfg)
     write_bands_csv(bands, out_dir / "bands.csv")
     _write_metadata(out_dir, cfg, "bands")
@@ -190,8 +198,12 @@ def _cmd_calibrate(merged: dict, out_dir: Path, parser) -> int:
     cfg = _experiment_config(merged, parser, default_reps=100)
     c_grid = merged.get("c_grid")
     if isinstance(c_grid, str):
-        c_grid = _parse_float_list(c_grid)
+        c_grid = _parse_float_list(c_grid, "c-grid", parser)
     calib_reps = merged.get("calib_reps", 100)
+    try:
+        c_grid = calibration_grid(c_grid, calib_reps)
+    except ValueError as exc:
+        parser.error(str(exc))
     calib = calibrate_constant(cfg, c_grid, calib_reps)
     write_calibration_csv(calib, out_dir / "calibration.csv")
     _write_metadata(out_dir, cfg, "calibrate",
@@ -212,7 +224,7 @@ def _cmd_check(args: argparse.Namespace, parser) -> int:
             kwargs[key] = merged[key]
     pens = merged.get("pens")
     if isinstance(pens, str):
-        pens = _parse_float_list(pens)
+        pens = _parse_float_list(pens, "pens", parser)
     results = checks_mod.run_all_checks(pens=pens, **kwargs)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -220,10 +232,10 @@ def _cmd_check(args: argparse.Namespace, parser) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "check_report.csv", "w") as fh:
-            fh.write("check,passed,detail\n")
-            for r in results:
-                fh.write(f"{r.name},{int(r.passed)},\"{r.detail}\"\n")
+        with open(out_dir / "check_report.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["check", "passed", "detail"])
+            writer.writerows([r.name, int(r.passed), r.detail] for r in results)
     return 0 if all(r.passed for r in results) else 1
 
 

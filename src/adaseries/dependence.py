@@ -152,13 +152,3 @@ def gen_regression_sample(n: int, case: int, target: RegressionTarget, seed: int
     y = target.eval(u) + target.noise_sigma * eps
     return Sample(model="regression", n=n, case=case, seed=seed, rep_index=rep_index, y=y, u=u)
 
-
-def dump_sample(sample: Sample, path) -> None:
-    """Write draws as decimal text, one draw per line, 17 significant digits."""
-    with open(path, "w") as fh:
-        if sample.model == "density":
-            for v in sample.x:
-                fh.write(f"{v:.17g}\n")
-        else:
-            for yv, uv in zip(sample.y, sample.u):
-                fh.write(f"{yv:.17g} {uv:.17g}\n")

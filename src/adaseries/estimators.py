@@ -1,4 +1,4 @@
-"""Empirical coefficients, series estimates, ISE, and the noise-level estimate.
+"""Empirical coefficients, the realized ISE profile, and the noise-level estimate.
 
 A dimension-m estimator always uses the coefficient prefix 0..m:
 
@@ -7,91 +7,64 @@ A dimension-m estimator always uses the coefficient prefix 0..m:
     regression  f_m(x) = sum_{j=0..m} theta_hat_j phi_j(x)
 
 so estimators are nested and || f_m - f_k ||^2 reduces to the Parseval
-gap sum_{j=m+1..k} theta_hat_j^2 in both models.
+gap sum_{j=m+1..k} theta_hat_j^2 in both models.  Every selector reads
+one CoefficientTable: penalized contrast and model selection its
+theta_hat, cross-validation also its leave-one-out squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .basis import TrigBasis
 from .dependence import Sample
-from .quadrature import DEFAULT_GRID, simpson_weights, unit_grid
 
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Empirical coefficients theta_hat_j, j = 0..m_max, for one sample."""
+    """Empirical coefficients of one sample, for j = 0..m_max.
+
+    theta_hat_j = T_j / n with T_j = sum_i psi_j(Z_i), where psi_j(Z) is
+    phi_j(X) for densities (theta_hat_0 is the known constant 1) and
+    Y phi_j(U) for regression.  theta_sq_loo_j = (T_j^2 - sum_i
+    psi_j(Z_i)^2) / (n (n - 1)) is the leave-one-out estimate of
+    theta_j^2, the off-diagonal double sum over observation pairs; it is
+    None for a one-point sample.
+    """
 
     model: str
     n: int
     m_max: int
     theta_hat: np.ndarray
-
-    def prefix(self, m: int) -> np.ndarray:
-        """Coefficients of the dimension-m estimator (indices 0..m)."""
-        if m < 0 or m > self.m_max:
-            raise ValueError(f"dimension {m} outside [0, {self.m_max}]")
-        return self.theta_hat[: m + 1]
+    theta_sq_loo: Optional[np.ndarray] = None
 
 
 def empirical_coefficients(sample: Sample, m_max: int,
                            basis: TrigBasis | None = None) -> CoefficientTable:
-    """Coefficient table from a sample.
-
-    density:    theta_hat_j = mean phi_j(x_i) for j >= 1, theta_hat_0 = 1
-    regression: theta_hat_j = mean y_i phi_j(u_i) for j >= 0
-    """
+    """Coefficient table from a sample: one psi matrix, both sums read from it."""
     if sample.n < 1:
         raise ValueError("empty sample")
     basis = basis or TrigBasis(max_index=max(m_max, 1))
     if sample.model == "density":
-        design = basis.design_matrix(sample.x, m_max)
-        theta = np.sum(design, axis=1) / sample.n
-        theta[0] = 1.0
+        psi = basis.design_matrix(sample.x, m_max)
     elif sample.model == "regression":
-        design = basis.design_matrix(sample.u, m_max)
-        theta = np.sum(design * sample.y, axis=1) / sample.n
+        psi = basis.design_matrix(sample.u, m_max)
+        psi *= sample.y
     else:
         raise ValueError(f"unknown model {sample.model!r}")
-    return CoefficientTable(model=sample.model, n=sample.n, m_max=m_max, theta_hat=theta)
-
-
-@dataclass(frozen=True)
-class SeriesEstimate:
-    """Series estimator at a fixed dimension, evaluable on [0, 1]."""
-
-    table: CoefficientTable
-    m: int
-
-    def evaluate(self, x, basis: TrigBasis | None = None) -> np.ndarray:
-        basis = basis or TrigBasis(max_index=max(self.m, 1))
-        design = basis.design_matrix(x, self.m)
-        return np.sum(self.table.prefix(self.m)[:, None] * design, axis=0)
-
-
-def l2_gap(table: CoefficientTable, m: int, k: int) -> float:
-    """|| f_m - f_k ||^2 = sum_{j=m+1..k} theta_hat_j^2 for nested estimators."""
-    if m > k:
-        raise ValueError("l2_gap needs m <= k")
-    if m < 0 or k > table.m_max:
-        raise ValueError("l2_gap indices outside the table")
-    seg = table.theta_hat[m + 1 : k + 1]
-    return float(np.sum(seg * seg))
-
-
-def ise(est_values, truth_values) -> float:
-    """Integrated squared error on a shared uniform Simpson grid."""
-    diff = np.asarray(est_values, dtype=float) - np.asarray(truth_values, dtype=float)
-    return float(np.sum(diff * diff * simpson_weights(diff.size)))
-
-
-def ise_of_estimate(est: SeriesEstimate, truth_fn, n_points: int = DEFAULT_GRID) -> float:
-    """ISE of a series estimate against a pointwise truth, by Simpson quadrature."""
-    grid = unit_grid(n_points)
-    return ise(est.evaluate(grid), truth_fn(grid))
+    n = sample.n
+    totals = np.sum(psi, axis=1)
+    theta = totals / n
+    if sample.model == "density":
+        theta[0] = 1.0
+    loo = None
+    if n > 1:
+        loo = (totals**2 - np.sum(psi * psi, axis=1)) / (n * (n - 1))
+    return CoefficientTable(model=sample.model, n=n, m_max=m_max, theta_hat=theta,
+                            theta_sq_loo=loo)
 
 
 def ise_profile(table: CoefficientTable, truth_grid: np.ndarray,

@@ -1,11 +1,13 @@
 """Monte Carlo harness: replications, risk tables, percentile bands, calibration.
 
 A replication generates one sample from its (seed, rep_index) stream
-and builds one coefficient table and the noise level sigma_hat^2
+and reduces it to one coefficient table and the noise level sigma_hat^2
 (ExperimentContext.replication, the one kernel shared by evaluation
-runs, bands, calibration and the oracle-inequality check).  Evaluation
-runs all requested selectors on that shared table and scores each
-selected dimension by Simpson-grid ISE against the true function.
+runs, bands, calibration and the oracle-inequality check).  The sample
+is evaluated on the basis once, inside empirical_coefficients; nothing
+after the kernel reads the sample.  Evaluation runs all requested
+selectors, cross-validation included, on that shared table and scores
+each selected dimension by Simpson-grid ISE against the true function.
 Replications are independent, so aggregates do not depend on worker
 count or completion order.
 
@@ -17,6 +19,7 @@ evaluation runs.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +46,9 @@ DEFAULT_GRID_SIZE = 1025
 #: Stream namespaces: evaluation and calibration draws never overlap.
 EVAL_NS = 0
 CALIB_NS = 1
+
+#: Fewest replications whose 5% and 95% pointwise percentiles are bands.
+MIN_BAND_REPS = 20
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,10 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.c_gl is not None and not (math.isfinite(self.c_gl) and self.c_gl >= 0.0):
+            raise ValueError("c_gl must be finite and >= 0")
+        if self.c_ms is not None and not (math.isfinite(self.c_ms) and self.c_ms > 0.0):
+            raise ValueError("c_ms must be finite and > 0")
 
     @property
     def m_grid(self) -> int:
@@ -108,7 +118,6 @@ class Replication(NamedTuple):
     penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
     """
 
-    sample: Sample
     table: CoefficientTable
     sigma_sq: float
 
@@ -138,11 +147,11 @@ class ExperimentContext:
         return gen_regression_sample(cfg.n, cfg.case, self.target, cfg.seed, rep_index, namespace)
 
     def replication(self, rep_index: int, namespace: int = EVAL_NS) -> Replication:
-        """The replication kernel: sample, coefficient table and sigma_hat^2."""
+        """The replication kernel: coefficient table and sigma_hat^2 of one sample."""
         sample = self.sample(rep_index, namespace)
         table = empirical_coefficients(sample, self.cfg.m_grid, self.basis)
         sig_sq = sigma_y_hat(sample) if self.cfg.model == "regression" else 1.0
-        return Replication(sample, table, sig_sq)
+        return Replication(table, sig_sq)
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid."""
@@ -197,7 +206,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int,
                     namespace: int = EVAL_NS) -> list[RepRecord]:
     """All requested selectors on one shared coefficient table."""
     ctx = ctx or ExperimentContext(cfg)
-    sample, table, sig_sq = ctx.replication(rep_index, namespace)
+    table, sig_sq = ctx.replication(rep_index, namespace)
     M = cfg.m_grid
     ise_by_m = ctx.ise_by_m(table)
 
@@ -211,7 +220,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int,
         elif sel == "ms":
             m = select_ms(table, cfg.ms_constant, M, sig_sq).m_selected
         else:
-            m = select_cv(sample, M, ctx.basis).m_selected
+            m = select_cv(table, M).m_selected
         chosen[sel] = m
 
     records = [RepRecord(rep_index, sel, m, float(ise_by_m[m - 1]), sig_sq, ise_by_m)
@@ -306,13 +315,13 @@ def run_experiment(cfg: ExperimentConfig, raw_path=None, summary_path=None,
 
 def compute_bands(cfg: ExperimentConfig) -> BandTable:
     """Pointwise percentile bands of the GL estimate over replications."""
-    if cfg.reps < 20:
-        raise ValueError("bands need at least 20 replications")
+    if cfg.reps < MIN_BAND_REPS:
+        raise ValueError(f"bands need at least {MIN_BAND_REPS} replications")
     ctx = ExperimentContext(cfg)
     M = cfg.m_grid
     estimates = np.empty((cfg.reps, cfg.grid_size))
     for rep in range(cfg.reps):
-        _, table, sig_sq = ctx.replication(rep, EVAL_NS)
+        table, sig_sq = ctx.replication(rep, EVAL_NS)
         pens = penalty_vector(cfg.gl_constant, M, cfg.n, sig_sq)
         m = select_with_pens(table, pens).m_selected
         coefs = table.theta_hat[: m + 1]
@@ -334,6 +343,21 @@ def default_c_grid() -> np.ndarray:
     return np.round(2.0 ** (np.arange(15) / 2.0 - 1.0), 6)
 
 
+def calibration_grid(c_grid: Iterable[float] | None, calib_reps: int) -> np.ndarray:
+    """The candidate constants as an array (None -> default_c_grid()).
+
+    Raises ValueError unless the grid is nonempty, finite, positive and
+    strictly increasing and calib_reps >= 1.
+    """
+    grid = default_c_grid() if c_grid is None else np.asarray(list(c_grid), dtype=float)
+    if (grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] <= 0.0
+            or not np.all(np.diff(grid) > 0.0)):
+        raise ValueError("calibration grid must be nonempty, positive and increasing")
+    if calib_reps < 1:
+        raise ValueError("need calib_reps >= 1")
+    return grid
+
+
 def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = None,
                        calib_reps: int = 100) -> CalibrationResult:
     """Grid-search penalty constants for GL and MS on a disjoint seed stream.
@@ -342,14 +366,12 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     do not depend on the constant, so each replication is generated once
     and every candidate c only reruns the O(M) selection.
     """
-    c_grid = default_c_grid() if c_grid is None else np.asarray(list(c_grid), dtype=float)
-    if c_grid.size == 0 or np.any(np.diff(c_grid) <= 0.0):
-        raise ValueError("calibration grid must be nonempty and increasing")
+    c_grid = calibration_grid(c_grid, calib_reps)
     ctx = ExperimentContext(cfg)
     M = cfg.m_grid
     totals = {sel: np.zeros(c_grid.size) for sel in ("gl", "ms")}
     for rep in range(calib_reps):
-        _, table, sig_sq = ctx.replication(rep, CALIB_NS)
+        table, sig_sq = ctx.replication(rep, CALIB_NS)
         ise_by_m = ctx.ise_by_m(table)
         for i, c in enumerate(c_grid):
             pens = penalty_vector(c, M, cfg.n, sig_sq)

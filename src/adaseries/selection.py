@@ -1,9 +1,11 @@
 """Dimension selectors: penalized contrast (GL), model selection, CV, oracle.
 
-All selectors scan the collection m = 1..M and return the smallest
-minimizer of their criterion.  The criteria exclude the index-0
-coefficient: it is common to every candidate dimension in both models
-and cannot change an argmin.
+Every selector is a function of one CoefficientTable and the dimension
+grid m = 1..M, and returns the smallest minimizer of its criterion.  GL
+and MS read theta_hat; CV also reads the table's leave-one-out squares,
+so no selector goes back to the sample.  The criteria exclude the
+index-0 coefficient: it is common to every candidate dimension in both
+models and cannot change an argmin.
 
 The penalized-contrast selector minimizes Xi_m + pen(m) with
 
@@ -20,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SUP_NORM_SQ, TrigBasis
-from .dependence import Sample
+from .basis import SUP_NORM_SQ
 from .estimators import CoefficientTable, ise_profile
-from .quadrature import DEFAULT_GRID, simpson_weights, unit_grid
 
 #: Theorem penalty constants c such that pen(m) = c * sigma^2 * m / n, with
 #: sigma^2 = sigma_hat^2 for regression and 1 for densities.
@@ -65,10 +65,14 @@ class SelectionResult:
     criteria: np.ndarray
 
 
-def _coef_cumsum(table: CoefficientTable, M: int) -> np.ndarray:
-    """S_m = sum_{j=1..m} theta_hat_j^2 for m = 1..M."""
+def _check_grid(table: CoefficientTable, M: int) -> None:
     if M < 1 or M > table.m_max:
         raise ValueError(f"dimension grid 1..{M} outside the table (m_max={table.m_max})")
+
+
+def _coef_cumsum(table: CoefficientTable, M: int) -> np.ndarray:
+    """S_m = sum_{j=1..m} theta_hat_j^2 for m = 1..M."""
+    _check_grid(table, M)
     sq = table.theta_hat[1 : M + 1] ** 2
     return np.cumsum(sq)
 
@@ -76,19 +80,6 @@ def _coef_cumsum(table: CoefficientTable, M: int) -> np.ndarray:
 def _smallest_argmin(values: np.ndarray) -> int:
     """Smallest m with values[m-1] minimal (np.argmin takes the first)."""
     return int(np.argmin(values)) + 1
-
-
-def gl_contrast(table: CoefficientTable, pens) -> np.ndarray:
-    """Contrast Xi_m = max_{m <= k <= M} (gap(m, k) - pen(k)) for m = 1..M.
-
-    Evaluated from the pairwise gaps so that the k = m term is an exact
-    float zero and Xi_M equals -pen(M) exactly.
-    """
-    pens = np.asarray(pens, dtype=float)
-    S = _coef_cumsum(table, pens.size)
-    terms = (S[None, :] - S[:, None]) - pens[None, :]
-    keep = np.triu(np.ones((pens.size, pens.size), dtype=bool))
-    return np.max(np.where(keep, terms, -np.inf), axis=1)
 
 
 def select_with_pens(table: CoefficientTable, pens) -> SelectionResult:
@@ -125,41 +116,26 @@ def select_ms(table: CoefficientTable, c: float, M: int | None = None,
                            penalties=pens, criteria=crit)
 
 
-def _cv_terms(sample: Sample, M: int, basis: TrigBasis | None = None) -> np.ndarray:
-    """Per-coefficient CV contributions over the estimated index set.
+def cv_profile(table: CoefficientTable, M: int) -> np.ndarray:
+    """Leave-one-out CV(m) for m = 1..M.
 
-    Entry for index j is theta_hat_j^2 - 2 [(sum_i psi_j)^2 - sum_i psi_j^2]
-    / (n (n - 1)), with psi_j(Z) = phi_j(X) for densities and Y phi_j(U)
-    for regression.  The bracket is the off-diagonal double sum over
-    observation pairs written in O(n) form.
+    CV(m) sums theta_hat_j^2 - 2 theta_sq_loo_j over the estimated
+    indices j <= m.  Regression includes the estimated index-0 term in
+    every candidate (a shift common to all m), so its cumulative sum
+    starts at j = 0.
     """
-    if sample.n < 2:
+    if table.theta_sq_loo is None:
         raise ValueError("cross-validation needs n >= 2")
-    basis = basis or TrigBasis(max_index=max(M, 1))
-    if sample.model == "density":
-        psi = basis.design_matrix(sample.x, M)[1:]
-    else:
-        psi = basis.design_matrix(sample.u, M) * sample.y
-    n = sample.n
-    totals = np.sum(psi, axis=1)
-    diag = np.sum(psi * psi, axis=1)
-    theta = totals / n
-    return theta**2 - 2.0 * (totals**2 - diag) / (n * (n - 1))
+    _check_grid(table, M)
+    start = 1 if table.model == "density" else 0
+    theta = table.theta_hat[start : M + 1]
+    terms = np.cumsum(theta**2 - 2.0 * table.theta_sq_loo[start : M + 1])
+    return terms if start else terms[1:]
 
 
-def cv_profile(sample: Sample, M: int, basis: TrigBasis | None = None) -> np.ndarray:
-    """CV(m) for m = 1..M.
-
-    Regression includes the estimated index-0 term in every candidate
-    (a shift common to all m), so its cumulative sum starts at j = 0.
-    """
-    terms = np.cumsum(_cv_terms(sample, M, basis))
-    return terms if sample.model == "density" else terms[1:]
-
-
-def select_cv(sample: Sample, M: int, basis: TrigBasis | None = None) -> SelectionResult:
+def select_cv(table: CoefficientTable, M: int) -> SelectionResult:
     """Smallest argmin of CV(m) over m = 1..M."""
-    crit = cv_profile(sample, M, basis)
+    crit = cv_profile(table, M)
     return SelectionResult(selector="cv", m_selected=_smallest_argmin(crit),
                            penalties=np.zeros(M), criteria=crit)
 
@@ -172,19 +148,6 @@ def oracle_criteria(table: CoefficientTable, truth_grid: np.ndarray,
     sub = CoefficientTable(model=table.model, n=table.n, m_max=M,
                            theta_hat=table.theta_hat[: M + 1])
     return ise_profile(sub, truth_grid, basis_grid, weights)
-
-
-def select_oracle(table: CoefficientTable, truth_fn, M: int | None = None,
-                  n_points: int = DEFAULT_GRID,
-                  basis: TrigBasis | None = None) -> SelectionResult:
-    """Infeasible benchmark: smallest minimizer of the realized ISE."""
-    M = table.m_max if M is None else M
-    basis = basis or TrigBasis(max_index=max(M, 1))
-    grid = unit_grid(n_points)
-    crit = oracle_criteria(table, np.asarray(truth_fn(grid), dtype=float),
-                           basis.design_matrix(grid, M), simpson_weights(n_points), M)
-    return SelectionResult(selector="oracle", m_selected=_smallest_argmin(crit),
-                           penalties=np.zeros(M), criteria=crit)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -44,13 +45,42 @@ def test_missing_target_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--case", "9"), ("--grid-size", "1024"),
-                                         ("--seed", "-1"), ("--workers", "0")],
-                         ids=["case", "grid-size", "seed", "workers"])
+                                         ("--seed", "-1"), ("--workers", "0"),
+                                         ("--c-pen", "-1"), ("--c-pen-ms", "0"),
+                                         ("--c-pen", "0")],
+                         ids=["case", "grid-size", "seed", "workers", "c-pen",
+                              "c-pen-ms", "c-pen-zero-ms"])
 def test_bad_flag_value_usage_error(tmp_path, flag, value):
+    # --c-pen 0 alone is a valid GL constant, but ms inherits it and needs c > 0
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--model", "density", "--target", "f1", "--case", "1",
               "--n", "100", "--reps", "2", flag, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
+    assert not (tmp_path / "raw.csv").exists()
+
+
+COMMON = ["--model", "density", "--target", "f1", "--case", "1", "--n", "100"]
+
+
+@pytest.mark.parametrize("args", [
+    ["calibrate", *COMMON, "--c-grid", "0,1"],
+    ["calibrate", *COMMON, "--c-grid", "2,1"],
+    ["calibrate", *COMMON, "--c-grid", "1,x"],
+    ["calibrate", *COMMON, "--calib-reps", "0"],
+    ["bands", *COMMON, "--reps", "5"],
+    ["check", "--pens", "a,b"],
+], ids=["c-grid-zero", "c-grid-decreasing", "c-grid-text", "calib-reps", "bands-reps",
+        "pens-text"])
+def test_bad_value_usage_error_other_commands(tmp_path, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_c_pen_zero_without_ms(tmp_path):
+    assert main(SIM_ARGS + ["--c-pen", "0", "--selectors", "oracle,gl",
+                            "--out", str(tmp_path)]) == 0
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -128,8 +158,12 @@ variance_reps = 100
     code = main(["check", "--config", str(cfg), "--seed", "0",
                  "--ks-draws", "100000", "--out", str(tmp_path / "rep")])
     assert code == 0
-    report = (tmp_path / "rep" / "check_report.csv").read_text()
-    assert "orthonormality,1" in report
+    with open(tmp_path / "rep" / "check_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["check", "passed", "detail"]
+    assert all(len(row) == 3 for row in rows)
+    assert ["orthonormality", "1"] == rows[1][:2]
+    assert any("," in row[2] for row in rows[1:])  # quoted details read back whole
 
 
 def test_check_bad_penalties_exit_one(tmp_path, capsys):

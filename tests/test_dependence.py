@@ -4,7 +4,7 @@ import pytest
 from adaseries.checks import dependence_score, ks_statistic
 from adaseries.dependence import (AR_SCALE, AR_TRUNCATION, arcsine_cdf,
                                   ar_path_from_innovations, bernoulli_ar_path,
-                                  dump_sample, gen_density_sample,
+                                  gen_density_sample,
                                   gen_regression_sample, logistic_path,
                                   marginal_G_case3, stream, uniform_series)
 from adaseries.quadrature import integrate
@@ -133,6 +133,17 @@ def test_draws_inside_unit_interval(law_f2):
         assert np.all((s.x >= 0.0) & (s.x <= 1.0))
         r = gen_regression_sample(2000, case, regression_f1(), seed=2, rep_index=1)
         assert np.all((r.u >= 0.0) & (r.u <= 1.0))
+
+
+def dump_sample(sample, path):
+    """Write draws as decimal text, one draw per line, 17 significant digits."""
+    with open(path, "w") as fh:
+        if sample.model == "density":
+            for v in sample.x:
+                fh.write(f"{v:.17g}\n")
+        else:
+            for yv, uv in zip(sample.y, sample.u):
+                fh.write(f"{yv:.17g} {uv:.17g}\n")
 
 
 def test_dump_sample_formats(tmp_path, law_f1):

@@ -5,12 +5,40 @@ import pytest
 
 from adaseries.basis import SUP_NORM_SQ, TrigBasis
 from adaseries.dependence import Sample, gen_density_sample, gen_regression_sample
-from adaseries.estimators import (CoefficientTable, SeriesEstimate,
-                                  empirical_coefficients, ise, ise_of_estimate,
-                                  ise_profile, l2_gap, sigma_y_hat)
-from adaseries.quadrature import integrate, simpson_weights, unit_grid
+from adaseries.estimators import (CoefficientTable, empirical_coefficients,
+                                  ise_profile, sigma_y_hat)
+from adaseries.quadrature import DEFAULT_GRID, integrate, simpson_weights, unit_grid
 from adaseries.targets import (MarginalLaw, density_f1, regression_f1,
                                true_coefficients)
+
+
+def series_values(table, m, x):
+    """Dimension-m series estimate sum_{j<=m} theta_hat_j phi_j at points x."""
+    if m < 0 or m > table.m_max:
+        raise ValueError(f"dimension {m} outside [0, {table.m_max}]")
+    design = TrigBasis(max_index=max(m, 1)).design_matrix(x, m)
+    return np.sum(table.theta_hat[: m + 1, None] * design, axis=0)
+
+
+def ise(est_values, truth_values):
+    """Integrated squared error on a shared uniform Simpson grid."""
+    diff = np.asarray(est_values, dtype=float) - np.asarray(truth_values, dtype=float)
+    return float(np.sum(diff * diff * simpson_weights(diff.size)))
+
+
+def ise_of_series(table, m, truth_fn, n_points=DEFAULT_GRID):
+    grid = unit_grid(n_points)
+    return ise(series_values(table, m, grid), truth_fn(grid))
+
+
+def l2_gap(table, m, k):
+    """|| f_m - f_k ||^2 = sum_{j=m+1..k} theta_hat_j^2 for nested estimators."""
+    if m > k:
+        raise ValueError("l2_gap needs m <= k")
+    if m < 0 or k > table.m_max:
+        raise ValueError("l2_gap indices outside the table")
+    seg = table.theta_hat[m + 1 : k + 1]
+    return float(np.sum(seg * seg))
 
 
 def density_sample(x):
@@ -30,6 +58,18 @@ def test_density_coefficients_pinned():
     assert table.theta_hat[1] == pytest.approx(0.0, abs=1e-15)  # cos(pi/2) = 0
     single = empirical_coefficients(density_sample([0.0]), 1)
     assert single.theta_hat[1] == pytest.approx(math.sqrt(2.0))
+    assert single.theta_sq_loo is None  # no pair of observations
+
+
+def test_leave_one_out_squares_pinned():
+    # psi_1 = sqrt(2) cos(2 pi x) at 0, 0.5, 0.5: (sqrt 2, -sqrt 2, -sqrt 2)
+    table = empirical_coefficients(density_sample([0.0, 0.5, 0.5]), 1)
+    # (T^2 - sum psi^2) / (n (n - 1)) = (2 - 6) / 6
+    assert table.theta_sq_loo[1] == pytest.approx(-2.0 / 3.0, abs=1e-15)
+    assert table.theta_sq_loo[0] == 1.0
+    reg = empirical_coefficients(regression_sample([1.0, 3.0], [0.25, 0.75]), 0)
+    # psi_0 = y: (T^2 - sum y^2) / 2 = (16 - 10) / 2, the pair product 2 y_1 y_2 / 2
+    assert reg.theta_sq_loo[0] == 3.0
 
 
 def test_regression_zero_responses():
@@ -48,7 +88,7 @@ def test_nested_prefix_bit_exact():
     full = empirical_coefficients(sample, 30)
     small = empirical_coefficients(sample, 12)
     np.testing.assert_array_equal(full.theta_hat[:13], small.theta_hat)
-    np.testing.assert_array_equal(full.prefix(12), small.theta_hat)
+    np.testing.assert_array_equal(full.theta_sq_loo[:13], small.theta_sq_loo)
 
 
 def test_l2_gap_examples():
@@ -65,8 +105,8 @@ def test_l2_gap_matches_quadrature():
     sample = density_sample(rng.uniform(size=64))
     table = empirical_coefficients(sample, 12)
     grid = unit_grid()
-    est_m = SeriesEstimate(table, 4).evaluate(grid)
-    est_k = SeriesEstimate(table, 11).evaluate(grid)
+    est_m = series_values(table, 4, grid)
+    est_k = series_values(table, 11, grid)
     gap_quad = ise(est_m, est_k)
     assert gap_quad == pytest.approx(l2_gap(table, 4, 11), abs=1e-8)
 
@@ -77,9 +117,10 @@ def test_series_estimate_matches_direct_sum():
                              theta_hat=np.concatenate(([1.0], rng.standard_normal(9))))
     basis = TrigBasis(max_index=9)
     x = rng.uniform(size=40)
-    est = SeriesEstimate(table, 7)
     direct = sum(table.theta_hat[j] * basis.eval_one(j, x) for j in range(8))
-    np.testing.assert_allclose(est.evaluate(x), direct, atol=1e-12)
+    np.testing.assert_allclose(series_values(table, 7, x), direct, atol=1e-12)
+    with pytest.raises(ValueError):
+        series_values(table, 10, x)
 
 
 def test_ise_zero_and_orthonormal_perturbation():
@@ -99,7 +140,7 @@ def test_ise_parseval_split_oracle():
     sample = gen_density_sample(500, 1, MarginalLaw(truth), seed=3, rep_index=0)
     table = empirical_coefficients(sample, 20)
     m = 14
-    quad = ise_of_estimate(SeriesEstimate(table, m), truth.eval)
+    quad = ise_of_series(table, m, truth.eval)
     split = (np.sum((table.theta_hat[: m + 1] - theta_true[: m + 1]) ** 2)
              + np.sum(theta_true[m + 1 :] ** 2))
     assert quad == pytest.approx(split, abs=1e-4)
@@ -115,7 +156,7 @@ def test_ise_profile_matches_per_m_quadrature():
     profile = ise_profile(table, law_target.eval(grid), basis.design_matrix(grid, 15),
                           weights)
     for m in (1, 5, 15):
-        direct = ise(SeriesEstimate(table, m).evaluate(grid), law_target.eval(grid))
+        direct = ise(series_values(table, m, grid), law_target.eval(grid))
         assert profile[m - 1] == pytest.approx(direct, rel=1e-12)
 
 
@@ -138,11 +179,10 @@ def test_density_estimator_is_one_plus_series():
     rng = np.random.default_rng(13)
     sample = density_sample(rng.uniform(size=200))
     table = empirical_coefficients(sample, 8)
-    est = SeriesEstimate(table, 8)
     x = np.linspace(0.0, 1.0, 31)
     basis = TrigBasis(max_index=8)
     tail = sum(table.theta_hat[j] * basis.eval_one(j, x) for j in range(1, 9))
-    np.testing.assert_allclose(est.evaluate(x), 1.0 + tail, atol=1e-12)
+    np.testing.assert_allclose(series_values(table, 8, x), 1.0 + tail, atol=1e-12)
 
 
 def test_coefficient_unbiasedness_monte_carlo():

@@ -27,7 +27,9 @@ def test_config_validation():
         small_cfg(selectors=("oracle", "mystery"))
     with pytest.raises(ValueError):
         small_cfg(m_max=0)
-    for bad in (dict(grid_size=1024), dict(grid_size=1), dict(seed=-1), dict(workers=0)):
+    for bad in (dict(grid_size=1024), dict(grid_size=1), dict(seed=-1), dict(workers=0),
+                dict(c_gl=-1.0), dict(c_gl=float("nan")), dict(c_ms=0.0),
+                dict(c_ms=float("inf"))):
         with pytest.raises(ValueError):
             small_cfg(**bad)
     assert small_cfg(n=50).m_grid == 50
@@ -83,14 +85,45 @@ def test_replication_kernel_matches_direct_path():
     for cfg in (small_cfg(), ExperimentConfig(model="regression", target="f2", case=2,
                                               n=200, reps=2, seed=3)):
         ctx = ExperimentContext(cfg)
-        sample, table, sig_sq = ctx.replication(1, CALIB_NS)
+        table, sig_sq = ctx.replication(1, CALIB_NS)
         direct = ctx.sample(1, CALIB_NS)
-        np.testing.assert_array_equal(
-            table.theta_hat, empirical_coefficients(direct, cfg.m_grid).theta_hat)
+        reference = empirical_coefficients(direct, cfg.m_grid)
+        np.testing.assert_array_equal(table.theta_hat, reference.theta_hat)
+        np.testing.assert_array_equal(table.theta_sq_loo, reference.theta_sq_loo)
         assert sig_sq == (sigma_y_hat(direct) if cfg.model == "regression" else 1.0)
         record = run_replication(cfg, 1, ctx, CALIB_NS)[0]
         assert record.sigma_y_hat == sig_sq
         np.testing.assert_array_equal(record.ise_by_m, ctx.ise_by_m(table))
+
+
+def test_one_design_matrix_per_replication(monkeypatch):
+    # the sample is evaluated on the basis once; CV reads the coefficient table
+    from adaseries import harness as hl
+    from adaseries.basis import TrigBasis
+
+    calls = {"all": 0, "in_cv": 0}
+    original_design, original_cv = TrigBasis.design_matrix, hl.select_cv
+
+    def counting_design(self, x, m_max):
+        calls["all"] += 1
+        return original_design(self, x, m_max)
+
+    def watched_cv(*args, **kwargs):
+        before = calls["all"]
+        result = original_cv(*args, **kwargs)
+        calls["in_cv"] += calls["all"] - before
+        return result
+
+    monkeypatch.setattr(TrigBasis, "design_matrix", counting_design)
+    monkeypatch.setattr(hl, "select_cv", watched_cv)
+    for cfg in (small_cfg(), ExperimentConfig(model="regression", target="f1", case=2,
+                                              n=200, reps=3, seed=3)):
+        assert cfg.selectors == ("oracle", "gl", "ms", "cv")
+        ctx = ExperimentContext(cfg)
+        calls["all"] = 0
+        for rep in range(3):
+            run_replication(cfg, rep, ctx)
+        assert calls == {"all": 3, "in_cv": 0}
 
 
 def test_bands_ordering_and_coverage():
@@ -143,6 +176,9 @@ def test_calibrate_grid_validation():
         calibrate_constant(small_cfg(), c_grid=[], calib_reps=2)
     with pytest.raises(ValueError):
         calibrate_constant(small_cfg(), c_grid=[2.0, 1.0], calib_reps=2)
+    for grid, reps in (([0.0, 1.0], 2), ([1.0, float("nan")], 2), ([1.0, 2.0], 0)):
+        with pytest.raises(ValueError):
+            calibrate_constant(small_cfg(), c_grid=grid, calib_reps=reps)
 
 
 def test_calibration_improves_on_theorem_constant():

@@ -8,15 +8,47 @@ from hypothesis import strategies as st
 from adaseries.basis import TrigBasis
 from adaseries.dependence import Sample, gen_density_sample
 from adaseries.estimators import CoefficientTable, empirical_coefficients
-from adaseries.selection import (cv_profile, gl_contrast, lemma1_audit,
-                                 penalty_vector, select_cv, select_ms,
-                                 select_oracle, select_with_pens, theorem_constant)
+from adaseries.quadrature import simpson_weights, unit_grid
+from adaseries.selection import (SelectionResult, cv_profile, lemma1_audit,
+                                 oracle_criteria, penalty_vector, select_cv, select_ms,
+                                 select_with_pens, theorem_constant)
 from adaseries.targets import MarginalLaw, density_f1, true_coefficients
 
 
 def table_from(theta, model="density", n=100):
     theta = np.asarray(theta, dtype=float)
     return CoefficientTable(model=model, n=n, m_max=theta.size - 1, theta_hat=theta)
+
+
+def gl_contrast(table, pens):
+    """Reference contrast Xi_m = max_{m <= k <= M} (gap(m, k) - pen(k)), m = 1..M.
+
+    The O(M^2) form from the pairwise gaps: the k = m term is an exact
+    float zero, so Xi_M equals -pen(M) exactly.
+    """
+    pens = np.asarray(pens, dtype=float)
+    S = np.cumsum(table.theta_hat[1 : pens.size + 1] ** 2)
+    terms = (S[None, :] - S[:, None]) - pens[None, :]
+    keep = np.triu(np.ones((pens.size, pens.size), dtype=bool))
+    return np.max(np.where(keep, terms, -np.inf), axis=1)
+
+
+def select_oracle(table, truth_fn, M=None, n_points=1025):
+    """Infeasible benchmark: smallest minimizer of the realized ISE."""
+    M = table.m_max if M is None else M
+    grid = unit_grid(n_points)
+    crit = oracle_criteria(table, np.asarray(truth_fn(grid), dtype=float),
+                           TrigBasis(max_index=max(M, 1)).design_matrix(grid, M),
+                           simpson_weights(n_points), M)
+    return SelectionResult(selector="oracle", m_selected=int(np.argmin(crit)) + 1,
+                           penalties=np.zeros(M), criteria=crit)
+
+
+def assert_gl_criteria_match_contrast(table, pens, atol=1e-15):
+    """select_with_pens scores Xi_m + pen(m), the reference contrast plus pen(m)."""
+    pens = np.asarray(pens, dtype=float)
+    crit = select_with_pens(table, pens).criteria
+    np.testing.assert_allclose(crit - pens, gl_contrast(table, pens), rtol=0.0, atol=atol)
 
 
 def test_penalty_pinned_values():
@@ -49,6 +81,7 @@ def test_theorem_presets():
 def test_gl_contrast_single_dimension():
     table = table_from([1.0, 0.5])
     np.testing.assert_allclose(gl_contrast(table, [0.3]), [-0.3])
+    assert select_with_pens(table, [0.3]).criteria[0] == 0.0
 
 
 def test_gl_contrast_hand_enumeration():
@@ -58,6 +91,8 @@ def test_gl_contrast_hand_enumeration():
     table2 = table_from([1.0, 0.4, math.sqrt(0.5)])
     xi2 = gl_contrast(table2, [0.1, 0.2])
     np.testing.assert_allclose(xi2, [0.3, -0.2], atol=1e-15)
+    for tab in (table, table2):
+        assert_gl_criteria_match_contrast(tab, [0.1, 0.2])
 
 
 def test_select_gl_hand_examples():
@@ -82,6 +117,8 @@ def test_contrast_at_top_dimension_equals_minus_penalty():
     pens = np.cumsum(rng.uniform(0.0, 0.1, size=12))
     xi = gl_contrast(table, pens)
     assert xi[-1] == -pens[-1]
+    assert select_with_pens(table, pens).criteria[-1] == 0.0
+    assert_gl_criteria_match_contrast(table, pens, atol=1e-12)
 
 
 def test_select_ms_hand_examples():
@@ -138,10 +175,14 @@ def density_sample_from(x):
     return Sample(model="density", n=x.size, case=1, seed=0, rep_index=0, x=x)
 
 
+def cv_of(sample, M):
+    return cv_profile(empirical_coefficients(sample, M), M)
+
+
 def test_cv_hand_example():
     # n = 2, draws at 0 and 0.25: theta_1 = sqrt(2)/2, cross term vanishes
     sample = density_sample_from([0.0, 0.25])
-    assert cv_profile(sample, 1)[0] == pytest.approx(0.5)
+    assert cv_of(sample, 1)[0] == pytest.approx(0.5)
 
 
 def brute_force_cv(sample, M):
@@ -171,32 +212,58 @@ def brute_force_cv(sample, M):
     return out
 
 
+def sample_cv(sample, M):
+    """CV(m) computed from the sample in O(n) form, with its own design matrix."""
+    basis = TrigBasis(max_index=M)
+    if sample.model == "density":
+        psi = basis.design_matrix(sample.x, M)[1:]
+    else:
+        psi = basis.design_matrix(sample.u, M) * sample.y
+    n = sample.n
+    totals = np.sum(psi, axis=1)
+    diag = np.sum(psi * psi, axis=1)
+    theta = totals / n
+    terms = np.cumsum(theta**2 - 2.0 * (totals**2 - diag) / (n * (n - 1)))
+    return terms if sample.model == "density" else terms[1:]
+
+
 def test_cv_fast_form_matches_triple_loop():
     rng = np.random.default_rng(23)
     for _ in range(25):
         n = int(rng.integers(2, 12))
         M = int(rng.integers(1, 6))
         sample = density_sample_from(rng.uniform(size=n))
-        np.testing.assert_allclose(cv_profile(sample, M), brute_force_cv(sample, M),
+        np.testing.assert_allclose(cv_of(sample, M), brute_force_cv(sample, M),
                                    atol=1e-10)
     for _ in range(25):
         n = int(rng.integers(2, 12))
         M = int(rng.integers(1, 6))
         sample = Sample(model="regression", n=n, case=1, seed=0, rep_index=0,
                         y=rng.standard_normal(n), u=rng.uniform(size=n))
-        np.testing.assert_allclose(cv_profile(sample, M), brute_force_cv(sample, M),
+        np.testing.assert_allclose(cv_of(sample, M), brute_force_cv(sample, M),
                                    atol=1e-10)
+    # the table's leave-one-out squares give the sample-side O(n) form bit for bit
+    for rep in range(5):
+        for n, M in ((50, 10), (500, 100)):
+            sample = gen_density_sample(n, 2, MarginalLaw(density_f1()), seed=3,
+                                        rep_index=rep)
+            np.testing.assert_array_equal(cv_of(sample, M), sample_cv(sample, M))
+            sample = Sample(model="regression", n=n, case=1, seed=0, rep_index=0,
+                            y=rng.standard_normal(n), u=rng.uniform(size=n))
+            np.testing.assert_array_equal(cv_of(sample, M), sample_cv(sample, M))
 
 
 def test_cv_identical_points_against_brute_force():
     sample = density_sample_from([0.3, 0.3, 0.3])
-    np.testing.assert_allclose(cv_profile(sample, 3), brute_force_cv(sample, 3),
+    np.testing.assert_allclose(cv_of(sample, 3), brute_force_cv(sample, 3),
                                atol=1e-12)
 
 
 def test_cv_needs_two_points():
+    single = empirical_coefficients(density_sample_from([0.5]), 2)
+    assert single.theta_sq_loo is None
     with pytest.raises(ValueError):
-        select_cv(density_sample_from([0.5]), 2)
+        select_cv(single, 2)
 
 
 def test_select_oracle_noiseless():
@@ -210,14 +277,17 @@ def test_select_oracle_noiseless():
 
 
 def test_select_oracle_equals_exhaustive_scan():
-    from adaseries.estimators import SeriesEstimate, ise_of_estimate
-
     rng = np.random.default_rng(3)
     truth = density_f1()
     table = table_from(np.concatenate(([1.0], rng.standard_normal(10) * 0.2)))
     res = select_oracle(table, truth.eval, n_points=513)
-    direct = [ise_of_estimate(SeriesEstimate(table, m), truth.eval, n_points=513)
-              for m in range(1, 11)]
+    grid = unit_grid(513)
+    basis = TrigBasis(max_index=10)
+    direct = []
+    for m in range(1, 11):
+        est = sum(table.theta_hat[j] * basis.eval_one(j, grid) for j in range(m + 1))
+        diff = est - truth.eval(grid)
+        direct.append(float(np.sum(diff * diff * simpson_weights(513))))
     assert res.m_selected == int(np.argmin(direct)) + 1
     np.testing.assert_allclose(res.criteria, direct, rtol=1e-12)
 
@@ -232,7 +302,7 @@ def test_oracle_never_beaten_on_shared_table():
         res_o = select_oracle(table, truth.eval, n_points=1025)
         for other in (select_with_pens(table, penalty_vector(2.0, 40, 300)),
                       select_ms(table, 2.0),
-                      select_cv(sample, 40)):
+                      select_cv(table, 40)):
             assert res_o.criteria[res_o.m_selected - 1] <= res_o.criteria[other.m_selected - 1] + 1e-15
 
 
