@@ -10,6 +10,9 @@ For the density model coefficient 0 is the known constant 1 and only
 j >= 1 is estimated; for regression coefficient 0 is estimated like any
 other.  The system satisfies sup_x sum_{j=1}^m phi_j(x)^2 <= 2 m (with
 equality to m for even m), so the squared sup-norm constant is 2.
+TrigBasis.design_matrix evaluates all rows with the trig recurrence:
+one complex exponential per point, then one complex product per
+frequency.
 """
 
 from __future__ import annotations
@@ -53,20 +56,24 @@ class TrigBasis:
     def design_matrix(self, x, m_max: int) -> np.ndarray:
         """Rows j = 0..m_max of the basis evaluated at points x.
 
-        Shape (m_max + 1, len(x)); row j is phi_j(x).
+        Shape (m_max + 1, len(x)); row j is phi_j(x).  cos and sin of
+        2 pi x are taken once, as z = exp(2 pi i x); the rows follow from
+        the trig recurrence p <- p z started at p = sqrt(2) z, so that
+        p = sqrt(2) exp(2 pi i k x) gives row 2k - 1 as its real part and
+        row 2k as its imaginary part.  Rounding grows like k * 1e-16.
         """
         if m_max < 0 or m_max > self.max_index:
             raise ValueError(f"m_max {m_max} outside [0, {self.max_index}]")
         x = np.asarray(x, dtype=float).ravel()
         out = np.empty((m_max + 1, x.size))
         out[0] = 1.0
-        n_cos = (m_max + 1) // 2
-        n_sin = m_max // 2
-        if n_cos:
-            ang = 2.0 * np.pi * np.outer(np.arange(1, n_cos + 1), x)
-            out[1 : 2 * n_cos : 2] = SQRT2 * np.cos(ang)
-            if n_sin:
-                out[2 : 2 * n_sin + 1 : 2] = SQRT2 * np.sin(ang[:n_sin])
+        z = np.exp(2j * np.pi * x)
+        p = SQRT2 * z
+        for k in range(1, (m_max + 1) // 2 + 1):
+            out[2 * k - 1] = p.real
+            if 2 * k <= m_max:
+                out[2 * k] = p.imag
+            np.multiply(p, z, out=p)
         return out
 
 

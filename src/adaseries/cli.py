@@ -222,6 +222,10 @@ def _cmd_check(args: argparse.Namespace, parser) -> int:
                 "variance_reps"):
         if key in merged:
             kwargs[key] = merged[key]
+    try:
+        checks_mod.validate_settings(**kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
     pens = merged.get("pens")
     if isinstance(pens, str):
         pens = _parse_float_list(pens, "pens", parser)

@@ -67,11 +67,14 @@ def stream(seed: int, rep_index: int, namespace: int = 0) -> np.random.Generator
 
 
 def logistic_path(n: int, u1: float) -> np.ndarray:
-    """Logistic-map trajectory started from the invariant law via u1."""
-    y = np.empty(n)
-    y[0] = np.sin(0.5 * np.pi * u1) ** 2
-    cur = y[0]
-    for i in range(1, n):
+    """Logistic-map trajectory started from the invariant law via u1.
+
+    The map is iterated on Python floats (the same IEEE double arithmetic
+    as numpy scalars, without their per-operation overhead).
+    """
+    cur = float(np.sin(0.5 * np.pi * u1) ** 2)
+    path = [cur]
+    for _ in range(1, n):
         cur = 4.0 * cur * (1.0 - cur)
         # 0 and 1 are absorbing only through exact rounding (y near 0.5
         # maps to a value that rounds to 1.0); nudge back into (0, 1)
@@ -79,8 +82,8 @@ def logistic_path(n: int, u1: float) -> np.ndarray:
             cur = 1.0 - 2.0**-53
         elif cur <= 0.0:
             cur = 2.0**-53
-        y[i] = cur
-    return y
+        path.append(cur)
+    return np.array(path)
 
 
 def arcsine_cdf(y) -> np.ndarray:

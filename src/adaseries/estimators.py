@@ -9,7 +9,9 @@ A dimension-m estimator always uses the coefficient prefix 0..m:
 so estimators are nested and || f_m - f_k ||^2 reduces to the Parseval
 gap sum_{j=m+1..k} theta_hat_j^2 in both models.  Every selector reads
 one CoefficientTable: penalized contrast and model selection its
-theta_hat, cross-validation also its leave-one-out squares.
+theta_hat, cross-validation also its leave-one-out squares.  The
+realized ISE(m) is the Simpson-grid quadrature written as a quadratic
+form in theta_hat (ise_gram once per config, ise_profile per table).
 """
 
 from __future__ import annotations
@@ -62,24 +64,49 @@ def empirical_coefficients(sample: Sample, m_max: int,
         theta[0] = 1.0
     loo = None
     if n > 1:
-        loo = (totals**2 - np.sum(psi * psi, axis=1)) / (n * (n - 1))
+        np.multiply(psi, psi, out=psi)  # psi is not read again: square it in place
+        loo = (totals**2 - np.sum(psi, axis=1)) / (n * (n - 1))
     return CoefficientTable(model=sample.model, n=n, m_max=m_max, theta_hat=theta,
                             theta_sq_loo=loo)
 
 
-def ise_profile(table: CoefficientTable, truth_grid: np.ndarray,
-                basis_grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def ise_gram(basis_grid: np.ndarray, truth_grid: np.ndarray,
+             weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The pieces of the Simpson-grid ISE that do not depend on the sample.
+
+    With B the basis rows on the grid (j = 0..m_max), W the quadrature
+    weights and f the truth on the grid, G = B W B^T is returned folded
+    into its lower triangle (L_jj = G_jj, L_ji = 2 G_ji for i < j, zero
+    above), with c = B W f and ||f||_W^2 = f^T W f.  Computed once per
+    config and read by ise_profile.
+    """
+    truth = np.asarray(truth_grid, dtype=float)
+    weighted = basis_grid * weights
+    gram = weighted @ basis_grid.T
+    gram_lower = np.tril(gram, -1) * 2.0 + np.diag(np.diagonal(gram))
+    return gram_lower, weighted @ truth, float(np.sum(truth * truth * weights))
+
+
+def ise_profile(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarray,
+                norm_sq: float) -> np.ndarray:
     """ISE(m) for every m = 1..m_max at once.
 
-    basis_grid holds phi_j rows on the evaluation grid (j = 0..m_max);
-    entry m-1 equals the Simpson-grid ISE of the dimension-m estimator.
-    The cumulative sum reproduces the per-m sums term by term, so values
-    match per-dimension quadrature exactly.
+    gram_lower, cross and norm_sq come from ise_gram; entry m-1 is the
+    Simpson-grid ISE of the dimension-m estimator, the quadrature of
+    (sum_{j<=m} theta_j phi_j - f)^2 done algebraically:
+
+        ISE(m) = theta_{0:m}^T G theta_{0:m} - 2 theta_{0:m}^T c + ||f||_W^2.
+
+    Row j of the folded Gram matrix L only reaches indices i <= j, so
+    dimension m adds theta_m ((L theta)_m - 2 c_m) to ISE(m - 1) and one
+    cumulative sum gives every m.  Values match the grid form to about
+    1e-12 relative.
     """
-    theta = table.theta_hat
-    base = theta[0] * basis_grid[0] - np.asarray(truth_grid, dtype=float)
-    resid = np.cumsum(theta[1:, None] * basis_grid[1 : table.m_max + 1], axis=0) + base
-    return np.sum(resid * resid * weights, axis=1)
+    M = table.m_max
+    theta = table.theta_hat[: M + 1]
+    steps = theta * (gram_lower[: M + 1, : M + 1] @ theta - 2.0 * cross[: M + 1])
+    steps[0] += norm_sq
+    return np.cumsum(steps)[1:]
 
 
 def sigma_y_hat(sample: Sample) -> float:

@@ -8,6 +8,10 @@ is evaluated on the basis once, inside empirical_coefficients; nothing
 after the kernel reads the sample.  Evaluation runs all requested
 selectors, cross-validation included, on that shared table and scores
 each selected dimension by Simpson-grid ISE against the true function.
+ExperimentContext computes the sample-free parts of that ISE once (the
+Gram matrix of the basis on the grid, its cross products with the truth
+and the truth's squared norm; estimators.ise_gram), so the ISE of every
+dimension of a replication costs one (M+1)^2 matrix-vector product.
 Replications are independent, so aggregates do not depend on worker
 count or completion order.
 
@@ -30,7 +34,7 @@ import numpy as np
 
 from .basis import TrigBasis
 from .dependence import Sample, gen_density_sample, gen_regression_sample
-from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
+from .estimators import CoefficientTable, empirical_coefficients, ise_gram, sigma_y_hat
 from .quadrature import simpson_weights, unit_grid
 from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
                         select_with_pens, theorem_constant)
@@ -136,9 +140,10 @@ class ExperimentContext:
             self.target = REGRESSION_TARGETS[cfg.target]()
             self.law = None
         self.grid = unit_grid(cfg.grid_size)
-        self.weights = simpson_weights(cfg.grid_size)
         self.truth_grid = np.asarray(self.target.eval(self.grid), dtype=float)
         self.basis_grid = self.basis.design_matrix(self.grid, M)
+        self.gram_lower, self.cross, self.norm_sq = ise_gram(
+            self.basis_grid, self.truth_grid, simpson_weights(cfg.grid_size))
 
     def sample(self, rep_index: int, namespace: int = EVAL_NS) -> Sample:
         cfg = self.cfg
@@ -155,8 +160,7 @@ class ExperimentContext:
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid."""
-        return oracle_criteria(table, self.truth_grid, self.basis_grid, self.weights,
-                               self.cfg.m_grid)
+        return oracle_criteria(table, self.gram_lower, self.cross, self.norm_sq, self.cfg.m_grid)
 
 
 @dataclass(frozen=True)

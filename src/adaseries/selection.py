@@ -140,14 +140,13 @@ def select_cv(table: CoefficientTable, M: int) -> SelectionResult:
                            penalties=np.zeros(M), criteria=crit)
 
 
-def oracle_criteria(table: CoefficientTable, truth_grid: np.ndarray,
-                    basis_grid: np.ndarray, weights: np.ndarray,
-                    M: int | None = None) -> np.ndarray:
-    """Realized ISE(m), m = 1..M, on a shared Simpson grid."""
+def oracle_criteria(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarray,
+                    norm_sq: float, M: int | None = None) -> np.ndarray:
+    """Realized ISE(m), m = 1..M, from the Gram pieces of one Simpson grid (ise_gram)."""
     M = table.m_max if M is None else M
     sub = CoefficientTable(model=table.model, n=table.n, m_max=M,
                            theta_hat=table.theta_hat[: M + 1])
-    return ise_profile(sub, truth_grid, basis_grid, weights)
+    return ise_profile(sub, gram_lower, cross, norm_sq)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaseries.basis import (SUP_NORM_SQ, RateResult, TrigBasis, WeightSequence,
                              optimal_dimension, rate_slope)
+from adaseries.checks import check_orthonormality, check_sup_norm
 from adaseries.quadrature import simpson_weights, unit_grid
 
 
@@ -33,6 +34,46 @@ def test_design_matrix_matches_eval_one():
     design = basis.design_matrix(x, 11)
     for j in range(12):
         np.testing.assert_allclose(design[j], basis.eval_one(j, x), atol=1e-14)
+
+
+def outer_design_matrix(x, m_max):
+    """Reference design matrix: cos and sin of the full (k, x) angle grid."""
+    x = np.asarray(x, dtype=float).ravel()
+    out = np.empty((m_max + 1, x.size))
+    out[0] = 1.0
+    n_cos, n_sin = (m_max + 1) // 2, m_max // 2
+    if n_cos:
+        ang = 2.0 * np.pi * np.outer(np.arange(1, n_cos + 1), x)
+        out[1 : 2 * n_cos : 2] = math.sqrt(2.0) * np.cos(ang)
+        if n_sin:
+            out[2 : 2 * n_sin + 1 : 2] = math.sqrt(2.0) * np.sin(ang[:n_sin])
+    return out
+
+
+def test_recurrence_matches_eval_one_up_to_400():
+    basis = TrigBasis(max_index=400)
+    x = np.concatenate(([0.0, 0.25, 0.5, 1.0], np.random.default_rng(8).uniform(size=500)))
+    design = basis.design_matrix(x, 400)
+    assert design.shape == (401, x.size)
+    for j in range(401):
+        np.testing.assert_allclose(design[j], basis.eval_one(j, x), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+       m_max=st.integers(0, 400))
+@example(x=list(np.linspace(0.0, 1.0, 1025)), m_max=400)
+@example(x=[0.0, 0.5, 1.0], m_max=0)
+@example(x=[0.0, 0.5, 1.0], m_max=1)
+@example(x=[0.0, 0.5, 1.0], m_max=2)
+def test_recurrence_matches_angle_grid(x, m_max):
+    design = TrigBasis(max_index=400).design_matrix(x, m_max)
+    np.testing.assert_allclose(design, outer_design_matrix(x, m_max), rtol=0.0, atol=1e-12)
+
+
+def test_orthonormality_and_sup_norm_checks_at_400():
+    assert check_orthonormality(j_max=400).passed
+    assert check_sup_norm(m_limit=400).passed
 
 
 def test_orthonormality_by_quadrature():

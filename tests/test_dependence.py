@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adaseries import checks
 from adaseries.checks import dependence_score, ks_statistic
 from adaseries.dependence import (AR_SCALE, AR_TRUNCATION, arcsine_cdf,
                                   ar_path_from_innovations, bernoulli_ar_path,
@@ -37,6 +38,44 @@ def test_logistic_closed_form_iteration():
     assert y[0] == pytest.approx(0.5)  # sin^2(pi/4)
     assert y[1] == pytest.approx(1.0, abs=1e-15)
     assert y[2] == pytest.approx(0.0, abs=1e-12)
+
+
+def numpy_logistic_path(n, u1):
+    """Reference: the logistic map iterated on a numpy scalar into a preallocated array."""
+    y = np.empty(n)
+    y[0] = np.sin(0.5 * np.pi * u1) ** 2
+    cur = y[0]
+    for i in range(1, n):
+        cur = 4.0 * cur * (1.0 - cur)
+        if cur >= 1.0:
+            cur = 1.0 - 2.0**-53
+        elif cur <= 0.0:
+            cur = 2.0**-53
+        y[i] = cur
+    return y
+
+
+def test_logistic_path_bit_exact_against_numpy_loop():
+    starts = np.concatenate(([0.0, 0.5, 1.0], np.random.default_rng(21).uniform(size=400)))
+    for u1 in starts:
+        path = logistic_path(300, u1)
+        assert path.dtype == np.float64 and path.shape == (300,)
+        np.testing.assert_array_equal(path, numpy_logistic_path(300, u1))
+    # u1 = 1/2 hits the upper clamp at step 1; u1 = 0 the lower one at once
+    assert logistic_path(3, 0.5)[1] == 1.0 - 2.0**-53
+    assert logistic_path(2, 0.0)[1] == 2.0**-53
+    assert logistic_path(1, 0.3).shape == (1,)
+
+
+def test_generator_ks_label_ignores_rounding_ties(monkeypatch):
+    """Tied statistics keep the first pair's label; a clear excess moves it."""
+    stats = iter([0.001, 0.002, 0.003, 0.002, 0.003 + 1e-15, 0.001, 0.002, 0.002, 0.001])
+    monkeypatch.setattr(checks, "ks_statistic", lambda *a, **k: next(stats))
+    res = checks.check_generator_ks(draws=50, threshold=0.01)
+    assert res.passed and "(case 3/f1)" in res.detail and "worst KS = 0.00300" in res.detail
+    stats = iter([0.001, 0.002, 0.003, 0.002, 0.003 + 1e-9, 0.001, 0.002, 0.002, 0.001])
+    res = checks.check_generator_ks(draws=50, threshold=0.01)
+    assert "(case 2/f2)" in res.detail
 
 
 def test_arcsine_endpoints():

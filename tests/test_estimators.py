@@ -6,7 +6,8 @@ import pytest
 from adaseries.basis import SUP_NORM_SQ, TrigBasis
 from adaseries.dependence import Sample, gen_density_sample, gen_regression_sample
 from adaseries.estimators import (CoefficientTable, empirical_coefficients,
-                                  ise_profile, sigma_y_hat)
+                                  ise_gram, ise_profile, sigma_y_hat)
+from adaseries.harness import ExperimentConfig, ExperimentContext
 from adaseries.quadrature import DEFAULT_GRID, integrate, simpson_weights, unit_grid
 from adaseries.targets import (MarginalLaw, density_f1, regression_f1,
                                true_coefficients)
@@ -39,6 +40,17 @@ def l2_gap(table, m, k):
         raise ValueError("l2_gap indices outside the table")
     seg = table.theta_hat[m + 1 : k + 1]
     return float(np.sum(seg * seg))
+
+
+def grid_ise_profile(table, truth_grid, basis_grid, weights):
+    """Reference ISE(m), m = 1..m_max: residuals on the grid, summed per m.
+
+    The grid form ise_profile replaced; the Gram form must agree with it.
+    """
+    theta = table.theta_hat
+    base = theta[0] * basis_grid[0] - np.asarray(truth_grid, dtype=float)
+    resid = np.cumsum(theta[1:, None] * basis_grid[1 : table.m_max + 1], axis=0) + base
+    return np.sum(resid * resid * weights, axis=1)
 
 
 def density_sample(x):
@@ -153,11 +165,36 @@ def test_ise_profile_matches_per_m_quadrature():
     grid = unit_grid(1025)
     weights = simpson_weights(1025)
     basis = TrigBasis(max_index=15)
-    profile = ise_profile(table, law_target.eval(grid), basis.design_matrix(grid, 15),
-                          weights)
+    profile = ise_profile(table, *ise_gram(basis.design_matrix(grid, 15),
+                                           law_target.eval(grid), weights))
     for m in (1, 5, 15):
         direct = ise(series_values(table, m, grid), law_target.eval(grid))
         assert profile[m - 1] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("model,target", [("density", "f1"), ("density", "f2"),
+                                          ("regression", "f1"), ("regression", "f2")])
+def test_gram_ise_matches_grid_form(model, target):
+    """Gram-form ISE against the grid form on simulated tables of every case."""
+    weights = simpson_weights(1025)
+    for case in (1, 2, 3):
+        cfg = ExperimentConfig(model=model, target=target, case=case, n=400, reps=1, seed=5)
+        ctx = ExperimentContext(cfg)
+        for rep in range(8):
+            table, _ = ctx.replication(rep)
+            fast = ctx.ise_by_m(table)
+            ref = grid_ise_profile(table, ctx.truth_grid, ctx.basis_grid, weights)
+            np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
+            assert np.argmin(fast) == np.argmin(ref)
+
+
+def test_ise_profile_prefix_of_smaller_table():
+    """A table cut at M gives the first M entries of the full profile."""
+    design = TrigBasis(max_index=20).design_matrix(unit_grid(513), 20)
+    pieces = ise_gram(design, density_f1().eval(unit_grid(513)), simpson_weights(513))
+    table = empirical_coefficients(density_sample(np.random.default_rng(2).uniform(size=90)), 20)
+    cut = CoefficientTable(model="density", n=90, m_max=7, theta_hat=table.theta_hat[:8])
+    np.testing.assert_array_equal(ise_profile(cut, *pieces), ise_profile(table, *pieces)[:7])
 
 
 def test_sigma_y_hat_pinned():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from adaseries.basis import TrigBasis
 from adaseries.dependence import Sample, gen_density_sample
-from adaseries.estimators import CoefficientTable, empirical_coefficients
+from adaseries.estimators import CoefficientTable, empirical_coefficients, ise_gram
 from adaseries.quadrature import simpson_weights, unit_grid
 from adaseries.selection import (SelectionResult, cv_profile, lemma1_audit,
                                  oracle_criteria, penalty_vector, select_cv, select_ms,
@@ -37,9 +37,9 @@ def select_oracle(table, truth_fn, M=None, n_points=1025):
     """Infeasible benchmark: smallest minimizer of the realized ISE."""
     M = table.m_max if M is None else M
     grid = unit_grid(n_points)
-    crit = oracle_criteria(table, np.asarray(truth_fn(grid), dtype=float),
-                           TrigBasis(max_index=max(M, 1)).design_matrix(grid, M),
-                           simpson_weights(n_points), M)
+    pieces = ise_gram(TrigBasis(max_index=max(M, 1)).design_matrix(grid, M),
+                      np.asarray(truth_fn(grid), dtype=float), simpson_weights(n_points))
+    crit = oracle_criteria(table, *pieces, M)
     return SelectionResult(selector="oracle", m_selected=int(np.argmin(crit)) + 1,
                            penalties=np.zeros(M), criteria=crit)
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaseries.basis import TrigBasis
 from adaseries.quadrature import integrate, integrate_values, unit_grid
@@ -103,6 +105,50 @@ def test_quantile_cdf_roundtrip(law_f1, law_f2, law_uniform):
     for law in (law_f1, law_f2, law_uniform):
         np.testing.assert_allclose(law.quantile(law.cdf(interior)), interior, atol=1e-6)
     assert law_f1.quantile(law_f1.cdf(0.37)) == pytest.approx(0.37, abs=1e-6)
+
+
+def bisection_quantile(law, u):
+    """Reference quantile: 40 bisection steps on the partial Simpson mass."""
+    t = np.atleast_1d(np.asarray(u, dtype=float)) * law._total
+    k = np.clip(np.searchsorted(law._cum, t, side="right") - 1, 0, law._cum.size - 2)
+    lo = k * law._h
+    hi = lo + law._h
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        below = law._partial_mass(k, mid, law.density.eval(mid)) < t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def quantile_probes(law):
+    """0, 1, 1/2, every knot of the cumulative table and seeded uniforms."""
+    knots = law.cdf(np.linspace(0.0, 1.0, law._cum.size))
+    rand = np.random.default_rng(12).uniform(size=20000)
+    return np.clip(np.concatenate(([0.0, 1.0, 0.5], knots, rand)), 0.0, 1.0)
+
+
+def test_newton_quantile_matches_bisection(law_f1, law_f2, law_uniform):
+    for law in (law_f1, law_f2, law_uniform):
+        u = quantile_probes(law)
+        q = law.quantile(u)
+        assert np.all((q >= 0.0) & (q <= 1.0))
+        assert np.max(np.abs(law.cdf(q) - u)) <= 1e-15
+        # f1's tail density is ~1e-5, so q is fixed only to ~1e-17 / 1e-5 there
+        assert np.max(np.abs(q - bisection_quantile(law, u))) <= 1e-12
+    assert law_f1.quantile(0.0) == 0.0 and law_f1.quantile(1.0) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=st.floats(0.0, 1.0))
+def test_newton_quantile_property(law_f1, law_f2, u):
+    for law in (law_f1, law_f2):
+        q = law.quantile(u)
+        assert abs(law.cdf(q) - u) <= 1e-15
+        # both quantiles solve cdf(q) = u to rounding, so they may differ by
+        # ~1e-16 / density: 6e-12 at u = 1 - 2^-53 for f1, whose density is 1e-5 there
+        gap = abs(q - bisection_quantile(law, u)[0])
+        assert gap * float(law.density.eval(q)) <= 1e-15
 
 
 def test_quantile_meets_stated_tolerance(law_f1):
