@@ -45,9 +45,12 @@ def _package_version() -> str:
 
 def _parse_float_list(text: str, flag: str, parser: argparse.ArgumentParser) -> list[float]:
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
+        values = []
+    if not values:
         parser.error(f"--{flag}: expected a comma list of numbers, got {text!r}")
+    return values
 
 
 def _read_config_file(path: str) -> dict:

@@ -368,20 +368,18 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
 
     The sample, coefficient table, and per-dimension ISE of a replication
     do not depend on the constant, so each replication is generated once
-    and every candidate c only reruns the O(M) selection.
+    and scores the whole grid with one (C x M) penalty block.  GL and MS
+    are the same rule (see selection), so one curve serves both.
     """
     c_grid = calibration_grid(c_grid, calib_reps)
     ctx = ExperimentContext(cfg)
-    M = cfg.m_grid
-    totals = {sel: np.zeros(c_grid.size) for sel in ("gl", "ms")}
+    total = np.zeros(c_grid.size)
     for rep in range(calib_reps):
         table, sig_sq = ctx.replication(rep, CALIB_NS)
-        ise_by_m = ctx.ise_by_m(table)
-        for i, c in enumerate(c_grid):
-            pens = penalty_vector(c, M, cfg.n, sig_sq)
-            totals["gl"][i] += ise_by_m[select_with_pens(table, pens).m_selected - 1]
-            totals["ms"][i] += ise_by_m[select_ms(table, c, M, sig_sq).m_selected - 1]
-    mean_ise = {sel: tot / calib_reps for sel, tot in totals.items()}
+        pens = penalty_vector(c_grid, cfg.m_grid, cfg.n, sig_sq)
+        total += ctx.ise_by_m(table)[select_with_pens(table, pens).m_selected - 1]
+    curve = total / calib_reps
+    mean_ise = {"gl": curve, "ms": curve}
     chosen = {sel: float(c_grid[int(np.argmin(curve))]) for sel, curve in mean_ise.items()}
     notes = []
     for sel, curve in mean_ise.items():

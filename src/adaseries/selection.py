@@ -7,13 +7,17 @@ so no selector goes back to the sample.  The criteria exclude the
 index-0 coefficient: it is common to every candidate dimension in both
 models and cannot change an argmin.
 
-The penalized-contrast selector minimizes Xi_m + pen(m) with
+The penalized-contrast selector minimizes Xi_m + pen(m), where
 
-    Xi_m = max_{m <= k <= M} ( || f_m - f_k ||^2 - pen(k) ),
+    Xi_m = max_{m <= k <= M} ( || f_m - f_k ||^2 - pen(k) ).
 
-which by nestedness reduces to suffix maxima of the cumulative
-coefficient sums; select_with_pens with plain penalties is the m-tilde
-variant, with sigma_hat^2-scaled penalties the m-hat variant.
+With S_m = sum_{j=1..m} theta_hat_j^2, nestedness gives Xi_m + pen(m) =
+max_{k >= m}(S_k - pen_k) - (S_m - pen_m): zero exactly at the suffix
+maxima of S_m - pen_m, so its smallest minimizer is the smallest argmin
+of pen_m - S_m, the model-selection criterion.  GL and MS are therefore
+one rule, select_with_pens, and runs that give MS the GL constant (the
+default) print equal gl and ms columns.  The contrast has no positive
+part; the README records why.
 """
 
 from __future__ import annotations
@@ -43,24 +47,25 @@ def theorem_constant(model: str, case: int) -> float:
     return PENALTY_PRESETS[scheme]
 
 
-def penalty_vector(c: float, M: int, n: int, sigma_sq: float = 1.0) -> np.ndarray:
+def penalty_vector(c, M: int, n: int, sigma_sq: float = 1.0) -> np.ndarray:
     """pen(m) = c * sigma_sq * m / n for m = 1..M (non-decreasing for c >= 0).
 
     The single penalty formula of the package: penalized contrast, model
     selection, bands, calibration and the oracle-inequality audit all
-    build their penalties here.
+    build their penalties here.  An array of constants gives one penalty
+    row per constant, each bitwise equal to the scalar call.
     """
-    if c < 0.0:
+    c = np.asarray(c, dtype=float)
+    if (c < 0.0).any():
         raise ValueError("penalty constant must be nonnegative")
-    return c * sigma_sq * np.arange(1, M + 1) / n
+    return c[..., None] * sigma_sq * np.arange(1, M + 1) / n
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     """Selected dimension plus the per-dimension penalties and criteria."""
 
-    selector: str
-    m_selected: int
+    m_selected: int | np.ndarray
     penalties: np.ndarray
     criteria: np.ndarray
 
@@ -70,33 +75,20 @@ def _check_grid(table: CoefficientTable, M: int) -> None:
         raise ValueError(f"dimension grid 1..{M} outside the table (m_max={table.m_max})")
 
 
-def _coef_cumsum(table: CoefficientTable, M: int) -> np.ndarray:
-    """S_m = sum_{j=1..m} theta_hat_j^2 for m = 1..M."""
-    _check_grid(table, M)
-    sq = table.theta_hat[1 : M + 1] ** 2
-    return np.cumsum(sq)
-
-
-def _smallest_argmin(values: np.ndarray) -> int:
-    """Smallest m with values[m-1] minimal (np.argmin takes the first)."""
-    return int(np.argmin(values)) + 1
-
-
 def select_with_pens(table: CoefficientTable, pens) -> SelectionResult:
-    """Penalized-contrast selection with an explicit penalty subsequence.
+    """The penalized selector: smallest argmin of pen_m - S_m, m = 1..M.
 
-    The criterion Xi_m + pen(m) equals max_{k >= m}(S_k - pen_k) - (S_m -
-    pen_m); evaluating it in this form makes every mathematical tie an
-    exact float zero (identical values subtracted), so the smallest
-    minimizer is found reliably.  Computing Xi_m and adding pen(m) back
-    would leave rounding residue on the tied dimensions instead.
+    fl(pen_m - S_m) = -fl(S_m - pen_m), so the pick is bit for bit the
+    first exact zero of the suffix-maximum contrast (module docstring).
+    A (C, M) stack of penalties is scored row by row; m_selected is then
+    the array of the C dimensions.
     """
     pens = np.asarray(pens, dtype=float)
-    S = _coef_cumsum(table, pens.size)
-    shifted = S - pens
-    suffix_max = np.maximum.accumulate(shifted[::-1])[::-1]
-    crit = suffix_max - shifted
-    return SelectionResult(selector="gl", m_selected=_smallest_argmin(crit),
+    M = pens.shape[-1]
+    _check_grid(table, M)
+    crit = pens - np.cumsum(table.theta_hat[1 : M + 1] ** 2)  # pen_m - S_m
+    m = np.argmin(crit, axis=-1) + 1
+    return SelectionResult(m_selected=int(m) if m.ndim == 0 else m,
                            penalties=pens, criteria=crit)
 
 
@@ -109,11 +101,7 @@ def select_ms(table: CoefficientTable, c: float, M: int | None = None,
     if c <= 0.0:
         raise ValueError("model-selection constant must be positive")
     M = table.m_max if M is None else M
-    S = _coef_cumsum(table, M)
-    pens = penalty_vector(c, M, table.n, sigma_sq)
-    crit = -S + pens
-    return SelectionResult(selector="ms", m_selected=_smallest_argmin(crit),
-                           penalties=pens, criteria=crit)
+    return select_with_pens(table, penalty_vector(c, M, table.n, sigma_sq))
 
 
 def cv_profile(table: CoefficientTable, M: int) -> np.ndarray:
@@ -136,7 +124,7 @@ def cv_profile(table: CoefficientTable, M: int) -> np.ndarray:
 def select_cv(table: CoefficientTable, M: int) -> SelectionResult:
     """Smallest argmin of CV(m) over m = 1..M."""
     crit = cv_profile(table, M)
-    return SelectionResult(selector="cv", m_selected=_smallest_argmin(crit),
+    return SelectionResult(m_selected=int(np.argmin(crit)) + 1,
                            penalties=np.zeros(M), criteria=crit)
 
 
@@ -177,12 +165,12 @@ def lemma1_audit(table: CoefficientTable, pens, theta_true,
     target's coefficients 0..J; the audit treats the J-truncated projection
     as the target, for which the inequality is exact (it holds pathwise for
     any coefficient sequence).  Requires a non-decreasing, nonnegative
-    penalty subsequence.
+    finite penalty subsequence.
     """
     pens = np.asarray(pens, dtype=float)
     M = pens.size
-    if np.any(pens < 0.0) or np.any(np.diff(pens) < 0.0):
-        raise ValueError("lemma audit needs nonnegative non-decreasing penalties")
+    if not np.all(np.isfinite(pens) & (pens >= 0.0)) or np.any(np.diff(pens) < 0.0):
+        raise ValueError("lemma audit needs finite nonnegative non-decreasing penalties")
     theta_true = np.asarray(theta_true, dtype=float)
     if theta_true.size < M + 1:
         raise ValueError("need true coefficients up to the dimension grid")

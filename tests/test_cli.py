@@ -69,6 +69,7 @@ COMMON = ["--model", "density", "--target", "f1", "--case", "1", "--n", "100"]
     ["calibrate", *COMMON, "--calib-reps", "0"],
     ["bands", *COMMON, "--reps", "5"],
     ["check", "--pens", "a,b"],
+    ["check", "--pens", ""],
     ["check", "--lemma-reps", "0"],
     ["check", "--ks-draws", "0"],
     ["check", "--case3-draws", "-5"],
@@ -76,7 +77,7 @@ COMMON = ["--model", "density", "--target", "f1", "--case", "1", "--n", "100"]
     ["check", "--variance-reps", "1"],
     ["check", "--seed", "-1"],
 ], ids=["c-grid-zero", "c-grid-decreasing", "c-grid-text", "calib-reps", "bands-reps",
-        "pens-text", "lemma-reps", "ks-draws", "case3-draws", "fuzz-cases",
+        "pens-text", "pens-empty", "lemma-reps", "ks-draws", "case3-draws", "fuzz-cases",
         "variance-reps", "check-seed"])
 def test_bad_value_usage_error_other_commands(tmp_path, args):
     with pytest.raises(SystemExit) as exc:

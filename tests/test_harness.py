@@ -8,6 +8,7 @@ from adaseries.harness import (CALIB_NS, BandTable, ExperimentConfig, Experiment
                                calibrate_constant, calibrated_config,
                                compute_bands, default_c_grid, run_experiment,
                                run_replication, write_bands_csv)
+from adaseries.selection import penalty_vector, select_ms, select_with_pens
 
 
 def small_cfg(**kw):
@@ -179,6 +180,30 @@ def test_calibrate_grid_validation():
     for grid, reps in (([0.0, 1.0], 2), ([1.0, float("nan")], 2), ([1.0, 2.0], 0)):
         with pytest.raises(ValueError):
             calibrate_constant(small_cfg(), c_grid=grid, calib_reps=reps)
+
+
+@pytest.mark.parametrize("model,target", [("density", "f1"), ("regression", "f2")])
+def test_calibration_matches_per_constant_loop(model, target):
+    """The (C x M) penalty block scores each constant as its own selection would."""
+    cfg = small_cfg(model=model, target=target, case=2, m_max=40)
+    c_grid, reps = default_c_grid(), 6
+    calib = calibrate_constant(cfg, c_grid, calib_reps=reps)
+    ctx = ExperimentContext(cfg)
+    loop = np.zeros(c_grid.size)
+    for rep in range(reps):
+        table, sig_sq = ctx.replication(rep, CALIB_NS)
+        assert (sig_sq != 1.0) == (model == "regression")
+        ise_by_m = ctx.ise_by_m(table)
+        block = penalty_vector(c_grid, cfg.m_grid, cfg.n, sig_sq)
+        for i, c in enumerate(c_grid):
+            pens = penalty_vector(c, cfg.m_grid, cfg.n, sig_sq)
+            np.testing.assert_array_equal(block[i], pens)
+            m = select_with_pens(table, pens).m_selected
+            assert select_ms(table, c, cfg.m_grid, sig_sq).m_selected == m
+            loop[i] += ise_by_m[m - 1]
+    np.testing.assert_array_equal(calib.mean_ise["gl"], loop / reps)
+    np.testing.assert_array_equal(calib.mean_ise["gl"], calib.mean_ise["ms"])
+    assert calib.chosen["gl"] == calib.chosen["ms"]
 
 
 def test_calibration_improves_on_theorem_constant():

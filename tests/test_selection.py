@@ -33,6 +33,18 @@ def gl_contrast(table, pens):
     return np.max(np.where(keep, terms, -np.inf), axis=1)
 
 
+def suffix_form_argmin(table, pens):
+    """Smallest minimizer of Xi_m + pen(m) in its suffix-maximum form.
+
+    max_{k >= m}(S_k - pen_k) - (S_m - pen_m) is an exact float zero at
+    every suffix maximum of S_m - pen_m, so this argmin is exact in floats.
+    """
+    pens = np.asarray(pens, dtype=float)
+    shifted = np.cumsum(table.theta_hat[1 : pens.size + 1] ** 2) - pens
+    crit = np.maximum.accumulate(shifted[::-1])[::-1] - shifted
+    return int(np.argmin(crit)) + 1
+
+
 def select_oracle(table, truth_fn, M=None, n_points=1025):
     """Infeasible benchmark: smallest minimizer of the realized ISE."""
     M = table.m_max if M is None else M
@@ -40,15 +52,17 @@ def select_oracle(table, truth_fn, M=None, n_points=1025):
     pieces = ise_gram(TrigBasis(max_index=max(M, 1)).design_matrix(grid, M),
                       np.asarray(truth_fn(grid), dtype=float), simpson_weights(n_points))
     crit = oracle_criteria(table, *pieces, M)
-    return SelectionResult(selector="oracle", m_selected=int(np.argmin(crit)) + 1,
+    return SelectionResult(m_selected=int(np.argmin(crit)) + 1,
                            penalties=np.zeros(M), criteria=crit)
 
 
-def assert_gl_criteria_match_contrast(table, pens, atol=1e-15):
-    """select_with_pens scores Xi_m + pen(m), the reference contrast plus pen(m)."""
+def assert_gl_matches_contrast(table, pens):
+    """select_with_pens scores pen_m - S_m and picks the smallest minimizer of Xi_m + pen(m)."""
     pens = np.asarray(pens, dtype=float)
-    crit = select_with_pens(table, pens).criteria
-    np.testing.assert_allclose(crit - pens, gl_contrast(table, pens), rtol=0.0, atol=atol)
+    res = select_with_pens(table, pens)
+    S = np.cumsum(table.theta_hat[1 : pens.size + 1] ** 2)
+    np.testing.assert_array_equal(res.criteria, pens - S)
+    assert res.m_selected == int(np.argmin(gl_contrast(table, pens) + pens)) + 1
 
 
 def test_penalty_pinned_values():
@@ -59,6 +73,8 @@ def test_penalty_pinned_values():
                                   3.7 * 0.3 * np.arange(1, 6) / 250)
     with pytest.raises(ValueError):
         penalty_vector(-1.0, 3, 10)
+    with pytest.raises(ValueError):
+        penalty_vector(np.array([1.0, -1.0]), 3, 10)
 
 
 def test_penalty_monotone_in_m():
@@ -81,7 +97,7 @@ def test_theorem_presets():
 def test_gl_contrast_single_dimension():
     table = table_from([1.0, 0.5])
     np.testing.assert_allclose(gl_contrast(table, [0.3]), [-0.3])
-    assert select_with_pens(table, [0.3]).criteria[0] == 0.0
+    assert select_with_pens(table, [0.3]).criteria[0] == 0.3 - 0.25
 
 
 def test_gl_contrast_hand_enumeration():
@@ -92,23 +108,32 @@ def test_gl_contrast_hand_enumeration():
     xi2 = gl_contrast(table2, [0.1, 0.2])
     np.testing.assert_allclose(xi2, [0.3, -0.2], atol=1e-15)
     for tab in (table, table2):
-        assert_gl_criteria_match_contrast(tab, [0.1, 0.2])
+        assert_gl_matches_contrast(tab, [0.1, 0.2])
 
 
 def test_select_gl_hand_examples():
     pens = [0.1, 0.2]
-    tie = select_with_pens(table_from([1.0, 0.4, math.sqrt(0.05)]), pens)
-    assert tie.m_selected == 1  # criteria tie at 0; smallest wins
-    clear = select_with_pens(table_from([1.0, 0.4, math.sqrt(0.5)]), pens)
+    tie_table = table_from([1.0, 0.4, math.sqrt(0.05)])
+    tie = select_with_pens(tie_table, pens)
+    # Xi_m + pen(m) ties at 0 and the smallest wins; pen_m - S_m separates them
+    np.testing.assert_allclose(gl_contrast(tie_table, pens) + pens, [0.0, 0.0], atol=1e-15)
+    assert tie.m_selected == 1
+    np.testing.assert_allclose(tie.criteria, [-0.06, -0.01], atol=1e-15)
+    clear_table = table_from([1.0, 0.4, math.sqrt(0.5)])
+    clear = select_with_pens(clear_table, pens)
     assert clear.m_selected == 2
-    np.testing.assert_allclose(clear.criteria, [0.4, 0.0], atol=1e-15)
+    np.testing.assert_allclose(clear.criteria, [-0.06, -0.46], atol=1e-15)
+    for table in (tie_table, clear_table):
+        assert_gl_matches_contrast(table, pens)
 
 
 def test_select_gl_all_zero_coefficients():
     table = table_from([1.0, 0.0, 0.0, 0.0])
     res = select_with_pens(table, [0.1, 0.2, 0.3])
     assert res.m_selected == 1
-    np.testing.assert_allclose(res.criteria, 0.0, atol=0.0)
+    np.testing.assert_array_equal(res.criteria, [0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(gl_contrast(table, [0.1, 0.2, 0.3]), [-0.1, -0.2, -0.3])
+    assert_gl_matches_contrast(table, [0.1, 0.2, 0.3])
 
 
 def test_contrast_at_top_dimension_equals_minus_penalty():
@@ -117,8 +142,9 @@ def test_contrast_at_top_dimension_equals_minus_penalty():
     pens = np.cumsum(rng.uniform(0.0, 0.1, size=12))
     xi = gl_contrast(table, pens)
     assert xi[-1] == -pens[-1]
-    assert select_with_pens(table, pens).criteria[-1] == 0.0
-    assert_gl_criteria_match_contrast(table, pens, atol=1e-12)
+    S = np.cumsum(table.theta_hat[1:] ** 2)
+    assert select_with_pens(table, pens).criteria[-1] == pens[-1] - S[-1]
+    assert_gl_matches_contrast(table, pens)
 
 
 def test_select_ms_hand_examples():
@@ -157,6 +183,43 @@ def test_gl_and_ms_coincide_with_same_penalties():
         gl = select_with_pens(table, penalty_vector(c, M, table.n))
         ms = select_ms(table, c)
         assert gl.m_selected == ms.m_selected
+
+
+# Dyadic draws: coefficients k/16 and penalties j/256 make every sum in
+# gl_contrast exact, so its argmin ties are exact ties, as in real arithmetic.
+dyadic_coefs = st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=12)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_penalized_rule_is_smallest_contrast_minimizer(data):
+    coefs = data.draw(dyadic_coefs)
+    M = len(coefs)
+    table = table_from(np.concatenate(([1.0], np.array(coefs) / 16.0)))
+    pens = np.array(data.draw(st.lists(st.integers(min_value=-64, max_value=64),
+                                       min_size=M, max_size=M))) / 256.0
+    m = select_with_pens(table, pens).m_selected
+    assert m == int(np.argmin(gl_contrast(table, pens) + pens)) + 1
+    # penalty_vector penalties: c k / 8, n a power of two, sigma^2 a quarter step
+    c = data.draw(st.integers(min_value=1, max_value=512)) / 8.0
+    sigma_sq = data.draw(st.integers(min_value=1, max_value=8)) / 4.0
+    table = table_from(table.theta_hat, n=2 ** data.draw(st.integers(min_value=0, max_value=10)))
+    pens = penalty_vector(c, M, table.n, sigma_sq)
+    m = select_ms(table, c, M, sigma_sq).m_selected
+    assert m == int(np.argmin(gl_contrast(table, pens) + pens)) + 1
+    assert m == select_with_pens(table, pens).m_selected
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_penalized_rule_is_suffix_form_argmin_in_floats(data):
+    value = st.one_of(st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.7]),
+                      st.floats(min_value=-10.0, max_value=10.0))
+    coefs = data.draw(st.lists(value, min_size=1, max_size=12))
+    M = len(coefs)
+    table = table_from([1.0] + coefs)
+    pens = np.array(data.draw(st.lists(value, min_size=M, max_size=M)))
+    assert select_with_pens(table, pens).m_selected == suffix_form_argmin(table, pens)
 
 
 def test_select_gl_scaling_invariance():
@@ -326,6 +389,11 @@ def test_lemma1_rejects_bad_penalties():
         lemma1_audit(table, [0.2, 0.1], theta_true)
     with pytest.raises(ValueError):
         lemma1_audit(table, [-0.1, 0.2], theta_true)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lemma1_audit(table, [0.1, bad], theta_true)
+        with pytest.raises(ValueError):
+            lemma1_audit(table, [-bad, 0.2], theta_true)
 
 
 def per_m_rhs(theta_hat, theta_true, pens, m):
