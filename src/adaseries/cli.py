@@ -134,17 +134,15 @@ def _experiment_config(merged: dict, parser: argparse.ArgumentParser,
     for required in ("model", "target", "case", "n"):
         if required not in merged:
             parser.error(f"missing required option --{required}")
-    selectors = merged.get("selectors")
-    if isinstance(selectors, str):
-        selectors = tuple(tok.strip() for tok in selectors.split(",") if tok.strip())
     kwargs = dict(model=merged["model"], target=merged["target"], case=merged["case"],
                   n=merged["n"])
     if "reps" in merged:
         kwargs["reps"] = merged["reps"]
     elif default_reps is not None:
         kwargs["reps"] = default_reps
-    if selectors:
-        kwargs["selectors"] = selectors
+    if "selectors" in merged:  # a list that parses to nothing is rejected by the config
+        kwargs["selectors"] = tuple(tok.strip() for tok in merged["selectors"].split(",")
+                                    if tok.strip())
     for key in ("m_max", "seed", "grid_size", "workers", "c_gl", "c_ms"):
         if key in merged:
             kwargs[key] = merged[key]

@@ -12,8 +12,13 @@ ExperimentContext computes the sample-free parts of that ISE once (the
 Gram matrix of the basis on the grid, its cross products with the truth
 and the truth's squared norm; estimators.ise_gram), so the ISE of every
 dimension of a replication costs one (M+1)^2 matrix-vector product.
-Replications are independent, so aggregates do not depend on worker
-count or completion order.
+
+One runner, _run_reps, loops over replications for evaluation, bands and
+calibration.  It maps a per-replication function over chunks, in process
+on the caller's ExperimentContext or through a process pool whose workers
+hold their own, and yields the outputs in replication order, so results
+are byte for byte the same for any worker count.  Evaluation keeps them
+as columns (RunResults), whose iteration yields the raw rows.
 
 Calibration searches a grid of penalty constants for the value minimizing
 mean ISE over replications drawn from a stream namespace disjoint from
@@ -27,8 +32,11 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Optional, Sequence
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass, field, fields, replace
+from functools import partial
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -84,9 +92,10 @@ class ExperimentConfig:
             raise ValueError("need n >= 2")
         if self.reps < 1:
             raise ValueError("need reps >= 1")
-        unknown = set(self.selectors) - set(SELECTORS)
-        if unknown:
-            raise ValueError(f"unknown selectors {sorted(unknown)}")
+        if (not self.selectors or len(set(self.selectors)) != len(self.selectors)
+                or not set(self.selectors) <= set(SELECTORS)):
+            raise ValueError(f"selectors must be distinct names from {SELECTORS}, "
+                             f"got {tuple(self.selectors)}")
         if self.m_max is not None and not 1 <= self.m_max <= self.n:
             raise ValueError("m_max must lie in 1..n")
         if self.grid_size < 3 or self.grid_size % 2 == 0:
@@ -163,21 +172,36 @@ class ExperimentContext:
         return oracle_criteria(table, self.gram_lower, self.cross, self.norm_sq, self.cfg.m_grid)
 
 
-@dataclass(frozen=True)
-class RepRecord:
-    """One selector's choice in one replication.
-
-    ise_by_m is the replication's realized ISE(m), m = 1..M, one array
-    shared by all records of the replication; ise is its entry at
-    m_selected.  It is not written to raw.csv.
-    """
+class RepRecord(NamedTuple):
+    """One selector's choice in one replication: one row of raw.csv."""
 
     rep_index: int
     selector: str
     m_selected: int
     ise: float
     sigma_y_hat: float
-    ise_by_m: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class RunResults:
+    """Columns of an evaluation run: m_selected and ise are (S x R), one row
+    per selector; sigma_y_hat is (R,) and ise_by_m, ISE(m) for m = 1..M, is
+    (R x M).  Iterating yields the RepRecord rows, replication-major."""
+
+    selectors: tuple
+    m_selected: np.ndarray
+    ise: np.ndarray
+    sigma_y_hat: np.ndarray
+    ise_by_m: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ise.size
+
+    def __iter__(self) -> Iterator[RepRecord]:
+        columns = zip(self.m_selected.T.tolist(), self.ise.T.tolist(), self.sigma_y_hat.tolist())
+        for rep, (ms, ises, sig_sq) in enumerate(columns):
+            for sel, m, ise in zip(self.selectors, ms, ises):
+                yield RepRecord(rep, sel, m, ise, sig_sq)
 
 
 @dataclass(frozen=True)
@@ -205,16 +229,19 @@ class BandTable:
     p95: np.ndarray
 
 
-def run_replication(cfg: ExperimentConfig, rep_index: int,
-                    ctx: ExperimentContext | None = None,
-                    namespace: int = EVAL_NS) -> list[RepRecord]:
-    """All requested selectors on one shared coefficient table."""
-    ctx = ctx or ExperimentContext(cfg)
+def run_replication(ctx: ExperimentContext, rep_index: int,
+                    namespace: int = EVAL_NS) -> tuple[np.ndarray, np.ndarray, float]:
+    """All requested selectors on one shared coefficient table.
+
+    Returns the selected m of each selector in cfg.selectors order, the
+    realized ISE(m), m = 1..M, and sigma_hat^2.
+    """
+    cfg = ctx.cfg
     table, sig_sq = ctx.replication(rep_index, namespace)
     M = cfg.m_grid
     ise_by_m = ctx.ise_by_m(table)
 
-    chosen = {}
+    chosen = []
     for sel in cfg.selectors:
         if sel == "oracle":
             m = int(np.argmin(ise_by_m)) + 1
@@ -225,16 +252,14 @@ def run_replication(cfg: ExperimentConfig, rep_index: int,
             m = select_ms(table, cfg.ms_constant, M, sig_sq).m_selected
         else:
             m = select_cv(table, M).m_selected
-        chosen[sel] = m
+        chosen.append(m)
 
-    records = [RepRecord(rep_index, sel, m, float(ise_by_m[m - 1]), sig_sq, ise_by_m)
-               for sel, m in chosen.items()]
-    if "oracle" in chosen:
-        oracle_ise = ise_by_m[chosen["oracle"] - 1]
-        for rec in records:
-            if rec.ise < oracle_ise - 1e-12:
-                raise AssertionError("oracle dominated on its own criterion; selection bug")
-    return records
+    m_selected = np.array(chosen, dtype=np.int64)
+    if "oracle" in cfg.selectors:
+        oracle_ise = ise_by_m[m_selected[cfg.selectors.index("oracle")] - 1]
+        if np.any(ise_by_m[m_selected - 1] < oracle_ise - 1e-12):
+            raise AssertionError("oracle dominated on its own criterion; selection bug")
+    return m_selected, ise_by_m, sig_sq
 
 
 _CTX: ExperimentContext | None = None
@@ -245,76 +270,70 @@ def _pool_init(cfg: ExperimentConfig) -> None:
     _CTX = ExperimentContext(cfg)
 
 
-def _pool_run(args) -> list[RepRecord]:
-    start, stop, namespace = args
-    out: list[RepRecord] = []
-    for rep in range(start, stop):
-        out.extend(run_replication(_CTX.cfg, rep, _CTX, namespace))
-    return out
+def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int):
+    """kernel(ctx, rep, namespace) for rep = start..stop-1: the replication loop."""
+    return (kernel(ctx, rep, namespace) for rep in range(start, stop))
 
 
-def _progress(done: int, total: int) -> None:
-    print(f"\rreplication {done}/{total}", end="" if done < total else "\n",
-          file=sys.stderr, flush=True)
+def _pool_chunk(task) -> list:
+    return list(_chunk(_CTX, *task))
 
 
-def _run_reps(cfg: ExperimentConfig, reps: int, namespace: int,
-              progress: bool = False) -> list[RepRecord]:
-    if cfg.workers <= 1:
-        ctx = ExperimentContext(cfg)
-        records: list[RepRecord] = []
-        for rep in range(reps):
-            records.extend(run_replication(cfg, rep, ctx, namespace))
+def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
+              progress: bool = False) -> Iterator:
+    """Yield kernel(ctx, rep, namespace) for rep = 0..reps-1, in that order.
+
+    One worker runs the chunks on the caller's context; more map them
+    through a pool whose workers build their own.  Executor.map keeps order.
+    """
+    workers = ctx.cfg.workers
+    size = max(1, reps // (workers * 4))
+    tasks = [(kernel, start, min(start + size, reps), namespace)
+             for start in range(0, reps, size)]
+    if workers == 1:
+        pool = nullcontext()
+        parts = (_chunk(ctx, *task) for task in tasks)
+    else:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                                   initargs=(ctx.cfg,))
+        parts = pool.map(_pool_chunk, tasks)
+    with pool:
+        for done, out in enumerate(chain.from_iterable(parts), 1):
             if progress:
-                _progress(rep + 1, reps)
-        return records
-    chunk = max(1, reps // (cfg.workers * 4))
-    tasks = [(start, min(start + chunk, reps), namespace) for start in range(0, reps, chunk)]
-    records: list[RepRecord] = []
-    done = 0
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_pool_init,
-                             initargs=(cfg,)) as pool:
-        for part in pool.map(_pool_run, tasks):
-            records.extend(part)
-            done += len(part) // max(1, len(cfg.selectors))
-            if progress:
-                _progress(done, reps)
-    order = {sel: i for i, sel in enumerate(cfg.selectors)}
-    records.sort(key=lambda r: (r.rep_index, order[r.selector]))
-    return records
+                print(f"\rreplication {done}/{reps}", end="" if done < reps else "\n",
+                      file=sys.stderr, flush=True)
+            yield out
 
 
-def _selector_constant(cfg: ExperimentConfig, sel: str) -> float:
-    if sel == "gl":
-        return cfg.gl_constant
-    if sel == "ms":
-        return cfg.ms_constant
-    return float("nan")
+def summarize(cfg: ExperimentConfig, results: RunResults) -> list[SummaryRow]:
+    constants = {"gl": cfg.gl_constant, "ms": cfg.ms_constant}
+    return [SummaryRow(
+        model=cfg.model, target=cfg.target, case=cfg.case, n=cfg.n, selector=sel,
+        c_pen=constants.get(sel, float("nan")), reps=ises.size,
+        mean_ise=float(ises.mean()), std_ise=float(ises.std(ddof=0)), mean_m=float(ms.mean()))
+        for sel, ises, ms in zip(cfg.selectors, results.ise, results.m_selected)]
 
 
-def summarize(cfg: ExperimentConfig, records: Sequence[RepRecord]) -> list[SummaryRow]:
-    rows = []
-    for sel in cfg.selectors:
-        ises = np.array([r.ise for r in records if r.selector == sel])
-        ms = np.array([r.m_selected for r in records if r.selector == sel])
-        rows.append(SummaryRow(
-            model=cfg.model, target=cfg.target, case=cfg.case, n=cfg.n, selector=sel,
-            c_pen=_selector_constant(cfg, sel), reps=ises.size,
-            mean_ise=float(ises.mean()), std_ise=float(ises.std(ddof=0)),
-            mean_m=float(ms.mean())))
-    return rows
+def run_experiment(cfg: ExperimentConfig,
+                   progress: bool = False) -> tuple[list[SummaryRow], RunResults]:
+    """Run cfg.reps replications: the summary rows and the columns they summarize."""
+    ms, profiles, sigmas = zip(*_run_reps(ExperimentContext(cfg), run_replication,
+                                          cfg.reps, EVAL_NS, progress))
+    m_selected = np.stack(ms, axis=1)
+    ise_by_m = np.array(profiles)
+    results = RunResults(selectors=tuple(cfg.selectors), m_selected=m_selected,
+                         ise=ise_by_m[np.arange(cfg.reps), m_selected - 1],
+                         sigma_y_hat=np.array(sigmas, dtype=float), ise_by_m=ise_by_m)
+    return summarize(cfg, results), results
 
 
-def run_experiment(cfg: ExperimentConfig, raw_path=None, summary_path=None,
-                   progress: bool = False) -> tuple[list[SummaryRow], list[RepRecord]]:
-    """Run cfg.reps replications; optionally write the raw and summary CSVs."""
-    records = _run_reps(cfg, cfg.reps, EVAL_NS, progress=progress)
-    rows = summarize(cfg, records)
-    if raw_path is not None:
-        write_raw_csv(records, raw_path)
-    if summary_path is not None:
-        write_summary_csv(rows, summary_path)
-    return rows, records
+def _gl_estimate(ctx: ExperimentContext, rep_index: int, namespace: int) -> np.ndarray:
+    """The GL estimate of one replication on the context's grid."""
+    cfg = ctx.cfg
+    table, sig_sq = ctx.replication(rep_index, namespace)
+    pens = penalty_vector(cfg.gl_constant, cfg.m_grid, cfg.n, sig_sq)
+    m = select_with_pens(table, pens).m_selected
+    return np.sum(table.theta_hat[: m + 1, None] * ctx.basis_grid[: m + 1], axis=0)
 
 
 def compute_bands(cfg: ExperimentConfig) -> BandTable:
@@ -322,14 +341,8 @@ def compute_bands(cfg: ExperimentConfig) -> BandTable:
     if cfg.reps < MIN_BAND_REPS:
         raise ValueError(f"bands need at least {MIN_BAND_REPS} replications")
     ctx = ExperimentContext(cfg)
-    M = cfg.m_grid
-    estimates = np.empty((cfg.reps, cfg.grid_size))
-    for rep in range(cfg.reps):
-        table, sig_sq = ctx.replication(rep, EVAL_NS)
-        pens = penalty_vector(cfg.gl_constant, M, cfg.n, sig_sq)
-        m = select_with_pens(table, pens).m_selected
-        coefs = table.theta_hat[: m + 1]
-        estimates[rep] = np.sum(coefs[:, None] * ctx.basis_grid[: m + 1], axis=0)
+    estimates = np.fromiter(_run_reps(ctx, _gl_estimate, cfg.reps, EVAL_NS),
+                            dtype=np.dtype((float, cfg.grid_size)), count=cfg.reps)
     p05, med, p95 = np.percentile(estimates, [5.0, 50.0, 95.0], axis=0)
     return BandTable(x=ctx.grid, truth=ctx.truth_grid, median=med, p05=p05, p95=p95)
 
@@ -362,6 +375,14 @@ def calibration_grid(c_grid: Iterable[float] | None, calib_reps: int) -> np.ndar
     return grid
 
 
+def _calibration_row(c_grid: np.ndarray, ctx: ExperimentContext, rep_index: int,
+                     namespace: int) -> np.ndarray:
+    """ISE of the dimension each constant of c_grid selects in one replication."""
+    table, sig_sq = ctx.replication(rep_index, namespace)
+    pens = penalty_vector(c_grid, ctx.cfg.m_grid, ctx.cfg.n, sig_sq)
+    return ctx.ise_by_m(table)[select_with_pens(table, pens).m_selected - 1]
+
+
 def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = None,
                        calib_reps: int = 100) -> CalibrationResult:
     """Grid-search penalty constants for GL and MS on a disjoint seed stream.
@@ -372,23 +393,19 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     are the same rule (see selection), so one curve serves both.
     """
     c_grid = calibration_grid(c_grid, calib_reps)
-    ctx = ExperimentContext(cfg)
     total = np.zeros(c_grid.size)
-    for rep in range(calib_reps):
-        table, sig_sq = ctx.replication(rep, CALIB_NS)
-        pens = penalty_vector(c_grid, cfg.m_grid, cfg.n, sig_sq)
-        total += ctx.ise_by_m(table)[select_with_pens(table, pens).m_selected - 1]
+    for row in _run_reps(ExperimentContext(cfg), partial(_calibration_row, c_grid),
+                         calib_reps, CALIB_NS):
+        total += row
     curve = total / calib_reps
     mean_ise = {"gl": curve, "ms": curve}
     chosen = {sel: float(c_grid[int(np.argmin(curve))]) for sel, curve in mean_ise.items()}
     notes = []
     for sel, curve in mean_ise.items():
         k = int(np.argmin(curve))
-        ok = np.all(np.diff(curve[: k + 1]) <= 1e-12) and np.all(np.diff(curve[k:]) >= -1e-12)
-        if not ok:
-            msg = f"mean ISE vs c not quasi-convex for {sel}"
-            notes.append(msg)
-            warnings.warn(msg)
+        if not (np.all(np.diff(curve[: k + 1]) <= 1e-12) and np.all(np.diff(curve[k:]) >= -1e-12)):
+            notes.append(f"mean ISE vs c not quasi-convex for {sel}")
+            warnings.warn(notes[-1])
     return CalibrationResult(c_grid=c_grid, mean_ise=mean_ise, chosen=chosen,
                              warnings=tuple(notes))
 
@@ -398,45 +415,30 @@ def calibrated_config(cfg: ExperimentConfig, calib: CalibrationResult) -> Experi
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def write_raw_csv(records: Sequence[RepRecord], path) -> None:
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rep_index", "selector", "m_selected", "ise", "sigma_y_hat"])
-        for r in records:
-            writer.writerow([r.rep_index, r.selector, r.m_selected,
-                             _fmt(r.ise), _fmt(r.sigma_y_hat)])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def write_raw_csv(records: Iterable[RepRecord], path) -> None:
+    _write_csv(path, RepRecord._fields, records)
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "target", "case", "n", "selector", "c_pen",
-                         "reps", "mean_ise", "std_ise", "mean_m"])
-        for r in rows:
-            writer.writerow([r.model, r.target, r.case, r.n, r.selector,
-                             _fmt(r.c_pen), r.reps, _fmt(r.mean_ise),
-                             _fmt(r.std_ise), _fmt(r.mean_m)])
+    _write_csv(path, [f.name for f in fields(SummaryRow)], map(astuple, rows))
 
 
 def write_bands_csv(bands: BandTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "truth", "median", "p05", "p95"])
-        for i in range(bands.x.size):
-            writer.writerow([_fmt(float(bands.x[i])), _fmt(float(bands.truth[i])),
-                             _fmt(float(bands.median[i])), _fmt(float(bands.p05[i])),
-                             _fmt(float(bands.p95[i]))])
+    columns = ("x", "truth", "median", "p05", "p95")
+    _write_csv(path, columns, zip(*(getattr(bands, name).tolist() for name in columns)))
 
 
 def write_calibration_csv(calib: CalibrationResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["selector", "c", "mean_ise"])
-        for sel, curve in calib.mean_ise.items():
-            for c, v in zip(calib.c_grid, curve):
-                writer.writerow([sel, _fmt(float(c)), _fmt(float(v))])
+    _write_csv(path, ["selector", "c", "mean_ise"],
+               ((sel, c, v) for sel, curve in calib.mean_ise.items()
+                for c, v in zip(calib.c_grid.tolist(), curve.tolist())))

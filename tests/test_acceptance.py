@@ -102,23 +102,22 @@ def table_runs():
                 cfg = ExperimentConfig(model=model, target=target, case=case,
                                        n=N, reps=REPS, seed=SEED)
                 calib = calibrate_constant(cfg, calib_reps=CALIB_REPS)
-                rows, records = run_experiment(calibrated_config(cfg, calib))
+                rows, results = run_experiment(calibrated_config(cfg, calib))
                 out[(model, target, case)] = {
                     "rows": {r.selector: r for r in rows},
-                    "records": records,
+                    "results": results,
                     "calibrated": calib.chosen,
                 }
     return out
 
 
-def _exact_cell(records, model, target, case):
+def _exact_cell(results, model, target, case):
     """Check one case-1/2 oracle cell against E ISE(m); returns (ok, detail)."""
-    oracle = [r for r in records if r.selector == "oracle"]
-    profile = np.array([r.ise_by_m for r in oracle])  # reps x M
+    profile = results.ise_by_m  # reps x M
     exact = expected_risk_curve(model, target, case, N, profile.shape[1])
     se = profile.std(axis=0, ddof=1) / np.sqrt(REPS)
     z_max = float(np.max(np.abs(profile.mean(axis=0) - exact) / se))
-    ise = np.array([r.ise for r in oracle])
+    ise = results.ise[results.selectors.index("oracle")]
     bound = exact.min() + ORACLE_SE_SLACK * ise.std(ddof=1) / np.sqrt(REPS)
     ok = z_max <= EXACT_Z_MAX and ise.mean() <= bound
     detail = (f"min_m E ISE(m) {exact.min():.5f} at m={int(exact.argmin()) + 1}, "
@@ -138,7 +137,7 @@ def _oracle_cells(table_runs, model, published):
         if case == 3:
             cell_ok = abs(dev) <= 0.10
         else:
-            cell_ok, exact = _exact_cell(run["records"], model, target, case)
+            cell_ok, exact = _exact_cell(run["results"], model, target, case)
             line += f"; {exact}"
         lines.append(line)
         if not cell_ok:
@@ -177,7 +176,7 @@ def test_criterion_3_adaptive_columns(table_runs):
             if model == "density" and rows["cv"].mean_ise < rows["gl"].mean_ise - 1e-12:
                 failures.append(f"{key}: cv below gl")
             if model == "regression":
-                records = table_runs[(model, target, case)]["records"]
+                records = table_runs[(model, target, case)]["results"]
                 gl_m = {r.rep_index: r.m_selected for r in records if r.selector == "gl"}
                 ms_m = {r.rep_index: r.m_selected for r in records if r.selector == "ms"}
                 agree = np.mean([gl_m[i] == ms_m[i] for i in gl_m])

@@ -47,9 +47,11 @@ def test_missing_target_usage_error(tmp_path):
 @pytest.mark.parametrize("flag, value", [("--case", "9"), ("--grid-size", "1024"),
                                          ("--seed", "-1"), ("--workers", "0"),
                                          ("--c-pen", "-1"), ("--c-pen-ms", "0"),
-                                         ("--c-pen", "0")],
+                                         ("--c-pen", "0"), ("--selectors", "gl,gl"),
+                                         ("--selectors", ",")],
                          ids=["case", "grid-size", "seed", "workers", "c-pen",
-                              "c-pen-ms", "c-pen-zero-ms"])
+                              "c-pen-ms", "c-pen-zero-ms", "selectors-repeated",
+                              "selectors-empty"])
 def test_bad_flag_value_usage_error(tmp_path, flag, value):
     # --c-pen 0 alone is a valid GL constant, but ms inherits it and needs c > 0
     with pytest.raises(SystemExit) as exc:

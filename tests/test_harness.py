@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from adaseries.estimators import empirical_coefficients, sigma_y_hat
 from adaseries.harness import (CALIB_NS, BandTable, ExperimentConfig, ExperimentContext,
-                               calibrate_constant, calibrated_config,
+                               RepRecord, SummaryRow, calibrate_constant, calibrated_config,
                                compute_bands, default_c_grid, run_experiment,
-                               run_replication, write_bands_csv)
-from adaseries.selection import penalty_vector, select_ms, select_with_pens
+                               run_replication, write_bands_csv, write_raw_csv,
+                               write_summary_csv)
+from adaseries.selection import penalty_vector, select_cv, select_ms, select_with_pens
 
 
 def small_cfg(**kw):
@@ -24,8 +26,9 @@ def test_config_validation():
         small_cfg(case=4)
     with pytest.raises(ValueError):
         small_cfg(target="f3")
-    with pytest.raises(ValueError):
-        small_cfg(selectors=("oracle", "mystery"))
+    for selectors in (("oracle", "mystery"), (), ("gl", "gl"), ("oracle", "cv", "oracle")):
+        with pytest.raises(ValueError):
+            small_cfg(selectors=selectors)
     with pytest.raises(ValueError):
         small_cfg(m_max=0)
     for bad in (dict(grid_size=1024), dict(grid_size=1), dict(seed=-1), dict(workers=0),
@@ -38,13 +41,12 @@ def test_config_validation():
 
 
 def test_replication_deterministic():
-    cfg = small_cfg()
-    ctx = ExperimentContext(cfg)
-    a = run_replication(cfg, 3, ctx)
-    b = run_replication(cfg, 3, ctx)
-    assert a == b
-    c = run_replication(cfg, 4, ctx)
-    assert a != c
+    ctx = ExperimentContext(small_cfg())
+    (m_a, ise_a, sig_a), (m_b, ise_b, sig_b) = run_replication(ctx, 3), run_replication(ctx, 3)
+    np.testing.assert_array_equal(m_a, m_b)
+    np.testing.assert_array_equal(ise_a, ise_b)
+    assert sig_a == sig_b
+    assert not np.array_equal(ise_a, run_replication(ctx, 4)[1])
 
 
 def test_oracle_dominates_per_replication():
@@ -60,18 +62,92 @@ def test_oracle_dominates_per_replication():
 
 def test_single_rep_summary_matches_record():
     cfg = small_cfg(reps=1, selectors=("oracle",))
-    rows, records = run_experiment(cfg)
+    rows, results = run_experiment(cfg)
+    (record,) = results
     assert rows[0].reps == 1
-    assert rows[0].mean_ise == records[0].ise
+    assert rows[0].mean_ise == record.ise
     assert rows[0].std_ise == 0.0
-    assert rows[0].mean_m == records[0].m_selected
+    assert rows[0].mean_m == record.m_selected
+
+
+def reference_records(cfg):
+    """The per-(replication, selector) record loop the columns replace, and ISE(m) rows."""
+    ctx = ExperimentContext(cfg)
+    M = cfg.m_grid
+    records, profiles = [], []
+    for rep in range(cfg.reps):
+        table, sig_sq = ctx.replication(rep)
+        ise_by_m = ctx.ise_by_m(table)
+        profiles.append(ise_by_m)
+        for sel in cfg.selectors:
+            if sel == "oracle":
+                m = int(np.argmin(ise_by_m)) + 1
+            elif sel == "gl":
+                m = select_with_pens(table, penalty_vector(cfg.gl_constant, M, cfg.n,
+                                                           sig_sq)).m_selected
+            elif sel == "ms":
+                m = select_ms(table, cfg.ms_constant, M, sig_sq).m_selected
+            else:
+                m = select_cv(table, M).m_selected
+            records.append(RepRecord(rep, sel, m, float(ise_by_m[m - 1]), sig_sq))
+    return records, np.array(profiles)
+
+
+def reference_summary(cfg, records):
+    """The summary comprehension over records that per-row column means replace."""
+    rows = []
+    for sel in cfg.selectors:
+        ises = np.array([r.ise for r in records if r.selector == sel])
+        ms = np.array([r.m_selected for r in records if r.selector == sel])
+        c_pen = {"gl": cfg.gl_constant, "ms": cfg.ms_constant}.get(sel, float("nan"))
+        rows.append(SummaryRow(
+            model=cfg.model, target=cfg.target, case=cfg.case, n=cfg.n, selector=sel,
+            c_pen=c_pen, reps=ises.size, mean_ise=float(ises.mean()),
+            std_ise=float(ises.std(ddof=0)), mean_m=float(ms.mean())))
+    return rows
+
+
+@pytest.mark.parametrize("model,target", [("density", "f1"), ("regression", "f2")])
+@pytest.mark.parametrize("selectors", [("oracle", "gl", "ms", "cv"), ("cv", "gl", "oracle"),
+                                       ("ms",)])
+@pytest.mark.parametrize("reps", [1, 7, 20])
+def test_columns_match_record_loop(model, target, selectors, reps):
+    cfg = small_cfg(model=model, target=target, case=2, n=200, reps=reps,
+                    selectors=selectors, c_gl=3.0, m_max=40)
+    rows, results = run_experiment(cfg)
+    records, profiles = reference_records(cfg)
+    assert len(results) == len(records) == reps * len(selectors)
+    assert list(results) == records  # replication-major, cfg.selectors order
+    np.testing.assert_equal([dataclasses.astuple(r) for r in rows],
+                            [dataclasses.astuple(r) for r in reference_summary(cfg, records)])
+    np.testing.assert_array_equal(results.ise_by_m, profiles)
+    for k in range(len(selectors)):
+        assert results.ise[k].flags.c_contiguous and results.m_selected[k].flags.c_contiguous
 
 
 def test_parallel_equals_serial():
-    cfg = small_cfg(reps=6)
+    """Every column, the bands and the calibration curve, bitwise, across worker counts.
+
+    17 replications on 2 workers run as eight chunks of 2 and one of 1.
+    """
+    cfg = small_cfg(reps=17)
     _, serial = run_experiment(cfg)
-    _, parallel = run_experiment(small_cfg(reps=6, workers=2))
-    assert serial == parallel
+    _, parallel = run_experiment(dataclasses.replace(cfg, workers=2))
+    for name in ("m_selected", "ise", "sigma_y_hat", "ise_by_m"):
+        np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
+        assert getattr(serial, name).dtype == getattr(parallel, name).dtype
+    assert list(serial) == list(parallel)
+
+    bands_cfg = small_cfg(reps=21, c_gl=2.0)
+    serial_bands = compute_bands(bands_cfg)
+    parallel_bands = compute_bands(dataclasses.replace(bands_cfg, workers=2))
+    for name in ("x", "truth", "median", "p05", "p95"):
+        np.testing.assert_array_equal(getattr(serial_bands, name), getattr(parallel_bands, name))
+
+    serial_calib = calibrate_constant(cfg, calib_reps=17)
+    parallel_calib = calibrate_constant(dataclasses.replace(cfg, workers=2), calib_reps=17)
+    np.testing.assert_array_equal(serial_calib.mean_ise["gl"], parallel_calib.mean_ise["gl"])
+    assert serial_calib.chosen == parallel_calib.chosen
 
 
 def test_regression_records_sigma():
@@ -92,9 +168,9 @@ def test_replication_kernel_matches_direct_path():
         np.testing.assert_array_equal(table.theta_hat, reference.theta_hat)
         np.testing.assert_array_equal(table.theta_sq_loo, reference.theta_sq_loo)
         assert sig_sq == (sigma_y_hat(direct) if cfg.model == "regression" else 1.0)
-        record = run_replication(cfg, 1, ctx, CALIB_NS)[0]
-        assert record.sigma_y_hat == sig_sq
-        np.testing.assert_array_equal(record.ise_by_m, ctx.ise_by_m(table))
+        _, ise_by_m, kernel_sig_sq = run_replication(ctx, 1, CALIB_NS)
+        assert kernel_sig_sq == sig_sq
+        np.testing.assert_array_equal(ise_by_m, ctx.ise_by_m(table))
 
 
 def test_one_design_matrix_per_replication(monkeypatch):
@@ -123,7 +199,7 @@ def test_one_design_matrix_per_replication(monkeypatch):
         ctx = ExperimentContext(cfg)
         calls["all"] = 0
         for rep in range(3):
-            run_replication(cfg, rep, ctx)
+            run_replication(ctx, rep)
         assert calls == {"all": 3, "in_cv": 0}
 
 
@@ -232,8 +308,9 @@ def test_default_c_grid_shape():
 
 def test_csv_outputs(tmp_path):
     cfg = small_cfg(reps=3)
-    rows, records = run_experiment(cfg, raw_path=tmp_path / "raw.csv",
-                                   summary_path=tmp_path / "summary.csv")
+    rows, records = run_experiment(cfg)
+    write_raw_csv(records, tmp_path / "raw.csv")
+    write_summary_csv(rows, tmp_path / "summary.csv")
     with open(tmp_path / "raw.csv") as fh:
         raw = list(csv.reader(fh))
     assert raw[0] == ["rep_index", "selector", "m_selected", "ise", "sigma_y_hat"]
