@@ -10,15 +10,17 @@ For the density model coefficient 0 is the known constant 1 and only
 j >= 1 is estimated; for regression coefficient 0 is estimated like any
 other.  The system satisfies sup_x sum_{j=1}^m phi_j(x)^2 <= 2 m (with
 equality to m for even m), so the squared sup-norm constant is 2.
-TrigBasis.design_matrix evaluates all rows with the trig recurrence:
-one complex exponential per point, then one complex product per
-frequency.
+TrigBasis.row_blocks evaluates the rows with the trig recurrence, one
+complex exponential per point, then one complex product per frequency,
+and hands them out in blocks of a few rows, so a caller that only sums
+over the points never holds all m_max + 1 rows at once.
+TrigBasis.design_matrix is the one-block case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,28 +55,50 @@ class TrigBasis:
         ang = 2.0 * np.pi * k * x
         return SQRT2 * (np.cos(ang) if j % 2 == 1 else np.sin(ang))
 
-    def design_matrix(self, x, m_max: int) -> np.ndarray:
-        """Rows j = 0..m_max of the basis evaluated at points x.
+    def row_blocks(self, x, m_max: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Rows j = 0..m_max of the basis at points x, yielded in blocks.
 
-        Shape (m_max + 1, len(x)); row j is phi_j(x).  cos and sin of
-        2 pi x are taken once, as z = exp(2 pi i x); the rows follow from
-        the trig recurrence p <- p z started at p = sqrt(2) z, so that
+        Yields (start, block) with block[i] = phi_{start + i}(x), at most
+        `rows` rows per block, in order of start.  cos and sin of 2 pi x
+        are taken once, as z = exp(2 pi i x); the rows follow from the
+        trig recurrence p <- p z started at p = sqrt(2) z, so that
         p = sqrt(2) exp(2 pi i k x) gives row 2k - 1 as its real part and
-        row 2k as its imaginary part.  Rounding grows like k * 1e-16.
+        row 2k as its imaginary part.  p carries over from one block to
+        the next, so a block may end on either row of a pair and every
+        row is the same float as in one block.  Rounding grows like
+        k * 1e-16.  All blocks are views of one rows x len(x) buffer:
+        the next step overwrites the block, so read it (or change it in
+        place) before asking for the next one.
         """
         if m_max < 0 or m_max > self.max_index:
             raise ValueError(f"m_max {m_max} outside [0, {self.max_index}]")
+        if rows < 1:
+            raise ValueError(f"rows {rows} must be >= 1")
         x = np.asarray(x, dtype=float).ravel()
-        out = np.empty((m_max + 1, x.size))
-        out[0] = 1.0
+        buf = np.empty((min(rows, m_max + 1), x.size))
         z = np.exp(2j * np.pi * x)
         p = SQRT2 * z
-        for k in range(1, (m_max + 1) // 2 + 1):
-            out[2 * k - 1] = p.real
-            if 2 * k <= m_max:
-                out[2 * k] = p.imag
-            np.multiply(p, z, out=p)
-        return out
+        cos_row, sin_row = p.real, p.imag  # views: they follow p as it steps in place
+        for start in range(0, m_max + 1, len(buf)):
+            block = buf[: min(len(buf), m_max + 1 - start)]
+            for i, j in enumerate(range(start, start + len(block))):
+                if j % 2:
+                    block[i] = cos_row
+                elif j:
+                    block[i] = sin_row
+                    np.multiply(p, z, out=p)
+                else:
+                    block[i] = 1.0
+            yield start, block
+
+    def design_matrix(self, x, m_max: int) -> np.ndarray:
+        """Rows j = 0..m_max of the basis evaluated at points x.
+
+        Shape (m_max + 1, len(x)); row j is phi_j(x).  The single-block
+        case of row_blocks: the whole matrix is one block of the trig
+        recurrence.
+        """
+        return next(self.row_blocks(x, m_max, m_max + 1))[1]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ A dimension-m estimator always uses the coefficient prefix 0..m:
 so estimators are nested and || f_m - f_k ||^2 reduces to the Parseval
 gap sum_{j=m+1..k} theta_hat_j^2 in both models.  Every selector reads
 one CoefficientTable: penalized contrast and model selection its
-theta_hat, cross-validation also its leave-one-out squares.  The
+theta_hat, cross-validation also its leave-one-out squares.  The table
+needs only two sums per index, T_j = sum_i psi_j(Z_i) and sum_i
+psi_j(Z_i)^2, and empirical_coefficients streams them over blocks of
+basis rows, so no replication holds the (m_max + 1) x n psi matrix.  The
 realized ISE(m) is the Simpson-grid quadrature written as a quadratic
 form in theta_hat (ise_gram once per config, ise_profile per table).
 """
@@ -23,6 +26,10 @@ import numpy as np
 
 from .basis import TrigBasis
 from .dependence import Sample
+
+#: Points per psi block in empirical_coefficients (1 MB of float64): small
+#: enough to stay in cache, large enough that n = 1000 is a single block.
+_BLOCK_POINTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -46,26 +53,37 @@ class CoefficientTable:
 
 def empirical_coefficients(sample: Sample, m_max: int,
                            basis: TrigBasis | None = None) -> CoefficientTable:
-    """Coefficient table from a sample: one psi matrix, both sums read from it."""
+    """Coefficient table from a sample: both sums streamed over row blocks.
+
+    The psi rows come from basis.row_blocks, _BLOCK_POINTS points per
+    block (at least two rows), and each block is reduced to its rows' T_j
+    and sum_i psi_j(Z_i)^2 before the next one is made, so the working
+    set is O(n), not the O(m_max n) of the whole psi matrix.  Each row is
+    summed on its own, so the sums are the floats a one-block pass gives.
+    """
     if sample.n < 1:
         raise ValueError("empty sample")
     basis = basis or TrigBasis(max_index=max(m_max, 1))
     if sample.model == "density":
-        psi = basis.design_matrix(sample.x, m_max)
+        points, y = sample.x, None
     elif sample.model == "regression":
-        psi = basis.design_matrix(sample.u, m_max)
-        psi *= sample.y
+        points, y = sample.u, sample.y
     else:
         raise ValueError(f"unknown model {sample.model!r}")
     n = sample.n
-    totals = np.sum(psi, axis=1)
+    totals = np.empty(m_max + 1)
+    squares = np.empty(m_max + 1)
+    for start, block in basis.row_blocks(points, m_max, max(2, _BLOCK_POINTS // n)):
+        rows = slice(start, start + len(block))
+        if y is not None:
+            block *= y
+        np.sum(block, axis=1, out=totals[rows])
+        np.multiply(block, block, out=block)  # the block is not read again: square it in place
+        np.sum(block, axis=1, out=squares[rows])
     theta = totals / n
     if sample.model == "density":
         theta[0] = 1.0
-    loo = None
-    if n > 1:
-        np.multiply(psi, psi, out=psi)  # psi is not read again: square it in place
-        loo = (totals**2 - np.sum(psi, axis=1)) / (n * (n - 1))
+    loo = (totals**2 - squares) / (n * (n - 1)) if n > 1 else None
     return CoefficientTable(model=sample.model, n=n, m_max=m_max, theta_hat=theta,
                             theta_sq_loo=loo)
 

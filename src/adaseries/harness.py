@@ -254,12 +254,7 @@ def run_replication(ctx: ExperimentContext, rep_index: int,
             m = select_cv(table, M).m_selected
         chosen.append(m)
 
-    m_selected = np.array(chosen, dtype=np.int64)
-    if "oracle" in cfg.selectors:
-        oracle_ise = ise_by_m[m_selected[cfg.selectors.index("oracle")] - 1]
-        if np.any(ise_by_m[m_selected - 1] < oracle_ise - 1e-12):
-            raise AssertionError("oracle dominated on its own criterion; selection bug")
-    return m_selected, ise_by_m, sig_sq
+    return np.array(chosen, dtype=np.int64), ise_by_m, sig_sq
 
 
 _CTX: ExperimentContext | None = None

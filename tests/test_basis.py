@@ -71,6 +71,21 @@ def test_recurrence_matches_angle_grid(x, m_max):
     np.testing.assert_allclose(design, outer_design_matrix(x, m_max), rtol=0.0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+       m_max=st.integers(0, 60), rows=st.integers(1, 70))
+def test_row_blocks_tile_the_design_matrix(x, m_max, rows):
+    basis = TrigBasis(max_index=60)
+    starts, blocks = [], []
+    for start, block in basis.row_blocks(x, m_max, rows):
+        starts.append(start)
+        blocks.append(block.copy())  # the next block overwrites this one
+    assert starts == list(range(0, m_max + 1, min(rows, m_max + 1)))
+    assert np.array_equal(np.concatenate(blocks), basis.design_matrix(x, m_max))
+    with pytest.raises(ValueError):
+        next(basis.row_blocks(x, m_max, 0))
+
+
 def test_orthonormality_and_sup_norm_checks_at_400():
     assert check_orthonormality(j_max=400).passed
     assert check_sup_norm(m_limit=400).passed

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adaseries.basis import SUP_NORM_SQ, TrigBasis
 from adaseries.dependence import Sample, gen_density_sample, gen_regression_sample
+from adaseries import estimators
 from adaseries.estimators import (CoefficientTable, empirical_coefficients,
                                   ise_gram, ise_profile, sigma_y_hat)
 from adaseries.harness import ExperimentConfig, ExperimentContext
@@ -82,6 +84,61 @@ def test_leave_one_out_squares_pinned():
     reg = empirical_coefficients(regression_sample([1.0, 3.0], [0.25, 0.75]), 0)
     # psi_0 = y: (T^2 - sum y^2) / 2 = (16 - 10) / 2, the pair product 2 y_1 y_2 / 2
     assert reg.theta_sq_loo[0] == 3.0
+
+
+def materialized_coefficients(sample, m_max):
+    """Reference table from the whole (m_max + 1) x n psi matrix.
+
+    The form empirical_coefficients replaced by row blocks; the streamed
+    sums must be the same floats.
+    """
+    basis = TrigBasis(max_index=max(m_max, 1))
+    if sample.model == "density":
+        psi = basis.design_matrix(sample.x, m_max)
+    else:
+        psi = basis.design_matrix(sample.u, m_max) * sample.y
+    n = sample.n
+    totals = np.sum(psi, axis=1)
+    theta = totals / n
+    if sample.model == "density":
+        theta[0] = 1.0
+    loo = (totals**2 - np.sum(psi * psi, axis=1)) / (n * (n - 1)) if n > 1 else None
+    return theta, loo
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 20000])
+def test_streamed_coefficients_match_materialized_psi(monkeypatch, n):
+    # blocks of 2 rows end on a cos row, blocks of 3 alternate cos and sin;
+    # m_max = 100 ends on a sin row, 101 on a cos row
+    rng = np.random.default_rng(n)
+    samples = (density_sample(rng.uniform(size=n)),
+               regression_sample(rng.normal(size=n), rng.uniform(size=n)))
+    for sample in samples:
+        for m_max in (100, 101):
+            theta, loo = materialized_coefficients(sample, m_max)
+            for rows in (2, 3, 5, m_max + 1):
+                monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * n)
+                table = empirical_coefficients(sample, m_max)
+                assert np.array_equal(table.theta_hat, theta)
+                if n == 1:
+                    assert table.theta_sq_loo is None and loo is None
+                else:
+                    assert np.array_equal(table.theta_sq_loo, loo)
+
+
+def test_coefficient_memory_does_not_grow_with_m():
+    # the psi matrix alone would take (M + 1) * 8 * n = 162 MB
+    n, m_max = 200_000, 100
+    rng = np.random.default_rng(4)
+    for sample in (density_sample(rng.uniform(size=n)),
+                   regression_sample(rng.normal(size=n), rng.uniform(size=n))):
+        tracemalloc.start()
+        try:
+            empirical_coefficients(sample, m_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * n + 2 * 2**20
 
 
 def test_regression_zero_responses():

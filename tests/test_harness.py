@@ -174,16 +174,16 @@ def test_replication_kernel_matches_direct_path():
 
 
 def test_one_design_matrix_per_replication(monkeypatch):
-    # the sample is evaluated on the basis once; CV reads the coefficient table
+    # one streamed psi pass per sample; CV reads the coefficient table
     from adaseries import harness as hl
     from adaseries.basis import TrigBasis
 
     calls = {"all": 0, "in_cv": 0}
-    original_design, original_cv = TrigBasis.design_matrix, hl.select_cv
+    original_blocks, original_cv = TrigBasis.row_blocks, hl.select_cv
 
-    def counting_design(self, x, m_max):
+    def counting_blocks(self, x, m_max, rows):
         calls["all"] += 1
-        return original_design(self, x, m_max)
+        return original_blocks(self, x, m_max, rows)
 
     def watched_cv(*args, **kwargs):
         before = calls["all"]
@@ -191,7 +191,7 @@ def test_one_design_matrix_per_replication(monkeypatch):
         calls["in_cv"] += calls["all"] - before
         return result
 
-    monkeypatch.setattr(TrigBasis, "design_matrix", counting_design)
+    monkeypatch.setattr(TrigBasis, "row_blocks", counting_blocks)
     monkeypatch.setattr(hl, "select_cv", watched_cv)
     for cfg in (small_cfg(), ExperimentConfig(model="regression", target="f1", case=2,
                                               n=200, reps=3, seed=3)):
