@@ -11,8 +11,8 @@ from .basis import RateResult, TrigBasis, WeightSequence, optimal_dimension
 from .dependence import (Sample, gen_density_sample, gen_regression_sample,
                          marginal_G_case3, stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
-from .harness import (BandTable, ExperimentConfig, CalibrationResult, RepRecord, RunResults,
-                      SummaryRow, calibrate_constant, calibrated_config,
+from .harness import (BandTable, ConfigError, ExperimentConfig, CalibrationResult, RepRecord,
+                      RunResults, SummaryRow, calibrate_constant, calibrated_config,
                       compute_bands, run_experiment, run_replication)
 from .selection import (Lemma1Audit, SelectionResult, lemma1_audit, penalty_vector,
                         select_cv, select_ms, select_with_pens, theorem_constant)

@@ -42,19 +42,6 @@ class TrigBasis:
 
     max_index: int = 400
 
-    def eval_one(self, j: int, x) -> np.ndarray:
-        """Evaluate basis function j at points x in [0, 1]."""
-        if j < 0 or j > self.max_index:
-            raise ValueError(f"basis index {j} outside [0, {self.max_index}]")
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError("basis evaluation points must lie in [0, 1]")
-        if j == 0:
-            return np.ones_like(x)
-        k = (j + 1) // 2
-        ang = 2.0 * np.pi * k * x
-        return SQRT2 * (np.cos(ang) if j % 2 == 1 else np.sin(ang))
-
     def row_blocks(self, x, m_max: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
         """Rows j = 0..m_max of the basis at points x, yielded in blocks.
 

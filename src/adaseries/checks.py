@@ -17,7 +17,7 @@ from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
 from .dependence import (AR_TRUNCATION, Sample, ar_path_from_innovations,
                          marginal_G_case3, stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients
-from .harness import ExperimentConfig, ExperimentContext
+from .harness import ConfigError, ExperimentConfig, ExperimentContext
 from .quadrature import simpson_weights, unit_grid
 from .selection import lemma1_audit, penalty_vector
 from .targets import MarginalLaw, density_f1, density_f2, true_coefficients
@@ -272,20 +272,20 @@ SETTING_MINIMA = {"seed": 0, "ks_draws": 1, "case3_draws": 1, "lemma_reps": 1,
                   "fuzz_cases": 1, "variance_reps": 2}
 
 
-def validate_settings(**settings) -> None:
-    """Raise ValueError for a run_all_checks setting below its minimum."""
+def _validate_settings(**settings) -> None:
+    """Raise ConfigError for a run_all_checks setting below its minimum."""
     for key, value in settings.items():
         if value < SETTING_MINIMA[key]:
-            raise ValueError(f"{key} must be >= {SETTING_MINIMA[key]}, got {value}")
+            raise ConfigError(f"{key} must be >= {SETTING_MINIMA[key]}, got {value}")
 
 
 def run_all_checks(seed: int = 0, ks_draws: int = KS_DRAWS,
                    case3_draws: int = CASE3_MARGINAL_DRAWS,
                    lemma_reps: int = 200, fuzz_cases: int = 2000,
                    variance_reps: int = 2000, pens=None) -> list[CheckResult]:
-    validate_settings(seed=seed, ks_draws=ks_draws, case3_draws=case3_draws,
-                      lemma_reps=lemma_reps, fuzz_cases=fuzz_cases,
-                      variance_reps=variance_reps)
+    _validate_settings(seed=seed, ks_draws=ks_draws, case3_draws=case3_draws,
+                       lemma_reps=lemma_reps, fuzz_cases=fuzz_cases,
+                       variance_reps=variance_reps)
     results = [
         check_orthonormality(),
         check_sup_norm(),

@@ -1,11 +1,18 @@
 """Command-line front end: simulate | bands | calibrate | check.
 
-Options can come from a config file (INI sections mirroring the
-experiment config) and are overridden by command-line flags.  Every run
-writes a metadata file with the fully resolved configuration so raw CSVs
-can be reproduced byte for byte.
+Each option is declared once, as a flag in the argument group named after
+its INI section: experiment, penalty, calibration or check.  A config file
+(--config) sets options under those sections, keyed by the flag's dest
+(c_gl for --c-pen); its values become the subcommand's defaults, so
+argparse converts them and flags override them.  One file serves every
+command: keys of options another command takes are accepted and ignored,
+and [experiment] seed also seeds check.  Every run writes a metadata file
+with the fully resolved configuration so raw CSVs can be reproduced byte
+for byte.
 
-Exit codes: 0 success, 1 check failure, 2 usage/configuration error.
+Exit codes: 0 success, 1 check failure, 2 usage/configuration error.  The
+last covers bad flags, unknown INI sections or keys, malformed INI files
+and any setting the library rejects before work (harness.ConfigError).
 """
 
 from __future__ import annotations
@@ -15,25 +22,23 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from importlib import metadata as importlib_metadata
 from pathlib import Path
 
 from . import __version__
 from . import checks as checks_mod
-from .harness import (MIN_BAND_REPS, ExperimentConfig, calibrate_constant,
-                      calibration_grid, compute_bands, run_experiment, write_bands_csv,
-                      write_calibration_csv, write_raw_csv, write_summary_csv)
+from .harness import (ConfigError, ExperimentConfig, calibrate_constant, compute_bands,
+                      run_experiment, write_bands_csv, write_calibration_csv, write_raw_csv,
+                      write_summary_csv)
 
-_EXPERIMENT_KEYS = {
-    "model": str, "target": str, "case": int, "n": int, "reps": int,
-    "seed": int, "m_max": int, "grid_size": int, "workers": int,
-    "selectors": str,
+_COMMANDS = {
+    "simulate": "run replications, write raw + summary CSV",
+    "bands": "write pointwise percentile bands CSV",
+    "calibrate": "grid-search penalty constants",
+    "check": "run the theory-check suite",
 }
-_PENALTY_KEYS = {"c_gl": float, "c_ms": float}
-_CALIBRATION_KEYS = {"c_grid": str, "calib_reps": int}
-_CHECK_KEYS = {"ks_draws": int, "case3_draws": int, "lemma_reps": int,
-               "fuzz_cases": int, "variance_reps": int, "pens": str}
+_SECTIONS = ("experiment", "penalty", "calibration", "check")
 
 
 def _package_version() -> str:
@@ -43,125 +48,110 @@ def _package_version() -> str:
         return __version__
 
 
-def _parse_float_list(text: str, flag: str, parser: argparse.ArgumentParser) -> list[float]:
+def _float_list(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         values = []
     if not values:
-        parser.error(f"--{flag}: expected a comma list of numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
     return values
 
 
-def _read_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"config file not found: {path}")
-    out: dict = {}
-    section_keys = {"experiment": _EXPERIMENT_KEYS, "penalty": _PENALTY_KEYS,
-                    "calibration": _CALIBRATION_KEYS, "check": _CHECK_KEYS}
-    for section, keys in section_keys.items():
-        if not parser.has_section(section):
-            continue
-        for key, value in parser.items(section):
-            if key not in keys:
-                raise ValueError(f"unknown key {key!r} in [{section}]")
-            out[key] = keys[key](value)
-    return out
+def _name_list(text: str) -> tuple:
+    # a list that parses to nothing is rejected by the config
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
+    """Declare command's options on p, each in the group of its INI section,
+    and record each option's dest as a key of that section."""
+    groups = {section: p.add_argument_group(section) for section in _SECTIONS}
+
+    def option(section, *flags, **kwargs):
+        keys[section].add(groups[section].add_argument(*flags, **kwargs).dest)
+
+    p.add_argument("--config", help="INI config file; flags override file values")
+    p.add_argument("--out", default=None if command == "check" else "out",
+                   help="output directory (default ./out; check writes a report only if given)")
+    option("experiment", "--seed", type=int)
+    if command == "check":
+        for flag in ("--ks-draws", "--case3-draws", "--lemma-reps", "--fuzz-cases",
+                     "--variance-reps"):
+            option("check", flag, type=int)
+        option("check", "--pens", type=_float_list,
+               help="comma list: audit a custom penalty sequence")
+        return
+    option("experiment", "--model", choices=("density", "regression"))
+    option("experiment", "--target", help="f1 | f2 (| uniform for densities)")
+    option("experiment", "--case", type=int, choices=(1, 2, 3))
+    option("experiment", "--n", type=int)
+    option("experiment", "--reps", type=int, default=None if command == "simulate" else 100)
+    option("experiment", "--selectors", type=_name_list, help="comma list from oracle,gl,ms,cv")
+    option("experiment", "--m-max", type=int)
+    option("experiment", "--grid-size", type=int)
+    option("experiment", "--workers", type=int)
+    option("penalty", "--c-pen", dest="c_gl", type=float,
+           help="penalized-contrast constant (default: theorem preset)")
+    option("penalty", "--c-pen-ms", dest="c_ms", type=float,
+           help="model-selection constant (default: same as --c-pen)")
+    if command == "calibrate":
+        option("calibration", "--c-grid", type=_float_list,
+               help="comma list of candidate constants")
+        option("calibration", "--calib-reps", type=int, default=100)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The parser, its subcommand parsers by name, and each INI section's keys."""
     parser = argparse.ArgumentParser(
         prog="adaseries",
         description="Adaptive orthogonal-series estimation: simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="INI config file; flags override file values")
-        p.add_argument("--out", default="out", help="output directory (default ./out)")
-        p.add_argument("--model", choices=("density", "regression"))
-        p.add_argument("--target", help="f1 | f2 (| uniform for densities)")
-        p.add_argument("--case", type=int, choices=(1, 2, 3))
-        p.add_argument("--n", type=int)
-        p.add_argument("--reps", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--selectors", help="comma list from oracle,gl,ms,cv")
-        p.add_argument("--m-max", dest="m_max", type=int)
-        p.add_argument("--grid-size", dest="grid_size", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--c-pen", dest="c_gl", type=float,
-                       help="penalized-contrast constant (default: theorem preset)")
-        p.add_argument("--c-pen-ms", dest="c_ms", type=float,
-                       help="model-selection constant (default: same as --c-pen)")
-
-    add_common(sub.add_parser("simulate", help="run replications, write raw + summary CSV"))
-    add_common(sub.add_parser("bands", help="write pointwise percentile bands CSV"))
-    cal = sub.add_parser("calibrate", help="grid-search penalty constants")
-    add_common(cal)
-    cal.add_argument("--c-grid", dest="c_grid", help="comma list of candidate constants")
-    cal.add_argument("--calib-reps", dest="calib_reps", type=int)
-    chk = sub.add_parser("check", help="run the theory-check suite")
-    chk.add_argument("--config", help="INI config file")
-    chk.add_argument("--out", help="optional output directory for the report")
-    chk.add_argument("--seed", type=int)
-    chk.add_argument("--ks-draws", dest="ks_draws", type=int)
-    chk.add_argument("--case3-draws", dest="case3_draws", type=int)
-    chk.add_argument("--lemma-reps", dest="lemma_reps", type=int)
-    chk.add_argument("--fuzz-cases", dest="fuzz_cases", type=int)
-    chk.add_argument("--variance-reps", dest="variance_reps", type=int)
-    chk.add_argument("--pens", help="comma list: audit a custom penalty sequence")
-    return parser
+    commands, keys = {}, {section: set() for section in _SECTIONS}
+    for name, help_text in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, help=help_text)
+        _add_options(commands[name], name, keys)
+    return parser, commands, keys
 
 
-def _merge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """File values first, then flag overrides (flags win)."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        try:
-            merged.update(_read_config_file(args.config))
-        except ValueError as exc:
-            parser.error(str(exc))
-    for key, value in vars(args).items():
-        if key in ("command", "config", "out") or value is None:
-            continue
-        merged[key] = value
-    return merged
-
-
-def _experiment_config(merged: dict, parser: argparse.ArgumentParser,
-                       default_reps: int | None = None) -> ExperimentConfig:
-    for required in ("model", "target", "case", "n"):
-        if required not in merged:
-            parser.error(f"missing required option --{required}")
-    kwargs = dict(model=merged["model"], target=merged["target"], case=merged["case"],
-                  n=merged["n"])
-    if "reps" in merged:
-        kwargs["reps"] = merged["reps"]
-    elif default_reps is not None:
-        kwargs["reps"] = default_reps
-    if "selectors" in merged:  # a list that parses to nothing is rejected by the config
-        kwargs["selectors"] = tuple(tok.strip() for tok in merged["selectors"].split(",")
-                                    if tok.strip())
-    for key in ("m_max", "seed", "grid_size", "workers", "c_gl", "c_ms"):
-        if key in merged:
-            kwargs[key] = merged[key]
+def _read_config(path: str, keys: dict) -> dict:
+    """The file's values by key, each key checked against its section's options."""
+    ini = configparser.ConfigParser(interpolation=None)
     try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        parser.error(str(exc))
+        found = ini.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
+    if not found:
+        raise ConfigError(f"config file not found: {path}")
+    values = {}
+    for section in ini.sections():
+        if section not in keys:
+            raise ConfigError(f"unknown section [{section}] in {path}; expected one of "
+                              + ", ".join(f"[{name}]" for name in _SECTIONS))
+        for key, value in ini.items(section):
+            if key not in keys[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            values[key] = value
+    return values
 
 
-def _write_metadata(out_dir: Path, cfg: ExperimentConfig | None, command: str,
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    kwargs = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+              if getattr(args, f.name) is not None}
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in kwargs:
+            raise ConfigError(f"missing required option --{f.name}")
+    return ExperimentConfig(**kwargs)
+
+
+def _write_metadata(out_dir: Path, cfg: ExperimentConfig, command: str,
                     extra: dict | None = None) -> None:
-    payload = {"command": command, "version": _package_version()}
-    if cfg is not None:
-        resolved = asdict(cfg)
-        resolved["m_max"] = cfg.m_grid
-        resolved["c_gl"] = cfg.gl_constant
-        resolved["c_ms"] = cfg.ms_constant
-        resolved["selectors"] = list(cfg.selectors)
-        payload["experiment"] = resolved
+    resolved = asdict(cfg)
+    resolved["m_max"] = cfg.m_grid
+    resolved["c_gl"] = cfg.gl_constant
+    resolved["c_ms"] = cfg.ms_constant
+    resolved["selectors"] = list(cfg.selectors)
+    payload = {"command": command, "version": _package_version(), "experiment": resolved}
     if extra:
         payload.update(extra)
     with open(out_dir / "metadata.json", "w") as fh:
@@ -169,10 +159,7 @@ def _write_metadata(out_dir: Path, cfg: ExperimentConfig | None, command: str,
         fh.write("\n")
 
 
-def _cmd_simulate(merged: dict, out_dir: Path, parser) -> int:
-    cfg = _experiment_config(merged, parser)
-    if "ms" in cfg.selectors and cfg.ms_constant <= 0.0:
-        parser.error("selector ms needs a positive constant: set --c-pen-ms")
+def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows, records = run_experiment(cfg, progress=True)
     write_raw_csv(records, out_dir / "raw.csv")
     write_summary_csv(rows, out_dir / "summary.csv")
@@ -183,10 +170,7 @@ def _cmd_simulate(merged: dict, out_dir: Path, parser) -> int:
     return 0
 
 
-def _cmd_bands(merged: dict, out_dir: Path, parser) -> int:
-    cfg = _experiment_config(merged, parser, default_reps=100)
-    if cfg.reps < MIN_BAND_REPS:
-        parser.error(f"bands need --reps >= {MIN_BAND_REPS}")
+def _cmd_bands(cfg: ExperimentConfig, out_dir: Path) -> int:
     bands = compute_bands(cfg)
     write_bands_csv(bands, out_dir / "bands.csv")
     _write_metadata(out_dir, cfg, "bands")
@@ -195,20 +179,11 @@ def _cmd_bands(merged: dict, out_dir: Path, parser) -> int:
     return 0
 
 
-def _cmd_calibrate(merged: dict, out_dir: Path, parser) -> int:
-    cfg = _experiment_config(merged, parser, default_reps=100)
-    c_grid = merged.get("c_grid")
-    if isinstance(c_grid, str):
-        c_grid = _parse_float_list(c_grid, "c-grid", parser)
-    calib_reps = merged.get("calib_reps", 100)
-    try:
-        c_grid = calibration_grid(c_grid, calib_reps)
-    except ValueError as exc:
-        parser.error(str(exc))
-    calib = calibrate_constant(cfg, c_grid, calib_reps)
+def _cmd_calibrate(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
+    calib = calibrate_constant(cfg, args.c_grid, args.calib_reps)
     write_calibration_csv(calib, out_dir / "calibration.csv")
     _write_metadata(out_dir, cfg, "calibrate",
-                    extra={"calibrated": calib.chosen, "calib_reps": calib_reps,
+                    extra={"calibrated": calib.chosen, "calib_reps": args.calib_reps,
                            "c_grid": [float(c) for c in calib.c_grid],
                            "warnings": list(calib.warnings)})
     for sel, c in calib.chosen.items():
@@ -216,21 +191,9 @@ def _cmd_calibrate(merged: dict, out_dir: Path, parser) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, parser) -> int:
-    merged = _merge(args, parser)
-    kwargs = {}
-    for key in ("seed", "ks_draws", "case3_draws", "lemma_reps", "fuzz_cases",
-                "variance_reps"):
-        if key in merged:
-            kwargs[key] = merged[key]
-    try:
-        checks_mod.validate_settings(**kwargs)
-    except ValueError as exc:
-        parser.error(str(exc))
-    pens = merged.get("pens")
-    if isinstance(pens, str):
-        pens = _parse_float_list(pens, "pens", parser)
-    results = checks_mod.run_all_checks(pens=pens, **kwargs)
+def _cmd_check(args: argparse.Namespace, dests: set) -> int:
+    results = checks_mod.run_all_checks(**{dest: getattr(args, dest) for dest in dests
+                                           if getattr(args, dest) is not None})
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
@@ -245,18 +208,24 @@ def _cmd_check(args: argparse.Namespace, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands, keys = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args, parser)
-    merged = _merge(args, parser)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.command == "simulate":
-        return _cmd_simulate(merged, out_dir, parser)
-    if args.command == "bands":
-        return _cmd_bands(merged, out_dir, parser)
-    return _cmd_calibrate(merged, out_dir, parser)
+    try:
+        if args.config:
+            commands[args.command].set_defaults(**_read_config(args.config, keys))
+            args = parser.parse_args(argv)
+        if args.command == "check":  # check takes seed from [experiment]
+            return _cmd_check(args, keys["check"] | {"seed"})
+        cfg = _experiment_config(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "simulate":
+            return _cmd_simulate(cfg, out_dir)
+        if args.command == "bands":
+            return _cmd_bands(cfg, out_dir)
+        return _cmd_calibrate(cfg, args, out_dir)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

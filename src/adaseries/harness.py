@@ -63,6 +63,10 @@ CALIB_NS = 1
 MIN_BAND_REPS = 20
 
 
+class ConfigError(ValueError):
+    """A setting rejected before any work starts (the CLI's exit 2)."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully describes one Monte Carlo experiment."""
@@ -82,32 +86,32 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.model not in ("density", "regression"):
-            raise ValueError(f"unknown model {self.model!r}")
+            raise ConfigError(f"unknown model {self.model!r}")
         registry = DENSITY_TARGETS if self.model == "density" else REGRESSION_TARGETS
         if self.target not in registry:
-            raise ValueError(f"unknown {self.model} target {self.target!r}")
+            raise ConfigError(f"unknown {self.model} target {self.target!r}")
         if self.case not in (1, 2, 3):
-            raise ValueError(f"unknown dependence case {self.case}")
+            raise ConfigError(f"unknown dependence case {self.case}")
         if self.n < 2:
-            raise ValueError("need n >= 2")
+            raise ConfigError("need n >= 2")
         if self.reps < 1:
-            raise ValueError("need reps >= 1")
+            raise ConfigError("need reps >= 1")
         if (not self.selectors or len(set(self.selectors)) != len(self.selectors)
                 or not set(self.selectors) <= set(SELECTORS)):
-            raise ValueError(f"selectors must be distinct names from {SELECTORS}, "
-                             f"got {tuple(self.selectors)}")
+            raise ConfigError(f"selectors must be distinct names from {SELECTORS}, "
+                              f"got {tuple(self.selectors)}")
         if self.m_max is not None and not 1 <= self.m_max <= self.n:
-            raise ValueError("m_max must lie in 1..n")
+            raise ConfigError("m_max must lie in 1..n")
         if self.grid_size < 3 or self.grid_size % 2 == 0:
-            raise ValueError("grid_size must be odd and >= 3")
+            raise ConfigError("grid_size must be odd and >= 3")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
         if self.c_gl is not None and not (math.isfinite(self.c_gl) and self.c_gl >= 0.0):
-            raise ValueError("c_gl must be finite and >= 0")
+            raise ConfigError("c_gl must be finite and >= 0")
         if self.c_ms is not None and not (math.isfinite(self.c_ms) and self.c_ms > 0.0):
-            raise ValueError("c_ms must be finite and > 0")
+            raise ConfigError("c_ms must be finite and > 0")
 
     @property
     def m_grid(self) -> int:
@@ -312,6 +316,8 @@ def summarize(cfg: ExperimentConfig, results: RunResults) -> list[SummaryRow]:
 def run_experiment(cfg: ExperimentConfig,
                    progress: bool = False) -> tuple[list[SummaryRow], RunResults]:
     """Run cfg.reps replications: the summary rows and the columns they summarize."""
+    if "ms" in cfg.selectors and cfg.ms_constant <= 0.0:
+        raise ConfigError("selector ms needs a positive constant: set c_ms")
     ms, profiles, sigmas = zip(*_run_reps(ExperimentContext(cfg), run_replication,
                                           cfg.reps, EVAL_NS, progress))
     m_selected = np.stack(ms, axis=1)
@@ -334,7 +340,7 @@ def _gl_estimate(ctx: ExperimentContext, rep_index: int, namespace: int) -> np.n
 def compute_bands(cfg: ExperimentConfig) -> BandTable:
     """Pointwise percentile bands of the GL estimate over replications."""
     if cfg.reps < MIN_BAND_REPS:
-        raise ValueError(f"bands need at least {MIN_BAND_REPS} replications")
+        raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
     ctx = ExperimentContext(cfg)
     estimates = np.fromiter(_run_reps(ctx, _gl_estimate, cfg.reps, EVAL_NS),
                             dtype=np.dtype((float, cfg.grid_size)), count=cfg.reps)
@@ -355,18 +361,18 @@ def default_c_grid() -> np.ndarray:
     return np.round(2.0 ** (np.arange(15) / 2.0 - 1.0), 6)
 
 
-def calibration_grid(c_grid: Iterable[float] | None, calib_reps: int) -> np.ndarray:
+def _calibration_grid(c_grid: Iterable[float] | None, calib_reps: int) -> np.ndarray:
     """The candidate constants as an array (None -> default_c_grid()).
 
-    Raises ValueError unless the grid is nonempty, finite, positive and
+    Raises ConfigError unless the grid is nonempty, finite, positive and
     strictly increasing and calib_reps >= 1.
     """
     grid = default_c_grid() if c_grid is None else np.asarray(list(c_grid), dtype=float)
     if (grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] <= 0.0
             or not np.all(np.diff(grid) > 0.0)):
-        raise ValueError("calibration grid must be nonempty, positive and increasing")
+        raise ConfigError("calibration grid must be nonempty, positive and increasing")
     if calib_reps < 1:
-        raise ValueError("need calib_reps >= 1")
+        raise ConfigError("need calib_reps >= 1")
     return grid
 
 
@@ -387,7 +393,7 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     and scores the whole grid with one (C x M) penalty block.  GL and MS
     are the same rule (see selection), so one curve serves both.
     """
-    c_grid = calibration_grid(c_grid, calib_reps)
+    c_grid = _calibration_grid(c_grid, calib_reps)
     total = np.zeros(c_grid.size)
     for row in _run_reps(ExperimentContext(cfg), partial(_calibration_row, c_grid),
                          calib_reps, CALIB_NS):

@@ -12,8 +12,6 @@ option).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 DEFAULT_GRID = 4097
@@ -42,9 +40,3 @@ def integrate_values(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     # np.sum (pairwise summation) keeps results independent of BLAS threading
     return float(np.sum(values * simpson_weights(values.shape[-1])))
-
-
-def integrate(fn: Callable[[np.ndarray], np.ndarray], n_points: int = DEFAULT_GRID) -> float:
-    """Integrate a vectorized function over [0, 1] by composite Simpson."""
-    x = unit_grid(n_points)
-    return integrate_values(fn(x))

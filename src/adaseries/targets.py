@@ -141,7 +141,6 @@ class MarginalLaw:
         self._h = 1.0 / _N_SEG
         knots = np.linspace(0.0, 1.0, _N_SEG + 1)
         mids = knots[:-1] + 0.5 * self._h
-        self._knots = knots
         self._f_knots = np.asarray(density.eval(knots), dtype=float)
         f_mids = np.asarray(density.eval(mids), dtype=float)
         seg = (self._h / 6.0) * (self._f_knots[:-1] + 4.0 * f_mids + self._f_knots[1:])

@@ -12,20 +12,12 @@ from adaseries.quadrature import simpson_weights, unit_grid
 
 
 def test_eval_basis_pinned_values():
-    basis = TrigBasis()
-    assert basis.eval_one(0, 0.3) == pytest.approx(1.0)
-    assert basis.eval_one(1, 0.0) == pytest.approx(math.sqrt(2.0))  # sqrt2 * cos(0)
-    assert basis.eval_one(2, 0.25) == pytest.approx(math.sqrt(2.0))  # sqrt2 * sin(pi/2)
-
-
-def test_eval_basis_domain_errors():
-    basis = TrigBasis(max_index=5)
-    with pytest.raises(ValueError):
-        basis.eval_one(6, 0.5)
-    with pytest.raises(ValueError):
-        basis.eval_one(-1, 0.5)
-    with pytest.raises(ValueError):
-        basis.eval_one(1, 1.5)
+    x = [0.3, 0.0, 0.25]
+    design = TrigBasis(max_index=2).design_matrix(x, 2)
+    # 1 at 0.3, sqrt2 * cos(0) at 0, sqrt2 * sin(pi/2) at 1/4
+    for j, expected in enumerate((1.0, math.sqrt(2.0), math.sqrt(2.0))):
+        assert eval_one(j, x[j]) == pytest.approx(expected)
+        assert design[j, j] == pytest.approx(expected)
 
 
 def test_design_matrix_matches_eval_one():
@@ -33,7 +25,7 @@ def test_design_matrix_matches_eval_one():
     x = np.linspace(0.0, 1.0, 37)
     design = basis.design_matrix(x, 11)
     for j in range(12):
-        np.testing.assert_allclose(design[j], basis.eval_one(j, x), atol=1e-14)
+        np.testing.assert_allclose(design[j], eval_one(j, x), atol=1e-14)
 
 
 def outer_design_matrix(x, m_max):
@@ -50,13 +42,23 @@ def outer_design_matrix(x, m_max):
     return out
 
 
+def eval_one(j, x):
+    """Reference phi_j(x): 1 for j = 0, else sqrt2 cos (j odd) or sin (j even)
+    of 2 pi k x with k = (j + 1) // 2, evaluated directly."""
+    x = np.asarray(x, dtype=float)
+    if j == 0:
+        return np.ones_like(x)
+    ang = 2.0 * np.pi * ((j + 1) // 2) * x
+    return math.sqrt(2.0) * (np.cos(ang) if j % 2 == 1 else np.sin(ang))
+
+
 def test_recurrence_matches_eval_one_up_to_400():
     basis = TrigBasis(max_index=400)
     x = np.concatenate(([0.0, 0.25, 0.5, 1.0], np.random.default_rng(8).uniform(size=500)))
     design = basis.design_matrix(x, 400)
     assert design.shape == (401, x.size)
     for j in range(401):
-        np.testing.assert_allclose(design[j], basis.eval_one(j, x), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(design[j], eval_one(j, x), rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
+from adaseries import checks
 from adaseries.cli import main
+from adaseries.harness import ExperimentConfig
 
 SIM_ARGS = ["simulate", "--model", "density", "--target", "f1", "--case", "1",
             "--n", "200", "--reps", "3", "--seed", "7"]
@@ -124,6 +128,121 @@ def test_unknown_config_key_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize("text, message", [
+    ("model = density\n", "no section headers"),
+    ("[experiment]\nseed = 1\nseed = 2\n", "already exists"),
+], ids=["no-section-header", "repeated-key"])
+def test_malformed_config_usage_error(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_config_section_usage_error(tmp_path, capsys):
+    # a misspelled [penalty] must not fall back to the theorem preset
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[penalties]\nc_gl = 2.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(SIM_ARGS + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "[penalties]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[experiment]\nmodel = density\ntarget = f1\ncase = 1\nn = abc\n",
+    "[experiment]\nmodel = density\ntarget = f1\ncase = 1\n[penalty]\nn = 5\n",
+], ids=["type-error", "misplaced-key"])
+def test_bad_config_value_usage_error(tmp_path, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+#: A non-default value of every option: dest -> (INI section, flag, value).
+OPTIONS = {
+    "model": ("experiment", "--model", "regression"),
+    "target": ("experiment", "--target", "f2"),
+    "case": ("experiment", "--case", "2"),
+    "n": ("experiment", "--n", "64"),
+    "reps": ("experiment", "--reps", "3"),
+    "selectors": ("experiment", "--selectors", "gl,cv"),
+    "m_max": ("experiment", "--m-max", "9"),
+    "seed": ("experiment", "--seed", "5"),
+    "grid_size": ("experiment", "--grid-size", "65"),
+    "workers": ("experiment", "--workers", "2"),
+    "c_gl": ("penalty", "--c-pen", "1.5"),
+    "c_ms": ("penalty", "--c-pen-ms", "2.5"),
+    "c_grid": ("calibration", "--c-grid", "1,2,4"),
+    "calib_reps": ("calibration", "--calib-reps", "3"),
+    "ks_draws": ("check", "--ks-draws", "11"),
+    "case3_draws": ("check", "--case3-draws", "12"),
+    "lemma_reps": ("check", "--lemma-reps", "13"),
+    "fuzz_cases": ("check", "--fuzz-cases", "14"),
+    "variance_reps": ("check", "--variance-reps", "15"),
+    "pens": ("check", "--pens", "0.1,0.2"),
+}
+
+
+def _flags(dests):
+    return [tok for dest in dests for tok in OPTIONS[dest][1:]]
+
+
+def _shared_ini(tmp_path):
+    """One file setting every option, as every command reads it."""
+    sections = {}
+    for dest, (section, _, value) in OPTIONS.items():
+        sections.setdefault(section, []).append(f"{dest} = {value}\n")
+    path = tmp_path / "shared.ini"
+    path.write_text("".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items()))
+    return str(path)
+
+
+def test_every_config_field_set_by_flag_or_ini(tmp_path):
+    dests = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["c_grid", "calib_reps"]
+    assert set(dests) <= set(OPTIONS)  # a new config field needs a flag here
+    assert main(["calibrate", *_flags(dests), "--out", str(tmp_path / "flags")]) == 0
+    assert main(["calibrate", "--config", _shared_ini(tmp_path),
+                 "--out", str(tmp_path / "ini")]) == 0
+    by_flag, by_ini = (json.loads((tmp_path / d / "metadata.json").read_text())
+                       for d in ("flags", "ini"))
+    assert by_flag == by_ini
+    assert by_ini["experiment"] == {
+        "model": "regression", "target": "f2", "case": 2, "n": 64, "reps": 3,
+        "selectors": ["gl", "cv"], "m_max": 9, "seed": 5, "grid_size": 65, "workers": 2,
+        "c_gl": 1.5, "c_ms": 2.5}
+    assert by_ini["c_grid"] == [1.0, 2.0, 4.0] and by_ini["calib_reps"] == 3
+
+
+def test_every_check_setting_set_by_flag_or_ini(tmp_path, monkeypatch):
+    dests = list(inspect.signature(checks.run_all_checks).parameters)
+    assert set(dests) <= set(OPTIONS)  # a new check setting needs a flag here
+    calls = []
+    monkeypatch.setattr(checks, "run_all_checks", lambda **settings: calls.append(settings)
+                        or [checks.CheckResult("stub", True, "")])
+    assert main(["check", *_flags(dests)]) == 0
+    assert main(["check", "--config", _shared_ini(tmp_path)]) == 0
+    assert calls[0] == calls[1] == {
+        "seed": 5, "ks_draws": 11, "case3_draws": 12, "lemma_reps": 13, "fuzz_cases": 14,
+        "variance_reps": 15, "pens": [0.1, 0.2]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "bands", "calibrate", "check"])
+def test_subcommand_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_bands_output_shape(tmp_path):

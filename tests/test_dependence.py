@@ -8,7 +8,7 @@ from adaseries.dependence import (AR_SCALE, AR_TRUNCATION, arcsine_cdf,
                                   gen_density_sample,
                                   gen_regression_sample, logistic_path,
                                   marginal_G_case3, stream, uniform_series)
-from adaseries.quadrature import integrate
+from adaseries.quadrature import integrate_values, unit_grid
 from adaseries.targets import regression_f1, regression_f2
 
 
@@ -140,7 +140,7 @@ def test_regression_second_moment_identity():
     # sigma_Y^2 = sigma^2 + ||f||^2 within 3 standard errors at n = 1e5
     target = regression_f1()
     s = gen_regression_sample(10**5, 1, target, seed=12, rep_index=0)
-    f_norm_sq = integrate(lambda x: target.eval(x) ** 2)
+    f_norm_sq = integrate_values(target.eval(unit_grid()) ** 2)
     expected = 0.25 + f_norm_sq
     ysq = s.y**2
     se = ysq.std(ddof=1) / np.sqrt(ysq.size)

@@ -10,9 +10,10 @@ from adaseries import estimators
 from adaseries.estimators import (CoefficientTable, empirical_coefficients,
                                   ise_gram, ise_profile, sigma_y_hat)
 from adaseries.harness import ExperimentConfig, ExperimentContext
-from adaseries.quadrature import DEFAULT_GRID, integrate, simpson_weights, unit_grid
+from adaseries.quadrature import DEFAULT_GRID, integrate_values, simpson_weights, unit_grid
 from adaseries.targets import (MarginalLaw, density_f1, regression_f1,
                                true_coefficients)
+from test_basis import eval_one
 
 
 def series_values(table, m, x):
@@ -184,9 +185,8 @@ def test_series_estimate_matches_direct_sum():
     rng = np.random.default_rng(8)
     table = CoefficientTable("density", n=50, m_max=9,
                              theta_hat=np.concatenate(([1.0], rng.standard_normal(9))))
-    basis = TrigBasis(max_index=9)
     x = rng.uniform(size=40)
-    direct = sum(table.theta_hat[j] * basis.eval_one(j, x) for j in range(8))
+    direct = sum(table.theta_hat[j] * eval_one(j, x) for j in range(8))
     np.testing.assert_allclose(series_values(table, 7, x), direct, atol=1e-12)
     with pytest.raises(ValueError):
         series_values(table, 10, x)
@@ -197,8 +197,7 @@ def test_ise_zero_and_orthonormal_perturbation():
     grid = unit_grid()
     truth_vals = truth.eval(grid)
     assert ise(truth_vals, truth_vals) == 0.0
-    basis = TrigBasis(max_index=2)
-    perturbed = truth_vals + 0.2 * basis.eval_one(1, grid)
+    perturbed = truth_vals + 0.2 * eval_one(1, grid)
     assert ise(perturbed, truth_vals) == pytest.approx(0.04, abs=1e-8)
 
 
@@ -264,7 +263,7 @@ def test_sigma_y_hat_pinned():
 def test_sigma_y_hat_matches_population_identity():
     target = regression_f1()
     s = gen_regression_sample(10**5, 1, target, seed=21, rep_index=0)
-    expected = 0.25 + integrate(lambda x: target.eval(x) ** 2)
+    expected = 0.25 + integrate_values(target.eval(unit_grid()) ** 2)
     se = (s.y**2).std(ddof=1) / math.sqrt(s.n)
     assert sigma_y_hat(s) == pytest.approx(expected, abs=3.0 * se)
 
@@ -274,8 +273,7 @@ def test_density_estimator_is_one_plus_series():
     sample = density_sample(rng.uniform(size=200))
     table = empirical_coefficients(sample, 8)
     x = np.linspace(0.0, 1.0, 31)
-    basis = TrigBasis(max_index=8)
-    tail = sum(table.theta_hat[j] * basis.eval_one(j, x) for j in range(1, 9))
+    tail = sum(table.theta_hat[j] * eval_one(j, x) for j in range(1, 9))
     np.testing.assert_allclose(series_values(table, 8, x), 1.0 + tail, atol=1e-12)
 
 

@@ -13,6 +13,7 @@ from adaseries.selection import (SelectionResult, cv_profile, lemma1_audit,
                                  oracle_criteria, penalty_vector, select_cv, select_ms,
                                  select_with_pens, theorem_constant)
 from adaseries.targets import MarginalLaw, density_f1, true_coefficients
+from test_basis import eval_one
 
 
 def table_from(theta, model="density", n=100):
@@ -330,11 +331,10 @@ def test_cv_needs_two_points():
 
 
 def test_select_oracle_noiseless():
-    basis = TrigBasis(max_index=6)
-    truth = lambda x: 1.0 + 0.8 * basis.eval_one(1, x)
+    truth = lambda x: 1.0 + 0.8 * eval_one(1, x)
     table = table_from([1.0, 0.8, 0.0, 0.0])
     assert select_oracle(table, truth, n_points=257).m_selected == 1
-    truth2 = lambda x: 1.0 + 0.8 * basis.eval_one(1, x) + 0.5 * basis.eval_one(2, x)
+    truth2 = lambda x: 1.0 + 0.8 * eval_one(1, x) + 0.5 * eval_one(2, x)
     table2 = table_from([1.0, 0.8, 0.5, 0.0])
     assert select_oracle(table2, truth2, n_points=257).m_selected == 2
 
@@ -345,10 +345,9 @@ def test_select_oracle_equals_exhaustive_scan():
     table = table_from(np.concatenate(([1.0], rng.standard_normal(10) * 0.2)))
     res = select_oracle(table, truth.eval, n_points=513)
     grid = unit_grid(513)
-    basis = TrigBasis(max_index=10)
     direct = []
     for m in range(1, 11):
-        est = sum(table.theta_hat[j] * basis.eval_one(j, grid) for j in range(m + 1))
+        est = sum(table.theta_hat[j] * eval_one(j, grid) for j in range(m + 1))
         diff = est - truth.eval(grid)
         direct.append(float(np.sum(diff * diff * simpson_weights(513))))
     assert res.m_selected == int(np.argmin(direct)) + 1

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaseries.basis import TrigBasis
-from adaseries.quadrature import integrate, integrate_values, unit_grid
+from adaseries.quadrature import integrate_values, unit_grid
 from adaseries.targets import (DensityTarget, MarginalLaw, density_f1, density_f2,
                                regression_f1, regression_f2, true_coefficients,
                                uniform_density)
+from test_basis import eval_one
 
 
 def gauss_pdf(x, mu, sd):
@@ -51,7 +52,7 @@ def test_f2_symmetric_about_half():
 
 @pytest.mark.parametrize("target", [density_f1(), density_f2(), uniform_density()])
 def test_densities_normalized_and_nonnegative(target):
-    assert integrate(target.eval) == pytest.approx(1.0, abs=1e-6)
+    assert integrate_values(target.eval(unit_grid())) == pytest.approx(1.0, abs=1e-6)
     x = np.linspace(0.0, 1.0, 10**4)
     assert np.all(target.eval(x) >= 0.0)
 
@@ -83,7 +84,7 @@ def test_regression_pinned_values():
 
 def test_regression_square_integrable():
     for target in (regression_f1(), regression_f2()):
-        assert np.isfinite(integrate(lambda x: target.eval(x) ** 2))
+        assert np.isfinite(integrate_values(target.eval(unit_grid()) ** 2))
 
 
 def test_uniform_law_identity(law_uniform):
@@ -176,8 +177,7 @@ def test_true_coefficients_uniform_density():
 
 
 def test_true_coefficients_of_basis_function():
-    basis = TrigBasis(max_index=10)
-    theta = true_coefficients(lambda x: basis.eval_one(1, x), 10)
+    theta = true_coefficients(lambda x: eval_one(1, x), 10)
     expected = np.zeros(11)
     expected[1] = 1.0
     np.testing.assert_allclose(theta, expected, atol=1e-8)
@@ -201,7 +201,7 @@ def test_doppler_coefficient_grid_refinement_and_quad():
 def test_parseval_truncation(make):
     target = make()
     theta = true_coefficients(target.eval, 200)
-    norm_sq = integrate(lambda x: target.eval(x) ** 2)
+    norm_sq = integrate_values(target.eval(unit_grid()) ** 2)
     partial = np.cumsum(theta**2)
     assert np.all(partial <= norm_sq + 1e-8)
     residual = norm_sq - partial
@@ -210,6 +210,6 @@ def test_parseval_truncation(make):
 
 def test_custom_density_target():
     tri = DensityTarget("tri", lambda x: np.minimum(x, 1.0 - x))
-    assert integrate(tri.eval) == pytest.approx(1.0, abs=1e-6)
+    assert integrate_values(tri.eval(unit_grid())) == pytest.approx(1.0, abs=1e-6)
     law = MarginalLaw(tri)
     assert law.quantile(0.5) == pytest.approx(0.5, abs=1e-9)
