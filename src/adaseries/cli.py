@@ -8,7 +8,8 @@ argparse converts them and flags override them.  One file serves every
 command: keys of options another command takes are accepted and ignored,
 and [experiment] seed also seeds check.  Every run writes a metadata file
 with the fully resolved configuration so raw CSVs can be reproduced byte
-for byte.
+for byte.  The output directory is created only once a command's results
+are computed, so a run the library rejects leaves no directory behind.
 
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error.  The
 last covers bad flags, unknown INI sections or keys, malformed INI files
@@ -161,6 +162,7 @@ def _write_metadata(out_dir: Path, cfg: ExperimentConfig, command: str,
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows, records = run_experiment(cfg, progress=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_raw_csv(records, out_dir / "raw.csv")
     write_summary_csv(rows, out_dir / "summary.csv")
     _write_metadata(out_dir, cfg, "simulate")
@@ -172,6 +174,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _cmd_bands(cfg: ExperimentConfig, out_dir: Path) -> int:
     bands = compute_bands(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_bands_csv(bands, out_dir / "bands.csv")
     _write_metadata(out_dir, cfg, "bands")
     inside = float(((bands.p05 <= bands.truth) & (bands.truth <= bands.p95)).mean())
@@ -181,6 +184,7 @@ def _cmd_bands(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _cmd_calibrate(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
     calib = calibrate_constant(cfg, args.c_grid, args.calib_reps)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_calibration_csv(calib, out_dir / "calibration.csv")
     _write_metadata(out_dir, cfg, "calibrate",
                     extra={"calibrated": calib.chosen, "calib_reps": args.calib_reps,
@@ -217,8 +221,7 @@ def main(argv=None) -> int:
         if args.command == "check":  # check takes seed from [experiment]
             return _cmd_check(args, keys["check"] | {"seed"})
         cfg = _experiment_config(args)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(args.out)  # made once the command's results are in
         if args.command == "simulate":
             return _cmd_simulate(cfg, out_dir)
         if args.command == "bands":

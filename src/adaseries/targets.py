@@ -30,10 +30,10 @@ from .quadrature import DEFAULT_GRID, integrate_values, simpson_weights, unit_gr
 NOISE_SIGMA = 0.5  # regression noise level used throughout the study
 
 
-def _check_unit_interval(x: np.ndarray) -> np.ndarray:
+def _check_unit_interval(x: np.ndarray, what: str = "argument outside the support") -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("argument outside the support [0, 1]")
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both comparisons
+        raise ValueError(f"{what} [0, 1]")
     return x
 
 
@@ -117,11 +117,14 @@ DENSITY_TARGETS = {"f1": density_f1, "f2": density_f2, "uniform": uniform_densit
 REGRESSION_TARGETS = {"f1": regression_f1, "f2": regression_f2}
 
 
-_N_SEG = 4096  # knots of the cumulative-integral table
+_N_SEG = 4096  # knots of the cumulative-integral table; a power of two
+assert _N_SEG & (_N_SEG - 1) == 0, "the segment search halves _N_SEG down to 1"
+_LIFT_STEPS = tuple(_N_SEG >> s for s in range(1, _N_SEG.bit_length()))  # N/2, ..., 2, 1
 #: Newton steps from the interpolated start.  Two reach rounding level for
 #: the built-in targets; the third covers densities that vanish at an end
 #: of [0, 1], where the linear start is poorest.
 _NEWTON_STEPS = 3
+_QUANTILE_BLOCK = 2**16  # points transformed at a time; bounds the temporaries
 
 
 class MarginalLaw:
@@ -129,10 +132,15 @@ class MarginalLaw:
 
     The CDF is a cumulative per-segment Simpson integral over 4096 uniform
     segments (midpoint refinement inside each segment).  The quantile
-    starts from linear interpolation inside the bracketing segment of the
-    cumulative table and takes three Newton steps on the same
-    piecewise-Simpson partial mass, with the density as the slope and
-    every step clipped to the segment.  For the built-in targets
+    finds the bracketing segment k of the cumulative table, the largest
+    k <= 4095 with cum[k] <= t, by binary lifting (add 2048, 1024, ..., 1
+    while the table stays <= t), starts from linear interpolation inside
+    it and takes three Newton steps on the same piecewise-Simpson partial
+    mass, with the density as the slope and every step clipped to the
+    segment.  The segment's left end, table entry, knot density and mass
+    are gathered once per point, outside the Newton loop, and the points
+    are transformed in blocks of at most 2**16, so the temporaries stay
+    bounded whatever the sample size.  For the built-in targets
     quantile(u) satisfies |cdf(q) - u| <= 1e-15.
     """
 
@@ -149,43 +157,55 @@ class MarginalLaw:
         self._cum = cum
         self._total = float(cum[-1])
 
-    def _partial_mass(self, k: np.ndarray, x: np.ndarray, f_x: np.ndarray) -> np.ndarray:
-        """Unnormalized integral of the density from knot k to x (x in segment k).
+    def _partial_mass(self, lo: np.ndarray, cum_k: np.ndarray, f_k: np.ndarray,
+                      x: np.ndarray, f_x: np.ndarray) -> np.ndarray:
+        """Unnormalized integral of the density from 0 to x, x in the segment
+        that starts at lo with table entry cum_k and knot density f_k.
 
         f_x is the density at x.
         """
-        xk = k * self._h
-        d = x - xk
-        f_mid = self.density.eval(xk + 0.5 * d)
-        return self._cum[k] + (d / 6.0) * (self._f_knots[k] + 4.0 * f_mid + f_x)
+        d = x - lo
+        f_mid = self.density.eval(lo + 0.5 * d)
+        return cum_k + (d / 6.0) * (f_k + 4.0 * f_mid + f_x)
 
     def cdf(self, x) -> np.ndarray:
         x = _check_unit_interval(x)
         scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.atleast_1d(x)
         k = np.clip((x * _N_SEG).astype(int), 0, _N_SEG - 1)
-        out = self._partial_mass(k, x, self.density.eval(x)) / self._total
+        mass = self._partial_mass(k * self._h, self._cum.take(k), self._f_knots.take(k),
+                                  x, self.density.eval(x))
+        out = mass / self._total
         return float(out[0]) if scalar else out
 
     def quantile(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0) or np.any(u > 1.0):
-            raise ValueError("quantile argument outside [0, 1]")
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
+        u = _check_unit_interval(u, "quantile argument outside")
+        q = np.empty(u.shape)
+        flat_u, flat_q = u.reshape(-1), q.reshape(-1)
+        for start in range(0, flat_u.size, _QUANTILE_BLOCK):
+            stop = start + _QUANTILE_BLOCK
+            self._quantile_block(flat_u[start:stop], flat_q[start:stop])
+        return float(q) if u.ndim == 0 else q
+
+    def _quantile_block(self, u: np.ndarray, q: np.ndarray) -> None:
+        """Write the quantiles of the 1-d block u into q."""
         t = u * self._total
-        k = np.clip(np.searchsorted(self._cum, t, side="right") - 1, 0, _N_SEG - 1)
+        k = np.zeros(t.shape, dtype=np.intp)
+        for step in _LIFT_STEPS:  # cum[0] = 0 <= t, so k = 0 is a valid start
+            k += (self._cum.take(k + step) <= t) * step
         lo = k * self._h
         hi = lo + self._h
-        seg = self._seg[k]
-        frac = np.divide(t - self._cum[k], seg, out=np.zeros_like(t), where=seg > 0.0)
-        q = np.clip(lo + self._h * frac, lo, hi)
+        cum_k, f_k, seg_k = self._cum.take(k), self._f_knots.take(k), self._seg.take(k)
+        frac = np.divide(t - cum_k, seg_k, out=np.zeros_like(t), where=seg_k > 0.0)
+        np.clip(lo + self._h * frac, lo, hi, out=q)
         for _ in range(_NEWTON_STEPS):
             f_q = self.density.eval(q)
-            excess = self._partial_mass(k, q, f_q) - t
-            step = np.divide(excess, f_q, out=np.zeros_like(q), where=f_q > 0.0)
-            q = np.clip(q - step, lo, hi)
-        return float(q[0]) if scalar else q
+            excess = self._partial_mass(lo, cum_k, f_k, q, f_q)
+            np.subtract(excess, t, out=excess)
+            moves = f_q > 0.0
+            np.divide(excess, f_q, out=excess, where=moves)
+            np.subtract(q, excess, out=q, where=moves)
+            np.clip(q, lo, hi, out=q)
 
 
 def true_coefficients(fn: Callable[[np.ndarray], np.ndarray], m_max: int,

@@ -58,11 +58,12 @@ def test_missing_target_usage_error(tmp_path):
                               "selectors-empty"])
 def test_bad_flag_value_usage_error(tmp_path, flag, value):
     # --c-pen 0 alone is a valid GL constant, but ms inherits it and needs c > 0
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--model", "density", "--target", "f1", "--case", "1",
-              "--n", "100", "--reps", "2", flag, value, "--out", str(tmp_path)])
+              "--n", "100", "--reps", "2", flag, value, "--out", str(out)])
     assert exc.value.code == 2
-    assert not (tmp_path / "raw.csv").exists()
+    assert not out.exists()  # no output directory, not even an empty one
 
 
 COMMON = ["--model", "density", "--target", "f1", "--case", "1", "--n", "100"]
@@ -86,10 +87,11 @@ COMMON = ["--model", "density", "--target", "f1", "--case", "1", "--n", "100"]
         "pens-text", "pens-empty", "lemma-reps", "ks-draws", "case3-draws", "fuzz-cases",
         "variance-reps", "check-seed"])
 def test_bad_value_usage_error_other_commands(tmp_path, args):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(args + ["--out", str(tmp_path)])
+        main(args + ["--out", str(out)])
     assert exc.value.code == 2
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()  # no output directory, not even an empty one
 
 
 def test_simulate_c_pen_zero_without_ms(tmp_path):

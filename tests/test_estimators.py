@@ -142,6 +142,20 @@ def test_coefficient_memory_does_not_grow_with_m():
         assert peak < 80 * n + 2 * 2**20
 
 
+def test_quantile_memory_is_bounded_by_blocks(law_f2):
+    # ~17 n-length temporaries of one whole-sample pass would take 130 MiB;
+    # in blocks of 2^16 points only the output and the domain check are n-long
+    n = 10**6
+    u = np.random.default_rng(9).uniform(size=n)
+    tracemalloc.start()
+    try:
+        law_f2.quantile(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 16 * 2**20
+
+
 def test_regression_zero_responses():
     table = empirical_coefficients(regression_sample([0.0, 0.0, 0.0], [0.1, 0.5, 0.9]), 4)
     np.testing.assert_allclose(table.theta_hat, 0.0, atol=0.0)

@@ -5,12 +5,13 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adaseries.basis import TrigBasis
 from adaseries.quadrature import integrate_values, unit_grid
-from adaseries.targets import (DensityTarget, MarginalLaw, density_f1, density_f2,
-                               regression_f1, regression_f2, true_coefficients,
-                               uniform_density)
+from adaseries.targets import (_NEWTON_STEPS, _QUANTILE_BLOCK, DensityTarget, MarginalLaw,
+                               density_f1, density_f2, regression_f1, regression_f2,
+                               true_coefficients, uniform_density)
 from test_basis import eval_one
 
 
@@ -64,6 +65,18 @@ def test_density_domain_error():
         density_f2().eval(-0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, [0.2, np.nan, 0.7]], ids=["scalar", "array"])
+def test_nan_rejected_by_domain_checks(law_f1, bad):
+    with pytest.raises(ValueError):
+        density_f1().eval(bad)
+    with pytest.raises(ValueError):
+        regression_f1().eval(bad)
+    with pytest.raises(ValueError):
+        law_f1.cdf(bad)
+    with pytest.raises(ValueError):
+        law_f1.quantile(bad)
+
+
 def test_normalizer_grid_refinement():
     raw = density_f2().raw_fn
     c_4097 = 1.0 / integrate_values(raw(unit_grid(4097)))
@@ -108,18 +121,92 @@ def test_quantile_cdf_roundtrip(law_f1, law_f2, law_uniform):
     assert law_f1.quantile(law_f1.cdf(0.37)) == pytest.approx(0.37, abs=1e-6)
 
 
+def searchsorted_segment(law, t):
+    """Reference segment search: the last knot k <= N - 1 with cum[k] <= t."""
+    return np.clip(np.searchsorted(law._cum, t, side="right") - 1, 0, law._cum.size - 2)
+
+
 def bisection_quantile(law, u):
     """Reference quantile: 40 bisection steps on the partial Simpson mass."""
     t = np.atleast_1d(np.asarray(u, dtype=float)) * law._total
-    k = np.clip(np.searchsorted(law._cum, t, side="right") - 1, 0, law._cum.size - 2)
-    lo = k * law._h
-    hi = lo + law._h
+    k = searchsorted_segment(law, t)
+    left, cum_k, f_k = k * law._h, law._cum[k], law._f_knots[k]
+    lo, hi = left, left + law._h
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        below = law._partial_mass(k, mid, law.density.eval(mid)) < t
+        below = law._partial_mass(left, cum_k, f_k, mid, law.density.eval(mid)) < t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def searchsorted_quantile(law, u):
+    """Reference form of MarginalLaw.quantile: the segment from searchsorted,
+    every segment quantity re-indexed in each Newton step, fresh arrays."""
+    u = np.asarray(u, dtype=float)
+    scalar = u.ndim == 0
+    t = np.atleast_1d(u) * law._total
+    k = searchsorted_segment(law, t)
+    lo = k * law._h
+    hi = lo + law._h
+    seg = law._seg[k]
+    frac = np.divide(t - law._cum[k], seg, out=np.zeros_like(t), where=seg > 0.0)
+    q = np.clip(lo + law._h * frac, lo, hi)
+    for _ in range(_NEWTON_STEPS):
+        f_q = law.density.eval(q)
+        xk = k * law._h
+        d = q - xk
+        f_mid = law.density.eval(xk + 0.5 * d)
+        excess = law._cum[k] + (d / 6.0) * (law._f_knots[k] + 4.0 * f_mid + f_q) - t
+        step = np.divide(excess, f_q, out=np.zeros_like(q), where=f_q > 0.0)
+        q = np.clip(q - step, lo, hi)
+    return float(q[0]) if scalar else q
+
+
+@pytest.fixture(scope="module")
+def law_gap():
+    # zero on (0.3, 0.6): the cumulative table repeats one value over ~1200 knots
+    return MarginalLaw(DensityTarget(
+        "gap", lambda x: np.where((x > 0.3) & (x < 0.6), 0.0, 1.0 + x)))
+
+
+def knot_probes(law):
+    """0, 1 and u = cum[j] / total at every knot with both float neighbours."""
+    at_knots = law._cum / law._total
+    u = np.concatenate(([0.0, 1.0], at_knots, np.nextafter(at_knots, 0.0),
+                        np.nextafter(at_knots, 1.0)))
+    return np.clip(u, 0.0, 1.0)
+
+
+def test_quantile_bit_identical_to_searchsorted_form(law_f1, law_f2, law_uniform, law_gap):
+    assert np.sum(np.diff(law_gap._cum) == 0.0) > 1000
+    rand = np.random.default_rng(31).uniform(size=5000)
+    for law in (law_f1, law_f2, law_uniform, law_gap):
+        u = np.concatenate((knot_probes(law), rand))
+        assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
+        for end in (0.0, 1.0):
+            assert law.quantile(end) == searchsorted_quantile(law, end)
+
+
+@pytest.mark.parametrize("size", [_QUANTILE_BLOCK - 1, _QUANTILE_BLOCK, _QUANTILE_BLOCK + 1])
+def test_quantile_blocks_bit_identical(law_f2, size):
+    u = np.random.default_rng(size).uniform(size=size)
+    assert np.array_equal(law_f2.quantile(u), searchsorted_quantile(law_f2, u))
+
+
+def test_quantile_zero_dim_and_shape(law_f1):
+    q = law_f1.quantile(np.asarray(0.3))
+    assert isinstance(q, float) and q == searchsorted_quantile(law_f1, 0.3)
+    u = np.random.default_rng(2).uniform(size=(3, 70))
+    assert np.array_equal(law_f1.quantile(u), searchsorted_quantile(law_f1, u))
+    assert law_f1.quantile(np.empty(0)).shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=arrays(np.float64, st.integers(1, 300), elements=st.floats(0.0, 1.0)))
+def test_quantile_bit_identical_property(law_f1, law_f2, u):
+    for law in (law_f1, law_f2):
+        assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
 
 
 def quantile_probes(law):
