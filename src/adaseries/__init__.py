@@ -8,8 +8,8 @@ reproduces the simulation risk tables and percentile bands.
 """
 
 from .basis import RateResult, TrigBasis, WeightSequence, optimal_dimension
-from .dependence import (Sample, gen_density_sample, gen_regression_sample,
-                         marginal_G_case3, stream, uniform_series)
+from .dependence import (gen_density_sample, gen_regression_sample, marginal_G_case3,
+                         stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
 from .harness import (BandTable, ConfigError, ExperimentConfig, CalibrationResult, RepRecord,
                       RunResults, SummaryRow, calibrate_constant, calibrated_config,

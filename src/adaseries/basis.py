@@ -10,6 +10,7 @@ For the density model coefficient 0 is the known constant 1 and only
 j >= 1 is estimated; for regression coefficient 0 is estimated like any
 other.  The system satisfies sup_x sum_{j=1}^m phi_j(x)^2 <= 2 m (with
 equality to m for even m), so the squared sup-norm constant is 2.
+TrigBasis holds no state: each call takes the largest index m_max.
 TrigBasis.row_blocks evaluates the rows with the trig recurrence, one
 complex exponential per point, then one complex product per frequency,
 and hands them out in blocks of a few rows, so a caller that only sums
@@ -31,16 +32,8 @@ SQRT2 = np.sqrt(2.0)
 SUP_NORM_SQ = 2.0
 
 
-@dataclass(frozen=True)
 class TrigBasis:
-    """Trigonometric orthonormal basis on [0, 1].
-
-    Parameters
-    ----------
-    max_index : largest coefficient index j supported.
-    """
-
-    max_index: int = 400
+    """Trigonometric orthonormal basis on [0, 1]; every index j >= 0 is supported."""
 
     def row_blocks(self, x, m_max: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
         """Rows j = 0..m_max of the basis at points x, yielded in blocks.
@@ -57,8 +50,8 @@ class TrigBasis:
         the next step overwrites the block, so read it (or change it in
         place) before asking for the next one.
         """
-        if m_max < 0 or m_max > self.max_index:
-            raise ValueError(f"m_max {m_max} outside [0, {self.max_index}]")
+        if m_max < 0:
+            raise ValueError(f"m_max {m_max} must be >= 0")
         if rows < 1:
             raise ValueError(f"rows {rows} must be >= 1")
         x = np.asarray(x, dtype=float).ravel()

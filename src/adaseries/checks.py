@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
-from .dependence import (AR_TRUNCATION, Sample, ar_path_from_innovations,
+from .dependence import (AR_TRUNCATION, ar_path_from_innovations,
                          marginal_G_case3, stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients
 from .harness import ConfigError, ExperimentConfig, ExperimentContext
@@ -40,13 +40,10 @@ class CheckResult:
     detail: str
 
 
-def ks_statistic(draws: np.ndarray, cdf_values: np.ndarray | None = None,
-                 cdf=None) -> float:
+def ks_statistic(draws: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance between draws and a CDF."""
     x = np.sort(np.asarray(draws, dtype=float))
-    f = np.asarray(cdf_values if cdf_values is not None else cdf(x), dtype=float)
-    if cdf_values is not None:
-        f = np.sort(f)
+    f = np.asarray(cdf(x), dtype=float)
     n = x.size
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
@@ -55,9 +52,8 @@ def ks_statistic(draws: np.ndarray, cdf_values: np.ndarray | None = None,
 
 def check_orthonormality(j_max: int = 30, tol: float = 1e-8) -> CheckResult:
     """Quadrature Gram matrix of the first basis functions equals identity."""
-    basis = TrigBasis(max_index=j_max)
     grid = unit_grid()
-    design = basis.design_matrix(grid, j_max)
+    design = TrigBasis().design_matrix(grid, j_max)
     weighted = design * simpson_weights(grid.size)
     gram = weighted @ design.T
     err = float(np.max(np.abs(gram - np.eye(j_max + 1))))
@@ -66,9 +62,8 @@ def check_orthonormality(j_max: int = 30, tol: float = 1e-8) -> CheckResult:
 
 def check_sup_norm(m_limit: int = 100, grid_points: int = 10**4) -> CheckResult:
     """sup_x sum_{j=1..m} phi_j(x)^2 <= 2 m, with equality to m at even m."""
-    basis = TrigBasis(max_index=m_limit)
     x = np.linspace(0.0, 1.0, grid_points)
-    sq = basis.design_matrix(x, m_limit) ** 2
+    sq = TrigBasis().design_matrix(x, m_limit) ** 2
     running = np.cumsum(sq[1:], axis=0)
     sups = running.max(axis=1)
     m = np.arange(1, m_limit + 1)
@@ -101,14 +96,11 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
     """
     m_top = max(dims)
     law = MarginalLaw(density_f1())
-    basis = TrigBasis(max_index=m_top)
     rng = np.random.default_rng(seed)
     draws = law.quantile(rng.uniform(size=(reps * n)))
     thetas = np.empty((reps, m_top))
     for r in range(reps):
-        sample = Sample(model="density", n=n, case=1, seed=seed, rep_index=r,
-                        x=draws[r * n : (r + 1) * n])
-        thetas[r] = empirical_coefficients(sample, m_top, basis).theta_hat[1:]
+        thetas[r] = empirical_coefficients(draws[r * n : (r + 1) * n], m_top).theta_hat[1:]
     variances = thetas.var(axis=0, ddof=1)
     ok = True
     ratios = []
@@ -141,7 +133,7 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
             rng = stream(seed, case, namespace=10)
             v = uniform_series(case, draws, rng)
             if law is None:
-                stat = ks_statistic(v, cdf_values=v)
+                stat = ks_statistic(v, cdf=lambda x: x)
             else:
                 z = law.quantile(v)
                 stat = ks_statistic(z, cdf=law.cdf)
@@ -195,8 +187,7 @@ def dependence_score(case: int, n: int = 10**5, seed: int = 0,
     """
     rng = stream(seed, case, namespace=13)
     v = uniform_series(case, n, rng)
-    basis = TrigBasis(max_index=j_max)
-    scores = basis.design_matrix(v, j_max)[1:]
+    scores = TrigBasis().design_matrix(v, j_max)[1:]
     lead, lag = scores[:, :-1], scores[:, 1:]
     z_max = 0.0
     for a in lead:
@@ -245,7 +236,7 @@ def check_lemma1_fuzz(seed: int = 0, cases: int = 2000) -> CheckResult:
         steps = rng.uniform(0.0, scale**2, size=M)
         if rng.uniform() < 0.2:
             steps[:] = 0.0
-        table = CoefficientTable(model="regression", n=1, m_max=M, theta_hat=theta_hat)
+        table = CoefficientTable(model="regression", n=1, theta_hat=theta_hat)
         if not lemma1_audit(table, np.cumsum(steps), theta_true).all_passed:
             failures += 1
     return CheckResult("lemma1_fuzz", failures == 0,
@@ -257,7 +248,7 @@ def check_custom_pens(pens) -> CheckResult:
     theta_hat = np.array([1.0] + [0.1] * len(pens))
     theta_true = np.zeros(len(pens) + 1)
     theta_true[0] = 1.0
-    table = CoefficientTable(model="density", n=100, m_max=len(pens), theta_hat=theta_hat)
+    table = CoefficientTable(model="density", n=100, theta_hat=theta_hat)
     try:
         audit = lemma1_audit(table, pens, theta_true)
     except ValueError as exc:

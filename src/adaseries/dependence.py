@@ -2,7 +2,9 @@
 
 All three cases produce a series V_1..V_n with uniform marginal on [0, 1];
 density samples apply the target marginal's quantile transform, regression
-samples use V directly as the design and add N(0, sigma^2) noise.
+samples use V directly as the design and add N(0, sigma^2) noise.  A
+sample is plain arrays: gen_density_sample returns the points x,
+gen_regression_sample the design u and the responses y.
 
 Case 2 starts at the invariant arcsine law (no burn-in) and iterates the
 logistic map T(y) = 4 y (1 - y); G(y) = (2 / pi) arcsin(sqrt(y)) maps the
@@ -25,9 +27,6 @@ order or process layout without affecting results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .targets import MarginalLaw, RegressionTarget
@@ -37,23 +36,6 @@ AR_SCALE = 25.0 / 63.0
 AR_SUPPORT_MAX = 25.0 / 21.0
 
 CASES = (1, 2, 3)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One generated sample with its provenance.
-
-    Density samples carry x; regression samples carry (y, u).
-    """
-
-    model: str
-    n: int
-    case: int
-    seed: int
-    rep_index: int
-    x: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    u: Optional[np.ndarray] = None
 
 
 def stream(seed: int, rep_index: int, namespace: int = 0) -> np.random.Generator:
@@ -140,18 +122,17 @@ def uniform_series(case: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_density_sample(n: int, case: int, law: MarginalLaw, seed: int,
-                       rep_index: int, namespace: int = 0) -> Sample:
+                       rep_index: int, namespace: int = 0) -> np.ndarray:
+    """n points with marginal law, dependent as the chosen case."""
     rng = stream(seed, rep_index, namespace)
-    x = law.quantile(uniform_series(case, n, rng))
-    return Sample(model="density", n=n, case=case, seed=seed, rep_index=rep_index, x=x)
+    return law.quantile(uniform_series(case, n, rng))
 
 
 def gen_regression_sample(n: int, case: int, target: RegressionTarget, seed: int,
-                          rep_index: int, namespace: int = 0) -> Sample:
-    """Design from the chosen case (uniform marginal), iid Gaussian noise."""
+                          rep_index: int, namespace: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(u, y): design from the chosen case (uniform marginal), iid Gaussian noise."""
     rng = stream(seed, rep_index, namespace)
     u = uniform_series(case, n, rng)
     eps = rng.standard_normal(n)
-    y = target.eval(u) + target.noise_sigma * eps
-    return Sample(model="regression", n=n, case=case, seed=seed, rep_index=rep_index, y=y, u=u)
+    return u, target.eval(u) + target.noise_sigma * eps
 

@@ -9,10 +9,12 @@ A dimension-m estimator always uses the coefficient prefix 0..m:
 so estimators are nested and || f_m - f_k ||^2 reduces to the Parseval
 gap sum_{j=m+1..k} theta_hat_j^2 in both models.  Every selector reads
 one CoefficientTable: penalized contrast and model selection its
-theta_hat, cross-validation also its leave-one-out squares.  The table
+theta_hat, cross-validation also its leave-one-out squares, and each
+takes its dimension grid 1..m_max from the table's length.  The table
 needs only two sums per index, T_j = sum_i psi_j(Z_i) and sum_i
 psi_j(Z_i)^2, and empirical_coefficients streams them over blocks of
-basis rows, so no replication holds the (m_max + 1) x n psi matrix.  The
+basis rows, so no replication holds the (m_max + 1) x n psi matrix.  It
+reads plain arrays: the points, and the responses for regression.  The
 realized ISE(m) is the Simpson-grid quadrature written as a quadratic
 form in theta_hat (ise_gram once per config, ise_profile per table).
 """
@@ -25,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from .basis import TrigBasis
-from .dependence import Sample
 
 #: Points per psi block in empirical_coefficients (1 MB of float64): small
 #: enough to stay in cache, large enough that n = 1000 is a single block.
@@ -46,34 +47,31 @@ class CoefficientTable:
 
     model: str
     n: int
-    m_max: int
     theta_hat: np.ndarray
     theta_sq_loo: Optional[np.ndarray] = None
 
+    @property
+    def m_max(self) -> int:
+        return self.theta_hat.size - 1
 
-def empirical_coefficients(sample: Sample, m_max: int,
-                           basis: TrigBasis | None = None) -> CoefficientTable:
-    """Coefficient table from a sample: both sums streamed over row blocks.
 
-    The psi rows come from basis.row_blocks, _BLOCK_POINTS points per
-    block (at least two rows), and each block is reduced to its rows' T_j
-    and sum_i psi_j(Z_i)^2 before the next one is made, so the working
-    set is O(n), not the O(m_max n) of the whole psi matrix.  Each row is
-    summed on its own, so the sums are the floats a one-block pass gives.
+def empirical_coefficients(points, m_max: int, y=None) -> CoefficientTable:
+    """Coefficient table of a sample, j = 0..m_max: both sums streamed over row blocks.
+
+    A density sample is its points X; a regression sample is its design
+    U (the points) and its responses y.  The psi rows come from
+    TrigBasis.row_blocks, _BLOCK_POINTS points per block (at least two
+    rows), and each block is reduced to its rows' T_j and sum_i
+    psi_j(Z_i)^2 before the next one is made, so the working set is O(n),
+    not the O(m_max n) of the whole psi matrix.  Each row is summed on its
+    own, so the sums are the floats a one-block pass gives.
     """
-    if sample.n < 1:
+    n = np.size(points)
+    if n < 1:
         raise ValueError("empty sample")
-    basis = basis or TrigBasis(max_index=max(m_max, 1))
-    if sample.model == "density":
-        points, y = sample.x, None
-    elif sample.model == "regression":
-        points, y = sample.u, sample.y
-    else:
-        raise ValueError(f"unknown model {sample.model!r}")
-    n = sample.n
     totals = np.empty(m_max + 1)
     squares = np.empty(m_max + 1)
-    for start, block in basis.row_blocks(points, m_max, max(2, _BLOCK_POINTS // n)):
+    for start, block in TrigBasis().row_blocks(points, m_max, max(2, _BLOCK_POINTS // n)):
         rows = slice(start, start + len(block))
         if y is not None:
             block *= y
@@ -81,11 +79,11 @@ def empirical_coefficients(sample: Sample, m_max: int,
         np.multiply(block, block, out=block)  # the block is not read again: square it in place
         np.sum(block, axis=1, out=squares[rows])
     theta = totals / n
-    if sample.model == "density":
+    if y is None:
         theta[0] = 1.0
     loo = (totals**2 - squares) / (n * (n - 1)) if n > 1 else None
-    return CoefficientTable(model=sample.model, n=n, m_max=m_max, theta_hat=theta,
-                            theta_sq_loo=loo)
+    return CoefficientTable(model="density" if y is None else "regression", n=n,
+                            theta_hat=theta, theta_sq_loo=loo)
 
 
 def ise_gram(basis_grid: np.ndarray, truth_grid: np.ndarray,
@@ -121,16 +119,15 @@ def ise_profile(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarr
     1e-12 relative.
     """
     M = table.m_max
-    theta = table.theta_hat[: M + 1]
+    theta = table.theta_hat
     steps = theta * (gram_lower[: M + 1, : M + 1] @ theta - 2.0 * cross[: M + 1])
     steps[0] += norm_sq
     return np.cumsum(steps)[1:]
 
 
-def sigma_y_hat(sample: Sample) -> float:
+def sigma_y_hat(y) -> float:
     """Empirical second moment of the responses, n^-1 sum y_i^2."""
-    if sample.model != "regression":
-        raise ValueError("sigma_y_hat is defined for regression samples")
-    if sample.n < 1:
+    y = np.asarray(y, dtype=float)
+    if y.size < 1:
         raise ValueError("empty sample")
-    return float(np.sum(sample.y * sample.y)) / sample.n
+    return float(np.sum(y * y)) / y.size

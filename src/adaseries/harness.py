@@ -1,13 +1,15 @@
 """Monte Carlo harness: replications, risk tables, percentile bands, calibration.
 
-A replication generates one sample from its (seed, rep_index) stream
-and reduces it to one coefficient table and the noise level sigma_hat^2
-(ExperimentContext.replication, the one kernel shared by evaluation
-runs, bands, calibration and the oracle-inequality check).  The sample
-is evaluated on the basis once, inside empirical_coefficients; nothing
-after the kernel reads the sample.  Evaluation runs all requested
-selectors, cross-validation included, on that shared table and scores
-each selected dimension by Simpson-grid ISE against the true function.
+A replication generates one sample, the arrays (points, y), from its
+(seed, rep_index) stream and reduces it to one coefficient table and the
+noise level sigma_hat^2 (ExperimentContext.replication, the one kernel
+shared by evaluation runs, bands, calibration and the oracle-inequality
+check).  The sample is evaluated on the basis once, inside
+empirical_coefficients; nothing after the kernel reads the sample, and
+every selector takes its dimension grid from the table.  Evaluation runs
+all requested selectors, cross-validation included, on that shared table
+and scores each selected dimension by Simpson-grid ISE against the true
+function.
 ExperimentContext computes the sample-free parts of that ISE once (the
 Gram matrix of the basis on the grid, its cross products with the truth
 and the truth's squared norm; estimators.ise_gram), so the ISE of every
@@ -41,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .basis import TrigBasis
-from .dependence import Sample, gen_density_sample, gen_regression_sample
+from .dependence import gen_density_sample, gen_regression_sample
 from .estimators import CoefficientTable, empirical_coefficients, ise_gram, sigma_y_hat
 from .quadrature import simpson_weights, unit_grid
 from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
@@ -144,8 +146,6 @@ class ExperimentContext:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        M = cfg.m_grid
-        self.basis = TrigBasis(max_index=M)
         if cfg.model == "density":
             self.target = DENSITY_TARGETS[cfg.target]()
             self.law = MarginalLaw(self.target)
@@ -154,26 +154,28 @@ class ExperimentContext:
             self.law = None
         self.grid = unit_grid(cfg.grid_size)
         self.truth_grid = np.asarray(self.target.eval(self.grid), dtype=float)
-        self.basis_grid = self.basis.design_matrix(self.grid, M)
+        self.basis_grid = TrigBasis().design_matrix(self.grid, cfg.m_grid)
         self.gram_lower, self.cross, self.norm_sq = ise_gram(
             self.basis_grid, self.truth_grid, simpson_weights(cfg.grid_size))
 
-    def sample(self, rep_index: int, namespace: int = EVAL_NS) -> Sample:
+    def sample(self, rep_index: int,
+               namespace: int = EVAL_NS) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(points, y) of one replication: y is the responses, None for densities."""
         cfg = self.cfg
         if cfg.model == "density":
-            return gen_density_sample(cfg.n, cfg.case, self.law, cfg.seed, rep_index, namespace)
+            return gen_density_sample(cfg.n, cfg.case, self.law, cfg.seed, rep_index,
+                                      namespace), None
         return gen_regression_sample(cfg.n, cfg.case, self.target, cfg.seed, rep_index, namespace)
 
     def replication(self, rep_index: int, namespace: int = EVAL_NS) -> Replication:
         """The replication kernel: coefficient table and sigma_hat^2 of one sample."""
-        sample = self.sample(rep_index, namespace)
-        table = empirical_coefficients(sample, self.cfg.m_grid, self.basis)
-        sig_sq = sigma_y_hat(sample) if self.cfg.model == "regression" else 1.0
-        return Replication(table, sig_sq)
+        points, y = self.sample(rep_index, namespace)
+        table = empirical_coefficients(points, self.cfg.m_grid, y)
+        return Replication(table, 1.0 if y is None else sigma_y_hat(y))
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid."""
-        return oracle_criteria(table, self.gram_lower, self.cross, self.norm_sq, self.cfg.m_grid)
+        return oracle_criteria(table, self.gram_lower, self.cross, self.norm_sq)
 
 
 class RepRecord(NamedTuple):
@@ -242,7 +244,6 @@ def run_replication(ctx: ExperimentContext, rep_index: int,
     """
     cfg = ctx.cfg
     table, sig_sq = ctx.replication(rep_index, namespace)
-    M = cfg.m_grid
     ise_by_m = ctx.ise_by_m(table)
 
     chosen = []
@@ -250,12 +251,12 @@ def run_replication(ctx: ExperimentContext, rep_index: int,
         if sel == "oracle":
             m = int(np.argmin(ise_by_m)) + 1
         elif sel == "gl":
-            pens = penalty_vector(cfg.gl_constant, M, cfg.n, sig_sq)
+            pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sig_sq)
             m = select_with_pens(table, pens).m_selected
         elif sel == "ms":
-            m = select_ms(table, cfg.ms_constant, M, sig_sq).m_selected
+            m = select_ms(table, cfg.ms_constant, sig_sq).m_selected
         else:
-            m = select_cv(table, M).m_selected
+            m = select_cv(table).m_selected
         chosen.append(m)
 
     return np.array(chosen, dtype=np.int64), ise_by_m, sig_sq
@@ -332,7 +333,7 @@ def _gl_estimate(ctx: ExperimentContext, rep_index: int, namespace: int) -> np.n
     """The GL estimate of one replication on the context's grid."""
     cfg = ctx.cfg
     table, sig_sq = ctx.replication(rep_index, namespace)
-    pens = penalty_vector(cfg.gl_constant, cfg.m_grid, cfg.n, sig_sq)
+    pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sig_sq)
     m = select_with_pens(table, pens).m_selected
     return np.sum(table.theta_hat[: m + 1, None] * ctx.basis_grid[: m + 1], axis=0)
 
@@ -380,7 +381,7 @@ def _calibration_row(c_grid: np.ndarray, ctx: ExperimentContext, rep_index: int,
                      namespace: int) -> np.ndarray:
     """ISE of the dimension each constant of c_grid selects in one replication."""
     table, sig_sq = ctx.replication(rep_index, namespace)
-    pens = penalty_vector(c_grid, ctx.cfg.m_grid, ctx.cfg.n, sig_sq)
+    pens = penalty_vector(c_grid, table.m_max, ctx.cfg.n, sig_sq)
     return ctx.ise_by_m(table)[select_with_pens(table, pens).m_selected - 1]
 
 
@@ -399,15 +400,13 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
                          calib_reps, CALIB_NS):
         total += row
     curve = total / calib_reps
-    mean_ise = {"gl": curve, "ms": curve}
-    chosen = {sel: float(c_grid[int(np.argmin(curve))]) for sel, curve in mean_ise.items()}
+    k = int(np.argmin(curve))
     notes = []
-    for sel, curve in mean_ise.items():
-        k = int(np.argmin(curve))
-        if not (np.all(np.diff(curve[: k + 1]) <= 1e-12) and np.all(np.diff(curve[k:]) >= -1e-12)):
-            notes.append(f"mean ISE vs c not quasi-convex for {sel}")
-            warnings.warn(notes[-1])
-    return CalibrationResult(c_grid=c_grid, mean_ise=mean_ise, chosen=chosen,
+    if not (np.all(np.diff(curve[: k + 1]) <= 1e-12) and np.all(np.diff(curve[k:]) >= -1e-12)):
+        notes.append("mean ISE vs c not quasi-convex for gl and ms")
+        warnings.warn(notes[-1])
+    return CalibrationResult(c_grid=c_grid, mean_ise={"gl": curve, "ms": curve},
+                             chosen=dict.fromkeys(("gl", "ms"), float(c_grid[k])),
                              warnings=tuple(notes))
 
 

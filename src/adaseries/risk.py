@@ -92,7 +92,7 @@ def risk_decomposition(model: str, target: str, case: int, n: int,
     fn = (DENSITY_TARGETS if model == "density" else REGRESSION_TARGETS)[target]()
 
     grid = unit_grid(DEFAULT_GRID)
-    basis = TrigBasis(max_index=m_max)
+    basis = TrigBasis()
     f_vals = np.asarray(fn.eval(grid), dtype=float)
     if model == "density":
         psi = basis.design_matrix(MarginalLaw(fn).quantile(grid), m_max)
@@ -106,16 +106,6 @@ def risk_decomposition(model: str, target: str, case: int, n: int,
     if model == "regression":
         var += fn.noise_sigma**2 / n
 
-    theta = true_coefficients(fn.eval, m_max, basis, DEFAULT_GRID)
+    theta = true_coefficients(fn.eval, m_max, DEFAULT_GRID)
     bias_sq = float(f_vals**2 @ simpson_weights(DEFAULT_GRID)) - np.cumsum(theta**2)
     return np.cumsum(var)[1:], bias_sq[1:]
-
-
-def expected_risk_curve(model: str, target: str, case: int, n: int,
-                        m_max: int = 100) -> np.ndarray:
-    """E ISE(m) for m = 1..m_max of the series estimator from n observations.
-
-    The sum of the two parts of `risk_decomposition`, with its arguments.
-    """
-    variance, bias_sq = risk_decomposition(model, target, case, n, m_max)
-    return variance + bias_sq

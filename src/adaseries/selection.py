@@ -1,11 +1,11 @@
 """Dimension selectors: penalized contrast (GL), model selection, CV, oracle.
 
-Every selector is a function of one CoefficientTable and the dimension
-grid m = 1..M, and returns the smallest minimizer of its criterion.  GL
-and MS read theta_hat; CV also reads the table's leave-one-out squares,
-so no selector goes back to the sample.  The criteria exclude the
-index-0 coefficient: it is common to every candidate dimension in both
-models and cannot change an argmin.
+Every selector is a function of one CoefficientTable, whose length fixes
+the dimension grid m = 1..M (M = table.m_max), and returns the smallest
+minimizer of its criterion.  GL and MS read theta_hat; CV also reads the
+table's leave-one-out squares, so no selector goes back to the sample.
+The criteria exclude the index-0 coefficient: it is common to every
+candidate dimension in both models and cannot change an argmin.
 
 The penalized-contrast selector minimizes Xi_m + pen(m), where
 
@@ -92,19 +92,17 @@ def select_with_pens(table: CoefficientTable, pens) -> SelectionResult:
                            penalties=pens, criteria=crit)
 
 
-def select_ms(table: CoefficientTable, c: float, M: int | None = None,
-              sigma_sq: float = 1.0) -> SelectionResult:
+def select_ms(table: CoefficientTable, c: float, sigma_sq: float = 1.0) -> SelectionResult:
     """Model selection: smallest argmin of -sum_{j<=m} theta_hat_j^2 + c m sigma^2 / n.
 
     The density model has no response scale, so sigma_sq defaults to 1.
     """
     if c <= 0.0:
         raise ValueError("model-selection constant must be positive")
-    M = table.m_max if M is None else M
-    return select_with_pens(table, penalty_vector(c, M, table.n, sigma_sq))
+    return select_with_pens(table, penalty_vector(c, table.m_max, table.n, sigma_sq))
 
 
-def cv_profile(table: CoefficientTable, M: int) -> np.ndarray:
+def cv_profile(table: CoefficientTable) -> np.ndarray:
     """Leave-one-out CV(m) for m = 1..M.
 
     CV(m) sums theta_hat_j^2 - 2 theta_sq_loo_j over the estimated
@@ -114,27 +112,23 @@ def cv_profile(table: CoefficientTable, M: int) -> np.ndarray:
     """
     if table.theta_sq_loo is None:
         raise ValueError("cross-validation needs n >= 2")
-    _check_grid(table, M)
+    _check_grid(table, table.m_max)
     start = 1 if table.model == "density" else 0
-    theta = table.theta_hat[start : M + 1]
-    terms = np.cumsum(theta**2 - 2.0 * table.theta_sq_loo[start : M + 1])
+    terms = np.cumsum(table.theta_hat[start:] ** 2 - 2.0 * table.theta_sq_loo[start:])
     return terms if start else terms[1:]
 
 
-def select_cv(table: CoefficientTable, M: int) -> SelectionResult:
+def select_cv(table: CoefficientTable) -> SelectionResult:
     """Smallest argmin of CV(m) over m = 1..M."""
-    crit = cv_profile(table, M)
+    crit = cv_profile(table)
     return SelectionResult(m_selected=int(np.argmin(crit)) + 1,
-                           penalties=np.zeros(M), criteria=crit)
+                           penalties=np.zeros(table.m_max), criteria=crit)
 
 
 def oracle_criteria(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarray,
-                    norm_sq: float, M: int | None = None) -> np.ndarray:
+                    norm_sq: float) -> np.ndarray:
     """Realized ISE(m), m = 1..M, from the Gram pieces of one Simpson grid (ise_gram)."""
-    M = table.m_max if M is None else M
-    sub = CoefficientTable(model=table.model, n=table.n, m_max=M,
-                           theta_hat=table.theta_hat[: M + 1])
-    return ise_profile(sub, gram_lower, cross, norm_sq)
+    return ise_profile(table, gram_lower, cross, norm_sq)
 
 
 @dataclass(frozen=True)

@@ -209,11 +209,9 @@ class MarginalLaw:
 
 
 def true_coefficients(fn: Callable[[np.ndarray], np.ndarray], m_max: int,
-                      basis: TrigBasis | None = None,
                       n_points: int = DEFAULT_GRID) -> np.ndarray:
     """Quadrature coefficients <fn, phi_j> for j = 0..m_max."""
-    basis = basis or TrigBasis(max_index=max(m_max, 1))
     grid = unit_grid(n_points)
     weighted = np.asarray(fn(grid), dtype=float) * simpson_weights(n_points)
-    design = basis.design_matrix(grid, m_max)
+    design = TrigBasis().design_matrix(grid, m_max)
     return np.sum(design * weighted, axis=1)

@@ -8,8 +8,9 @@ produced.
 Reference rule of criteria 1-2 (oracle column).  For the iid and
 logistic-map cases (1 and 2) the expected risk E ISE(m) of the process
 documented in the README and the `targets`/`dependence` docstrings is
-known exactly (`adaseries.risk.expected_risk_curve`), so these cells are
-checked against it:
+known exactly (the sum of the variance and squared-bias parts of
+`adaseries.risk.risk_decomposition`), so these cells are checked
+against it:
 
 - the simulated mean ISE(m) matches E ISE(m) within 4 Monte Carlo
   standard errors at every m = 1..M;
@@ -17,7 +18,7 @@ checked against it:
   standard errors, because E min_m ISE(m) <= min_m E ISE(m).
 
 This compares the harness with the documented process, not with the
-paper.  `expected_risk_curve` reads the same target functions,
+paper.  `risk_decomposition` reads the same target functions,
 `NOISE_SIGMA` and `MarginalLaw.quantile` as the harness, so an error there
 moves both sides alike and criteria 1-2 cannot see it;
 `tests/test_targets.py` pins those definitions to the documented formulas.
@@ -48,7 +49,7 @@ from adaseries.checks import (check_case3_marginal, check_case3_residual,
 from adaseries.cli import main as cli_main
 from adaseries.harness import (ExperimentConfig, calibrate_constant,
                                calibrated_config, run_experiment)
-from adaseries.risk import expected_risk_curve
+from adaseries.risk import risk_decomposition
 
 SEED = 0
 N = 1000
@@ -114,7 +115,8 @@ def table_runs():
 def _exact_cell(results, model, target, case):
     """Check one case-1/2 oracle cell against E ISE(m); returns (ok, detail)."""
     profile = results.ise_by_m  # reps x M
-    exact = expected_risk_curve(model, target, case, N, profile.shape[1])
+    variance, bias_sq = risk_decomposition(model, target, case, N, profile.shape[1])
+    exact = variance + bias_sq
     se = profile.std(axis=0, ddof=1) / np.sqrt(REPS)
     z_max = float(np.max(np.abs(profile.mean(axis=0) - exact) / se))
     ise = results.ise[results.selectors.index("oracle")]

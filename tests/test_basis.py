@@ -13,7 +13,7 @@ from adaseries.quadrature import simpson_weights, unit_grid
 
 def test_eval_basis_pinned_values():
     x = [0.3, 0.0, 0.25]
-    design = TrigBasis(max_index=2).design_matrix(x, 2)
+    design = TrigBasis().design_matrix(x, 2)
     # 1 at 0.3, sqrt2 * cos(0) at 0, sqrt2 * sin(pi/2) at 1/4
     for j, expected in enumerate((1.0, math.sqrt(2.0), math.sqrt(2.0))):
         assert eval_one(j, x[j]) == pytest.approx(expected)
@@ -21,7 +21,7 @@ def test_eval_basis_pinned_values():
 
 
 def test_design_matrix_matches_eval_one():
-    basis = TrigBasis(max_index=11)
+    basis = TrigBasis()
     x = np.linspace(0.0, 1.0, 37)
     design = basis.design_matrix(x, 11)
     for j in range(12):
@@ -53,7 +53,7 @@ def eval_one(j, x):
 
 
 def test_recurrence_matches_eval_one_up_to_400():
-    basis = TrigBasis(max_index=400)
+    basis = TrigBasis()
     x = np.concatenate(([0.0, 0.25, 0.5, 1.0], np.random.default_rng(8).uniform(size=500)))
     design = basis.design_matrix(x, 400)
     assert design.shape == (401, x.size)
@@ -69,7 +69,7 @@ def test_recurrence_matches_eval_one_up_to_400():
 @example(x=[0.0, 0.5, 1.0], m_max=1)
 @example(x=[0.0, 0.5, 1.0], m_max=2)
 def test_recurrence_matches_angle_grid(x, m_max):
-    design = TrigBasis(max_index=400).design_matrix(x, m_max)
+    design = TrigBasis().design_matrix(x, m_max)
     np.testing.assert_allclose(design, outer_design_matrix(x, m_max), rtol=0.0, atol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_recurrence_matches_angle_grid(x, m_max):
 @given(x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
        m_max=st.integers(0, 60), rows=st.integers(1, 70))
 def test_row_blocks_tile_the_design_matrix(x, m_max, rows):
-    basis = TrigBasis(max_index=60)
+    basis = TrigBasis()
     starts, blocks = [], []
     for start, block in basis.row_blocks(x, m_max, rows):
         starts.append(start)
@@ -86,6 +86,8 @@ def test_row_blocks_tile_the_design_matrix(x, m_max, rows):
     assert np.array_equal(np.concatenate(blocks), basis.design_matrix(x, m_max))
     with pytest.raises(ValueError):
         next(basis.row_blocks(x, m_max, 0))
+    with pytest.raises(ValueError):
+        next(basis.row_blocks(x, -1, rows))
 
 
 def test_orthonormality_and_sup_norm_checks_at_400():
@@ -95,7 +97,7 @@ def test_orthonormality_and_sup_norm_checks_at_400():
 
 def test_orthonormality_by_quadrature():
     j_max = 30
-    basis = TrigBasis(max_index=j_max)
+    basis = TrigBasis()
     grid = unit_grid()
     design = basis.design_matrix(grid, j_max)
     gram = (design * simpson_weights(grid.size)) @ design.T
@@ -103,7 +105,7 @@ def test_orthonormality_by_quadrature():
 
 
 def test_sup_norm_bound_and_even_equality():
-    basis = TrigBasis(max_index=100)
+    basis = TrigBasis()
     x = np.linspace(0.0, 1.0, 10**4)
     sq = basis.design_matrix(x, 100) ** 2
     running = np.cumsum(sq[1:], axis=0)

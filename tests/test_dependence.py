@@ -28,9 +28,9 @@ def test_case1_ks_against_marginal(law_f1):
 def test_fixed_seed_reproducibility(law_f1):
     a = gen_density_sample(200, 2, law_f1, seed=9, rep_index=4)
     b = gen_density_sample(200, 2, law_f1, seed=9, rep_index=4)
-    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a, b)
     c = gen_density_sample(200, 2, law_f1, seed=9, rep_index=5)
-    assert not np.array_equal(a.x, c.x)
+    assert not np.array_equal(a, c)
 
 
 def test_logistic_closed_form_iteration():
@@ -86,7 +86,7 @@ def test_arcsine_endpoints():
 def test_case2_invariant_law_uniform():
     rng = stream(5, 0)
     v = uniform_series(2, 10**5, rng)
-    assert ks_statistic(v, cdf_values=v) < 0.006
+    assert ks_statistic(v, cdf=lambda x: x) < 0.006
 
 
 def test_case3_zero_and_one_innovations():
@@ -124,40 +124,40 @@ def test_case3_marginal_against_monte_carlo():
 def test_case3_uniform_series_ks():
     rng = stream(31, 0)
     v = uniform_series(3, 10**5, rng)
-    assert ks_statistic(v, cdf_values=v) < 0.006
+    assert ks_statistic(v, cdf=lambda x: x) < 0.006
 
 
 def test_regression_sample_zero_noise_zero_function():
     target = regression_f2()
     zero = type(target)("zero", lambda x: np.zeros_like(np.asarray(x, float)),
                         noise_sigma=0.0)
-    s = gen_regression_sample(100, 1, zero, seed=1, rep_index=0)
-    np.testing.assert_allclose(s.y, 0.0, atol=0.0)
-    assert s.model == "regression" and s.n == 100
+    u, y = gen_regression_sample(100, 1, zero, seed=1, rep_index=0)
+    np.testing.assert_allclose(y, 0.0, atol=0.0)
+    assert u.shape == y.shape == (100,)
 
 
 def test_regression_second_moment_identity():
     # sigma_Y^2 = sigma^2 + ||f||^2 within 3 standard errors at n = 1e5
     target = regression_f1()
-    s = gen_regression_sample(10**5, 1, target, seed=12, rep_index=0)
+    _, y = gen_regression_sample(10**5, 1, target, seed=12, rep_index=0)
     f_norm_sq = integrate_values(target.eval(unit_grid()) ** 2)
     expected = 0.25 + f_norm_sq
-    ysq = s.y**2
+    ysq = y**2
     se = ysq.std(ddof=1) / np.sqrt(ysq.size)
     assert abs(ysq.mean() - expected) < 3.0 * se
 
 
 def test_regression_sample_reproducible():
-    a = gen_regression_sample(64, 3, regression_f1(), seed=5, rep_index=2)
-    b = gen_regression_sample(64, 3, regression_f1(), seed=5, rep_index=2)
-    np.testing.assert_array_equal(a.y, b.y)
-    np.testing.assert_array_equal(a.u, b.u)
+    a_u, a_y = gen_regression_sample(64, 3, regression_f1(), seed=5, rep_index=2)
+    b_u, b_y = gen_regression_sample(64, 3, regression_f1(), seed=5, rep_index=2)
+    np.testing.assert_array_equal(a_y, b_y)
+    np.testing.assert_array_equal(a_u, b_u)
 
 
 def test_namespace_disjoint_streams(law_f1):
     a = gen_density_sample(32, 1, law_f1, seed=5, rep_index=0, namespace=0)
     b = gen_density_sample(32, 1, law_f1, seed=5, rep_index=0, namespace=1)
-    assert not np.array_equal(a.x, b.x)
+    assert not np.array_equal(a, b)
 
 
 def test_dependence_scores_by_case():
@@ -168,35 +168,38 @@ def test_dependence_scores_by_case():
 
 def test_draws_inside_unit_interval(law_f2):
     for case in (1, 2, 3):
-        s = gen_density_sample(2000, case, law_f2, seed=2, rep_index=1)
-        assert np.all((s.x >= 0.0) & (s.x <= 1.0))
-        r = gen_regression_sample(2000, case, regression_f1(), seed=2, rep_index=1)
-        assert np.all((r.u >= 0.0) & (r.u <= 1.0))
+        x = gen_density_sample(2000, case, law_f2, seed=2, rep_index=1)
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        u, _ = gen_regression_sample(2000, case, regression_f1(), seed=2, rep_index=1)
+        assert np.all((u >= 0.0) & (u <= 1.0))
 
 
-def dump_sample(sample, path):
-    """Write draws as decimal text, one draw per line, 17 significant digits."""
+def dump_sample(points, path, y=None):
+    """Write draws as decimal text, one draw per line, 17 significant digits.
+
+    A density draw is its point; a regression draw is the line "y u".
+    """
     with open(path, "w") as fh:
-        if sample.model == "density":
-            for v in sample.x:
+        if y is None:
+            for v in points:
                 fh.write(f"{v:.17g}\n")
         else:
-            for yv, uv in zip(sample.y, sample.u):
+            for yv, uv in zip(y, points):
                 fh.write(f"{yv:.17g} {uv:.17g}\n")
 
 
 def test_dump_sample_formats(tmp_path, law_f1):
-    s = gen_density_sample(5, 1, law_f1, seed=1, rep_index=0)
+    x = gen_density_sample(5, 1, law_f1, seed=1, rep_index=0)
     path = tmp_path / "density.txt"
-    dump_sample(s, path)
+    dump_sample(x, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 5
-    np.testing.assert_allclose([float(v) for v in lines], s.x, rtol=1e-16)
+    np.testing.assert_allclose([float(v) for v in lines], x, rtol=1e-16)
 
-    r = gen_regression_sample(4, 1, regression_f2(), seed=1, rep_index=0)
+    u, y = gen_regression_sample(4, 1, regression_f2(), seed=1, rep_index=0)
     path2 = tmp_path / "regression.txt"
-    dump_sample(r, path2)
+    dump_sample(u, path2, y)
     rows = [line.split() for line in path2.read_text().strip().splitlines()]
     assert len(rows) == 4
-    np.testing.assert_allclose([float(a) for a, _ in rows], r.y, rtol=1e-16)
-    np.testing.assert_allclose([float(b) for _, b in rows], r.u, rtol=1e-16)
+    np.testing.assert_allclose([float(a) for a, _ in rows], y, rtol=1e-16)
+    np.testing.assert_allclose([float(b) for _, b in rows], u, rtol=1e-16)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adaseries.basis import SUP_NORM_SQ, TrigBasis
-from adaseries.dependence import Sample, gen_density_sample, gen_regression_sample
+from adaseries.dependence import gen_density_sample, gen_regression_sample
 from adaseries import estimators
 from adaseries.estimators import (CoefficientTable, empirical_coefficients,
                                   ise_gram, ise_profile, sigma_y_hat)
@@ -20,7 +20,7 @@ def series_values(table, m, x):
     """Dimension-m series estimate sum_{j<=m} theta_hat_j phi_j at points x."""
     if m < 0 or m > table.m_max:
         raise ValueError(f"dimension {m} outside [0, {table.m_max}]")
-    design = TrigBasis(max_index=max(m, 1)).design_matrix(x, m)
+    design = TrigBasis().design_matrix(x, m)
     return np.sum(table.theta_hat[: m + 1, None] * design, axis=0)
 
 
@@ -56,52 +56,39 @@ def grid_ise_profile(table, truth_grid, basis_grid, weights):
     return np.sum(resid * resid * weights, axis=1)
 
 
-def density_sample(x):
-    x = np.asarray(x, dtype=float)
-    return Sample(model="density", n=x.size, case=1, seed=0, rep_index=0, x=x)
-
-
-def regression_sample(y, u):
-    y = np.asarray(y, dtype=float)
-    return Sample(model="regression", n=y.size, case=1, seed=0, rep_index=0,
-                  y=y, u=np.asarray(u, dtype=float))
-
-
 def test_density_coefficients_pinned():
-    table = empirical_coefficients(density_sample([0.25, 0.25]), 3)
+    table = empirical_coefficients([0.25, 0.25], 3)
     assert table.theta_hat[0] == 1.0
     assert table.theta_hat[1] == pytest.approx(0.0, abs=1e-15)  # cos(pi/2) = 0
-    single = empirical_coefficients(density_sample([0.0]), 1)
+    single = empirical_coefficients([0.0], 1)
     assert single.theta_hat[1] == pytest.approx(math.sqrt(2.0))
     assert single.theta_sq_loo is None  # no pair of observations
 
 
 def test_leave_one_out_squares_pinned():
     # psi_1 = sqrt(2) cos(2 pi x) at 0, 0.5, 0.5: (sqrt 2, -sqrt 2, -sqrt 2)
-    table = empirical_coefficients(density_sample([0.0, 0.5, 0.5]), 1)
+    table = empirical_coefficients([0.0, 0.5, 0.5], 1)
     # (T^2 - sum psi^2) / (n (n - 1)) = (2 - 6) / 6
     assert table.theta_sq_loo[1] == pytest.approx(-2.0 / 3.0, abs=1e-15)
     assert table.theta_sq_loo[0] == 1.0
-    reg = empirical_coefficients(regression_sample([1.0, 3.0], [0.25, 0.75]), 0)
+    reg = empirical_coefficients([0.25, 0.75], 0, y=[1.0, 3.0])
     # psi_0 = y: (T^2 - sum y^2) / 2 = (16 - 10) / 2, the pair product 2 y_1 y_2 / 2
     assert reg.theta_sq_loo[0] == 3.0
 
 
-def materialized_coefficients(sample, m_max):
+def materialized_coefficients(points, m_max, y=None):
     """Reference table from the whole (m_max + 1) x n psi matrix.
 
     The form empirical_coefficients replaced by row blocks; the streamed
     sums must be the same floats.
     """
-    basis = TrigBasis(max_index=max(m_max, 1))
-    if sample.model == "density":
-        psi = basis.design_matrix(sample.x, m_max)
-    else:
-        psi = basis.design_matrix(sample.u, m_max) * sample.y
-    n = sample.n
+    psi = TrigBasis().design_matrix(points, m_max)
+    if y is not None:
+        psi *= y
+    n = psi.shape[1]
     totals = np.sum(psi, axis=1)
     theta = totals / n
-    if sample.model == "density":
+    if y is None:
         theta[0] = 1.0
     loo = (totals**2 - np.sum(psi * psi, axis=1)) / (n * (n - 1)) if n > 1 else None
     return theta, loo
@@ -112,14 +99,13 @@ def test_streamed_coefficients_match_materialized_psi(monkeypatch, n):
     # blocks of 2 rows end on a cos row, blocks of 3 alternate cos and sin;
     # m_max = 100 ends on a sin row, 101 on a cos row
     rng = np.random.default_rng(n)
-    samples = (density_sample(rng.uniform(size=n)),
-               regression_sample(rng.normal(size=n), rng.uniform(size=n)))
-    for sample in samples:
+    x, y, u = rng.uniform(size=n), rng.normal(size=n), rng.uniform(size=n)
+    for points, resp in ((x, None), (u, y)):
         for m_max in (100, 101):
-            theta, loo = materialized_coefficients(sample, m_max)
+            theta, loo = materialized_coefficients(points, m_max, resp)
             for rows in (2, 3, 5, m_max + 1):
                 monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * n)
-                table = empirical_coefficients(sample, m_max)
+                table = empirical_coefficients(points, m_max, resp)
                 assert np.array_equal(table.theta_hat, theta)
                 if n == 1:
                     assert table.theta_sq_loo is None and loo is None
@@ -131,11 +117,11 @@ def test_coefficient_memory_does_not_grow_with_m():
     # the psi matrix alone would take (M + 1) * 8 * n = 162 MB
     n, m_max = 200_000, 100
     rng = np.random.default_rng(4)
-    for sample in (density_sample(rng.uniform(size=n)),
-                   regression_sample(rng.normal(size=n), rng.uniform(size=n))):
+    x, y, u = rng.uniform(size=n), rng.normal(size=n), rng.uniform(size=n)
+    for points, resp in ((x, None), (u, y)):
         tracemalloc.start()
         try:
-            empirical_coefficients(sample, m_max)
+            empirical_coefficients(points, m_max, resp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,18 +143,18 @@ def test_quantile_memory_is_bounded_by_blocks(law_f2):
 
 
 def test_regression_zero_responses():
-    table = empirical_coefficients(regression_sample([0.0, 0.0, 0.0], [0.1, 0.5, 0.9]), 4)
+    table = empirical_coefficients([0.1, 0.5, 0.9], 4, y=[0.0, 0.0, 0.0])
     np.testing.assert_allclose(table.theta_hat, 0.0, atol=0.0)
 
 
 def test_empty_sample_rejected():
     with pytest.raises(ValueError):
-        empirical_coefficients(density_sample([]), 3)
+        empirical_coefficients([], 3)
 
 
 def test_nested_prefix_bit_exact():
     rng = np.random.default_rng(0)
-    sample = density_sample(rng.uniform(size=100))
+    sample = rng.uniform(size=100)
     full = empirical_coefficients(sample, 30)
     small = empirical_coefficients(sample, 12)
     np.testing.assert_array_equal(full.theta_hat[:13], small.theta_hat)
@@ -176,8 +162,7 @@ def test_nested_prefix_bit_exact():
 
 
 def test_l2_gap_examples():
-    table = CoefficientTable("regression", n=10, m_max=2,
-                             theta_hat=np.array([0.7, 0.3, 0.4]))
+    table = CoefficientTable("regression", n=10, theta_hat=np.array([0.7, 0.3, 0.4]))
     assert l2_gap(table, 1, 1) == 0.0
     assert l2_gap(table, 0, 2) == pytest.approx(0.25)
     with pytest.raises(ValueError):
@@ -186,8 +171,7 @@ def test_l2_gap_examples():
 
 def test_l2_gap_matches_quadrature():
     rng = np.random.default_rng(4)
-    sample = density_sample(rng.uniform(size=64))
-    table = empirical_coefficients(sample, 12)
+    table = empirical_coefficients(rng.uniform(size=64), 12)
     grid = unit_grid()
     est_m = series_values(table, 4, grid)
     est_k = series_values(table, 11, grid)
@@ -197,7 +181,7 @@ def test_l2_gap_matches_quadrature():
 
 def test_series_estimate_matches_direct_sum():
     rng = np.random.default_rng(8)
-    table = CoefficientTable("density", n=50, m_max=9,
+    table = CoefficientTable("density", n=50,
                              theta_hat=np.concatenate(([1.0], rng.standard_normal(9))))
     x = rng.uniform(size=40)
     direct = sum(table.theta_hat[j] * eval_one(j, x) for j in range(8))
@@ -219,8 +203,8 @@ def test_ise_parseval_split_oracle():
     # quadrature ISE equals sum of coefficient errors plus the truncated tail
     truth = density_f1()
     theta_true = true_coefficients(truth.eval, 400)
-    sample = gen_density_sample(500, 1, MarginalLaw(truth), seed=3, rep_index=0)
-    table = empirical_coefficients(sample, 20)
+    x = gen_density_sample(500, 1, MarginalLaw(truth), seed=3, rep_index=0)
+    table = empirical_coefficients(x, 20)
     m = 14
     quad = ise_of_series(table, m, truth.eval)
     split = (np.sum((table.theta_hat[: m + 1] - theta_true[: m + 1]) ** 2)
@@ -230,12 +214,10 @@ def test_ise_parseval_split_oracle():
 
 def test_ise_profile_matches_per_m_quadrature():
     law_target = density_f1()
-    sample = density_sample(np.random.default_rng(9).uniform(size=128))
-    table = empirical_coefficients(sample, 15)
+    table = empirical_coefficients(np.random.default_rng(9).uniform(size=128), 15)
     grid = unit_grid(1025)
     weights = simpson_weights(1025)
-    basis = TrigBasis(max_index=15)
-    profile = ise_profile(table, *ise_gram(basis.design_matrix(grid, 15),
+    profile = ise_profile(table, *ise_gram(TrigBasis().design_matrix(grid, 15),
                                            law_target.eval(grid), weights))
     for m in (1, 5, 15):
         direct = ise(series_values(table, m, grid), law_target.eval(grid))
@@ -260,32 +242,31 @@ def test_gram_ise_matches_grid_form(model, target):
 
 def test_ise_profile_prefix_of_smaller_table():
     """A table cut at M gives the first M entries of the full profile."""
-    design = TrigBasis(max_index=20).design_matrix(unit_grid(513), 20)
+    design = TrigBasis().design_matrix(unit_grid(513), 20)
     pieces = ise_gram(design, density_f1().eval(unit_grid(513)), simpson_weights(513))
-    table = empirical_coefficients(density_sample(np.random.default_rng(2).uniform(size=90)), 20)
-    cut = CoefficientTable(model="density", n=90, m_max=7, theta_hat=table.theta_hat[:8])
+    table = empirical_coefficients(np.random.default_rng(2).uniform(size=90), 20)
+    cut = CoefficientTable(model="density", n=90, theta_hat=table.theta_hat[:8])
     np.testing.assert_array_equal(ise_profile(cut, *pieces), ise_profile(table, *pieces)[:7])
 
 
 def test_sigma_y_hat_pinned():
-    assert sigma_y_hat(regression_sample([1.0, -1.0], [0.2, 0.8])) == pytest.approx(1.0)
-    assert sigma_y_hat(regression_sample([0.0, 0.0, 0.0], [0.1, 0.2, 0.3])) == 0.0
+    assert sigma_y_hat([1.0, -1.0]) == pytest.approx(1.0)
+    assert sigma_y_hat([0.0, 0.0, 0.0]) == 0.0
     with pytest.raises(ValueError):
-        sigma_y_hat(density_sample([0.5]))
+        sigma_y_hat([])
 
 
 def test_sigma_y_hat_matches_population_identity():
     target = regression_f1()
-    s = gen_regression_sample(10**5, 1, target, seed=21, rep_index=0)
+    _, y = gen_regression_sample(10**5, 1, target, seed=21, rep_index=0)
     expected = 0.25 + integrate_values(target.eval(unit_grid()) ** 2)
-    se = (s.y**2).std(ddof=1) / math.sqrt(s.n)
-    assert sigma_y_hat(s) == pytest.approx(expected, abs=3.0 * se)
+    se = (y**2).std(ddof=1) / math.sqrt(y.size)
+    assert sigma_y_hat(y) == pytest.approx(expected, abs=3.0 * se)
 
 
 def test_density_estimator_is_one_plus_series():
     rng = np.random.default_rng(13)
-    sample = density_sample(rng.uniform(size=200))
-    table = empirical_coefficients(sample, 8)
+    table = empirical_coefficients(rng.uniform(size=200), 8)
     x = np.linspace(0.0, 1.0, 31)
     tail = sum(table.theta_hat[j] * eval_one(j, x) for j in range(1, 9))
     np.testing.assert_allclose(series_values(table, 8, x), 1.0 + tail, atol=1e-12)
@@ -298,10 +279,9 @@ def test_coefficient_unbiasedness_monte_carlo():
     theta_true = true_coefficients(law.density.eval, m_top)
     rng = np.random.default_rng(31)
     draws = law.quantile(rng.uniform(size=(reps * n)))
-    basis = TrigBasis(max_index=m_top)
     acc = np.zeros((reps, m_top))
     for r in range(reps):
-        design = basis.design_matrix(draws[r * n : (r + 1) * n], m_top)
+        design = TrigBasis().design_matrix(draws[r * n : (r + 1) * n], m_top)
         acc[r] = np.sum(design[1:], axis=1) / n
     mc_mean = acc.mean(axis=0)
     mc_se = acc.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -311,8 +291,8 @@ def test_coefficient_unbiasedness_monte_carlo():
     theta_true_r = true_coefficients(target.eval, m_top)
     acc_r = np.zeros((reps, m_top + 1))
     for r in range(reps):
-        s = gen_regression_sample(n, 1, target, seed=77, rep_index=r)
-        acc_r[r] = empirical_coefficients(s, m_top).theta_hat
+        u, y = gen_regression_sample(n, 1, target, seed=77, rep_index=r)
+        acc_r[r] = empirical_coefficients(u, m_top, y).theta_hat
     mc_mean_r = acc_r.mean(axis=0)
     mc_se_r = acc_r.std(axis=0, ddof=1) / math.sqrt(reps)
     assert np.all(np.abs(mc_mean_r - theta_true_r) <= 4.0 * mc_se_r)
@@ -322,12 +302,11 @@ def test_variance_bound_small():
     # lighter version of the acceptance variance criterion
     reps, n = 600, 500
     law = MarginalLaw(density_f1())
-    basis = TrigBasis(max_index=20)
     rng = np.random.default_rng(41)
     draws = law.quantile(rng.uniform(size=(reps * n)))
     thetas = np.empty((reps, 20))
     for r in range(reps):
-        design = basis.design_matrix(draws[r * n : (r + 1) * n], 20)
+        design = TrigBasis().design_matrix(draws[r * n : (r + 1) * n], 20)
         thetas[r] = np.sum(design[1:], axis=1) / n
     variances = thetas.var(axis=0, ddof=1)
     for m in (5, 10, 20):

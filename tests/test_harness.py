@@ -73,7 +73,6 @@ def test_single_rep_summary_matches_record():
 def reference_records(cfg):
     """The per-(replication, selector) record loop the columns replace, and ISE(m) rows."""
     ctx = ExperimentContext(cfg)
-    M = cfg.m_grid
     records, profiles = [], []
     for rep in range(cfg.reps):
         table, sig_sq = ctx.replication(rep)
@@ -83,12 +82,12 @@ def reference_records(cfg):
             if sel == "oracle":
                 m = int(np.argmin(ise_by_m)) + 1
             elif sel == "gl":
-                m = select_with_pens(table, penalty_vector(cfg.gl_constant, M, cfg.n,
+                m = select_with_pens(table, penalty_vector(cfg.gl_constant, cfg.m_grid, cfg.n,
                                                            sig_sq)).m_selected
             elif sel == "ms":
-                m = select_ms(table, cfg.ms_constant, M, sig_sq).m_selected
+                m = select_ms(table, cfg.ms_constant, sig_sq).m_selected
             else:
-                m = select_cv(table, M).m_selected
+                m = select_cv(table).m_selected
             records.append(RepRecord(rep, sel, m, float(ise_by_m[m - 1]), sig_sq))
     return records, np.array(profiles)
 
@@ -163,11 +162,13 @@ def test_replication_kernel_matches_direct_path():
                                               n=200, reps=2, seed=3)):
         ctx = ExperimentContext(cfg)
         table, sig_sq = ctx.replication(1, CALIB_NS)
-        direct = ctx.sample(1, CALIB_NS)
-        reference = empirical_coefficients(direct, cfg.m_grid)
+        points, y = ctx.sample(1, CALIB_NS)
+        assert (y is None) == (cfg.model == "density")
+        reference = empirical_coefficients(points, cfg.m_grid, y)
+        assert table.m_max == cfg.m_grid
         np.testing.assert_array_equal(table.theta_hat, reference.theta_hat)
         np.testing.assert_array_equal(table.theta_sq_loo, reference.theta_sq_loo)
-        assert sig_sq == (sigma_y_hat(direct) if cfg.model == "regression" else 1.0)
+        assert sig_sq == (sigma_y_hat(y) if cfg.model == "regression" else 1.0)
         _, ise_by_m, kernel_sig_sq = run_replication(ctx, 1, CALIB_NS)
         assert kernel_sig_sq == sig_sq
         np.testing.assert_array_equal(ise_by_m, ctx.ise_by_m(table))
@@ -275,11 +276,28 @@ def test_calibration_matches_per_constant_loop(model, target):
             pens = penalty_vector(c, cfg.m_grid, cfg.n, sig_sq)
             np.testing.assert_array_equal(block[i], pens)
             m = select_with_pens(table, pens).m_selected
-            assert select_ms(table, c, cfg.m_grid, sig_sq).m_selected == m
+            assert select_ms(table, c, sig_sq).m_selected == m
             loop[i] += ise_by_m[m - 1]
     np.testing.assert_array_equal(calib.mean_ise["gl"], loop / reps)
     np.testing.assert_array_equal(calib.mean_ise["gl"], calib.mean_ise["ms"])
     assert calib.chosen["gl"] == calib.chosen["ms"]
+
+
+def test_calibration_warns_once_for_both_selectors(monkeypatch):
+    # gl and ms share one curve, so a bumpy curve is one finding, not two
+    from adaseries import harness as hl
+
+    bumpy = np.array([2.0, 1.0, 3.0, 0.5])  # argmin at the end, but not monotone before it
+    monkeypatch.setattr(hl, "_calibration_row", lambda c_grid, ctx, rep, ns: bumpy)
+    with pytest.warns(UserWarning) as caught:
+        calib = calibrate_constant(small_cfg(), c_grid=[1.0, 2.0, 3.0, 4.0], calib_reps=2)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert "not quasi-convex" in message and "gl" in message and "ms" in message
+    assert calib.warnings == (message,)
+    assert calib.chosen == {"gl": 4.0, "ms": 4.0}
+    np.testing.assert_array_equal(calib.mean_ise["gl"], bumpy)
+    assert calib.mean_ise["ms"] is calib.mean_ise["gl"]
 
 
 def test_calibration_improves_on_theorem_constant():
@@ -295,9 +313,9 @@ def test_calibration_improves_on_theorem_constant():
 def test_calibration_uses_disjoint_streams():
     cfg = small_cfg(reps=4)
     ctx = ExperimentContext(cfg)
-    eval_sample = ctx.sample(0, namespace=0)
-    calib_sample = ctx.sample(0, namespace=1)
-    assert not np.array_equal(eval_sample.x, calib_sample.x)
+    eval_points, _ = ctx.sample(0, namespace=0)
+    calib_points, _ = ctx.sample(0, namespace=1)
+    assert not np.array_equal(eval_points, calib_points)
 
 
 def test_default_c_grid_shape():

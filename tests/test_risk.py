@@ -3,7 +3,7 @@ import pytest
 
 from adaseries.basis import TrigBasis
 from adaseries.quadrature import simpson_weights, unit_grid
-from adaseries.risk import expected_risk_curve, risk_decomposition, tent_autocovariances
+from adaseries.risk import risk_decomposition, tent_autocovariances
 from adaseries.targets import (DENSITY_TARGETS, REGRESSION_TARGETS, MarginalLaw,
                                true_coefficients)
 
@@ -11,15 +11,20 @@ N = 1000
 M = 100
 
 
+def expected_risk(model, target, case, n, m_max):
+    """E ISE(m), m = 1..m_max: the sum of the two parts of risk_decomposition."""
+    variance, bias_sq = risk_decomposition(model, target, case, n, m_max)
+    return variance + bias_sq
+
+
 def iid_risk_reference(model, target, n, m_max):
     """Case-1 (variance, bias^2) by x-space quadrature: Var(theta_hat_j) = (E psi_j^2 - theta_j^2) / n."""
     fn = (DENSITY_TARGETS if model == "density" else REGRESSION_TARGETS)[target]()
     grid = unit_grid()
     w = simpson_weights(grid.size)
-    basis = TrigBasis(max_index=m_max)
-    design = basis.design_matrix(grid, m_max)
+    design = TrigBasis().design_matrix(grid, m_max)
     f_vals = fn.eval(grid)
-    theta = true_coefficients(fn.eval, m_max, basis)
+    theta = true_coefficients(fn.eval, m_max)
     if model == "density":
         var = (np.sum(f_vals * design**2 * w, axis=1) - theta**2) / n
         var[0] = 0.0
@@ -34,7 +39,7 @@ def iid_risk_reference(model, target, n, m_max):
     ("density", "f1", 0.010741, 9), ("density", "f2", 0.012069, 9),
     ("regression", "f1", 0.007096, 17), ("regression", "f2", 0.020506, 8)])
 def test_case1_minimum_pinned(model, target, min_risk, m_star):
-    risk = expected_risk_curve(model, target, 1, N, M)
+    risk = expected_risk(model, target, 1, N, M)
     assert risk.shape == (M,)
     assert int(np.argmin(risk)) + 1 == m_star
     assert abs(risk.min() - min_risk) <= 1e-5
@@ -45,9 +50,7 @@ def test_case1_minimum_pinned(model, target, min_risk, m_star):
 def test_case1_matches_x_space_reference(model, target):
     variance, bias_sq = risk_decomposition(model, target, 1, N, M)
     ref_variance, ref_bias_sq = iid_risk_reference(model, target, N, M)
-    risk = expected_risk_curve(model, target, 1, N, M)
-    np.testing.assert_array_equal(risk, variance + bias_sq)
-    np.testing.assert_allclose(risk, ref_variance + ref_bias_sq, rtol=1e-4)
+    np.testing.assert_allclose(variance + bias_sq, ref_variance + ref_bias_sq, rtol=1e-4)
     # u-space Simpson of the steep density-f1 psi_j is good to ~3e-7 here
     np.testing.assert_allclose(variance, ref_variance, rtol=1e-4, atol=1e-6)
     np.testing.assert_allclose(bias_sq, ref_bias_sq, rtol=1e-4, atol=1e-12)
@@ -57,7 +60,7 @@ def test_case1_matches_x_space_reference(model, target):
     ("density", "f1", 0.00945, 9), ("density", "f2", 0.01021, 9),
     ("regression", "f1", 0.00705, 17), ("regression", "f2", 0.0195, 8)])
 def test_case2_minimum_pinned(model, target, min_risk, m_star):
-    risk = expected_risk_curve(model, target, 2, N, M)
+    risk = expected_risk(model, target, 2, N, M)
     assert int(np.argmin(risk)) + 1 == m_star
     assert abs(risk.min() - min_risk) <= 1e-4
 
@@ -82,12 +85,12 @@ def brute_force_lag_covariances(psi, lags):
 
 def _psi_density_f2(size, j_max=20):
     law = MarginalLaw(DENSITY_TARGETS["f2"]())
-    return TrigBasis(max_index=j_max).design_matrix(law.quantile(unit_grid(size)), j_max)[1:]
+    return TrigBasis().design_matrix(law.quantile(unit_grid(size)), j_max)[1:]
 
 
 def _psi_regression_f1(size, j_max=20):
     u = unit_grid(size)
-    return TrigBasis(max_index=j_max).design_matrix(u, j_max) * REGRESSION_TARGETS["f1"]().eval(u)
+    return TrigBasis().design_matrix(u, j_max) * REGRESSION_TARGETS["f1"]().eval(u)
 
 
 @pytest.mark.parametrize("make_psi", [_psi_density_f2, _psi_regression_f1])
@@ -102,8 +105,8 @@ def test_tent_autocovariances_match_brute_force(make_psi):
 
 def test_case3_and_bad_arguments_raise():
     with pytest.raises(ValueError, match="case 3"):
-        expected_risk_curve("density", "f1", 3, N, M)
+        risk_decomposition("density", "f1", 3, N, M)
     with pytest.raises(ValueError):
-        expected_risk_curve("regression", "f1", 1, 0, M)
+        risk_decomposition("regression", "f1", 1, 0, M)
     with pytest.raises(ValueError):
-        expected_risk_curve("mixture", "f1", 1, N, M)
+        risk_decomposition("mixture", "f1", 1, N, M)

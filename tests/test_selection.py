@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaseries.basis import TrigBasis
-from adaseries.dependence import Sample, gen_density_sample
+from adaseries.dependence import gen_density_sample
 from adaseries.estimators import CoefficientTable, empirical_coefficients, ise_gram
 from adaseries.quadrature import simpson_weights, unit_grid
 from adaseries.selection import (SelectionResult, cv_profile, lemma1_audit,
@@ -18,7 +18,7 @@ from test_basis import eval_one
 
 def table_from(theta, model="density", n=100):
     theta = np.asarray(theta, dtype=float)
-    return CoefficientTable(model=model, n=n, m_max=theta.size - 1, theta_hat=theta)
+    return CoefficientTable(model=model, n=n, theta_hat=theta)
 
 
 def gl_contrast(table, pens):
@@ -46,13 +46,13 @@ def suffix_form_argmin(table, pens):
     return int(np.argmin(crit)) + 1
 
 
-def select_oracle(table, truth_fn, M=None, n_points=1025):
+def select_oracle(table, truth_fn, n_points=1025):
     """Infeasible benchmark: smallest minimizer of the realized ISE."""
-    M = table.m_max if M is None else M
+    M = table.m_max
     grid = unit_grid(n_points)
-    pieces = ise_gram(TrigBasis(max_index=max(M, 1)).design_matrix(grid, M),
+    pieces = ise_gram(TrigBasis().design_matrix(grid, M),
                       np.asarray(truth_fn(grid), dtype=float), simpson_weights(n_points))
-    crit = oracle_criteria(table, *pieces, M)
+    crit = oracle_criteria(table, *pieces)
     return SelectionResult(m_selected=int(np.argmin(crit)) + 1,
                            penalties=np.zeros(M), criteria=crit)
 
@@ -206,7 +206,7 @@ def test_penalized_rule_is_smallest_contrast_minimizer(data):
     sigma_sq = data.draw(st.integers(min_value=1, max_value=8)) / 4.0
     table = table_from(table.theta_hat, n=2 ** data.draw(st.integers(min_value=0, max_value=10)))
     pens = penalty_vector(c, M, table.n, sigma_sq)
-    m = select_ms(table, c, M, sigma_sq).m_selected
+    m = select_ms(table, c, sigma_sq).m_selected
     assert m == int(np.argmin(gl_contrast(table, pens) + pens)) + 1
     assert m == select_with_pens(table, pens).m_selected
 
@@ -234,32 +234,22 @@ def test_select_gl_scaling_invariance():
     np.testing.assert_allclose(scaled.criteria, lam_sq * base.criteria, rtol=1e-9, atol=1e-12)
 
 
-def density_sample_from(x):
-    x = np.asarray(x, dtype=float)
-    return Sample(model="density", n=x.size, case=1, seed=0, rep_index=0, x=x)
-
-
-def cv_of(sample, M):
-    return cv_profile(empirical_coefficients(sample, M), M)
+def cv_of(points, M, y=None):
+    return cv_profile(empirical_coefficients(points, M, y))
 
 
 def test_cv_hand_example():
     # n = 2, draws at 0 and 0.25: theta_1 = sqrt(2)/2, cross term vanishes
-    sample = density_sample_from([0.0, 0.25])
-    assert cv_of(sample, 1)[0] == pytest.approx(0.5)
+    assert cv_of([0.0, 0.25], 1)[0] == pytest.approx(0.5)
 
 
-def brute_force_cv(sample, M):
-    basis = TrigBasis(max_index=M)
-    n = sample.n
-    if sample.model == "density":
-        psi = basis.design_matrix(sample.x, M)
-        phi = psi
-    else:
-        phi = basis.design_matrix(sample.u, M)
-        psi = phi * sample.y
+def brute_force_cv(points, M, y=None):
+    n = len(points)
+    psi = TrigBasis().design_matrix(points, M)
+    if y is not None:
+        psi = psi * y
     out = np.empty(M)
-    j_set = range(1, M + 1) if sample.model == "density" else range(0, M + 1)
+    j_set = range(1, M + 1) if y is None else range(0, M + 1)
     for m in range(1, M + 1):
         total = 0.0
         cross = 0.0
@@ -276,19 +266,18 @@ def brute_force_cv(sample, M):
     return out
 
 
-def sample_cv(sample, M):
+def sample_cv(points, M, y=None):
     """CV(m) computed from the sample in O(n) form, with its own design matrix."""
-    basis = TrigBasis(max_index=M)
-    if sample.model == "density":
-        psi = basis.design_matrix(sample.x, M)[1:]
+    if y is None:
+        psi = TrigBasis().design_matrix(points, M)[1:]
     else:
-        psi = basis.design_matrix(sample.u, M) * sample.y
-    n = sample.n
+        psi = TrigBasis().design_matrix(points, M) * y
+    n = len(points)
     totals = np.sum(psi, axis=1)
     diag = np.sum(psi * psi, axis=1)
     theta = totals / n
     terms = np.cumsum(theta**2 - 2.0 * (totals**2 - diag) / (n * (n - 1)))
-    return terms if sample.model == "density" else terms[1:]
+    return terms if y is None else terms[1:]
 
 
 def test_cv_fast_form_matches_triple_loop():
@@ -296,38 +285,32 @@ def test_cv_fast_form_matches_triple_loop():
     for _ in range(25):
         n = int(rng.integers(2, 12))
         M = int(rng.integers(1, 6))
-        sample = density_sample_from(rng.uniform(size=n))
-        np.testing.assert_allclose(cv_of(sample, M), brute_force_cv(sample, M),
-                                   atol=1e-10)
+        x = rng.uniform(size=n)
+        np.testing.assert_allclose(cv_of(x, M), brute_force_cv(x, M), atol=1e-10)
     for _ in range(25):
         n = int(rng.integers(2, 12))
         M = int(rng.integers(1, 6))
-        sample = Sample(model="regression", n=n, case=1, seed=0, rep_index=0,
-                        y=rng.standard_normal(n), u=rng.uniform(size=n))
-        np.testing.assert_allclose(cv_of(sample, M), brute_force_cv(sample, M),
-                                   atol=1e-10)
+        y, u = rng.standard_normal(n), rng.uniform(size=n)
+        np.testing.assert_allclose(cv_of(u, M, y), brute_force_cv(u, M, y), atol=1e-10)
     # the table's leave-one-out squares give the sample-side O(n) form bit for bit
     for rep in range(5):
         for n, M in ((50, 10), (500, 100)):
-            sample = gen_density_sample(n, 2, MarginalLaw(density_f1()), seed=3,
-                                        rep_index=rep)
-            np.testing.assert_array_equal(cv_of(sample, M), sample_cv(sample, M))
-            sample = Sample(model="regression", n=n, case=1, seed=0, rep_index=0,
-                            y=rng.standard_normal(n), u=rng.uniform(size=n))
-            np.testing.assert_array_equal(cv_of(sample, M), sample_cv(sample, M))
+            x = gen_density_sample(n, 2, MarginalLaw(density_f1()), seed=3, rep_index=rep)
+            np.testing.assert_array_equal(cv_of(x, M), sample_cv(x, M))
+            y, u = rng.standard_normal(n), rng.uniform(size=n)
+            np.testing.assert_array_equal(cv_of(u, M, y), sample_cv(u, M, y))
 
 
 def test_cv_identical_points_against_brute_force():
-    sample = density_sample_from([0.3, 0.3, 0.3])
-    np.testing.assert_allclose(cv_of(sample, 3), brute_force_cv(sample, 3),
-                               atol=1e-12)
+    x = [0.3, 0.3, 0.3]
+    np.testing.assert_allclose(cv_of(x, 3), brute_force_cv(x, 3), atol=1e-12)
 
 
 def test_cv_needs_two_points():
-    single = empirical_coefficients(density_sample_from([0.5]), 2)
+    single = empirical_coefficients([0.5], 2)
     assert single.theta_sq_loo is None
     with pytest.raises(ValueError):
-        select_cv(single, 2)
+        select_cv(single)
 
 
 def test_select_oracle_noiseless():
@@ -359,12 +342,12 @@ def test_oracle_never_beaten_on_shared_table():
     truth = density_f1()
     law = MarginalLaw(truth)
     for rep in range(10):
-        sample = gen_density_sample(300, 1, law, seed=31, rep_index=rep)
-        table = empirical_coefficients(sample, 40)
+        x = gen_density_sample(300, 1, law, seed=31, rep_index=rep)
+        table = empirical_coefficients(x, 40)
         res_o = select_oracle(table, truth.eval, n_points=1025)
         for other in (select_with_pens(table, penalty_vector(2.0, 40, 300)),
                       select_ms(table, 2.0),
-                      select_cv(table, 40)):
+                      select_cv(table)):
             assert res_o.criteria[res_o.m_selected - 1] <= res_o.criteria[other.m_selected - 1] + 1e-15
 
 
@@ -438,8 +421,8 @@ def test_lemma1_on_simulated_replications():
     theta_true = true_coefficients(truth.eval, 400)
     pens = penalty_vector(theorem_constant("density", 1), 50, 500)
     for rep in range(40):
-        sample = gen_density_sample(500, 1, law, seed=41, rep_index=rep)
-        table = empirical_coefficients(sample, 50)
+        x = gen_density_sample(500, 1, law, seed=41, rep_index=rep)
+        table = empirical_coefficients(x, 50)
         assert lemma1_audit(table, pens, theta_true).all_passed
 
 

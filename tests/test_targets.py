@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adaseries.basis import TrigBasis
 from adaseries.quadrature import integrate_values, unit_grid
 from adaseries.targets import (_NEWTON_STEPS, _QUANTILE_BLOCK, DensityTarget, MarginalLaw,
                                density_f1, density_f2, regression_f1, regression_f2,
@@ -272,9 +271,8 @@ def test_true_coefficients_of_basis_function():
 
 def test_doppler_coefficient_grid_refinement_and_quad():
     f = regression_f1().eval
-    basis = TrigBasis(max_index=1)
-    theta_4097 = true_coefficients(f, 1, basis, n_points=4097)[1]
-    theta_8193 = true_coefficients(f, 1, basis, n_points=8193)[1]
+    theta_4097 = true_coefficients(f, 1, n_points=4097)[1]
+    theta_8193 = true_coefficients(f, 1, n_points=8193)[1]
     # combined tolerance: coefficients can sit near zero, and the sqrt(x)
     # endpoint factor limits plain Simpson to ~1e-7 absolute here
     assert abs(theta_8193 - theta_4097) < max(1e-6, 1e-6 * abs(theta_4097))
