@@ -14,7 +14,7 @@ from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
 from .harness import (BandTable, ConfigError, ExperimentConfig, CalibrationResult, RepRecord,
                       RunResults, SummaryRow, calibrate_constant, calibrated_config,
                       compute_bands, run_experiment, run_replication)
-from .selection import (Lemma1Audit, SelectionResult, lemma1_audit, penalty_vector,
+from .selection import (Lemma1Audit, lemma1_audit, penalized_profile, penalty_vector,
                         select_cv, select_ms, select_with_pens, theorem_constant)
 from .targets import (DensityTarget, MarginalLaw, RegressionTarget, density_f1,
                       density_f2, regression_f1, regression_f2, true_coefficients,

@@ -16,11 +16,15 @@ complex exponential per point, then one complex product per frequency,
 and hands them out in blocks of a few rows, so a caller that only sums
 over the points never holds all m_max + 1 rows at once.
 TrigBasis.design_matrix is the one-block case.
+
+The smoothness weights (WeightSequence) are the two classical classes,
+polynomial j^(-2p) and exponential exp(-j^(2p)); optimal_dimension gives
+the benchmark dimension m* and rate r* of a class at sample size n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -87,45 +91,31 @@ class WeightSequence:
 
     kind 'polynomial': gamma_j = j ** (-2 p)
     kind 'exponential': gamma_j = exp(-j ** (2 p))
-    kind 'custom': explicit values
 
-    Any p > 0 gives a valid decaying sequence (the sharper p > 1 of the
-    polynomial smoothness classes is a theory condition, not a formula
-    constraint; the benchmark rates are routinely evaluated at p = 1).
+    These are the two classical smoothness classes.  Any p > 0 gives a
+    valid decaying sequence (the sharper p > 1 of the polynomial
+    smoothness classes is a theory condition, not a formula constraint;
+    the benchmark rates are routinely evaluated at p = 1).
     """
 
     kind: str
-    p: float = 0.0
-    values: tuple = field(default_factory=tuple)
+    p: float
 
     def __post_init__(self):
-        if self.kind == "polynomial":
-            if self.p <= 0.0:
-                raise ValueError("polynomial weights need p > 0")
-        elif self.kind == "exponential":
-            if self.p <= 0.0:
-                raise ValueError("exponential weights need p > 0")
-        elif self.kind == "custom":
-            vals = np.asarray(self.values, dtype=float)
-            if vals.size == 0 or np.any(vals <= 0.0) or np.any(np.diff(vals) > 0.0):
-                raise ValueError("custom weights must be positive and non-increasing")
-        else:
+        if self.kind not in ("polynomial", "exponential"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        if self.p <= 0.0:
+            raise ValueError(f"{self.kind} weights need p > 0")
 
     def weight(self, j) -> np.ndarray:
         """gamma_j for indices j >= 1 (scalar or array)."""
-        j_arr = np.asarray(j)
+        j_arr = np.asarray(j, dtype=float)
         if np.any(j_arr < 1):
             raise ValueError("weights are defined for j >= 1")
         if self.kind == "polynomial":
-            out = np.asarray(j_arr, dtype=float) ** (-2.0 * self.p)
-        elif self.kind == "exponential":
-            out = np.exp(-np.asarray(j_arr, dtype=float) ** (2.0 * self.p))
+            out = j_arr ** (-2.0 * self.p)
         else:
-            vals = np.asarray(self.values, dtype=float)
-            if np.any(j_arr > vals.size):
-                raise ValueError("custom weight index beyond provided values")
-            out = vals[j_arr - 1]
+            out = np.exp(-j_arr ** (2.0 * self.p))
         return out if out.shape else float(out)
 
 
@@ -139,7 +129,6 @@ class RateResult:
 
     m_star: int
     r_star: float
-    per_m_values: np.ndarray
 
 
 def optimal_dimension(seq: WeightSequence, n: int) -> RateResult:
@@ -149,7 +138,7 @@ def optimal_dimension(seq: WeightSequence, n: int) -> RateResult:
     m = np.arange(1, n + 1)
     psi = np.maximum(seq.weight(m), m / n)
     m_star = int(np.argmin(psi)) + 1  # argmin returns the first minimizer
-    return RateResult(m_star=m_star, r_star=float(psi[m_star - 1]), per_m_values=psi)
+    return RateResult(m_star=m_star, r_star=float(psi[m_star - 1]))
 
 
 def rate_slope(seq: WeightSequence, n_grid: Sequence[int]) -> float:

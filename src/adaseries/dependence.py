@@ -15,7 +15,8 @@ Case 3 realizes the stationary solution of the bilateral recursion
     Y_i = 2 (Y_{i-1} + Y_{i+1}) / 5 + 5 zeta_i / 21,   zeta_i ~ Bernoulli(1/2)
 
 as the two-sided moving average Y_i = (25/63) sum_{|k| <= K} 2^{-|k|}
-zeta_{i+k}, truncated at K = 40 (truncation error below 2^-38 * 25/21).
+zeta_{i+k}, truncated at K = AR_TRUNCATION = 40 (truncation error below
+2^-38 * 25/21).
 Writing Y = (25/63) (zeta_0 + A + A') with A, A' independent U[0, 1]
 (dyadic expansions of the one-sided innovations) gives the closed-form
 marginal CDF used to map the chain to uniform.
@@ -33,9 +34,6 @@ from .targets import MarginalLaw, RegressionTarget
 
 AR_TRUNCATION = 40  # bilateral MA truncation order K
 AR_SCALE = 25.0 / 63.0
-AR_SUPPORT_MAX = 25.0 / 21.0
-
-CASES = (1, 2, 3)
 
 
 def stream(seed: int, rep_index: int, namespace: int = 0) -> np.random.Generator:
@@ -74,20 +72,20 @@ def arcsine_cdf(y) -> np.ndarray:
     return (2.0 / np.pi) * np.arcsin(np.sqrt(y))
 
 
-def ar_path_from_innovations(zeta: np.ndarray, trunc: int = AR_TRUNCATION) -> np.ndarray:
+def ar_path_from_innovations(zeta: np.ndarray) -> np.ndarray:
     """Stationary bilateral-MA values from innovations zeta of length n + 2 K."""
     zeta = np.asarray(zeta, dtype=float)
-    n = zeta.size - 2 * trunc
-    if n < 1:
-        raise ValueError("need len(zeta) >= 2 * trunc + 1")
-    kernel = AR_SCALE * 2.0 ** -np.abs(np.arange(-trunc, trunc + 1)).astype(float)
+    k = AR_TRUNCATION
+    if zeta.size < 2 * k + 1:
+        raise ValueError(f"need len(zeta) >= {2 * k + 1}")
+    kernel = AR_SCALE * 2.0 ** -np.abs(np.arange(-k, k + 1)).astype(float)
     return np.convolve(zeta, kernel, mode="valid")
 
 
-def bernoulli_ar_path(n: int, rng: np.random.Generator, trunc: int = AR_TRUNCATION) -> np.ndarray:
+def bernoulli_ar_path(n: int, rng: np.random.Generator) -> np.ndarray:
     """n stationary values of the bilateral Bernoulli autoregression."""
-    zeta = rng.integers(0, 2, size=n + 2 * trunc).astype(float)
-    return ar_path_from_innovations(zeta, trunc)
+    zeta = rng.integers(0, 2, size=n + 2 * AR_TRUNCATION).astype(float)
+    return ar_path_from_innovations(zeta)
 
 
 def _triangular_cdf(t: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ import csv
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
@@ -130,17 +129,6 @@ class ExperimentConfig:
         return self.c_ms if self.c_ms is not None else self.gl_constant
 
 
-class Replication(NamedTuple):
-    """What every consumer of one replication shares.
-
-    sigma_sq is sigma_hat^2 for regression and 1.0 for densities, so
-    penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
-    """
-
-    table: CoefficientTable
-    sigma_sq: float
-
-
 class ExperimentContext:
     """Precomputed state shared by all replications of one config."""
 
@@ -167,11 +155,16 @@ class ExperimentContext:
                                       namespace), None
         return gen_regression_sample(cfg.n, cfg.case, self.target, cfg.seed, rep_index, namespace)
 
-    def replication(self, rep_index: int, namespace: int = EVAL_NS) -> Replication:
-        """The replication kernel: coefficient table and sigma_hat^2 of one sample."""
+    def replication(self, rep_index: int,
+                    namespace: int = EVAL_NS) -> tuple[CoefficientTable, float]:
+        """The replication kernel: (table, sigma_sq) of one sample.
+
+        sigma_sq is sigma_hat^2 for regression and 1.0 for densities, so
+        penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
+        """
         points, y = self.sample(rep_index, namespace)
         table = empirical_coefficients(points, self.cfg.m_grid, y)
-        return Replication(table, 1.0 if y is None else sigma_y_hat(y))
+        return table, 1.0 if y is None else sigma_y_hat(y)
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid."""
@@ -252,11 +245,11 @@ def run_replication(ctx: ExperimentContext, rep_index: int,
             m = int(np.argmin(ise_by_m)) + 1
         elif sel == "gl":
             pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sig_sq)
-            m = select_with_pens(table, pens).m_selected
+            m = select_with_pens(table, pens)
         elif sel == "ms":
-            m = select_ms(table, cfg.ms_constant, sig_sq).m_selected
+            m = select_ms(table, cfg.ms_constant, sig_sq)
         else:
-            m = select_cv(table).m_selected
+            m = select_cv(table)
         chosen.append(m)
 
     return np.array(chosen, dtype=np.int64), ise_by_m, sig_sq
@@ -294,6 +287,9 @@ def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
         pool = nullcontext()
         parts = (_chunk(ctx, *task) for task in tasks)
     else:
+        # imported here: it loads multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                    initargs=(ctx.cfg,))
         parts = pool.map(_pool_chunk, tasks)
@@ -334,7 +330,7 @@ def _gl_estimate(ctx: ExperimentContext, rep_index: int, namespace: int) -> np.n
     cfg = ctx.cfg
     table, sig_sq = ctx.replication(rep_index, namespace)
     pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sig_sq)
-    m = select_with_pens(table, pens).m_selected
+    m = select_with_pens(table, pens)
     return np.sum(table.theta_hat[: m + 1, None] * ctx.basis_grid[: m + 1], axis=0)
 
 
@@ -382,7 +378,7 @@ def _calibration_row(c_grid: np.ndarray, ctx: ExperimentContext, rep_index: int,
     """ISE of the dimension each constant of c_grid selects in one replication."""
     table, sig_sq = ctx.replication(rep_index, namespace)
     pens = penalty_vector(c_grid, table.m_max, ctx.cfg.n, sig_sq)
-    return ctx.ise_by_m(table)[select_with_pens(table, pens).m_selected - 1]
+    return ctx.ise_by_m(table)[select_with_pens(table, pens) - 1]
 
 
 def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = None,

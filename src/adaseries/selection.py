@@ -1,9 +1,11 @@
 """Dimension selectors: penalized contrast (GL), model selection, CV, oracle.
 
 Every selector is a function of one CoefficientTable, whose length fixes
-the dimension grid m = 1..M (M = table.m_max), and returns the smallest
-minimizer of its criterion.  GL and MS read theta_hat; CV also reads the
-table's leave-one-out squares, so no selector goes back to the sample.
+the dimension grid m = 1..M (M = table.m_max), and returns one number:
+the dimension, the smallest minimizer of its criterion.  The criteria
+themselves are penalized_profile (GL and MS) and cv_profile (CV).  GL and
+MS read theta_hat; CV also reads the table's leave-one-out squares, so no
+selector goes back to the sample.
 The criteria exclude the index-0 coefficient: it is common to every
 candidate dimension in both models and cannot change an argmin.
 
@@ -14,10 +16,10 @@ The penalized-contrast selector minimizes Xi_m + pen(m), where
 With S_m = sum_{j=1..m} theta_hat_j^2, nestedness gives Xi_m + pen(m) =
 max_{k >= m}(S_k - pen_k) - (S_m - pen_m): zero exactly at the suffix
 maxima of S_m - pen_m, so its smallest minimizer is the smallest argmin
-of pen_m - S_m, the model-selection criterion.  GL and MS are therefore
-one rule, select_with_pens, and runs that give MS the GL constant (the
-default) print equal gl and ms columns.  The contrast has no positive
-part; the README records why.
+of pen_m - S_m, the model-selection criterion penalized_profile.  GL and
+MS are therefore one rule, select_with_pens, and runs that give MS the
+GL constant (the default) print equal gl and ms columns.  The contrast
+has no positive part; the README records why.
 """
 
 from __future__ import annotations
@@ -61,45 +63,22 @@ def penalty_vector(c, M: int, n: int, sigma_sq: float = 1.0) -> np.ndarray:
     return c[..., None] * sigma_sq * np.arange(1, M + 1) / n
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    """Selected dimension plus the per-dimension penalties and criteria."""
-
-    m_selected: int | np.ndarray
-    penalties: np.ndarray
-    criteria: np.ndarray
-
-
 def _check_grid(table: CoefficientTable, M: int) -> None:
     if M < 1 or M > table.m_max:
         raise ValueError(f"dimension grid 1..{M} outside the table (m_max={table.m_max})")
 
 
-def select_with_pens(table: CoefficientTable, pens) -> SelectionResult:
-    """The penalized selector: smallest argmin of pen_m - S_m, m = 1..M.
+def penalized_profile(table: CoefficientTable, pens) -> np.ndarray:
+    """The penalized criterion pen_m - S_m for m = 1..M, M = len(pens).
 
-    fl(pen_m - S_m) = -fl(S_m - pen_m), so the pick is bit for bit the
-    first exact zero of the suffix-maximum contrast (module docstring).
-    A (C, M) stack of penalties is scored row by row; m_selected is then
-    the array of the C dimensions.
+    fl(pen_m - S_m) = -fl(S_m - pen_m), so its first minimizer is bit for
+    bit the first exact zero of the suffix-maximum contrast (module
+    docstring).  A (C, M) stack of penalties gives one row per constant.
     """
     pens = np.asarray(pens, dtype=float)
     M = pens.shape[-1]
     _check_grid(table, M)
-    crit = pens - np.cumsum(table.theta_hat[1 : M + 1] ** 2)  # pen_m - S_m
-    m = np.argmin(crit, axis=-1) + 1
-    return SelectionResult(m_selected=int(m) if m.ndim == 0 else m,
-                           penalties=pens, criteria=crit)
-
-
-def select_ms(table: CoefficientTable, c: float, sigma_sq: float = 1.0) -> SelectionResult:
-    """Model selection: smallest argmin of -sum_{j<=m} theta_hat_j^2 + c m sigma^2 / n.
-
-    The density model has no response scale, so sigma_sq defaults to 1.
-    """
-    if c <= 0.0:
-        raise ValueError("model-selection constant must be positive")
-    return select_with_pens(table, penalty_vector(c, table.m_max, table.n, sigma_sq))
+    return pens - np.cumsum(table.theta_hat[1 : M + 1] ** 2)
 
 
 def cv_profile(table: CoefficientTable) -> np.ndarray:
@@ -118,11 +97,29 @@ def cv_profile(table: CoefficientTable) -> np.ndarray:
     return terms if start else terms[1:]
 
 
-def select_cv(table: CoefficientTable) -> SelectionResult:
+def select_with_pens(table: CoefficientTable, pens) -> int | np.ndarray:
+    """The penalized selector: smallest argmin of penalized_profile.
+
+    A (C, M) stack of penalties is scored row by row and gives the int64
+    array of the C dimensions.
+    """
+    m = np.argmin(penalized_profile(table, pens), axis=-1) + 1
+    return int(m) if m.ndim == 0 else m
+
+
+def select_ms(table: CoefficientTable, c: float, sigma_sq: float = 1.0) -> int:
+    """Model selection: smallest argmin of -sum_{j<=m} theta_hat_j^2 + c m sigma^2 / n.
+
+    The density model has no response scale, so sigma_sq defaults to 1.
+    """
+    if c <= 0.0:
+        raise ValueError("model-selection constant must be positive")
+    return select_with_pens(table, penalty_vector(c, table.m_max, table.n, sigma_sq))
+
+
+def select_cv(table: CoefficientTable) -> int:
     """Smallest argmin of CV(m) over m = 1..M."""
-    crit = cv_profile(table)
-    return SelectionResult(m_selected=int(np.argmin(crit)) + 1,
-                           penalties=np.zeros(table.m_max), criteria=crit)
+    return int(np.argmin(cv_profile(table))) + 1
 
 
 def oracle_criteria(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarray,
@@ -135,24 +132,20 @@ def oracle_criteria(table: CoefficientTable, gram_lower: np.ndarray, cross: np.n
 class Lemma1Audit:
     """Pathwise oracle-inequality audit of one table, for every m = 1..M.
 
-    lhs is the loss of the selected dimension; rhs, bias_sq and passed
-    are arrays whose entry m - 1 belongs to comparison dimension m.
+    lhs is the loss of the selected dimension; rhs and passed are arrays
+    whose entry m - 1 belongs to comparison dimension m.
     """
 
-    m_selected: int
     lhs: float
     rhs: np.ndarray
-    bias_sq: np.ndarray
     passed: np.ndarray
-    tail_truncated_at: int
 
     @property
     def all_passed(self) -> bool:
         return bool(np.all(self.passed))
 
 
-def lemma1_audit(table: CoefficientTable, pens, theta_true,
-                 rtol: float = 1e-9) -> Lemma1Audit:
+def lemma1_audit(table: CoefficientTable, pens, theta_true) -> Lemma1Audit:
     """Check || f_mtilde - f ||^2 <= 85 max(bias_m^2, pen_m) + 42 max_{k>=m} (...)_+ .
 
     The bound is evaluated for every m = 1..M at once.  theta_true are the
@@ -169,7 +162,7 @@ def lemma1_audit(table: CoefficientTable, pens, theta_true,
     if theta_true.size < M + 1:
         raise ValueError("need true coefficients up to the dimension grid")
 
-    m_sel = select_with_pens(table, pens).m_selected
+    m_sel = select_with_pens(table, pens)
     diff_sq = (table.theta_hat[: M + 1] - theta_true[: M + 1]) ** 2
     err_norm = np.cumsum(diff_sq)  # || f_hat_k - f_k ||^2 at index k
     tail = np.concatenate((np.cumsum((theta_true**2)[::-1])[::-1], [0.0]))
@@ -179,6 +172,5 @@ def lemma1_audit(table: CoefficientTable, pens, theta_true,
     dev = err_norm[1:] - pens / 6.0  # deviation at k, minus pen(k) / 6
     suffix = np.maximum.accumulate(dev[::-1])[::-1]  # max over k >= m
     rhs = 85.0 * np.maximum(bias_sq, pens) + 42.0 * np.maximum(suffix, 0.0)
-    passed = lhs <= rhs * (1.0 + rtol) + 1e-15
-    return Lemma1Audit(m_selected=m_sel, lhs=lhs, rhs=rhs, bias_sq=bias_sq,
-                       passed=passed, tail_truncated_at=theta_true.size - 1)
+    passed = lhs <= rhs * (1.0 + 1e-9) + 1e-15  # slack for rounding in rhs
+    return Lemma1Audit(lhs=lhs, rhs=rhs, passed=passed)

@@ -58,7 +58,11 @@ class DensityTarget:
         return self.raw_fn(_check_unit_interval(x))
 
     def eval(self, x) -> np.ndarray:
-        return self.normalizer * self.raw(x)
+        return self._eval_unchecked(_check_unit_interval(x))
+
+    def _eval_unchecked(self, x: np.ndarray) -> np.ndarray:
+        """The density at float points the caller has kept inside [0, 1]."""
+        return self.normalizer * self.raw_fn(x)
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,9 @@ class MarginalLaw:
     are gathered once per point, outside the Newton loop, and the points
     are transformed in blocks of at most 2**16, so the temporaries stay
     bounded whatever the sample size.  For the built-in targets
-    quantile(u) satisfies |cdf(q) - u| <= 1e-15.
+    quantile(u) satisfies |cdf(q) - u| <= 1e-15.  quantile and cdf check
+    their argument once; the points they derive from it stay in [0, 1],
+    so the density is evaluated there without a second check.
     """
 
     def __init__(self, density: DensityTarget):
@@ -165,7 +171,7 @@ class MarginalLaw:
         f_x is the density at x.
         """
         d = x - lo
-        f_mid = self.density.eval(lo + 0.5 * d)
+        f_mid = self.density._eval_unchecked(lo + 0.5 * d)
         return cum_k + (d / 6.0) * (f_k + 4.0 * f_mid + f_x)
 
     def cdf(self, x) -> np.ndarray:
@@ -174,7 +180,7 @@ class MarginalLaw:
         x = np.atleast_1d(x)
         k = np.clip((x * _N_SEG).astype(int), 0, _N_SEG - 1)
         mass = self._partial_mass(k * self._h, self._cum.take(k), self._f_knots.take(k),
-                                  x, self.density.eval(x))
+                                  x, self.density._eval_unchecked(x))
         out = mass / self._total
         return float(out[0]) if scalar else out
 
@@ -199,7 +205,7 @@ class MarginalLaw:
         frac = np.divide(t - cum_k, seg_k, out=np.zeros_like(t), where=seg_k > 0.0)
         np.clip(lo + self._h * frac, lo, hi, out=q)
         for _ in range(_NEWTON_STEPS):
-            f_q = self.density.eval(q)
+            f_q = self.density._eval_unchecked(q)
             excess = self._partial_mass(lo, cum_k, f_k, q, f_q)
             np.subtract(excess, t, out=excess)
             moves = f_q > 0.0

@@ -129,12 +129,12 @@ def test_weight_domain_error_at_zero():
         WeightSequence("polynomial", p=1.0).weight(0)
 
 
-def test_custom_weights_validated():
-    WeightSequence("custom", values=(1.0, 0.5, 0.5, 0.1))
-    with pytest.raises(ValueError):
-        WeightSequence("custom", values=(0.5, 1.0))
-    with pytest.raises(ValueError):
-        WeightSequence("custom", values=(1.0, -0.5))
+def test_weight_kind_and_p_validated():
+    for kind in ("polynomial", "exponential"):
+        with pytest.raises(ValueError, match="p > 0"):
+            WeightSequence(kind, p=0.0)
+    with pytest.raises(ValueError, match="unknown weight kind"):
+        WeightSequence("custom", p=1.0)
 
 
 @given(kind=st.sampled_from(["polynomial", "exponential"]),
@@ -154,13 +154,11 @@ def test_weights_positive_nonincreasing_vanishing(kind, p):
 
 def brute_force_rate(seq: WeightSequence, n: int) -> RateResult:
     best_m, best_v = None, None
-    vals = []
     for m in range(1, n + 1):
         v = max(seq.weight(m), m / n)
-        vals.append(v)
         if best_v is None or v < best_v:  # strict: keep the smallest argmin
             best_m, best_v = m, v
-    return RateResult(m_star=best_m, r_star=best_v, per_m_values=np.array(vals))
+    return RateResult(m_star=best_m, r_star=best_v)
 
 
 def test_optimal_dimension_pinned_examples():
@@ -177,12 +175,9 @@ def test_optimal_dimension_pinned_examples():
 def test_optimal_dimension_matches_brute_force_random_configs():
     rng = np.random.default_rng(51)
     for _ in range(100):
-        kind = rng.choice(["polynomial", "exponential", "custom"])
+        kind = rng.choice(["polynomial", "exponential"])
         n = int(rng.integers(1, 200))
-        if kind == "custom":
-            vals = np.sort(rng.uniform(1e-6, 2.0, size=n))[::-1]
-            seq = WeightSequence("custom", values=tuple(vals))
-        elif kind == "polynomial":
+        if kind == "polynomial":
             seq = WeightSequence("polynomial", p=float(rng.uniform(0.6, 3.0)))
         else:
             seq = WeightSequence("exponential", p=float(rng.uniform(0.1, 2.0)))
@@ -208,5 +203,7 @@ def test_rate_slope_polynomial_small_grid():
 def test_rate_minimum_is_global(p, n):
     seq = WeightSequence("polynomial", p=p)
     res = optimal_dimension(seq, n)
-    assert res.r_star == pytest.approx(float(np.min(res.per_m_values)))
-    assert res.per_m_values[res.m_star - 1] == pytest.approx(res.r_star)
+    m = np.arange(1, n + 1)
+    psi = np.maximum(seq.weight(m), m / n)
+    assert res.r_star == float(np.min(psi))
+    assert res.m_star == int(np.argmin(psi)) + 1

@@ -1,5 +1,8 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,11 +86,11 @@ def reference_records(cfg):
                 m = int(np.argmin(ise_by_m)) + 1
             elif sel == "gl":
                 m = select_with_pens(table, penalty_vector(cfg.gl_constant, cfg.m_grid, cfg.n,
-                                                           sig_sq)).m_selected
+                                                           sig_sq))
             elif sel == "ms":
-                m = select_ms(table, cfg.ms_constant, sig_sq).m_selected
+                m = select_ms(table, cfg.ms_constant, sig_sq)
             else:
-                m = select_cv(table).m_selected
+                m = select_cv(table)
             records.append(RepRecord(rep, sel, m, float(ise_by_m[m - 1]), sig_sq))
     return records, np.array(profiles)
 
@@ -122,6 +125,19 @@ def test_columns_match_record_loop(model, target, selectors, reps):
     np.testing.assert_array_equal(results.ise_by_m, profiles)
     for k in range(len(selectors)):
         assert results.ise[k].flags.c_contiguous and results.m_selected[k].flags.c_contiguous
+
+
+def test_import_loads_no_process_pool():
+    """The pool modules load only when a run asks for workers > 1.
+
+    A fresh interpreter, because this one may already hold them.
+    """
+    probe = ("import sys, adaseries; "
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parallel_equals_serial():
@@ -275,8 +291,8 @@ def test_calibration_matches_per_constant_loop(model, target):
         for i, c in enumerate(c_grid):
             pens = penalty_vector(c, cfg.m_grid, cfg.n, sig_sq)
             np.testing.assert_array_equal(block[i], pens)
-            m = select_with_pens(table, pens).m_selected
-            assert select_ms(table, c, sig_sq).m_selected == m
+            m = select_with_pens(table, pens)
+            assert select_ms(table, c, sig_sq) == m
             loop[i] += ise_by_m[m - 1]
     np.testing.assert_array_equal(calib.mean_ise["gl"], loop / reps)
     np.testing.assert_array_equal(calib.mean_ise["gl"], calib.mean_ise["ms"])

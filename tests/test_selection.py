@@ -9,8 +9,8 @@ from adaseries.basis import TrigBasis
 from adaseries.dependence import gen_density_sample
 from adaseries.estimators import CoefficientTable, empirical_coefficients, ise_gram
 from adaseries.quadrature import simpson_weights, unit_grid
-from adaseries.selection import (SelectionResult, cv_profile, lemma1_audit,
-                                 oracle_criteria, penalty_vector, select_cv, select_ms,
+from adaseries.selection import (cv_profile, lemma1_audit, oracle_criteria,
+                                 penalized_profile, penalty_vector, select_cv, select_ms,
                                  select_with_pens, theorem_constant)
 from adaseries.targets import MarginalLaw, density_f1, true_coefficients
 from test_basis import eval_one
@@ -46,24 +46,26 @@ def suffix_form_argmin(table, pens):
     return int(np.argmin(crit)) + 1
 
 
+def oracle_profile(table, truth_fn, n_points=1025):
+    """Realized ISE(m), m = 1..M, on an n_points Simpson grid."""
+    grid = unit_grid(n_points)
+    pieces = ise_gram(TrigBasis().design_matrix(grid, table.m_max),
+                      np.asarray(truth_fn(grid), dtype=float), simpson_weights(n_points))
+    return oracle_criteria(table, *pieces)
+
+
 def select_oracle(table, truth_fn, n_points=1025):
     """Infeasible benchmark: smallest minimizer of the realized ISE."""
-    M = table.m_max
-    grid = unit_grid(n_points)
-    pieces = ise_gram(TrigBasis().design_matrix(grid, M),
-                      np.asarray(truth_fn(grid), dtype=float), simpson_weights(n_points))
-    crit = oracle_criteria(table, *pieces)
-    return SelectionResult(m_selected=int(np.argmin(crit)) + 1,
-                           penalties=np.zeros(M), criteria=crit)
+    return int(np.argmin(oracle_profile(table, truth_fn, n_points))) + 1
 
 
 def assert_gl_matches_contrast(table, pens):
-    """select_with_pens scores pen_m - S_m and picks the smallest minimizer of Xi_m + pen(m)."""
+    """penalized_profile is pen_m - S_m; select_with_pens picks the smallest
+    minimizer of Xi_m + pen(m)."""
     pens = np.asarray(pens, dtype=float)
-    res = select_with_pens(table, pens)
     S = np.cumsum(table.theta_hat[1 : pens.size + 1] ** 2)
-    np.testing.assert_array_equal(res.criteria, pens - S)
-    assert res.m_selected == int(np.argmin(gl_contrast(table, pens) + pens)) + 1
+    np.testing.assert_array_equal(penalized_profile(table, pens), pens - S)
+    assert select_with_pens(table, pens) == int(np.argmin(gl_contrast(table, pens) + pens)) + 1
 
 
 def test_penalty_pinned_values():
@@ -98,7 +100,7 @@ def test_theorem_presets():
 def test_gl_contrast_single_dimension():
     table = table_from([1.0, 0.5])
     np.testing.assert_allclose(gl_contrast(table, [0.3]), [-0.3])
-    assert select_with_pens(table, [0.3]).criteria[0] == 0.3 - 0.25
+    assert penalized_profile(table, [0.3])[0] == 0.3 - 0.25
 
 
 def test_gl_contrast_hand_enumeration():
@@ -115,24 +117,22 @@ def test_gl_contrast_hand_enumeration():
 def test_select_gl_hand_examples():
     pens = [0.1, 0.2]
     tie_table = table_from([1.0, 0.4, math.sqrt(0.05)])
-    tie = select_with_pens(tie_table, pens)
     # Xi_m + pen(m) ties at 0 and the smallest wins; pen_m - S_m separates them
     np.testing.assert_allclose(gl_contrast(tie_table, pens) + pens, [0.0, 0.0], atol=1e-15)
-    assert tie.m_selected == 1
-    np.testing.assert_allclose(tie.criteria, [-0.06, -0.01], atol=1e-15)
+    assert select_with_pens(tie_table, pens) == 1
+    np.testing.assert_allclose(penalized_profile(tie_table, pens), [-0.06, -0.01], atol=1e-15)
     clear_table = table_from([1.0, 0.4, math.sqrt(0.5)])
-    clear = select_with_pens(clear_table, pens)
-    assert clear.m_selected == 2
-    np.testing.assert_allclose(clear.criteria, [-0.06, -0.46], atol=1e-15)
+    assert select_with_pens(clear_table, pens) == 2
+    np.testing.assert_allclose(penalized_profile(clear_table, pens), [-0.06, -0.46],
+                               atol=1e-15)
     for table in (tie_table, clear_table):
         assert_gl_matches_contrast(table, pens)
 
 
 def test_select_gl_all_zero_coefficients():
     table = table_from([1.0, 0.0, 0.0, 0.0])
-    res = select_with_pens(table, [0.1, 0.2, 0.3])
-    assert res.m_selected == 1
-    np.testing.assert_array_equal(res.criteria, [0.1, 0.2, 0.3])
+    assert select_with_pens(table, [0.1, 0.2, 0.3]) == 1
+    np.testing.assert_array_equal(penalized_profile(table, [0.1, 0.2, 0.3]), [0.1, 0.2, 0.3])
     np.testing.assert_array_equal(gl_contrast(table, [0.1, 0.2, 0.3]), [-0.1, -0.2, -0.3])
     assert_gl_matches_contrast(table, [0.1, 0.2, 0.3])
 
@@ -144,34 +144,52 @@ def test_contrast_at_top_dimension_equals_minus_penalty():
     xi = gl_contrast(table, pens)
     assert xi[-1] == -pens[-1]
     S = np.cumsum(table.theta_hat[1:] ** 2)
-    assert select_with_pens(table, pens).criteria[-1] == pens[-1] - S[-1]
+    assert penalized_profile(table, pens)[-1] == pens[-1] - S[-1]
     assert_gl_matches_contrast(table, pens)
 
 
 def test_select_ms_hand_examples():
     # criterion -sum theta^2 + c m sigma^2 / n with c sigma^2 / n = 0.4
-    res = select_ms(table_from([1.0, 1.0, 0.0], n=10), c=4.0, sigma_sq=1.0)
-    assert res.m_selected == 1
-    np.testing.assert_allclose(res.criteria, [-0.6, -0.2], atol=1e-15)
-    res2 = select_ms(table_from([1.0, 1.0, 1.0], n=10), c=4.0, sigma_sq=1.0)
-    assert res2.m_selected == 2
-    np.testing.assert_allclose(res2.criteria, [-0.6, -1.2], atol=1e-15)
-    res3 = select_ms(table_from([1.0, 0.0, 0.0], n=10), c=4.0)
-    assert res3.m_selected == 1
+    pens = penalty_vector(4.0, 2, 10)
+    table = table_from([1.0, 1.0, 0.0], n=10)
+    assert select_ms(table, c=4.0, sigma_sq=1.0) == 1
+    np.testing.assert_allclose(penalized_profile(table, pens), [-0.6, -0.2], atol=1e-15)
+    table2 = table_from([1.0, 1.0, 1.0], n=10)
+    assert select_ms(table2, c=4.0, sigma_sq=1.0) == 2
+    np.testing.assert_allclose(penalized_profile(table2, pens), [-0.6, -1.2], atol=1e-15)
+    assert select_ms(table_from([1.0, 0.0, 0.0], n=10), c=4.0) == 1
 
 
 def test_select_gl_preset_paths():
     rng = np.random.default_rng(29)
     theta = np.concatenate(([1.0], rng.standard_normal(20) * 0.3))
-    table = table_from(theta, n=250)
     pens = penalty_vector(3.0, 20, 250)
-    res = select_with_pens(table, pens)
-    np.testing.assert_array_equal(res.penalties, pens)
     # the sigma-scaled variant shrinks penalties when sigma_hat^2 < 1
     scaled = penalty_vector(3.0, 20, 250, 0.5)
     np.testing.assert_array_equal(scaled, 0.5 * pens)
     table_r = table_from(theta, model="regression", n=250)
-    np.testing.assert_array_equal(select_with_pens(table_r, scaled).penalties, scaled)
+    assert select_with_pens(table_r, scaled) == select_ms(table_r, 3.0, sigma_sq=0.5)
+
+
+def test_penalized_profile_bitwise_and_selector_types():
+    rng = np.random.default_rng(31)
+    M = 20
+    theta_hat = np.concatenate(([1.0], rng.standard_normal(M) * 0.3))
+    table = table_from(theta_hat, n=250)
+    pens = penalty_vector(3.0, M, 250)
+    stack = penalty_vector(np.array([0.5, 3.0, 40.0]), M, 250)
+    for p in (pens, stack):
+        np.testing.assert_array_equal(penalized_profile(table, p),
+                                      p - np.cumsum(theta_hat[1 : M + 1] ** 2))
+    m = select_with_pens(table, pens)
+    assert type(m) is int
+    ms = select_with_pens(table, stack)
+    assert isinstance(ms, np.ndarray) and ms.dtype == np.int64 and ms.shape == (3,)
+    assert ms[1] == m
+    assert type(select_ms(table, 3.0)) is int
+    assert type(select_cv(empirical_coefficients(rng.uniform(size=50), M))) is int
+    with pytest.raises(ValueError):
+        penalized_profile(table, np.ones(M + 1))
 
 
 def test_gl_and_ms_coincide_with_same_penalties():
@@ -181,9 +199,7 @@ def test_gl_and_ms_coincide_with_same_penalties():
         theta = np.concatenate(([1.0], rng.standard_normal(M) * rng.uniform(0.05, 2.0)))
         table = table_from(theta, n=int(rng.integers(10, 1000)))
         c = float(rng.uniform(0.1, 50.0))
-        gl = select_with_pens(table, penalty_vector(c, M, table.n))
-        ms = select_ms(table, c)
-        assert gl.m_selected == ms.m_selected
+        assert select_with_pens(table, penalty_vector(c, M, table.n)) == select_ms(table, c)
 
 
 # Dyadic draws: coefficients k/16 and penalties j/256 make every sum in
@@ -199,16 +215,16 @@ def test_penalized_rule_is_smallest_contrast_minimizer(data):
     table = table_from(np.concatenate(([1.0], np.array(coefs) / 16.0)))
     pens = np.array(data.draw(st.lists(st.integers(min_value=-64, max_value=64),
                                        min_size=M, max_size=M))) / 256.0
-    m = select_with_pens(table, pens).m_selected
+    m = select_with_pens(table, pens)
     assert m == int(np.argmin(gl_contrast(table, pens) + pens)) + 1
     # penalty_vector penalties: c k / 8, n a power of two, sigma^2 a quarter step
     c = data.draw(st.integers(min_value=1, max_value=512)) / 8.0
     sigma_sq = data.draw(st.integers(min_value=1, max_value=8)) / 4.0
     table = table_from(table.theta_hat, n=2 ** data.draw(st.integers(min_value=0, max_value=10)))
     pens = penalty_vector(c, M, table.n, sigma_sq)
-    m = select_ms(table, c, sigma_sq).m_selected
+    m = select_ms(table, c, sigma_sq)
     assert m == int(np.argmin(gl_contrast(table, pens) + pens)) + 1
-    assert m == select_with_pens(table, pens).m_selected
+    assert m == select_with_pens(table, pens)
 
 
 @settings(max_examples=300)
@@ -220,18 +236,18 @@ def test_penalized_rule_is_suffix_form_argmin_in_floats(data):
     M = len(coefs)
     table = table_from([1.0] + coefs)
     pens = np.array(data.draw(st.lists(value, min_size=M, max_size=M)))
-    assert select_with_pens(table, pens).m_selected == suffix_form_argmin(table, pens)
+    assert select_with_pens(table, pens) == suffix_form_argmin(table, pens)
 
 
 def test_select_gl_scaling_invariance():
     rng = np.random.default_rng(19)
     theta = np.concatenate(([1.0], rng.standard_normal(15)))
     pens = np.cumsum(rng.uniform(0.0, 0.05, size=15))
-    base = select_with_pens(table_from(theta), pens)
-    lam_sq = 7.3
-    scaled = select_with_pens(table_from(theta * math.sqrt(lam_sq)), pens * lam_sq)
-    assert scaled.m_selected == base.m_selected
-    np.testing.assert_allclose(scaled.criteria, lam_sq * base.criteria, rtol=1e-9, atol=1e-12)
+    base, lam_sq = table_from(theta), 7.3
+    scaled = table_from(theta * math.sqrt(lam_sq))
+    assert select_with_pens(scaled, pens * lam_sq) == select_with_pens(base, pens)
+    np.testing.assert_allclose(penalized_profile(scaled, pens * lam_sq),
+                               lam_sq * penalized_profile(base, pens), rtol=1e-9, atol=1e-12)
 
 
 def cv_of(points, M, y=None):
@@ -316,25 +332,25 @@ def test_cv_needs_two_points():
 def test_select_oracle_noiseless():
     truth = lambda x: 1.0 + 0.8 * eval_one(1, x)
     table = table_from([1.0, 0.8, 0.0, 0.0])
-    assert select_oracle(table, truth, n_points=257).m_selected == 1
+    assert select_oracle(table, truth, n_points=257) == 1
     truth2 = lambda x: 1.0 + 0.8 * eval_one(1, x) + 0.5 * eval_one(2, x)
     table2 = table_from([1.0, 0.8, 0.5, 0.0])
-    assert select_oracle(table2, truth2, n_points=257).m_selected == 2
+    assert select_oracle(table2, truth2, n_points=257) == 2
 
 
 def test_select_oracle_equals_exhaustive_scan():
     rng = np.random.default_rng(3)
     truth = density_f1()
     table = table_from(np.concatenate(([1.0], rng.standard_normal(10) * 0.2)))
-    res = select_oracle(table, truth.eval, n_points=513)
+    crit = oracle_profile(table, truth.eval, n_points=513)
     grid = unit_grid(513)
     direct = []
     for m in range(1, 11):
         est = sum(table.theta_hat[j] * eval_one(j, grid) for j in range(m + 1))
         diff = est - truth.eval(grid)
         direct.append(float(np.sum(diff * diff * simpson_weights(513))))
-    assert res.m_selected == int(np.argmin(direct)) + 1
-    np.testing.assert_allclose(res.criteria, direct, rtol=1e-12)
+    assert select_oracle(table, truth.eval, n_points=513) == int(np.argmin(direct)) + 1
+    np.testing.assert_allclose(crit, direct, rtol=1e-12)
 
 
 def test_oracle_never_beaten_on_shared_table():
@@ -344,11 +360,12 @@ def test_oracle_never_beaten_on_shared_table():
     for rep in range(10):
         x = gen_density_sample(300, 1, law, seed=31, rep_index=rep)
         table = empirical_coefficients(x, 40)
-        res_o = select_oracle(table, truth.eval, n_points=1025)
+        crit = oracle_profile(table, truth.eval, n_points=1025)
+        m_o = int(np.argmin(crit)) + 1
         for other in (select_with_pens(table, penalty_vector(2.0, 40, 300)),
                       select_ms(table, 2.0),
                       select_cv(table)):
-            assert res_o.criteria[res_o.m_selected - 1] <= res_o.criteria[other.m_selected - 1] + 1e-15
+            assert crit[m_o - 1] <= crit[other - 1] + 1e-15
 
 
 def lemma1_holds(theta_hat, theta_true, pens):
@@ -361,7 +378,7 @@ def test_lemma1_noiseless_zero_penalties():
     table = table_from(theta_true.copy())
     audit = lemma1_audit(table, np.zeros(11), theta_true)
     assert audit.passed[2]
-    assert audit.lhs <= 85.0 * audit.bias_sq[2] + 1e-15
+    assert audit.lhs <= 85.0 * np.sum(theta_true[4:] ** 2) + 1e-15  # 85 bias_3^2
 
 
 def test_lemma1_rejects_bad_penalties():
@@ -385,7 +402,7 @@ def per_m_rhs(theta_hat, theta_true, pens, m):
            for k in range(M + 1)]
     bias_sq = float(np.sum(theta_true[m + 1 :] ** 2))
     dev = max(err[k] - pens[k - 1] / 6.0 for k in range(m, M + 1))
-    return 85.0 * max(bias_sq, pens[m - 1]) + 42.0 * max(dev, 0.0), bias_sq
+    return 85.0 * max(bias_sq, pens[m - 1]) + 42.0 * max(dev, 0.0)
 
 
 def test_lemma1_audit_vectorized_matches_per_m():
@@ -396,11 +413,10 @@ def test_lemma1_audit_vectorized_matches_per_m():
         theta_true = rng.standard_normal(M + 20)
         pens = np.cumsum(rng.uniform(0.0, 0.3, size=M))
         audit = lemma1_audit(table_from(theta_hat, model="regression"), pens, theta_true)
-        assert audit.rhs.shape == audit.bias_sq.shape == audit.passed.shape == (M,)
+        assert audit.rhs.shape == audit.passed.shape == (M,)
         for m in range(1, M + 1):
-            rhs, bias_sq = per_m_rhs(theta_hat, theta_true, pens, m)
+            rhs = per_m_rhs(theta_hat, theta_true, pens, m)
             assert audit.rhs[m - 1] == pytest.approx(rhs, rel=1e-12, abs=1e-15)
-            assert audit.bias_sq[m - 1] == pytest.approx(bias_sq, rel=1e-12, abs=1e-15)
         assert audit.all_passed  # the inequality is a theorem; failures are bugs
 
 
