@@ -14,8 +14,9 @@ TrigBasis holds no state: each call takes the largest index m_max.
 TrigBasis.row_blocks evaluates the rows with the trig recurrence, one
 complex exponential per point, then one complex product per frequency,
 and hands them out in blocks of a few rows, so a caller that only sums
-over the points never holds all m_max + 1 rows at once.
-TrigBasis.design_matrix is the one-block case.
+over the points never holds all m_max + 1 rows at once.  The points may
+be a stack of samples, one per row of a (K, n) array, so one pass serves
+a batch of replications.  TrigBasis.design_matrix is the one-block case.
 
 The smoothness weights (WeightSequence) are the two classical classes,
 polynomial j^(-2p) and exponential exp(-j^(2p)); optimal_dimension gives
@@ -43,7 +44,10 @@ class TrigBasis:
         """Rows j = 0..m_max of the basis at points x, yielded in blocks.
 
         Yields (start, block) with block[i] = phi_{start + i}(x), at most
-        `rows` rows per block, in order of start.  cos and sin of 2 pi x
+        `rows` rows per block, in order of start.  x may have any shape
+        (a scalar counts as one point): a block has shape (rows,) +
+        x.shape, so for a (K, n) stack of samples block[i, k] is row
+        start + i at sample k, contiguous in the points.  cos and sin of 2 pi x
         are taken once, as z = exp(2 pi i x); the rows follow from the
         trig recurrence p <- p z started at p = sqrt(2) z, so that
         p = sqrt(2) exp(2 pi i k x) gives row 2k - 1 as its real part and
@@ -58,9 +62,10 @@ class TrigBasis:
             raise ValueError(f"m_max {m_max} must be >= 0")
         if rows < 1:
             raise ValueError(f"rows {rows} must be >= 1")
-        x = np.asarray(x, dtype=float).ravel()
-        buf = np.empty((min(rows, m_max + 1), x.size))
-        z = np.exp(2j * np.pi * x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        buf = np.empty((min(rows, m_max + 1),) + x.shape)
+        z = np.multiply(2j * np.pi, x)
+        np.exp(z, out=z)
         p = SQRT2 * z
         cos_row, sin_row = p.real, p.imag  # views: they follow p as it steps in place
         for start in range(0, m_max + 1, len(buf)):
@@ -78,7 +83,7 @@ class TrigBasis:
     def design_matrix(self, x, m_max: int) -> np.ndarray:
         """Rows j = 0..m_max of the basis evaluated at points x.
 
-        Shape (m_max + 1, len(x)); row j is phi_j(x).  The single-block
+        Shape (m_max + 1,) + x.shape; row j is phi_j(x).  The single-block
         case of row_blocks: the whole matrix is one block of the trig
         recurrence.
         """

@@ -6,12 +6,14 @@ follow the acceptance gates (KS < 0.006 at 1e5 draws, closed-form Case-3
 marginal within 0.005 of 1e6 simulated draws, recursion residual below
 2^-37, variance bound with 10% headroom, rate-slope within 0.02).  Only
 settings that callers vary are parameters; fixed tolerances and grid
-sizes are named in each check's docstring.
+sizes are named in each check's docstring.  Each CheckResult carries its
+detail line, rounded for reading, and its values: the raw statistics and
+the settings they were computed at, at full precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +32,8 @@ CASE3_MARGINAL_THRESHOLD = 0.005
 CASE3_MARGINAL_DRAWS = 10**6
 CASE3_RESIDUAL_BOUND = 2.0**-37
 DEPENDENCE_SCORE_SIGMAS = 5.0
+DEPENDENCE_SCORE_DRAWS = 10**5
+DEPENDENCE_SCORE_ROWS = 4  # basis scores phi_1..phi_4
 #: KS statistics closer than this are a tie: the first pair keeps the label.
 KS_TIE = 1e-12
 LEMMA_NS = 14  # stream namespace of the simulated oracle-inequality audit
@@ -37,9 +41,12 @@ LEMMA_NS = 14  # stream namespace of the simulated oracle-inequality audit
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict, its printed detail and its values (name -> number)."""
+
     name: str
     passed: bool
     detail: str
+    values: dict = field(default_factory=dict)
 
 
 def ks_statistic(draws: np.ndarray, cdf) -> float:
@@ -59,7 +66,10 @@ def check_orthonormality(j_max: int = 30) -> CheckResult:
     weighted = design * simpson_weights(grid.size)
     gram = weighted @ design.T
     err = float(np.max(np.abs(gram - np.eye(j_max + 1))))
-    return CheckResult("orthonormality", err <= 1e-8, f"max |gram - I| = {err:.2e}")
+    tol = 1e-8
+    return CheckResult("orthonormality", err <= tol, f"max |gram - I| = {err:.2e}",
+                       {"j_max": j_max, "grid_points": grid.size, "tolerance": tol,
+                        "max_gram_error": err})
 
 
 def check_sup_norm(m_limit: int = 100) -> CheckResult:
@@ -74,22 +84,29 @@ def check_sup_norm(m_limit: int = 100) -> CheckResult:
     m = np.arange(1, m_limit + 1)
     bound_ok = bool(np.all(sups <= SUP_NORM_SQ * m + 1e-9))
     even = m % 2 == 0
-    even_ok = bool(np.all(np.abs(sups[even] - m[even]) <= 1e-10))
-    return CheckResult("sup_norm_constant", bound_ok and even_ok,
-                       f"max sup/m = {float(np.max(sups / m)):.6f}")
+    even_gap = float(np.max(np.abs(sups[even] - m[even]), initial=0.0))
+    ratio = float(np.max(sups / m))
+    return CheckResult("sup_norm_constant", bound_ok and even_gap <= 1e-10,
+                       f"max sup/m = {ratio:.6f}",
+                       {"m_limit": m_limit, "points": x.size, "max_sup_over_m": ratio,
+                        "max_even_gap": even_gap})
 
 
 def check_rate_slopes() -> CheckResult:
     """log-log slope of the benchmark risk matches -2p/(2p+1) within 0.02."""
     n_grid = np.unique(np.round(10 ** np.linspace(3, 6, 7)).astype(int))
     details = []
+    tol = 0.02
+    values = {"n_min": int(n_grid[0]), "n_max": int(n_grid[-1]), "n_sizes": n_grid.size,
+              "tolerance": tol}
     ok = True
     for p in (1.0, 2.0):
         slope = rate_slope(WeightSequence("polynomial", p=p), n_grid)
         expect = -2.0 * p / (2.0 * p + 1.0)
-        ok &= abs(slope - expect) <= 0.02
+        ok &= abs(slope - expect) <= tol
         details.append(f"p={p:g}: {slope:+.4f} (target {expect:+.4f})")
-    return CheckResult("rate_slope", ok, "; ".join(details))
+        values[f"slope_p{p:g}"] = slope
+    return CheckResult("rate_slope", ok, "; ".join(details), values)
 
 
 def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
@@ -109,12 +126,16 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
     variances = thetas.var(axis=0, ddof=1)
     ok = True
     ratios = []
+    headroom = 1.1
+    values = {"seed": seed, "n": n, "reps": reps, "headroom": headroom}
     for m in dims:
         total = float(np.sum(variances[:m]))
-        bound = 1.1 * SUP_NORM_SQ * m / n
+        bound = headroom * SUP_NORM_SQ * m / n
         ok &= total <= bound
         ratios.append(f"m={m}: {total / (SUP_NORM_SQ * m / n):.3f}")
-    return CheckResult("variance_bound", ok, "sum Var / (2 m / n): " + "; ".join(ratios))
+        values[f"sum_var_m{m}"] = total
+    return CheckResult("variance_bound", ok, "sum Var / (2 m / n): " + "; ".join(ratios),
+                       values)
 
 
 def _marginal_laws() -> dict:
@@ -133,6 +154,7 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
     ok = True
     worst = 0.0
     worst_pair = ""
+    values = {"seed": seed, "draws": draws, "threshold": threshold}
     for name, law in _marginal_laws().items():
         for case in (1, 2, 3):
             rng = stream(seed, case, namespace=10)
@@ -143,13 +165,15 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
                 z = law.quantile(v)
                 stat = ks_statistic(z, cdf=law.cdf)
             ok &= stat < threshold
+            values[f"ks_case{case}_{name}"] = stat
             # f1, f2 and uniform see the same uniforms, so their statistics
             # tie up to rounding; only a clear excess moves the label
             if stat > worst + KS_TIE:
                 worst_pair = f"case {case}/{name}"
             worst = max(worst, stat)
     return CheckResult("generator_ks", ok,
-                       f"worst KS = {worst:.5f} ({worst_pair}), threshold {threshold:.4g}")
+                       f"worst KS = {worst:.5f} ({worst_pair}), threshold {threshold:.4g}",
+                       values)
 
 
 def check_case3_marginal(seed: int = 0, draws: int = CASE3_MARGINAL_DRAWS,
@@ -165,7 +189,8 @@ def check_case3_marginal(seed: int = 0, draws: int = CASE3_MARGINAL_DRAWS,
     y = ar_path_from_innovations(zeta)
     stat = ks_statistic(y, cdf=marginal_G_case3)
     return CheckResult("case3_marginal_closed_form", stat < threshold,
-                       f"sup |G - ecdf| = {stat:.5f}, threshold {threshold:.4g}")
+                       f"sup |G - ecdf| = {stat:.5f}, threshold {threshold:.4g}",
+                       {"seed": seed, "draws": draws, "threshold": threshold, "sup_gap": stat})
 
 
 def check_case3_residual(seed: int = 0, n: int = 10**4,
@@ -178,10 +203,11 @@ def check_case3_residual(seed: int = 0, n: int = 10**4,
     resid = y[1:-1] - 0.4 * (y[:-2] + y[2:]) - (5.0 / 21.0) * inner[1:-1]
     worst = float(np.max(np.abs(resid)))
     return CheckResult("case3_recursion_residual", worst < bound,
-                       f"max |residual| = {worst:.3e}, bound {bound:.3e}")
+                       f"max |residual| = {worst:.3e}, bound {bound:.3e}",
+                       {"seed": seed, "n": n, "bound": bound, "max_residual": worst})
 
 
-def dependence_score(case: int, n: int = 10**5, seed: int = 0) -> float:
+def dependence_score(case: int, n: int = DEPENDENCE_SCORE_DRAWS, seed: int = 0) -> float:
     """Largest |lag-1 cross-correlation| z-score among low-order basis scores.
 
     Serial dependence is measured across basis-score pairs phi_j(V_i),
@@ -192,14 +218,14 @@ def dependence_score(case: int, n: int = 10**5, seed: int = 0) -> float:
     """
     rng = stream(seed, case, namespace=13)
     v = uniform_series(case, n, rng)
-    scores = TrigBasis().design_matrix(v, 4)[1:]
+    scores = TrigBasis().design_matrix(v, DEPENDENCE_SCORE_ROWS)[1:]
     lead, lag = scores[:, :-1], scores[:, 1:]
     z_max = 0.0
     for a in lead:
         for b in lag:
             r = np.corrcoef(a, b)[0, 1]
             z_max = max(z_max, abs(r) * np.sqrt(n - 1.0))
-    return z_max
+    return float(z_max)
 
 
 def check_dependence_scores(seed: int = 0) -> CheckResult:
@@ -208,7 +234,11 @@ def check_dependence_scores(seed: int = 0) -> CheckResult:
     ok = (z1 < DEPENDENCE_SCORE_SIGMAS and z2 > DEPENDENCE_SCORE_SIGMAS
           and z3 > DEPENDENCE_SCORE_SIGMAS)
     return CheckResult("dependence_scores", ok,
-                       f"max |z|: case1 {z1:.1f}, case2 {z2:.1f}, case3 {z3:.1f}")
+                       f"max |z|: case1 {z1:.1f}, case2 {z2:.1f}, case3 {z3:.1f}",
+                       {"seed": seed, "draws": DEPENDENCE_SCORE_DRAWS,
+                        "score_rows": DEPENDENCE_SCORE_ROWS,
+                        "threshold": DEPENDENCE_SCORE_SIGMAS, "z_case1": z1,
+                        "z_case2": z2, "z_case3": z3})
 
 
 def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> CheckResult:
@@ -217,13 +247,13 @@ def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> Che
     ctx = ExperimentContext(cfg)
     theta_true = true_coefficients(ctx.target.eval, 400)
     failures = 0
-    for rep in range(reps):
-        table, sig_sq = ctx.replication(rep, LEMMA_NS)
+    for table, sig_sq in ctx.replications(0, reps, LEMMA_NS):
         pens = penalty_vector(cfg.gl_constant, cfg.m_grid, n, sig_sq)
         if not lemma1_audit(table, pens, theta_true).all_passed:
             failures += 1
     return CheckResult("lemma1_simulation", failures == 0,
-                       f"{reps - failures}/{reps} replications satisfied the bound")
+                       f"{reps - failures}/{reps} replications satisfied the bound",
+                       {"seed": seed, "reps": reps, "n": n, "failures": failures})
 
 
 def check_lemma1_fuzz(seed: int = 0, cases: int = 2000) -> CheckResult:
@@ -243,7 +273,8 @@ def check_lemma1_fuzz(seed: int = 0, cases: int = 2000) -> CheckResult:
         if not lemma1_audit(table, np.cumsum(steps), theta_true).all_passed:
             failures += 1
     return CheckResult("lemma1_fuzz", failures == 0,
-                       f"{cases - failures}/{cases} random tables satisfied the bound")
+                       f"{cases - failures}/{cases} random tables satisfied the bound",
+                       {"seed": seed, "cases": cases, "failures": failures})
 
 
 def check_custom_pens(pens) -> CheckResult:
@@ -256,8 +287,10 @@ def check_custom_pens(pens) -> CheckResult:
         audit = lemma1_audit(table, pens, theta_true)
     except ValueError as exc:
         return CheckResult("lemma1_custom_pens", False, f"argument error: {exc}")
+    min_rhs = float(np.min(audit.rhs))
     return CheckResult("lemma1_custom_pens", audit.all_passed,
-                       f"lhs {audit.lhs:.4g} <= min_m rhs {float(np.min(audit.rhs)):.4g}")
+                       f"lhs {audit.lhs:.4g} <= min_m rhs {min_rhs:.4g}",
+                       {"lhs": audit.lhs, "min_rhs": min_rhs})
 
 
 #: Smallest accepted value of each run_all_checks setting; the variance

@@ -4,7 +4,11 @@ All three cases produce a series V_1..V_n with uniform marginal on [0, 1];
 density samples apply the target marginal's quantile transform, regression
 samples use V directly as the design and add N(0, sigma^2) noise.  A
 sample is plain arrays: gen_density_sample returns the points x,
-gen_regression_sample the design u and the responses y.
+gen_regression_sample the design u and the responses y.  Both make a
+batch of consecutive replications at once, one row per replication of a
+(count, n) stack: each row is drawn from its own stream, and every step
+after the draws is elementwise and runs once on the whole stack, so a
+row is the same floats whatever batch it is made in.
 
 Case 2 starts at the invariant arcsine law (no burn-in) and iterates the
 logistic map T(y) = 4 y (1 - y); G(y) = (2 / pi) arcsin(sqrt(y)) maps the
@@ -106,31 +110,62 @@ def marginal_G_case3(y) -> np.ndarray:
     return float(out) if scalar else out
 
 
-def uniform_series(case: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Series of length n with uniform marginal for the requested case."""
+def uniform_series(case: int, n: int, rngs) -> np.ndarray:
+    """Series of length n with uniform marginal for the requested case.
+
+    rngs is one Generator, giving shape (n,), or a sequence of them,
+    giving one series per generator, shape (len(rngs), n).  Each series
+    takes its draws from its own generator alone; the map to uniform
+    (arcsine_cdf, marginal_G_case3) runs once on the whole stack.
+    """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    if case == 1:
-        return rng.uniform(size=n)
+    if case not in (1, 2, 3):
+        raise ValueError(f"unknown dependence case {case}")
+    single = isinstance(rngs, np.random.Generator)
+    gens = [rngs] if single else rngs
+    out = np.empty((len(gens), n))
+    for row, rng in zip(out, gens):
+        if case == 1:
+            rng.random(out=row)
+        elif case == 2:
+            row[:] = logistic_path(n, rng.uniform())
+        else:
+            row[:] = bernoulli_ar_path(n, rng)
     if case == 2:
-        return arcsine_cdf(logistic_path(n, rng.uniform()))
-    if case == 3:
-        return marginal_G_case3(bernoulli_ar_path(n, rng))
-    raise ValueError(f"unknown dependence case {case}")
+        out = arcsine_cdf(out)
+    elif case == 3:
+        out = marginal_G_case3(out)
+    return out[0] if single else out
 
 
-def gen_density_sample(n: int, case: int, law: MarginalLaw, seed: int,
-                       rep_index: int, namespace: int = 0) -> np.ndarray:
-    """n points with marginal law, dependent as the chosen case."""
-    rng = stream(seed, rep_index, namespace)
-    return law.quantile(uniform_series(case, n, rng))
+def _streams(seed: int, rep_index: int, namespace: int, count: int) -> list:
+    """The streams of replications rep_index..rep_index + count - 1."""
+    return [stream(seed, rep, namespace) for rep in range(rep_index, rep_index + count)]
+
+
+def gen_density_sample(n: int, case: int, law: MarginalLaw, seed: int, rep_index: int,
+                       namespace: int = 0, count: int = 1) -> np.ndarray:
+    """Points of replications rep_index..rep_index + count - 1, shape (count, n).
+
+    Each row has marginal law `law` and is dependent as the chosen case;
+    one quantile transform maps the whole stack.
+    """
+    return law.quantile(uniform_series(case, n, _streams(seed, rep_index, namespace, count)))
 
 
 def gen_regression_sample(n: int, case: int, target: RegressionTarget, seed: int,
-                          rep_index: int, namespace: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(u, y): design from the chosen case (uniform marginal), iid Gaussian noise."""
-    rng = stream(seed, rep_index, namespace)
-    u = uniform_series(case, n, rng)
-    eps = rng.standard_normal(n)
-    return u, target.eval(u) + target.noise_sigma * eps
+                          rep_index: int, namespace: int = 0,
+                          count: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(u, y) of replications rep_index..rep_index + count - 1, each of shape (count, n).
 
+    Row k of the design u comes from the chosen case (uniform marginal);
+    its iid Gaussian noise is drawn from the same stream after the
+    design's draws.
+    """
+    rngs = _streams(seed, rep_index, namespace, count)
+    u = uniform_series(case, n, rngs)
+    eps = np.empty_like(u)
+    for row, rng in zip(eps, rngs):
+        rng.standard_normal(out=row)
+    return u, target.eval(u) + target.noise_sigma * eps

@@ -14,9 +14,11 @@ takes its dimension grid 1..m_max from the table's length.  The table
 needs only two sums per index, T_j = sum_i psi_j(Z_i) and sum_i
 psi_j(Z_i)^2, and empirical_coefficients streams them over blocks of
 basis rows, so no replication holds the (m_max + 1) x n psi matrix.  It
-reads plain arrays: the points, and the responses for regression.  The
-realized ISE(m) is the Simpson-grid quadrature written as a quadratic
-form in theta_hat (ise_gram once per config, ise_profile per table).
+reads plain arrays: the points, and the responses for regression, either
+of one sample or of a (K, n) stack of K samples, which one pass over the
+basis rows reduces to K tables.  The realized ISE(m) is the Simpson-grid
+quadrature written as a quadratic form in theta_hat (ise_gram once per
+config, ise_profile per table).
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import numpy as np
 
 from .basis import TrigBasis
 
-#: Points per psi block in empirical_coefficients (1 MB of float64): small
-#: enough to stay in cache, large enough that n = 1000 is a single block.
-_BLOCK_POINTS = 1 << 17
+#: Points per psi block in empirical_coefficients (256 KB of float64): small
+#: enough to stay in cache; a full batch of the replication kernel (about
+#: 2**14 points) streams two rows per block.
+_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -55,34 +58,53 @@ class CoefficientTable:
         return self.theta_hat.size - 1
 
 
-def empirical_coefficients(points, m_max: int, y=None) -> CoefficientTable:
+def empirical_coefficients(points, m_max: int,
+                           y=None) -> CoefficientTable | list[CoefficientTable]:
     """Coefficient table of a sample, j = 0..m_max: both sums streamed over row blocks.
 
     A density sample is its points X; a regression sample is its design
-    U (the points) and its responses y.  The psi rows come from
-    TrigBasis.row_blocks, _BLOCK_POINTS points per block (at least two
-    rows), and each block is reduced to its rows' T_j and sum_i
-    psi_j(Z_i)^2 before the next one is made, so the working set is O(n),
-    not the O(m_max n) of the whole psi matrix.  Each row is summed on its
-    own, so the sums are the floats a one-block pass gives.
+    U (the points) and its responses y.  points (and y) of shape (n,)
+    give one table; a (K, n) stack of K samples gives a list of K
+    tables, one per row.  The psi rows come from TrigBasis.row_blocks,
+    _BLOCK_POINTS points per block (at least two rows), and each block
+    is reduced to its rows' T_j and sum_i psi_j(Z_i)^2 before the next
+    one is made, so the working set is O(K n), not the O(m_max K n) of
+    the whole psi matrix.  Each sum runs over one contiguous row of n
+    points (the last axis), which numpy's pairwise summation adds as it
+    adds a 1-d array, so every sum is the float that a one-sample,
+    one-block pass gives.  (A stack of one-point samples is the
+    exception: numpy multiplies a one-element complex array in place by
+    another rounding path, so there the trig recurrence can differ in
+    the last bit.)
     """
-    n = np.size(points)
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    n = points.shape[-1]
     if n < 1:
         raise ValueError("empty sample")
-    totals = np.empty(m_max + 1)
-    squares = np.empty(m_max + 1)
-    for start, block in TrigBasis().row_blocks(points, m_max, max(2, _BLOCK_POINTS // n)):
+    stack = points.reshape(-1, n)
+    totals = np.empty((m_max + 1, len(stack)))
+    squares = np.empty((m_max + 1, len(stack)))
+    if y is not None:
+        y = np.asarray(y, dtype=float).reshape(stack.shape)
+    for start, block in TrigBasis().row_blocks(stack, m_max,
+                                               max(2, _BLOCK_POINTS // stack.size)):
         rows = slice(start, start + len(block))
         if y is not None:
             block *= y
-        np.sum(block, axis=1, out=totals[rows])
+        np.sum(block, axis=-1, out=totals[rows])
         np.multiply(block, block, out=block)  # the block is not read again: square it in place
-        np.sum(block, axis=1, out=squares[rows])
+        np.sum(block, axis=-1, out=squares[rows])
+    tables = [_table(totals[:, k], squares[:, k], n, y is None) for k in range(len(stack))]
+    return tables if points.ndim > 1 else tables[0]
+
+
+def _table(totals: np.ndarray, squares: np.ndarray, n: int, density: bool) -> CoefficientTable:
+    """The table of one sample from its two sums per index."""
     theta = totals / n
-    if y is None:
+    if density:
         theta[0] = 1.0
     loo = (totals**2 - squares) / (n * (n - 1)) if n > 1 else None
-    return CoefficientTable(model="density" if y is None else "regression", n=n,
+    return CoefficientTable(model="density" if density else "regression", n=n,
                             theta_hat=theta, theta_sq_loo=loo)
 
 

@@ -2,25 +2,31 @@
 
 A replication generates one sample, the arrays (points, y), from its
 (seed, rep_index) stream and reduces it to one coefficient table and the
-noise level sigma_hat^2 (ExperimentContext.replication, the one kernel
-shared by evaluation runs, bands, calibration and the oracle-inequality
-check).  The sample is evaluated on the basis once, inside
-empirical_coefficients; nothing after the kernel reads the sample, and
-every selector takes its dimension grid from the table.  Evaluation runs
-all requested selectors, cross-validation included, on that shared table
-and scores each selected dimension by Simpson-grid ISE against the true
-function.
+noise level sigma_hat^2.  ExperimentContext.replications is the one
+kernel, shared by evaluation runs, bands, calibration and the
+oracle-inequality check: it makes a batch of K = max(1, BATCH_POINTS // n)
+consecutive replications at a time, with one sample call (a (K, n)
+stack, one stream per row, one quantile transform for densities) and
+one pass over the basis rows (empirical_coefficients), and yields
+(table, sigma_sq) per replication.  Every step before the sums is elementwise and every
+sum runs over one replication's row, so a replication's table is the
+same floats in any batch.  Nothing after the kernel reads the sample,
+and every selector takes its dimension grid from the table.  Evaluation
+runs all requested selectors, cross-validation included, on that shared
+table and scores each selected dimension by Simpson-grid ISE against the
+true function, one replication at a time.
 ExperimentContext computes the sample-free parts of that ISE once (the
 Gram matrix of the basis on the grid, its cross products with the truth
 and the truth's squared norm; estimators.ise_gram), so the ISE of every
 dimension of a replication costs one (M+1)^2 matrix-vector product.
 
 One runner, _run_reps, loops over replications for evaluation, bands and
-calibration.  It maps a per-replication function over chunks, in process
-on the caller's ExperimentContext or through a process pool whose workers
-hold their own, and yields the outputs in replication order, so results
-are byte for byte the same for any worker count.  Evaluation keeps them
-as columns (RunResults), whose iteration yields the raw rows.
+calibration.  It maps a per-replication function of (ctx, table,
+sigma_sq) over the kernel's output, in process on the caller's
+ExperimentContext or, chunk by chunk, through a process pool whose
+workers hold their own, and yields the outputs in replication order, so
+results are byte for byte the same for any worker count.  Evaluation
+keeps them as columns (RunResults), whose iteration yields the raw rows.
 
 Calibration searches a grid of penalty constants for the value minimizing
 mean ISE over replications drawn from a stream namespace disjoint from
@@ -62,6 +68,12 @@ CALIB_NS = 1
 
 #: Fewest replications whose 5% and 95% pointwise percentiles are bands.
 MIN_BAND_REPS = 20
+
+#: Sample points per batch of the replication kernel: enough that each
+#: numpy call of the sample and coefficient steps serves many small-n
+#: replications, few enough that a batch's arrays stay in cache.  n = 1000
+#: runs batches of 16 replications, n >= BATCH_POINTS one at a time.
+BATCH_POINTS = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -146,25 +158,36 @@ class ExperimentContext:
         self.gram_lower, self.cross, self.norm_sq = ise_gram(
             self.basis_grid, self.truth_grid, simpson_weights(cfg.grid_size))
 
-    def sample(self, rep_index: int,
-               namespace: int = EVAL_NS) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(points, y) of one replication: y is the responses, None for densities."""
+    def sample(self, rep_index: int, namespace: int = EVAL_NS,
+               count: int = 1) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(points, y) of replications rep_index..rep_index + count - 1.
+
+        Both are (count, n) stacks, row k from the stream of replication
+        rep_index + k; y is the responses, None for densities.
+        """
         cfg = self.cfg
         if cfg.model == "density":
             return gen_density_sample(cfg.n, cfg.case, self.law, cfg.seed, rep_index,
-                                      namespace), None
-        return gen_regression_sample(cfg.n, cfg.case, self.target, cfg.seed, rep_index, namespace)
+                                      namespace, count), None
+        return gen_regression_sample(cfg.n, cfg.case, self.target, cfg.seed, rep_index,
+                                     namespace, count)
 
-    def replication(self, rep_index: int,
-                    namespace: int = EVAL_NS) -> tuple[CoefficientTable, float]:
-        """The replication kernel: (table, sigma_sq) of one sample.
+    def replications(self, start: int, stop: int,
+                     namespace: int = EVAL_NS) -> Iterator[tuple[CoefficientTable, float]]:
+        """The replication kernel: (table, sigma_sq) of replications start..stop-1, in order.
 
-        sigma_sq is sigma_hat^2 for regression and 1.0 for densities, so
-        penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
+        One sample call and one coefficient pass per batch of
+        max(1, BATCH_POINTS // n) replications.  sigma_sq is sigma_hat^2
+        for regression and 1.0 for densities, so penalty_vector(c, M, n,
+        sigma_sq) is the penalty of either model.
         """
-        points, y = self.sample(rep_index, namespace)
-        table = empirical_coefficients(points, self.cfg.m_grid, y)
-        return table, 1.0 if y is None else sigma_y_hat(y)
+        cfg = self.cfg
+        batch = max(1, BATCH_POINTS // cfg.n)
+        for first in range(start, stop, batch):
+            points, y = self.sample(first, namespace, min(batch, stop - first))
+            tables = empirical_coefficients(points, cfg.m_grid, y)
+            sigmas = [1.0] * len(tables) if y is None else [sigma_y_hat(row) for row in y]
+            yield from zip(tables, sigmas)
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid."""
@@ -228,31 +251,36 @@ class BandTable:
     p95: np.ndarray
 
 
-def run_replication(ctx: ExperimentContext, rep_index: int,
-                    namespace: int = EVAL_NS) -> tuple[np.ndarray, np.ndarray, float]:
-    """All requested selectors on one shared coefficient table.
+def run_replication(ctx: ExperimentContext, table: CoefficientTable,
+                    sigma_sq: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """All requested selectors on one replication's shared coefficient table.
 
     Returns the selected m of each selector in cfg.selectors order, the
-    realized ISE(m), m = 1..M, and sigma_hat^2.
+    realized ISE(m), m = 1..M, and sigma_hat^2.  GL and MS are one rule
+    (see selection), so MS takes GL's dimension when the two constants
+    are equal, and is scored on its own only for a constant of its own.
     """
     cfg = ctx.cfg
-    table, sig_sq = ctx.replication(rep_index, namespace)
     ise_by_m = ctx.ise_by_m(table)
+    shared = cfg.ms_constant == cfg.gl_constant
+    gl = None
 
     chosen = []
     for sel in cfg.selectors:
         if sel == "oracle":
             m = int(np.argmin(ise_by_m)) + 1
-        elif sel == "gl":
-            pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sig_sq)
-            m = select_with_pens(table, pens)
+        elif sel == "gl" or (sel == "ms" and shared):
+            if gl is None:
+                gl = select_with_pens(table, penalty_vector(cfg.gl_constant, table.m_max,
+                                                            cfg.n, sigma_sq))
+            m = gl
         elif sel == "ms":
-            m = select_ms(table, cfg.ms_constant, sig_sq)
+            m = select_ms(table, cfg.ms_constant, sigma_sq)
         else:
             m = select_cv(table)
         chosen.append(m)
 
-    return np.array(chosen, dtype=np.int64), ise_by_m, sig_sq
+    return np.array(chosen, dtype=np.int64), ise_by_m, sigma_sq
 
 
 _CTX: ExperimentContext | None = None
@@ -264,8 +292,9 @@ def _pool_init(cfg: ExperimentConfig) -> None:
 
 
 def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int):
-    """kernel(ctx, rep, namespace) for rep = start..stop-1: the replication loop."""
-    return (kernel(ctx, rep, namespace) for rep in range(start, stop))
+    """kernel(ctx, table, sigma_sq) for replications start..stop-1: the replication loop."""
+    return (kernel(ctx, table, sig_sq)
+            for table, sig_sq in ctx.replications(start, stop, namespace))
 
 
 def _pool_chunk(task) -> list:
@@ -274,22 +303,24 @@ def _pool_chunk(task) -> list:
 
 def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
               progress: bool = False) -> Iterator:
-    """Yield kernel(ctx, rep, namespace) for rep = 0..reps-1, in that order.
+    """Yield kernel(ctx, table, sigma_sq) for replications 0..reps-1, in that order.
 
-    One worker runs the chunks on the caller's context; more map them
-    through a pool whose workers build their own.  Executor.map keeps order.
+    One worker runs them all as one chunk on the caller's context; more
+    cut them into chunks of reps // (4 workers) and map the chunks
+    through a pool whose workers build their own.  Executor.map keeps
+    order, and the kernel's batches within a chunk do not change a float.
     """
     workers = ctx.cfg.workers
-    size = max(1, reps // (workers * 4))
-    tasks = [(kernel, start, min(start + size, reps), namespace)
-             for start in range(0, reps, size)]
     if workers == 1:
         pool = nullcontext()
-        parts = (_chunk(ctx, *task) for task in tasks)
+        parts = [_chunk(ctx, kernel, 0, reps, namespace)]
     else:
         # imported here: it loads multiprocessing, which serial runs never need
         from concurrent.futures import ProcessPoolExecutor
 
+        size = max(1, reps // (workers * 4))
+        tasks = [(kernel, start, min(start + size, reps), namespace)
+                 for start in range(0, reps, size)]
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                    initargs=(ctx.cfg,))
         parts = pool.map(_pool_chunk, tasks)
@@ -325,11 +356,11 @@ def run_experiment(cfg: ExperimentConfig,
     return summarize(cfg, results), results
 
 
-def _gl_estimate(ctx: ExperimentContext, rep_index: int, namespace: int) -> np.ndarray:
+def _gl_estimate(ctx: ExperimentContext, table: CoefficientTable,
+                 sigma_sq: float) -> np.ndarray:
     """The GL estimate of one replication on the context's grid."""
     cfg = ctx.cfg
-    table, sig_sq = ctx.replication(rep_index, namespace)
-    pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sig_sq)
+    pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sigma_sq)
     m = select_with_pens(table, pens)
     return np.sum(table.theta_hat[: m + 1, None] * ctx.basis_grid[: m + 1], axis=0)
 
@@ -373,11 +404,10 @@ def _calibration_grid(c_grid: Iterable[float] | None, calib_reps: int) -> np.nda
     return grid
 
 
-def _calibration_row(c_grid: np.ndarray, ctx: ExperimentContext, rep_index: int,
-                     namespace: int) -> np.ndarray:
+def _calibration_row(c_grid: np.ndarray, ctx: ExperimentContext, table: CoefficientTable,
+                     sigma_sq: float) -> np.ndarray:
     """ISE of the dimension each constant of c_grid selects in one replication."""
-    table, sig_sq = ctx.replication(rep_index, namespace)
-    pens = penalty_vector(c_grid, table.m_max, ctx.cfg.n, sig_sq)
+    pens = penalty_vector(c_grid, table.m_max, ctx.cfg.n, sigma_sq)
     return ctx.ise_by_m(table)[select_with_pens(table, pens) - 1]
 
 

@@ -128,7 +128,9 @@ _LIFT_STEPS = tuple(_N_SEG >> s for s in range(1, _N_SEG.bit_length()))  # N/2, 
 #: the built-in targets; the third covers densities that vanish at an end
 #: of [0, 1], where the linear start is poorest.
 _NEWTON_STEPS = 3
-_QUANTILE_BLOCK = 2**16  # points transformed at a time; bounds the temporaries
+#: Points transformed at a time: bounds the temporaries (about 17 of 32 KB
+#: each) whatever the sample size, so a batch of samples adds no memory.
+_QUANTILE_BLOCK = 2**12
 
 
 class MarginalLaw:
@@ -143,7 +145,7 @@ class MarginalLaw:
     mass, with the density as the slope and every step clipped to the
     segment.  The segment's left end, table entry, knot density and mass
     are gathered once per point, outside the Newton loop, and the points
-    are transformed in blocks of at most 2**16, so the temporaries stay
+    are transformed in blocks of at most 2**12, so the temporaries stay
     bounded whatever the sample size.  For the built-in targets
     quantile(u) satisfies |cdf(q) - u| <= 1e-15.  quantile and cdf check
     their argument once; the points they derive from it stay in [0, 1],

@@ -133,7 +133,9 @@ def test_regression_sample_zero_noise_zero_function():
                         noise_sigma=0.0)
     u, y = gen_regression_sample(100, 1, zero, seed=1, rep_index=0)
     np.testing.assert_allclose(y, 0.0, atol=0.0)
-    assert u.shape == y.shape == (100,)
+    assert u.shape == y.shape == (1, 100)
+    u, y = gen_regression_sample(100, 1, zero, seed=1, rep_index=0, count=3)
+    assert u.shape == y.shape == (3, 100)
 
 
 def test_regression_second_moment_identity():
@@ -189,14 +191,14 @@ def dump_sample(points, path, y=None):
 
 
 def test_dump_sample_formats(tmp_path, law_f1):
-    x = gen_density_sample(5, 1, law_f1, seed=1, rep_index=0)
+    (x,) = gen_density_sample(5, 1, law_f1, seed=1, rep_index=0)
     path = tmp_path / "density.txt"
     dump_sample(x, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 5
     np.testing.assert_allclose([float(v) for v in lines], x, rtol=1e-16)
 
-    u, y = gen_regression_sample(4, 1, regression_f2(), seed=1, rep_index=0)
+    (u,), (y,) = gen_regression_sample(4, 1, regression_f2(), seed=1, rep_index=0)
     path2 = tmp_path / "regression.txt"
     dump_sample(u, path2, y)
     rows = [line.split() for line in path2.read_text().strip().splitlines()]

@@ -97,20 +97,47 @@ def materialized_coefficients(points, m_max, y=None):
 @pytest.mark.parametrize("n", [1, 2, 1000, 20000])
 def test_streamed_coefficients_match_materialized_psi(monkeypatch, n):
     # blocks of 2 rows end on a cos row, blocks of 3 alternate cos and sin;
-    # m_max = 100 ends on a sin row, 101 on a cos row
+    # m_max = 100 ends on a sin row, 101 on a cos row.  A (3, n) stack of
+    # samples gives each row's table, in blocks of the same number of rows,
+    # except at n = 1: numpy multiplies a one-element complex array in place
+    # by another rounding path than a longer one.
     rng = np.random.default_rng(n)
-    x, y, u = rng.uniform(size=n), rng.normal(size=n), rng.uniform(size=n)
+    x, y, u = rng.uniform(size=(3, n)), rng.normal(size=(3, n)), rng.uniform(size=(3, n))
     for points, resp in ((x, None), (u, y)):
         for m_max in (100, 101):
-            theta, loo = materialized_coefficients(points, m_max, resp)
-            for rows in (2, 3, 5, m_max + 1):
-                monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * n)
-                table = empirical_coefficients(points, m_max, resp)
-                assert np.array_equal(table.theta_hat, theta)
-                if n == 1:
-                    assert table.theta_sq_loo is None and loo is None
-                else:
-                    assert np.array_equal(table.theta_sq_loo, loo)
+            for k in range(3):
+                theta, loo = materialized_coefficients(points[k], m_max,
+                                                       None if resp is None else resp[k])
+                for rows in (2, 3, 5, m_max + 1):
+                    monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * n)
+                    table = empirical_coefficients(points[k], m_max,
+                                                   None if resp is None else resp[k])
+                    monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * 3 * n)
+                    stacked = empirical_coefficients(points, m_max, resp)[k]
+                    for got in (table, stacked) if n > 1 else (table,):
+                        assert np.array_equal(got.theta_hat, theta)
+                        if n == 1:
+                            assert got.theta_sq_loo is None and loo is None
+                        else:
+                            assert np.array_equal(got.theta_sq_loo, loo)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 1000, 8192, 8193, 20000])
+@pytest.mark.parametrize("K", [1, 3, 16])
+def test_last_axis_sum_is_the_row_sum(n, K):
+    """The numpy behaviour that batched coefficients rest on.
+
+    Summing a C-contiguous (rows, K, n) block over its last axis into a
+    (rows, K) array, as empirical_coefficients does, gives every row the
+    float that np.sum gives the same row as a 1-d array: numpy reduces
+    each contiguous row on its own, with the same pairwise summation.
+    """
+    block = np.random.default_rng(n * K).standard_normal((3, K, n))
+    out = np.empty((3, K))
+    np.sum(block, axis=-1, out=out)
+    for i in range(3):
+        for k in range(K):
+            assert out[i, k] == np.sum(block[i, k].copy())
 
 
 def test_coefficient_memory_does_not_grow_with_m():
@@ -130,7 +157,7 @@ def test_coefficient_memory_does_not_grow_with_m():
 
 def test_quantile_memory_is_bounded_by_blocks(law_f2):
     # ~17 n-length temporaries of one whole-sample pass would take 130 MiB;
-    # in blocks of 2^16 points only the output and the domain check are n-long
+    # in blocks of _QUANTILE_BLOCK points only the output and the domain check are n-long
     n = 10**6
     u = np.random.default_rng(9).uniform(size=n)
     tracemalloc.start()
@@ -203,7 +230,7 @@ def test_ise_parseval_split_oracle():
     # quadrature ISE equals sum of coefficient errors plus the truncated tail
     truth = density_f1()
     theta_true = true_coefficients(truth.eval, 400)
-    x = gen_density_sample(500, 1, MarginalLaw(truth), seed=3, rep_index=0)
+    (x,) = gen_density_sample(500, 1, MarginalLaw(truth), seed=3, rep_index=0)
     table = empirical_coefficients(x, 20)
     m = 14
     quad = ise_of_series(table, m, truth.eval)
@@ -232,8 +259,7 @@ def test_gram_ise_matches_grid_form(model, target):
     for case in (1, 2, 3):
         cfg = ExperimentConfig(model=model, target=target, case=case, n=400, reps=1, seed=5)
         ctx = ExperimentContext(cfg)
-        for rep in range(8):
-            table, _ = ctx.replication(rep)
+        for table, _ in ctx.replications(0, 8):
             fast = ctx.ise_by_m(table)
             ref = grid_ise_profile(table, ctx.truth_grid, ctx.basis_grid, weights)
             np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
@@ -258,7 +284,7 @@ def test_sigma_y_hat_pinned():
 
 def test_sigma_y_hat_matches_population_identity():
     target = regression_f1()
-    _, y = gen_regression_sample(10**5, 1, target, seed=21, rep_index=0)
+    _, (y,) = gen_regression_sample(10**5, 1, target, seed=21, rep_index=0)
     expected = 0.25 + integrate_values(target.eval(unit_grid()) ** 2)
     se = (y**2).std(ddof=1) / math.sqrt(y.size)
     assert sigma_y_hat(y) == pytest.approx(expected, abs=3.0 * se)
@@ -291,7 +317,7 @@ def test_coefficient_unbiasedness_monte_carlo():
     theta_true_r = true_coefficients(target.eval, m_top)
     acc_r = np.zeros((reps, m_top + 1))
     for r in range(reps):
-        u, y = gen_regression_sample(n, 1, target, seed=77, rep_index=r)
+        (u,), (y,) = gen_regression_sample(n, 1, target, seed=77, rep_index=r)
         acc_r[r] = empirical_coefficients(u, m_top, y).theta_hat
     mc_mean_r = acc_r.mean(axis=0)
     mc_se_r = acc_r.std(axis=0, ddof=1) / math.sqrt(reps)

@@ -10,48 +10,84 @@ print four to six significant digits) and abs 1e-12 (max |gram - I|
 sits at rounding level).  A change to a check's threshold, statistic
 or fixed setting fails here.
 
-Regenerate only for a change that is meant to move a check, and say so
+golden_check_values.json holds each check's values (CheckResult.values:
+the raw statistics and fixed settings) at full precision.  The names
+must match exactly and each value within rel 1e-12, with abs 1e-15 for
+the statistics that sit at rounding level (max |gram - I|, the even-m
+gap of the sup norm), so a drift below the printed digits fails here
+too.
+
+Regenerate both only for a change that is meant to move a check, and say so
 in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_check.py
 """
 
 import csv
+import json
 import math
 import re
 from pathlib import Path
 
+import pytest
+
 from adaseries.checks import run_all_checks
 
 GOLDEN = Path(__file__).with_name("golden_check.csv")
+GOLDEN_VALUES = Path(__file__).with_name("golden_check_values.json")
 SETTINGS = dict(seed=0, ks_draws=20000, case3_draws=20000, lemma_reps=50, fuzz_cases=300,
                 variance_reps=200, pens=[0.1, 0.2, 0.3])
 NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
-def current_rows():
-    return [[r.name, str(int(r.passed)), r.detail] for r in run_all_checks(**SETTINGS)]
+def current_rows(results):
+    return [[r.name, str(int(r.passed)), r.detail] for r in results]
 
 
-def write_golden(path=GOLDEN):
-    with open(path, "w", newline="") as fh:
+def current_values(results):
+    return {r.name: r.values for r in results}
+
+
+@pytest.fixture(scope="module")
+def results():
+    return run_all_checks(**SETTINGS)
+
+
+def write_golden():
+    results = run_all_checks(**SETTINGS)
+    with open(GOLDEN, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check", "passed", "detail"])
-        writer.writerows(current_rows())
+        writer.writerows(current_rows(results))
+    with open(GOLDEN_VALUES, "w") as fh:
+        json.dump(current_values(results), fh, indent=1)
+        fh.write("\n")
 
 
-def test_check_report_matches_golden():
+def test_check_report_matches_golden(results):
     with open(GOLDEN, newline="") as fh:
         reader = csv.reader(fh)
         assert next(reader) == ["check", "passed", "detail"]
         golden = list(reader)
-    rows = current_rows()
+    rows = current_rows(results)
     assert [r[:2] for r in rows] == [g[:2] for g in golden]
     for (name, _, detail), (_, _, want) in zip(rows, golden):
         assert NUMBER.sub("#", detail) == NUMBER.sub("#", want), name
         for got, ref in zip(NUMBER.findall(detail), NUMBER.findall(want)):
             assert math.isclose(float(got), float(ref), rel_tol=1e-6, abs_tol=1e-12), \
                 (name, detail, want)
+
+
+def test_check_values_match_golden(results):
+    golden = json.loads(GOLDEN_VALUES.read_text())
+    values = current_values(results)
+    assert list(values) == list(golden)
+    for name, want in golden.items():
+        got = values[name]
+        assert list(got) == list(want), name
+        for key, ref in want.items():
+            assert isinstance(got[key], int) == isinstance(ref, int), (name, key)
+            assert math.isclose(got[key], ref, rel_tol=1e-12, abs_tol=1e-15), (name, key)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from adaseries.estimators import empirical_coefficients, sigma_y_hat
-from adaseries.harness import (CALIB_NS, BandTable, ExperimentConfig, ExperimentContext,
+from adaseries.harness import (BATCH_POINTS, CALIB_NS, BandTable, ExperimentConfig,
+                               ExperimentContext,
                                RepRecord, SummaryRow, calibrate_constant, calibrated_config,
                                compute_bands, default_c_grid, run_experiment,
                                run_replication, write_bands_csv, write_raw_csv,
@@ -45,11 +46,16 @@ def test_config_validation():
 
 def test_replication_deterministic():
     ctx = ExperimentContext(small_cfg())
-    (m_a, ise_a, sig_a), (m_b, ise_b, sig_b) = run_replication(ctx, 3), run_replication(ctx, 3)
+
+    def rep(index):
+        (table, sig_sq), = ctx.replications(index, index + 1)
+        return run_replication(ctx, table, sig_sq)
+
+    (m_a, ise_a, sig_a), (m_b, ise_b, sig_b) = rep(3), rep(3)
     np.testing.assert_array_equal(m_a, m_b)
     np.testing.assert_array_equal(ise_a, ise_b)
     assert sig_a == sig_b
-    assert not np.array_equal(ise_a, run_replication(ctx, 4)[1])
+    assert not np.array_equal(ise_a, rep(4)[1])
 
 
 def test_oracle_dominates_per_replication():
@@ -77,8 +83,7 @@ def reference_records(cfg):
     """The per-(replication, selector) record loop the columns replace, and ISE(m) rows."""
     ctx = ExperimentContext(cfg)
     records, profiles = [], []
-    for rep in range(cfg.reps):
-        table, sig_sq = ctx.replication(rep)
+    for rep, (table, sig_sq) in enumerate(ctx.replications(0, cfg.reps)):
         ise_by_m = ctx.ise_by_m(table)
         profiles.append(ise_by_m)
         for sel in cfg.selectors:
@@ -143,9 +148,12 @@ def test_import_loads_no_process_pool():
 def test_parallel_equals_serial():
     """Every column, the bands and the calibration curve, bitwise, across worker counts.
 
-    17 replications on 2 workers run as eight chunks of 2 and one of 1.
+    At n = BATCH_POINTS // 5 the kernel batches 5 replications, so 17
+    replications run serially as batches of 5, 5, 5 and 2, and on 2
+    workers as eight chunks of 2 and one of 1.  The bands (n = 300) run
+    serially as one batch of 21, and on 2 workers in chunks of 2.
     """
-    cfg = small_cfg(reps=17)
+    cfg = small_cfg(reps=17, n=BATCH_POINTS // 5)
     _, serial = run_experiment(cfg)
     _, parallel = run_experiment(dataclasses.replace(cfg, workers=2))
     for name in ("m_selected", "ise", "sigma_y_hat", "ise_by_m"):
@@ -165,6 +173,49 @@ def test_parallel_equals_serial():
     assert serial_calib.chosen == parallel_calib.chosen
 
 
+@pytest.mark.parametrize("model,target", [("density", "f1"), ("density", "f2"),
+                                          ("regression", "f1"), ("regression", "f2")])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_batched_tables_equal_batches_of_one(model, target, case, monkeypatch):
+    """A replication's theta_hat, theta_sq_loo and sigma_hat^2 are the same floats in any batch.
+
+    Runs of 1, 2 and 7 replications, each one batch, and one run of K + 2,
+    which crosses the budget: the kernel cuts it into a full batch of
+    K = BATCH_POINTS // n and a batch of 2.  At n = 2 and 3 the budget is
+    lowered to 8 n so that the crossing run stays short.
+    """
+    from adaseries import harness as hl
+
+    for n in (2, 3, 200, 1000):
+        budget = BATCH_POINTS if n >= 200 else 8 * n
+        monkeypatch.setattr(hl, "BATCH_POINTS", budget)
+        ctx = ExperimentContext(ExperimentConfig(model=model, target=target, case=case, n=n,
+                                                 reps=1, seed=4))
+        batches = []
+        sample = ctx.sample
+        ctx.sample = lambda rep, ns, count: batches.append(count) or sample(rep, ns, count)
+        K = budget // n
+        for start, stop, cuts in ((5, 6, [1]), (5, 7, [2]), (3, 10, [7]), (0, K + 2, [K, 2])):
+            batches.clear()
+            batched = list(ctx.replications(start, stop))
+            assert batches == cuts and len(batched) == stop - start
+            for rep, (table, sig_sq) in zip(range(start, stop), batched):
+                ((one, one_sig_sq),) = ctx.replications(rep, rep + 1)
+                assert np.array_equal(table.theta_hat, one.theta_hat)
+                assert np.array_equal(table.theta_sq_loo, one.theta_sq_loo)
+                assert sig_sq == one_sig_sq
+
+
+def test_distinct_ms_constant_scored_on_its_own():
+    """MS shares GL's dimension only when the constants are equal."""
+    cfg = small_cfg(model="regression", target="f1", case=2, n=400, reps=8, c_gl=1.0, c_ms=8.0)
+    _, results = run_experiment(cfg)
+    records, _ = reference_records(cfg)
+    assert list(results) == records
+    gl, ms = (results.m_selected[cfg.selectors.index(sel)] for sel in ("gl", "ms"))
+    assert np.any(gl != ms)
+
+
 def test_regression_records_sigma():
     cfg = ExperimentConfig(model="regression", target="f2", case=1, n=200, reps=2, seed=3)
     _, records = run_experiment(cfg)
@@ -177,15 +228,17 @@ def test_replication_kernel_matches_direct_path():
     for cfg in (small_cfg(), ExperimentConfig(model="regression", target="f2", case=2,
                                               n=200, reps=2, seed=3)):
         ctx = ExperimentContext(cfg)
-        table, sig_sq = ctx.replication(1, CALIB_NS)
-        points, y = ctx.sample(1, CALIB_NS)
+        (table, sig_sq), = ctx.replications(1, 2, CALIB_NS)
+        (points,), y = ctx.sample(1, CALIB_NS)
         assert (y is None) == (cfg.model == "density")
+        if y is not None:
+            (y,) = y
         reference = empirical_coefficients(points, cfg.m_grid, y)
         assert table.m_max == cfg.m_grid
         np.testing.assert_array_equal(table.theta_hat, reference.theta_hat)
         np.testing.assert_array_equal(table.theta_sq_loo, reference.theta_sq_loo)
         assert sig_sq == (sigma_y_hat(y) if cfg.model == "regression" else 1.0)
-        _, ise_by_m, kernel_sig_sq = run_replication(ctx, 1, CALIB_NS)
+        _, ise_by_m, kernel_sig_sq = run_replication(ctx, table, sig_sq)
         assert kernel_sig_sq == sig_sq
         np.testing.assert_array_equal(ise_by_m, ctx.ise_by_m(table))
 
@@ -216,7 +269,8 @@ def test_one_design_matrix_per_replication(monkeypatch):
         ctx = ExperimentContext(cfg)
         calls["all"] = 0
         for rep in range(3):
-            run_replication(ctx, rep)
+            (table, sig_sq), = ctx.replications(rep, rep + 1)
+            run_replication(ctx, table, sig_sq)
         assert calls == {"all": 3, "in_cv": 0}
 
 
@@ -283,8 +337,7 @@ def test_calibration_matches_per_constant_loop(model, target):
     calib = calibrate_constant(cfg, c_grid, calib_reps=reps)
     ctx = ExperimentContext(cfg)
     loop = np.zeros(c_grid.size)
-    for rep in range(reps):
-        table, sig_sq = ctx.replication(rep, CALIB_NS)
+    for table, sig_sq in ctx.replications(0, reps, CALIB_NS):
         assert (sig_sq != 1.0) == (model == "regression")
         ise_by_m = ctx.ise_by_m(table)
         block = penalty_vector(c_grid, cfg.m_grid, cfg.n, sig_sq)
@@ -304,7 +357,7 @@ def test_calibration_warns_once_for_both_selectors(monkeypatch):
     from adaseries import harness as hl
 
     bumpy = np.array([2.0, 1.0, 3.0, 0.5])  # argmin at the end, but not monotone before it
-    monkeypatch.setattr(hl, "_calibration_row", lambda c_grid, ctx, rep, ns: bumpy)
+    monkeypatch.setattr(hl, "_calibration_row", lambda c_grid, ctx, table, sig_sq: bumpy)
     with pytest.warns(UserWarning) as caught:
         calib = calibrate_constant(small_cfg(), c_grid=[1.0, 2.0, 3.0, 4.0], calib_reps=2)
     assert len(caught) == 1

@@ -311,7 +311,7 @@ def test_cv_fast_form_matches_triple_loop():
     # the table's leave-one-out squares give the sample-side O(n) form bit for bit
     for rep in range(5):
         for n, M in ((50, 10), (500, 100)):
-            x = gen_density_sample(n, 2, MarginalLaw(density_f1()), seed=3, rep_index=rep)
+            (x,) = gen_density_sample(n, 2, MarginalLaw(density_f1()), seed=3, rep_index=rep)
             np.testing.assert_array_equal(cv_of(x, M), sample_cv(x, M))
             y, u = rng.standard_normal(n), rng.uniform(size=n)
             np.testing.assert_array_equal(cv_of(u, M, y), sample_cv(u, M, y))
@@ -358,7 +358,7 @@ def test_oracle_never_beaten_on_shared_table():
     truth = density_f1()
     law = MarginalLaw(truth)
     for rep in range(10):
-        x = gen_density_sample(300, 1, law, seed=31, rep_index=rep)
+        (x,) = gen_density_sample(300, 1, law, seed=31, rep_index=rep)
         table = empirical_coefficients(x, 40)
         crit = oracle_profile(table, truth.eval, n_points=1025)
         m_o = int(np.argmin(crit)) + 1
@@ -437,7 +437,7 @@ def test_lemma1_on_simulated_replications():
     theta_true = true_coefficients(truth.eval, 400)
     pens = penalty_vector(theorem_constant("density", 1), 50, 500)
     for rep in range(40):
-        x = gen_density_sample(500, 1, law, seed=41, rep_index=rep)
+        (x,) = gen_density_sample(500, 1, law, seed=41, rep_index=rep)
         table = empirical_coefficients(x, 50)
         assert lemma1_audit(table, pens, theta_true).all_passed
 

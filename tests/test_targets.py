@@ -187,8 +187,11 @@ def test_quantile_bit_identical_to_searchsorted_form(law_f1, law_f2, law_uniform
             assert law.quantile(end) == searchsorted_quantile(law, end)
 
 
-@pytest.mark.parametrize("size", [_QUANTILE_BLOCK - 1, _QUANTILE_BLOCK, _QUANTILE_BLOCK + 1])
+@pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1])
 def test_quantile_blocks_bit_identical(law_f2, size):
+    # 2**16 is a whole number of blocks: the last block is one point short,
+    # full, or a single point
+    assert 2**16 % _QUANTILE_BLOCK == 0
     u = np.random.default_rng(size).uniform(size=size)
     assert np.array_equal(law_f2.quantile(u), searchsorted_quantile(law_f2, u))
 
