@@ -6,9 +6,9 @@ follow the acceptance gates (KS < 0.006 at 1e5 draws, closed-form Case-3
 marginal within 0.005 of 1e6 simulated draws, recursion residual below
 2^-37, variance bound with 10% headroom, rate-slope within 0.02).  Only
 settings that callers vary are parameters; fixed tolerances and grid
-sizes are named in each check's docstring.  Each CheckResult carries its
-detail line, rounded for reading, and its values: the raw statistics and
-the settings they were computed at, at full precision.
+sizes are module constants, named in each check's docstring.  Each
+CheckResult carries its detail line, rounded for reading, and its values:
+the raw statistics at full precision.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .quadrature import simpson_weights, unit_grid
 from .selection import lemma1_audit, penalty_vector
 from .targets import MarginalLaw, density_f1, density_f2, true_coefficients
 
+ORTHONORMALITY_TOL = 1e-8
+SUP_NORM_POINTS = 10**4
+RATE_SLOPE_TOL = 0.02
+VARIANCE_HEADROOM = 1.1
 KS_THRESHOLD = 0.006
 KS_DRAWS = 10**5
 CASE3_MARGINAL_THRESHOLD = 0.005
@@ -41,12 +45,12 @@ LEMMA_NS = 14  # stream namespace of the simulated oracle-inequality audit
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check's verdict, its printed detail and its values (name -> number)."""
+    """One check's verdict, its printed detail and its raw statistics (name -> number)."""
 
     name: str
     passed: bool
     detail: str
-    values: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict, hash=False)
 
 
 def ks_statistic(draws: np.ndarray, cdf) -> float:
@@ -60,24 +64,25 @@ def ks_statistic(draws: np.ndarray, cdf) -> float:
 
 
 def check_orthonormality(j_max: int = 30) -> CheckResult:
-    """Quadrature Gram matrix of the first basis functions equals identity within 1e-8."""
+    """Quadrature Gram matrix of the first basis functions equals identity.
+
+    Within ORTHONORMALITY_TOL = 1e-8.
+    """
     grid = unit_grid()
     design = TrigBasis().design_matrix(grid, j_max)
     weighted = design * simpson_weights(grid.size)
     gram = weighted @ design.T
     err = float(np.max(np.abs(gram - np.eye(j_max + 1))))
-    tol = 1e-8
-    return CheckResult("orthonormality", err <= tol, f"max |gram - I| = {err:.2e}",
-                       {"j_max": j_max, "grid_points": grid.size, "tolerance": tol,
-                        "max_gram_error": err})
+    return CheckResult("orthonormality", err <= ORTHONORMALITY_TOL,
+                       f"max |gram - I| = {err:.2e}", {"max_gram_error": err})
 
 
 def check_sup_norm(m_limit: int = 100) -> CheckResult:
     """sup_x sum_{j=1..m} phi_j(x)^2 <= 2 m, with equality to m at even m.
 
-    The sup is taken over 10^4 equispaced points of [0, 1].
+    The sup is taken over SUP_NORM_POINTS = 10^4 equispaced points of [0, 1].
     """
-    x = np.linspace(0.0, 1.0, 10**4)
+    x = np.linspace(0.0, 1.0, SUP_NORM_POINTS)
     sq = TrigBasis().design_matrix(x, m_limit) ** 2
     running = np.cumsum(sq[1:], axis=0)
     sups = running.max(axis=1)
@@ -88,22 +93,19 @@ def check_sup_norm(m_limit: int = 100) -> CheckResult:
     ratio = float(np.max(sups / m))
     return CheckResult("sup_norm_constant", bound_ok and even_gap <= 1e-10,
                        f"max sup/m = {ratio:.6f}",
-                       {"m_limit": m_limit, "points": x.size, "max_sup_over_m": ratio,
-                        "max_even_gap": even_gap})
+                       {"max_sup_over_m": ratio, "max_even_gap": even_gap})
 
 
 def check_rate_slopes() -> CheckResult:
-    """log-log slope of the benchmark risk matches -2p/(2p+1) within 0.02."""
+    """log-log slope of the benchmark risk matches -2p/(2p+1) within RATE_SLOPE_TOL = 0.02."""
     n_grid = np.unique(np.round(10 ** np.linspace(3, 6, 7)).astype(int))
     details = []
-    tol = 0.02
-    values = {"n_min": int(n_grid[0]), "n_max": int(n_grid[-1]), "n_sizes": n_grid.size,
-              "tolerance": tol}
+    values = {}
     ok = True
     for p in (1.0, 2.0):
         slope = rate_slope(WeightSequence("polynomial", p=p), n_grid)
         expect = -2.0 * p / (2.0 * p + 1.0)
-        ok &= abs(slope - expect) <= tol
+        ok &= abs(slope - expect) <= RATE_SLOPE_TOL
         details.append(f"p={p:g}: {slope:+.4f} (target {expect:+.4f})")
         values[f"slope_p{p:g}"] = slope
     return CheckResult("rate_slope", ok, "; ".join(details), values)
@@ -114,7 +116,7 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
     """Monte Carlo sum of coefficient variances against the (A1) bound.
 
     iid density draws from f1; sum_{j<=m} Var(theta_hat_j) must stay below
-    the bound SUP_NORM_SQ * m / n with 10% headroom.
+    the bound SUP_NORM_SQ * m / n with 10% headroom (VARIANCE_HEADROOM = 1.1).
     """
     m_top = max(dims)
     law = MarginalLaw(density_f1())
@@ -126,11 +128,10 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
     variances = thetas.var(axis=0, ddof=1)
     ok = True
     ratios = []
-    headroom = 1.1
-    values = {"seed": seed, "n": n, "reps": reps, "headroom": headroom}
+    values = {}
     for m in dims:
         total = float(np.sum(variances[:m]))
-        bound = headroom * SUP_NORM_SQ * m / n
+        bound = VARIANCE_HEADROOM * SUP_NORM_SQ * m / n
         ok &= total <= bound
         ratios.append(f"m={m}: {total / (SUP_NORM_SQ * m / n):.3f}")
         values[f"sum_var_m{m}"] = total
@@ -154,11 +155,10 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
     ok = True
     worst = 0.0
     worst_pair = ""
-    values = {"seed": seed, "draws": draws, "threshold": threshold}
+    values = {}
     for name, law in _marginal_laws().items():
         for case in (1, 2, 3):
-            rng = stream(seed, case, namespace=10)
-            v = uniform_series(case, draws, rng)
+            (v,) = uniform_series(case, draws, [stream(seed, case, namespace=10)])
             if law is None:
                 stat = ks_statistic(v, cdf=lambda x: x)
             else:
@@ -190,7 +190,7 @@ def check_case3_marginal(seed: int = 0, draws: int = CASE3_MARGINAL_DRAWS,
     stat = ks_statistic(y, cdf=marginal_G_case3)
     return CheckResult("case3_marginal_closed_form", stat < threshold,
                        f"sup |G - ecdf| = {stat:.5f}, threshold {threshold:.4g}",
-                       {"seed": seed, "draws": draws, "threshold": threshold, "sup_gap": stat})
+                       {"sup_gap": stat})
 
 
 def check_case3_residual(seed: int = 0, n: int = 10**4,
@@ -204,7 +204,7 @@ def check_case3_residual(seed: int = 0, n: int = 10**4,
     worst = float(np.max(np.abs(resid)))
     return CheckResult("case3_recursion_residual", worst < bound,
                        f"max |residual| = {worst:.3e}, bound {bound:.3e}",
-                       {"seed": seed, "n": n, "bound": bound, "max_residual": worst})
+                       {"max_residual": worst})
 
 
 def dependence_score(case: int, n: int = DEPENDENCE_SCORE_DRAWS, seed: int = 0) -> float:
@@ -216,8 +216,7 @@ def dependence_score(case: int, n: int = DEPENDENCE_SCORE_DRAWS, seed: int = 0) 
     included) vanish identically, while cross pairs expose the
     deterministic frequency doubling.
     """
-    rng = stream(seed, case, namespace=13)
-    v = uniform_series(case, n, rng)
+    (v,) = uniform_series(case, n, [stream(seed, case, namespace=13)])
     scores = TrigBasis().design_matrix(v, DEPENDENCE_SCORE_ROWS)[1:]
     lead, lag = scores[:, :-1], scores[:, 1:]
     z_max = 0.0
@@ -235,10 +234,7 @@ def check_dependence_scores(seed: int = 0) -> CheckResult:
           and z3 > DEPENDENCE_SCORE_SIGMAS)
     return CheckResult("dependence_scores", ok,
                        f"max |z|: case1 {z1:.1f}, case2 {z2:.1f}, case3 {z3:.1f}",
-                       {"seed": seed, "draws": DEPENDENCE_SCORE_DRAWS,
-                        "score_rows": DEPENDENCE_SCORE_ROWS,
-                        "threshold": DEPENDENCE_SCORE_SIGMAS, "z_case1": z1,
-                        "z_case2": z2, "z_case3": z3})
+                       {"z_case1": z1, "z_case2": z2, "z_case3": z3})
 
 
 def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> CheckResult:
@@ -252,8 +248,7 @@ def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> Che
         if not lemma1_audit(table, pens, theta_true).all_passed:
             failures += 1
     return CheckResult("lemma1_simulation", failures == 0,
-                       f"{reps - failures}/{reps} replications satisfied the bound",
-                       {"seed": seed, "reps": reps, "n": n, "failures": failures})
+                       f"{reps - failures}/{reps} replications satisfied the bound")
 
 
 def check_lemma1_fuzz(seed: int = 0, cases: int = 2000) -> CheckResult:
@@ -273,8 +268,7 @@ def check_lemma1_fuzz(seed: int = 0, cases: int = 2000) -> CheckResult:
         if not lemma1_audit(table, np.cumsum(steps), theta_true).all_passed:
             failures += 1
     return CheckResult("lemma1_fuzz", failures == 0,
-                       f"{cases - failures}/{cases} random tables satisfied the bound",
-                       {"seed": seed, "cases": cases, "failures": failures})
+                       f"{cases - failures}/{cases} random tables satisfied the bound")
 
 
 def check_custom_pens(pens) -> CheckResult:

@@ -6,9 +6,11 @@ samples use V directly as the design and add N(0, sigma^2) noise.  A
 sample is plain arrays: gen_density_sample returns the points x,
 gen_regression_sample the design u and the responses y.  Both make a
 batch of consecutive replications at once, one row per replication of a
-(count, n) stack: each row is drawn from its own stream, and every step
-after the draws is elementwise and runs once on the whole stack, so a
-row is the same floats whatever batch it is made in.
+(count, n) stack, as uniform_series does for its list of generators (a
+single series is a stack of one).  Each row is drawn from its own
+stream, and every step after the draws is elementwise and runs once on
+the whole stack, so a row is the same floats whatever batch it is made
+in.
 
 Case 2 starts at the invariant arcsine law (no burn-in) and iterates the
 logistic map T(y) = 4 y (1 - y); G(y) = (2 / pi) arcsin(sqrt(y)) maps the
@@ -111,21 +113,18 @@ def marginal_G_case3(y) -> np.ndarray:
 
 
 def uniform_series(case: int, n: int, rngs) -> np.ndarray:
-    """Series of length n with uniform marginal for the requested case.
+    """Series of length n with uniform marginal, one per generator in rngs.
 
-    rngs is one Generator, giving shape (n,), or a sequence of them,
-    giving one series per generator, shape (len(rngs), n).  Each series
-    takes its draws from its own generator alone; the map to uniform
-    (arcsine_cdf, marginal_G_case3) runs once on the whole stack.
+    Shape (len(rngs), n), a stack like the samples built on it.  Each
+    series takes its draws from its own generator alone; the map to
+    uniform (arcsine_cdf, marginal_G_case3) runs once on the whole stack.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
     if case not in (1, 2, 3):
         raise ValueError(f"unknown dependence case {case}")
-    single = isinstance(rngs, np.random.Generator)
-    gens = [rngs] if single else rngs
-    out = np.empty((len(gens), n))
-    for row, rng in zip(out, gens):
+    out = np.empty((len(rngs), n))
+    for row, rng in zip(out, rngs):
         if case == 1:
             rng.random(out=row)
         elif case == 2:
@@ -136,7 +135,7 @@ def uniform_series(case: int, n: int, rngs) -> np.ndarray:
         out = arcsine_cdf(out)
     elif case == 3:
         out = marginal_G_case3(out)
-    return out[0] if single else out
+    return out
 
 
 def _streams(seed: int, rep_index: int, namespace: int, count: int) -> list:

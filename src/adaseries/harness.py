@@ -256,24 +256,18 @@ def run_replication(ctx: ExperimentContext, table: CoefficientTable,
     """All requested selectors on one replication's shared coefficient table.
 
     Returns the selected m of each selector in cfg.selectors order, the
-    realized ISE(m), m = 1..M, and sigma_hat^2.  GL and MS are one rule
-    (see selection), so MS takes GL's dimension when the two constants
-    are equal, and is scored on its own only for a constant of its own.
+    realized ISE(m), m = 1..M, and sigma_hat^2.
     """
     cfg = ctx.cfg
     ise_by_m = ctx.ise_by_m(table)
-    shared = cfg.ms_constant == cfg.gl_constant
-    gl = None
 
     chosen = []
     for sel in cfg.selectors:
         if sel == "oracle":
             m = int(np.argmin(ise_by_m)) + 1
-        elif sel == "gl" or (sel == "ms" and shared):
-            if gl is None:
-                gl = select_with_pens(table, penalty_vector(cfg.gl_constant, table.m_max,
-                                                            cfg.n, sigma_sq))
-            m = gl
+        elif sel == "gl":
+            pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sigma_sq)
+            m = select_with_pens(table, pens)
         elif sel == "ms":
             m = select_ms(table, cfg.ms_constant, sigma_sq)
         else:

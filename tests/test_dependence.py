@@ -13,15 +13,13 @@ from adaseries.targets import regression_f1, regression_f2
 
 
 def test_case1_uniform_marginal_identity(law_uniform):
-    rng = stream(3, 0)
-    z = law_uniform.quantile(uniform_series(1, 50, rng))
+    (z,) = law_uniform.quantile(uniform_series(1, 50, [stream(3, 0)]))
     raw = stream(3, 0).uniform(size=50)
     np.testing.assert_allclose(z, raw, atol=1e-8)
 
 
 def test_case1_ks_against_marginal(law_f1):
-    rng = stream(11, 0)
-    z = law_f1.quantile(uniform_series(1, 10**5, rng))
+    (z,) = law_f1.quantile(uniform_series(1, 10**5, [stream(11, 0)]))
     assert ks_statistic(z, cdf=law_f1.cdf) < 0.006
 
 
@@ -84,8 +82,7 @@ def test_arcsine_endpoints():
 
 
 def test_case2_invariant_law_uniform():
-    rng = stream(5, 0)
-    v = uniform_series(2, 10**5, rng)
+    (v,) = uniform_series(2, 10**5, [stream(5, 0)])
     assert ks_statistic(v, cdf=lambda x: x) < 0.006
 
 
@@ -122,8 +119,7 @@ def test_case3_marginal_against_monte_carlo():
 
 
 def test_case3_uniform_series_ks():
-    rng = stream(31, 0)
-    v = uniform_series(3, 10**5, rng)
+    (v,) = uniform_series(3, 10**5, [stream(31, 0)])
     assert ks_statistic(v, cdf=lambda x: x) < 0.006
 
 

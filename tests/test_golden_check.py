@@ -10,12 +10,13 @@ print four to six significant digits) and abs 1e-12 (max |gram - I|
 sits at rounding level).  A change to a check's threshold, statistic
 or fixed setting fails here.
 
-golden_check_values.json holds each check's values (CheckResult.values:
-the raw statistics and fixed settings) at full precision.  The names
-must match exactly and each value within rel 1e-12, with abs 1e-15 for
-the statistics that sit at rounding level (max |gram - I|, the even-m
-gap of the sup norm), so a drift below the printed digits fails here
-too.
+golden_check_values.json holds each check's raw statistics
+(CheckResult.values) at full precision.  The names must match exactly and
+each value within rel 1e-12, with abs 1e-15 for the statistics that sit
+at rounding level (max |gram - I|, the even-m gap of the sup norm), so a
+drift below the printed digits fails here too.  The fixed tolerances and
+sizes that no printed number shows are module constants of checks,
+pinned here by value.
 
 Regenerate both only for a change that is meant to move a check, and say so
 in CHANGES.md:
@@ -31,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from adaseries import checks
 from adaseries.checks import run_all_checks
 
 GOLDEN = Path(__file__).with_name("golden_check.csv")
@@ -88,6 +90,15 @@ def test_check_values_match_golden(results):
         for key, ref in want.items():
             assert isinstance(got[key], int) == isinstance(ref, int), (name, key)
             assert math.isclose(got[key], ref, rel_tol=1e-12, abs_tol=1e-15), (name, key)
+
+
+def test_fixed_settings():
+    assert checks.ORTHONORMALITY_TOL == 1e-8
+    assert checks.SUP_NORM_POINTS == 10**4
+    assert checks.RATE_SLOPE_TOL == 0.02
+    assert checks.VARIANCE_HEADROOM == 1.1
+    assert checks.DEPENDENCE_SCORE_DRAWS == 10**5
+    assert checks.DEPENDENCE_SCORE_ROWS == 4
 
 
 if __name__ == "__main__":

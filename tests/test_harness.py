@@ -207,7 +207,7 @@ def test_batched_tables_equal_batches_of_one(model, target, case, monkeypatch):
 
 
 def test_distinct_ms_constant_scored_on_its_own():
-    """MS shares GL's dimension only when the constants are equal."""
+    """A c_ms != c_gl config selects its own MS dimension, not GL's."""
     cfg = small_cfg(model="regression", target="f1", case=2, n=400, reps=8, c_gl=1.0, c_ms=8.0)
     _, results = run_experiment(cfg)
     records, _ = reference_records(cfg)
