@@ -9,6 +9,11 @@ settings that callers vary are parameters; fixed tolerances and grid
 sizes are module constants, named in each check's docstring.  Each
 CheckResult carries its detail line, rounded for reading, and its values:
 the raw statistics at full precision.
+
+The checks draw with the samplers the experiments run (uniform_series,
+bernoulli_ar_path, gen_density_sample) and reduce with
+empirical_coefficients, so they verify that code, not copies of it.  Only
+the case-3 recursion residual draws its own innovations: it needs them.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
-from .dependence import (AR_TRUNCATION, ar_path_from_innovations,
-                         marginal_G_case3, stream, uniform_series)
+from .dependence import (AR_TRUNCATION, ar_path_from_innovations, bernoulli_ar_path,
+                         gen_density_sample, marginal_G_case3, stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients
-from .harness import ConfigError, ExperimentConfig, ExperimentContext
+from .harness import BATCH_POINTS, ConfigError, ExperimentConfig, ExperimentContext
 from .quadrature import simpson_weights, unit_grid
 from .selection import lemma1_audit, penalty_vector
 from .targets import MarginalLaw, density_f1, density_f2, true_coefficients
@@ -115,17 +120,21 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
                          dims=(5, 10, 20)) -> CheckResult:
     """Monte Carlo sum of coefficient variances against the (A1) bound.
 
-    iid density draws from f1; sum_{j<=m} Var(theta_hat_j) must stay below
-    the bound SUP_NORM_SQ * m / n with 10% headroom (VARIANCE_HEADROOM = 1.1).
+    iid density samples from f1, drawn one after another from one
+    generator on the experiments' sample path (gen_density_sample, then
+    empirical_coefficients on stacks of harness.BATCH_POINTS // n
+    samples); sum_{j<=m} Var(theta_hat_j) must stay below the bound
+    SUP_NORM_SQ * m / n with 10% headroom (VARIANCE_HEADROOM = 1.1).
     """
     m_top = max(dims)
     law = MarginalLaw(density_f1())
     rng = np.random.default_rng(seed)
-    draws = law.quantile(rng.uniform(size=(reps * n)))
-    thetas = np.empty((reps, m_top))
-    for r in range(reps):
-        thetas[r] = empirical_coefficients(draws[r * n : (r + 1) * n], m_top).theta_hat[1:]
-    variances = thetas.var(axis=0, ddof=1)
+    batch = max(1, BATCH_POINTS // n)
+    thetas = [table.theta_hat[1:]
+              for start in range(0, reps, batch)
+              for table in empirical_coefficients(
+                  gen_density_sample(n, 1, law, [rng] * min(batch, reps - start)), m_top)]
+    variances = np.var(thetas, axis=0, ddof=1)
     ok = True
     ratios = []
     values = {}
@@ -184,9 +193,7 @@ def check_case3_marginal(seed: int = 0, draws: int = CASE3_MARGINAL_DRAWS,
     """
     if threshold is None:
         threshold = CASE3_MARGINAL_THRESHOLD * (CASE3_MARGINAL_DRAWS / draws) ** 0.5
-    rng = stream(seed, 3, namespace=11)
-    zeta = rng.integers(0, 2, size=draws + 2 * AR_TRUNCATION).astype(float)
-    y = ar_path_from_innovations(zeta)
+    y = bernoulli_ar_path(draws, stream(seed, 3, namespace=11))
     stat = ks_statistic(y, cdf=marginal_G_case3)
     return CheckResult("case3_marginal_closed_form", stat < threshold,
                        f"sup |G - ecdf| = {stat:.5f}, threshold {threshold:.4g}",

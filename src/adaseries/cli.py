@@ -24,7 +24,6 @@ import csv
 import json
 import sys
 from dataclasses import MISSING, asdict, fields
-from importlib import metadata as importlib_metadata
 from pathlib import Path
 
 from . import __version__
@@ -40,13 +39,6 @@ _COMMANDS = {
     "check": "run the theory-check suite",
 }
 _SECTIONS = ("experiment", "penalty", "calibration", "check")
-
-
-def _package_version() -> str:
-    try:
-        return importlib_metadata.version("adaseries")
-    except importlib_metadata.PackageNotFoundError:  # run from a source checkout
-        return __version__
 
 
 def _float_list(text: str) -> list[float]:
@@ -152,7 +144,7 @@ def _write_metadata(out_dir: Path, cfg: ExperimentConfig, command: str,
     resolved["c_gl"] = cfg.gl_constant
     resolved["c_ms"] = cfg.ms_constant
     resolved["selectors"] = list(cfg.selectors)
-    payload = {"command": command, "version": _package_version(), "experiment": resolved}
+    payload = {"command": command, "version": __version__, "experiment": resolved}
     if extra:
         payload.update(extra)
     with open(out_dir / "metadata.json", "w") as fh:

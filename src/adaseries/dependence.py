@@ -4,13 +4,12 @@ All three cases produce a series V_1..V_n with uniform marginal on [0, 1];
 density samples apply the target marginal's quantile transform, regression
 samples use V directly as the design and add N(0, sigma^2) noise.  A
 sample is plain arrays: gen_density_sample returns the points x,
-gen_regression_sample the design u and the responses y.  Both make a
-batch of consecutive replications at once, one row per replication of a
-(count, n) stack, as uniform_series does for its list of generators (a
-single series is a stack of one).  Each row is drawn from its own
-stream, and every step after the draws is elementwise and runs once on
-the whole stack, so a row is the same floats whatever batch it is made
-in.
+gen_regression_sample the design u and the responses y.  Every function
+of the sample path takes a list of generators and returns a (K, n)
+stack, one row per generator (a single series is a stack of one).  Each
+row is drawn from its own generator, and every step after the draws is
+elementwise and runs once on the whole stack, so a row is the same
+floats whatever stack it is made in.
 
 Case 2 starts at the invariant arcsine law (no burn-in) and iterates the
 logistic map T(y) = 4 y (1 - y); G(y) = (2 / pi) arcsin(sqrt(y)) maps the
@@ -27,9 +26,11 @@ Writing Y = (25/63) (zeta_0 + A + A') with A, A' independent U[0, 1]
 (dyadic expansions of the one-sided innovations) gives the closed-form
 marginal CDF used to map the chain to uniform.
 
-Randomness: every sample is a pure function of (seed, rep_index); streams
-are derived via SeedSequence spawn keys so replications can run in any
-order or process layout without affecting results.
+Randomness: a replication's sample is a pure function of its generator,
+stream(seed, rep_index, namespace), derived via SeedSequence spawn keys so
+replications can run in any order or process layout without affecting
+results; the harness's ExperimentContext.sample maps replications to
+their streams.
 """
 
 from __future__ import annotations
@@ -138,31 +139,23 @@ def uniform_series(case: int, n: int, rngs) -> np.ndarray:
     return out
 
 
-def _streams(seed: int, rep_index: int, namespace: int, count: int) -> list:
-    """The streams of replications rep_index..rep_index + count - 1."""
-    return [stream(seed, rep, namespace) for rep in range(rep_index, rep_index + count)]
-
-
-def gen_density_sample(n: int, case: int, law: MarginalLaw, seed: int, rep_index: int,
-                       namespace: int = 0, count: int = 1) -> np.ndarray:
-    """Points of replications rep_index..rep_index + count - 1, shape (count, n).
+def gen_density_sample(n: int, case: int, law: MarginalLaw, rngs) -> np.ndarray:
+    """Points of one sample per generator in rngs, shape (len(rngs), n).
 
     Each row has marginal law `law` and is dependent as the chosen case;
     one quantile transform maps the whole stack.
     """
-    return law.quantile(uniform_series(case, n, _streams(seed, rep_index, namespace, count)))
+    return law.quantile(uniform_series(case, n, rngs))
 
 
-def gen_regression_sample(n: int, case: int, target: RegressionTarget, seed: int,
-                          rep_index: int, namespace: int = 0,
-                          count: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(u, y) of replications rep_index..rep_index + count - 1, each of shape (count, n).
+def gen_regression_sample(n: int, case: int, target: RegressionTarget,
+                          rngs) -> tuple[np.ndarray, np.ndarray]:
+    """(u, y) of one sample per generator in rngs, each of shape (len(rngs), n).
 
     Row k of the design u comes from the chosen case (uniform marginal);
-    its iid Gaussian noise is drawn from the same stream after the
+    its iid Gaussian noise is drawn from the same generator after the
     design's draws.
     """
-    rngs = _streams(seed, rep_index, namespace, count)
     u = uniform_series(case, n, rngs)
     eps = np.empty_like(u)
     for row, rng in zip(eps, rngs):

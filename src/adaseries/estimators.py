@@ -14,11 +14,11 @@ takes its dimension grid 1..m_max from the table's length.  The table
 needs only two sums per index, T_j = sum_i psi_j(Z_i) and sum_i
 psi_j(Z_i)^2, and empirical_coefficients streams them over blocks of
 basis rows, so no replication holds the (m_max + 1) x n psi matrix.  It
-reads plain arrays: the points, and the responses for regression, either
-of one sample or of a (K, n) stack of K samples, which one pass over the
-basis rows reduces to K tables.  The realized ISE(m) is the Simpson-grid
-quadrature written as a quadratic form in theta_hat (ise_gram once per
-config, ise_profile per table).
+reads plain arrays, a (K, n) stack of K samples as the samplers of
+dependence return it (the points, and the responses for regression),
+and one pass over the basis rows reduces it to K tables.  The realized
+ISE(m) is the Simpson-grid quadrature written as a quadratic form in
+theta_hat (ise_gram once per config, ise_profile per table).
 """
 
 from __future__ import annotations
@@ -58,44 +58,42 @@ class CoefficientTable:
         return self.theta_hat.size - 1
 
 
-def empirical_coefficients(points, m_max: int,
-                           y=None) -> CoefficientTable | list[CoefficientTable]:
-    """Coefficient table of a sample, j = 0..m_max: both sums streamed over row blocks.
+def empirical_coefficients(points, m_max: int, y=None) -> list[CoefficientTable]:
+    """Coefficient tables of a (K, n) stack of samples, j = 0..m_max: one per row.
 
     A density sample is its points X; a regression sample is its design
-    U (the points) and its responses y.  points (and y) of shape (n,)
-    give one table; a (K, n) stack of K samples gives a list of K
-    tables, one per row.  The psi rows come from TrigBasis.row_blocks,
-    _BLOCK_POINTS points per block (at least two rows), and each block
-    is reduced to its rows' T_j and sum_i psi_j(Z_i)^2 before the next
-    one is made, so the working set is O(K n), not the O(m_max K n) of
-    the whole psi matrix.  Each sum runs over one contiguous row of n
-    points (the last axis), which numpy's pairwise summation adds as it
-    adds a 1-d array, so every sum is the float that a one-sample,
-    one-block pass gives.  (A stack of one-point samples is the
-    exception: numpy multiplies a one-element complex array in place by
-    another rounding path, so there the trig recurrence can differ in
-    the last bit.)
+    U (the points) and its responses y, a stack of the same shape.  Any
+    other shape raises ValueError.  The psi rows come from
+    TrigBasis.row_blocks, _BLOCK_POINTS points per block (at least two
+    rows), and each block is reduced to its rows' T_j and sum_i
+    psi_j(Z_i)^2 before the next one is made, so the working set is
+    O(K n), not the O(m_max K n) of the whole psi matrix.  Each sum runs
+    over one contiguous row of n points (the last axis), which numpy's
+    pairwise summation adds as it adds a 1-d array, so every sum is the
+    float that a one-sample, one-block pass gives.  (A stack of one-point
+    samples is the exception: numpy multiplies a one-element complex
+    array in place by another rounding path, so there the trig recurrence
+    can differ in the last bit.)
     """
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    n = points.shape[-1]
-    if n < 1:
-        raise ValueError("empty sample")
-    stack = points.reshape(-1, n)
-    totals = np.empty((m_max + 1, len(stack)))
-    squares = np.empty((m_max + 1, len(stack)))
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.size == 0:
+        raise ValueError(f"need a nonempty (K, n) stack of samples, got shape {points.shape}")
+    K, n = points.shape
     if y is not None:
-        y = np.asarray(y, dtype=float).reshape(stack.shape)
-    for start, block in TrigBasis().row_blocks(stack, m_max,
-                                               max(2, _BLOCK_POINTS // stack.size)):
+        y = np.asarray(y, dtype=float)
+        if y.shape != points.shape:
+            raise ValueError(f"responses of shape {y.shape} for points of shape {points.shape}")
+    totals = np.empty((m_max + 1, K))
+    squares = np.empty((m_max + 1, K))
+    for start, block in TrigBasis().row_blocks(points, m_max,
+                                               max(2, _BLOCK_POINTS // points.size)):
         rows = slice(start, start + len(block))
         if y is not None:
             block *= y
         np.sum(block, axis=-1, out=totals[rows])
         np.multiply(block, block, out=block)  # the block is not read again: square it in place
         np.sum(block, axis=-1, out=squares[rows])
-    tables = [_table(totals[:, k], squares[:, k], n, y is None) for k in range(len(stack))]
-    return tables if points.ndim > 1 else tables[0]
+    return [_table(totals[:, k], squares[:, k], n, y is None) for k in range(K)]
 
 
 def _table(totals: np.ndarray, squares: np.ndarray, n: int, density: bool) -> CoefficientTable:

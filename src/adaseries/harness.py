@@ -1,20 +1,23 @@
 """Monte Carlo harness: replications, risk tables, percentile bands, calibration.
 
 A replication generates one sample, the arrays (points, y), from its
-(seed, rep_index) stream and reduces it to one coefficient table and the
-noise level sigma_hat^2.  ExperimentContext.replications is the one
-kernel, shared by evaluation runs, bands, calibration and the
-oracle-inequality check: it makes a batch of K = max(1, BATCH_POINTS // n)
-consecutive replications at a time, with one sample call (a (K, n)
-stack, one stream per row, one quantile transform for densities) and
-one pass over the basis rows (empirical_coefficients), and yields
-(table, sigma_sq) per replication.  Every step before the sums is elementwise and every
-sum runs over one replication's row, so a replication's table is the
-same floats in any batch.  Nothing after the kernel reads the sample,
-and every selector takes its dimension grid from the table.  Evaluation
-runs all requested selectors, cross-validation included, on that shared
-table and scores each selected dimension by Simpson-grid ISE against the
-true function, one replication at a time.
+stream(seed, rep_index, namespace) and reduces it to one coefficient
+table and the noise level sigma_hat^2.  ExperimentContext.sample is the
+one place that maps replications to their streams; the samplers it calls
+take the generators.  ExperimentContext.replications is the one kernel,
+shared by evaluation runs, bands, calibration and the oracle-inequality
+check: it makes a batch of K = max(1, BATCH_POINTS // n) consecutive
+replications at a time, with one sample call (a (K, n) stack, one stream
+per row, one quantile transform for densities) and one pass over the
+basis rows (empirical_coefficients, one table per row), and yields
+(table, sigma_sq) per replication.  Every step before the sums is
+elementwise and every sum runs over one replication's row, so a
+replication's table is the same floats in any batch.  Nothing after the
+kernel reads the sample, and every selector takes its dimension grid
+from the table.  Evaluation runs all requested selectors,
+cross-validation included, on that shared table and scores each selected
+dimension by Simpson-grid ISE against the true function, one replication
+at a time.
 ExperimentContext computes the sample-free parts of that ISE once (the
 Gram matrix of the basis on the grid, its cross products with the truth
 and the truth's squared norm; estimators.ise_gram), so the ISE of every
@@ -48,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .basis import TrigBasis
-from .dependence import gen_density_sample, gen_regression_sample
+from .dependence import gen_density_sample, gen_regression_sample, stream
 from .estimators import CoefficientTable, empirical_coefficients, ise_gram, sigma_y_hat
 from .quadrature import simpson_weights, unit_grid
 from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
@@ -162,15 +165,15 @@ class ExperimentContext:
                count: int = 1) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """(points, y) of replications rep_index..rep_index + count - 1.
 
-        Both are (count, n) stacks, row k from the stream of replication
-        rep_index + k; y is the responses, None for densities.
+        Both are (count, n) stacks, row k drawn from stream(seed,
+        rep_index + k, namespace); y is the responses, None for densities.
+        This is the one place that maps replications to their streams.
         """
         cfg = self.cfg
+        rngs = [stream(cfg.seed, rep, namespace) for rep in range(rep_index, rep_index + count)]
         if cfg.model == "density":
-            return gen_density_sample(cfg.n, cfg.case, self.law, cfg.seed, rep_index,
-                                      namespace, count), None
-        return gen_regression_sample(cfg.n, cfg.case, self.target, cfg.seed, rep_index,
-                                     namespace, count)
+            return gen_density_sample(cfg.n, cfg.case, self.law, rngs), None
+        return gen_regression_sample(cfg.n, cfg.case, self.target, rngs)
 
     def replications(self, start: int, stop: int,
                      namespace: int = EVAL_NS) -> Iterator[tuple[CoefficientTable, float]]:
@@ -195,7 +198,11 @@ class ExperimentContext:
 
 
 class RepRecord(NamedTuple):
-    """One selector's choice in one replication: one row of raw.csv."""
+    """One selector's choice in one replication: one row of raw.csv.
+
+    sigma_y_hat holds sigma_hat^2 = n^-1 sum y_i^2 (not sigma_hat), the
+    penalty's noise scale; it is 1.0 for densities.
+    """
 
     rep_index: int
     selector: str
@@ -207,8 +214,9 @@ class RepRecord(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class RunResults:
     """Columns of an evaluation run: m_selected and ise are (S x R), one row
-    per selector; sigma_y_hat is (R,) and ise_by_m, ISE(m) for m = 1..M, is
-    (R x M).  Iterating yields the RepRecord rows, replication-major."""
+    per selector; sigma_y_hat is (R,), each replication's sigma_hat^2 =
+    n^-1 sum y_i^2 (1.0 for densities), and ise_by_m, ISE(m) for m = 1..M,
+    is (R x M).  Iterating yields the RepRecord rows, replication-major."""
 
     selectors: tuple
     m_selected: np.ndarray

@@ -58,7 +58,7 @@ def penalty_vector(c, M: int, n: int, sigma_sq: float = 1.0) -> np.ndarray:
     row per constant, each bitwise equal to the scalar call.
     """
     c = np.asarray(c, dtype=float)
-    if (c < 0.0).any():
+    if not np.all(c >= 0.0):  # NaN fails the comparison too
         raise ValueError("penalty constant must be nonnegative")
     return c[..., None] * sigma_sq * np.arange(1, M + 1) / n
 
@@ -112,7 +112,7 @@ def select_ms(table: CoefficientTable, c: float, sigma_sq: float = 1.0) -> int:
 
     The density model has no response scale, so sigma_sq defaults to 1.
     """
-    if c <= 0.0:
+    if not c > 0.0:  # NaN fails the comparison too
         raise ValueError("model-selection constant must be positive")
     return select_with_pens(table, penalty_vector(c, table.m_max, table.n, sigma_sq))
 

@@ -54,9 +54,6 @@ class DensityTarget:
         c = 1.0 / integrate_values(self.raw_fn(unit_grid()))
         object.__setattr__(self, "normalizer", c)
 
-    def raw(self, x) -> np.ndarray:
-        return self.raw_fn(_check_unit_interval(x))
-
     def eval(self, x) -> np.ndarray:
         return self._eval_unchecked(_check_unit_interval(x))
 

@@ -4,9 +4,11 @@ import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import adaseries
 from adaseries import checks
 from adaseries.cli import main
 from adaseries.harness import ExperimentConfig
@@ -22,8 +24,15 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["experiment"]["seed"] == 7
     assert meta["experiment"]["c_gl"] == 72.0  # resolved theorem preset
+    assert meta["version"] == adaseries.__version__
     out = capsys.readouterr().out
     assert "oracle" in out
+
+
+def test_package_version_is_pyproject_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == adaseries.__version__
 
 
 def test_simulate_deterministic_bytes(tmp_path):

@@ -24,10 +24,10 @@ def test_case1_ks_against_marginal(law_f1):
 
 
 def test_fixed_seed_reproducibility(law_f1):
-    a = gen_density_sample(200, 2, law_f1, seed=9, rep_index=4)
-    b = gen_density_sample(200, 2, law_f1, seed=9, rep_index=4)
+    a = gen_density_sample(200, 2, law_f1, [stream(9, 4)])
+    b = gen_density_sample(200, 2, law_f1, [stream(9, 4)])
     np.testing.assert_array_equal(a, b)
-    c = gen_density_sample(200, 2, law_f1, seed=9, rep_index=5)
+    c = gen_density_sample(200, 2, law_f1, [stream(9, 5)])
     assert not np.array_equal(a, c)
 
 
@@ -127,17 +127,17 @@ def test_regression_sample_zero_noise_zero_function():
     target = regression_f2()
     zero = type(target)("zero", lambda x: np.zeros_like(np.asarray(x, float)),
                         noise_sigma=0.0)
-    u, y = gen_regression_sample(100, 1, zero, seed=1, rep_index=0)
+    u, y = gen_regression_sample(100, 1, zero, [stream(1, 0)])
     np.testing.assert_allclose(y, 0.0, atol=0.0)
     assert u.shape == y.shape == (1, 100)
-    u, y = gen_regression_sample(100, 1, zero, seed=1, rep_index=0, count=3)
+    u, y = gen_regression_sample(100, 1, zero, [stream(1, r) for r in range(3)])
     assert u.shape == y.shape == (3, 100)
 
 
 def test_regression_second_moment_identity():
     # sigma_Y^2 = sigma^2 + ||f||^2 within 3 standard errors at n = 1e5
     target = regression_f1()
-    _, y = gen_regression_sample(10**5, 1, target, seed=12, rep_index=0)
+    _, y = gen_regression_sample(10**5, 1, target, [stream(12, 0)])
     f_norm_sq = integrate_values(target.eval(unit_grid()) ** 2)
     expected = 0.25 + f_norm_sq
     ysq = y**2
@@ -146,15 +146,15 @@ def test_regression_second_moment_identity():
 
 
 def test_regression_sample_reproducible():
-    a_u, a_y = gen_regression_sample(64, 3, regression_f1(), seed=5, rep_index=2)
-    b_u, b_y = gen_regression_sample(64, 3, regression_f1(), seed=5, rep_index=2)
+    a_u, a_y = gen_regression_sample(64, 3, regression_f1(), [stream(5, 2)])
+    b_u, b_y = gen_regression_sample(64, 3, regression_f1(), [stream(5, 2)])
     np.testing.assert_array_equal(a_y, b_y)
     np.testing.assert_array_equal(a_u, b_u)
 
 
 def test_namespace_disjoint_streams(law_f1):
-    a = gen_density_sample(32, 1, law_f1, seed=5, rep_index=0, namespace=0)
-    b = gen_density_sample(32, 1, law_f1, seed=5, rep_index=0, namespace=1)
+    a = gen_density_sample(32, 1, law_f1, [stream(5, 0, namespace=0)])
+    b = gen_density_sample(32, 1, law_f1, [stream(5, 0, namespace=1)])
     assert not np.array_equal(a, b)
 
 
@@ -166,9 +166,9 @@ def test_dependence_scores_by_case():
 
 def test_draws_inside_unit_interval(law_f2):
     for case in (1, 2, 3):
-        x = gen_density_sample(2000, case, law_f2, seed=2, rep_index=1)
+        x = gen_density_sample(2000, case, law_f2, [stream(2, 1)])
         assert np.all((x >= 0.0) & (x <= 1.0))
-        u, _ = gen_regression_sample(2000, case, regression_f1(), seed=2, rep_index=1)
+        u, _ = gen_regression_sample(2000, case, regression_f1(), [stream(2, 1)])
         assert np.all((u >= 0.0) & (u <= 1.0))
 
 
@@ -187,14 +187,14 @@ def dump_sample(points, path, y=None):
 
 
 def test_dump_sample_formats(tmp_path, law_f1):
-    (x,) = gen_density_sample(5, 1, law_f1, seed=1, rep_index=0)
+    (x,) = gen_density_sample(5, 1, law_f1, [stream(1, 0)])
     path = tmp_path / "density.txt"
     dump_sample(x, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 5
     np.testing.assert_allclose([float(v) for v in lines], x, rtol=1e-16)
 
-    (u,), (y,) = gen_regression_sample(4, 1, regression_f2(), seed=1, rep_index=0)
+    (u,), (y,) = gen_regression_sample(4, 1, regression_f2(), [stream(1, 0)])
     path2 = tmp_path / "regression.txt"
     dump_sample(u, path2, y)
     rows = [line.split() for line in path2.read_text().strip().splitlines()]

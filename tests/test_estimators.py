@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adaseries.basis import SUP_NORM_SQ, TrigBasis
-from adaseries.dependence import gen_density_sample, gen_regression_sample
+from adaseries.dependence import gen_density_sample, gen_regression_sample, stream
 from adaseries import estimators
 from adaseries.estimators import (CoefficientTable, empirical_coefficients,
                                   ise_gram, ise_profile, sigma_y_hat)
@@ -57,21 +57,21 @@ def grid_ise_profile(table, truth_grid, basis_grid, weights):
 
 
 def test_density_coefficients_pinned():
-    table = empirical_coefficients([0.25, 0.25], 3)
+    (table,) = empirical_coefficients([[0.25, 0.25]], 3)
     assert table.theta_hat[0] == 1.0
     assert table.theta_hat[1] == pytest.approx(0.0, abs=1e-15)  # cos(pi/2) = 0
-    single = empirical_coefficients([0.0], 1)
+    (single,) = empirical_coefficients([[0.0]], 1)
     assert single.theta_hat[1] == pytest.approx(math.sqrt(2.0))
     assert single.theta_sq_loo is None  # no pair of observations
 
 
 def test_leave_one_out_squares_pinned():
     # psi_1 = sqrt(2) cos(2 pi x) at 0, 0.5, 0.5: (sqrt 2, -sqrt 2, -sqrt 2)
-    table = empirical_coefficients([0.0, 0.5, 0.5], 1)
+    (table,) = empirical_coefficients([[0.0, 0.5, 0.5]], 1)
     # (T^2 - sum psi^2) / (n (n - 1)) = (2 - 6) / 6
     assert table.theta_sq_loo[1] == pytest.approx(-2.0 / 3.0, abs=1e-15)
     assert table.theta_sq_loo[0] == 1.0
-    reg = empirical_coefficients([0.25, 0.75], 0, y=[1.0, 3.0])
+    (reg,) = empirical_coefficients([[0.25, 0.75]], 0, y=[[1.0, 3.0]])
     # psi_0 = y: (T^2 - sum y^2) / 2 = (16 - 10) / 2, the pair product 2 y_1 y_2 / 2
     assert reg.theta_sq_loo[0] == 3.0
 
@@ -110,8 +110,8 @@ def test_streamed_coefficients_match_materialized_psi(monkeypatch, n):
                                                        None if resp is None else resp[k])
                 for rows in (2, 3, 5, m_max + 1):
                     monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * n)
-                    table = empirical_coefficients(points[k], m_max,
-                                                   None if resp is None else resp[k])
+                    (table,) = empirical_coefficients(points[k : k + 1], m_max,
+                                                      None if resp is None else resp[k : k + 1])
                     monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * 3 * n)
                     stacked = empirical_coefficients(points, m_max, resp)[k]
                     for got in (table, stacked) if n > 1 else (table,):
@@ -145,7 +145,7 @@ def test_coefficient_memory_does_not_grow_with_m():
     n, m_max = 200_000, 100
     rng = np.random.default_rng(4)
     x, y, u = rng.uniform(size=n), rng.normal(size=n), rng.uniform(size=n)
-    for points, resp in ((x, None), (u, y)):
+    for points, resp in ((x[None], None), (u[None], y[None])):  # (1, n) views
         tracemalloc.start()
         try:
             empirical_coefficients(points, m_max, resp)
@@ -170,7 +170,7 @@ def test_quantile_memory_is_bounded_by_blocks(law_f2):
 
 
 def test_regression_zero_responses():
-    table = empirical_coefficients([0.1, 0.5, 0.9], 4, y=[0.0, 0.0, 0.0])
+    (table,) = empirical_coefficients([[0.1, 0.5, 0.9]], 4, y=[[0.0, 0.0, 0.0]])
     np.testing.assert_allclose(table.theta_hat, 0.0, atol=0.0)
 
 
@@ -179,11 +179,22 @@ def test_empty_sample_rejected():
         empirical_coefficients([], 3)
 
 
+def test_only_a_stack_of_samples_is_accepted():
+    # one convention: a (K, n) stack in, K tables out; y has the points' shape
+    for points in ([0.25, 0.75], 0.5, np.zeros((1, 1, 4)), np.empty((1, 0))):
+        with pytest.raises(ValueError):
+            empirical_coefficients(points, 3)
+    with pytest.raises(ValueError):
+        empirical_coefficients([[0.25, 0.75]], 3, y=[1.0, 3.0])
+    tables = empirical_coefficients(np.full((3, 4), 0.25), 3)
+    assert isinstance(tables, list) and len(tables) == 3
+
+
 def test_nested_prefix_bit_exact():
     rng = np.random.default_rng(0)
-    sample = rng.uniform(size=100)
-    full = empirical_coefficients(sample, 30)
-    small = empirical_coefficients(sample, 12)
+    sample = rng.uniform(size=(1, 100))
+    (full,) = empirical_coefficients(sample, 30)
+    (small,) = empirical_coefficients(sample, 12)
     np.testing.assert_array_equal(full.theta_hat[:13], small.theta_hat)
     np.testing.assert_array_equal(full.theta_sq_loo[:13], small.theta_sq_loo)
 
@@ -198,7 +209,7 @@ def test_l2_gap_examples():
 
 def test_l2_gap_matches_quadrature():
     rng = np.random.default_rng(4)
-    table = empirical_coefficients(rng.uniform(size=64), 12)
+    (table,) = empirical_coefficients(rng.uniform(size=(1, 64)), 12)
     grid = unit_grid()
     est_m = series_values(table, 4, grid)
     est_k = series_values(table, 11, grid)
@@ -230,8 +241,8 @@ def test_ise_parseval_split_oracle():
     # quadrature ISE equals sum of coefficient errors plus the truncated tail
     truth = density_f1()
     theta_true = true_coefficients(truth.eval, 400)
-    (x,) = gen_density_sample(500, 1, MarginalLaw(truth), seed=3, rep_index=0)
-    table = empirical_coefficients(x, 20)
+    x = gen_density_sample(500, 1, MarginalLaw(truth), [stream(3, 0)])
+    (table,) = empirical_coefficients(x, 20)
     m = 14
     quad = ise_of_series(table, m, truth.eval)
     split = (np.sum((table.theta_hat[: m + 1] - theta_true[: m + 1]) ** 2)
@@ -241,7 +252,7 @@ def test_ise_parseval_split_oracle():
 
 def test_ise_profile_matches_per_m_quadrature():
     law_target = density_f1()
-    table = empirical_coefficients(np.random.default_rng(9).uniform(size=128), 15)
+    (table,) = empirical_coefficients(np.random.default_rng(9).uniform(size=(1, 128)), 15)
     grid = unit_grid(1025)
     weights = simpson_weights(1025)
     profile = ise_profile(table, *ise_gram(TrigBasis().design_matrix(grid, 15),
@@ -270,7 +281,7 @@ def test_ise_profile_prefix_of_smaller_table():
     """A table cut at M gives the first M entries of the full profile."""
     design = TrigBasis().design_matrix(unit_grid(513), 20)
     pieces = ise_gram(design, density_f1().eval(unit_grid(513)), simpson_weights(513))
-    table = empirical_coefficients(np.random.default_rng(2).uniform(size=90), 20)
+    (table,) = empirical_coefficients(np.random.default_rng(2).uniform(size=(1, 90)), 20)
     cut = CoefficientTable(model="density", n=90, theta_hat=table.theta_hat[:8])
     np.testing.assert_array_equal(ise_profile(cut, *pieces), ise_profile(table, *pieces)[:7])
 
@@ -284,7 +295,7 @@ def test_sigma_y_hat_pinned():
 
 def test_sigma_y_hat_matches_population_identity():
     target = regression_f1()
-    _, (y,) = gen_regression_sample(10**5, 1, target, seed=21, rep_index=0)
+    _, (y,) = gen_regression_sample(10**5, 1, target, [stream(21, 0)])
     expected = 0.25 + integrate_values(target.eval(unit_grid()) ** 2)
     se = (y**2).std(ddof=1) / math.sqrt(y.size)
     assert sigma_y_hat(y) == pytest.approx(expected, abs=3.0 * se)
@@ -292,7 +303,7 @@ def test_sigma_y_hat_matches_population_identity():
 
 def test_density_estimator_is_one_plus_series():
     rng = np.random.default_rng(13)
-    table = empirical_coefficients(rng.uniform(size=200), 8)
+    (table,) = empirical_coefficients(rng.uniform(size=(1, 200)), 8)
     x = np.linspace(0.0, 1.0, 31)
     tail = sum(table.theta_hat[j] * eval_one(j, x) for j in range(1, 9))
     np.testing.assert_allclose(series_values(table, 8, x), 1.0 + tail, atol=1e-12)
@@ -317,8 +328,8 @@ def test_coefficient_unbiasedness_monte_carlo():
     theta_true_r = true_coefficients(target.eval, m_top)
     acc_r = np.zeros((reps, m_top + 1))
     for r in range(reps):
-        (u,), (y,) = gen_regression_sample(n, 1, target, seed=77, rep_index=r)
-        acc_r[r] = empirical_coefficients(u, m_top, y).theta_hat
+        u, y = gen_regression_sample(n, 1, target, [stream(77, r)])
+        acc_r[r] = empirical_coefficients(u, m_top, y)[0].theta_hat
     mc_mean_r = acc_r.mean(axis=0)
     mc_se_r = acc_r.std(axis=0, ddof=1) / math.sqrt(reps)
     assert np.all(np.abs(mc_mean_r - theta_true_r) <= 4.0 * mc_se_r)

@@ -229,15 +229,13 @@ def test_replication_kernel_matches_direct_path():
                                               n=200, reps=2, seed=3)):
         ctx = ExperimentContext(cfg)
         (table, sig_sq), = ctx.replications(1, 2, CALIB_NS)
-        (points,), y = ctx.sample(1, CALIB_NS)
+        points, y = ctx.sample(1, CALIB_NS)
         assert (y is None) == (cfg.model == "density")
-        if y is not None:
-            (y,) = y
-        reference = empirical_coefficients(points, cfg.m_grid, y)
+        (reference,) = empirical_coefficients(points, cfg.m_grid, y)
         assert table.m_max == cfg.m_grid
         np.testing.assert_array_equal(table.theta_hat, reference.theta_hat)
         np.testing.assert_array_equal(table.theta_sq_loo, reference.theta_sq_loo)
-        assert sig_sq == (sigma_y_hat(y) if cfg.model == "regression" else 1.0)
+        assert sig_sq == (sigma_y_hat(y[0]) if cfg.model == "regression" else 1.0)
         _, ise_by_m, kernel_sig_sq = run_replication(ctx, table, sig_sq)
         assert kernel_sig_sq == sig_sq
         np.testing.assert_array_equal(ise_by_m, ctx.ise_by_m(table))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaseries.basis import TrigBasis
-from adaseries.dependence import gen_density_sample
+from adaseries.dependence import gen_density_sample, stream
 from adaseries.estimators import CoefficientTable, empirical_coefficients, ise_gram
 from adaseries.quadrature import simpson_weights, unit_grid
 from adaseries.selection import (cv_profile, lemma1_audit, oracle_criteria,
@@ -78,6 +78,9 @@ def test_penalty_pinned_values():
         penalty_vector(-1.0, 3, 10)
     with pytest.raises(ValueError):
         penalty_vector(np.array([1.0, -1.0]), 3, 10)
+    for bad in (float("nan"), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            penalty_vector(bad, 3, 10)
 
 
 def test_penalty_monotone_in_m():
@@ -158,6 +161,9 @@ def test_select_ms_hand_examples():
     assert select_ms(table2, c=4.0, sigma_sq=1.0) == 2
     np.testing.assert_allclose(penalized_profile(table2, pens), [-0.6, -1.2], atol=1e-15)
     assert select_ms(table_from([1.0, 0.0, 0.0], n=10), c=4.0) == 1
+    for bad in (0.0, -1.0, float("nan")):  # NaN used to select m = 1 silently
+        with pytest.raises(ValueError):
+            select_ms(table, c=bad)
 
 
 def test_select_gl_preset_paths():
@@ -187,7 +193,7 @@ def test_penalized_profile_bitwise_and_selector_types():
     assert isinstance(ms, np.ndarray) and ms.dtype == np.int64 and ms.shape == (3,)
     assert ms[1] == m
     assert type(select_ms(table, 3.0)) is int
-    assert type(select_cv(empirical_coefficients(rng.uniform(size=50), M))) is int
+    assert type(select_cv(empirical_coefficients(rng.uniform(size=(1, 50)), M)[0])) is int
     with pytest.raises(ValueError):
         penalized_profile(table, np.ones(M + 1))
 
@@ -251,7 +257,8 @@ def test_select_gl_scaling_invariance():
 
 
 def cv_of(points, M, y=None):
-    return cv_profile(empirical_coefficients(points, M, y))
+    (table,) = empirical_coefficients([points], M, None if y is None else [y])
+    return cv_profile(table)
 
 
 def test_cv_hand_example():
@@ -311,7 +318,7 @@ def test_cv_fast_form_matches_triple_loop():
     # the table's leave-one-out squares give the sample-side O(n) form bit for bit
     for rep in range(5):
         for n, M in ((50, 10), (500, 100)):
-            (x,) = gen_density_sample(n, 2, MarginalLaw(density_f1()), seed=3, rep_index=rep)
+            (x,) = gen_density_sample(n, 2, MarginalLaw(density_f1()), [stream(3, rep)])
             np.testing.assert_array_equal(cv_of(x, M), sample_cv(x, M))
             y, u = rng.standard_normal(n), rng.uniform(size=n)
             np.testing.assert_array_equal(cv_of(u, M, y), sample_cv(u, M, y))
@@ -323,7 +330,7 @@ def test_cv_identical_points_against_brute_force():
 
 
 def test_cv_needs_two_points():
-    single = empirical_coefficients([0.5], 2)
+    (single,) = empirical_coefficients([[0.5]], 2)
     assert single.theta_sq_loo is None
     with pytest.raises(ValueError):
         select_cv(single)
@@ -358,8 +365,8 @@ def test_oracle_never_beaten_on_shared_table():
     truth = density_f1()
     law = MarginalLaw(truth)
     for rep in range(10):
-        (x,) = gen_density_sample(300, 1, law, seed=31, rep_index=rep)
-        table = empirical_coefficients(x, 40)
+        x = gen_density_sample(300, 1, law, [stream(31, rep)])
+        (table,) = empirical_coefficients(x, 40)
         crit = oracle_profile(table, truth.eval, n_points=1025)
         m_o = int(np.argmin(crit)) + 1
         for other in (select_with_pens(table, penalty_vector(2.0, 40, 300)),
@@ -437,8 +444,8 @@ def test_lemma1_on_simulated_replications():
     theta_true = true_coefficients(truth.eval, 400)
     pens = penalty_vector(theorem_constant("density", 1), 50, 500)
     for rep in range(40):
-        (x,) = gen_density_sample(500, 1, law, seed=41, rep_index=rep)
-        table = empirical_coefficients(x, 50)
+        x = gen_density_sample(500, 1, law, [stream(41, rep)])
+        (table,) = empirical_coefficients(x, 50)
         assert lemma1_audit(table, pens, theta_true).all_passed
 
 

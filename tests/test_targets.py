@@ -20,7 +20,7 @@ def gauss_pdf(x, mu, sd):
 
 def test_f1_raw_value_direct_arithmetic():
     expected = 0.3 * gauss_pdf(0.5, 0.5, 0.1) + 0.25 * gauss_pdf(0.5, 0.7, 0.06)
-    assert float(density_f1().raw(0.5)) == pytest.approx(expected, rel=1e-12)
+    assert float(density_f1().raw_fn(0.5)) == pytest.approx(expected, rel=1e-12)
     assert 0.3 * gauss_pdf(0.5, 0.5, 0.1) == pytest.approx(1.19683, abs=1e-5)
 
 
@@ -37,8 +37,8 @@ def test_f1_normalizer_against_erf_closed_form():
 
 def test_f2_pinned_values_and_closed_form_normalizer():
     f2 = density_f2()
-    assert float(f2.raw(0.5)) == pytest.approx(0.125)
-    assert float(f2.raw(0.7)) == pytest.approx(8.0 ** -1.5)
+    assert float(f2.raw_fn(0.5)) == pytest.approx(0.125)
+    assert float(f2.raw_fn(0.7)) == pytest.approx(8.0 ** -1.5)
     # antiderivative of (4(1+5t))^(-3/2) gives the exact mass on [0, 1]
     exact_mass = (1.0 - 3.5 ** -0.5) / 10.0
     assert f2.normalizer == pytest.approx(1.0 / exact_mass, rel=1e-6)
