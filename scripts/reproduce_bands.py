@@ -13,8 +13,8 @@ Usage:
 import argparse
 from pathlib import Path
 
-from adaseries.harness import (ExperimentConfig, calibrate_constant, calibrated_config,
-                               compute_bands, write_bands_csv)
+from adaseries.harness import (ConfigError, ExperimentConfig, calibrate_constant,
+                               calibrated_config, compute_bands, write_bands_csv)
 
 
 def main() -> None:
@@ -30,15 +30,20 @@ def main() -> None:
     ap.add_argument("--calib-reps", type=int, default=100)
     args = ap.parse_args()
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for case in (1, 2, 3):
-        cfg = ExperimentConfig(model=args.model, target=args.target, case=case,
-                               n=args.n, reps=args.reps, seed=args.seed,
-                               c_gl=args.c_pen)
+    try:
+        cfgs = [ExperimentConfig(model=args.model, target=args.target, case=case, n=args.n,
+                                 reps=args.reps, seed=args.seed, c_gl=args.c_pen)
+                for case in (1, 2, 3)]
         if args.c_pen is None:
-            cfg = calibrated_config(cfg, calibrate_constant(cfg, calib_reps=args.calib_reps))
-        bands = compute_bands(cfg)
+            cfgs = [calibrated_config(cfg, calibrate_constant(cfg, calib_reps=args.calib_reps))
+                    for cfg in cfgs]
+        all_bands = [compute_bands(cfg) for cfg in cfgs]
+    except ConfigError as exc:
+        ap.error(str(exc))
+
+    out_dir = Path(args.out)  # made once the bands are computed
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for case, bands in zip((1, 2, 3), all_bands):
         path = out_dir / f"bands_{args.model}_{args.target}_case{case}.csv"
         write_bands_csv(bands, path)
         covered = float(((bands.p05 <= bands.truth) & (bands.truth <= bands.p95)).mean())

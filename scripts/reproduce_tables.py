@@ -14,7 +14,7 @@ Usage:
 import argparse
 from pathlib import Path
 
-from adaseries.harness import (ExperimentConfig, calibrate_constant,
+from adaseries.harness import (ConfigError, ExperimentConfig, calibrate_constant,
                                calibrated_config, run_experiment, write_summary_csv)
 
 
@@ -30,28 +30,31 @@ def main() -> None:
                     help="restrict to one model (default: both)")
     args = ap.parse_args()
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     models = (args.model,) if args.model else ("density", "regression")
-
-    all_rows = []
-    for model in models:
-        for target in ("f1", "f2"):
+    try:
+        configs = {(model, target): [ExperimentConfig(model=model, target=target, case=case,
+                                                      n=args.n, reps=args.reps,
+                                                      seed=args.seed, workers=args.workers)
+                                     for case in (1, 2, 3)]
+                   for model in models for target in ("f1", "f2")}
+        all_rows = []
+        for (model, target), cfgs in configs.items():
             print(f"\n=== {model} {target} (n={args.n}, reps={args.reps}) ===")
             header = f"{'':8s} {'oracle':>18s} {'gl':>18s} {'ms':>18s} {'cv':>18s}"
             print(header)
-            for case in (1, 2, 3):
-                cfg = ExperimentConfig(model=model, target=target, case=case,
-                                       n=args.n, reps=args.reps, seed=args.seed,
-                                       workers=args.workers)
+            for cfg in cfgs:
                 calib = calibrate_constant(cfg, calib_reps=args.calib_reps)
                 rows, _ = run_experiment(calibrated_config(cfg, calib))
                 by_sel = {r.selector: r for r in rows}
                 cells = [f"{by_sel[s].mean_ise:.4f} ({by_sel[s].std_ise:.4f})"
                          for s in ("oracle", "gl", "ms", "cv")]
-                print(f"Case {case:d}   " + " ".join(f"{c:>18s}" for c in cells))
+                print(f"Case {cfg.case:d}   " + " ".join(f"{c:>18s}" for c in cells))
                 all_rows.extend(rows)
+    except ConfigError as exc:
+        ap.error(str(exc))
 
+    out_dir = Path(args.out)  # made once the tables are computed
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv(all_rows, out_dir / "tables.csv")
     print(f"\nwrote {out_dir / 'tables.csv'}")
 

@@ -26,8 +26,11 @@ def main() -> None:
     ap.add_argument("--m-max", type=int, default=200)
     args = ap.parse_args()
 
-    variance, bias_sq = risk_decomposition(args.model, args.target, args.case, args.n,
-                                           args.m_max)
+    try:
+        variance, bias_sq = risk_decomposition(args.model, args.target, args.case, args.n,
+                                               args.m_max)
+    except ValueError as exc:
+        ap.error(str(exc))
     risk = variance + bias_sq
     m_star = int(risk.argmin()) + 1
     print(f"{args.model} {args.target}, case {args.case}, n = {args.n}: "

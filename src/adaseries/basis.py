@@ -83,7 +83,8 @@ class TrigBasis:
     def design_matrix(self, x, m_max: int) -> np.ndarray:
         """Rows j = 0..m_max of the basis evaluated at points x.
 
-        Shape (m_max + 1,) + x.shape; row j is phi_j(x).  The single-block
+        Shape (m_max + 1,) + x.shape, a scalar x counting as one point
+        (shape (m_max + 1, 1)); row j is phi_j(x).  The single-block
         case of row_blocks: the whole matrix is one block of the trig
         recurrence.
         """

@@ -26,7 +26,7 @@ from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
 from .dependence import (AR_TRUNCATION, ar_path_from_innovations, bernoulli_ar_path,
                          gen_density_sample, marginal_G_case3, stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients
-from .harness import BATCH_POINTS, ConfigError, ExperimentConfig, ExperimentContext
+from .harness import ConfigError, ExperimentConfig, ExperimentContext, batches
 from .quadrature import simpson_weights, unit_grid
 from .selection import lemma1_audit, penalty_vector
 from .targets import MarginalLaw, density_f1, density_f2, true_coefficients
@@ -122,18 +122,17 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
 
     iid density samples from f1, drawn one after another from one
     generator on the experiments' sample path (gen_density_sample, then
-    empirical_coefficients on stacks of harness.BATCH_POINTS // n
-    samples); sum_{j<=m} Var(theta_hat_j) must stay below the bound
+    empirical_coefficients, one stack per batch of harness.batches);
+    sum_{j<=m} Var(theta_hat_j) must stay below the bound
     SUP_NORM_SQ * m / n with 10% headroom (VARIANCE_HEADROOM = 1.1).
     """
     m_top = max(dims)
     law = MarginalLaw(density_f1())
     rng = np.random.default_rng(seed)
-    batch = max(1, BATCH_POINTS // n)
     thetas = [table.theta_hat[1:]
-              for start in range(0, reps, batch)
+              for first, last in batches(0, reps, n)
               for table in empirical_coefficients(
-                  gen_density_sample(n, 1, law, [rng] * min(batch, reps - start)), m_top)]
+                  gen_density_sample(n, 1, law, [rng] * (last - first)), m_top)]
     variances = np.var(thetas, axis=0, ddof=1)
     ok = True
     ratios = []
@@ -158,6 +157,7 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
 
     The stated gate is 0.006 at 1e5 draws; for other draw counts the
     default threshold scales like the critical value, 1/sqrt(draws).
+    Each case's uniform series is drawn once and transformed by each law.
     """
     if threshold is None:
         threshold = KS_THRESHOLD * (KS_DRAWS / draws) ** 0.5
@@ -165,9 +165,10 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
     worst = 0.0
     worst_pair = ""
     values = {}
+    series = {case: uniform_series(case, draws, [stream(seed, case, namespace=10)])[0]
+              for case in (1, 2, 3)}
     for name, law in _marginal_laws().items():
-        for case in (1, 2, 3):
-            (v,) = uniform_series(case, draws, [stream(seed, case, namespace=10)])
+        for case, v in series.items():
             if law is None:
                 stat = ks_statistic(v, cdf=lambda x: x)
             else:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -29,8 +28,8 @@ from pathlib import Path
 from . import __version__
 from . import checks as checks_mod
 from .harness import (ConfigError, ExperimentConfig, calibrate_constant, compute_bands,
-                      run_experiment, write_bands_csv, write_calibration_csv, write_raw_csv,
-                      write_summary_csv)
+                      run_experiment, write_bands_csv, write_calibration_csv, write_csv,
+                      write_raw_csv, write_summary_csv)
 
 _COMMANDS = {
     "simulate": "run replications, write raw + summary CSV",
@@ -196,10 +195,8 @@ def _cmd_check(args: argparse.Namespace, dests: set) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "check_report.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "passed", "detail"])
-            writer.writerows([r.name, int(r.passed), r.detail] for r in results)
+        write_csv(out_dir / "check_report.csv", ["check", "passed", "detail"],
+                  ([r.name, int(r.passed), r.detail] for r in results))
     return 0 if all(r.passed for r in results) else 1
 
 

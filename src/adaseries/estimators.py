@@ -145,9 +145,14 @@ def ise_profile(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarr
     return np.cumsum(steps)[1:]
 
 
-def sigma_y_hat(y) -> float:
-    """Empirical second moment of the responses, n^-1 sum y_i^2."""
+def sigma_y_hat(y) -> np.ndarray:
+    """Empirical second moment n^-1 sum y_i^2 of each row of a (K, n) stack of responses.
+
+    Returns the K row values.  Any other shape raises ValueError, as in
+    empirical_coefficients.  Each row's sum runs over its last axis, the
+    float that the sum of that row as a 1-d array gives.
+    """
     y = np.asarray(y, dtype=float)
-    if y.size < 1:
-        raise ValueError("empty sample")
-    return float(np.sum(y * y)) / y.size
+    if y.ndim != 2 or y.size == 0:
+        raise ValueError(f"need a nonempty (K, n) stack of responses, got shape {y.shape}")
+    return np.sum(y * y, axis=-1) / y.shape[-1]

@@ -7,12 +7,13 @@ one place that maps replications to their streams; the samplers it calls
 take the generators.  ExperimentContext.replications is the one kernel,
 shared by evaluation runs, bands, calibration and the oracle-inequality
 check: it makes a batch of K = max(1, BATCH_POINTS // n) consecutive
-replications at a time, with one sample call (a (K, n) stack, one stream
-per row, one quantile transform for densities) and one pass over the
-basis rows (empirical_coefficients, one table per row), and yields
-(table, sigma_sq) per replication.  Every step before the sums is
+replications at a time (the cut is batches), with one sample call (a
+(K, n) stack, one stream per row, one quantile transform for densities),
+one pass over the basis rows (empirical_coefficients, one table per row)
+and, for regression, one sigma_y_hat call (one sigma_hat^2 per row), and
+yields (table, sigma_sq) per replication.  Every step before the sums is
 elementwise and every sum runs over one replication's row, so a
-replication's table is the same floats in any batch.  Nothing after the
+replication's table and sigma_hat^2 are the same floats in any batch.  Nothing after the
 kernel reads the sample, and every selector takes its dimension grid
 from the table.  Evaluation runs all requested selectors,
 cross-validation included, on that shared table and scores each selected
@@ -144,6 +145,17 @@ class ExperimentConfig:
         return self.c_ms if self.c_ms is not None else self.gl_constant
 
 
+def batches(start: int, stop: int, n: int) -> Iterator[tuple[int, int]]:
+    """The kernel's batches of replications start..stop-1 of n points each.
+
+    Yields (first, last) for the replications first..last-1 of each batch:
+    consecutive runs of max(1, BATCH_POINTS // n), the last one possibly
+    shorter.
+    """
+    size = max(1, BATCH_POINTS // n)
+    return ((first, min(first + size, stop)) for first in range(start, stop, size))
+
+
 class ExperimentContext:
     """Precomputed state shared by all replications of one config."""
 
@@ -179,17 +191,16 @@ class ExperimentContext:
                      namespace: int = EVAL_NS) -> Iterator[tuple[CoefficientTable, float]]:
         """The replication kernel: (table, sigma_sq) of replications start..stop-1, in order.
 
-        One sample call and one coefficient pass per batch of
-        max(1, BATCH_POINTS // n) replications.  sigma_sq is sigma_hat^2
+        One sample call, one coefficient pass and, for regression, one
+        sigma_y_hat call per batch (see batches).  sigma_sq is sigma_hat^2
         for regression and 1.0 for densities, so penalty_vector(c, M, n,
         sigma_sq) is the penalty of either model.
         """
         cfg = self.cfg
-        batch = max(1, BATCH_POINTS // cfg.n)
-        for first in range(start, stop, batch):
-            points, y = self.sample(first, namespace, min(batch, stop - first))
+        for first, last in batches(start, stop, cfg.n):
+            points, y = self.sample(first, namespace, last - first)
             tables = empirical_coefficients(points, cfg.m_grid, y)
-            sigmas = [1.0] * len(tables) if y is None else [sigma_y_hat(row) for row in y]
+            sigmas = [1.0] * len(tables) if y is None else sigma_y_hat(y).tolist()
             yield from zip(tables, sigmas)
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
@@ -323,8 +334,9 @@ def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
         size = max(1, reps // (workers * 4))
         tasks = [(kernel, start, min(start + size, reps), namespace)
                  for start in range(0, reps, size)]
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                   initargs=(ctx.cfg,))
+        # the pool forks all its workers at the first submit: no more than there are chunks
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                   initializer=_pool_init, initargs=(ctx.cfg,))
         parts = pool.map(_pool_chunk, tasks)
     with pool:
         for done, out in enumerate(chain.from_iterable(parts), 1):
@@ -446,7 +458,8 @@ def _fmt(value) -> str:
     return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write header and rows: floats as %.10g, anything else as str, CRLF line ends."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -454,19 +467,19 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def write_raw_csv(records: Iterable[RepRecord], path) -> None:
-    _write_csv(path, RepRecord._fields, records)
+    write_csv(path, RepRecord._fields, records)
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
-    _write_csv(path, [f.name for f in fields(SummaryRow)], map(astuple, rows))
+    write_csv(path, [f.name for f in fields(SummaryRow)], map(astuple, rows))
 
 
 def write_bands_csv(bands: BandTable, path) -> None:
     columns = ("x", "truth", "median", "p05", "p95")
-    _write_csv(path, columns, zip(*(getattr(bands, name).tolist() for name in columns)))
+    write_csv(path, columns, zip(*(getattr(bands, name).tolist() for name in columns)))
 
 
 def write_calibration_csv(calib: CalibrationResult, path) -> None:
-    _write_csv(path, ["selector", "c", "mean_ise"],
-               ((sel, c, v) for sel, curve in calib.mean_ise.items()
-                for c, v in zip(calib.c_grid.tolist(), curve.tolist())))
+    write_csv(path, ["selector", "c", "mean_ise"],
+              ((sel, c, v) for sel, curve in calib.mean_ise.items()
+               for c, v in zip(calib.c_grid.tolist(), curve.tolist())))

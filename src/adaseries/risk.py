@@ -81,7 +81,8 @@ def risk_decomposition(model: str, target: str, case: int, n: int,
 
     model is 'density' or 'regression', target a key of the matching
     registry, case 1 (iid) or 2 (logistic map).  Raises ValueError for
-    case 3, for which no exact autocovariance is available.
+    case 3, for which no exact autocovariance is available, and for any
+    other argument outside these.
     """
     if case not in (1, 2):
         raise ValueError(f"no exact risk for dependence case {case}; only cases 1 and 2")
@@ -89,7 +90,11 @@ def risk_decomposition(model: str, target: str, case: int, n: int,
         raise ValueError("need n >= 1 and m_max >= 1")
     if model not in ("density", "regression"):
         raise ValueError(f"unknown model {model!r}")
-    fn = (DENSITY_TARGETS if model == "density" else REGRESSION_TARGETS)[target]()
+    registry = DENSITY_TARGETS if model == "density" else REGRESSION_TARGETS
+    if target not in registry:
+        raise ValueError(f"unknown {model} target {target!r}; expected one of "
+                         + ", ".join(registry))
+    fn = registry[target]()
 
     grid = unit_grid(DEFAULT_GRID)
     basis = TrigBasis()

@@ -46,7 +46,6 @@ def _gauss_pdf(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
 class DensityTarget:
     """Normalized density on [0, 1] with its raw (unnormalized) form."""
 
-    name: str
     raw_fn: Callable[[np.ndarray], np.ndarray]
     normalizer: float = field(init=False, default=0.0)
 
@@ -66,7 +65,6 @@ class DensityTarget:
 class RegressionTarget:
     """Square-integrable regression function on [0, 1] plus noise level."""
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     noise_sigma: float = NOISE_SIGMA
 
@@ -84,16 +82,16 @@ def _f2_raw(x: np.ndarray) -> np.ndarray:
 
 def density_f1() -> DensityTarget:
     """Two-component Gaussian mixture restricted to [0, 1], renormalized."""
-    return DensityTarget("f1", _f1_raw)
+    return DensityTarget(_f1_raw)
 
 
 def density_f2() -> DensityTarget:
     """Polynomially-decaying density with a kink at x = 1/2."""
-    return DensityTarget("f2", _f2_raw)
+    return DensityTarget(_f2_raw)
 
 
 def uniform_density() -> DensityTarget:
-    return DensityTarget("uniform", lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    return DensityTarget(lambda x: np.ones_like(np.asarray(x, dtype=float)))
 
 
 def _doppler(x: np.ndarray) -> np.ndarray:
@@ -106,12 +104,12 @@ def _sin_step(x: np.ndarray) -> np.ndarray:
 
 def regression_f1() -> RegressionTarget:
     """Doppler-type oscillating regression function."""
-    return RegressionTarget("f1", _doppler)
+    return RegressionTarget(_doppler)
 
 
 def regression_f2() -> RegressionTarget:
     """sin(4x) up to 1/4 (inclusive), constant 1 beyond."""
-    return RegressionTarget("f2", _sin_step)
+    return RegressionTarget(_sin_step)
 
 
 DENSITY_TARGETS = {"f1": density_f1, "f2": density_f2, "uniform": uniform_density}

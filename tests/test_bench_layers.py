@@ -44,5 +44,8 @@ def test_traced_tiny_round_matches_untraced(workload, monkeypatch, tmp_path):
     assert samples > 0
     assert summary["dependence.uniform_series.calls"] == samples
     assert summary["estimators.empirical_coefficients.calls"] == samples
+    # one sigma_hat^2 call per regression batch, none for densities
+    assert summary["estimators.sigma_y_hat.calls"] == (
+        samples if workload == "regression_table" else 0)
     assert all(rep is not None for name, *_, rep in tracer.spans
                if name == "estimators.empirical_coefficients")

@@ -298,7 +298,9 @@ variance_reps = 100
     code = main(["check", "--config", str(cfg), "--seed", "0",
                  "--ks-draws", "100000", "--out", str(tmp_path / "rep")])
     assert code == 0
-    with open(tmp_path / "rep" / "check_report.csv", newline="") as fh:
+    report = tmp_path / "rep" / "check_report.csv"
+    assert report.read_bytes().startswith(b"check,passed,detail\r\n")  # csv's CRLF
+    with open(report, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["check", "passed", "detail"]
     assert all(len(row) == 3 for row in rows)

@@ -125,8 +125,7 @@ def test_case3_uniform_series_ks():
 
 def test_regression_sample_zero_noise_zero_function():
     target = regression_f2()
-    zero = type(target)("zero", lambda x: np.zeros_like(np.asarray(x, float)),
-                        noise_sigma=0.0)
+    zero = type(target)(lambda x: np.zeros_like(np.asarray(x, float)), noise_sigma=0.0)
     u, y = gen_regression_sample(100, 1, zero, [stream(1, 0)])
     np.testing.assert_allclose(y, 0.0, atol=0.0)
     assert u.shape == y.shape == (1, 100)

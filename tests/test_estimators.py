@@ -287,18 +287,31 @@ def test_ise_profile_prefix_of_smaller_table():
 
 
 def test_sigma_y_hat_pinned():
-    assert sigma_y_hat([1.0, -1.0]) == pytest.approx(1.0)
-    assert sigma_y_hat([0.0, 0.0, 0.0]) == 0.0
+    assert sigma_y_hat([[1.0, -1.0]])[0] == pytest.approx(1.0)
+    assert sigma_y_hat([[0.0, 0.0, 0.0]])[0] == 0.0
     with pytest.raises(ValueError):
-        sigma_y_hat([])
+        sigma_y_hat([[]])
+
+
+def test_sigma_y_hat_takes_only_a_stack():
+    # the convention of empirical_coefficients: a (K, n) stack in, K values out
+    for y in ([], [1.0, -1.0], 2.0, np.ones((1, 1, 4)), np.empty((2, 0))):
+        with pytest.raises(ValueError):
+            sigma_y_hat(y)
+    y = np.random.default_rng(5).normal(size=(3, 1001))
+    values = sigma_y_hat(y)
+    assert values.shape == (3,)
+    for row, value in zip(y, values):  # each row's float, as a 1-d sample gives it
+        assert value == float(np.sum(row * row)) / row.size
 
 
 def test_sigma_y_hat_matches_population_identity():
     target = regression_f1()
-    _, (y,) = gen_regression_sample(10**5, 1, target, [stream(21, 0)])
+    _, y = gen_regression_sample(10**5, 1, target, [stream(21, 0)])
     expected = 0.25 + integrate_values(target.eval(unit_grid()) ** 2)
     se = (y**2).std(ddof=1) / math.sqrt(y.size)
-    assert sigma_y_hat(y) == pytest.approx(expected, abs=3.0 * se)
+    (value,) = sigma_y_hat(y)
+    assert value == pytest.approx(expected, abs=3.0 * se)
 
 
 def test_density_estimator_is_one_plus_series():

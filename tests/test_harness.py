@@ -173,6 +173,43 @@ def test_parallel_equals_serial():
     assert serial_calib.chosen == parallel_calib.chosen
 
 
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+    """A pool forks all its workers at the first submit, so it asks for at most one per chunk.
+
+    The fake executor records max_workers and runs the chunks in this
+    process: no process is started.
+    """
+    import concurrent.futures
+
+    from adaseries import harness as hl
+
+    asked = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(hl, "_CTX", None)
+    for workers, reps, chunks in ((8, 5, 5), (2, 17, 9), (3, 2, 2)):
+        cfg = small_cfg(n=200, reps=reps)
+        _, serial = run_experiment(cfg)
+        _, pooled = run_experiment(dataclasses.replace(cfg, workers=workers))
+        assert asked == [min(workers, chunks)]
+        assert list(pooled) == list(serial)
+        asked.clear()
+
+
 @pytest.mark.parametrize("model,target", [("density", "f1"), ("density", "f2"),
                                           ("regression", "f1"), ("regression", "f2")])
 @pytest.mark.parametrize("case", [1, 2, 3])
@@ -235,7 +272,7 @@ def test_replication_kernel_matches_direct_path():
         assert table.m_max == cfg.m_grid
         np.testing.assert_array_equal(table.theta_hat, reference.theta_hat)
         np.testing.assert_array_equal(table.theta_sq_loo, reference.theta_sq_loo)
-        assert sig_sq == (sigma_y_hat(y[0]) if cfg.model == "regression" else 1.0)
+        assert sig_sq == (sigma_y_hat(y)[0] if cfg.model == "regression" else 1.0)
         _, ise_by_m, kernel_sig_sq = run_replication(ctx, table, sig_sq)
         assert kernel_sig_sq == sig_sq
         np.testing.assert_array_equal(ise_by_m, ctx.ise_by_m(table))
@@ -300,7 +337,7 @@ def test_bands_constant_estimates_collapse(monkeypatch):
     from adaseries import harness as hl
     from adaseries.targets import RegressionTarget
 
-    zero = lambda: RegressionTarget("zero", lambda x: np.zeros_like(np.asarray(x, float)),
+    zero = lambda: RegressionTarget(lambda x: np.zeros_like(np.asarray(x, float)),
                                     noise_sigma=0.0)
     monkeypatch.setitem(hl.REGRESSION_TARGETS, "zero", zero)
     cfg = ExperimentConfig(model="regression", target="zero", case=1, n=50,

@@ -110,3 +110,7 @@ def test_case3_and_bad_arguments_raise():
         risk_decomposition("regression", "f1", 1, 0, M)
     with pytest.raises(ValueError):
         risk_decomposition("mixture", "f1", 1, N, M)
+    with pytest.raises(ValueError, match="f1, f2, uniform"):
+        risk_decomposition("density", "f3", 1, N, M)
+    with pytest.raises(ValueError, match="f1, f2"):
+        risk_decomposition("regression", "uniform", 1, N, M)

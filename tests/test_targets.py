@@ -166,7 +166,7 @@ def searchsorted_quantile(law, u):
 def law_gap():
     # zero on (0.3, 0.6): the cumulative table repeats one value over ~1200 knots
     return MarginalLaw(DensityTarget(
-        "gap", lambda x: np.where((x > 0.3) & (x < 0.6), 0.0, 1.0 + x)))
+        lambda x: np.where((x > 0.3) & (x < 0.6), 0.0, 1.0 + x)))
 
 
 def knot_probes(law):
@@ -297,7 +297,7 @@ def test_parseval_truncation(make):
 
 
 def test_custom_density_target():
-    tri = DensityTarget("tri", lambda x: np.minimum(x, 1.0 - x))
+    tri = DensityTarget(lambda x: np.minimum(x, 1.0 - x))
     assert integrate_values(tri.eval(unit_grid())) == pytest.approx(1.0, abs=1e-6)
     law = MarginalLaw(tri)
     assert law.quantile(0.5) == pytest.approx(0.5, abs=1e-9)
