@@ -26,10 +26,10 @@ from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
 from .dependence import (AR_TRUNCATION, ar_path_from_innovations, bernoulli_ar_path,
                          gen_density_sample, marginal_G_case3, stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients
-from .harness import ConfigError, ExperimentConfig, ExperimentContext, batches
+from .harness import ConfigError, ExperimentConfig, ExperimentContext, batches, marginal_law
 from .quadrature import simpson_weights, unit_grid
 from .selection import lemma1_audit, penalty_vector
-from .targets import MarginalLaw, density_f1, density_f2, true_coefficients
+from .targets import true_coefficients
 
 ORTHONORMALITY_TOL = 1e-8
 SUP_NORM_POINTS = 10**4
@@ -127,7 +127,7 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
     SUP_NORM_SQ * m / n with 10% headroom (VARIANCE_HEADROOM = 1.1).
     """
     m_top = max(dims)
-    law = MarginalLaw(density_f1())
+    law = marginal_law("f1")
     rng = np.random.default_rng(seed)
     thetas = [table.theta_hat[1:]
               for first, last in batches(0, reps, n)
@@ -148,7 +148,7 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
 
 
 def _marginal_laws() -> dict:
-    return {"f1": MarginalLaw(density_f1()), "f2": MarginalLaw(density_f2()), "uniform": None}
+    return {"f1": marginal_law("f1"), "f2": marginal_law("f2"), "uniform": None}
 
 
 def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,

@@ -18,7 +18,8 @@ reads plain arrays, a (K, n) stack of K samples as the samplers of
 dependence return it (the points, and the responses for regression),
 and one pass over the basis rows reduces it to K tables.  The realized
 ISE(m) is the Simpson-grid quadrature written as a quadratic form in
-theta_hat (ise_gram once per config, ise_profile per table).
+theta_hat (ise_gram and ise_cross once per grid and truth, ise_profile per
+table).
 """
 
 from __future__ import annotations
@@ -106,30 +107,38 @@ def _table(totals: np.ndarray, squares: np.ndarray, n: int, density: bool) -> Co
                             theta_hat=theta, theta_sq_loo=loo)
 
 
-def ise_gram(basis_grid: np.ndarray, truth_grid: np.ndarray,
-             weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The pieces of the Simpson-grid ISE that do not depend on the sample.
+def ise_gram(basis_grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The Gram part of the Simpson-grid ISE: it depends on neither sample nor truth.
 
-    With B the basis rows on the grid (j = 0..m_max), W the quadrature
-    weights and f the truth on the grid, G = B W B^T is returned folded
-    into its lower triangle (L_jj = G_jj, L_ji = 2 G_ji for i < j, zero
-    above), with c = B W f and ||f||_W^2 = f^T W f.  Computed once per
-    config and read by ise_profile.
+    With B the basis rows on the grid (j = 0..m_max) and W the quadrature
+    weights, G = B W B^T is returned folded into its lower triangle
+    (L_jj = G_jj, L_ji = 2 G_ji for i < j, zero above).  Read by
+    ise_profile with the truth part of ise_cross.
+    """
+    weighted = basis_grid * weights
+    gram = weighted @ basis_grid.T
+    return np.tril(gram, -1) * 2.0 + np.diag(np.diagonal(gram))
+
+
+def ise_cross(basis_grid: np.ndarray, truth_grid: np.ndarray,
+              weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The truth part of the Simpson-grid ISE: c = B W f and ||f||_W^2 = f^T W f.
+
+    B and W as in ise_gram, f the truth on the grid; the same weighted
+    rows B W that ise_gram multiplies by B^T are multiplied by f.
     """
     truth = np.asarray(truth_grid, dtype=float)
     weighted = basis_grid * weights
-    gram = weighted @ basis_grid.T
-    gram_lower = np.tril(gram, -1) * 2.0 + np.diag(np.diagonal(gram))
-    return gram_lower, weighted @ truth, float(np.sum(truth * truth * weights))
+    return weighted @ truth, float(np.sum(truth * truth * weights))
 
 
 def ise_profile(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarray,
                 norm_sq: float) -> np.ndarray:
     """ISE(m) for every m = 1..m_max at once.
 
-    gram_lower, cross and norm_sq come from ise_gram; entry m-1 is the
-    Simpson-grid ISE of the dimension-m estimator, the quadrature of
-    (sum_{j<=m} theta_j phi_j - f)^2 done algebraically:
+    gram_lower comes from ise_gram, cross and norm_sq from ise_cross;
+    entry m-1 is the Simpson-grid ISE of the dimension-m estimator, the
+    quadrature of (sum_{j<=m} theta_j phi_j - f)^2 done algebraically:
 
         ISE(m) = theta_{0:m}^T G theta_{0:m} - 2 theta_{0:m}^T c + ||f||_W^2.
 

@@ -19,18 +19,29 @@ from the table.  Evaluation runs all requested selectors,
 cross-validation included, on that shared table and scores each selected
 dimension by Simpson-grid ISE against the true function, one replication
 at a time.
-ExperimentContext computes the sample-free parts of that ISE once (the
-Gram matrix of the basis on the grid, its cross products with the truth
-and the truth's squared norm; estimators.ise_gram), so the ISE of every
-dimension of a replication costs one (M+1)^2 matrix-vector product.
+The sample-free parts of that ISE (the Gram matrix of the basis on the
+grid, its cross products with the truth and the truth's squared norm;
+estimators.ise_gram and ise_cross) make the ISE of every dimension of a
+replication one (M+1)^2 matrix-vector product.  Each sample-free piece is
+built once per process, keyed by what it depends on, and
+ExperimentContext reads it from those caches: the grid, the basis rows
+on it and the folded Gram matrix by (grid_size, M); the target, its
+marginal law, its values on the grid, the cross products and the norm by
+(model, target, grid_size, M), the law by target alone (marginal_law).
+No piece depends on the seed, case, n, replications or penalty
+constants, so every config of a risk table, and a calibration and the
+run of its calibrated config, share them.  The cached arrays are
+read-only; compute_bands hands out copies.
 
 One runner, _run_reps, loops over replications for evaluation, bands and
 calibration.  It maps a per-replication function of (ctx, table,
 sigma_sq) over the kernel's output, in process on the caller's
-ExperimentContext or, chunk by chunk, through a process pool whose
-workers hold their own, and yields the outputs in replication order, so
-results are byte for byte the same for any worker count.  Evaluation
-keeps them as columns (RunResults), whose iteration yields the raw rows.
+ExperimentContext or, chunk by chunk, through one process pool per
+process, made by the first parallel run and reused by the next ones;
+each chunk carries its config and a worker reads its context from its
+own caches.  The outputs come in replication order, so results are byte
+for byte the same for any worker count.  Evaluation keeps them as
+columns (RunResults), whose iteration yields the raw rows.
 
 Calibration searches a grid of penalty constants for the value minimizing
 mean ISE over replications drawn from a stream namespace disjoint from
@@ -39,13 +50,14 @@ evaluation runs.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import math
 import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import suppress
 from dataclasses import astuple, dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -53,7 +65,8 @@ import numpy as np
 
 from .basis import TrigBasis
 from .dependence import gen_density_sample, gen_regression_sample, stream
-from .estimators import CoefficientTable, empirical_coefficients, ise_gram, sigma_y_hat
+from .estimators import (CoefficientTable, empirical_coefficients, ise_cross, ise_gram,
+                         sigma_y_hat)
 from .quadrature import simpson_weights, unit_grid
 from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
                         select_with_pens, theorem_constant)
@@ -156,22 +169,53 @@ def batches(start: int, stop: int, n: int) -> Iterator[tuple[int, int]]:
     return ((first, min(first + size, stop)) for first in range(start, stop, size))
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: the caches hand the same one to every context."""
+    array.flags.writeable = False
+    return array
+
+
+@cache
+def _grid_pieces(grid_size: int, m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Simpson grid, the basis rows 0..m_max on it and their folded Gram matrix."""
+    grid = _frozen(unit_grid(grid_size))
+    basis_grid = _frozen(TrigBasis().design_matrix(grid, m_max))
+    return grid, basis_grid, _frozen(ise_gram(basis_grid, simpson_weights(grid_size)))
+
+
+@cache
+def marginal_law(target: str) -> MarginalLaw:
+    """The marginal law of the named density target, built once per process."""
+    return MarginalLaw(DENSITY_TARGETS[target]())
+
+
+@cache
+def _target_pieces(model: str, target: str, grid_size: int, m_max: int) -> tuple:
+    """The target, its law (None for regression), its values on the grid, cross, norm_sq.
+
+    cross and norm_sq are the truth part of the ISE (estimators.ise_cross).
+    """
+    law = marginal_law(target) if model == "density" else None
+    fn = law.density if law is not None else REGRESSION_TARGETS[target]()
+    grid, basis_grid, _ = _grid_pieces(grid_size, m_max)
+    truth_grid = _frozen(np.asarray(fn.eval(grid), dtype=float))
+    cross, norm_sq = ise_cross(basis_grid, truth_grid, simpson_weights(grid_size))
+    return fn, law, truth_grid, _frozen(cross), norm_sq
+
+
 class ExperimentContext:
-    """Precomputed state shared by all replications of one config."""
+    """The sample-free state of one config, read from the per-process caches.
+
+    Nothing here depends on the seed, case, n, replications or penalty
+    constants, which are read from cfg when used.  The arrays are shared
+    by every context with the same key, so they are read-only.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        if cfg.model == "density":
-            self.target = DENSITY_TARGETS[cfg.target]()
-            self.law = MarginalLaw(self.target)
-        else:
-            self.target = REGRESSION_TARGETS[cfg.target]()
-            self.law = None
-        self.grid = unit_grid(cfg.grid_size)
-        self.truth_grid = np.asarray(self.target.eval(self.grid), dtype=float)
-        self.basis_grid = TrigBasis().design_matrix(self.grid, cfg.m_grid)
-        self.gram_lower, self.cross, self.norm_sq = ise_gram(
-            self.basis_grid, self.truth_grid, simpson_weights(cfg.grid_size))
+        self.grid, self.basis_grid, self.gram_lower = _grid_pieces(cfg.grid_size, cfg.m_grid)
+        self.target, self.law, self.truth_grid, self.cross, self.norm_sq = _target_pieces(
+            cfg.model, cfg.target, cfg.grid_size, cfg.m_grid)
 
     def sample(self, rep_index: int, namespace: int = EVAL_NS,
                count: int = 1) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -296,14 +340,6 @@ def run_replication(ctx: ExperimentContext, table: CoefficientTable,
     return np.array(chosen, dtype=np.int64), ise_by_m, sigma_sq
 
 
-_CTX: ExperimentContext | None = None
-
-
-def _pool_init(cfg: ExperimentConfig) -> None:
-    global _CTX
-    _CTX = ExperimentContext(cfg)
-
-
 def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int):
     """kernel(ctx, table, sigma_sq) for replications start..stop-1: the replication loop."""
     return (kernel(ctx, table, sig_sq)
@@ -311,7 +347,37 @@ def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int
 
 
 def _pool_chunk(task) -> list:
-    return list(_chunk(_CTX, *task))
+    cfg, *chunk = task
+    return list(_chunk(ExperimentContext(cfg), *chunk))
+
+
+#: The process pool of this process and its worker count: made by the first
+#: parallel run and reused by the next ones.
+_POOL = None
+
+
+def _pool_map(tasks: list, workers: int) -> Iterator[list]:
+    """_pool_chunk over tasks on the process pool, which holds at least workers processes.
+
+    The pool forks all its workers at its first submit, so it is replaced
+    only when a run asks for more of them than it holds, or when it is
+    broken (a worker died).
+    """
+    global _POOL
+    # imported here: it loads multiprocessing, which serial runs never need
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    if _POOL is not None and _POOL[1] >= workers:
+        with suppress(BrokenProcessPool):
+            return _POOL[0].map(_pool_chunk, tasks)
+    if _POOL is not None:
+        _POOL[0].shutdown()
+    _POOL = ProcessPoolExecutor(max_workers=workers), workers
+    # The executor's own exit hook stops the workers; shutting the pool down
+    # too, before the modules are cleared, keeps its manager thread's
+    # callback from failing during that teardown.
+    atexit.register(_POOL[0].shutdown)
+    return _POOL[0].map(_pool_chunk, tasks)
 
 
 def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
@@ -319,31 +385,25 @@ def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
     """Yield kernel(ctx, table, sigma_sq) for replications 0..reps-1, in that order.
 
     One worker runs them all as one chunk on the caller's context; more
-    cut them into chunks of reps // (4 workers) and map the chunks
-    through a pool whose workers build their own.  Executor.map keeps
-    order, and the kernel's batches within a chunk do not change a float.
+    cut them into chunks of reps // (4 workers), each task carrying its
+    config, and map the chunks through the process pool, whose workers
+    read their contexts from their own caches.  Executor.map keeps order,
+    and the kernel's batches within a chunk do not change a float.
     """
     workers = ctx.cfg.workers
     if workers == 1:
-        pool = nullcontext()
-        parts = [_chunk(ctx, kernel, 0, reps, namespace)]
+        outs = _chunk(ctx, kernel, 0, reps, namespace)
     else:
-        # imported here: it loads multiprocessing, which serial runs never need
-        from concurrent.futures import ProcessPoolExecutor
-
         size = max(1, reps // (workers * 4))
-        tasks = [(kernel, start, min(start + size, reps), namespace)
+        tasks = [(ctx.cfg, kernel, start, min(start + size, reps), namespace)
                  for start in range(0, reps, size)]
-        # the pool forks all its workers at the first submit: no more than there are chunks
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                                   initializer=_pool_init, initargs=(ctx.cfg,))
-        parts = pool.map(_pool_chunk, tasks)
-    with pool:
-        for done, out in enumerate(chain.from_iterable(parts), 1):
-            if progress:
-                print(f"\rreplication {done}/{reps}", end="" if done < reps else "\n",
-                      file=sys.stderr, flush=True)
-            yield out
+        # no more processes than there are chunks
+        outs = chain.from_iterable(_pool_map(tasks, min(workers, len(tasks))))
+    for done, out in enumerate(outs, 1):
+        if progress:
+            print(f"\rreplication {done}/{reps}", end="" if done < reps else "\n",
+                  file=sys.stderr, flush=True)
+        yield out
 
 
 def summarize(cfg: ExperimentConfig, results: RunResults) -> list[SummaryRow]:
@@ -387,7 +447,8 @@ def compute_bands(cfg: ExperimentConfig) -> BandTable:
     estimates = np.fromiter(_run_reps(ctx, _gl_estimate, cfg.reps, EVAL_NS),
                             dtype=np.dtype((float, cfg.grid_size)), count=cfg.reps)
     p05, med, p95 = np.percentile(estimates, [5.0, 50.0, 95.0], axis=0)
-    return BandTable(x=ctx.grid, truth=ctx.truth_grid, median=med, p05=p05, p95=p95)
+    # copies: the context's arrays are shared and read-only
+    return BandTable(ctx.grid.copy(), ctx.truth_grid.copy(), med, p05, p95)
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,7 @@ def select_cv(table: CoefficientTable) -> int:
 
 def oracle_criteria(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarray,
                     norm_sq: float) -> np.ndarray:
-    """Realized ISE(m), m = 1..M, from the Gram pieces of one Simpson grid (ise_gram)."""
+    """Realized ISE(m), m = 1..M, from the pieces of one Simpson grid (ise_gram, ise_cross)."""
     return ise_profile(table, gram_lower, cross, norm_sq)
 
 

@@ -324,3 +324,17 @@ def test_console_entry_point(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "summary.csv").exists()
+
+
+def test_console_entry_point_on_two_workers(tmp_path):
+    """--workers 2 exits cleanly, and its CSVs equal those of --workers 1."""
+    for workers in (1, 2):
+        result = subprocess.run([sys.executable, "-m", "adaseries", "simulate",
+                                 "--model", "density", "--target", "f1", "--case", "2",
+                                 "--n", "200", "--reps", "20", "--workers", str(workers),
+                                 "--out", str(tmp_path / str(workers))],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+    for name in ("raw.csv", "summary.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

@@ -8,7 +8,7 @@ from adaseries.basis import SUP_NORM_SQ, TrigBasis
 from adaseries.dependence import gen_density_sample, gen_regression_sample, stream
 from adaseries import estimators
 from adaseries.estimators import (CoefficientTable, empirical_coefficients,
-                                  ise_gram, ise_profile, sigma_y_hat)
+                                  ise_cross, ise_gram, ise_profile, sigma_y_hat)
 from adaseries.harness import ExperimentConfig, ExperimentContext
 from adaseries.quadrature import DEFAULT_GRID, integrate_values, simpson_weights, unit_grid
 from adaseries.targets import (MarginalLaw, density_f1, regression_f1,
@@ -140,6 +140,28 @@ def test_last_axis_sum_is_the_row_sum(n, K):
             assert out[i, k] == np.sum(block[i, k].copy())
 
 
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="pinned on numpy 2.x")
+@pytest.mark.parametrize("size", [2, 101, 258])
+@pytest.mark.parametrize("K", [16, 64])
+def test_stacked_matvec_and_cumsum_are_the_row_ones(size, K):
+    """The numpy behaviour that a batched ISE profile would rest on.
+
+    np.matmul of a (size, size) matrix with a (K, size, 1) stack gives
+    every row the floats of the per-row matrix-vector product, and cumsum
+    along the last axis of a (K, size) array the per-row 1-d cumsum.  (The
+    GEMM theta @ L.T and einsum do not: they round differently.)
+    """
+    rng = np.random.default_rng(size * K)
+    lower = np.tril(rng.standard_normal((size, size)))
+    theta = rng.standard_normal((K, size))
+    products = np.matmul(lower, theta[..., None])[..., 0]
+    sums = np.cumsum(theta, axis=-1)
+    for k in range(K):
+        assert np.array_equal(products[k], lower @ theta[k])
+        assert np.array_equal(sums[k], np.cumsum(theta[k]))
+
+
 def test_coefficient_memory_does_not_grow_with_m():
     # the psi matrix alone would take (M + 1) * 8 * n = 162 MB
     n, m_max = 200_000, 100
@@ -255,8 +277,9 @@ def test_ise_profile_matches_per_m_quadrature():
     (table,) = empirical_coefficients(np.random.default_rng(9).uniform(size=(1, 128)), 15)
     grid = unit_grid(1025)
     weights = simpson_weights(1025)
-    profile = ise_profile(table, *ise_gram(TrigBasis().design_matrix(grid, 15),
-                                           law_target.eval(grid), weights))
+    design = TrigBasis().design_matrix(grid, 15)
+    profile = ise_profile(table, ise_gram(design, weights),
+                          *ise_cross(design, law_target.eval(grid), weights))
     for m in (1, 5, 15):
         direct = ise(series_values(table, m, grid), law_target.eval(grid))
         assert profile[m - 1] == pytest.approx(direct, rel=1e-12)
@@ -280,7 +303,9 @@ def test_gram_ise_matches_grid_form(model, target):
 def test_ise_profile_prefix_of_smaller_table():
     """A table cut at M gives the first M entries of the full profile."""
     design = TrigBasis().design_matrix(unit_grid(513), 20)
-    pieces = ise_gram(design, density_f1().eval(unit_grid(513)), simpson_weights(513))
+    weights = simpson_weights(513)
+    pieces = (ise_gram(design, weights),
+              *ise_cross(design, density_f1().eval(unit_grid(513)), weights))
     (table,) = empirical_coefficients(np.random.default_rng(2).uniform(size=(1, 90)), 20)
     cut = CoefficientTable(model="density", n=90, theta_hat=table.theta_hat[:8])
     np.testing.assert_array_equal(ise_profile(cut, *pieces), ise_profile(table, *pieces)[:7])

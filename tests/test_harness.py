@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from adaseries.harness import (BATCH_POINTS, CALIB_NS, BandTable, ExperimentConf
                                ExperimentContext,
                                RepRecord, SummaryRow, calibrate_constant, calibrated_config,
                                compute_bands, default_c_grid, run_experiment,
-                               run_replication, write_bands_csv, write_raw_csv,
-                               write_summary_csv)
+                               run_replication, write_bands_csv, write_calibration_csv,
+                               write_raw_csv, write_summary_csv)
 from adaseries.selection import penalty_vector, select_cv, select_ms, select_with_pens
 
 
@@ -174,40 +177,140 @@ def test_parallel_equals_serial():
 
 
 def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
-    """A pool forks all its workers at the first submit, so it asks for at most one per chunk.
+    """One pool per process: made by the first parallel run, reused by the next ones.
 
-    The fake executor records max_workers and runs the chunks in this
-    process: no process is started.
+    A pool forks all its workers at its first submit, so it holds no more
+    processes than the chunks asked for so far: it is replaced only by a
+    run that asks for more, or when it is broken.  The fake executor
+    records max_workers and runs the chunks in this process: no process
+    is started.
     """
-    import concurrent.futures
+    import concurrent.futures.process
+    from concurrent.futures.process import BrokenProcessPool
 
     from adaseries import harness as hl
 
-    asked = []
+    made, shut = [], []
 
     class InlineExecutor:
-        def __init__(self, max_workers, initializer, initargs):
-            asked.append(max_workers)
-            initializer(*initargs)
+        broken = False
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
 
         def map(self, fn, tasks):
+            if self.broken:
+                raise BrokenProcessPool("a worker died")
             return [fn(task) for task in tasks]
 
-        def __enter__(self):
-            return self
+        def shutdown(self, cancel_futures=False):
+            shut.append(self)
 
-        def __exit__(self, *exc):
-            return False
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(hl, "_CTX", None)
-    for workers, reps, chunks in ((8, 5, 5), (2, 17, 9), (3, 2, 2)):
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(hl, "_POOL", None)
+    most_chunks = 0
+    # chunks of reps // (4 workers) replications; pools: max_workers of each pool made
+    for workers, reps, chunks, pools in ((2, 17, 9, [2]), (2, 17, 9, [2]), (2, 17, 9, [2]),
+                                         (3, 2, 2, [2]), (8, 5, 5, [2, 5]),
+                                         (2, 17, 9, [2, 5])):
         cfg = small_cfg(n=200, reps=reps)
         _, serial = run_experiment(cfg)
         _, pooled = run_experiment(dataclasses.replace(cfg, workers=workers))
-        assert asked == [min(workers, chunks)]
         assert list(pooled) == list(serial)
-        asked.clear()
+        most_chunks = max(most_chunks, chunks)
+        assert made == pools and made[-1] <= most_chunks
+        assert len(shut) == len(made) - 1  # a replaced pool is shut down
+    hl._POOL[0].broken = True
+    _, pooled = run_experiment(dataclasses.replace(cfg, workers=2))
+    assert list(pooled) == list(serial)
+    assert made == [2, 5, 2] and len(shut) == 2  # the new pool is sized for this run
+
+
+#: Configs that differ in model, target, case, constants and M; none may
+#: leak into another through the per-process caches.
+LEAK_CONFIGS = (dict(model="density", target="f1", case=1, c_gl=2.0),
+                dict(model="regression", target="f2", case=3, c_gl=5.0, c_ms=3.0),
+                dict(model="density", target="f2", case=2, m_max=20))
+
+
+def write_config_run(settings: dict, out: Path) -> None:
+    """Calibrate one LEAK_CONFIGS entry and run it; write its three CSVs under out."""
+    cfg = ExperimentConfig(n=300, reps=6, seed=5, **settings)
+    calib = calibrate_constant(cfg, c_grid=(1.0, 4.0, 16.0), calib_reps=4)
+    write_calibration_csv(calib, out / "calibration.csv")
+    rows, results = run_experiment(cfg)
+    write_summary_csv(rows, out / "summary.csv")
+    write_raw_csv(results, out / "raw.csv")
+
+
+def test_configs_in_one_process_equal_fresh_processes(tmp_path):
+    """Each config's CSVs after the others ran in this process equal those of a fresh process."""
+    probe = ("import json, sys, pathlib; from test_harness import write_config_run; "
+             "write_config_run(json.loads(sys.argv[1]), pathlib.Path(sys.argv[2]))")
+    path = os.pathsep.join([str(Path(__file__).parent), *sys.path])
+    for k, settings in enumerate(LEAK_CONFIGS):
+        for side in ("shared", "fresh"):
+            (tmp_path / side / str(k)).mkdir(parents=True)
+        write_config_run(settings, tmp_path / "shared" / str(k))
+        subprocess.run([sys.executable, "-c", probe, json.dumps(settings),
+                        str(tmp_path / "fresh" / str(k))],
+                       env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120)
+    for k in range(len(LEAK_CONFIGS)):
+        for name in ("calibration.csv", "summary.csv", "raw.csv"):
+            shared = (tmp_path / "shared" / str(k) / name).read_bytes()
+            assert shared == (tmp_path / "fresh" / str(k) / name).read_bytes(), (k, name)
+
+
+def test_calibration_and_its_run_build_each_piece_once(monkeypatch):
+    """A calibration and the run of its calibrated config share every sample-free piece.
+
+    A second target on the same grid and M reuses the Gram matrix; the
+    law is built once per target.
+    """
+    from adaseries import harness as hl
+    from adaseries.targets import MarginalLaw
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hl, "ise_gram", counted("ise_gram", hl.ise_gram))
+    monkeypatch.setattr(hl, "ise_cross", counted("ise_cross", hl.ise_cross))
+    monkeypatch.setattr(MarginalLaw, "__init__", counted("law", MarginalLaw.__init__))
+    for builder in (hl._grid_pieces, hl._target_pieces, hl.marginal_law):
+        builder.cache_clear()
+    for model, target, pieces in (("density", "f1", dict(ise_gram=1, ise_cross=1, law=1)),
+                                  ("regression", "f1", dict(ise_gram=1, ise_cross=2, law=1))):
+        cfg = small_cfg(model=model, target=target, reps=3)
+        calib = calibrate_constant(cfg, c_grid=(1.0, 4.0), calib_reps=3)
+        run_experiment(calibrated_config(cfg, calib))
+        assert calls == pieces
+
+
+def test_outputs_do_not_alias_the_cached_pieces():
+    """Writing into a returned BandTable or RunResults leaves a second identical run unchanged.
+
+    The context's arrays are shared through the caches: they are read-only.
+    """
+    cfg = small_cfg(reps=21, c_gl=2.0)
+    ctx = ExperimentContext(cfg)
+    for name in ("grid", "truth_grid", "basis_grid", "gram_lower", "cross"):
+        with pytest.raises(ValueError):
+            getattr(ctx, name)[0] = 0.0
+    for run, names in ((lambda: compute_bands(cfg), ("x", "truth", "median", "p05", "p95")),
+                       (lambda: run_experiment(cfg)[1],
+                        ("m_selected", "ise", "sigma_y_hat", "ise_by_m"))):
+        first = run()
+        kept = {name: getattr(first, name).copy() for name in names}
+        for name in names:
+            getattr(first, name)[...] = -1
+        again = run()
+        for name in names:
+            np.testing.assert_array_equal(getattr(again, name), kept[name])
 
 
 @pytest.mark.parametrize("model,target", [("density", "f1"), ("density", "f2"),

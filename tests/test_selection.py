@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from adaseries.basis import TrigBasis
 from adaseries.dependence import gen_density_sample, stream
-from adaseries.estimators import CoefficientTable, empirical_coefficients, ise_gram
+from adaseries.estimators import (CoefficientTable, empirical_coefficients, ise_cross,
+                                  ise_gram)
 from adaseries.quadrature import simpson_weights, unit_grid
 from adaseries.selection import (cv_profile, lemma1_audit, oracle_criteria,
                                  penalized_profile, penalty_vector, select_cv, select_ms,
@@ -49,9 +50,10 @@ def suffix_form_argmin(table, pens):
 def oracle_profile(table, truth_fn, n_points=1025):
     """Realized ISE(m), m = 1..M, on an n_points Simpson grid."""
     grid = unit_grid(n_points)
-    pieces = ise_gram(TrigBasis().design_matrix(grid, table.m_max),
-                      np.asarray(truth_fn(grid), dtype=float), simpson_weights(n_points))
-    return oracle_criteria(table, *pieces)
+    design = TrigBasis().design_matrix(grid, table.m_max)
+    weights = simpson_weights(n_points)
+    return oracle_criteria(table, ise_gram(design, weights),
+                           *ise_cross(design, np.asarray(truth_fn(grid), dtype=float), weights))
 
 
 def select_oracle(table, truth_fn, n_points=1025):
