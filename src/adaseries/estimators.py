@@ -16,10 +16,10 @@ psi_j(Z_i)^2, and empirical_coefficients streams them over blocks of
 basis rows, so no replication holds the (m_max + 1) x n psi matrix.  It
 reads plain arrays, a (K, n) stack of K samples as the samplers of
 dependence return it (the points, and the responses for regression),
-and one pass over the basis rows reduces it to K tables.  The realized
-ISE(m) is the Simpson-grid quadrature written as a quadratic form in
-theta_hat (ise_gram and ise_cross once per grid and truth, ise_profile per
-table).
+and one pass over the basis rows reduces it to one stacked table, one
+row per sample.  The realized ISE(m) is the Simpson-grid quadrature
+written as a quadratic form in theta_hat (ise_gram and ise_cross once
+per grid and truth, ise_profile per table, stacked or not).
 """
 
 from __future__ import annotations
@@ -39,14 +39,17 @@ _BLOCK_POINTS = 1 << 15
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Empirical coefficients of one sample, for j = 0..m_max.
+    """Empirical coefficients of one sample, or of a stack of K samples, for j = 0..m_max.
 
     theta_hat_j = T_j / n with T_j = sum_i psi_j(Z_i), where psi_j(Z) is
     phi_j(X) for densities (theta_hat_0 is the known constant 1) and
     Y phi_j(U) for regression.  theta_sq_loo_j = (T_j^2 - sum_i
     psi_j(Z_i)^2) / (n (n - 1)) is the leave-one-out estimate of
     theta_j^2, the off-diagonal double sum over observation pairs; it is
-    None for a one-point sample.
+    None for a one-point sample.  Both arrays have shape (m_max + 1,) for
+    one sample and (K, m_max + 1) for a stack, row k for sample k;
+    table[k] is the one-sample table of row k, and iterating a stack
+    yields its row tables.
     """
 
     model: str
@@ -56,11 +59,17 @@ class CoefficientTable:
 
     @property
     def m_max(self) -> int:
-        return self.theta_hat.size - 1
+        return self.theta_hat.shape[-1] - 1
+
+    def __getitem__(self, k) -> CoefficientTable:
+        if self.theta_hat.ndim != 2:
+            raise TypeError("a one-sample table has no rows")
+        loo = None if self.theta_sq_loo is None else self.theta_sq_loo[k]
+        return CoefficientTable(self.model, self.n, self.theta_hat[k], loo)
 
 
-def empirical_coefficients(points, m_max: int, y=None) -> list[CoefficientTable]:
-    """Coefficient tables of a (K, n) stack of samples, j = 0..m_max: one per row.
+def empirical_coefficients(points, m_max: int, y=None) -> CoefficientTable:
+    """The stacked coefficient table of a (K, n) stack of samples, j = 0..m_max.
 
     A density sample is its points X; a regression sample is its design
     U (the points) and its responses y, a stack of the same shape.  Any
@@ -70,11 +79,12 @@ def empirical_coefficients(points, m_max: int, y=None) -> list[CoefficientTable]
     psi_j(Z_i)^2 before the next one is made, so the working set is
     O(K n), not the O(m_max K n) of the whole psi matrix.  Each sum runs
     over one contiguous row of n points (the last axis), which numpy's
-    pairwise summation adds as it adds a 1-d array, so every sum is the
-    float that a one-sample, one-block pass gives.  (A stack of one-point
-    samples is the exception: numpy multiplies a one-element complex
-    array in place by another rounding path, so there the trig recurrence
-    can differ in the last bit.)
+    pairwise summation adds as it adds a 1-d array, and the divisions
+    after it are elementwise, so row k of the table is the float that a
+    one-sample, one-block pass gives.  (A stack of one-point samples is
+    the exception: numpy multiplies a one-element complex array in place
+    by another rounding path, so there the trig recurrence can differ in
+    the last bit.)
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.size == 0:
@@ -94,16 +104,12 @@ def empirical_coefficients(points, m_max: int, y=None) -> list[CoefficientTable]
         np.sum(block, axis=-1, out=totals[rows])
         np.multiply(block, block, out=block)  # the block is not read again: square it in place
         np.sum(block, axis=-1, out=squares[rows])
-    return [_table(totals[:, k], squares[:, k], n, y is None) for k in range(K)]
-
-
-def _table(totals: np.ndarray, squares: np.ndarray, n: int, density: bool) -> CoefficientTable:
-    """The table of one sample from its two sums per index."""
+    totals, squares = totals.T.copy(), squares.T.copy()  # row k for sample k
     theta = totals / n
-    if density:
-        theta[0] = 1.0
+    if y is None:
+        theta[:, 0] = 1.0
     loo = (totals**2 - squares) / (n * (n - 1)) if n > 1 else None
-    return CoefficientTable(model="density" if density else "regression", n=n,
+    return CoefficientTable(model="density" if y is None else "regression", n=n,
                             theta_hat=theta, theta_sq_loo=loo)
 
 
@@ -149,9 +155,10 @@ def ise_profile(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarr
     """
     M = table.m_max
     theta = table.theta_hat
-    steps = theta * (gram_lower[: M + 1, : M + 1] @ theta - 2.0 * cross[: M + 1])
-    steps[0] += norm_sq
-    return np.cumsum(steps)[1:]
+    products = np.matmul(gram_lower[: M + 1, : M + 1], theta[..., None])[..., 0]
+    steps = theta * (products - 2.0 * cross[: M + 1])
+    steps[..., 0] += norm_sq
+    return np.cumsum(steps, axis=-1)[..., 1:]
 
 
 def sigma_y_hat(y) -> np.ndarray:

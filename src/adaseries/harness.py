@@ -9,22 +9,24 @@ shared by evaluation runs, bands, calibration and the oracle-inequality
 check: it makes a batch of K = max(1, BATCH_POINTS // n) consecutive
 replications at a time (the cut is batches), with one sample call (a
 (K, n) stack, one stream per row, one quantile transform for densities),
-one pass over the basis rows (empirical_coefficients, one table per row)
-and, for regression, one sigma_y_hat call (one sigma_hat^2 per row), and
-yields (table, sigma_sq) per replication.  Every step before the sums is
-elementwise and every sum runs over one replication's row, so a
-replication's table and sigma_hat^2 are the same floats in any batch.  Nothing after the
-kernel reads the sample, and every selector takes its dimension grid
-from the table.  Evaluation runs all requested selectors,
-cross-validation included, on that shared table and scores each selected
-dimension by Simpson-grid ISE against the true function, one replication
-at a time.
+one pass over the basis rows (empirical_coefficients, one stacked table,
+one row per replication) and, for regression, one sigma_y_hat call (one
+sigma_hat^2 per row), and yields (first, table, sigma_sq) per batch.
+Every step before the sums is elementwise and every sum runs over one
+replication's row, so a replication's table and sigma_hat^2 are the same
+floats in any batch.  Nothing after the kernel reads the sample, and
+every selector takes its dimension grid from the table.  Evaluation runs
+all requested selectors, cross-validation included, on that shared
+stacked table and scores each selected dimension by Simpson-grid ISE
+against the true function, one call of each per batch: every profile
+runs along the last axis, row by row as for one replication, so the
+batch changes no float.
 The sample-free parts of that ISE (the Gram matrix of the basis on the
 grid, its cross products with the truth and the truth's squared norm;
 estimators.ise_gram and ise_cross) make the ISE of every dimension of a
-replication one (M+1)^2 matrix-vector product.  Each sample-free piece is
-built once per process, keyed by what it depends on, and
-ExperimentContext reads it from those caches: the grid, the basis rows
+replication one (M+1)^2 matrix-vector product, stacked over the batch.
+Each sample-free piece is built once per process, keyed by what it
+depends on, and ExperimentContext reads it from those caches: the grid, the basis rows
 on it and the folded Gram matrix by (grid_size, M); the target, its
 marginal law, its values on the grid, the cross products and the norm by
 (model, target, grid_size, M), the law by target alone (marginal_law).
@@ -34,18 +36,19 @@ run of its calibrated config, share them.  The cached arrays are
 read-only; compute_bands hands out copies.
 
 One runner, _run_reps, loops over replications for evaluation, bands and
-calibration.  It maps a per-replication function of (ctx, table,
-sigma_sq) over the kernel's output, in process on the caller's
-ExperimentContext or, chunk by chunk, through one process pool per
-process, made by the first parallel run and reused by the next ones;
-each chunk carries its config and a worker reads its context from its
-own caches.  The outputs come in replication order, so results are byte
-for byte the same for any worker count.  Evaluation keeps them as
-columns (RunResults), whose iteration yields the raw rows.
+calibration.  It maps a per-batch function of (ctx, table, sigma_sq)
+over the kernel's output, in process on the caller's ExperimentContext
+or, chunk by chunk, through one process pool per process, made by the
+first parallel run and reused by the next ones; each chunk is a whole
+number of kernel batches, carries its config, and a worker reads its
+context from its own caches.  The outputs come in replication order, so
+results are byte for byte the same for any worker count.  Evaluation
+writes them into preallocated columns (RunResults) by batch slices;
+iterating RunResults yields the raw rows.
 
 Calibration searches a grid of penalty constants for the value minimizing
 mean ISE over replications drawn from a stream namespace disjoint from
-evaluation runs.
+evaluation runs; each batch scores the whole grid at once.
 """
 
 from __future__ import annotations
@@ -158,6 +161,11 @@ class ExperimentConfig:
         return self.c_ms if self.c_ms is not None else self.gl_constant
 
 
+def _batch_size(n: int) -> int:
+    """Replications of n points per batch of the replication kernel."""
+    return max(1, BATCH_POINTS // n)
+
+
 def batches(start: int, stop: int, n: int) -> Iterator[tuple[int, int]]:
     """The kernel's batches of replications start..stop-1 of n points each.
 
@@ -165,7 +173,7 @@ def batches(start: int, stop: int, n: int) -> Iterator[tuple[int, int]]:
     consecutive runs of max(1, BATCH_POINTS // n), the last one possibly
     shorter.
     """
-    size = max(1, BATCH_POINTS // n)
+    size = _batch_size(n)
     return ((first, min(first + size, stop)) for first in range(start, stop, size))
 
 
@@ -231,24 +239,25 @@ class ExperimentContext:
             return gen_density_sample(cfg.n, cfg.case, self.law, rngs), None
         return gen_regression_sample(cfg.n, cfg.case, self.target, rngs)
 
-    def replications(self, start: int, stop: int,
-                     namespace: int = EVAL_NS) -> Iterator[tuple[CoefficientTable, float]]:
-        """The replication kernel: (table, sigma_sq) of replications start..stop-1, in order.
+    def replications(self, start: int, stop: int, namespace: int = EVAL_NS
+                     ) -> Iterator[tuple[int, CoefficientTable, np.ndarray]]:
+        """The replication kernel: one (first, table, sigma_sq) per batch of start..stop-1.
 
         One sample call, one coefficient pass and, for regression, one
-        sigma_y_hat call per batch (see batches).  sigma_sq is sigma_hat^2
-        for regression and 1.0 for densities, so penalty_vector(c, M, n,
-        sigma_sq) is the penalty of either model.
+        sigma_y_hat call per batch (see batches), in order.  The batch
+        holds replications first..first + K - 1: table is their stacked
+        table, row k for replication first + k, and sigma_sq the K values
+        sigma_hat^2 for regression and 1.0 for densities, so
+        penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
         """
         cfg = self.cfg
         for first, last in batches(start, stop, cfg.n):
             points, y = self.sample(first, namespace, last - first)
-            tables = empirical_coefficients(points, cfg.m_grid, y)
-            sigmas = [1.0] * len(tables) if y is None else sigma_y_hat(y).tolist()
-            yield from zip(tables, sigmas)
+            sigma_sq = np.ones(last - first) if y is None else sigma_y_hat(y)
+            yield first, empirical_coefficients(points, cfg.m_grid, y), sigma_sq
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
-        """Realized ISE(m), m = 1..M, on the context's Simpson grid."""
+        """Realized ISE(m), m = 1..M, on the context's Simpson grid: one row per table row."""
         return oracle_criteria(table, self.gram_lower, self.cross, self.norm_sq)
 
 
@@ -315,35 +324,38 @@ class BandTable:
 
 
 def run_replication(ctx: ExperimentContext, table: CoefficientTable,
-                    sigma_sq: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """All requested selectors on one replication's shared coefficient table.
+                    sigma_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All requested selectors on one batch's stacked coefficient table of K rows.
 
-    Returns the selected m of each selector in cfg.selectors order, the
-    realized ISE(m), m = 1..M, and sigma_hat^2.
+    Returns the selected m, an (S, K) array with one row per selector in
+    cfg.selectors order; the realized ISE(m), m = 1..M, a (K, M) array;
+    and the K values sigma_hat^2.
     """
     cfg = ctx.cfg
     ise_by_m = ctx.ise_by_m(table)
 
-    chosen = []
-    for sel in cfg.selectors:
+    chosen = np.empty((len(cfg.selectors), len(sigma_sq)), dtype=np.int64)
+    for row, sel in zip(chosen, cfg.selectors):
         if sel == "oracle":
-            m = int(np.argmin(ise_by_m)) + 1
+            row[:] = np.argmin(ise_by_m, axis=-1) + 1
         elif sel == "gl":
             pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sigma_sq)
-            m = select_with_pens(table, pens)
+            row[:] = select_with_pens(table, pens)
         elif sel == "ms":
-            m = select_ms(table, cfg.ms_constant, sigma_sq)
+            row[:] = select_ms(table, cfg.ms_constant, sigma_sq)
         else:
-            m = select_cv(table)
-        chosen.append(m)
+            row[:] = select_cv(table)
 
-    return np.array(chosen, dtype=np.int64), ise_by_m, sigma_sq
+    return chosen, ise_by_m, sigma_sq
 
 
 def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int):
-    """kernel(ctx, table, sigma_sq) for replications start..stop-1: the replication loop."""
-    return (kernel(ctx, table, sig_sq)
-            for table, sig_sq in ctx.replications(start, stop, namespace))
+    """(first, last, kernel(ctx, table, sigma_sq)) per kernel batch first..last-1 of start..stop-1.
+
+    The replication loop.
+    """
+    return ((first, first + len(sig_sq), kernel(ctx, table, sig_sq))
+            for first, table, sig_sq in ctx.replications(start, stop, namespace))
 
 
 def _pool_chunk(task) -> list:
@@ -381,29 +393,32 @@ def _pool_map(tasks: list, workers: int) -> Iterator[list]:
 
 
 def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
-              progress: bool = False) -> Iterator:
-    """Yield kernel(ctx, table, sigma_sq) for replications 0..reps-1, in that order.
+              progress: bool = False) -> Iterator[tuple[int, int, object]]:
+    """Yield (first, last, kernel(ctx, table, sigma_sq)) per batch of replications 0..reps-1.
 
-    One worker runs them all as one chunk on the caller's context; more
-    cut them into chunks of reps // (4 workers), each task carrying its
-    config, and map the chunks through the process pool, whose workers
-    read their contexts from their own caches.  Executor.map keeps order,
-    and the kernel's batches within a chunk do not change a float.
+    The batches come in order.  One worker runs them all as one chunk on
+    the caller's context; more cut them into chunks of about reps //
+    (4 workers), rounded up to whole kernel batches, each task carrying
+    its config, and map the chunks through the process pool, whose
+    workers read their contexts from their own caches.  Every chunk thus
+    starts on a batch start and is cut into the batches of a serial run;
+    Executor.map keeps order.
     """
     workers = ctx.cfg.workers
     if workers == 1:
         outs = _chunk(ctx, kernel, 0, reps, namespace)
     else:
-        size = max(1, reps // (workers * 4))
+        batch = _batch_size(ctx.cfg.n)
+        size = -(-max(1, reps // (workers * 4)) // batch) * batch  # rounded up to whole batches
         tasks = [(ctx.cfg, kernel, start, min(start + size, reps), namespace)
                  for start in range(0, reps, size)]
         # no more processes than there are chunks
         outs = chain.from_iterable(_pool_map(tasks, min(workers, len(tasks))))
-    for done, out in enumerate(outs, 1):
+    for first, last, out in outs:
         if progress:
-            print(f"\rreplication {done}/{reps}", end="" if done < reps else "\n",
+            print(f"\rreplication {last}/{reps}", end="" if last < reps else "\n",
                   file=sys.stderr, flush=True)
-        yield out
+        yield first, last, out
 
 
 def summarize(cfg: ExperimentConfig, results: RunResults) -> list[SummaryRow]:
@@ -420,23 +435,31 @@ def run_experiment(cfg: ExperimentConfig,
     """Run cfg.reps replications: the summary rows and the columns they summarize."""
     if "ms" in cfg.selectors and cfg.ms_constant <= 0.0:
         raise ConfigError("selector ms needs a positive constant: set c_ms")
-    ms, profiles, sigmas = zip(*_run_reps(ExperimentContext(cfg), run_replication,
-                                          cfg.reps, EVAL_NS, progress))
-    m_selected = np.stack(ms, axis=1)
-    ise_by_m = np.array(profiles)
+    m_selected = np.empty((len(cfg.selectors), cfg.reps), dtype=np.int64)
+    ise_by_m = np.empty((cfg.reps, cfg.m_grid))
+    sigmas = np.empty(cfg.reps)
+    for first, last, (ms, profiles, sigma_sq) in _run_reps(
+            ExperimentContext(cfg), run_replication, cfg.reps, EVAL_NS, progress):
+        m_selected[:, first:last] = ms
+        ise_by_m[first:last] = profiles
+        sigmas[first:last] = sigma_sq
     results = RunResults(selectors=tuple(cfg.selectors), m_selected=m_selected,
                          ise=ise_by_m[np.arange(cfg.reps), m_selected - 1],
-                         sigma_y_hat=np.array(sigmas, dtype=float), ise_by_m=ise_by_m)
+                         sigma_y_hat=sigmas, ise_by_m=ise_by_m)
     return summarize(cfg, results), results
 
 
-def _gl_estimate(ctx: ExperimentContext, table: CoefficientTable,
-                 sigma_sq: float) -> np.ndarray:
-    """The GL estimate of one replication on the context's grid."""
+def _gl_estimates(ctx: ExperimentContext, table: CoefficientTable,
+                  sigma_sq: np.ndarray) -> np.ndarray:
+    """The GL estimates of one batch on the context's grid, one row per replication.
+
+    The dimensions come from one selection over the batch; each estimate
+    is summed on its own, over its replication's m + 1 basis rows.
+    """
     cfg = ctx.cfg
     pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sigma_sq)
-    m = select_with_pens(table, pens)
-    return np.sum(table.theta_hat[: m + 1, None] * ctx.basis_grid[: m + 1], axis=0)
+    return np.array([np.sum(theta[: m + 1, None] * ctx.basis_grid[: m + 1], axis=0)
+                     for theta, m in zip(table.theta_hat, select_with_pens(table, pens))])
 
 
 def compute_bands(cfg: ExperimentConfig) -> BandTable:
@@ -444,8 +467,9 @@ def compute_bands(cfg: ExperimentConfig) -> BandTable:
     if cfg.reps < MIN_BAND_REPS:
         raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
     ctx = ExperimentContext(cfg)
-    estimates = np.fromiter(_run_reps(ctx, _gl_estimate, cfg.reps, EVAL_NS),
-                            dtype=np.dtype((float, cfg.grid_size)), count=cfg.reps)
+    estimates = np.empty((cfg.reps, cfg.grid_size))
+    for first, last, batch in _run_reps(ctx, _gl_estimates, cfg.reps, EVAL_NS):
+        estimates[first:last] = batch
     p05, med, p95 = np.percentile(estimates, [5.0, 50.0, 95.0], axis=0)
     # copies: the context's arrays are shared and read-only
     return BandTable(ctx.grid.copy(), ctx.truth_grid.copy(), med, p05, p95)
@@ -479,11 +503,15 @@ def _calibration_grid(c_grid: Iterable[float] | None, calib_reps: int) -> np.nda
     return grid
 
 
-def _calibration_row(c_grid: np.ndarray, ctx: ExperimentContext, table: CoefficientTable,
-                     sigma_sq: float) -> np.ndarray:
-    """ISE of the dimension each constant of c_grid selects in one replication."""
+def _calibration_rows(c_grid: np.ndarray, ctx: ExperimentContext, table: CoefficientTable,
+                      sigma_sq: np.ndarray) -> np.ndarray:
+    """ISE of the dimension each constant of c_grid selects: (K, C), one row per replication.
+
+    One (K, C, M) penalty block scores every constant in every row of the batch.
+    """
     pens = penalty_vector(c_grid, table.m_max, ctx.cfg.n, sigma_sq)
-    return ctx.ise_by_m(table)[select_with_pens(table, pens) - 1]
+    chosen = select_with_pens(table, pens)
+    return np.take_along_axis(ctx.ise_by_m(table), chosen - 1, axis=-1)
 
 
 def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = None,
@@ -491,15 +519,18 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     """Grid-search penalty constants for GL and MS on a disjoint seed stream.
 
     The sample, coefficient table, and per-dimension ISE of a replication
-    do not depend on the constant, so each replication is generated once
-    and scores the whole grid with one (C x M) penalty block.  GL and MS
-    are the same rule (see selection), so one curve serves both.
+    do not depend on the constant, so each batch of replications is
+    generated once and scores the whole grid with one (K x C x M) penalty
+    block.  The rows are added one replication at a time, in order, so
+    the sum is the same float in any batch.  GL and MS are the same rule
+    (see selection), so one curve serves both.
     """
     c_grid = _calibration_grid(c_grid, calib_reps)
     total = np.zeros(c_grid.size)
-    for row in _run_reps(ExperimentContext(cfg), partial(_calibration_row, c_grid),
-                         calib_reps, CALIB_NS):
-        total += row
+    for _, _, rows in _run_reps(ExperimentContext(cfg), partial(_calibration_rows, c_grid),
+                                calib_reps, CALIB_NS):
+        for row in rows:
+            total += row
     curve = total / calib_reps
     k = int(np.argmin(curve))
     notes = []

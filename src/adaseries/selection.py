@@ -1,11 +1,15 @@
 """Dimension selectors: penalized contrast (GL), model selection, CV, oracle.
 
 Every selector is a function of one CoefficientTable, whose length fixes
-the dimension grid m = 1..M (M = table.m_max), and returns one number:
-the dimension, the smallest minimizer of its criterion.  The criteria
-themselves are penalized_profile (GL and MS) and cv_profile (CV).  GL and
-MS read theta_hat; CV also reads the table's leave-one-out squares, so no
-selector goes back to the sample.
+the dimension grid m = 1..M (M = table.m_max), and returns the
+dimension, the smallest minimizer of its criterion: an int for a
+one-sample table, an int64 array of one dimension per row for a stacked
+table, so one call scores a whole batch of replications.  The criteria
+themselves are penalized_profile (GL and MS) and cv_profile (CV), and
+they run along the last axis (cumsum, argmin), which numpy computes row
+by row exactly as for a 1-d array: a row of a stack selects what its
+one-sample table selects.  GL and MS read theta_hat; CV also reads the
+table's leave-one-out squares, so no selector goes back to the sample.
 The criteria exclude the index-0 coefficient: it is common to every
 candidate dimension in both models and cannot change an argmin.
 
@@ -49,18 +53,23 @@ def theorem_constant(model: str, case: int) -> float:
     return PENALTY_PRESETS[scheme]
 
 
-def penalty_vector(c, M: int, n: int, sigma_sq: float = 1.0) -> np.ndarray:
+def penalty_vector(c, M: int, n: int, sigma_sq=1.0) -> np.ndarray:
     """pen(m) = c * sigma_sq * m / n for m = 1..M (non-decreasing for c >= 0).
 
     The single penalty formula of the package: penalized contrast, model
     selection, bands, calibration and the oracle-inequality audit all
-    build their penalties here.  An array of constants gives one penalty
-    row per constant, each bitwise equal to the scalar call.
+    build their penalties here.  Arrays of noise levels and of constants
+    give one penalty row per pair, with the axes of sigma_sq first (one
+    per replication of a stacked table), then those of c: shape
+    sigma_sq.shape + c.shape + (M,).  Every row is bitwise equal to the
+    scalar call.
     """
     c = np.asarray(c, dtype=float)
     if not np.all(c >= 0.0):  # NaN fails the comparison too
         raise ValueError("penalty constant must be nonnegative")
-    return c[..., None] * sigma_sq * np.arange(1, M + 1) / n
+    sigma_sq = np.asarray(sigma_sq, dtype=float)
+    scale = sigma_sq.reshape(sigma_sq.shape + (1,) * c.ndim) * c
+    return scale[..., None] * np.arange(1, M + 1) / n
 
 
 def _check_grid(table: CoefficientTable, M: int) -> None:
@@ -69,16 +78,23 @@ def _check_grid(table: CoefficientTable, M: int) -> None:
 
 
 def penalized_profile(table: CoefficientTable, pens) -> np.ndarray:
-    """The penalized criterion pen_m - S_m for m = 1..M, M = len(pens).
+    """The penalized criterion pen_m - S_m for m = 1..M, M = pens.shape[-1].
 
     fl(pen_m - S_m) = -fl(S_m - pen_m), so its first minimizer is bit for
     bit the first exact zero of the suffix-maximum contrast (module
-    docstring).  A (C, M) stack of penalties gives one row per constant.
+    docstring).  The axes of pens are those of penalty_vector.  On a
+    one-sample table they are one axis per constant: a (C, M) stack
+    gives one row per constant.  On a table of K rows the rows' axis
+    comes first (length K, or 1 for penalties shared by all rows; one
+    (M,) vector is shared too), then the constants': a (K, C, M) block
+    gives (K, C) rows.
     """
     pens = np.asarray(pens, dtype=float)
     M = pens.shape[-1]
     _check_grid(table, M)
-    return pens - np.cumsum(table.theta_hat[1 : M + 1] ** 2)
+    sums = np.cumsum(table.theta_hat[..., 1 : M + 1] ** 2, axis=-1)
+    extra = max(0, pens.ndim - sums.ndim)  # the constants' axes, between rows and m
+    return pens - sums.reshape(sums.shape[:-1] + (1,) * extra + (M,))
 
 
 def cv_profile(table: CoefficientTable) -> np.ndarray:
@@ -93,33 +109,43 @@ def cv_profile(table: CoefficientTable) -> np.ndarray:
         raise ValueError("cross-validation needs n >= 2")
     _check_grid(table, table.m_max)
     start = 1 if table.model == "density" else 0
-    terms = np.cumsum(table.theta_hat[start:] ** 2 - 2.0 * table.theta_sq_loo[start:])
-    return terms if start else terms[1:]
+    terms = np.cumsum(table.theta_hat[..., start:] ** 2 - 2.0 * table.theta_sq_loo[..., start:],
+                      axis=-1)
+    return terms if start else terms[..., 1:]
+
+
+def _first_argmin(profile) -> int | np.ndarray:
+    """The dimension m = 1..M of the smallest minimizer of each last-axis row of profile.
+
+    An int for one row (a 1-d profile), else the int64 array of the rows' dimensions.
+    """
+    m = np.argmin(profile, axis=-1) + 1
+    return int(m) if m.ndim == 0 else m
 
 
 def select_with_pens(table: CoefficientTable, pens) -> int | np.ndarray:
     """The penalized selector: smallest argmin of penalized_profile.
 
     A (C, M) stack of penalties is scored row by row and gives the int64
-    array of the C dimensions.
+    array of the C dimensions; so do a stacked table and its penalties.
     """
-    m = np.argmin(penalized_profile(table, pens), axis=-1) + 1
-    return int(m) if m.ndim == 0 else m
+    return _first_argmin(penalized_profile(table, pens))
 
 
-def select_ms(table: CoefficientTable, c: float, sigma_sq: float = 1.0) -> int:
+def select_ms(table: CoefficientTable, c: float, sigma_sq=1.0) -> int | np.ndarray:
     """Model selection: smallest argmin of -sum_{j<=m} theta_hat_j^2 + c m sigma^2 / n.
 
-    The density model has no response scale, so sigma_sq defaults to 1.
+    The density model has no response scale, so sigma_sq defaults to 1;
+    a stacked table takes one sigma_sq per row, or one shared value.
     """
     if not c > 0.0:  # NaN fails the comparison too
         raise ValueError("model-selection constant must be positive")
     return select_with_pens(table, penalty_vector(c, table.m_max, table.n, sigma_sq))
 
 
-def select_cv(table: CoefficientTable) -> int:
+def select_cv(table: CoefficientTable) -> int | np.ndarray:
     """Smallest argmin of CV(m) over m = 1..M."""
-    return int(np.argmin(cv_profile(table))) + 1
+    return _first_argmin(cv_profile(table))
 
 
 def oracle_criteria(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarray,

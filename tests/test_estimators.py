@@ -142,15 +142,17 @@ def test_last_axis_sum_is_the_row_sum(n, K):
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                     reason="pinned on numpy 2.x")
-@pytest.mark.parametrize("size", [2, 101, 258])
-@pytest.mark.parametrize("K", [16, 64])
+@pytest.mark.parametrize("size", [*range(2, 41), 64, 101, 129, 258])
+@pytest.mark.parametrize("K", [1, 2, 3, 16, 64])
 def test_stacked_matvec_and_cumsum_are_the_row_ones(size, K):
-    """The numpy behaviour that a batched ISE profile would rest on.
+    """The numpy behaviour that the batched ISE profile and selectors rest on.
 
     np.matmul of a (size, size) matrix with a (K, size, 1) stack gives
-    every row the floats of the per-row matrix-vector product, and cumsum
-    along the last axis of a (K, size) array the per-row 1-d cumsum.  (The
-    GEMM theta @ L.T and einsum do not: they round differently.)
+    every row the floats of the per-row matrix-vector product, and so
+    does the same matmul on one 1-d row (ise_profile of a one-sample
+    table); cumsum along the last axis of a (K, size) array gives the
+    per-row 1-d cumsum.  (The GEMM theta @ L.T and einsum do not: they
+    round differently.)  size is M + 1 of a table.
     """
     rng = np.random.default_rng(size * K)
     lower = np.tril(rng.standard_normal((size, size)))
@@ -158,8 +160,10 @@ def test_stacked_matvec_and_cumsum_are_the_row_ones(size, K):
     products = np.matmul(lower, theta[..., None])[..., 0]
     sums = np.cumsum(theta, axis=-1)
     for k in range(K):
-        assert np.array_equal(products[k], lower @ theta[k])
-        assert np.array_equal(sums[k], np.cumsum(theta[k]))
+        row = theta[k].copy()
+        assert np.array_equal(products[k], lower @ row)
+        assert np.array_equal(np.matmul(lower, row[..., None])[..., 0], lower @ row)
+        assert np.array_equal(sums[k], np.cumsum(row))
 
 
 def test_coefficient_memory_does_not_grow_with_m():
@@ -202,14 +206,20 @@ def test_empty_sample_rejected():
 
 
 def test_only_a_stack_of_samples_is_accepted():
-    # one convention: a (K, n) stack in, K tables out; y has the points' shape
+    # one convention: a (K, n) stack in, one stacked table of K rows out;
+    # y has the points' shape
     for points in ([0.25, 0.75], 0.5, np.zeros((1, 1, 4)), np.empty((1, 0))):
         with pytest.raises(ValueError):
             empirical_coefficients(points, 3)
     with pytest.raises(ValueError):
         empirical_coefficients([[0.25, 0.75]], 3, y=[1.0, 3.0])
     tables = empirical_coefficients(np.full((3, 4), 0.25), 3)
-    assert isinstance(tables, list) and len(tables) == 3
+    assert tables.theta_hat.shape == tables.theta_sq_loo.shape == (3, 4)
+    assert tables.m_max == 3 and tables.theta_hat.flags.c_contiguous
+    rows = list(tables)
+    assert len(rows) == 3 and all(row.theta_hat.shape == (4,) for row in rows)
+    with pytest.raises(TypeError):
+        rows[0][0]  # a one-sample table has no rows
 
 
 def test_nested_prefix_bit_exact():
@@ -293,11 +303,12 @@ def test_gram_ise_matches_grid_form(model, target):
     for case in (1, 2, 3):
         cfg = ExperimentConfig(model=model, target=target, case=case, n=400, reps=1, seed=5)
         ctx = ExperimentContext(cfg)
-        for table, _ in ctx.replications(0, 8):
-            fast = ctx.ise_by_m(table)
-            ref = grid_ise_profile(table, ctx.truth_grid, ctx.basis_grid, weights)
-            np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
-            assert np.argmin(fast) == np.argmin(ref)
+        for _, tables, _ in ctx.replications(0, 8):
+            for table, fast in zip(tables, ctx.ise_by_m(tables)):
+                assert np.array_equal(fast, ctx.ise_by_m(table))  # stacked row = one-row profile
+                ref = grid_ise_profile(table, ctx.truth_grid, ctx.basis_grid, weights)
+                np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
+                assert np.argmin(fast) == np.argmin(ref)
 
 
 def test_ise_profile_prefix_of_smaller_table():

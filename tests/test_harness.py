@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaseries.dependence import gen_density_sample, gen_regression_sample, stream
 from adaseries.estimators import empirical_coefficients, sigma_y_hat
-from adaseries.harness import (BATCH_POINTS, CALIB_NS, BandTable, ExperimentConfig,
+from adaseries.harness import (BATCH_POINTS, CALIB_NS, EVAL_NS, BandTable, ExperimentConfig,
                                ExperimentContext,
-                               RepRecord, SummaryRow, calibrate_constant, calibrated_config,
-                               compute_bands, default_c_grid, run_experiment,
+                               RepRecord, SummaryRow, batches, calibrate_constant,
+                               calibrated_config, compute_bands, default_c_grid, run_experiment,
                                run_replication, write_bands_csv, write_calibration_csv,
                                write_raw_csv, write_summary_csv)
 from adaseries.selection import penalty_vector, select_cv, select_ms, select_with_pens
@@ -51,13 +52,13 @@ def test_replication_deterministic():
     ctx = ExperimentContext(small_cfg())
 
     def rep(index):
-        (table, sig_sq), = ctx.replications(index, index + 1)
+        (_, table, sig_sq), = ctx.replications(index, index + 1)
         return run_replication(ctx, table, sig_sq)
 
     (m_a, ise_a, sig_a), (m_b, ise_b, sig_b) = rep(3), rep(3)
     np.testing.assert_array_equal(m_a, m_b)
     np.testing.assert_array_equal(ise_a, ise_b)
-    assert sig_a == sig_b
+    np.testing.assert_array_equal(sig_a, sig_b)
     assert not np.array_equal(ise_a, rep(4)[1])
 
 
@@ -82,11 +83,33 @@ def test_single_rep_summary_matches_record():
     assert rows[0].mean_m == record.m_selected
 
 
+def one_replication(ctx, rep, namespace):
+    """(table, sigma_sq) of one replication, without the batched kernel.
+
+    The sample is drawn on its own from stream(seed, rep, namespace) and
+    reduced by a one-row empirical_coefficients call; the table returned
+    is that row's one-sample table.
+    """
+    cfg = ctx.cfg
+    rngs = [stream(cfg.seed, rep, namespace)]
+    if cfg.model == "density":
+        (table,) = empirical_coefficients(gen_density_sample(cfg.n, cfg.case, ctx.law, rngs),
+                                          cfg.m_grid)
+        return table, 1.0
+    u, y = gen_regression_sample(cfg.n, cfg.case, ctx.target, rngs)
+    (table,) = empirical_coefficients(u, cfg.m_grid, y)
+    return table, float(sigma_y_hat(y)[0])
+
+
 def reference_records(cfg):
-    """The per-(replication, selector) record loop the columns replace, and ISE(m) rows."""
+    """The per-(replication, selector) record loop the columns replace, and ISE(m) rows.
+
+    One replication at a time (one_replication), scored by the one-sample selectors.
+    """
     ctx = ExperimentContext(cfg)
     records, profiles = [], []
-    for rep, (table, sig_sq) in enumerate(ctx.replications(0, cfg.reps)):
+    for rep in range(cfg.reps):
+        table, sig_sq = one_replication(ctx, rep, EVAL_NS)
         ise_by_m = ctx.ise_by_m(table)
         profiles.append(ise_by_m)
         for sel in cfg.selectors:
@@ -117,22 +140,35 @@ def reference_summary(cfg, records):
     return rows
 
 
+def assert_columns_match_record_loop(cfg):
+    rows, results = run_experiment(cfg)
+    records, profiles = reference_records(cfg)
+    assert len(results) == len(records) == cfg.reps * len(cfg.selectors)
+    assert list(results) == records  # replication-major, cfg.selectors order
+    np.testing.assert_equal([dataclasses.astuple(r) for r in rows],
+                            [dataclasses.astuple(r) for r in reference_summary(cfg, records)])
+    np.testing.assert_array_equal(results.ise_by_m, profiles)
+    for k in range(len(cfg.selectors)):
+        assert results.ise[k].flags.c_contiguous and results.m_selected[k].flags.c_contiguous
+
+
 @pytest.mark.parametrize("model,target", [("density", "f1"), ("regression", "f2")])
 @pytest.mark.parametrize("selectors", [("oracle", "gl", "ms", "cv"), ("cv", "gl", "oracle"),
                                        ("ms",)])
 @pytest.mark.parametrize("reps", [1, 7, 20])
 def test_columns_match_record_loop(model, target, selectors, reps):
-    cfg = small_cfg(model=model, target=target, case=2, n=200, reps=reps,
-                    selectors=selectors, c_gl=3.0, m_max=40)
-    rows, results = run_experiment(cfg)
-    records, profiles = reference_records(cfg)
-    assert len(results) == len(records) == reps * len(selectors)
-    assert list(results) == records  # replication-major, cfg.selectors order
-    np.testing.assert_equal([dataclasses.astuple(r) for r in rows],
-                            [dataclasses.astuple(r) for r in reference_summary(cfg, records)])
-    np.testing.assert_array_equal(results.ise_by_m, profiles)
-    for k in range(len(selectors)):
-        assert results.ise[k].flags.c_contiguous and results.m_selected[k].flags.c_contiguous
+    assert_columns_match_record_loop(small_cfg(model=model, target=target, case=2, n=200,
+                                               reps=reps, selectors=selectors, c_gl=3.0,
+                                               m_max=40))
+
+
+@pytest.mark.parametrize("model,target", [("density", "f1"), ("density", "f2"),
+                                          ("regression", "f1"), ("regression", "f2")])
+@pytest.mark.parametrize("n,reps,m_max", [(1000, 37, None), (1 << 14, 3, 12)])
+def test_columns_match_record_loop_at_batch_edges(model, target, n, reps, m_max):
+    """Uneven batches (37 = 16 + 16 + 5 at n = 1000) and batches of one (n = 2**14)."""
+    assert_columns_match_record_loop(small_cfg(model=model, target=target, case=2, n=n,
+                                               reps=reps, m_max=m_max, c_gl=3.0, c_ms=5.0))
 
 
 def test_import_loads_no_process_pool():
@@ -153,8 +189,8 @@ def test_parallel_equals_serial():
 
     At n = BATCH_POINTS // 5 the kernel batches 5 replications, so 17
     replications run serially as batches of 5, 5, 5 and 2, and on 2
-    workers as eight chunks of 2 and one of 1.  The bands (n = 300) run
-    serially as one batch of 21, and on 2 workers in chunks of 2.
+    workers as chunks of 2 rounded up to one batch: the same cuts.  The
+    bands (n = 300) run as one batch of 21, a single chunk on 2 workers.
     """
     cfg = small_cfg(reps=17, n=BATCH_POINTS // 5)
     _, serial = run_experiment(cfg)
@@ -208,6 +244,7 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(hl, "_POOL", None)
+    monkeypatch.setattr(hl, "BATCH_POINTS", 200)  # batches of one at n = 200
     most_chunks = 0
     # chunks of reps // (4 workers) replications; pools: max_workers of each pool made
     for workers, reps, chunks, pools in ((2, 17, 9, [2]), (2, 17, 9, [2]), (2, 17, 9, [2]),
@@ -224,6 +261,89 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
     _, pooled = run_experiment(dataclasses.replace(cfg, workers=2))
     assert list(pooled) == list(serial)
     assert made == [2, 5, 2] and len(shut) == 2  # the new pool is sized for this run
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The pools made during the test; each runs its chunks in this process and keeps its tasks."""
+    import concurrent.futures.process
+
+    from adaseries import harness as hl
+
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            self.tasks, self.shut = [], False
+            made.append(self)
+
+        def map(self, fn, tasks):
+            self.tasks.extend(tasks)
+            return [fn(task) for task in tasks]
+
+        def shutdown(self, cancel_futures=False):
+            self.shut = True
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(hl, "_POOL", None)
+    return made
+
+
+def test_pool_exit_hook_shuts_each_pool_down(recording_pool, monkeypatch):
+    """Each pool registers its own shutdown at exit; a replaced pool is shut down.
+
+    Shutting the pool down before the modules are cleared keeps its
+    manager thread's callback from failing in that teardown; whether it
+    fails without the hook depends on teardown order, so the hook itself
+    is what this test pins.
+    """
+    import atexit
+
+    registered = []
+    monkeypatch.setattr(atexit, "register", registered.append)
+    for workers in (2, 2, 3):  # make, reuse, replace
+        run_experiment(small_cfg(n=BATCH_POINTS // 2, reps=7, workers=workers))
+    first, second = recording_pool
+    assert registered == [first.shutdown, second.shutdown]
+    assert first.shut and not second.shut
+
+
+@pytest.mark.parametrize("n,reps,workers", [(1000, 20, 2), (1000, 37, 2), (1000, 5, 3),
+                                            (BATCH_POINTS // 3, 17, 2), (1 << 14, 6, 2)])
+def test_parallel_chunks_are_whole_kernel_batches(recording_pool, n, reps, workers):
+    """Every pool chunk starts on a batch start, so the chunks cut the serial run's batches."""
+    cfg = small_cfg(n=n, reps=reps, workers=workers, selectors=("oracle", "gl"))
+    _, pooled = run_experiment(cfg)
+    (pool,) = recording_pool
+    cuts = [cut for _, _, start, stop, _ in pool.tasks for cut in batches(start, stop, n)]
+    assert cuts == list(batches(0, reps, n))
+    if (n, reps) == (1000, 20):
+        assert [task[2:4] for task in pool.tasks] == [(0, 16), (16, 20)]
+    _, serial = run_experiment(dataclasses.replace(cfg, workers=1))
+    assert list(pooled) == list(serial)
+
+
+def write_run_outputs(cfg, out: Path) -> None:
+    """Calibration, summary, raw and bands CSVs of cfg under out."""
+    calib = calibrate_constant(cfg, calib_reps=cfg.reps)
+    write_calibration_csv(calib, out / "calibration.csv")
+    rows, results = run_experiment(calibrated_config(cfg, calib))
+    write_summary_csv(rows, out / "summary.csv")
+    write_raw_csv(results, out / "raw.csv")
+    write_bands_csv(compute_bands(cfg), out / "bands.csv")
+
+
+def test_csv_outputs_identical_on_one_and_two_workers(tmp_path):
+    """37 replications at n = 1000: serial batches 16, 16, 5; two workers, chunks of 16."""
+    for model, target in (("density", "f2"), ("regression", "f1")):
+        cfg = small_cfg(model=model, target=target, case=3, n=1000, reps=37, m_max=30)
+        for workers in (1, 2):
+            (tmp_path / model / str(workers)).mkdir(parents=True)
+            write_run_outputs(dataclasses.replace(cfg, workers=workers),
+                              tmp_path / model / str(workers))
+        for name in ("calibration.csv", "summary.csv", "raw.csv", "bands.csv"):
+            assert ((tmp_path / model / "1" / name).read_bytes()
+                    == (tmp_path / model / "2" / name).read_bytes()), (model, name)
 
 
 #: Configs that differ in model, target, case, constants and M; none may
@@ -329,21 +449,24 @@ def test_batched_tables_equal_batches_of_one(model, target, case, monkeypatch):
     for n in (2, 3, 200, 1000):
         budget = BATCH_POINTS if n >= 200 else 8 * n
         monkeypatch.setattr(hl, "BATCH_POINTS", budget)
-        ctx = ExperimentContext(ExperimentConfig(model=model, target=target, case=case, n=n,
-                                                 reps=1, seed=4))
-        batches = []
+        cfg = ExperimentConfig(model=model, target=target, case=case, n=n, reps=1, seed=4)
+        ctx = ExperimentContext(cfg)
+        sizes = []
         sample = ctx.sample
-        ctx.sample = lambda rep, ns, count: batches.append(count) or sample(rep, ns, count)
+        ctx.sample = lambda rep, ns, count: sizes.append(count) or sample(rep, ns, count)
         K = budget // n
         for start, stop, cuts in ((5, 6, [1]), (5, 7, [2]), (3, 10, [7]), (0, K + 2, [K, 2])):
-            batches.clear()
+            sizes.clear()
             batched = list(ctx.replications(start, stop))
-            assert batches == cuts and len(batched) == stop - start
-            for rep, (table, sig_sq) in zip(range(start, stop), batched):
-                ((one, one_sig_sq),) = ctx.replications(rep, rep + 1)
-                assert np.array_equal(table.theta_hat, one.theta_hat)
-                assert np.array_equal(table.theta_sq_loo, one.theta_sq_loo)
-                assert sig_sq == one_sig_sq
+            assert sizes == cuts
+            assert [first for first, *_ in batched] == list(np.cumsum([start, *cuts[:-1]]))
+            for first, tables, sig_sq in batched:
+                assert tables.theta_hat.shape == (len(sig_sq), cfg.m_grid + 1)
+                for rep, table, row_sig_sq in zip(range(first, stop), tables, sig_sq):
+                    ((_, one, one_sig_sq),) = ctx.replications(rep, rep + 1)
+                    assert np.array_equal(table.theta_hat, one.theta_hat[0])
+                    assert np.array_equal(table.theta_sq_loo, one.theta_sq_loo[0])
+                    assert row_sig_sq == one_sig_sq[0]
 
 
 def test_distinct_ms_constant_scored_on_its_own():
@@ -368,16 +491,17 @@ def test_replication_kernel_matches_direct_path():
     for cfg in (small_cfg(), ExperimentConfig(model="regression", target="f2", case=2,
                                               n=200, reps=2, seed=3)):
         ctx = ExperimentContext(cfg)
-        (table, sig_sq), = ctx.replications(1, 2, CALIB_NS)
+        (first, table, sig_sq), = ctx.replications(1, 2, CALIB_NS)
         points, y = ctx.sample(1, CALIB_NS)
-        assert (y is None) == (cfg.model == "density")
-        (reference,) = empirical_coefficients(points, cfg.m_grid, y)
+        assert first == 1 and (y is None) == (cfg.model == "density")
+        reference = empirical_coefficients(points, cfg.m_grid, y)
         assert table.m_max == cfg.m_grid
         np.testing.assert_array_equal(table.theta_hat, reference.theta_hat)
         np.testing.assert_array_equal(table.theta_sq_loo, reference.theta_sq_loo)
-        assert sig_sq == (sigma_y_hat(y)[0] if cfg.model == "regression" else 1.0)
-        _, ise_by_m, kernel_sig_sq = run_replication(ctx, table, sig_sq)
-        assert kernel_sig_sq == sig_sq
+        np.testing.assert_array_equal(sig_sq, sigma_y_hat(y) if cfg.model == "regression"
+                                      else [1.0])
+        m, ise_by_m, kernel_sig_sq = run_replication(ctx, table, sig_sq)
+        assert m.shape == (len(cfg.selectors), 1) and kernel_sig_sq is sig_sq
         np.testing.assert_array_equal(ise_by_m, ctx.ise_by_m(table))
 
 
@@ -407,7 +531,7 @@ def test_one_design_matrix_per_replication(monkeypatch):
         ctx = ExperimentContext(cfg)
         calls["all"] = 0
         for rep in range(3):
-            (table, sig_sq), = ctx.replications(rep, rep + 1)
+            (_, table, sig_sq), = ctx.replications(rep, rep + 1)
             run_replication(ctx, table, sig_sq)
         assert calls == {"all": 3, "in_cv": 0}
 
@@ -469,25 +593,32 @@ def test_calibrate_grid_validation():
 
 @pytest.mark.parametrize("model,target", [("density", "f1"), ("regression", "f2")])
 def test_calibration_matches_per_constant_loop(model, target):
-    """The (C x M) penalty block scores each constant as its own selection would."""
-    cfg = small_cfg(model=model, target=target, case=2, m_max=40)
-    c_grid, reps = default_c_grid(), 6
-    calib = calibrate_constant(cfg, c_grid, calib_reps=reps)
-    ctx = ExperimentContext(cfg)
-    loop = np.zeros(c_grid.size)
-    for table, sig_sq in ctx.replications(0, reps, CALIB_NS):
-        assert (sig_sq != 1.0) == (model == "regression")
-        ise_by_m = ctx.ise_by_m(table)
-        block = penalty_vector(c_grid, cfg.m_grid, cfg.n, sig_sq)
-        for i, c in enumerate(c_grid):
-            pens = penalty_vector(c, cfg.m_grid, cfg.n, sig_sq)
-            np.testing.assert_array_equal(block[i], pens)
-            m = select_with_pens(table, pens)
-            assert select_ms(table, c, sig_sq) == m
-            loop[i] += ise_by_m[m - 1]
-    np.testing.assert_array_equal(calib.mean_ise["gl"], loop / reps)
-    np.testing.assert_array_equal(calib.mean_ise["gl"], calib.mean_ise["ms"])
-    assert calib.chosen["gl"] == calib.chosen["ms"]
+    """The (K x C x M) penalty block scores each constant as its own selection would.
+
+    The reference runs one replication at a time (one_replication) and one
+    constant at a time, in batches of 6 (one batch), 37 (16 + 16 + 5) and
+    3 at n = 2**14 (batches of one).
+    """
+    c_grid = default_c_grid()
+    for n, reps, m_max in ((300, 6, 40), (1000, 37, None), (1 << 14, 3, 12)):
+        cfg = small_cfg(model=model, target=target, case=2, n=n, m_max=m_max)
+        calib = calibrate_constant(cfg, c_grid, calib_reps=reps)
+        ctx = ExperimentContext(cfg)
+        loop = np.zeros(c_grid.size)
+        for rep in range(reps):
+            table, sig_sq = one_replication(ctx, rep, CALIB_NS)
+            assert (sig_sq != 1.0) == (model == "regression")
+            ise_by_m = ctx.ise_by_m(table)
+            block = penalty_vector(c_grid, cfg.m_grid, cfg.n, sig_sq)
+            for i, c in enumerate(c_grid):
+                pens = penalty_vector(c, cfg.m_grid, cfg.n, sig_sq)
+                np.testing.assert_array_equal(block[i], pens)
+                m = select_with_pens(table, pens)
+                assert select_ms(table, c, sig_sq) == m
+                loop[i] += ise_by_m[m - 1]
+        np.testing.assert_array_equal(calib.mean_ise["gl"], loop / reps)
+        np.testing.assert_array_equal(calib.mean_ise["gl"], calib.mean_ise["ms"])
+        assert calib.chosen["gl"] == calib.chosen["ms"]
 
 
 def test_calibration_warns_once_for_both_selectors(monkeypatch):
@@ -495,7 +626,8 @@ def test_calibration_warns_once_for_both_selectors(monkeypatch):
     from adaseries import harness as hl
 
     bumpy = np.array([2.0, 1.0, 3.0, 0.5])  # argmin at the end, but not monotone before it
-    monkeypatch.setattr(hl, "_calibration_row", lambda c_grid, ctx, table, sig_sq: bumpy)
+    monkeypatch.setattr(hl, "_calibration_rows",
+                        lambda c_grid, ctx, table, sig_sq: np.tile(bumpy, (len(sig_sq), 1)))
     with pytest.warns(UserWarning) as caught:
         calib = calibrate_constant(small_cfg(), c_grid=[1.0, 2.0, 3.0, 4.0], calib_reps=2)
     assert len(caught) == 1

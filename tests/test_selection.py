@@ -200,6 +200,37 @@ def test_penalized_profile_bitwise_and_selector_types():
         penalized_profile(table, np.ones(M + 1))
 
 
+@pytest.mark.parametrize("model", ["density", "regression"])
+def test_stacked_table_selects_row_by_row(model):
+    """Profiles and selectors of a K-row table are its rows' one-sample results, bitwise.
+
+    Penalties follow penalty_vector's axes: the K noise levels first, then
+    the C constants, so a (K, C, M) block gives (K, C) dimensions.
+    """
+    rng = np.random.default_rng(8)
+    K, n, M = 5, 120, 30
+    y = rng.standard_normal((K, n)) if model == "regression" else None
+    tables = empirical_coefficients(rng.uniform(size=(K, n)), M, y)
+    assert tables.model == model
+    sig_sq = rng.uniform(0.5, 2.0, size=K)
+    c_grid = np.array([0.5, 3.0, 40.0])
+    block = penalty_vector(c_grid, M, n, sig_sq)
+    assert block.shape == (K, c_grid.size, M)
+    ms_block = select_with_pens(tables, block)
+    assert ms_block.shape == (K, c_grid.size) and ms_block.dtype == np.int64
+    shared = penalty_vector(3.0, M, n)
+    for k, table in enumerate(tables):
+        for i, c in enumerate(c_grid):
+            np.testing.assert_array_equal(block[k, i], penalty_vector(c, M, n, sig_sq[k]))
+            assert ms_block[k, i] == select_with_pens(table, block[k, i])
+        np.testing.assert_array_equal(penalized_profile(tables, shared)[k],
+                                      penalized_profile(table, shared))
+        np.testing.assert_array_equal(cv_profile(tables)[k], cv_profile(table))
+        assert select_with_pens(tables, shared)[k] == select_with_pens(table, shared)
+        assert select_ms(tables, 3.0, sig_sq)[k] == select_ms(table, 3.0, sig_sq[k])
+        assert select_cv(tables)[k] == select_cv(table)
+
+
 def test_gl_and_ms_coincide_with_same_penalties():
     rng = np.random.default_rng(7)
     for _ in range(200):
