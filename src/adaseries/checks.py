@@ -131,7 +131,7 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
     rng = np.random.default_rng(seed)
     thetas = np.concatenate([
         empirical_coefficients(gen_density_sample(n, 1, law, [rng] * (last - first)),
-                               m_top).theta_hat[:, 1:]
+                               m_top, loo=False).theta_hat[:, 1:]
         for first, last in batches(0, reps, n)])
     variances = np.var(thetas, axis=0, ddof=1)
     ok = True
@@ -252,7 +252,7 @@ def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> Che
     theta_true = true_coefficients(ctx.target.eval, 400)
     pens = penalty_vector(cfg.gl_constant, cfg.m_grid, n)  # sigma^2 = 1 for densities
     failures = 0
-    for _, table, _ in ctx.replications(0, reps, LEMMA_NS):
+    for _, table, _ in ctx.replications(0, reps, LEMMA_NS, loo=False):
         failures += sum(not lemma1_audit(row, pens, theta_true).all_passed for row in table)
     return CheckResult("lemma1_simulation", failures == 0,
                        f"{reps - failures}/{reps} replications satisfied the bound")

@@ -17,9 +17,12 @@ basis rows, so no replication holds the (m_max + 1) x n psi matrix.  It
 reads plain arrays, a (K, n) stack of K samples as the samplers of
 dependence return it (the points, and the responses for regression),
 and one pass over the basis rows reduces it to one stacked table, one
-row per sample.  The realized ISE(m) is the Simpson-grid quadrature
-written as a quadratic form in theta_hat (ise_gram and ise_cross once
-per grid and truth, ise_profile per table, stacked or not).
+row per sample.  The psi^2 sums feed only the leave-one-out squares,
+that is, only cross-validation: with loo=False they are not made at all,
+and theta_hat is the same float.  The realized ISE(m) is the
+Simpson-grid quadrature written as a quadratic form in theta_hat
+(ise_gram and ise_cross once per grid and truth, ise_profile per table,
+stacked or not).
 """
 
 from __future__ import annotations
@@ -46,10 +49,11 @@ class CoefficientTable:
     Y phi_j(U) for regression.  theta_sq_loo_j = (T_j^2 - sum_i
     psi_j(Z_i)^2) / (n (n - 1)) is the leave-one-out estimate of
     theta_j^2, the off-diagonal double sum over observation pairs; it is
-    None for a one-point sample.  Both arrays have shape (m_max + 1,) for
-    one sample and (K, m_max + 1) for a stack, row k for sample k;
-    table[k] is the one-sample table of row k, and iterating a stack
-    yields its row tables.
+    None for a one-point sample and for a table built without the psi^2
+    sums (empirical_coefficients with loo=False).  Both arrays have shape
+    (m_max + 1,) for one sample and (K, m_max + 1) for a stack, row k for
+    sample k; table[k] is the one-sample table of row k, and iterating a
+    stack yields its row tables.
     """
 
     model: str
@@ -68,7 +72,7 @@ class CoefficientTable:
         return CoefficientTable(self.model, self.n, self.theta_hat[k], loo)
 
 
-def empirical_coefficients(points, m_max: int, y=None) -> CoefficientTable:
+def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> CoefficientTable:
     """The stacked coefficient table of a (K, n) stack of samples, j = 0..m_max.
 
     A density sample is its points X; a regression sample is its design
@@ -84,7 +88,9 @@ def empirical_coefficients(points, m_max: int, y=None) -> CoefficientTable:
     one-sample, one-block pass gives.  (A stack of one-point samples is
     the exception: numpy multiplies a one-element complex array in place
     by another rounding path, so there the trig recurrence can differ in
-    the last bit.)
+    the last bit.)  loo=False skips the squares and their sums, for
+    callers that never read theta_sq_loo (None then); theta_hat never
+    reads them, so it is the same float either way.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.size == 0:
@@ -95,22 +101,23 @@ def empirical_coefficients(points, m_max: int, y=None) -> CoefficientTable:
         if y.shape != points.shape:
             raise ValueError(f"responses of shape {y.shape} for points of shape {points.shape}")
     totals = np.empty((m_max + 1, K))
-    squares = np.empty((m_max + 1, K))
+    squares = np.empty((m_max + 1, K)) if loo else None
     for start, block in TrigBasis().row_blocks(points, m_max,
                                                max(2, _BLOCK_POINTS // points.size)):
         rows = slice(start, start + len(block))
         if y is not None:
             block *= y
         np.sum(block, axis=-1, out=totals[rows])
-        np.multiply(block, block, out=block)  # the block is not read again: square it in place
-        np.sum(block, axis=-1, out=squares[rows])
-    totals, squares = totals.T.copy(), squares.T.copy()  # row k for sample k
+        if loo:
+            np.multiply(block, block, out=block)  # the block is not read again: square it in place
+            np.sum(block, axis=-1, out=squares[rows])
+    totals = totals.T.copy()  # row k for sample k
     theta = totals / n
     if y is None:
         theta[:, 0] = 1.0
-    loo = (totals**2 - squares) / (n * (n - 1)) if n > 1 else None
+    sq_loo = (totals**2 - squares.T) / (n * (n - 1)) if loo and n > 1 else None
     return CoefficientTable(model="density" if y is None else "regression", n=n,
-                            theta_hat=theta, theta_sq_loo=loo)
+                            theta_hat=theta, theta_sq_loo=sq_loo)
 
 
 def ise_gram(basis_grid: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -11,7 +11,11 @@ replications at a time (the cut is batches), with one sample call (a
 (K, n) stack, one stream per row, one quantile transform for densities),
 one pass over the basis rows (empirical_coefficients, one stacked table,
 one row per replication) and, for regression, one sigma_y_hat call (one
-sigma_hat^2 per row), and yields (first, table, sigma_sq) per batch.
+sigma_hat^2 per row), and yields (first, table, sigma_sq) per batch.  The
+psi^2 sums of the coefficient pass are made only for a consumer that
+reads them: an evaluation run that selects by cross-validation.  Bands,
+calibration and the oracle-inequality check read theta_hat only and
+pass loo=False, which leaves theta_hat the same float.
 Every step before the sums is elementwise and every sum runs over one
 replication's row, so a replication's table and sigma_hat^2 are the same
 floats in any batch.  Nothing after the kernel reads the sample, and
@@ -239,7 +243,7 @@ class ExperimentContext:
             return gen_density_sample(cfg.n, cfg.case, self.law, rngs), None
         return gen_regression_sample(cfg.n, cfg.case, self.target, rngs)
 
-    def replications(self, start: int, stop: int, namespace: int = EVAL_NS
+    def replications(self, start: int, stop: int, namespace: int = EVAL_NS, loo: bool = True
                      ) -> Iterator[tuple[int, CoefficientTable, np.ndarray]]:
         """The replication kernel: one (first, table, sigma_sq) per batch of start..stop-1.
 
@@ -249,12 +253,14 @@ class ExperimentContext:
         table, row k for replication first + k, and sigma_sq the K values
         sigma_hat^2 for regression and 1.0 for densities, so
         penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
+        loo is passed to empirical_coefficients: False for a consumer that
+        never reads theta_sq_loo, which skips the psi^2 sums.
         """
         cfg = self.cfg
         for first, last in batches(start, stop, cfg.n):
             points, y = self.sample(first, namespace, last - first)
             sigma_sq = np.ones(last - first) if y is None else sigma_y_hat(y)
-            yield first, empirical_coefficients(points, cfg.m_grid, y), sigma_sq
+            yield first, empirical_coefficients(points, cfg.m_grid, y, loo=loo), sigma_sq
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid: one row per table row."""
@@ -349,13 +355,13 @@ def run_replication(ctx: ExperimentContext, table: CoefficientTable,
     return chosen, ise_by_m, sigma_sq
 
 
-def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int):
+def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int, loo: bool):
     """(first, last, kernel(ctx, table, sigma_sq)) per kernel batch first..last-1 of start..stop-1.
 
-    The replication loop.
+    The replication loop; loo as in ExperimentContext.replications.
     """
     return ((first, first + len(sig_sq), kernel(ctx, table, sig_sq))
-            for first, table, sig_sq in ctx.replications(start, stop, namespace))
+            for first, table, sig_sq in ctx.replications(start, stop, namespace, loo))
 
 
 def _pool_chunk(task) -> list:
@@ -392,11 +398,13 @@ def _pool_map(tasks: list, workers: int) -> Iterator[list]:
     return _POOL[0].map(_pool_chunk, tasks)
 
 
-def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
+def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int, loo: bool,
               progress: bool = False) -> Iterator[tuple[int, int, object]]:
     """Yield (first, last, kernel(ctx, table, sigma_sq)) per batch of replications 0..reps-1.
 
-    The batches come in order.  One worker runs them all as one chunk on
+    loo says whether kernel reads the tables' theta_sq_loo (only
+    cross-validation does); without it the psi^2 sums are skipped.  The
+    batches come in order.  One worker runs them all as one chunk on
     the caller's context; more cut them into chunks of about reps //
     (4 workers), rounded up to whole kernel batches, each task carrying
     its config, and map the chunks through the process pool, whose
@@ -406,11 +414,11 @@ def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
     """
     workers = ctx.cfg.workers
     if workers == 1:
-        outs = _chunk(ctx, kernel, 0, reps, namespace)
+        outs = _chunk(ctx, kernel, 0, reps, namespace, loo)
     else:
         batch = _batch_size(ctx.cfg.n)
         size = -(-max(1, reps // (workers * 4)) // batch) * batch  # rounded up to whole batches
-        tasks = [(ctx.cfg, kernel, start, min(start + size, reps), namespace)
+        tasks = [(ctx.cfg, kernel, start, min(start + size, reps), namespace, loo)
                  for start in range(0, reps, size)]
         # no more processes than there are chunks
         outs = chain.from_iterable(_pool_map(tasks, min(workers, len(tasks))))
@@ -439,7 +447,8 @@ def run_experiment(cfg: ExperimentConfig,
     ise_by_m = np.empty((cfg.reps, cfg.m_grid))
     sigmas = np.empty(cfg.reps)
     for first, last, (ms, profiles, sigma_sq) in _run_reps(
-            ExperimentContext(cfg), run_replication, cfg.reps, EVAL_NS, progress):
+            ExperimentContext(cfg), run_replication, cfg.reps, EVAL_NS,
+            loo="cv" in cfg.selectors, progress=progress):
         m_selected[:, first:last] = ms
         ise_by_m[first:last] = profiles
         sigmas[first:last] = sigma_sq
@@ -468,7 +477,7 @@ def compute_bands(cfg: ExperimentConfig) -> BandTable:
         raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
     ctx = ExperimentContext(cfg)
     estimates = np.empty((cfg.reps, cfg.grid_size))
-    for first, last, batch in _run_reps(ctx, _gl_estimates, cfg.reps, EVAL_NS):
+    for first, last, batch in _run_reps(ctx, _gl_estimates, cfg.reps, EVAL_NS, loo=False):
         estimates[first:last] = batch
     p05, med, p95 = np.percentile(estimates, [5.0, 50.0, 95.0], axis=0)
     # copies: the context's arrays are shared and read-only
@@ -528,7 +537,7 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     c_grid = _calibration_grid(c_grid, calib_reps)
     total = np.zeros(c_grid.size)
     for _, _, rows in _run_reps(ExperimentContext(cfg), partial(_calibration_rows, c_grid),
-                                calib_reps, CALIB_NS):
+                                calib_reps, CALIB_NS, loo=False):
         for row in rows:
             total += row
     curve = total / calib_reps

@@ -106,7 +106,9 @@ def cv_profile(table: CoefficientTable) -> np.ndarray:
     starts at j = 0.
     """
     if table.theta_sq_loo is None:
-        raise ValueError("cross-validation needs n >= 2")
+        raise ValueError("cross-validation needs the leave-one-out squares: the table is of "
+                         "a one-point sample (n = 1) or was built without the psi^2 sums "
+                         "(empirical_coefficients with loo=False)")
     _check_grid(table, table.m_max)
     start = 1 if table.model == "density" else 0
     terms = np.cumsum(table.theta_hat[..., start:] ** 2 - 2.0 * table.theta_sq_loo[..., start:],

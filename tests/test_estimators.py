@@ -122,6 +122,32 @@ def test_streamed_coefficients_match_materialized_psi(monkeypatch, n):
                             assert np.array_equal(got.theta_sq_loo, loo)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, (1 << 14) - 1, (1 << 14) + 1, 20000])
+@pytest.mark.parametrize("K", [1, 2, 16])
+@pytest.mark.parametrize("model", ["density", "regression"])
+def test_theta_only_pass_is_the_full_pass(model, K, n):
+    """loo=False skips the psi^2 sums and leaves theta_hat the same floats.
+
+    The n values change the rows per block (_BLOCK_POINTS // (K n), at
+    least two); m_max = 0..3 end the last block early or on one row.
+    """
+    rng = np.random.default_rng(K * n)
+    points = rng.uniform(size=(K, n))
+    y = rng.standard_normal((K, n)) if model == "regression" else None
+    for m_max in (0, 1, 2, 3, 100):
+        full = empirical_coefficients(points, m_max, y)
+        theta_only = empirical_coefficients(points, m_max, y, loo=False)
+        assert theta_only.model == full.model and theta_only.n == n
+        assert np.array_equal(theta_only.theta_hat, full.theta_hat)
+        assert theta_only.theta_sq_loo is None
+        rows = list(theta_only)
+        assert len(rows) == K
+        for k, row in enumerate(rows):
+            assert row.theta_sq_loo is None and row.m_max == m_max
+            assert np.array_equal(row.theta_hat, theta_only[k].theta_hat)
+            assert np.array_equal(row.theta_hat, full[k].theta_hat)
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 1000, 8192, 8193, 20000])
 @pytest.mark.parametrize("K", [1, 3, 16])
 def test_last_axis_sum_is_the_row_sum(n, K):

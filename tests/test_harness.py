@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 from adaseries.dependence import gen_density_sample, gen_regression_sample, stream
 from adaseries.estimators import empirical_coefficients, sigma_y_hat
-from adaseries.harness import (BATCH_POINTS, CALIB_NS, EVAL_NS, BandTable, ExperimentConfig,
-                               ExperimentContext,
+from adaseries.harness import (BATCH_POINTS, CALIB_NS, EVAL_NS, MIN_BAND_REPS, BandTable,
+                               ExperimentConfig, ExperimentContext,
                                RepRecord, SummaryRow, batches, calibrate_constant,
                                calibrated_config, compute_bands, default_c_grid, run_experiment,
                                run_replication, write_bands_csv, write_calibration_csv,
@@ -211,6 +212,21 @@ def test_parallel_equals_serial():
     np.testing.assert_array_equal(serial_calib.mean_ise["gl"], parallel_calib.mean_ise["gl"])
     assert serial_calib.chosen == parallel_calib.chosen
 
+    # without cv the kernel skips the psi^2 sums: the same columns on any
+    # worker count, and the rows of the selectors it still runs
+    no_cv = dataclasses.replace(cfg, selectors=("oracle", "gl", "ms"))
+    _, serial_no_cv = run_experiment(no_cv)
+    _, parallel_no_cv = run_experiment(dataclasses.replace(no_cv, workers=2))
+    rows = [cfg.selectors.index(sel) for sel in no_cv.selectors]
+    for name in ("m_selected", "ise", "sigma_y_hat", "ise_by_m"):
+        column = getattr(serial_no_cv, name)
+        assert column.dtype == getattr(parallel_no_cv, name).dtype
+        assert column.tobytes() == getattr(parallel_no_cv, name).tobytes()
+        all_selectors = getattr(serial, name)
+        assert column.tobytes() == (all_selectors[rows] if name in ("m_selected", "ise")
+                                    else all_selectors).tobytes()
+    assert list(serial_no_cv) == list(parallel_no_cv)
+
 
 def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
     """One pool per process: made by the first parallel run, reused by the next ones.
@@ -315,12 +331,64 @@ def test_parallel_chunks_are_whole_kernel_batches(recording_pool, n, reps, worke
     cfg = small_cfg(n=n, reps=reps, workers=workers, selectors=("oracle", "gl"))
     _, pooled = run_experiment(cfg)
     (pool,) = recording_pool
-    cuts = [cut for _, _, start, stop, _ in pool.tasks for cut in batches(start, stop, n)]
+    cuts = [cut for _, _, start, stop, *_ in pool.tasks for cut in batches(start, stop, n)]
     assert cuts == list(batches(0, reps, n))
     if (n, reps) == (1000, 20):
         assert [task[2:4] for task in pool.tasks] == [(0, 16), (16, 20)]
     _, serial = run_experiment(dataclasses.replace(cfg, workers=1))
     assert list(pooled) == list(serial)
+
+
+@pytest.fixture
+def asked_for_loo(monkeypatch):
+    """The loo argument of every empirical_coefficients call the harness and checks make."""
+    from adaseries import checks
+    from adaseries import harness as hl
+
+    asked = []
+
+    def recording(points, m_max, y=None, loo=True):
+        asked.append(loo)
+        return empirical_coefficients(points, m_max, y, loo=loo)
+
+    for module in (hl, checks):
+        monkeypatch.setattr(module, "empirical_coefficients", recording)
+    return asked
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_psi_squares_are_summed_only_for_cross_validation(asked_for_loo, recording_pool,
+                                                          workers):
+    """Only an evaluation run that selects by cv asks for the psi^2 sums.
+
+    Bands, calibration, the oracle-inequality check and the variance check
+    read theta_hat only.  On 2 workers the pool runs its chunks in this
+    process (recording_pool) and each task carries the same loo.
+    """
+    from adaseries import checks
+
+    cfg = small_cfg(n=BATCH_POINTS // 4, reps=MIN_BAND_REPS + 1, workers=workers)
+    consumers = [(partial(compute_bands, cfg), False),
+                 (partial(calibrate_constant, cfg, calib_reps=9), False)]
+    for selectors in (("oracle", "gl", "ms"), ("gl",), ("cv",), ("oracle", "cv"),
+                      cfg.selectors):
+        run_cfg = dataclasses.replace(cfg, selectors=selectors)
+        consumers.append((partial(run_experiment, run_cfg), "cv" in selectors))
+    if workers == 1:  # the checks run serially
+        consumers += [(partial(checks.check_lemma1_simulation, reps=5, n=300), False),
+                      (partial(checks.check_variance_bound, reps=5, n=300), False)]
+
+    def tasks():
+        return [task for pool in recording_pool for task in pool.tasks]
+
+    for consume, loo in consumers:
+        asked_for_loo.clear()
+        before = len(tasks())
+        consume()
+        assert asked_for_loo and set(asked_for_loo) == {loo}
+        new_tasks = tasks()[before:]
+        assert bool(new_tasks) == (workers > 1)
+        assert all(task[-1] is loo for task in new_tasks)
 
 
 def write_run_outputs(cfg, out: Path) -> None:

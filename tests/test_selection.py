@@ -369,6 +369,22 @@ def test_cv_needs_two_points():
         select_cv(single)
 
 
+@pytest.mark.parametrize("model", ["density", "regression"])
+def test_cv_error_names_each_cause_of_missing_squares(model):
+    """A table without theta_sq_loo is a one-point sample's or a theta-hat-only pass's."""
+    rng = np.random.default_rng(3)
+    for n, loo, cause in ((1, True, r"one-point sample \(n = 1\)"),
+                          (50, False, r"built without the psi\^2 sums")):
+        points = rng.uniform(size=(2, n))
+        y = rng.standard_normal((2, n)) if model == "regression" else None
+        tables = empirical_coefficients(points, 5, y, loo=loo)
+        for table in (tables, tables[0]):
+            assert table.theta_sq_loo is None
+            for fn in (cv_profile, select_cv):
+                with pytest.raises(ValueError, match=cause):
+                    fn(table)
+
+
 def test_select_oracle_noiseless():
     truth = lambda x: 1.0 + 0.8 * eval_one(1, x)
     table = table_from([1.0, 0.8, 0.0, 0.0])
