@@ -13,10 +13,11 @@ equality to m for even m), so the squared sup-norm constant is 2.
 TrigBasis holds no state: each call takes the largest index m_max.
 TrigBasis.row_blocks evaluates the rows with the trig recurrence, one
 complex exponential per point, then one complex product per frequency,
-and hands them out in blocks of a few rows, so a caller that only sums
-over the points never holds all m_max + 1 rows at once.  The points may
-be a stack of samples, one per row of a (K, n) array, so one pass serves
-a batch of replications.  TrigBasis.design_matrix is the one-block case.
+and hands them out one frequency (its cos and sin rows) per block, so a
+caller that only sums over the points never holds all m_max + 1 rows at
+once.  The points may be a stack of samples, one per row of a (K, n)
+array, so one pass serves a batch of replications.
+TrigBasis.design_matrix stacks the blocks.
 
 The smoothness weights (WeightSequence) are the two classical classes,
 polynomial j^(-2p) and exponential exp(-j^(2p)); optimal_dimension gives
@@ -40,55 +41,46 @@ SUP_NORM_SQ = 2.0
 class TrigBasis:
     """Trigonometric orthonormal basis on [0, 1]; every index j >= 0 is supported."""
 
-    def row_blocks(self, x, m_max: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Rows j = 0..m_max of the basis at points x, yielded in blocks.
+    def row_blocks(self, x, m_max: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Rows j = 0..m_max of the basis at points x, one frequency per block.
 
-        Yields (start, block) with block[i] = phi_{start + i}(x), at most
-        `rows` rows per block, in order of start.  x may have any shape
-        (a scalar counts as one point): a block has shape (rows,) +
-        x.shape, so for a (K, n) stack of samples block[i, k] is row
-        start + i at sample k, contiguous in the points.  cos and sin of 2 pi x
-        are taken once, as z = exp(2 pi i x); the rows follow from the
-        trig recurrence p <- p z started at p = sqrt(2) z, so that
-        p = sqrt(2) exp(2 pi i k x) gives row 2k - 1 as its real part and
-        row 2k as its imaginary part.  p carries over from one block to
-        the next, so a block may end on either row of a pair and every
-        row is the same float as in one block.  Rounding grows like
-        k * 1e-16.  All blocks are views of one rows x len(x) buffer:
+        Yields (start, block) with block[i] = phi_{start + i}(x): row 0
+        alone, then rows (2k - 1, 2k) of frequency k = 1, 2, ..., the last
+        block cut at m_max.  x may have any shape (a scalar counts as one
+        point): a block has shape (rows,) + x.shape, so for a (K, n) stack
+        of samples block[i, k] is row start + i at sample k, contiguous in
+        the points.  cos and sin of 2 pi x are taken once, as z = exp(2 pi
+        i x); the rows follow from the trig recurrence p <- p z started at
+        p = sqrt(2) z, so that p = sqrt(2) exp(2 pi i k x) gives row 2k - 1
+        as its real part and row 2k as its imaginary part.  Rounding grows
+        like k * 1e-16.  All blocks are views of one (2,) + x.shape buffer:
         the next step overwrites the block, so read it (or change it in
         place) before asking for the next one.
         """
         if m_max < 0:
             raise ValueError(f"m_max {m_max} must be >= 0")
-        if rows < 1:
-            raise ValueError(f"rows {rows} must be >= 1")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        buf = np.empty((min(rows, m_max + 1),) + x.shape)
+        buf = np.empty((2,) + x.shape)
+        buf[0] = 1.0
+        yield 0, buf[:1]
         z = np.multiply(2j * np.pi, x)
         np.exp(z, out=z)
         p = SQRT2 * z
-        cos_row, sin_row = p.real, p.imag  # views: they follow p as it steps in place
-        for start in range(0, m_max + 1, len(buf)):
-            block = buf[: min(len(buf), m_max + 1 - start)]
-            for i, j in enumerate(range(start, start + len(block))):
-                if j % 2:
-                    block[i] = cos_row
-                elif j:
-                    block[i] = sin_row
-                    np.multiply(p, z, out=p)
-                else:
-                    block[i] = 1.0
-            yield start, block
+        for start in range(1, m_max + 1, 2):
+            if start > 1:
+                np.multiply(p, z, out=p)
+            buf[0] = p.real
+            buf[1] = p.imag
+            yield start, buf[: m_max + 1 - start]
 
     def design_matrix(self, x, m_max: int) -> np.ndarray:
         """Rows j = 0..m_max of the basis evaluated at points x.
 
         Shape (m_max + 1,) + x.shape, a scalar x counting as one point
-        (shape (m_max + 1, 1)); row j is phi_j(x).  The single-block
-        case of row_blocks: the whole matrix is one block of the trig
-        recurrence.
+        (shape (m_max + 1, 1)); row j is phi_j(x).  The blocks of
+        row_blocks, stacked.
         """
-        return next(self.row_blocks(x, m_max, m_max + 1))[1]
+        return np.concatenate([block.copy() for _, block in self.row_blocks(x, m_max)])
 
 
 @dataclass(frozen=True)

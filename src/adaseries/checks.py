@@ -247,12 +247,13 @@ def check_dependence_scores(seed: int = 0) -> CheckResult:
 
 def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> CheckResult:
     """Audit the oracle inequality on simulated density replications, each row of each batch."""
-    cfg = ExperimentConfig(model="density", target="f1", case=1, n=n, reps=reps, seed=seed)
+    cfg = ExperimentConfig(model="density", target="f1", case=1, n=n, reps=reps, seed=seed,
+                           selectors=("gl",))
     ctx = ExperimentContext(cfg)
     theta_true = true_coefficients(ctx.target.eval, 400)
     pens = penalty_vector(cfg.gl_constant, cfg.m_grid, n)  # sigma^2 = 1 for densities
     failures = 0
-    for _, table, _ in ctx.replications(0, reps, LEMMA_NS, loo=False):
+    for _, table, _ in ctx.replications(0, reps, LEMMA_NS):
         failures += sum(not lemma1_audit(row, pens, theta_true).all_passed for row in table)
     return CheckResult("lemma1_simulation", failures == 0,
                        f"{reps - failures}/{reps} replications satisfied the bound")

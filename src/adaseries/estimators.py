@@ -12,14 +12,14 @@ one CoefficientTable: penalized contrast and model selection its
 theta_hat, cross-validation also its leave-one-out squares, and each
 takes its dimension grid 1..m_max from the table's length.  The table
 needs only two sums per index, T_j = sum_i psi_j(Z_i) and sum_i
-psi_j(Z_i)^2, and empirical_coefficients streams them over blocks of
-basis rows, so no replication holds the (m_max + 1) x n psi matrix.  It
-reads plain arrays, a (K, n) stack of K samples as the samplers of
-dependence return it (the points, and the responses for regression),
-and one pass over the basis rows reduces it to one stacked table, one
-row per sample.  The psi^2 sums feed only the leave-one-out squares,
-that is, only cross-validation: with loo=False they are not made at all,
-and theta_hat is the same float.  The realized ISE(m) is the
+psi_j(Z_i)^2, and empirical_coefficients streams them over the basis
+rows one frequency at a time, so no replication holds the (m_max + 1) x
+n psi matrix.  It reads plain arrays, a (K, n) stack of K samples as the
+samplers of dependence return it (the points, and the responses for
+regression), and one pass over the basis rows reduces it to one stacked
+table, one row per sample.  The psi^2 sums feed only the leave-one-out
+squares, that is, only cross-validation: with loo=False they are not
+made at all, and theta_hat is the same float.  The realized ISE(m) is the
 Simpson-grid quadrature written as a quadratic form in theta_hat
 (ise_gram and ise_cross once per grid and truth, ise_profile per table,
 stacked or not).
@@ -33,12 +33,6 @@ from typing import Optional
 import numpy as np
 
 from .basis import TrigBasis
-
-#: Points per psi block in empirical_coefficients (256 KB of float64): small
-#: enough to stay in cache; a full batch of the replication kernel (about
-#: 2**14 points) streams two rows per block.
-_BLOCK_POINTS = 1 << 15
-
 
 @dataclass(frozen=True)
 class CoefficientTable:
@@ -77,20 +71,20 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
 
     A density sample is its points X; a regression sample is its design
     U (the points) and its responses y, a stack of the same shape.  Any
-    other shape raises ValueError.  The psi rows come from
-    TrigBasis.row_blocks, _BLOCK_POINTS points per block (at least two
-    rows), and each block is reduced to its rows' T_j and sum_i
-    psi_j(Z_i)^2 before the next one is made, so the working set is
-    O(K n), not the O(m_max K n) of the whole psi matrix.  Each sum runs
-    over one contiguous row of n points (the last axis), which numpy's
-    pairwise summation adds as it adds a 1-d array, and the divisions
-    after it are elementwise, so row k of the table is the float that a
-    one-sample, one-block pass gives.  (A stack of one-point samples is
-    the exception: numpy multiplies a one-element complex array in place
-    by another rounding path, so there the trig recurrence can differ in
-    the last bit.)  loo=False skips the squares and their sums, for
-    callers that never read theta_sq_loo (None then); theta_hat never
-    reads them, so it is the same float either way.
+    other shape raises ValueError, and so does m_max < 0.  The psi rows
+    come from TrigBasis.row_blocks, one frequency per block, and each
+    block is reduced to its rows' T_j and sum_i psi_j(Z_i)^2 before the
+    next one is made, so the working set is O(K n), not the O(m_max K n)
+    of the whole psi matrix.  Each sum runs over one contiguous row of n
+    points (the last axis), which numpy's pairwise summation adds as it
+    adds a 1-d array, and the divisions after it are elementwise, so row
+    k of the table is the float that a one-sample pass, or the whole psi
+    matrix, gives.  (A stack of one-point samples is the exception: numpy
+    multiplies a one-element complex array in place by another rounding
+    path, so there the trig recurrence can differ in the last bit.)
+    loo=False skips the squares and their sums, for callers that never
+    read theta_sq_loo (None then); theta_hat never reads them, so it is
+    the same float either way.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.size == 0:
@@ -102,8 +96,7 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
             raise ValueError(f"responses of shape {y.shape} for points of shape {points.shape}")
     totals = np.empty((m_max + 1, K))
     squares = np.empty((m_max + 1, K)) if loo else None
-    for start, block in TrigBasis().row_blocks(points, m_max,
-                                               max(2, _BLOCK_POINTS // points.size)):
+    for start, block in TrigBasis().row_blocks(points, m_max):
         rows = slice(start, start + len(block))
         if y is not None:
             block *= y

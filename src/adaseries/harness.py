@@ -12,10 +12,10 @@ replications at a time (the cut is batches), with one sample call (a
 one pass over the basis rows (empirical_coefficients, one stacked table,
 one row per replication) and, for regression, one sigma_y_hat call (one
 sigma_hat^2 per row), and yields (first, table, sigma_sq) per batch.  The
-psi^2 sums of the coefficient pass are made only for a consumer that
-reads them: an evaluation run that selects by cross-validation.  Bands,
-calibration and the oracle-inequality check read theta_hat only and
-pass loo=False, which leaves theta_hat the same float.
+psi^2 sums of the coefficient pass are made only when the config selects
+by cross-validation, the one selector that reads them: bands run their
+kernel on a config that selects by gl alone, calibration on one that
+selects by gl and ms, and theta_hat is the same float either way.
 Every step before the sums is elementwise and every sum runs over one
 replication's row, so a replication's table and sigma_hat^2 are the same
 floats in any batch.  Nothing after the kernel reads the sample, and
@@ -45,8 +45,10 @@ over the kernel's output, in process on the caller's ExperimentContext
 or, chunk by chunk, through one process pool per process, made by the
 first parallel run and reused by the next ones; each chunk is a whole
 number of kernel batches, carries its config, and a worker reads its
-context from its own caches.  The outputs come in replication order, so
-results are byte for byte the same for any worker count.  Evaluation
+context from its own caches.  The pool holds no more processes than
+there are chunks or CPUs this process may run on.  The outputs come in
+replication order, so results are byte for byte the same for any worker
+count.  Evaluation
 writes them into preallocated columns (RunResults) by batch slices;
 iterating RunResults yields the raw rows.
 
@@ -60,6 +62,7 @@ from __future__ import annotations
 import atexit
 import csv
 import math
+import os
 import sys
 import warnings
 from contextlib import suppress
@@ -243,7 +246,7 @@ class ExperimentContext:
             return gen_density_sample(cfg.n, cfg.case, self.law, rngs), None
         return gen_regression_sample(cfg.n, cfg.case, self.target, rngs)
 
-    def replications(self, start: int, stop: int, namespace: int = EVAL_NS, loo: bool = True
+    def replications(self, start: int, stop: int, namespace: int = EVAL_NS
                      ) -> Iterator[tuple[int, CoefficientTable, np.ndarray]]:
         """The replication kernel: one (first, table, sigma_sq) per batch of start..stop-1.
 
@@ -253,14 +256,14 @@ class ExperimentContext:
         table, row k for replication first + k, and sigma_sq the K values
         sigma_hat^2 for regression and 1.0 for densities, so
         penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
-        loo is passed to empirical_coefficients: False for a consumer that
-        never reads theta_sq_loo, which skips the psi^2 sums.
+        The tables carry theta_sq_loo only if cfg.selectors holds cv.
         """
         cfg = self.cfg
         for first, last in batches(start, stop, cfg.n):
             points, y = self.sample(first, namespace, last - first)
             sigma_sq = np.ones(last - first) if y is None else sigma_y_hat(y)
-            yield first, empirical_coefficients(points, cfg.m_grid, y, loo=loo), sigma_sq
+            table = empirical_coefficients(points, cfg.m_grid, y, loo="cv" in cfg.selectors)
+            yield first, table, sigma_sq
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid: one row per table row."""
@@ -355,13 +358,13 @@ def run_replication(ctx: ExperimentContext, table: CoefficientTable,
     return chosen, ise_by_m, sigma_sq
 
 
-def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int, loo: bool):
+def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int):
     """(first, last, kernel(ctx, table, sigma_sq)) per kernel batch first..last-1 of start..stop-1.
 
-    The replication loop; loo as in ExperimentContext.replications.
+    The replication loop of one chunk.
     """
     return ((first, first + len(sig_sq), kernel(ctx, table, sig_sq))
-            for first, table, sig_sq in ctx.replications(start, stop, namespace, loo))
+            for first, table, sig_sq in ctx.replications(start, stop, namespace))
 
 
 def _pool_chunk(task) -> list:
@@ -398,30 +401,36 @@ def _pool_map(tasks: list, workers: int) -> Iterator[list]:
     return _POOL[0].map(_pool_chunk, tasks)
 
 
-def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int, loo: bool,
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (os.cpu_count() where affinity is not exposed)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
               progress: bool = False) -> Iterator[tuple[int, int, object]]:
     """Yield (first, last, kernel(ctx, table, sigma_sq)) per batch of replications 0..reps-1.
 
-    loo says whether kernel reads the tables' theta_sq_loo (only
-    cross-validation does); without it the psi^2 sums are skipped.  The
-    batches come in order.  One worker runs them all as one chunk on
+    The batches come in order.  One worker runs them all as one chunk on
     the caller's context; more cut them into chunks of about reps //
     (4 workers), rounded up to whole kernel batches, each task carrying
     its config, and map the chunks through the process pool, whose
     workers read their contexts from their own caches.  Every chunk thus
     starts on a batch start and is cut into the batches of a serial run;
-    Executor.map keeps order.
+    Executor.map keeps order.  The pool holds no more processes than
+    there are chunks or CPUs this process may run on: workers is an
+    upper bound, and the outputs are the same for any count.
     """
     workers = ctx.cfg.workers
     if workers == 1:
-        outs = _chunk(ctx, kernel, 0, reps, namespace, loo)
+        outs = _chunk(ctx, kernel, 0, reps, namespace)
     else:
         batch = _batch_size(ctx.cfg.n)
         size = -(-max(1, reps // (workers * 4)) // batch) * batch  # rounded up to whole batches
-        tasks = [(ctx.cfg, kernel, start, min(start + size, reps), namespace, loo)
+        tasks = [(ctx.cfg, kernel, start, min(start + size, reps), namespace)
                  for start in range(0, reps, size)]
-        # no more processes than there are chunks
-        outs = chain.from_iterable(_pool_map(tasks, min(workers, len(tasks))))
+        outs = chain.from_iterable(_pool_map(tasks, min(workers, len(tasks), _usable_cpus())))
     for first, last, out in outs:
         if progress:
             print(f"\rreplication {last}/{reps}", end="" if last < reps else "\n",
@@ -447,8 +456,7 @@ def run_experiment(cfg: ExperimentConfig,
     ise_by_m = np.empty((cfg.reps, cfg.m_grid))
     sigmas = np.empty(cfg.reps)
     for first, last, (ms, profiles, sigma_sq) in _run_reps(
-            ExperimentContext(cfg), run_replication, cfg.reps, EVAL_NS,
-            loo="cv" in cfg.selectors, progress=progress):
+            ExperimentContext(cfg), run_replication, cfg.reps, EVAL_NS, progress=progress):
         m_selected[:, first:last] = ms
         ise_by_m[first:last] = profiles
         sigmas[first:last] = sigma_sq
@@ -475,9 +483,9 @@ def compute_bands(cfg: ExperimentConfig) -> BandTable:
     """Pointwise percentile bands of the GL estimate over replications."""
     if cfg.reps < MIN_BAND_REPS:
         raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
-    ctx = ExperimentContext(cfg)
+    ctx = ExperimentContext(replace(cfg, selectors=("gl",)))
     estimates = np.empty((cfg.reps, cfg.grid_size))
-    for first, last, batch in _run_reps(ctx, _gl_estimates, cfg.reps, EVAL_NS, loo=False):
+    for first, last, batch in _run_reps(ctx, _gl_estimates, cfg.reps, EVAL_NS):
         estimates[first:last] = batch
     p05, med, p95 = np.percentile(estimates, [5.0, 50.0, 95.0], axis=0)
     # copies: the context's arrays are shared and read-only
@@ -536,8 +544,8 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     """
     c_grid = _calibration_grid(c_grid, calib_reps)
     total = np.zeros(c_grid.size)
-    for _, _, rows in _run_reps(ExperimentContext(cfg), partial(_calibration_rows, c_grid),
-                                calib_reps, CALIB_NS, loo=False):
+    ctx = ExperimentContext(replace(cfg, selectors=("gl", "ms")))
+    for _, _, rows in _run_reps(ctx, partial(_calibration_rows, c_grid), calib_reps, CALIB_NS):
         for row in rows:
             total += row
     curve = total / calib_reps

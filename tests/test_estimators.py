@@ -6,7 +6,6 @@ import pytest
 
 from adaseries.basis import SUP_NORM_SQ, TrigBasis
 from adaseries.dependence import gen_density_sample, gen_regression_sample, stream
-from adaseries import estimators
 from adaseries.estimators import (CoefficientTable, empirical_coefficients,
                                   ise_cross, ise_gram, ise_profile, sigma_y_hat)
 from adaseries.harness import ExperimentConfig, ExperimentContext
@@ -95,31 +94,27 @@ def materialized_coefficients(points, m_max, y=None):
 
 
 @pytest.mark.parametrize("n", [1, 2, 1000, 20000])
-def test_streamed_coefficients_match_materialized_psi(monkeypatch, n):
-    # blocks of 2 rows end on a cos row, blocks of 3 alternate cos and sin;
-    # m_max = 100 ends on a sin row, 101 on a cos row.  A (3, n) stack of
-    # samples gives each row's table, in blocks of the same number of rows,
-    # except at n = 1: numpy multiplies a one-element complex array in place
-    # by another rounding path than a longer one.
+def test_streamed_coefficients_match_materialized_psi(n):
+    # m_max = 0 is row 0 alone; even m_max ends on a whole frequency block,
+    # odd m_max on a cut one (its cos row).  A (3, n) stack of samples gives
+    # each row's table, except at n = 1: numpy multiplies a one-element
+    # complex array in place by another rounding path than a longer one.
     rng = np.random.default_rng(n)
     x, y, u = rng.uniform(size=(3, n)), rng.normal(size=(3, n)), rng.uniform(size=(3, n))
     for points, resp in ((x, None), (u, y)):
-        for m_max in (100, 101):
+        for m_max in (0, 1, 2, 100, 101):
+            stacked = empirical_coefficients(points, m_max, resp)
             for k in range(3):
                 theta, loo = materialized_coefficients(points[k], m_max,
                                                        None if resp is None else resp[k])
-                for rows in (2, 3, 5, m_max + 1):
-                    monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * n)
-                    (table,) = empirical_coefficients(points[k : k + 1], m_max,
-                                                      None if resp is None else resp[k : k + 1])
-                    monkeypatch.setattr(estimators, "_BLOCK_POINTS", rows * 3 * n)
-                    stacked = empirical_coefficients(points, m_max, resp)[k]
-                    for got in (table, stacked) if n > 1 else (table,):
-                        assert np.array_equal(got.theta_hat, theta)
-                        if n == 1:
-                            assert got.theta_sq_loo is None and loo is None
-                        else:
-                            assert np.array_equal(got.theta_sq_loo, loo)
+                (table,) = empirical_coefficients(points[k : k + 1], m_max,
+                                                  None if resp is None else resp[k : k + 1])
+                for got in (table, stacked[k]) if n > 1 else (table,):
+                    assert np.array_equal(got.theta_hat, theta)
+                    if n == 1:
+                        assert got.theta_sq_loo is None and loo is None
+                    else:
+                        assert np.array_equal(got.theta_sq_loo, loo)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, (1 << 14) - 1, (1 << 14) + 1, 20000])
@@ -128,8 +123,8 @@ def test_streamed_coefficients_match_materialized_psi(monkeypatch, n):
 def test_theta_only_pass_is_the_full_pass(model, K, n):
     """loo=False skips the psi^2 sums and leaves theta_hat the same floats.
 
-    The n values change the rows per block (_BLOCK_POINTS // (K n), at
-    least two); m_max = 0..3 end the last block early or on one row.
+    m_max = 0 is row 0 alone; m_max = 1 and 3 end on a cut frequency
+    block, 2 and 100 on a whole one.
     """
     rng = np.random.default_rng(K * n)
     points = rng.uniform(size=(K, n))

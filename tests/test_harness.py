@@ -228,6 +228,11 @@ def test_parallel_equals_serial():
     assert list(serial_no_cv) == list(parallel_no_cv)
 
 
+def pin_cpus(monkeypatch, count):
+    """Make os report count CPUs that this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
     """One pool per process: made by the first parallel run, reused by the next ones.
 
@@ -235,7 +240,7 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
     processes than the chunks asked for so far: it is replaced only by a
     run that asks for more, or when it is broken.  The fake executor
     records max_workers and runs the chunks in this process: no process
-    is started.
+    is started.  Eight CPUs are pinned, more than any run here asks for.
     """
     import concurrent.futures.process
     from concurrent.futures.process import BrokenProcessPool
@@ -261,6 +266,7 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(hl, "_POOL", None)
     monkeypatch.setattr(hl, "BATCH_POINTS", 200)  # batches of one at n = 200
+    pin_cpus(monkeypatch, 8)
     most_chunks = 0
     # chunks of reps // (4 workers) replications; pools: max_workers of each pool made
     for workers, reps, chunks, pools in ((2, 17, 9, [2]), (2, 17, 9, [2]), (2, 17, 9, [2]),
@@ -281,7 +287,10 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """The pools made during the test; each runs its chunks in this process and keeps its tasks."""
+    """The pools made during the test; each runs its chunks in this process and keeps its tasks.
+
+    Eight CPUs are pinned, so the pools are sized as on a host with that many.
+    """
     import concurrent.futures.process
 
     from adaseries import harness as hl
@@ -290,7 +299,7 @@ def recording_pool(monkeypatch):
 
     class RecordingExecutor:
         def __init__(self, max_workers):
-            self.tasks, self.shut = [], False
+            self.max_workers, self.tasks, self.shut = max_workers, [], False
             made.append(self)
 
         def map(self, fn, tasks):
@@ -302,7 +311,29 @@ def recording_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(hl, "_POOL", None)
+    pin_cpus(monkeypatch, 8)
     return made
+
+
+def test_pool_holds_no_more_processes_than_usable_cpus(recording_pool, monkeypatch):
+    """workers is an upper bound: the pool is capped at the CPUs this process may run on.
+
+    Where os has no sched_getaffinity the cap is os.cpu_count().  The
+    recording pool runs the chunks in this process: no process is started.
+    """
+    from adaseries import harness as hl
+
+    monkeypatch.setattr(hl, "BATCH_POINTS", 200)  # batches of one at n = 200: 17 chunks
+    cfg = small_cfg(n=200, reps=17, selectors=("oracle", "gl"))
+    _, serial = run_experiment(cfg)
+    pin_cpus(monkeypatch, 3)
+    _, capped = run_experiment(dataclasses.replace(cfg, workers=10**6))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    _, fallback = run_experiment(dataclasses.replace(cfg, workers=10**6))
+    assert [pool.max_workers for pool in recording_pool] == [3, 5]
+    assert [len(pool.tasks) for pool in recording_pool] == [17, 17]
+    assert list(capped) == list(fallback) == list(serial)
 
 
 def test_pool_exit_hook_shuts_each_pool_down(recording_pool, monkeypatch):
@@ -363,7 +394,8 @@ def test_psi_squares_are_summed_only_for_cross_validation(asked_for_loo, recordi
 
     Bands, calibration, the oracle-inequality check and the variance check
     read theta_hat only.  On 2 workers the pool runs its chunks in this
-    process (recording_pool) and each task carries the same loo.
+    process (recording_pool) and each task's config selects cv exactly
+    when the sums are asked for.
     """
     from adaseries import checks
 
@@ -388,7 +420,7 @@ def test_psi_squares_are_summed_only_for_cross_validation(asked_for_loo, recordi
         assert asked_for_loo and set(asked_for_loo) == {loo}
         new_tasks = tasks()[before:]
         assert bool(new_tasks) == (workers > 1)
-        assert all(task[-1] is loo for task in new_tasks)
+        assert all(("cv" in task[0].selectors) is loo for task in new_tasks)
 
 
 def write_run_outputs(cfg, out: Path) -> None:
@@ -581,9 +613,9 @@ def test_one_design_matrix_per_replication(monkeypatch):
     calls = {"all": 0, "in_cv": 0}
     original_blocks, original_cv = TrigBasis.row_blocks, hl.select_cv
 
-    def counting_blocks(self, x, m_max, rows):
+    def counting_blocks(self, x, m_max):
         calls["all"] += 1
-        return original_blocks(self, x, m_max, rows)
+        return original_blocks(self, x, m_max)
 
     def watched_cv(*args, **kwargs):
         before = calls["all"]
