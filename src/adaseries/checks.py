@@ -26,10 +26,10 @@ from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
 from .dependence import (AR_TRUNCATION, ar_path_from_innovations, bernoulli_ar_path,
                          gen_density_sample, marginal_G_case3, stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients
-from .harness import ConfigError, ExperimentConfig, ExperimentContext, batches, marginal_law
+from .harness import ConfigError, ExperimentConfig, ExperimentContext, batches
 from .quadrature import simpson_weights, unit_grid
 from .selection import lemma1_audit, penalty_vector
-from .targets import true_coefficients
+from .targets import marginal_law, true_coefficients
 
 ORTHONORMALITY_TOL = 1e-8
 SUP_NORM_POINTS = 10**4
@@ -147,10 +147,6 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
                        values)
 
 
-def _marginal_laws() -> dict:
-    return {"f1": marginal_law("f1"), "f2": marginal_law("f2"), "uniform": None}
-
-
 def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
                        threshold: float | None = None) -> CheckResult:
     """KS distance of each (case, marginal) pair below the 1% critical value.
@@ -167,7 +163,7 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
     values = {}
     series = {case: uniform_series(case, draws, [stream(seed, case, namespace=10)])[0]
               for case in (1, 2, 3)}
-    for name, law in _marginal_laws().items():
+    for name, law in {"f1": marginal_law("f1"), "f2": marginal_law("f2"), "uniform": None}.items():
         for case, v in series.items():
             if law is None:
                 stat = ks_statistic(v, cdf=lambda x: x)
@@ -253,7 +249,7 @@ def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> Che
     theta_true = true_coefficients(ctx.target.eval, 400)
     pens = penalty_vector(cfg.gl_constant, cfg.m_grid, n)  # sigma^2 = 1 for densities
     failures = 0
-    for _, table, _ in ctx.replications(0, reps, LEMMA_NS):
+    for table, _ in ctx.replications(0, reps, LEMMA_NS):
         failures += sum(not lemma1_audit(row, pens, theta_true).all_passed for row in table)
     return CheckResult("lemma1_simulation", failures == 0,
                        f"{reps - failures}/{reps} replications satisfied the bound")

@@ -7,13 +7,14 @@ one place that maps replications to their streams; the samplers it calls
 take the generators.  ExperimentContext.replications is the one kernel,
 shared by evaluation runs, bands, calibration and the oracle-inequality
 check: it makes a batch of K = max(1, BATCH_POINTS // n) consecutive
-replications at a time (the cut is batches), with one sample call (a
-(K, n) stack, one stream per row, one quantile transform for densities),
-one pass over the basis rows (empirical_coefficients, one stacked table,
-one row per replication) and, for regression, one sigma_y_hat call (one
-sigma_hat^2 per row), and yields (first, table, sigma_sq) per batch.  The
-psi^2 sums of the coefficient pass are made only when the config selects
-by cross-validation, the one selector that reads them: bands run their
+replications at a time, with one sample call (a (K, n) stack, one
+stream per row, one quantile transform for densities), one pass over the
+basis rows (empirical_coefficients, one stacked table, one row per
+replication) and, for regression, one sigma_y_hat call (one sigma_hat^2
+per row), and yields (table, sigma_sq) per batch.  batches is the one
+place that knows where a batch starts and ends.  The psi^2 sums of the
+coefficient pass are made only when the config selects by
+cross-validation, the one selector that reads them: bands run their
 kernel on a config that selects by gl alone, calibration on one that
 selects by gl and ms, and theta_hat is the same float either way.
 Every step before the sums is elementwise and every sum runs over one
@@ -33,7 +34,8 @@ Each sample-free piece is built once per process, keyed by what it
 depends on, and ExperimentContext reads it from those caches: the grid, the basis rows
 on it and the folded Gram matrix by (grid_size, M); the target, its
 marginal law, its values on the grid, the cross products and the norm by
-(model, target, grid_size, M), the law by target alone (marginal_law).
+(model, target, grid_size, M), the law by target alone
+(targets.marginal_law).
 No piece depends on the seed, case, n, replications or penalty
 constants, so every config of a risk table, and a calibration and the
 run of its calibrated config, share them.  The cached arrays are
@@ -43,14 +45,14 @@ One runner, _run_reps, loops over replications for evaluation, bands and
 calibration.  It maps a per-batch function of (ctx, table, sigma_sq)
 over the kernel's output, in process on the caller's ExperimentContext
 or, chunk by chunk, through one process pool per process, made by the
-first parallel run and reused by the next ones; each chunk is a whole
-number of kernel batches, carries its config, and a worker reads its
-context from its own caches.  The pool holds no more processes than
-there are chunks or CPUs this process may run on.  The outputs come in
-replication order, so results are byte for byte the same for any worker
-count.  Evaluation
-writes them into preallocated columns (RunResults) by batch slices;
-iterating RunResults yields the raw rows.
+first parallel run and reused by the next ones; each chunk is a group of
+whole kernel batches, carries its config, and a worker reads its context
+from its own caches.  The pool holds no more processes than there are
+chunks or CPUs this process may run on.  The runner returns the outputs
+as a list in replication order, one per batch, so results are byte for
+byte the same for any worker count.  Each consumer concatenates them:
+evaluation into columns (RunResults), whose iteration yields the raw
+rows.
 
 Calibration searches a grid of penalty constants for the value minimizing
 mean ISE over replications drawn from a stream namespace disjoint from
@@ -80,7 +82,7 @@ from .estimators import (CoefficientTable, empirical_coefficients, ise_cross, is
 from .quadrature import simpson_weights, unit_grid
 from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
                         select_with_pens, theorem_constant)
-from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, MarginalLaw
+from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, marginal_law
 
 SELECTORS = ("oracle", "gl", "ms", "cv")
 DEFAULT_M_CAP = 100
@@ -168,19 +170,14 @@ class ExperimentConfig:
         return self.c_ms if self.c_ms is not None else self.gl_constant
 
 
-def _batch_size(n: int) -> int:
-    """Replications of n points per batch of the replication kernel."""
-    return max(1, BATCH_POINTS // n)
-
-
 def batches(start: int, stop: int, n: int) -> Iterator[tuple[int, int]]:
     """The kernel's batches of replications start..stop-1 of n points each.
 
     Yields (first, last) for the replications first..last-1 of each batch:
     consecutive runs of max(1, BATCH_POINTS // n), the last one possibly
-    shorter.
+    shorter.  This is the one place that knows a batch's bounds.
     """
-    size = _batch_size(n)
+    size = max(1, BATCH_POINTS // n)
     return ((first, min(first + size, stop)) for first in range(start, stop, size))
 
 
@@ -196,12 +193,6 @@ def _grid_pieces(grid_size: int, m_max: int) -> tuple[np.ndarray, np.ndarray, np
     grid = _frozen(unit_grid(grid_size))
     basis_grid = _frozen(TrigBasis().design_matrix(grid, m_max))
     return grid, basis_grid, _frozen(ise_gram(basis_grid, simpson_weights(grid_size)))
-
-
-@cache
-def marginal_law(target: str) -> MarginalLaw:
-    """The marginal law of the named density target, built once per process."""
-    return MarginalLaw(DENSITY_TARGETS[target]())
 
 
 @cache
@@ -247,23 +238,23 @@ class ExperimentContext:
         return gen_regression_sample(cfg.n, cfg.case, self.target, rngs)
 
     def replications(self, start: int, stop: int, namespace: int = EVAL_NS
-                     ) -> Iterator[tuple[int, CoefficientTable, np.ndarray]]:
-        """The replication kernel: one (first, table, sigma_sq) per batch of start..stop-1.
+                     ) -> Iterator[tuple[CoefficientTable, np.ndarray]]:
+        """The replication kernel: one (table, sigma_sq) per batch of start..stop-1.
 
         One sample call, one coefficient pass and, for regression, one
-        sigma_y_hat call per batch (see batches), in order.  The batch
-        holds replications first..first + K - 1: table is their stacked
-        table, row k for replication first + k, and sigma_sq the K values
-        sigma_hat^2 for regression and 1.0 for densities, so
-        penalty_vector(c, M, n, sigma_sq) is the penalty of either model.
-        The tables carry theta_sq_loo only if cfg.selectors holds cv.
+        sigma_y_hat call per batch (see batches), in order.  table is the
+        batch's stacked table, one row per replication in order, and
+        sigma_sq the K values sigma_hat^2 for regression and 1.0 for
+        densities, so penalty_vector(c, M, n, sigma_sq) is the penalty of
+        either model.  The tables carry theta_sq_loo only if cfg.selectors
+        holds cv.
         """
         cfg = self.cfg
         for first, last in batches(start, stop, cfg.n):
             points, y = self.sample(first, namespace, last - first)
             sigma_sq = np.ones(last - first) if y is None else sigma_y_hat(y)
             table = empirical_coefficients(points, cfg.m_grid, y, loo="cv" in cfg.selectors)
-            yield first, table, sigma_sq
+            yield table, sigma_sq
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid: one row per table row."""
@@ -359,12 +350,9 @@ def run_replication(ctx: ExperimentContext, table: CoefficientTable,
 
 
 def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int):
-    """(first, last, kernel(ctx, table, sigma_sq)) per kernel batch first..last-1 of start..stop-1.
-
-    The replication loop of one chunk.
-    """
-    return ((first, first + len(sig_sq), kernel(ctx, table, sig_sq))
-            for first, table, sig_sq in ctx.replications(start, stop, namespace))
+    """kernel(ctx, table, sigma_sq) per kernel batch of start..stop-1: one chunk's loop."""
+    return (kernel(ctx, table, sig_sq)
+            for table, sig_sq in ctx.replications(start, stop, namespace))
 
 
 def _pool_chunk(task) -> list:
@@ -409,33 +397,36 @@ def _usable_cpus() -> int:
 
 
 def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
-              progress: bool = False) -> Iterator[tuple[int, int, object]]:
-    """Yield (first, last, kernel(ctx, table, sigma_sq)) per batch of replications 0..reps-1.
+              progress: bool = False) -> list:
+    """kernel(ctx, table, sigma_sq) of each batch of replications 0..reps-1, in order.
 
-    The batches come in order.  One worker runs them all as one chunk on
-    the caller's context; more cut them into chunks of about reps //
-    (4 workers), rounded up to whole kernel batches, each task carrying
-    its config, and map the chunks through the process pool, whose
-    workers read their contexts from their own caches.  Every chunk thus
-    starts on a batch start and is cut into the batches of a serial run;
+    One worker runs all B batches as one chunk on the caller's context;
+    more group them into chunks of max(1, B // (4 workers)) whole
+    batches, each task carrying its config, and map the chunks through
+    the process pool, whose workers read their contexts from their own
+    caches and cut each chunk into the batches of a serial run.
     Executor.map keeps order.  The pool holds no more processes than
     there are chunks or CPUs this process may run on: workers is an
-    upper bound, and the outputs are the same for any count.
+    upper bound, and the outputs are the same for any count.  Each output
+    is paired with its batch for the progress line, so a lost batch
+    raises instead of shortening a column.
     """
-    workers = ctx.cfg.workers
-    if workers == 1:
+    cfg = ctx.cfg
+    cuts = list(batches(0, reps, cfg.n))
+    if cfg.workers == 1:
         outs = _chunk(ctx, kernel, 0, reps, namespace)
     else:
-        batch = _batch_size(ctx.cfg.n)
-        size = -(-max(1, reps // (workers * 4)) // batch) * batch  # rounded up to whole batches
-        tasks = [(ctx.cfg, kernel, start, min(start + size, reps), namespace)
-                 for start in range(0, reps, size)]
-        outs = chain.from_iterable(_pool_map(tasks, min(workers, len(tasks), _usable_cpus())))
-    for first, last, out in outs:
+        size = max(1, len(cuts) // (cfg.workers * 4))
+        groups = [cuts[k:k + size] for k in range(0, len(cuts), size)]
+        tasks = [(cfg, kernel, group[0][0], group[-1][1], namespace) for group in groups]
+        outs = chain.from_iterable(_pool_map(tasks, min(cfg.workers, len(tasks), _usable_cpus())))
+    results = []
+    for (_, last), out in zip(cuts, outs, strict=True):
         if progress:
             print(f"\rreplication {last}/{reps}", end="" if last < reps else "\n",
                   file=sys.stderr, flush=True)
-        yield first, last, out
+        results.append(out)
+    return results
 
 
 def summarize(cfg: ExperimentConfig, results: RunResults) -> list[SummaryRow]:
@@ -452,17 +443,12 @@ def run_experiment(cfg: ExperimentConfig,
     """Run cfg.reps replications: the summary rows and the columns they summarize."""
     if "ms" in cfg.selectors and cfg.ms_constant <= 0.0:
         raise ConfigError("selector ms needs a positive constant: set c_ms")
-    m_selected = np.empty((len(cfg.selectors), cfg.reps), dtype=np.int64)
-    ise_by_m = np.empty((cfg.reps, cfg.m_grid))
-    sigmas = np.empty(cfg.reps)
-    for first, last, (ms, profiles, sigma_sq) in _run_reps(
-            ExperimentContext(cfg), run_replication, cfg.reps, EVAL_NS, progress=progress):
-        m_selected[:, first:last] = ms
-        ise_by_m[first:last] = profiles
-        sigmas[first:last] = sigma_sq
+    ms, profiles, sigmas = zip(*_run_reps(ExperimentContext(cfg), run_replication, cfg.reps,
+                                          EVAL_NS, progress=progress))
+    m_selected, ise_by_m = np.concatenate(ms, axis=1), np.concatenate(profiles)
     results = RunResults(selectors=tuple(cfg.selectors), m_selected=m_selected,
                          ise=ise_by_m[np.arange(cfg.reps), m_selected - 1],
-                         sigma_y_hat=sigmas, ise_by_m=ise_by_m)
+                         sigma_y_hat=np.concatenate(sigmas), ise_by_m=ise_by_m)
     return summarize(cfg, results), results
 
 
@@ -484,9 +470,7 @@ def compute_bands(cfg: ExperimentConfig) -> BandTable:
     if cfg.reps < MIN_BAND_REPS:
         raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
     ctx = ExperimentContext(replace(cfg, selectors=("gl",)))
-    estimates = np.empty((cfg.reps, cfg.grid_size))
-    for first, last, batch in _run_reps(ctx, _gl_estimates, cfg.reps, EVAL_NS):
-        estimates[first:last] = batch
+    estimates = np.concatenate(_run_reps(ctx, _gl_estimates, cfg.reps, EVAL_NS))
     p05, med, p95 = np.percentile(estimates, [5.0, 50.0, 95.0], axis=0)
     # copies: the context's arrays are shared and read-only
     return BandTable(ctx.grid.copy(), ctx.truth_grid.copy(), med, p05, p95)
@@ -538,17 +522,14 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     The sample, coefficient table, and per-dimension ISE of a replication
     do not depend on the constant, so each batch of replications is
     generated once and scores the whole grid with one (K x C x M) penalty
-    block.  The rows are added one replication at a time, in order, so
-    the sum is the same float in any batch.  GL and MS are the same rule
-    (see selection), so one curve serves both.
+    block.  The rows are summed one replication at a time, in order (a
+    cumulative sum), so the sum is the same float in any batch.  GL and
+    MS are the same rule (see selection), so one curve serves both.
     """
     c_grid = _calibration_grid(c_grid, calib_reps)
-    total = np.zeros(c_grid.size)
     ctx = ExperimentContext(replace(cfg, selectors=("gl", "ms")))
-    for _, _, rows in _run_reps(ctx, partial(_calibration_rows, c_grid), calib_reps, CALIB_NS):
-        for row in rows:
-            total += row
-    curve = total / calib_reps
+    rows = np.concatenate(_run_reps(ctx, partial(_calibration_rows, c_grid), calib_reps, CALIB_NS))
+    curve = np.cumsum(rows, axis=0)[-1] / calib_reps
     k = int(np.argmin(curve))
     notes = []
     if not (np.all(np.diff(curve[: k + 1]) <= 1e-12) and np.all(np.diff(curve[k:]) >= -1e-12)):

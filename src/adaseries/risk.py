@@ -38,7 +38,7 @@ import numpy as np
 
 from .basis import TrigBasis
 from .quadrature import DEFAULT_GRID, simpson_weights, unit_grid
-from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, MarginalLaw, true_coefficients
+from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, marginal_law, true_coefficients
 
 #: Lags summed in case 2; on the built-in targets E ISE(m) stops changing (to 1e-9) after 20.
 CASE2_LAGS = 40
@@ -100,7 +100,7 @@ def risk_decomposition(model: str, target: str, case: int, n: int,
     basis = TrigBasis()
     f_vals = np.asarray(fn.eval(grid), dtype=float)
     if model == "density":
-        psi = basis.design_matrix(MarginalLaw(fn).quantile(grid), m_max)
+        psi = basis.design_matrix(marginal_law(target).quantile(grid), m_max)
     else:
         psi = basis.design_matrix(grid, m_max) * f_vals
     # psi_0 is constant for densities, so the known coefficient 0 gets no variance

@@ -14,12 +14,14 @@ Two regression functions:
 Both mixture weights (3/10 and 1/4) deliberately do not sum to one; the
 normalizer C always rescales whatever mass the raw form puts on [0, 1].
 MarginalLaw provides a quadrature-backed CDF and its inverse for
-quantile-transform sampling.
+quantile-transform sampling; marginal_law builds it once per process for
+each named density target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -209,6 +211,12 @@ class MarginalLaw:
             np.divide(excess, f_q, out=excess, where=moves)
             np.subtract(q, excess, out=q, where=moves)
             np.clip(q, lo, hi, out=q)
+
+
+@cache
+def marginal_law(target: str) -> MarginalLaw:
+    """The marginal law of the named density target, built once per process."""
+    return MarginalLaw(DENSITY_TARGETS[target]())
 
 
 def true_coefficients(fn: Callable[[np.ndarray], np.ndarray], m_max: int,

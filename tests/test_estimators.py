@@ -324,7 +324,7 @@ def test_gram_ise_matches_grid_form(model, target):
     for case in (1, 2, 3):
         cfg = ExperimentConfig(model=model, target=target, case=case, n=400, reps=1, seed=5)
         ctx = ExperimentContext(cfg)
-        for _, tables, _ in ctx.replications(0, 8):
+        for tables, _ in ctx.replications(0, 8):
             for table, fast in zip(tables, ctx.ise_by_m(tables)):
                 assert np.array_equal(fast, ctx.ise_by_m(table))  # stacked row = one-row profile
                 ref = grid_ise_profile(table, ctx.truth_grid, ctx.basis_grid, weights)

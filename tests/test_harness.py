@@ -53,7 +53,7 @@ def test_replication_deterministic():
     ctx = ExperimentContext(small_cfg())
 
     def rep(index):
-        (_, table, sig_sq), = ctx.replications(index, index + 1)
+        (table, sig_sq), = ctx.replications(index, index + 1)
         return run_replication(ctx, table, sig_sq)
 
     (m_a, ise_a, sig_a), (m_b, ise_b, sig_b) = rep(3), rep(3)
@@ -190,7 +190,7 @@ def test_parallel_equals_serial():
 
     At n = BATCH_POINTS // 5 the kernel batches 5 replications, so 17
     replications run serially as batches of 5, 5, 5 and 2, and on 2
-    workers as chunks of 2 rounded up to one batch: the same cuts.  The
+    workers as chunks of one batch each: the same cuts.  The
     bands (n = 300) run as one batch of 21, a single chunk on 2 workers.
     """
     cfg = small_cfg(reps=17, n=BATCH_POINTS // 5)
@@ -268,7 +268,7 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
     monkeypatch.setattr(hl, "BATCH_POINTS", 200)  # batches of one at n = 200
     pin_cpus(monkeypatch, 8)
     most_chunks = 0
-    # chunks of reps // (4 workers) replications; pools: max_workers of each pool made
+    # chunks of len(batches) // (4 workers) batches of one; pools: max_workers of each pool made
     for workers, reps, chunks, pools in ((2, 17, 9, [2]), (2, 17, 9, [2]), (2, 17, 9, [2]),
                                          (3, 2, 2, [2]), (8, 5, 5, [2, 5]),
                                          (2, 17, 9, [2, 5])):
@@ -433,6 +433,16 @@ def write_run_outputs(cfg, out: Path) -> None:
     write_bands_csv(compute_bands(cfg), out / "bands.csv")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_line_counts_whole_batches(workers, capsys):
+    """37 replications at n = 1000: one progress line per batch of 16, 16 and 5."""
+    run_experiment(small_cfg(n=1000, reps=37, selectors=("oracle",), workers=workers),
+                   progress=True)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "\rreplication 16/37\rreplication 32/37\rreplication 37/37\n"
+
+
 def test_csv_outputs_identical_on_one_and_two_workers(tmp_path):
     """37 replications at n = 1000: serial batches 16, 16, 5; two workers, chunks of 16."""
     for model, target in (("density", "f2"), ("regression", "f1")):
@@ -551,19 +561,20 @@ def test_batched_tables_equal_batches_of_one(model, target, case, monkeypatch):
         monkeypatch.setattr(hl, "BATCH_POINTS", budget)
         cfg = ExperimentConfig(model=model, target=target, case=case, n=n, reps=1, seed=4)
         ctx = ExperimentContext(cfg)
-        sizes = []
+        calls = []  # (rep_index, count) of each sample call
         sample = ctx.sample
-        ctx.sample = lambda rep, ns, count: sizes.append(count) or sample(rep, ns, count)
+        ctx.sample = lambda rep, ns, count: calls.append((rep, count)) or sample(rep, ns, count)
         K = budget // n
         for start, stop, cuts in ((5, 6, [1]), (5, 7, [2]), (3, 10, [7]), (0, K + 2, [K, 2])):
-            sizes.clear()
+            calls.clear()
             batched = list(ctx.replications(start, stop))
-            assert sizes == cuts
-            assert [first for first, *_ in batched] == list(np.cumsum([start, *cuts[:-1]]))
-            for first, tables, sig_sq in batched:
+            firsts = [rep for rep, _ in calls]
+            assert [count for _, count in calls] == cuts
+            assert firsts == list(np.cumsum([start, *cuts[:-1]]))
+            for first, (tables, sig_sq) in zip(firsts, batched, strict=True):
                 assert tables.theta_hat.shape == (len(sig_sq), cfg.m_grid + 1)
                 for rep, table, row_sig_sq in zip(range(first, stop), tables, sig_sq):
-                    ((_, one, one_sig_sq),) = ctx.replications(rep, rep + 1)
+                    ((one, one_sig_sq),) = ctx.replications(rep, rep + 1)
                     assert np.array_equal(table.theta_hat, one.theta_hat[0])
                     assert np.array_equal(table.theta_sq_loo, one.theta_sq_loo[0])
                     assert row_sig_sq == one_sig_sq[0]
@@ -591,9 +602,11 @@ def test_replication_kernel_matches_direct_path():
     for cfg in (small_cfg(), ExperimentConfig(model="regression", target="f2", case=2,
                                               n=200, reps=2, seed=3)):
         ctx = ExperimentContext(cfg)
-        (first, table, sig_sq), = ctx.replications(1, 2, CALIB_NS)
+        firsts = []  # rep_index of each sample call
+        ctx.sample = lambda rep, *args, sample=ctx.sample: firsts.append(rep) or sample(rep, *args)
+        (table, sig_sq), = ctx.replications(1, 2, CALIB_NS)
         points, y = ctx.sample(1, CALIB_NS)
-        assert first == 1 and (y is None) == (cfg.model == "density")
+        assert firsts == [1, 1] and (y is None) == (cfg.model == "density")
         reference = empirical_coefficients(points, cfg.m_grid, y)
         assert table.m_max == cfg.m_grid
         np.testing.assert_array_equal(table.theta_hat, reference.theta_hat)
@@ -631,7 +644,7 @@ def test_one_design_matrix_per_replication(monkeypatch):
         ctx = ExperimentContext(cfg)
         calls["all"] = 0
         for rep in range(3):
-            (_, table, sig_sq), = ctx.replications(rep, rep + 1)
+            (table, sig_sq), = ctx.replications(rep, rep + 1)
             run_replication(ctx, table, sig_sq)
         assert calls == {"all": 3, "in_cv": 0}
 
