@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the simulation risk tables (mean and std of ISE, 501 replications).
 
-Calibrates the penalty constants for each configuration on a disjoint
-seed stream, then runs the evaluation replications and prints one block
-per (model, target) with rows for the three dependence cases, mirroring
-the layout of the published tables.
+Runs harness.table_study, which calibrates the penalty constants for
+each configuration on a disjoint seed stream and then runs the
+evaluation replications, and prints one block per (model, target) with
+rows for the three dependence cases, mirroring the layout of the
+published tables.  The acceptance gate checks the same call.
 
 Usage:
     python scripts/reproduce_tables.py --out out/tables [--reps 501]
@@ -14,8 +15,7 @@ Usage:
 import argparse
 from pathlib import Path
 
-from adaseries.harness import (ConfigError, ExperimentConfig, calibrate_constant,
-                               calibrated_config, run_experiment, write_summary_csv)
+from adaseries.harness import ConfigError, table_study, write_summary_csv
 
 
 def main() -> None:
@@ -31,31 +31,23 @@ def main() -> None:
     args = ap.parse_args()
 
     models = (args.model,) if args.model else ("density", "regression")
-    try:
-        configs = {(model, target): [ExperimentConfig(model=model, target=target, case=case,
-                                                      n=args.n, reps=args.reps,
-                                                      seed=args.seed, workers=args.workers)
-                                     for case in (1, 2, 3)]
-                   for model in models for target in ("f1", "f2")}
-        all_rows = []
-        for (model, target), cfgs in configs.items():
-            print(f"\n=== {model} {target} (n={args.n}, reps={args.reps}) ===")
-            header = f"{'':8s} {'oracle':>18s} {'gl':>18s} {'ms':>18s} {'cv':>18s}"
-            print(header)
-            for cfg in cfgs:
-                calib = calibrate_constant(cfg, calib_reps=args.calib_reps)
-                rows, _ = run_experiment(calibrated_config(cfg, calib))
-                by_sel = {r.selector: r for r in rows}
-                cells = [f"{by_sel[s].mean_ise:.4f} ({by_sel[s].std_ise:.4f})"
-                         for s in ("oracle", "gl", "ms", "cv")]
-                print(f"Case {cfg.case:d}   " + " ".join(f"{c:>18s}" for c in cells))
-                all_rows.extend(rows)
+    try:  # the tables are computed before anything is printed
+        study = table_study(args.n, args.reps, args.calib_reps, args.seed, args.workers, models)
     except ConfigError as exc:
         ap.error(str(exc))
 
+    for cfg, rows, _ in study:
+        if cfg.case == 1:
+            print(f"\n=== {cfg.model} {cfg.target} (n={cfg.n}, reps={cfg.reps}) ===")
+            print(f"{'':8s} {'oracle':>18s} {'gl':>18s} {'ms':>18s} {'cv':>18s}")
+        by_sel = {r.selector: r for r in rows}
+        cells = [f"{by_sel[s].mean_ise:.4f} ({by_sel[s].std_ise:.4f})"
+                 for s in ("oracle", "gl", "ms", "cv")]
+        print(f"Case {cfg.case:d}   " + " ".join(f"{c:>18s}" for c in cells))
+
     out_dir = Path(args.out)  # made once the tables are computed
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(all_rows, out_dir / "tables.csv")
+    write_summary_csv([row for _, rows, _ in study for row in rows], out_dir / "tables.csv")
     print(f"\nwrote {out_dir / 'tables.csv'}")
 
 

@@ -13,7 +13,7 @@ from .dependence import (gen_density_sample, gen_regression_sample, marginal_G_c
 from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
 from .harness import (BandTable, ConfigError, ExperimentConfig, CalibrationResult, RepRecord,
                       RunResults, SummaryRow, calibrate_constant, calibrated_config,
-                      compute_bands, run_experiment, run_replication)
+                      compute_bands, run_experiment, run_replication, table_study)
 from .selection import (Lemma1Audit, lemma1_audit, penalized_profile, penalty_vector,
                         select_cv, select_ms, select_with_pens, theorem_constant)
 from .targets import (DensityTarget, MarginalLaw, RegressionTarget, density_f1,

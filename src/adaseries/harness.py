@@ -56,7 +56,9 @@ rows.
 
 Calibration searches a grid of penalty constants for the value minimizing
 mean ISE over replications drawn from a stream namespace disjoint from
-evaluation runs; each batch scores the whole grid at once.
+evaluation runs; each batch scores the whole grid at once.  table_study
+is the paper's simulation study: calibration, then the calibrated run,
+for every config of the risk tables.
 """
 
 from __future__ import annotations
@@ -542,6 +544,27 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
 
 def calibrated_config(cfg: ExperimentConfig, calib: CalibrationResult) -> ExperimentConfig:
     return replace(cfg, c_gl=calib.chosen["gl"], c_ms=calib.chosen["ms"])
+
+
+def table_study(n: int = 1000, reps: int = 501, calib_reps: int = 100, seed: int = 0,
+                workers: int = 1, models: Sequence[str] = ("density", "regression")
+                ) -> list[tuple[ExperimentConfig, list[SummaryRow], RunResults]]:
+    """The paper's risk tables: (calibrated config, summary rows, columns) per config.
+
+    The configs run in table order: each model, targets f1 and f2,
+    dependence cases 1-3.  Each calibrates its GL/MS constant on
+    calib_reps replications of the calibration stream, then runs reps
+    evaluation replications with it.  Every config is built before any
+    work starts, so a rejected setting raises ConfigError first.
+    """
+    cfgs = [ExperimentConfig(model=model, target=target, case=case, n=n, reps=reps,
+                             seed=seed, workers=workers)
+            for model in models for target in ("f1", "f2") for case in (1, 2, 3)]
+    study = []
+    for cfg in cfgs:
+        run_cfg = calibrated_config(cfg, calibrate_constant(cfg, calib_reps=calib_reps))
+        study.append((run_cfg, *run_experiment(run_cfg)))
+    return study
 
 
 def _fmt(value) -> str:

@@ -42,13 +42,12 @@ import os
 import numpy as np
 import pytest
 
-from adaseries.basis import WeightSequence, rate_slope
 from adaseries.checks import (check_case3_marginal, check_case3_residual,
                               check_generator_ks, check_lemma1_fuzz,
-                              check_lemma1_simulation, check_variance_bound)
+                              check_lemma1_simulation, check_rate_slopes,
+                              check_variance_bound)
 from adaseries.cli import main as cli_main
-from adaseries.harness import (ExperimentConfig, calibrate_constant,
-                               calibrated_config, run_experiment)
+from adaseries.harness import ExperimentConfig, run_experiment, table_study
 from adaseries.risk import risk_decomposition
 
 SEED = 0
@@ -95,21 +94,10 @@ def fresh_report():
 
 @pytest.fixture(scope="session")
 def table_runs():
-    """Calibrated 501-replication runs for all twelve configurations."""
-    out = {}
-    for model in ("density", "regression"):
-        for target in ("f1", "f2"):
-            for case in (1, 2, 3):
-                cfg = ExperimentConfig(model=model, target=target, case=case,
-                                       n=N, reps=REPS, seed=SEED)
-                calib = calibrate_constant(cfg, calib_reps=CALIB_REPS)
-                rows, results = run_experiment(calibrated_config(cfg, calib))
-                out[(model, target, case)] = {
-                    "rows": {r.selector: r for r in rows},
-                    "results": results,
-                    "calibrated": calib.chosen,
-                }
-    return out
+    """The twelve calibrated 501-replication runs: the call reproduce_tables.py makes."""
+    return {(cfg.model, cfg.target, cfg.case): {"rows": {r.selector: r for r in rows},
+                                                "results": results}
+            for cfg, rows, results in table_study(N, REPS, CALIB_REPS, SEED)}
 
 
 def _exact_cell(results, model, target, case):
@@ -203,14 +191,10 @@ def test_criterion_5_variance_bound():
 
 
 def test_criterion_6_rate_slopes():
-    n_grid = np.unique(np.round(10 ** np.linspace(3, 6, 7)).astype(int))
-    lines = []
-    ok = True
-    for p in (1.0, 2.0):
-        slope = rate_slope(WeightSequence("polynomial", p=p), n_grid)
-        want = -2.0 * p / (2.0 * p + 1.0)
-        ok &= abs(slope - want) <= 0.02
-        lines.append(f"p={p:g}: slope {slope:+.4f} (target {want:+.4f})")
+    rates = check_rate_slopes()
+    ok = rates.passed
+    lines = [f"p={p:g}: slope {rates.values[f'slope_p{p:g}']:+.4f} "
+             f"(target {-2.0 * p / (2.0 * p + 1.0):+.4f})" for p in (1.0, 2.0)]
 
     means = []
     for n in (100, 1000, 10000):

@@ -233,40 +233,24 @@ def pin_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+def test_pool_starts_no_more_processes_than_chunks(recording_pool, monkeypatch):
     """One pool per process: made by the first parallel run, reused by the next ones.
 
     A pool forks all its workers at its first submit, so it holds no more
     processes than the chunks asked for so far: it is replaced only by a
-    run that asks for more, or when it is broken.  The fake executor
-    records max_workers and runs the chunks in this process: no process
-    is started.  Eight CPUs are pinned, more than any run here asks for.
+    run that asks for more, or when it is broken.  The recording pool runs
+    the chunks in this process: no process is started.  Eight CPUs are
+    pinned, more than any run here asks for.
     """
-    import concurrent.futures.process
-    from concurrent.futures.process import BrokenProcessPool
-
     from adaseries import harness as hl
 
-    made, shut = [], []
+    def made():
+        return [pool.max_workers for pool in recording_pool]
 
-    class InlineExecutor:
-        broken = False
+    def shut():
+        return [pool.shut for pool in recording_pool]
 
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def map(self, fn, tasks):
-            if self.broken:
-                raise BrokenProcessPool("a worker died")
-            return [fn(task) for task in tasks]
-
-        def shutdown(self, cancel_futures=False):
-            shut.append(self)
-
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(hl, "_POOL", None)
     monkeypatch.setattr(hl, "BATCH_POINTS", 200)  # batches of one at n = 200
-    pin_cpus(monkeypatch, 8)
     most_chunks = 0
     # chunks of len(batches) // (4 workers) batches of one; pools: max_workers of each pool made
     for workers, reps, chunks, pools in ((2, 17, 9, [2]), (2, 17, 9, [2]), (2, 17, 9, [2]),
@@ -277,12 +261,13 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
         _, pooled = run_experiment(dataclasses.replace(cfg, workers=workers))
         assert list(pooled) == list(serial)
         most_chunks = max(most_chunks, chunks)
-        assert made == pools and made[-1] <= most_chunks
-        assert len(shut) == len(made) - 1  # a replaced pool is shut down
+        assert made() == pools and made()[-1] <= most_chunks
+        assert shut() == [True] * (len(pools) - 1) + [False]  # a replaced pool is shut down
     hl._POOL[0].broken = True
     _, pooled = run_experiment(dataclasses.replace(cfg, workers=2))
     assert list(pooled) == list(serial)
-    assert made == [2, 5, 2] and len(shut) == 2  # the new pool is sized for this run
+    assert made() == [2, 5, 2]  # the new pool is sized for this run
+    assert shut() == [True, True, False]
 
 
 @pytest.fixture
@@ -290,19 +275,26 @@ def recording_pool(monkeypatch):
     """The pools made during the test; each runs its chunks in this process and keeps its tasks.
 
     Eight CPUs are pinned, so the pools are sized as on a host with that many.
+    A pool whose broken flag is set raises BrokenProcessPool, as one whose
+    worker died.
     """
     import concurrent.futures.process
+    from concurrent.futures.process import BrokenProcessPool
 
     from adaseries import harness as hl
 
     made = []
 
     class RecordingExecutor:
+        broken = False
+
         def __init__(self, max_workers):
             self.max_workers, self.tasks, self.shut = max_workers, [], False
             made.append(self)
 
         def map(self, fn, tasks):
+            if self.broken:
+                raise BrokenProcessPool("a worker died")
             self.tasks.extend(tasks)
             return [fn(task) for task in tasks]
 

@@ -20,13 +20,23 @@ def run_script(name, *args, monkeypatch):
 
 
 def test_reproduce_tables_tiny(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "tables"
-    run_script("reproduce_tables.py", "--out", str(out), "--n", "200", "--reps", "3",
-               "--calib-reps", "2", "--model", "density", monkeypatch=monkeypatch)
-    body = (out / "tables.csv").read_text().splitlines()
+    """One model's tables; on 2 workers, whose pool serves all 12 calls, the same bytes.
+
+    At n = 200 a kernel batch holds 81 replications, so 90 of them make two
+    pool chunks per evaluation run.
+    """
+    csv = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"tables_w{workers}"
+        run_script("reproduce_tables.py", "--out", str(out), "--n", "200", "--reps", "90",
+                   "--calib-reps", "2", "--model", "density", "--workers", workers,
+                   monkeypatch=monkeypatch)
+        csv[workers] = (out / "tables.csv").read_bytes()
+        assert "=== density f2" in capsys.readouterr().out
+    body = csv["1"].decode().splitlines()
     assert body[0].startswith("model,target,case,n,selector")
     assert len(body) == 1 + 2 * 3 * 4  # f1, f2 x cases 1-3 x four selectors
-    assert "=== density f2" in capsys.readouterr().out
+    assert csv["2"] == csv["1"]
 
 
 def test_reproduce_bands_tiny(tmp_path, monkeypatch):
@@ -65,5 +75,7 @@ def test_bad_setting_exits_two_and_writes_nothing(name, args, message, tmp_path,
         run_script(name, *(["--out", str(out)] if takes_out else []), *args,
                    monkeypatch=monkeypatch)
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
