@@ -11,13 +11,16 @@ j >= 1 is estimated; for regression coefficient 0 is estimated like any
 other.  The system satisfies sup_x sum_{j=1}^m phi_j(x)^2 <= 2 m (with
 equality to m for even m), so the squared sup-norm constant is 2.
 TrigBasis holds no state: each call takes the largest index m_max.
-TrigBasis.row_blocks evaluates the rows with the trig recurrence, one
+TrigBasis.exponentials evaluates the rows with the trig recurrence, one
 complex exponential per point, then one complex product per frequency,
-and hands them out one frequency (its cos and sin rows) per block, so a
-caller that only sums over the points never holds all m_max + 1 rows at
-once.  The points may be a stack of samples, one per row of a (K, n)
-array, so one pass serves a batch of replications.
-TrigBasis.design_matrix stacks the blocks.
+and hands them out one frequency (its cos and sin rows, as the real and
+imaginary parts of one complex array) at a time, so a caller that only
+sums over the points never holds all m_max + 1 rows at once.
+TrigBasis.row_blocks copies each frequency into a real block, for
+callers that change the rows before summing them.  The points may be a
+stack of samples, one per row of a (K, n) array, so one pass serves a
+batch of replications.  TrigBasis.design_matrix writes the blocks into
+one array.
 
 The smoothness weights (WeightSequence) are the two classical classes,
 polynomial j^(-2p) and exponential exp(-j^(2p)); optimal_dimension gives
@@ -41,6 +44,26 @@ SUP_NORM_SQ = 2.0
 class TrigBasis:
     """Trigonometric orthonormal basis on [0, 1]; every index j >= 0 is supported."""
 
+    def exponentials(self, x, k_max: int) -> Iterator[np.ndarray]:
+        """p_k = sqrt(2) exp(2 pi i k x) at points x, one frequency k = 1..k_max at a time.
+
+        Re p_k is row 2k - 1 of the basis and Im p_k row 2k.  x may have
+        any shape (a scalar counts as one point), and p_k has x's shape.
+        cos and sin of 2 pi x are taken once, as z = exp(2 pi i x); the
+        rest follows from the trig recurrence p_k = p_{k-1} z started at
+        p_1 = sqrt(2) z, with rounding growing like k * 1e-16.  Every p_k
+        is the same complex buffer, stepped in place: read it before
+        asking for the next one.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        z = np.multiply(2j * np.pi, x)
+        np.exp(z, out=z)
+        p = SQRT2 * z
+        for k in range(1, k_max + 1):
+            if k > 1:
+                np.multiply(p, z, out=p)
+            yield p
+
     def row_blocks(self, x, m_max: int) -> Iterator[tuple[int, np.ndarray]]:
         """Rows j = 0..m_max of the basis at points x, one frequency per block.
 
@@ -49,13 +72,13 @@ class TrigBasis:
         block cut at m_max.  x may have any shape (a scalar counts as one
         point): a block has shape (rows,) + x.shape, so for a (K, n) stack
         of samples block[i, k] is row start + i at sample k, contiguous in
-        the points.  cos and sin of 2 pi x are taken once, as z = exp(2 pi
-        i x); the rows follow from the trig recurrence p <- p z started at
-        p = sqrt(2) z, so that p = sqrt(2) exp(2 pi i k x) gives row 2k - 1
-        as its real part and row 2k as its imaginary part.  Rounding grows
-        like k * 1e-16.  All blocks are views of one (2,) + x.shape buffer:
-        the next step overwrites the block, so read it (or change it in
-        place) before asking for the next one.
+        the points.  Frequency k's rows are the real and imaginary parts
+        of p_k from exponentials, copied into one real (2,) + x.shape
+        buffer for callers that change the rows (multiply them by the
+        responses, or square them); a caller that only sums the rows can
+        sum p_k.real and p_k.imag instead.  All blocks are views of that
+        buffer: the next step overwrites the block, so read it (or change
+        it in place) before asking for the next one.
         """
         if m_max < 0:
             raise ValueError(f"m_max {m_max} must be >= 0")
@@ -63,12 +86,7 @@ class TrigBasis:
         buf = np.empty((2,) + x.shape)
         buf[0] = 1.0
         yield 0, buf[:1]
-        z = np.multiply(2j * np.pi, x)
-        np.exp(z, out=z)
-        p = SQRT2 * z
-        for start in range(1, m_max + 1, 2):
-            if start > 1:
-                np.multiply(p, z, out=p)
+        for start, p in zip(range(1, m_max + 1, 2), self.exponentials(x, (m_max + 1) // 2)):
             buf[0] = p.real
             buf[1] = p.imag
             yield start, buf[: m_max + 1 - start]
@@ -78,9 +96,13 @@ class TrigBasis:
 
         Shape (m_max + 1,) + x.shape, a scalar x counting as one point
         (shape (m_max + 1, 1)); row j is phi_j(x).  The blocks of
-        row_blocks, stacked.
+        row_blocks, each written into one preallocated array.
         """
-        return np.concatenate([block.copy() for _, block in self.row_blocks(x, m_max)])
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty((m_max + 1,) + x.shape)
+        for start, block in self.row_blocks(x, m_max):
+            out[start : start + len(block)] = block
+        return out
 
 
 @dataclass(frozen=True)

@@ -57,20 +57,31 @@ def logistic_path(n: int, u1: float) -> np.ndarray:
     """Logistic-map trajectory started from the invariant law via u1.
 
     The map is iterated on Python floats (the same IEEE double arithmetic
-    as numpy scalars, without their per-operation overhead).
+    as numpy scalars, without their per-operation overhead), each written
+    through a memoryview into the float64 output.  0 and 1 are absorbing
+    only through exact rounding (y near 0.5 maps to a value that rounds to
+    1.0, which maps to 0.0): the path nudges such a step back into (0, 1).
+    The loop leaves that test out, because a step outside (0, 1) never
+    leads back into it, so it shows in the last value; a path that ends
+    outside (0, 1) is iterated again from its start with the nudges.
     """
-    cur = float(np.sin(0.5 * np.pi * u1) ** 2)
-    path = [cur]
-    for _ in range(1, n):
+    path = np.empty(n)
+    out = memoryview(path)
+    start = cur = float(np.sin(0.5 * np.pi * u1) ** 2)
+    out[0] = cur
+    for i in range(1, n):
         cur = 4.0 * cur * (1.0 - cur)
-        # 0 and 1 are absorbing only through exact rounding (y near 0.5
-        # maps to a value that rounds to 1.0); nudge back into (0, 1)
-        if cur >= 1.0:
-            cur = 1.0 - 2.0**-53
-        elif cur <= 0.0:
-            cur = 2.0**-53
-        path.append(cur)
-    return np.array(path)
+        out[i] = cur
+    if not 0.0 < cur < 1.0:
+        cur = start
+        for i in range(1, n):
+            cur = 4.0 * cur * (1.0 - cur)
+            if cur >= 1.0:
+                cur = 1.0 - 2.0**-53
+            elif cur <= 0.0:
+                cur = 2.0**-53
+            out[i] = cur
+    return path
 
 
 def arcsine_cdf(y) -> np.ndarray:

@@ -19,7 +19,9 @@ samplers of dependence return it (the points, and the responses for
 regression), and one pass over the basis rows reduces it to one stacked
 table, one row per sample.  The psi^2 sums feed only the leave-one-out
 squares, that is, only cross-validation: with loo=False they are not
-made at all, and theta_hat is the same float.  The realized ISE(m) is the
+made at all, and theta_hat is the same float; a density table is then
+summed straight from the complex trig recurrence, with no real copy of
+its rows.  The realized ISE(m) is the
 Simpson-grid quadrature written as a quadratic form in theta_hat
 (ise_gram and ise_cross once per grid and truth, ise_profile per table,
 stacked or not).
@@ -75,20 +77,25 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
     come from TrigBasis.row_blocks, one frequency per block, and each
     block is reduced to its rows' T_j and sum_i psi_j(Z_i)^2 before the
     next one is made, so the working set is O(K n), not the O(m_max K n)
-    of the whole psi matrix.  Each sum runs over one contiguous row of n
-    points (the last axis), which numpy's pairwise summation adds as it
-    adds a 1-d array, and the divisions after it are elementwise, so row
-    k of the table is the float that a one-sample pass, or the whole psi
+    of the whole psi matrix.  Each sum runs over one row of n points
+    (the last axis), which numpy's pairwise summation adds as it adds a
+    1-d array, and the divisions after it are elementwise, so row k of
+    the table is the float that a one-sample pass, or the whole psi
     matrix, gives.  (A stack of one-point samples is the exception: numpy
     multiplies a one-element complex array in place by another rounding
     path, so there the trig recurrence can differ in the last bit.)
     loo=False skips the squares and their sums, for callers that never
     read theta_sq_loo (None then); theta_hat never reads them, so it is
-    the same float either way.
+    the same float either way.  A density table with loo=False sums the
+    real and imaginary parts of TrigBasis.exponentials where they lie,
+    with no copy into a real block: numpy adds the strided views with the
+    same pairwise tree, so theta_hat is again the same float.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.size == 0:
         raise ValueError(f"need a nonempty (K, n) stack of samples, got shape {points.shape}")
+    if m_max < 0:
+        raise ValueError(f"m_max {m_max} must be >= 0")
     K, n = points.shape
     if y is not None:
         y = np.asarray(y, dtype=float)
@@ -96,14 +103,21 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
             raise ValueError(f"responses of shape {y.shape} for points of shape {points.shape}")
     totals = np.empty((m_max + 1, K))
     squares = np.empty((m_max + 1, K)) if loo else None
-    for start, block in TrigBasis().row_blocks(points, m_max):
-        rows = slice(start, start + len(block))
-        if y is not None:
-            block *= y
-        np.sum(block, axis=-1, out=totals[rows])
-        if loo:
-            np.multiply(block, block, out=block)  # the block is not read again: square it in place
-            np.sum(block, axis=-1, out=squares[rows])
+    if y is None and not loo:
+        totals[0] = n  # the sum of n ones; theta_hat_0 is fixed to 1 below
+        for k, p in enumerate(TrigBasis().exponentials(points, (m_max + 1) // 2), start=1):
+            np.sum(p.real, axis=-1, out=totals[2 * k - 1])
+            if 2 * k <= m_max:
+                np.sum(p.imag, axis=-1, out=totals[2 * k])
+    else:
+        for start, block in TrigBasis().row_blocks(points, m_max):
+            rows = slice(start, start + len(block))
+            if y is not None:
+                block *= y
+            np.sum(block, axis=-1, out=totals[rows])
+            if loo:
+                np.multiply(block, block, out=block)  # the block is not read again: square it in place
+                np.sum(block, axis=-1, out=squares[rows])
     totals = totals.T.copy()  # row k for sample k
     theta = totals / n
     if y is None:

@@ -526,7 +526,9 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     generated once and scores the whole grid with one (K x C x M) penalty
     block.  The rows are summed one replication at a time, in order (a
     cumulative sum), so the sum is the same float in any batch.  GL and
-    MS are the same rule (see selection), so one curve serves both.
+    MS are the same rule (see selection), so one curve serves both.  A
+    curve that is not quasi-convex gives one warning, which names the
+    config and is kept in the result's warnings.
     """
     c_grid = _calibration_grid(c_grid, calib_reps)
     ctx = ExperimentContext(replace(cfg, selectors=("gl", "ms")))
@@ -535,7 +537,8 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     k = int(np.argmin(curve))
     notes = []
     if not (np.all(np.diff(curve[: k + 1]) <= 1e-12) and np.all(np.diff(curve[k:]) >= -1e-12)):
-        notes.append("mean ISE vs c not quasi-convex for gl and ms")
+        notes.append(f"mean ISE vs c not quasi-convex for gl and ms "
+                     f"({cfg.model} {cfg.target} case {cfg.case} n={cfg.n})")
         warnings.warn(notes[-1])
     return CalibrationResult(c_grid=c_grid, mean_ise={"gl": curve, "ms": curve},
                              chosen=dict.fromkeys(("gl", "ms"), float(c_grid[k])),

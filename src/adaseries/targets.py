@@ -118,9 +118,8 @@ DENSITY_TARGETS = {"f1": density_f1, "f2": density_f2, "uniform": uniform_densit
 REGRESSION_TARGETS = {"f1": regression_f1, "f2": regression_f2}
 
 
-_N_SEG = 4096  # knots of the cumulative-integral table; a power of two
-assert _N_SEG & (_N_SEG - 1) == 0, "the segment search halves _N_SEG down to 1"
-_LIFT_STEPS = tuple(_N_SEG >> s for s in range(1, _N_SEG.bit_length()))  # N/2, ..., 2, 1
+_N_SEG = 4096  # knots of the cumulative-integral table, and buckets of its guide table
+assert _N_SEG & (_N_SEG - 1) == 0, "a power of two: u * _N_SEG is exact, so u's bucket is its floor"
 #: Newton steps from the interpolated start.  Two reach rounding level for
 #: the built-in targets; the third covers densities that vanish at an end
 #: of [0, 1], where the linear start is poorest.
@@ -136,17 +135,27 @@ class MarginalLaw:
     The CDF is a cumulative per-segment Simpson integral over 4096 uniform
     segments (midpoint refinement inside each segment).  The quantile
     finds the bracketing segment k of the cumulative table, the largest
-    k <= 4095 with cum[k] <= t, by binary lifting (add 2048, 1024, ..., 1
-    while the table stays <= t), starts from linear interpolation inside
-    it and takes three Newton steps on the same piecewise-Simpson partial
-    mass, with the density as the slope and every step clipped to the
-    segment.  The segment's left end, table entry, knot density and mass
-    are gathered once per point, outside the Newton loop, and the points
-    are transformed in blocks of at most 2**12, so the temporaries stay
-    bounded whatever the sample size.  For the built-in targets
-    quantile(u) satisfies |cdf(q) - u| <= 1e-15.  quantile and cdf check
-    their argument once; the points they derive from it stay in [0, 1],
-    so the density is evaluated there without a second check.
+    k <= 4095 with cum[k] <= t = u * total, with a guide table (Chen and
+    Asau, 1974).  u falls in bucket b = floor(4096 u), [b/4096, (b+1)/4096)
+    (bucket 4096 holds u = 1 alone), and starts at guide[b], the segment
+    of the bucket's lowest t; binary lifting (add 2^(L-1), ..., 2, 1
+    while the table stays <= t) climbs from there.  L is the fewest lifts
+    that cross the widest bucket, the most segments between the segments
+    of a bucket's lowest and highest t: 2 for f2, 10 for f1 (whose tails
+    carry so little mass that one bucket spans hundreds of segments),
+    none for the uniform law.  The table the lifts read is +inf from index
+    4096 on, for as many entries as the largest lift, so k stops at 4095
+    and no lift reads past its end.  From linear interpolation inside the
+    segment the quantile takes three Newton steps on the same
+    piecewise-Simpson partial mass, with the density as the slope and
+    every step clipped to the segment.  The segment's left end, table
+    entry, knot density and mass are gathered once per point, outside the
+    Newton loop, and the points are transformed in blocks of at most
+    2**12, so the temporaries stay bounded whatever the sample size.  For
+    the built-in targets quantile(u) satisfies |cdf(q) - u| <= 1e-15.
+    quantile and cdf check their argument once; the points they derive
+    from it stay in [0, 1], so the density is evaluated there without a
+    second check.
     """
 
     def __init__(self, density: DensityTarget):
@@ -161,6 +170,19 @@ class MarginalLaw:
         self._seg = seg
         self._cum = cum
         self._total = float(cum[-1])
+        # u * total grows with u, so bucket b's t run from its lowest u,
+        # b / N, to its highest, the float below (b + 1) / N (1 for b = N)
+        edges = np.arange(_N_SEG + 2) / _N_SEG
+        self._guide = self._segment(edges[:-1] * self._total)
+        highest = self._segment(np.minimum(np.nextafter(edges[1:], 0.0), 1.0) * self._total)
+        widest = int(np.max(highest - self._guide))
+        self._lift_steps = tuple(1 << s for s in reversed(range(widest.bit_length())))
+        padding = np.full(self._lift_steps[0] if self._lift_steps else 0, np.inf)
+        self._lift_cum = np.concatenate((cum[:-1], padding))
+
+    def _segment(self, t: np.ndarray) -> np.ndarray:
+        """The largest k <= N - 1 with cum[k] <= t, by searchsorted."""
+        return np.minimum(np.searchsorted(self._cum, t, side="right") - 1, _N_SEG - 1)
 
     def _partial_mass(self, lo: np.ndarray, cum_k: np.ndarray, f_k: np.ndarray,
                       x: np.ndarray, f_x: np.ndarray) -> np.ndarray:
@@ -195,9 +217,9 @@ class MarginalLaw:
     def _quantile_block(self, u: np.ndarray, q: np.ndarray) -> None:
         """Write the quantiles of the 1-d block u into q."""
         t = u * self._total
-        k = np.zeros(t.shape, dtype=np.intp)
-        for step in _LIFT_STEPS:  # cum[0] = 0 <= t, so k = 0 is a valid start
-            k += (self._cum.take(k + step) <= t) * step
+        k = self._guide.take((u * _N_SEG).astype(np.intp))
+        for step in self._lift_steps:
+            k += (self._lift_cum.take(k + step) <= t) * step
         lo = k * self._h
         hi = lo + self._h
         cum_k, f_k, seg_k = self._cum.take(k), self._f_knots.take(k), self._seg.take(k)

@@ -65,6 +65,31 @@ def test_logistic_path_bit_exact_against_numpy_loop():
     assert logistic_path(1, 0.3).shape == (1,)
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_logistic_path_replays_a_late_clamp(k):
+    """u1 = 2^-k starts at sin^2(pi 2^-(k+1)); each step doubles the angle, so
+    the map rounds to exactly 1.0 at index k, and the path is replayed with
+    the clamps from there on."""
+    u1 = 2.0**-k
+    cur = float(np.sin(0.5 * np.pi * u1) ** 2)
+    for _ in range(k):
+        cur = 4.0 * cur * (1.0 - cur)
+    assert cur == 1.0
+    for n in (k + 1, k + 2, 300):
+        path = logistic_path(n, u1)
+        np.testing.assert_array_equal(path, numpy_logistic_path(n, u1))
+        assert path[k] == 1.0 - 2.0**-53
+        assert np.all((path[1:] > 0.0) & (path[1:] < 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("u1", [0.0, 0.25, 0.5, 1.0])
+def test_logistic_path_short(n, u1):
+    path = logistic_path(n, u1)
+    assert path.dtype == np.float64 and path.shape == (n,)
+    np.testing.assert_array_equal(path, numpy_logistic_path(n, u1))
+
+
 def test_generator_ks_label_ignores_rounding_ties(monkeypatch):
     """Tied statistics keep the first pair's label; a clear excess moves it."""
     stats = iter([0.001, 0.002, 0.003, 0.002, 0.003 + 1e-15, 0.001, 0.002, 0.002, 0.001])

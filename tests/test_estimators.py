@@ -117,14 +117,17 @@ def test_streamed_coefficients_match_materialized_psi(n):
                         assert np.array_equal(got.theta_sq_loo, loo)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 1000, (1 << 14) - 1, (1 << 14) + 1, 20000])
-@pytest.mark.parametrize("K", [1, 2, 16])
+@pytest.mark.parametrize("K, n", [(K, n) for K in (1, 2, 16)
+                                  for n in (1, 2, 3, 1000, (1 << 14) - 1, (1 << 14) + 1, 20000)]
+                         + [(1, (1 << 16) + 1)])
 @pytest.mark.parametrize("model", ["density", "regression"])
 def test_theta_only_pass_is_the_full_pass(model, K, n):
     """loo=False skips the psi^2 sums and leaves theta_hat the same floats.
 
-    m_max = 0 is row 0 alone; m_max = 1 and 3 end on a cut frequency
-    block, 2 and 100 on a whole one.
+    A density table then sums the complex recurrence in place, the
+    regression one still its real blocks.  m_max = 0 is row 0 alone;
+    m_max = 1 and 3 end on a cut frequency block, 2 and 100 on a whole
+    one.
     """
     rng = np.random.default_rng(K * n)
     points = rng.uniform(size=(K, n))
@@ -159,6 +162,28 @@ def test_last_axis_sum_is_the_row_sum(n, K):
     for i in range(3):
         for k in range(K):
             assert out[i, k] == np.sum(block[i, k].copy())
+
+
+@pytest.mark.parametrize("K, n", [(K, n) for n in (1, 7, 8, 127, 128, 129, 1000, 8192, 8193,
+                                                  20000, (1 << 16) + 1)
+                                  for K in (1, 3, 16)] + [(1, 10**6 + 13)])
+def test_strided_part_sum_is_the_row_sum(K, n):
+    """The numpy behaviour that the in-place density sums rest on.
+
+    The real and imaginary parts of a complex (K, n) array are strided
+    views; summing each over its last axis into a (K,) row, as
+    empirical_coefficients does with the trig recurrence, gives every
+    row the float that np.sum gives that row's contiguous copy: numpy
+    adds a strided row with the same pairwise summation.
+    """
+    rng = np.random.default_rng(n * K + 1)
+    p = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+    for part in (p.real, p.imag):
+        assert part.strides[-1] == p.itemsize  # every other float64
+        out = np.empty(K)
+        np.sum(part, axis=-1, out=out)
+        for k in range(K):
+            assert out[k] == np.sum(part[k].copy())
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",

@@ -738,6 +738,7 @@ def test_calibration_warns_once_for_both_selectors(monkeypatch):
     assert len(caught) == 1
     message = str(caught[0].message)
     assert "not quasi-convex" in message and "gl" in message and "ms" in message
+    assert "density f1 case 1 n=300" in message  # small_cfg, named so no config's warning hides another's
     assert calib.warnings == (message,)
     assert calib.chosen == {"gl": 4.0, "ms": 4.0}
     np.testing.assert_array_equal(calib.mean_ise["gl"], bumpy)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adaseries.quadrature import integrate_values, unit_grid
-from adaseries.targets import (_NEWTON_STEPS, _QUANTILE_BLOCK, DensityTarget, MarginalLaw,
+from adaseries.targets import (_N_SEG, _NEWTON_STEPS, _QUANTILE_BLOCK, DensityTarget, MarginalLaw,
                                density_f1, density_f2, regression_f1, regression_f2,
                                true_coefficients, uniform_density)
 from test_basis import eval_one
@@ -185,6 +185,38 @@ def test_quantile_bit_identical_to_searchsorted_form(law_f1, law_f2, law_uniform
         assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
         for end in (0.0, 1.0):
             assert law.quantile(end) == searchsorted_quantile(law, end)
+
+
+def with_neighbours(u):
+    """u with both float neighbours of each entry, kept inside [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    return np.clip(np.concatenate((u, np.nextafter(u, -1.0), np.nextafter(u, 2.0))), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "uniform", "x_squared"])
+def test_guided_segment_search_is_searchsorted(name, law_f1, law_f2, law_uniform):
+    """The guide table and its lifts find the searchsorted segment at every
+    knot, every bucket edge, 0 and 1, and both float neighbours of each."""
+    law = {"f1": law_f1, "f2": law_f2, "uniform": law_uniform,
+           "x_squared": MarginalLaw(DensityTarget(lambda x: x * x))}[name]
+    buckets = np.arange(_N_SEG + 1)
+    edges = buckets / _N_SEG
+    u = with_neighbours(np.concatenate(([0.0, 1.0], law._cum / law._total, edges)))
+    assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
+    # the fewest lifts that cross the widest bucket: from the segment of its
+    # lowest u to that of its highest (u = 1 alone in the last bucket)
+    highest = np.minimum(np.nextafter(edges + 1.0 / _N_SEG, 0.0), 1.0)
+    first = searchsorted_segment(law, edges * law._total)
+    widest = int(np.max(searchsorted_segment(law, highest * law._total) - first))
+    lifts = len(law._lift_steps)
+    assert np.array_equal(law._guide, first)
+    assert 2**lifts > widest and (lifts == 0 or 2 ** (lifts - 1) <= widest)
+    assert law._lift_steps == tuple(2**s for s in reversed(range(lifts)))
+    assert law._lift_cum.size == _N_SEG + (law._lift_steps[0] if lifts else 0)
+    start = law._guide[(u * _N_SEG).astype(int)]
+    reach = searchsorted_segment(law, u * law._total) - start
+    assert np.all((reach >= 0) & (reach < 2**lifts))
+    assert len(law_f2._lift_steps) <= 3 and len(law_f1._lift_steps) <= 10
 
 
 @pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1])
