@@ -14,13 +14,12 @@ TrigBasis holds no state: each call takes the largest index m_max.
 TrigBasis.exponentials evaluates the rows with the trig recurrence, one
 complex exponential per point, then one complex product per frequency,
 and hands them out one frequency (its cos and sin rows, as the real and
-imaginary parts of one complex array) at a time, so a caller that only
-sums over the points never holds all m_max + 1 rows at once.
-TrigBasis.row_blocks copies each frequency into a real block, for
-callers that change the rows before summing them.  The points may be a
-stack of samples, one per row of a (K, n) array, so one pass serves a
-batch of replications.  TrigBasis.design_matrix writes the blocks into
-one array.
+imaginary parts of one complex array) at a time, so a caller that sums
+over the points never holds all m_max + 1 rows at once, and reads the
+rows where they lie, with no real copy.  The points may be a stack of
+samples, one per row of a (K, n) array, so one pass serves a batch of
+replications.  TrigBasis.design_matrix writes the parts into the rows
+of one array.
 
 The smoothness weights (WeightSequence) are the two classical classes,
 polynomial j^(-2p) and exponential exp(-j^(2p)); optimal_dimension gives
@@ -64,44 +63,21 @@ class TrigBasis:
                 np.multiply(p, z, out=p)
             yield p
 
-    def row_blocks(self, x, m_max: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Rows j = 0..m_max of the basis at points x, one frequency per block.
-
-        Yields (start, block) with block[i] = phi_{start + i}(x): row 0
-        alone, then rows (2k - 1, 2k) of frequency k = 1, 2, ..., the last
-        block cut at m_max.  x may have any shape (a scalar counts as one
-        point): a block has shape (rows,) + x.shape, so for a (K, n) stack
-        of samples block[i, k] is row start + i at sample k, contiguous in
-        the points.  Frequency k's rows are the real and imaginary parts
-        of p_k from exponentials, copied into one real (2,) + x.shape
-        buffer for callers that change the rows (multiply them by the
-        responses, or square them); a caller that only sums the rows can
-        sum p_k.real and p_k.imag instead.  All blocks are views of that
-        buffer: the next step overwrites the block, so read it (or change
-        it in place) before asking for the next one.
-        """
-        if m_max < 0:
-            raise ValueError(f"m_max {m_max} must be >= 0")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        buf = np.empty((2,) + x.shape)
-        buf[0] = 1.0
-        yield 0, buf[:1]
-        for start, p in zip(range(1, m_max + 1, 2), self.exponentials(x, (m_max + 1) // 2)):
-            buf[0] = p.real
-            buf[1] = p.imag
-            yield start, buf[: m_max + 1 - start]
-
     def design_matrix(self, x, m_max: int) -> np.ndarray:
         """Rows j = 0..m_max of the basis evaluated at points x.
 
         Shape (m_max + 1,) + x.shape, a scalar x counting as one point
-        (shape (m_max + 1, 1)); row j is phi_j(x).  The blocks of
-        row_blocks, each written into one preallocated array.
+        (shape (m_max + 1, 1)); row j is phi_j(x).  Row 0 is ones, and the
+        real and imaginary parts of each p_k from exponentials are written
+        into rows 2k - 1 and 2k, the last frequency cut at m_max.
         """
+        if m_max < 0:
+            raise ValueError(f"m_max {m_max} must be >= 0")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((m_max + 1,) + x.shape)
-        for start, block in self.row_blocks(x, m_max):
-            out[start : start + len(block)] = block
+        out = np.ones((m_max + 1,) + x.shape)  # row 0
+        for k, p in enumerate(self.exponentials(x, (m_max + 1) // 2), start=1):
+            out[2 * k - 1] = p.real
+            out[2 * k : 2 * k + 1] = p.imag  # an empty slice past m_max
         return out
 
 

@@ -13,15 +13,14 @@ theta_hat, cross-validation also its leave-one-out squares, and each
 takes its dimension grid 1..m_max from the table's length.  The table
 needs only two sums per index, T_j = sum_i psi_j(Z_i) and sum_i
 psi_j(Z_i)^2, and empirical_coefficients streams them over the basis
-rows one frequency at a time, so no replication holds the (m_max + 1) x
-n psi matrix.  It reads plain arrays, a (K, n) stack of K samples as the
-samplers of dependence return it (the points, and the responses for
-regression), and one pass over the basis rows reduces it to one stacked
-table, one row per sample.  The psi^2 sums feed only the leave-one-out
-squares, that is, only cross-validation: with loo=False they are not
-made at all, and theta_hat is the same float; a density table is then
-summed straight from the complex trig recurrence, with no real copy of
-its rows.  The realized ISE(m) is the
+rows one frequency at a time, summed straight from the complex trig
+recurrence, so no replication holds the (m_max + 1) x n psi matrix.  It
+reads plain arrays, a (K, n) stack of K samples as the samplers of
+dependence return it (the points, and the responses for regression),
+and one pass over the basis rows reduces it to one stacked table, one
+row per sample.  The psi^2 sums feed only the leave-one-out squares,
+that is, only cross-validation: with loo=False they are not made at
+all, and theta_hat is the same float.  The realized ISE(m) is the
 Simpson-grid quadrature written as a quadratic form in theta_hat
 (ise_gram and ise_cross once per grid and truth, ise_profile per table,
 stacked or not).
@@ -74,50 +73,57 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
     A density sample is its points X; a regression sample is its design
     U (the points) and its responses y, a stack of the same shape.  Any
     other shape raises ValueError, and so does m_max < 0.  The psi rows
-    come from TrigBasis.row_blocks, one frequency per block, and each
-    block is reduced to its rows' T_j and sum_i psi_j(Z_i)^2 before the
-    next one is made, so the working set is O(K n), not the O(m_max K n)
-    of the whole psi matrix.  Each sum runs over one row of n points
-    (the last axis), which numpy's pairwise summation adds as it adds a
-    1-d array, and the divisions after it are elementwise, so row k of
-    the table is the float that a one-sample pass, or the whole psi
-    matrix, gives.  (A stack of one-point samples is the exception: numpy
-    multiplies a one-element complex array in place by another rounding
-    path, so there the trig recurrence can differ in the last bit.)
-    loo=False skips the squares and their sums, for callers that never
-    read theta_sq_loo (None then); theta_hat never reads them, so it is
-    the same float either way.  A density table with loo=False sums the
-    real and imaginary parts of TrigBasis.exponentials where they lie,
-    with no copy into a real block: numpy adds the strided views with the
-    same pairwise tree, so theta_hat is again the same float.
+    come from TrigBasis.exponentials, one frequency k at a time, and are
+    reduced to their T_j and sum_i psi_j(Z_i)^2 before the next frequency
+    is made, so the working set is O(K n), not the O(m_max K n) of the
+    whole psi matrix.  A density sums the real and imaginary parts of p_k
+    where they lie, and squares p_k viewed as interleaved floats into one
+    (K, 2n) buffer whose even and odd columns it sums; a regression writes
+    the parts times y into one (2, K, n) block, sums it, squares it in
+    place and sums it again.  Row 0 is exact: n and n for a density, the
+    sums of y and y^2 for a regression.  Each sum runs over one row of n
+    points (the last axis, contiguous or every other float), which
+    numpy's pairwise summation adds as it adds a contiguous 1-d array,
+    and the divisions after it are elementwise, so row k of the table is
+    the float that a one-sample pass, or the whole psi matrix, gives.  (A
+    stack of one-point samples is the exception: numpy multiplies a
+    one-element complex array in place by another rounding path, so
+    there the trig recurrence can differ in the last bit.)  loo=False
+    skips the squares and their sums, for callers that never read
+    theta_sq_loo (None then); theta_hat never reads them, so it is the
+    same float either way.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2 or points.size == 0:
         raise ValueError(f"need a nonempty (K, n) stack of samples, got shape {points.shape}")
     if m_max < 0:
         raise ValueError(f"m_max {m_max} must be >= 0")
     K, n = points.shape
     if y is not None:
-        y = np.asarray(y, dtype=float)
+        y = np.ascontiguousarray(y, dtype=float)
         if y.shape != points.shape:
             raise ValueError(f"responses of shape {y.shape} for points of shape {points.shape}")
     totals = np.empty((m_max + 1, K))
     squares = np.empty((m_max + 1, K)) if loo else None
-    if y is None and not loo:
-        totals[0] = n  # the sum of n ones; theta_hat_0 is fixed to 1 below
-        for k, p in enumerate(TrigBasis().exponentials(points, (m_max + 1) // 2), start=1):
-            np.sum(p.real, axis=-1, out=totals[2 * k - 1])
-            if 2 * k <= m_max:
-                np.sum(p.imag, axis=-1, out=totals[2 * k])
-    else:
-        for start, block in TrigBasis().row_blocks(points, m_max):
-            rows = slice(start, start + len(block))
-            if y is not None:
-                block *= y
-            np.sum(block, axis=-1, out=totals[rows])
-            if loo:
-                np.multiply(block, block, out=block)  # the block is not read again: square it in place
-                np.sum(block, axis=-1, out=squares[rows])
+    add = np.add.reduce  # np.sum without its Python wrapper: the same reduction
+    totals[0] = n if y is None else add(y, axis=-1)  # the sum of n ones, or of y
+    if loo:
+        squares[0] = n if y is None else add(y * y, axis=-1)
+    # a density squares p_k.view(float), cos^2 and sin^2 interleaved, and a
+    # regression writes rows 2k - 1 and 2k times y; the theta-only density pass
+    # needs no buffer
+    buf = np.empty((K, 2 * n) if y is None else (2, K, n)) if loo or y is not None else None
+    for k, p in enumerate(TrigBasis().exponentials(points, (m_max + 1) // 2), start=1):
+        rows = range(2 * k - 1, min(2 * k, m_max) + 1)  # the last frequency may be cut
+        parts = (p.real, p.imag) if y is None else (
+            np.multiply(p.real, y, out=buf[0]), np.multiply(p.imag, y, out=buf[1]))
+        for j, part in zip(rows, parts):
+            add(part, axis=-1, out=totals[j])
+        if loo:
+            flat = p.view(float) if y is None else buf  # the products are not read again
+            np.multiply(flat, flat, out=buf)
+            for j, part in zip(rows, (buf[:, 0::2], buf[:, 1::2]) if y is None else buf):
+                add(part, axis=-1, out=squares[j])
     totals = totals.T.copy()  # row k for sample k
     theta = totals / n
     if y is None:

@@ -133,49 +133,60 @@ class MarginalLaw:
     """CDF / quantile pair of a density target on [0, 1].
 
     The CDF is a cumulative per-segment Simpson integral over 4096 uniform
-    segments (midpoint refinement inside each segment).  The quantile
-    finds the bracketing segment k of the cumulative table, the largest
-    k <= 4095 with cum[k] <= t = u * total, with a guide table (Chen and
-    Asau, 1974).  u falls in bucket b = floor(4096 u), [b/4096, (b+1)/4096)
-    (bucket 4096 holds u = 1 alone), and starts at guide[b], the segment
-    of the bucket's lowest t; binary lifting (add 2^(L-1), ..., 2, 1
-    while the table stays <= t) climbs from there.  L is the fewest lifts
-    that cross the widest bucket, the most segments between the segments
-    of a bucket's lowest and highest t: 2 for f2, 10 for f1 (whose tails
-    carry so little mass that one bucket spans hundreds of segments),
-    none for the uniform law.  The table the lifts read is +inf from index
-    4096 on, for as many entries as the largest lift, so k stops at 4095
-    and no lift reads past its end.  From linear interpolation inside the
-    segment the quantile takes three Newton steps on the same
-    piecewise-Simpson partial mass, with the density as the slope and
-    every step clipped to the segment.  The segment's left end, table
-    entry, knot density and mass are gathered once per point, outside the
-    Newton loop, and the points are transformed in blocks of at most
-    2**12, so the temporaries stay bounded whatever the sample size.  For
-    the built-in targets quantile(u) satisfies |cdf(q) - u| <= 1e-15.
-    quantile and cdf check their argument once; the points they derive
-    from it stay in [0, 1], so the density is evaluated there without a
-    second check.
+    segments (midpoint refinement inside each segment).  The density must
+    be finite and nonnegative at every knot and midpoint, else ValueError:
+    the table is then nondecreasing, which the segment search and the
+    Newton steps rely on.  The quantile finds the bracketing segment k of
+    the cumulative table, the largest k <= 4095 with cum[k] <= t = u *
+    total, with a guide table (Chen and Asau, 1974).  u falls in bucket
+    b = floor(4096 u), [b/4096, (b+1)/4096) (bucket 4096 holds u = 1
+    alone), and starts at guide[b], the segment of the bucket's lowest t;
+    binary lifting (add 2^(L-1), ..., 2, 1 while the table stays <= t)
+    climbs from there.  A bucket's width is the number of segments between
+    the segments of its lowest and highest t.  L is the fewest lifts that
+    cross every bucket of width at most three: 2 for f1, f2 and x^2, none
+    for the uniform law.  The wider buckets (77 of f1's, in its thin
+    tails, where one bucket spans up to 687 segments) are flagged, and
+    their points take k from searchsorted instead, the same integer.  The
+    table the lifts read is +inf from index 4096 on, for as many entries
+    as the largest lift, so k stops at 4095 and no lift reads past its
+    end.  From linear interpolation inside the segment the quantile takes
+    three Newton steps on the same piecewise-Simpson partial mass, with
+    the density as the slope and every step clamped to the segment.  A
+    zero slope (a density that vanishes at the point) or an empty segment
+    leaves its point where it is; blocks with neither, which for the
+    built-in targets is nearly all, skip the masks.  The segment's left
+    end, table entry, knot density and mass are gathered once per point,
+    outside the Newton loop, and the points are transformed in blocks of
+    at most 2**12, so the temporaries stay bounded whatever the sample
+    size.  For the built-in targets quantile(u) satisfies |cdf(q) - u| <=
+    1e-15.  quantile and cdf check their argument once; the points they
+    derive from it stay in [0, 1], so the density is evaluated there
+    without a second check.
     """
 
     def __init__(self, density: DensityTarget):
         self.density = density
         self._h = 1.0 / _N_SEG
         knots = np.linspace(0.0, 1.0, _N_SEG + 1)
-        mids = knots[:-1] + 0.5 * self._h
         self._f_knots = np.asarray(density.eval(knots), dtype=float)
-        f_mids = np.asarray(density.eval(mids), dtype=float)
-        seg = (self._h / 6.0) * (self._f_knots[:-1] + 4.0 * f_mids + self._f_knots[1:])
-        cum = np.concatenate(([0.0], np.cumsum(seg)))
-        self._seg = seg
-        self._cum = cum
+        f_mids = np.asarray(density.eval(knots[:-1] + 0.5 * self._h), dtype=float)
+        if not all(np.all((f >= 0.0) & (f < np.inf)) for f in (self._f_knots, f_mids)):
+            raise ValueError("the density is negative or not finite (NaN) at a knot or midpoint")
+        self._seg = (self._h / 6.0) * (self._f_knots[:-1] + 4.0 * f_mids + self._f_knots[1:])
+        self._cum = cum = np.concatenate(([0.0], np.cumsum(self._seg)))
         self._total = float(cum[-1])
         # u * total grows with u, so bucket b's t run from its lowest u,
         # b / N, to its highest, the float below (b + 1) / N (1 for b = N)
         edges = np.arange(_N_SEG + 2) / _N_SEG
         self._guide = self._segment(edges[:-1] * self._total)
-        highest = self._segment(np.minimum(np.nextafter(edges[1:], 0.0), 1.0) * self._total)
-        widest = int(np.max(highest - self._guide))
+        highest = np.minimum(np.nextafter(edges[1:], 0.0), 1.0)
+        widths = self._segment(highest * self._total) - self._guide
+        # the lifts cross the buckets of width at most three; the points of a
+        # wider bucket (a thin tail) are searched in full
+        self._wide = widths > 3
+        self._any_wide = bool(np.any(self._wide))
+        widest = int(np.max(widths, where=~self._wide, initial=0))
         self._lift_steps = tuple(1 << s for s in reversed(range(widest.bit_length())))
         padding = np.full(self._lift_steps[0] if self._lift_steps else 0, np.inf)
         self._lift_cum = np.concatenate((cum[:-1], padding))
@@ -217,22 +228,35 @@ class MarginalLaw:
     def _quantile_block(self, u: np.ndarray, q: np.ndarray) -> None:
         """Write the quantiles of the 1-d block u into q."""
         t = u * self._total
-        k = self._guide.take((u * _N_SEG).astype(np.intp))
+        b = (u * _N_SEG).astype(np.intp)
+        k = self._guide.take(b)
         for step in self._lift_steps:
             k += (self._lift_cum.take(k + step) <= t) * step
+        if self._any_wide:
+            wide = np.flatnonzero(self._wide.take(b))
+            k[wide] = self._segment(t.take(wide))
         lo = k * self._h
         hi = lo + self._h
         cum_k, f_k, seg_k = self._cum.take(k), self._f_knots.take(k), self._seg.take(k)
-        frac = np.divide(t - cum_k, seg_k, out=np.zeros_like(t), where=seg_k > 0.0)
-        np.clip(lo + self._h * frac, lo, hi, out=q)
+        np.minimum(np.maximum(lo + self._h * _ratio(t - cum_k, seg_k), lo, out=q), hi, out=q)
         for _ in range(_NEWTON_STEPS):
             f_q = self.density._eval_unchecked(q)
             excess = self._partial_mass(lo, cum_k, f_k, q, f_q)
             np.subtract(excess, t, out=excess)
-            moves = f_q > 0.0
-            np.divide(excess, f_q, out=excess, where=moves)
-            np.subtract(q, excess, out=q, where=moves)
-            np.clip(q, lo, hi, out=q)
+            np.subtract(q, _ratio(excess, f_q), out=q)
+            np.minimum(np.maximum(q, lo, out=q), hi, out=q)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0 and 0 where not, in num's buffer when every den is > 0.
+
+    A zero den (a density that vanishes at a Newton point, or a segment
+    without mass) leaves the point where it is: q - 0 is q.  Blocks with
+    none, which for the built-in targets is nearly all, skip the mask.
+    """
+    if den.min() > 0.0:
+        return np.divide(num, den, out=num)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
 @cache

@@ -72,26 +72,12 @@ def test_recurrence_matches_eval_one_up_to_400():
 def test_recurrence_matches_angle_grid(x, m_max):
     design = TrigBasis().design_matrix(x, m_max)
     np.testing.assert_allclose(design, outer_design_matrix(x, m_max), rtol=0.0, atol=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50), m_max=st.integers(0, 60))
-def test_row_blocks_tile_the_design_matrix(x, m_max):
-    """Row 0 alone, then one block of two rows per frequency, the last one cut at m_max."""
-    basis = TrigBasis()
-    starts, blocks = [], []
-    for start, block in basis.row_blocks(x, m_max):
-        starts.append(start)
-        blocks.append(block.copy())  # the next block overwrites this one
-    assert starts == [0] + list(range(1, m_max + 1, 2))
-    assert [len(block) for block in blocks] == [1] + [2] * (m_max // 2) + [1] * (m_max % 2)
-    assert np.array_equal(np.concatenate(blocks), basis.design_matrix(x, m_max))
     with pytest.raises(ValueError):
-        next(basis.row_blocks(x, -1))
-    with pytest.raises(ValueError):
-        basis.design_matrix(x, -1)
+        TrigBasis().design_matrix(x, -1)
     with pytest.raises(ValueError):
         empirical_coefficients(np.atleast_2d(x), -1)
+    with pytest.raises(ValueError):
+        empirical_coefficients(np.atleast_2d(x), -1, y=np.atleast_2d(x))
 
 
 def test_orthonormality_and_sup_norm_checks_at_400():

@@ -93,18 +93,22 @@ def materialized_coefficients(points, m_max, y=None):
     return theta, loo
 
 
-@pytest.mark.parametrize("n", [1, 2, 1000, 20000])
-def test_streamed_coefficients_match_materialized_psi(n):
-    # m_max = 0 is row 0 alone; even m_max ends on a whole frequency block,
-    # odd m_max on a cut one (its cos row).  A (3, n) stack of samples gives
+@pytest.mark.parametrize("K, n", [(3, 1), (3, 2), (3, 1000), (3, 20000), (16, 1000),
+                                  (1, (1 << 16) + 1)],
+                         ids=["1", "2", "1000", "20000", "16x1000", "65537"])
+def test_streamed_coefficients_match_materialized_psi(K, n):
+    # m_max = 0 is row 0 alone; even m_max ends on a whole frequency, odd
+    # m_max on a cut one (its cos row).  A (K, n) stack of samples gives
     # each row's table, except at n = 1: numpy multiplies a one-element
     # complex array in place by another rounding path than a longer one.
+    # The density psi^2 sums read every other float of the interleaved
+    # squares, the regression sums a (2, K, n) block of products.
     rng = np.random.default_rng(n)
-    x, y, u = rng.uniform(size=(3, n)), rng.normal(size=(3, n)), rng.uniform(size=(3, n))
+    x, y, u = rng.uniform(size=(K, n)), rng.normal(size=(K, n)), rng.uniform(size=(K, n))
     for points, resp in ((x, None), (u, y)):
         for m_max in (0, 1, 2, 100, 101):
             stacked = empirical_coefficients(points, m_max, resp)
-            for k in range(3):
+            for k in range(K):
                 theta, loo = materialized_coefficients(points[k], m_max,
                                                        None if resp is None else resp[k])
                 (table,) = empirical_coefficients(points[k : k + 1], m_max,

@@ -616,11 +616,11 @@ def test_one_design_matrix_per_replication(monkeypatch):
     from adaseries.basis import TrigBasis
 
     calls = {"all": 0, "in_cv": 0}
-    original_blocks, original_cv = TrigBasis.row_blocks, hl.select_cv
+    original_exponentials, original_cv = TrigBasis.exponentials, hl.select_cv
 
-    def counting_blocks(self, x, m_max):
+    def counting_exponentials(self, x, k_max):
         calls["all"] += 1
-        return original_blocks(self, x, m_max)
+        return original_exponentials(self, x, k_max)
 
     def watched_cv(*args, **kwargs):
         before = calls["all"]
@@ -628,7 +628,7 @@ def test_one_design_matrix_per_replication(monkeypatch):
         calls["in_cv"] += calls["all"] - before
         return result
 
-    monkeypatch.setattr(TrigBasis, "row_blocks", counting_blocks)
+    monkeypatch.setattr(TrigBasis, "exponentials", counting_exponentials)
     monkeypatch.setattr(hl, "select_cv", watched_cv)
     for cfg in (small_cfg(), ExperimentConfig(model="regression", target="f1", case=2,
                                               n=200, reps=3, seed=3)):

@@ -198,25 +198,87 @@ def test_guided_segment_search_is_searchsorted(name, law_f1, law_f2, law_uniform
     """The guide table and its lifts find the searchsorted segment at every
     knot, every bucket edge, 0 and 1, and both float neighbours of each."""
     law = {"f1": law_f1, "f2": law_f2, "uniform": law_uniform,
-           "x_squared": MarginalLaw(DensityTarget(lambda x: x * x))}[name]
+           "x_squared": x_squared_law()}[name]
     buckets = np.arange(_N_SEG + 1)
     edges = buckets / _N_SEG
     u = with_neighbours(np.concatenate(([0.0, 1.0], law._cum / law._total, edges)))
     assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
-    # the fewest lifts that cross the widest bucket: from the segment of its
-    # lowest u to that of its highest (u = 1 alone in the last bucket)
+    # a bucket runs from the segment of its lowest u to that of its highest
+    # (u = 1 alone in the last bucket); exactly the buckets wider than three
+    # segments are flagged, and the fewest lifts cross every other one
     highest = np.minimum(np.nextafter(edges + 1.0 / _N_SEG, 0.0), 1.0)
     first = searchsorted_segment(law, edges * law._total)
-    widest = int(np.max(searchsorted_segment(law, highest * law._total) - first))
+    widths = searchsorted_segment(law, highest * law._total) - first
+    widest = int(np.max(widths[widths <= 3]))
     lifts = len(law._lift_steps)
     assert np.array_equal(law._guide, first)
+    assert np.array_equal(law._wide, widths > 3)
     assert 2**lifts > widest and (lifts == 0 or 2 ** (lifts - 1) <= widest)
     assert law._lift_steps == tuple(2**s for s in reversed(range(lifts)))
     assert law._lift_cum.size == _N_SEG + (law._lift_steps[0] if lifts else 0)
-    start = law._guide[(u * _N_SEG).astype(int)]
-    reach = searchsorted_segment(law, u * law._total) - start
-    assert np.all((reach >= 0) & (reach < 2**lifts))
-    assert len(law_f2._lift_steps) <= 3 and len(law_f1._lift_steps) <= 10
+    bucket = (u * _N_SEG).astype(int)
+    reach = searchsorted_segment(law, u * law._total) - law._guide[bucket]
+    assert np.all((reach >= 0) & ((reach < 2**lifts) | law._wide[bucket]))
+    assert (lifts, int(np.sum(law._wide))) == {"f1": (2, 77), "f2": (2, 0), "uniform": (0, 0),
+                                                "x_squared": (2, 121)}[name]
+    assert len(law_f1._lift_steps) == 2
+
+
+def x_squared_law():
+    return MarginalLaw(DensityTarget(lambda x: x * x))
+
+
+def test_points_of_flagged_buckets_are_searched(law_f1):
+    """u inside every bucket flagged as too wide for the lifts, at its edges,
+    and mixed with unflagged u across a block edge, gives the searchsorted q."""
+    rng = np.random.default_rng(23)
+    for law in (law_f1, x_squared_law()):
+        wide = np.flatnonzero(law._wide)
+        assert wide.size in (77, 121)
+        inside = (np.repeat(wide, 60) + rng.uniform(size=60 * wide.size)) / _N_SEG
+        edges = np.concatenate((wide / _N_SEG, np.nextafter((wide + 1) / _N_SEG, 0.0)))
+        u = np.clip(np.concatenate((rng.uniform(size=3000), inside, edges)), 0.0, 1.0)
+        assert u.size > _QUANTILE_BLOCK and np.all(law._wide[(inside * _N_SEG).astype(int)])
+        assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
+
+
+def test_quantile_blocks_with_and_without_a_zero_slope(law_gap):
+    """The masked Newton step and start fraction, and their unmasked forms.
+
+    x^2 has a zero slope at u = 0 and law_gap at the top of its plateau;
+    a law that vanishes on its last segments has an empty segment at u = 1.
+    A block holding such a u takes the masked forms, a block without it
+    the unmasked ones; both give the searchsorted q.
+    """
+    rand = np.random.default_rng(29).uniform(size=3000)
+    plateau = law_gap._cum[np.flatnonzero(np.diff(law_gap._cum) == 0.0)[0]] / law_gap._total
+    cut = MarginalLaw(DensityTarget(lambda x: np.where(x > 0.999, 0.0, 1.0)))
+    assert cut._seg[-1] == 0.0
+    for law, special in ((x_squared_law(), 0.0), (law_gap, plateau), (cut, 1.0)):
+        q_special = law.quantile(special)
+        assert law.density.eval(q_special) == 0.0  # the slope the masks keep out
+        for u in (np.concatenate(([special], rand)), rand):
+            assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
+
+
+def test_quantile_of_zero_is_positive_zero(law_f1, law_f2, law_uniform, law_gap):
+    # np.maximum and np.minimum clamp where np.clip did: the sign of 0 stays +
+    for law in (law_f1, law_f2, law_uniform, law_gap, x_squared_law()):
+        for q in (law.quantile(0.0), law.quantile(np.array([0.0, 0.5]))[0]):
+            assert q == 0.0 and not np.signbit(q)
+
+
+@pytest.mark.parametrize("raw", [lambda x: x - 0.2,
+                                 lambda x: np.where(x == 0.5 / _N_SEG, np.nan, 1.0),
+                                 lambda x: np.where(x == 1.5 / _N_SEG, np.inf, 1.0)],
+                         ids=["negative", "nan_at_a_midpoint", "inf_at_a_midpoint"])
+def test_law_of_a_negative_or_non_finite_density_is_refused(raw, law_gap):
+    # x - 0.2 integrates to 0.3 > 0 and used to build a law with quantile(0) = 0.4
+    with pytest.raises(ValueError, match="negative or not finite"):
+        MarginalLaw(DensityTarget(raw))
+    for target in (density_f1(), density_f2(), uniform_density()):
+        MarginalLaw(target)
+    x_squared_law()
 
 
 @pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1])
