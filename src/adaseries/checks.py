@@ -45,7 +45,15 @@ DEPENDENCE_SCORE_DRAWS = 10**5
 DEPENDENCE_SCORE_ROWS = 4  # basis scores phi_1..phi_4
 #: KS statistics closer than this are a tie: the first pair keeps the label.
 KS_TIE = 1e-12
-LEMMA_NS = 14  # stream namespace of the simulated oracle-inequality audit
+#: Stream namespaces of the checks' draws, distinct from each other and from
+#: harness.EVAL_NS and CALIB_NS: the generator KS check, the case-3 marginal,
+#: the case-3 recursion residual, the dependence scores and the simulated
+#: oracle-inequality audit.
+KS_NS = 10
+CASE3_MARGINAL_NS = 11
+CASE3_RESIDUAL_NS = 12
+DEPENDENCE_NS = 13
+LEMMA_NS = 14
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,7 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
     worst = 0.0
     worst_pair = ""
     values = {}
-    series = {case: uniform_series(case, draws, [stream(seed, case, namespace=10)])[0]
+    series = {case: uniform_series(case, draws, [stream(seed, case, namespace=KS_NS)])[0]
               for case in (1, 2, 3)}
     for name, law in {"f1": marginal_law("f1"), "f2": marginal_law("f2"), "uniform": None}.items():
         for case, v in series.items():
@@ -190,7 +198,7 @@ def check_case3_marginal(seed: int = 0, draws: int = CASE3_MARGINAL_DRAWS,
     """
     if threshold is None:
         threshold = CASE3_MARGINAL_THRESHOLD * (CASE3_MARGINAL_DRAWS / draws) ** 0.5
-    y = bernoulli_ar_path(draws, stream(seed, 3, namespace=11))
+    y = bernoulli_ar_path(draws, stream(seed, 3, namespace=CASE3_MARGINAL_NS))
     stat = ks_statistic(y, cdf=marginal_G_case3)
     return CheckResult("case3_marginal_closed_form", stat < threshold,
                        f"sup |G - ecdf| = {stat:.5f}, threshold {threshold:.4g}",
@@ -200,7 +208,7 @@ def check_case3_marginal(seed: int = 0, draws: int = CASE3_MARGINAL_DRAWS,
 def check_case3_residual(seed: int = 0, n: int = 10**4,
                          bound: float = CASE3_RESIDUAL_BOUND) -> CheckResult:
     """Plugging the truncated MA into the recursion leaves only truncation error."""
-    rng = stream(seed, 3, namespace=12)
+    rng = stream(seed, 3, namespace=CASE3_RESIDUAL_NS)
     zeta = rng.integers(0, 2, size=n + 2 * AR_TRUNCATION).astype(float)
     y = ar_path_from_innovations(zeta)
     inner = zeta[AR_TRUNCATION : AR_TRUNCATION + n]
@@ -220,7 +228,7 @@ def dependence_score(case: int, n: int = DEPENDENCE_SCORE_DRAWS, seed: int = 0) 
     included) vanish identically, while cross pairs expose the
     deterministic frequency doubling.
     """
-    (v,) = uniform_series(case, n, [stream(seed, case, namespace=13)])
+    (v,) = uniform_series(case, n, [stream(seed, case, namespace=DEPENDENCE_NS)])
     scores = TrigBasis().design_matrix(v, DEPENDENCE_SCORE_ROWS)[1:]
     lead, lag = scores[:, :-1], scores[:, 1:]
     z_max = 0.0

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adaseries.basis import (SUP_NORM_SQ, RateResult, TrigBasis, WeightSequence,
-                             optimal_dimension, rate_slope)
+from adaseries.basis import (SUP_NORM_SQ, TrigBasis, WeightSequence, optimal_dimension,
+                             rate_slope)
 from adaseries.checks import check_orthonormality, check_sup_norm
 from adaseries.estimators import empirical_coefficients
 from adaseries.quadrature import simpson_weights, unit_grid
+from reference import brute_force_rate, eval_one, outer_design_matrix
 
 
 def test_eval_basis_pinned_values():
@@ -27,30 +28,6 @@ def test_design_matrix_matches_eval_one():
     design = basis.design_matrix(x, 11)
     for j in range(12):
         np.testing.assert_allclose(design[j], eval_one(j, x), atol=1e-14)
-
-
-def outer_design_matrix(x, m_max):
-    """Reference design matrix: cos and sin of the full (k, x) angle grid."""
-    x = np.asarray(x, dtype=float).ravel()
-    out = np.empty((m_max + 1, x.size))
-    out[0] = 1.0
-    n_cos, n_sin = (m_max + 1) // 2, m_max // 2
-    if n_cos:
-        ang = 2.0 * np.pi * np.outer(np.arange(1, n_cos + 1), x)
-        out[1 : 2 * n_cos : 2] = math.sqrt(2.0) * np.cos(ang)
-        if n_sin:
-            out[2 : 2 * n_sin + 1 : 2] = math.sqrt(2.0) * np.sin(ang[:n_sin])
-    return out
-
-
-def eval_one(j, x):
-    """Reference phi_j(x): 1 for j = 0, else sqrt2 cos (j odd) or sin (j even)
-    of 2 pi k x with k = (j + 1) // 2, evaluated directly."""
-    x = np.asarray(x, dtype=float)
-    if j == 0:
-        return np.ones_like(x)
-    ang = 2.0 * np.pi * ((j + 1) // 2) * x
-    return math.sqrt(2.0) * (np.cos(ang) if j % 2 == 1 else np.sin(ang))
 
 
 def test_recurrence_matches_eval_one_up_to_400():
@@ -140,15 +117,6 @@ def test_weights_positive_nonincreasing_vanishing(kind, p):
     assert np.all(vals[representable] > 0.0)
     assert np.all(np.diff(vals) <= 0.0)
     assert vals[-1] < 0.05 * vals[0]
-
-
-def brute_force_rate(seq: WeightSequence, n: int) -> RateResult:
-    best_m, best_v = None, None
-    for m in range(1, n + 1):
-        v = max(seq.weight(m), m / n)
-        if best_v is None or v < best_v:  # strict: keep the smallest argmin
-            best_m, best_v = m, v
-    return RateResult(m_star=best_m, r_star=best_v)
 
 
 def test_optimal_dimension_pinned_examples():

@@ -8,8 +8,10 @@ from adaseries.dependence import (AR_SCALE, AR_TRUNCATION, arcsine_cdf,
                                   gen_density_sample,
                                   gen_regression_sample, logistic_path,
                                   marginal_G_case3, stream, uniform_series)
+from adaseries.harness import CALIB_NS, EVAL_NS
 from adaseries.quadrature import integrate_values, unit_grid
 from adaseries.targets import regression_f1, regression_f2
+from reference import numpy_logistic_path
 
 
 def test_case1_uniform_marginal_identity(law_uniform):
@@ -36,21 +38,6 @@ def test_logistic_closed_form_iteration():
     assert y[0] == pytest.approx(0.5)  # sin^2(pi/4)
     assert y[1] == pytest.approx(1.0, abs=1e-15)
     assert y[2] == pytest.approx(0.0, abs=1e-12)
-
-
-def numpy_logistic_path(n, u1):
-    """Reference: the logistic map iterated on a numpy scalar into a preallocated array."""
-    y = np.empty(n)
-    y[0] = np.sin(0.5 * np.pi * u1) ** 2
-    cur = y[0]
-    for i in range(1, n):
-        cur = 4.0 * cur * (1.0 - cur)
-        if cur >= 1.0:
-            cur = 1.0 - 2.0**-53
-        elif cur <= 0.0:
-            cur = 2.0**-53
-        y[i] = cur
-    return y
 
 
 def test_logistic_path_bit_exact_against_numpy_loop():
@@ -182,6 +169,13 @@ def test_namespace_disjoint_streams(law_f1):
     assert not np.array_equal(a, b)
 
 
+def test_stream_namespaces_are_distinct():
+    """Evaluation, calibration and each check draw from their own namespace."""
+    namespaces = (EVAL_NS, CALIB_NS, checks.KS_NS, checks.CASE3_MARGINAL_NS,
+                  checks.CASE3_RESIDUAL_NS, checks.DEPENDENCE_NS, checks.LEMMA_NS)
+    assert len(set(namespaces)) == len(namespaces)
+
+
 def test_dependence_scores_by_case():
     assert dependence_score(1, n=10**5) < 5.0
     assert dependence_score(2, n=10**5) > 5.0
@@ -194,34 +188,3 @@ def test_draws_inside_unit_interval(law_f2):
         assert np.all((x >= 0.0) & (x <= 1.0))
         u, _ = gen_regression_sample(2000, case, regression_f1(), [stream(2, 1)])
         assert np.all((u >= 0.0) & (u <= 1.0))
-
-
-def dump_sample(points, path, y=None):
-    """Write draws as decimal text, one draw per line, 17 significant digits.
-
-    A density draw is its point; a regression draw is the line "y u".
-    """
-    with open(path, "w") as fh:
-        if y is None:
-            for v in points:
-                fh.write(f"{v:.17g}\n")
-        else:
-            for yv, uv in zip(y, points):
-                fh.write(f"{yv:.17g} {uv:.17g}\n")
-
-
-def test_dump_sample_formats(tmp_path, law_f1):
-    (x,) = gen_density_sample(5, 1, law_f1, [stream(1, 0)])
-    path = tmp_path / "density.txt"
-    dump_sample(x, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 5
-    np.testing.assert_allclose([float(v) for v in lines], x, rtol=1e-16)
-
-    (u,), (y,) = gen_regression_sample(4, 1, regression_f2(), [stream(1, 0)])
-    path2 = tmp_path / "regression.txt"
-    dump_sample(u, path2, y)
-    rows = [line.split() for line in path2.read_text().strip().splitlines()]
-    assert len(rows) == 4
-    np.testing.assert_allclose([float(a) for a, _ in rows], y, rtol=1e-16)
-    np.testing.assert_allclose([float(b) for _, b in rows], u, rtol=1e-16)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,50 +10,9 @@ from adaseries.dependence import gen_density_sample, gen_regression_sample, stre
 from adaseries.estimators import (CoefficientTable, empirical_coefficients,
                                   ise_cross, ise_gram, ise_profile, sigma_y_hat)
 from adaseries.harness import ExperimentConfig, ExperimentContext
-from adaseries.quadrature import DEFAULT_GRID, integrate_values, simpson_weights, unit_grid
-from adaseries.targets import (MarginalLaw, density_f1, regression_f1,
-                               true_coefficients)
-from test_basis import eval_one
-
-
-def series_values(table, m, x):
-    """Dimension-m series estimate sum_{j<=m} theta_hat_j phi_j at points x."""
-    if m < 0 or m > table.m_max:
-        raise ValueError(f"dimension {m} outside [0, {table.m_max}]")
-    design = TrigBasis().design_matrix(x, m)
-    return np.sum(table.theta_hat[: m + 1, None] * design, axis=0)
-
-
-def ise(est_values, truth_values):
-    """Integrated squared error on a shared uniform Simpson grid."""
-    diff = np.asarray(est_values, dtype=float) - np.asarray(truth_values, dtype=float)
-    return float(np.sum(diff * diff * simpson_weights(diff.size)))
-
-
-def ise_of_series(table, m, truth_fn, n_points=DEFAULT_GRID):
-    grid = unit_grid(n_points)
-    return ise(series_values(table, m, grid), truth_fn(grid))
-
-
-def l2_gap(table, m, k):
-    """|| f_m - f_k ||^2 = sum_{j=m+1..k} theta_hat_j^2 for nested estimators."""
-    if m > k:
-        raise ValueError("l2_gap needs m <= k")
-    if m < 0 or k > table.m_max:
-        raise ValueError("l2_gap indices outside the table")
-    seg = table.theta_hat[m + 1 : k + 1]
-    return float(np.sum(seg * seg))
-
-
-def grid_ise_profile(table, truth_grid, basis_grid, weights):
-    """Reference ISE(m), m = 1..m_max: residuals on the grid, summed per m.
-
-    The grid form ise_profile replaced; the Gram form must agree with it.
-    """
-    theta = table.theta_hat
-    base = theta[0] * basis_grid[0] - np.asarray(truth_grid, dtype=float)
-    resid = np.cumsum(theta[1:, None] * basis_grid[1 : table.m_max + 1], axis=0) + base
-    return np.sum(resid * resid * weights, axis=1)
+from adaseries.quadrature import integrate_values, simpson_weights, unit_grid
+from adaseries.targets import MarginalLaw, density_f1, regression_f1, true_coefficients
+from reference import eval_one, grid_ise_profile, materialized_coefficients, outer_design_matrix
 
 
 def test_density_coefficients_pinned():
@@ -73,24 +33,6 @@ def test_leave_one_out_squares_pinned():
     (reg,) = empirical_coefficients([[0.25, 0.75]], 0, y=[[1.0, 3.0]])
     # psi_0 = y: (T^2 - sum y^2) / 2 = (16 - 10) / 2, the pair product 2 y_1 y_2 / 2
     assert reg.theta_sq_loo[0] == 3.0
-
-
-def materialized_coefficients(points, m_max, y=None):
-    """Reference table from the whole (m_max + 1) x n psi matrix.
-
-    The form empirical_coefficients replaced by row blocks; the streamed
-    sums must be the same floats.
-    """
-    psi = TrigBasis().design_matrix(points, m_max)
-    if y is not None:
-        psi *= y
-    n = psi.shape[1]
-    totals = np.sum(psi, axis=1)
-    theta = totals / n
-    if y is None:
-        theta[0] = 1.0
-    loo = (totals**2 - np.sum(psi * psi, axis=1)) / (n * (n - 1)) if n > 1 else None
-    return theta, loo
 
 
 @pytest.mark.parametrize("K, n", [(3, 1), (3, 2), (3, 1000), (3, 20000), (16, 1000),
@@ -281,42 +223,14 @@ def test_nested_prefix_bit_exact():
     np.testing.assert_array_equal(full.theta_sq_loo[:13], small.theta_sq_loo)
 
 
-def test_l2_gap_examples():
-    table = CoefficientTable("regression", n=10, theta_hat=np.array([0.7, 0.3, 0.4]))
-    assert l2_gap(table, 1, 1) == 0.0
-    assert l2_gap(table, 0, 2) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        l2_gap(table, 2, 1)
-
-
 def test_l2_gap_matches_quadrature():
+    """||f_4 - f_11||^2 is the sum of theta_hat_j^2 over j = 5..11 for nested estimates."""
     rng = np.random.default_rng(4)
     (table,) = empirical_coefficients(rng.uniform(size=(1, 64)), 12)
-    grid = unit_grid()
-    est_m = series_values(table, 4, grid)
-    est_k = series_values(table, 11, grid)
-    gap_quad = ise(est_m, est_k)
-    assert gap_quad == pytest.approx(l2_gap(table, 4, 11), abs=1e-8)
-
-
-def test_series_estimate_matches_direct_sum():
-    rng = np.random.default_rng(8)
-    table = CoefficientTable("density", n=50,
-                             theta_hat=np.concatenate(([1.0], rng.standard_normal(9))))
-    x = rng.uniform(size=40)
-    direct = sum(table.theta_hat[j] * eval_one(j, x) for j in range(8))
-    np.testing.assert_allclose(series_values(table, 7, x), direct, atol=1e-12)
-    with pytest.raises(ValueError):
-        series_values(table, 10, x)
-
-
-def test_ise_zero_and_orthonormal_perturbation():
-    truth = density_f1()
-    grid = unit_grid()
-    truth_vals = truth.eval(grid)
-    assert ise(truth_vals, truth_vals) == 0.0
-    perturbed = truth_vals + 0.2 * eval_one(1, grid)
-    assert ise(perturbed, truth_vals) == pytest.approx(0.04, abs=1e-8)
+    theta = table.theta_hat[:12]
+    est_11 = theta @ outer_design_matrix(unit_grid(), 11)
+    gap_quad = grid_ise_profile(theta, est_11)[4 - 1]
+    assert gap_quad == pytest.approx(np.sum(theta[5:] ** 2), abs=1e-8)
 
 
 def test_ise_parseval_split_oracle():
@@ -326,39 +240,52 @@ def test_ise_parseval_split_oracle():
     x = gen_density_sample(500, 1, MarginalLaw(truth), [stream(3, 0)])
     (table,) = empirical_coefficients(x, 20)
     m = 14
-    quad = ise_of_series(table, m, truth.eval)
+    quad = grid_ise_profile(table.theta_hat[: m + 1], truth.eval(unit_grid()))[m - 1]
     split = (np.sum((table.theta_hat[: m + 1] - theta_true[: m + 1]) ** 2)
              + np.sum(theta_true[m + 1 :] ** 2))
     assert quad == pytest.approx(split, abs=1e-4)
 
 
-def test_ise_profile_matches_per_m_quadrature():
-    law_target = density_f1()
-    (table,) = empirical_coefficients(np.random.default_rng(9).uniform(size=(1, 128)), 15)
-    grid = unit_grid(1025)
-    weights = simpson_weights(1025)
-    design = TrigBasis().design_matrix(grid, 15)
-    profile = ise_profile(table, ise_gram(design, weights),
-                          *ise_cross(design, law_target.eval(grid), weights))
-    for m in (1, 5, 15):
-        direct = ise(series_values(table, m, grid), law_target.eval(grid))
-        assert profile[m - 1] == pytest.approx(direct, rel=1e-12)
-
-
-@pytest.mark.parametrize("model,target", [("density", "f1"), ("density", "f2"),
-                                          ("regression", "f1"), ("regression", "f2")])
-def test_gram_ise_matches_grid_form(model, target):
-    """Gram-form ISE against the grid form on simulated tables of every case."""
-    weights = simpson_weights(1025)
+def simulated_profiles(model, target):
+    """Eight tables of each case at n = 400 (M = 100), profiled by their context."""
     for case in (1, 2, 3):
         cfg = ExperimentConfig(model=model, target=target, case=case, n=400, reps=1, seed=5)
         ctx = ExperimentContext(cfg)
         for tables, _ in ctx.replications(0, 8):
             for table, fast in zip(tables, ctx.ise_by_m(tables)):
                 assert np.array_equal(fast, ctx.ise_by_m(table))  # stacked row = one-row profile
-                ref = grid_ise_profile(table, ctx.truth_grid, ctx.basis_grid, weights)
-                np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
-                assert np.argmin(fast) == np.argmin(ref)
+                yield table.theta_hat, fast, ctx.truth_grid
+
+
+def density_f1_profile(table, grid_size):
+    """One density table profiled against f1 by ise_profile on a grid_size Simpson grid."""
+    grid, weights = unit_grid(grid_size), simpson_weights(grid_size)
+    design = TrigBasis().design_matrix(grid, table.m_max)
+    truth = density_f1().eval(grid)
+    yield table.theta_hat, ise_profile(table, ise_gram(design, weights),
+                                       *ise_cross(design, truth, weights)), truth
+
+
+#: name -> (the (theta_hat, Gram-form profile, truth on the grid) inputs, relative tolerance)
+ISE_INPUTS = {
+    **{f"{model}-{target}": (partial(simulated_profiles, model, target), 1e-10)
+       for model in ("density", "regression") for target in ("f1", "f2")},
+    "uniform-sample": (lambda: density_f1_profile(empirical_coefficients(
+        np.random.default_rng(9).uniform(size=(1, 128)), 15)[0], 1025), 1e-12),
+    "normal-coefficients": (lambda: density_f1_profile(CoefficientTable(
+        "density", n=100, theta_hat=np.concatenate(
+            ([1.0], np.random.default_rng(3).standard_normal(10) * 0.2))), 513), 1e-12),
+}
+
+
+@pytest.mark.parametrize("name", ISE_INPUTS)
+def test_gram_ise_matches_grid_form(name):
+    """The Gram-form ISE profile against per-m grid quadrature, and the same oracle m."""
+    profiles, rtol = ISE_INPUTS[name]
+    for theta_hat, fast, truth_grid in profiles():
+        ref = grid_ise_profile(theta_hat, truth_grid)
+        np.testing.assert_allclose(fast, ref, rtol=rtol, atol=0.0)
+        assert np.argmin(fast) == np.argmin(ref)
 
 
 def test_ise_profile_prefix_of_smaller_table():
@@ -405,7 +332,8 @@ def test_density_estimator_is_one_plus_series():
     (table,) = empirical_coefficients(rng.uniform(size=(1, 200)), 8)
     x = np.linspace(0.0, 1.0, 31)
     tail = sum(table.theta_hat[j] * eval_one(j, x) for j in range(1, 9))
-    np.testing.assert_allclose(series_values(table, 8, x), 1.0 + tail, atol=1e-12)
+    estimate = table.theta_hat @ TrigBasis().design_matrix(x, 8)
+    np.testing.assert_allclose(estimate, 1.0 + tail, atol=1e-12)
 
 
 def test_coefficient_unbiasedness_monte_carlo():

@@ -11,15 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaseries.dependence import gen_density_sample, gen_regression_sample, stream
 from adaseries.estimators import empirical_coefficients, sigma_y_hat
-from adaseries.harness import (BATCH_POINTS, CALIB_NS, EVAL_NS, MIN_BAND_REPS, BandTable,
-                               ExperimentConfig, ExperimentContext,
-                               RepRecord, SummaryRow, batches, calibrate_constant,
-                               calibrated_config, compute_bands, default_c_grid, run_experiment,
-                               run_replication, write_bands_csv, write_calibration_csv,
-                               write_raw_csv, write_summary_csv)
-from adaseries.selection import penalty_vector, select_cv, select_ms, select_with_pens
+from adaseries.harness import (BATCH_POINTS, CALIB_NS, MIN_BAND_REPS, BandTable, ExperimentConfig,
+                               ExperimentContext, batches, calibrate_constant, calibrated_config,
+                               compute_bands, default_c_grid, run_experiment, run_replication,
+                               write_bands_csv, write_calibration_csv, write_raw_csv,
+                               write_summary_csv)
+from adaseries.selection import penalty_vector, select_ms, select_with_pens
+from reference import one_replication, reference_records, reference_summary
 
 
 def small_cfg(**kw):
@@ -82,63 +81,6 @@ def test_single_rep_summary_matches_record():
     assert rows[0].mean_ise == record.ise
     assert rows[0].std_ise == 0.0
     assert rows[0].mean_m == record.m_selected
-
-
-def one_replication(ctx, rep, namespace):
-    """(table, sigma_sq) of one replication, without the batched kernel.
-
-    The sample is drawn on its own from stream(seed, rep, namespace) and
-    reduced by a one-row empirical_coefficients call; the table returned
-    is that row's one-sample table.
-    """
-    cfg = ctx.cfg
-    rngs = [stream(cfg.seed, rep, namespace)]
-    if cfg.model == "density":
-        (table,) = empirical_coefficients(gen_density_sample(cfg.n, cfg.case, ctx.law, rngs),
-                                          cfg.m_grid)
-        return table, 1.0
-    u, y = gen_regression_sample(cfg.n, cfg.case, ctx.target, rngs)
-    (table,) = empirical_coefficients(u, cfg.m_grid, y)
-    return table, float(sigma_y_hat(y)[0])
-
-
-def reference_records(cfg):
-    """The per-(replication, selector) record loop the columns replace, and ISE(m) rows.
-
-    One replication at a time (one_replication), scored by the one-sample selectors.
-    """
-    ctx = ExperimentContext(cfg)
-    records, profiles = [], []
-    for rep in range(cfg.reps):
-        table, sig_sq = one_replication(ctx, rep, EVAL_NS)
-        ise_by_m = ctx.ise_by_m(table)
-        profiles.append(ise_by_m)
-        for sel in cfg.selectors:
-            if sel == "oracle":
-                m = int(np.argmin(ise_by_m)) + 1
-            elif sel == "gl":
-                m = select_with_pens(table, penalty_vector(cfg.gl_constant, cfg.m_grid, cfg.n,
-                                                           sig_sq))
-            elif sel == "ms":
-                m = select_ms(table, cfg.ms_constant, sig_sq)
-            else:
-                m = select_cv(table)
-            records.append(RepRecord(rep, sel, m, float(ise_by_m[m - 1]), sig_sq))
-    return records, np.array(profiles)
-
-
-def reference_summary(cfg, records):
-    """The summary comprehension over records that per-row column means replace."""
-    rows = []
-    for sel in cfg.selectors:
-        ises = np.array([r.ise for r in records if r.selector == sel])
-        ms = np.array([r.m_selected for r in records if r.selector == sel])
-        c_pen = {"gl": cfg.gl_constant, "ms": cfg.ms_constant}.get(sel, float("nan"))
-        rows.append(SummaryRow(
-            model=cfg.model, target=cfg.target, case=cfg.case, n=cfg.n, selector=sel,
-            c_pen=c_pen, reps=ises.size, mean_ise=float(ises.mean()),
-            std_ise=float(ises.std(ddof=0)), mean_m=float(ms.mean())))
-    return rows
 
 
 def assert_columns_match_record_loop(cfg):

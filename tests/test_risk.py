@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from adaseries.basis import TrigBasis
-from adaseries.quadrature import simpson_weights, unit_grid
+from adaseries.quadrature import unit_grid
 from adaseries.risk import risk_decomposition, tent_autocovariances
-from adaseries.targets import (DENSITY_TARGETS, REGRESSION_TARGETS, MarginalLaw,
-                               true_coefficients)
+from adaseries.targets import DENSITY_TARGETS, REGRESSION_TARGETS, MarginalLaw
+from reference import brute_force_lag_covariances, iid_risk_reference
 
 N = 1000
 M = 100
@@ -15,24 +15,6 @@ def expected_risk(model, target, case, n, m_max):
     """E ISE(m), m = 1..m_max: the sum of the two parts of risk_decomposition."""
     variance, bias_sq = risk_decomposition(model, target, case, n, m_max)
     return variance + bias_sq
-
-
-def iid_risk_reference(model, target, n, m_max):
-    """Case-1 (variance, bias^2) by x-space quadrature: Var(theta_hat_j) = (E psi_j^2 - theta_j^2) / n."""
-    fn = (DENSITY_TARGETS if model == "density" else REGRESSION_TARGETS)[target]()
-    grid = unit_grid()
-    w = simpson_weights(grid.size)
-    design = TrigBasis().design_matrix(grid, m_max)
-    f_vals = fn.eval(grid)
-    theta = true_coefficients(fn.eval, m_max)
-    if model == "density":
-        var = (np.sum(f_vals * design**2 * w, axis=1) - theta**2) / n
-        var[0] = 0.0
-    else:
-        second = np.sum((f_vals**2 + fn.noise_sigma**2) * design**2 * w, axis=1)
-        var = (second - theta**2) / n
-    bias_sq = np.sum(f_vals**2 * w) - np.cumsum(theta**2)
-    return np.cumsum(var)[1:], bias_sq[1:]
 
 
 @pytest.mark.parametrize("model,target,min_risk,m_star", [
@@ -63,24 +45,6 @@ def test_case2_minimum_pinned(model, target, min_risk, m_star):
     risk = expected_risk(model, target, 2, N, M)
     assert int(np.argmin(risk)) + 1 == m_star
     assert abs(risk.min() - min_risk) <= 1e-4
-
-
-def brute_force_lag_covariances(psi, lags):
-    """int psibar(u) psibar(tent^k u) du by composing the tent map on a dyadic grid.
-
-    tent maps the grid i / N (N a power of two) onto itself exactly, so the
-    composed function is read off by index, without interpolation.
-    """
-    size = psi.shape[-1]
-    last = size - 1
-    w = simpson_weights(size)
-    centred = psi - (psi @ w)[:, None]
-    idx = np.arange(size)
-    out = []
-    for _ in range(lags + 1):
-        out.append((centred * centred[:, idx]) @ w)
-        idx = np.where(2 * idx <= last, 2 * idx, 2 * last - 2 * idx)
-    return np.array(out)
 
 
 def _psi_density_f2(size, j_max=20):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from adaseries.cli import main as cli_main
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -47,6 +49,19 @@ def test_reproduce_bands_tiny(tmp_path, monkeypatch):
         body = (out / f"bands_density_f1_case{case}.csv").read_text().splitlines()
         assert body[0] == "x,truth,median,p05,p95"
         assert len(body) == 1 + 1025
+
+
+def test_reproduce_bands_with_a_constant_is_the_cli(tmp_path, monkeypatch):
+    """--c-pen skips calibration: each case's CSV is the bytes `adaseries bands` writes."""
+    settings = ["--model", "regression", "--target", "f1", "--n", "200", "--reps", "20",
+                "--seed", "0", "--c-pen", "3"]
+    run_script("reproduce_bands.py", "--out", str(tmp_path / "script"), *settings,
+               monkeypatch=monkeypatch)
+    for case in (1, 2, 3):
+        out = tmp_path / f"cli{case}"
+        assert cli_main(["bands", "--case", str(case), "--out", str(out), *settings]) == 0
+        assert ((tmp_path / "script" / f"bands_regression_f1_case{case}.csv").read_bytes()
+                == (out / "bands.csv").read_bytes())
 
 
 def test_risk_decomposition_tiny(monkeypatch, capsys):

@@ -14,37 +14,13 @@ from adaseries.selection import (cv_profile, lemma1_audit, oracle_criteria,
                                  penalized_profile, penalty_vector, select_cv, select_ms,
                                  select_with_pens, theorem_constant)
 from adaseries.targets import MarginalLaw, density_f1, true_coefficients
-from test_basis import eval_one
+from reference import (brute_force_cv, eval_one, gl_contrast, per_m_rhs, sample_cv,
+                       suffix_form_argmin)
 
 
 def table_from(theta, model="density", n=100):
     theta = np.asarray(theta, dtype=float)
     return CoefficientTable(model=model, n=n, theta_hat=theta)
-
-
-def gl_contrast(table, pens):
-    """Reference contrast Xi_m = max_{m <= k <= M} (gap(m, k) - pen(k)), m = 1..M.
-
-    The O(M^2) form from the pairwise gaps: the k = m term is an exact
-    float zero, so Xi_M equals -pen(M) exactly.
-    """
-    pens = np.asarray(pens, dtype=float)
-    S = np.cumsum(table.theta_hat[1 : pens.size + 1] ** 2)
-    terms = (S[None, :] - S[:, None]) - pens[None, :]
-    keep = np.triu(np.ones((pens.size, pens.size), dtype=bool))
-    return np.max(np.where(keep, terms, -np.inf), axis=1)
-
-
-def suffix_form_argmin(table, pens):
-    """Smallest minimizer of Xi_m + pen(m) in its suffix-maximum form.
-
-    max_{k >= m}(S_k - pen_k) - (S_m - pen_m) is an exact float zero at
-    every suffix maximum of S_m - pen_m, so this argmin is exact in floats.
-    """
-    pens = np.asarray(pens, dtype=float)
-    shifted = np.cumsum(table.theta_hat[1 : pens.size + 1] ** 2) - pens
-    crit = np.maximum.accumulate(shifted[::-1])[::-1] - shifted
-    return int(np.argmin(crit)) + 1
 
 
 def oracle_profile(table, truth_fn, n_points=1025):
@@ -299,43 +275,6 @@ def test_cv_hand_example():
     assert cv_of([0.0, 0.25], 1)[0] == pytest.approx(0.5)
 
 
-def brute_force_cv(points, M, y=None):
-    n = len(points)
-    psi = TrigBasis().design_matrix(points, M)
-    if y is not None:
-        psi = psi * y
-    out = np.empty(M)
-    j_set = range(1, M + 1) if y is None else range(0, M + 1)
-    for m in range(1, M + 1):
-        total = 0.0
-        cross = 0.0
-        for j in j_set:
-            if j > m:
-                continue
-            theta = psi[j].sum() / n
-            total += theta * theta
-            for i in range(n):
-                for k in range(n):
-                    if k != i:
-                        cross += psi[j, k] * psi[j, i]
-        out[m - 1] = total - 2.0 * cross / (n * (n - 1))
-    return out
-
-
-def sample_cv(points, M, y=None):
-    """CV(m) computed from the sample in O(n) form, with its own design matrix."""
-    if y is None:
-        psi = TrigBasis().design_matrix(points, M)[1:]
-    else:
-        psi = TrigBasis().design_matrix(points, M) * y
-    n = len(points)
-    totals = np.sum(psi, axis=1)
-    diag = np.sum(psi * psi, axis=1)
-    theta = totals / n
-    terms = np.cumsum(theta**2 - 2.0 * (totals**2 - diag) / (n * (n - 1)))
-    return terms if y is None else terms[1:]
-
-
 def test_cv_fast_form_matches_triple_loop():
     rng = np.random.default_rng(23)
     for _ in range(25):
@@ -394,21 +333,6 @@ def test_select_oracle_noiseless():
     assert select_oracle(table2, truth2, n_points=257) == 2
 
 
-def test_select_oracle_equals_exhaustive_scan():
-    rng = np.random.default_rng(3)
-    truth = density_f1()
-    table = table_from(np.concatenate(([1.0], rng.standard_normal(10) * 0.2)))
-    crit = oracle_profile(table, truth.eval, n_points=513)
-    grid = unit_grid(513)
-    direct = []
-    for m in range(1, 11):
-        est = sum(table.theta_hat[j] * eval_one(j, grid) for j in range(m + 1))
-        diff = est - truth.eval(grid)
-        direct.append(float(np.sum(diff * diff * simpson_weights(513))))
-    assert select_oracle(table, truth.eval, n_points=513) == int(np.argmin(direct)) + 1
-    np.testing.assert_allclose(crit, direct, rtol=1e-12)
-
-
 def test_oracle_never_beaten_on_shared_table():
     rng = np.random.default_rng(11)
     truth = density_f1()
@@ -449,16 +373,6 @@ def test_lemma1_rejects_bad_penalties():
             lemma1_audit(table, [0.1, bad], theta_true)
         with pytest.raises(ValueError):
             lemma1_audit(table, [-bad, 0.2], theta_true)
-
-
-def per_m_rhs(theta_hat, theta_true, pens, m):
-    """The right-hand side for one comparison dimension m, written out directly."""
-    M = len(pens)
-    err = [float(np.sum((theta_hat[: k + 1] - theta_true[: k + 1]) ** 2))
-           for k in range(M + 1)]
-    bias_sq = float(np.sum(theta_true[m + 1 :] ** 2))
-    dev = max(err[k] - pens[k - 1] / 6.0 for k in range(m, M + 1))
-    return 85.0 * max(bias_sq, pens[m - 1]) + 42.0 * max(dev, 0.0)
 
 
 def test_lemma1_audit_vectorized_matches_per_m():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adaseries.quadrature import integrate_values, unit_grid
-from adaseries.targets import (_N_SEG, _NEWTON_STEPS, _QUANTILE_BLOCK, DensityTarget, MarginalLaw,
-                               density_f1, density_f2, regression_f1, regression_f2,
-                               true_coefficients, uniform_density)
-from test_basis import eval_one
+from adaseries.targets import (_N_SEG, _QUANTILE_BLOCK, DensityTarget, MarginalLaw, density_f1,
+                               density_f2, regression_f1, regression_f2, true_coefficients,
+                               uniform_density)
+from reference import bisection_quantile, eval_one, searchsorted_quantile, searchsorted_segment
 
 
 def gauss_pdf(x, mu, sd):
@@ -118,48 +118,6 @@ def test_quantile_cdf_roundtrip(law_f1, law_f2, law_uniform):
     for law in (law_f1, law_f2, law_uniform):
         np.testing.assert_allclose(law.quantile(law.cdf(interior)), interior, atol=1e-6)
     assert law_f1.quantile(law_f1.cdf(0.37)) == pytest.approx(0.37, abs=1e-6)
-
-
-def searchsorted_segment(law, t):
-    """Reference segment search: the last knot k <= N - 1 with cum[k] <= t."""
-    return np.clip(np.searchsorted(law._cum, t, side="right") - 1, 0, law._cum.size - 2)
-
-
-def bisection_quantile(law, u):
-    """Reference quantile: 40 bisection steps on the partial Simpson mass."""
-    t = np.atleast_1d(np.asarray(u, dtype=float)) * law._total
-    k = searchsorted_segment(law, t)
-    left, cum_k, f_k = k * law._h, law._cum[k], law._f_knots[k]
-    lo, hi = left, left + law._h
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        below = law._partial_mass(left, cum_k, f_k, mid, law.density.eval(mid)) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def searchsorted_quantile(law, u):
-    """Reference form of MarginalLaw.quantile: the segment from searchsorted,
-    every segment quantity re-indexed in each Newton step, fresh arrays."""
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    t = np.atleast_1d(u) * law._total
-    k = searchsorted_segment(law, t)
-    lo = k * law._h
-    hi = lo + law._h
-    seg = law._seg[k]
-    frac = np.divide(t - law._cum[k], seg, out=np.zeros_like(t), where=seg > 0.0)
-    q = np.clip(lo + law._h * frac, lo, hi)
-    for _ in range(_NEWTON_STEPS):
-        f_q = law.density.eval(q)
-        xk = k * law._h
-        d = q - xk
-        f_mid = law.density.eval(xk + 0.5 * d)
-        excess = law._cum[k] + (d / 6.0) * (law._f_knots[k] + 4.0 * f_mid + f_q) - t
-        step = np.divide(excess, f_q, out=np.zeros_like(q), where=f_q > 0.0)
-        q = np.clip(q - step, lo, hi)
-    return float(q[0]) if scalar else q
 
 
 @pytest.fixture(scope="module")
