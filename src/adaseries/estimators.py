@@ -18,12 +18,17 @@ recurrence, so no replication holds the (m_max + 1) x n psi matrix.  It
 reads plain arrays, a (K, n) stack of K samples as the samplers of
 dependence return it (the points, and the responses for regression),
 and one pass over the basis rows reduces it to one stacked table, one
-row per sample.  The psi^2 sums feed only the leave-one-out squares,
-that is, only cross-validation: with loo=False they are not made at
-all, and theta_hat is the same float.  The realized ISE(m) is the
-Simpson-grid quadrature written as a quadratic form in theta_hat
-(ise_gram and ise_cross once per grid and truth, ise_profile per table,
-stacked or not).
+row per sample.  Both models share that pass: a regression casts its
+responses once to y + 0j and sums the complex products w_k = p_k (y +
+0j) where a density sums p_k itself.  The weight has no imaginary part,
+so Re w_k and Im w_k are the real products y sqrt(2) cos and y sqrt(2)
+sin bit for bit (the extra term is an exact +-0, which can change only
+the sign of an exact-zero product).  The psi^2 sums feed only the
+leave-one-out squares, that is, only cross-validation: with loo=False
+they are not made at all, and theta_hat is the same float.  The
+realized ISE(m) is the Simpson-grid quadrature written as a quadratic
+form in theta_hat (ise_gram and ise_cross once per grid and truth,
+ise_profile per table, stacked or not).
 """
 
 from __future__ import annotations
@@ -78,20 +83,25 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
     is made, so the working set is O(K n), not the O(m_max K n) of the
     whole psi matrix.  A density sums the real and imaginary parts of p_k
     where they lie, and squares p_k viewed as interleaved floats into one
-    (K, 2n) buffer whose even and odd columns it sums; a regression writes
-    the parts times y into one (2, K, n) block, sums it, squares it in
-    place and sums it again.  Row 0 is exact: n and n for a density, the
-    sums of y and y^2 for a regression.  Each sum runs over one row of n
-    points (the last axis, contiguous or every other float), which
-    numpy's pairwise summation adds as it adds a contiguous 1-d array,
-    and the divisions after it are elementwise, so row k of the table is
-    the float that a one-sample pass, or the whole psi matrix, gives.  (A
-    stack of one-point samples is the exception: numpy multiplies a
-    one-element complex array in place by another rounding path, so
-    there the trig recurrence can differ in the last bit.)  loo=False
-    skips the squares and their sums, for callers that never read
-    theta_sq_loo (None then); theta_hat never reads them, so it is the
-    same float either way.
+    (K, 2n) buffer whose even and odd columns it sums.  A regression casts
+    y once to y + 0j and forms w_k = p_k (y + 0j) with one complex
+    multiply into a scratch (K, n) array.  The weight's imaginary part is
+    zero, so Re w_k = y sqrt(2) cos and Im w_k = y sqrt(2) sin to the bit:
+    the added term (p_k.imag * 0 or p_k.real * 0) is an exact +-0, which
+    can flip only the sign of an exact-zero product.  It then sums w_k as
+    a density sums p_k, and squares w_k in place (it is scratch) before
+    summing its even and odd floats.  Row 0 is exact: n and n for a
+    density, the sums of y and y^2 for a regression.  Each sum runs over
+    one row of n points (the last axis, contiguous or every other float),
+    which numpy's pairwise summation adds as it adds a contiguous 1-d
+    array, and the divisions after it are elementwise, so row k of the
+    table is the float that a one-sample pass, or the whole psi matrix,
+    gives.  (A stack of one-point samples is the exception: numpy
+    multiplies a one-element complex array in place by another rounding
+    path, so there the trig recurrence can differ in the last bit.)
+    loo=False skips the squares and their sums, for callers that never
+    read theta_sq_loo (None then); theta_hat never reads them, so it is
+    the same float either way.
     """
     points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2 or points.size == 0:
@@ -100,29 +110,29 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
         raise ValueError(f"m_max {m_max} must be >= 0")
     K, n = points.shape
     if y is not None:
-        y = np.ascontiguousarray(y, dtype=float)
+        y = np.asarray(y, dtype=complex)  # y + 0j, cast once per batch
         if y.shape != points.shape:
             raise ValueError(f"responses of shape {y.shape} for points of shape {points.shape}")
     totals = np.empty((m_max + 1, K))
     squares = np.empty((m_max + 1, K)) if loo else None
     add = np.add.reduce  # np.sum without its Python wrapper: the same reduction
-    totals[0] = n if y is None else add(y, axis=-1)  # the sum of n ones, or of y
+    totals[0] = n if y is None else add(y.real, axis=-1)  # the sum of n ones, or of y
     if loo:
-        squares[0] = n if y is None else add(y * y, axis=-1)
-    # a density squares p_k.view(float), cos^2 and sin^2 interleaved, and a
-    # regression writes rows 2k - 1 and 2k times y; the theta-only density pass
+        squares[0] = n if y is None else add(y.real * y.real, axis=-1)
+    # the squares, cos^2 and sin^2 interleaved, go into a (K, 2n) buffer for a
+    # density and over the scratch w for a regression; the theta-only density pass
     # needs no buffer
-    buf = np.empty((K, 2 * n) if y is None else (2, K, n)) if loo or y is not None else None
+    w = None if y is None else np.empty_like(y)
+    buf = (np.empty((K, 2 * n)) if y is None else w.view(float)) if loo else None
     for k, p in enumerate(TrigBasis().exponentials(points, (m_max + 1) // 2), start=1):
         rows = range(2 * k - 1, min(2 * k, m_max) + 1)  # the last frequency may be cut
-        parts = (p.real, p.imag) if y is None else (
-            np.multiply(p.real, y, out=buf[0]), np.multiply(p.imag, y, out=buf[1]))
-        for j, part in zip(rows, parts):
+        p = p if y is None else np.multiply(p, y, out=w)
+        for j, part in zip(rows, (p.real, p.imag)):
             add(part, axis=-1, out=totals[j])
         if loo:
-            flat = p.view(float) if y is None else buf  # the products are not read again
+            flat = p.view(float)
             np.multiply(flat, flat, out=buf)
-            for j, part in zip(rows, (buf[:, 0::2], buf[:, 1::2]) if y is None else buf):
+            for j, part in zip(rows, (buf[:, 0::2], buf[:, 1::2])):
                 add(part, axis=-1, out=squares[j])
     totals = totals.T.copy()  # row k for sample k
     theta = totals / n

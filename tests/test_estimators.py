@@ -43,8 +43,9 @@ def test_streamed_coefficients_match_materialized_psi(K, n):
     # m_max on a cut one (its cos row).  A (K, n) stack of samples gives
     # each row's table, except at n = 1: numpy multiplies a one-element
     # complex array in place by another rounding path than a longer one.
-    # The density psi^2 sums read every other float of the interleaved
-    # squares, the regression sums a (2, K, n) block of products.
+    # Both models sum the real and imaginary parts of a complex row, p_k for
+    # a density and the products p_k (y + 0j) for a regression, and their
+    # psi^2 sums read every other float of the interleaved squares.
     rng = np.random.default_rng(n)
     x, y, u = rng.uniform(size=(K, n)), rng.normal(size=(K, n)), rng.uniform(size=(K, n))
     for points, resp in ((x, None), (u, y)):
@@ -70,10 +71,10 @@ def test_streamed_coefficients_match_materialized_psi(K, n):
 def test_theta_only_pass_is_the_full_pass(model, K, n):
     """loo=False skips the psi^2 sums and leaves theta_hat the same floats.
 
-    A density table then sums the complex recurrence in place, the
-    regression one still its real blocks.  m_max = 0 is row 0 alone;
-    m_max = 1 and 3 end on a cut frequency block, 2 and 100 on a whole
-    one.
+    The table then sums the complex recurrence in place, for a
+    regression after one complex multiply by y + 0j.  m_max = 0 is row 0
+    alone; m_max = 1 and 3 end on a cut frequency block, 2 and 100 on a
+    whole one.
     """
     rng = np.random.default_rng(K * n)
     points = rng.uniform(size=(K, n))
@@ -130,6 +131,32 @@ def test_strided_part_sum_is_the_row_sum(K, n):
         np.sum(part, axis=-1, out=out)
         for k in range(K):
             assert out[k] == np.sum(part[k].copy())
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 129, 1000, 20000])
+@pytest.mark.parametrize("K", [1, 3, 16])
+def test_complex_weight_product_is_the_real_products(K, n):
+    """The numpy behaviour that the regression coefficient pass rests on.
+
+    Multiplying the complex p_k by the responses cast to complex, y + 0j,
+    gives real and imaginary parts equal to the real products p.real * y
+    and p.imag * y, as empirical_coefficients forms them: the cross term
+    is p.imag * 0 or p.real * 0, an exact +-0, so adding it rounds
+    nothing.  Only the sign of an exact-zero product may differ, and that
+    cannot move a result: -0.0 == +0.0, it squares to the same +0.0, a sum
+    with any nonzero term gives the same float (x + -0.0 == x + +0.0 ==
+    x), and a sum of zeros only, the one place the sign could survive,
+    still compares equal, so no comparison, argmin or selected m can tell
+    the two apart.  The responses include +0.0 and -0.0 and p holds
+    exact zeros in each part.
+    """
+    rng = np.random.default_rng(n * K + 2)
+    p = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+    y = rng.standard_normal((K, n))
+    y.flat[::3], y.flat[1::5] = 0.0, -0.0
+    p.real.flat[::4], p.imag.flat[2::7] = 0.0, -0.0
+    w = np.multiply(p, y.astype(complex))
+    assert np.array_equal(w.real, p.real * y) and np.array_equal(w.imag, p.imag * y)
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
