@@ -26,14 +26,16 @@ stacked table and scores each selected dimension by Simpson-grid ISE
 against the true function, one call of each per batch: every profile
 runs along the last axis, row by row as for one replication, so the
 batch changes no float.
-The sample-free parts of that ISE (the Gram matrix of the basis on the
-grid, its cross products with the truth and the truth's squared norm;
-estimators.ise_gram and ise_cross) make the ISE of every dimension of a
-replication one (M+1)^2 matrix-vector product, stacked over the batch.
-Each sample-free piece is built once per process, keyed by what it
-depends on, and ExperimentContext reads it from those caches: the grid, the basis rows
-on it and the folded Gram matrix by (grid_size, M); the target, its
-marginal law, its values on the grid, the cross products and the norm by
+The sample-free parts of that ISE (the truth's coefficients on the grid
+and its squared norm, estimators.ise_cross) make the ISE of every
+dimension of a replication one cumulative sum by Parseval, stacked over
+the batch: the basis is orthonormal on any grid of more than
+4 ceil(M/2) + 1 points, and run_experiment and calibrate_constant refuse
+smaller ones (bands read no ISE and take any grid).  No cache holds a
+Gram matrix.  Each sample-free piece is built once per process, keyed by
+what it depends on, and ExperimentContext reads it from those caches:
+the grid and the basis rows on it by (grid_size, M); the target, its
+marginal law, its values on the grid, the coefficients and the norm by
 (model, target, grid_size, M), the law by target alone
 (targets.marginal_law).
 No piece depends on the seed, case, n, replications or penalty
@@ -79,8 +81,7 @@ import numpy as np
 
 from .basis import TrigBasis
 from .dependence import gen_density_sample, gen_regression_sample, stream
-from .estimators import (CoefficientTable, empirical_coefficients, ise_cross, ise_gram,
-                         sigma_y_hat)
+from .estimators import CoefficientTable, empirical_coefficients, ise_cross, sigma_y_hat
 from .quadrature import simpson_weights, unit_grid
 from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
                         select_with_pens, theorem_constant)
@@ -190,11 +191,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _grid_pieces(grid_size: int, m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Simpson grid, the basis rows 0..m_max on it and their folded Gram matrix."""
+def _grid_pieces(grid_size: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Simpson grid and the basis rows 0..m_max on it."""
     grid = _frozen(unit_grid(grid_size))
-    basis_grid = _frozen(TrigBasis().design_matrix(grid, m_max))
-    return grid, basis_grid, _frozen(ise_gram(basis_grid, simpson_weights(grid_size)))
+    return grid, _frozen(TrigBasis().design_matrix(grid, m_max))
 
 
 @cache
@@ -205,7 +205,7 @@ def _target_pieces(model: str, target: str, grid_size: int, m_max: int) -> tuple
     """
     law = marginal_law(target) if model == "density" else None
     fn = law.density if law is not None else REGRESSION_TARGETS[target]()
-    grid, basis_grid, _ = _grid_pieces(grid_size, m_max)
+    grid, basis_grid = _grid_pieces(grid_size, m_max)
     truth_grid = _frozen(np.asarray(fn.eval(grid), dtype=float))
     cross, norm_sq = ise_cross(basis_grid, truth_grid, simpson_weights(grid_size))
     return fn, law, truth_grid, _frozen(cross), norm_sq
@@ -221,7 +221,7 @@ class ExperimentContext:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.grid, self.basis_grid, self.gram_lower = _grid_pieces(cfg.grid_size, cfg.m_grid)
+        self.grid, self.basis_grid = _grid_pieces(cfg.grid_size, cfg.m_grid)
         self.target, self.law, self.truth_grid, self.cross, self.norm_sq = _target_pieces(
             cfg.model, cfg.target, cfg.grid_size, cfg.m_grid)
 
@@ -260,7 +260,7 @@ class ExperimentContext:
 
     def ise_by_m(self, table: CoefficientTable) -> np.ndarray:
         """Realized ISE(m), m = 1..M, on the context's Simpson grid: one row per table row."""
-        return oracle_criteria(table, self.gram_lower, self.cross, self.norm_sq)
+        return oracle_criteria(table, self.cross, self.norm_sq)
 
 
 class RepRecord(NamedTuple):
@@ -440,9 +440,22 @@ def summarize(cfg: ExperimentConfig, results: RunResults) -> list[SummaryRow]:
         for sel, ises, ms in zip(cfg.selectors, results.ise, results.m_selected)]
 
 
+def _check_ise_grid(cfg: ExperimentConfig) -> None:
+    """Refuse a grid of at most 4 ceil(M/2) + 1 points, where the basis is not orthonormal.
+
+    The products phi_i phi_j, i, j <= M, reach frequency 2 ceil(M/2),
+    which such a grid aliases, so its realized ISE would not be Parseval's
+    sum (estimators.ise_profile).
+    """
+    floor = 4 * math.ceil(cfg.m_grid / 2) + 1
+    if cfg.grid_size <= floor:
+        raise ConfigError(f"grid_size must exceed 4 ceil(M/2) + 1 = {floor} (M = {cfg.m_grid})")
+
+
 def run_experiment(cfg: ExperimentConfig,
                    progress: bool = False) -> tuple[list[SummaryRow], RunResults]:
     """Run cfg.reps replications: the summary rows and the columns they summarize."""
+    _check_ise_grid(cfg)
     if "ms" in cfg.selectors and cfg.ms_constant <= 0.0:
         raise ConfigError("selector ms needs a positive constant: set c_ms")
     ms, profiles, sigmas = zip(*_run_reps(ExperimentContext(cfg), run_replication, cfg.reps,
@@ -530,6 +543,7 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
     curve that is not quasi-convex gives one warning, which names the
     config and is kept in the result's warnings.
     """
+    _check_ise_grid(cfg)
     c_grid = _calibration_grid(c_grid, calib_reps)
     ctx = ExperimentContext(replace(cfg, selectors=("gl", "ms")))
     rows = np.concatenate(_run_reps(ctx, partial(_calibration_rows, c_grid), calib_reps, CALIB_NS))

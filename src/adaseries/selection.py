@@ -150,10 +150,9 @@ def select_cv(table: CoefficientTable) -> int | np.ndarray:
     return _first_argmin(cv_profile(table))
 
 
-def oracle_criteria(table: CoefficientTable, gram_lower: np.ndarray, cross: np.ndarray,
-                    norm_sq: float) -> np.ndarray:
-    """Realized ISE(m), m = 1..M, from the pieces of one Simpson grid (ise_gram, ise_cross)."""
-    return ise_profile(table, gram_lower, cross, norm_sq)
+def oracle_criteria(table: CoefficientTable, cross: np.ndarray, norm_sq: float) -> np.ndarray:
+    """Realized ISE(m), m = 1..M, from the truth part of one Simpson grid (ise_cross)."""
+    return ise_profile(table, cross, norm_sq)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ def grid_ise_profile(theta_hat, truth_values):
 
     Each estimate's residual against truth_values, the truth on the
     uniform grid of truth_values.size points, is squared and summed with
-    Simpson weights.  Checks the Gram form estimators.ise_profile (and
+    Simpson weights.  Checks the Parseval form estimators.ise_profile (and
     so ExperimentContext.ise_by_m and selection.oracle_criteria): 1e-10
     relative on simulated tables at M = 100, 1e-12 on small tables.
     With another estimate as the truth it is the squared L2 distance of

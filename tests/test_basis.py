@@ -61,6 +61,16 @@ def test_orthonormality_by_quadrature():
     design = basis.design_matrix(grid, j_max)
     gram = (design * simpson_weights(grid.size)) @ design.T
     np.testing.assert_allclose(gram, np.eye(j_max + 1), atol=1e-8)
+    # phi_i phi_j, i, j <= M, reach frequency 2 ceil(M/2): a Simpson grid of more
+    # than 4 ceil(M/2) + 1 points integrates them exactly (the harness's ISE
+    # precondition), and the grid of exactly that many aliases them
+    for m_max in (1, 2, 9, 10, 100, 101, 400):
+        errors = []
+        for size in (4 * math.ceil(m_max / 2) + 3, 4 * math.ceil(m_max / 2) + 1):
+            design = basis.design_matrix(unit_grid(size), m_max)
+            gram = (design * simpson_weights(size)) @ design.T
+            errors.append(np.max(np.abs(gram - np.eye(m_max + 1))))
+        assert errors[0] <= 1e-13 and errors[1] >= 0.3, (m_max, errors)
 
 
 def test_sup_norm_bound_and_even_equality():

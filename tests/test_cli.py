@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,15 +59,17 @@ def test_missing_target_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--case", "9"), ("--grid-size", "1024"),
+                                         ("--grid-size", "201"),
                                          ("--seed", "-1"), ("--workers", "0"),
                                          ("--c-pen", "-1"), ("--c-pen-ms", "0"),
                                          ("--c-pen", "0"), ("--selectors", "gl,gl"),
                                          ("--selectors", ",")],
-                         ids=["case", "grid-size", "seed", "workers", "c-pen",
-                              "c-pen-ms", "c-pen-zero-ms", "selectors-repeated",
+                         ids=["case", "grid-size", "grid-size-aliased", "seed", "workers",
+                              "c-pen", "c-pen-ms", "c-pen-zero-ms", "selectors-repeated",
                               "selectors-empty"])
 def test_bad_flag_value_usage_error(tmp_path, flag, value):
-    # --c-pen 0 alone is a valid GL constant, but ms inherits it and needs c > 0
+    # --c-pen 0 alone is a valid GL constant, but ms inherits it and needs c > 0;
+    # 201 = 4 ceil(M/2) + 1 points at M = 100 alias the basis, so no ISE is computed on them
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--model", "density", "--target", "f1", "--case", "1",
@@ -321,7 +324,8 @@ def test_console_entry_point(tmp_path):
     result = subprocess.run([sys.executable, "-m", "adaseries", "simulate",
                              "--model", "density", "--target", "f2", "--case", "1",
                              "--n", "120", "--reps", "1", "--out", str(tmp_path)],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "summary.csv").exists()
 
@@ -333,7 +337,8 @@ def test_console_entry_point_on_two_workers(tmp_path):
                                  "--model", "density", "--target", "f1", "--case", "2",
                                  "--n", "200", "--reps", "20", "--workers", str(workers),
                                  "--out", str(tmp_path / str(workers))],
-                                capture_output=True, text=True, timeout=120)
+                                capture_output=True, text=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
     for name in ("raw.csv", "summary.csv"):

@@ -7,8 +7,8 @@ import pytest
 
 from adaseries.basis import SUP_NORM_SQ, TrigBasis
 from adaseries.dependence import gen_density_sample, gen_regression_sample, stream
-from adaseries.estimators import (CoefficientTable, empirical_coefficients,
-                                  ise_cross, ise_gram, ise_profile, sigma_y_hat)
+from adaseries.estimators import (CoefficientTable, empirical_coefficients, ise_cross,
+                                  ise_profile, sigma_y_hat)
 from adaseries.harness import ExperimentConfig, ExperimentContext
 from adaseries.quadrature import integrate_values, simpson_weights, unit_grid
 from adaseries.targets import MarginalLaw, density_f1, regression_f1, true_coefficients
@@ -166,12 +166,13 @@ def test_complex_weight_product_is_the_real_products(K, n):
 def test_stacked_matvec_and_cumsum_are_the_row_ones(size, K):
     """The numpy behaviour that the batched ISE profile and selectors rest on.
 
-    np.matmul of a (size, size) matrix with a (K, size, 1) stack gives
-    every row the floats of the per-row matrix-vector product, and so
-    does the same matmul on one 1-d row (ise_profile of a one-sample
-    table); cumsum along the last axis of a (K, size) array gives the
-    per-row 1-d cumsum.  (The GEMM theta @ L.T and einsum do not: they
-    round differently.)  size is M + 1 of a table.
+    cumsum along the last axis of a (K, size) array gives the per-row
+    1-d cumsum.  np.matmul of a (size, size) matrix with a (K, size, 1)
+    stack gives every row the floats of the per-row matrix-vector
+    product, and so does the same matmul on one 1-d row; no code of the
+    package multiplies a matrix by a stack since the ISE is Parseval's
+    sum, so that half pins nothing it uses.  (The GEMM theta @ L.T and
+    einsum do not: they round differently.)  size is M + 1 of a table.
     """
     rng = np.random.default_rng(size * K)
     lower = np.tril(rng.standard_normal((size, size)))
@@ -289,11 +290,10 @@ def density_f1_profile(table, grid_size):
     grid, weights = unit_grid(grid_size), simpson_weights(grid_size)
     design = TrigBasis().design_matrix(grid, table.m_max)
     truth = density_f1().eval(grid)
-    yield table.theta_hat, ise_profile(table, ise_gram(design, weights),
-                                       *ise_cross(design, truth, weights)), truth
+    yield table.theta_hat, ise_profile(table, *ise_cross(design, truth, weights)), truth
 
 
-#: name -> (the (theta_hat, Gram-form profile, truth on the grid) inputs, relative tolerance)
+#: name -> (the (theta_hat, Parseval-form profile, truth on the grid) inputs, relative tolerance)
 ISE_INPUTS = {
     **{f"{model}-{target}": (partial(simulated_profiles, model, target), 1e-10)
        for model in ("density", "regression") for target in ("f1", "f2")},
@@ -306,8 +306,8 @@ ISE_INPUTS = {
 
 
 @pytest.mark.parametrize("name", ISE_INPUTS)
-def test_gram_ise_matches_grid_form(name):
-    """The Gram-form ISE profile against per-m grid quadrature, and the same oracle m."""
+def test_parseval_ise_matches_grid_form(name):
+    """The Parseval-form ISE profile against per-m grid quadrature, and the same oracle m."""
     profiles, rtol = ISE_INPUTS[name]
     for theta_hat, fast, truth_grid in profiles():
         ref = grid_ise_profile(theta_hat, truth_grid)
@@ -319,8 +319,7 @@ def test_ise_profile_prefix_of_smaller_table():
     """A table cut at M gives the first M entries of the full profile."""
     design = TrigBasis().design_matrix(unit_grid(513), 20)
     weights = simpson_weights(513)
-    pieces = (ise_gram(design, weights),
-              *ise_cross(design, density_f1().eval(unit_grid(513)), weights))
+    pieces = ise_cross(design, density_f1().eval(unit_grid(513)), weights)
     (table,) = empirical_coefficients(np.random.default_rng(2).uniform(size=(1, 90)), 20)
     cut = CoefficientTable(model="density", n=90, theta_hat=table.theta_hat[:8])
     np.testing.assert_array_equal(ise_profile(cut, *pieces), ise_profile(table, *pieces)[:7])

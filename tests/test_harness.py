@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from adaseries.estimators import empirical_coefficients, sigma_y_hat
-from adaseries.harness import (BATCH_POINTS, CALIB_NS, MIN_BAND_REPS, BandTable, ExperimentConfig,
-                               ExperimentContext, batches, calibrate_constant, calibrated_config,
-                               compute_bands, default_c_grid, run_experiment, run_replication,
-                               write_bands_csv, write_calibration_csv, write_raw_csv,
-                               write_summary_csv)
+from adaseries.harness import (BATCH_POINTS, CALIB_NS, MIN_BAND_REPS, BandTable, ConfigError,
+                               ExperimentConfig, ExperimentContext, batches, calibrate_constant,
+                               calibrated_config, compute_bands, default_c_grid, run_experiment,
+                               run_replication, write_bands_csv, write_calibration_csv,
+                               write_raw_csv, write_summary_csv)
 from adaseries.selection import penalty_vector, select_ms, select_with_pens
 from reference import one_replication, reference_records, reference_summary
 
@@ -428,8 +428,7 @@ def test_configs_in_one_process_equal_fresh_processes(tmp_path):
 def test_calibration_and_its_run_build_each_piece_once(monkeypatch):
     """A calibration and the run of its calibrated config share every sample-free piece.
 
-    A second target on the same grid and M reuses the Gram matrix; the
-    law is built once per target.
+    The law is built once per target.
     """
     from adaseries import harness as hl
     from adaseries.targets import MarginalLaw
@@ -442,13 +441,12 @@ def test_calibration_and_its_run_build_each_piece_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(hl, "ise_gram", counted("ise_gram", hl.ise_gram))
     monkeypatch.setattr(hl, "ise_cross", counted("ise_cross", hl.ise_cross))
     monkeypatch.setattr(MarginalLaw, "__init__", counted("law", MarginalLaw.__init__))
     for builder in (hl._grid_pieces, hl._target_pieces, hl.marginal_law):
         builder.cache_clear()
-    for model, target, pieces in (("density", "f1", dict(ise_gram=1, ise_cross=1, law=1)),
-                                  ("regression", "f1", dict(ise_gram=1, ise_cross=2, law=1))):
+    for model, target, pieces in (("density", "f1", dict(ise_cross=1, law=1)),
+                                  ("regression", "f1", dict(ise_cross=2, law=1))):
         cfg = small_cfg(model=model, target=target, reps=3)
         calib = calibrate_constant(cfg, c_grid=(1.0, 4.0), calib_reps=3)
         run_experiment(calibrated_config(cfg, calib))
@@ -462,7 +460,7 @@ def test_outputs_do_not_alias_the_cached_pieces():
     """
     cfg = small_cfg(reps=21, c_gl=2.0)
     ctx = ExperimentContext(cfg)
-    for name in ("grid", "truth_grid", "basis_grid", "gram_lower", "cross"):
+    for name in ("grid", "truth_grid", "basis_grid", "cross"):
         with pytest.raises(ValueError):
             getattr(ctx, name)[0] = 0.0
     for run, names in ((lambda: compute_bands(cfg), ("x", "truth", "median", "p05", "p95")),
@@ -636,6 +634,11 @@ def test_calibrate_grid_validation():
     for grid, reps in (([0.0, 1.0], 2), ([1.0, float("nan")], 2), ([1.0, 2.0], 0)):
         with pytest.raises(ValueError):
             calibrate_constant(small_cfg(), c_grid=grid, calib_reps=reps)
+    # a grid of 4 ceil(M/2) + 1 points aliases the basis: no ISE on it, but bands
+    aliased = small_cfg(reps=20, m_max=9, grid_size=21)
+    with pytest.raises(ConfigError):
+        calibrate_constant(aliased, calib_reps=2)
+    assert compute_bands(aliased).x.size == 21
 
 
 @pytest.mark.parametrize("model,target", [("density", "f1"), ("regression", "f2")])
