@@ -1,14 +1,18 @@
 """Theory-check suite: numerical verification of the framework's guarantees.
 
 Each check returns a CheckResult; the CLI `check` subcommand prints one
-pass/fail line per check and exits nonzero on any failure.  Thresholds
-follow the acceptance gates (KS < 0.006 at 1e5 draws, closed-form Case-3
-marginal within 0.005 of 1e6 simulated draws, recursion residual below
-2^-37, variance bound with 10% headroom, rate-slope within 0.02).  Only
-settings that callers vary are parameters; fixed tolerances and grid
-sizes are module constants, named in each check's docstring.  Each
-CheckResult carries its detail line, rounded for reading, and its values:
-the raw statistics at full precision.
+pass/fail line per check and exits nonzero on any failure.  run_all_checks
+runs every check at fixed sizes and with the thresholds of the acceptance
+gates (KS < 0.006 at 1e5 draws, closed-form Case-3 marginal within 0.005
+of 1e6 simulated draws, recursion residual below 2^-37, variance bound
+with 10% headroom, rate-slope within 0.02); only the seed and a custom
+penalty sequence are settable.  The acceptance gate runs the
+oracle-inequality audits larger (1000 replications, 1e4 random tables),
+and the basis tests run orthonormality and the sup norm to 400, through
+those checks' size parameters; the fixed tolerances and draw counts are
+module constants, named in each check's docstring.  Each CheckResult
+carries its detail line, rounded for reading, and its values: the raw
+statistics at full precision.
 
 The checks draw with the samplers the experiments run (uniform_series,
 bernoulli_ar_path, gen_density_sample) and reduce with
@@ -155,21 +159,17 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
                        values)
 
 
-def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
-                       threshold: float | None = None) -> CheckResult:
-    """KS distance of each (case, marginal) pair below the 1% critical value.
+def check_generator_ks(seed: int = 0) -> CheckResult:
+    """KS distance of each (case, marginal) pair below KS_THRESHOLD = 0.006.
 
-    The stated gate is 0.006 at 1e5 draws; for other draw counts the
-    default threshold scales like the critical value, 1/sqrt(draws).
-    Each case's uniform series is drawn once and transformed by each law.
+    Each case's uniform series of KS_DRAWS = 1e5 draws is drawn once and
+    transformed by each law.
     """
-    if threshold is None:
-        threshold = KS_THRESHOLD * (KS_DRAWS / draws) ** 0.5
     ok = True
     worst = 0.0
     worst_pair = ""
     values = {}
-    series = {case: uniform_series(case, draws, [stream(seed, case, namespace=KS_NS)])[0]
+    series = {case: uniform_series(case, KS_DRAWS, [stream(seed, case, namespace=KS_NS)])[0]
               for case in (1, 2, 3)}
     for name, law in {"f1": marginal_law("f1"), "f2": marginal_law("f2"), "uniform": None}.items():
         for case, v in series.items():
@@ -178,7 +178,7 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
             else:
                 z = law.quantile(v)
                 stat = ks_statistic(z, cdf=law.cdf)
-            ok &= stat < threshold
+            ok &= stat < KS_THRESHOLD
             values[f"ks_case{case}_{name}"] = stat
             # f1, f2 and uniform see the same uniforms, so their statistics
             # tie up to rounding; only a clear excess moves the label
@@ -186,22 +186,20 @@ def check_generator_ks(seed: int = 0, draws: int = KS_DRAWS,
                 worst_pair = f"case {case}/{name}"
             worst = max(worst, stat)
     return CheckResult("generator_ks", ok,
-                       f"worst KS = {worst:.5f} ({worst_pair}), threshold {threshold:.4g}",
+                       f"worst KS = {worst:.5f} ({worst_pair}), threshold {KS_THRESHOLD:.4g}",
                        values)
 
 
-def check_case3_marginal(seed: int = 0, draws: int = CASE3_MARGINAL_DRAWS,
-                         threshold: float | None = None) -> CheckResult:
+def check_case3_marginal(seed: int = 0) -> CheckResult:
     """Closed-form Case-3 marginal CDF against the empirical CDF of Y.
 
-    Gate 0.005 at 1e6 draws; default threshold scales like 1/sqrt(draws).
+    sup |G - ecdf| below CASE3_MARGINAL_THRESHOLD = 0.005 at
+    CASE3_MARGINAL_DRAWS = 1e6 draws.
     """
-    if threshold is None:
-        threshold = CASE3_MARGINAL_THRESHOLD * (CASE3_MARGINAL_DRAWS / draws) ** 0.5
-    y = bernoulli_ar_path(draws, stream(seed, 3, namespace=CASE3_MARGINAL_NS))
+    y = bernoulli_ar_path(CASE3_MARGINAL_DRAWS, stream(seed, 3, namespace=CASE3_MARGINAL_NS))
     stat = ks_statistic(y, cdf=marginal_G_case3)
-    return CheckResult("case3_marginal_closed_form", stat < threshold,
-                       f"sup |G - ecdf| = {stat:.5f}, threshold {threshold:.4g}",
+    return CheckResult("case3_marginal_closed_form", stat < CASE3_MARGINAL_THRESHOLD,
+                       f"sup |G - ecdf| = {stat:.5f}, threshold {CASE3_MARGINAL_THRESHOLD:.4g}",
                        {"sup_gap": stat})
 
 
@@ -299,37 +297,24 @@ def check_custom_pens(pens) -> CheckResult:
                        {"lhs": audit.lhs, "min_rhs": min_rhs})
 
 
-#: Smallest accepted value of each run_all_checks setting; the variance
-#: check takes a ddof=1 variance over replications, so it needs two.
-SETTING_MINIMA = {"seed": 0, "ks_draws": 1, "case3_draws": 1, "lemma_reps": 1,
-                  "fuzz_cases": 1, "variance_reps": 2}
+def run_all_checks(seed: int = 0, pens=None) -> list[CheckResult]:
+    """Every check at its fixed sizes, and the custom-penalty audit if pens is given.
 
-
-def _validate_settings(**settings) -> None:
-    """Raise ConfigError for a run_all_checks setting below its minimum."""
-    for key, value in settings.items():
-        if value < SETTING_MINIMA[key]:
-            raise ConfigError(f"{key} must be >= {SETTING_MINIMA[key]}, got {value}")
-
-
-def run_all_checks(seed: int = 0, ks_draws: int = KS_DRAWS,
-                   case3_draws: int = CASE3_MARGINAL_DRAWS,
-                   lemma_reps: int = 200, fuzz_cases: int = 2000,
-                   variance_reps: int = 2000, pens=None) -> list[CheckResult]:
-    _validate_settings(seed=seed, ks_draws=ks_draws, case3_draws=case3_draws,
-                       lemma_reps=lemma_reps, fuzz_cases=fuzz_cases,
-                       variance_reps=variance_reps)
+    A negative seed raises ConfigError.
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     results = [
         check_orthonormality(),
         check_sup_norm(),
         check_rate_slopes(),
-        check_variance_bound(seed=seed, reps=variance_reps),
-        check_generator_ks(seed=seed, draws=ks_draws),
-        check_case3_marginal(seed=seed, draws=case3_draws),
+        check_variance_bound(seed=seed),
+        check_generator_ks(seed=seed),
+        check_case3_marginal(seed=seed),
         check_case3_residual(seed=seed),
         check_dependence_scores(seed=seed),
-        check_lemma1_simulation(seed=seed, reps=lemma_reps),
-        check_lemma1_fuzz(seed=seed, cases=fuzz_cases),
+        check_lemma1_simulation(seed=seed),
+        check_lemma1_fuzz(seed=seed),
     ]
     if pens is not None:
         results.append(check_custom_pens(pens))

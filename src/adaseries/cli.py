@@ -68,9 +68,6 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
                    help="output directory (default ./out; check writes a report only if given)")
     option("experiment", "--seed", type=int)
     if command == "check":
-        for flag in ("--ks-draws", "--case3-draws", "--lemma-reps", "--fuzz-cases",
-                     "--variance-reps"):
-            option("check", flag, type=int)
         option("check", "--pens", type=_float_list,
                help="comma list: audit a custom penalty sequence")
         return
@@ -186,8 +183,8 @@ def _cmd_calibrate(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Pat
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, dests: set) -> int:
-    results = checks_mod.run_all_checks(**{dest: getattr(args, dest) for dest in dests
+def _cmd_check(args: argparse.Namespace) -> int:
+    results = checks_mod.run_all_checks(**{dest: getattr(args, dest) for dest in ("seed", "pens")
                                            if getattr(args, dest) is not None})
     width = max(len(r.name) for r in results)
     for r in results:
@@ -208,7 +205,7 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(**_read_config(args.config, keys))
             args = parser.parse_args(argv)
         if args.command == "check":  # check takes seed from [experiment]
-            return _cmd_check(args, keys["check"] | {"seed"})
+            return _cmd_check(args)
         cfg = _experiment_config(args)
         out_dir = Path(args.out)  # made once the command's results are in
         if args.command == "simulate":

@@ -32,9 +32,9 @@ integrate e^{2 pi i k x} exactly for 0 < |k| < N/2, and phi_i phi_j with
 i, j <= M reach frequency 2 ceil(M/2), so the grid Gram matrix is the
 identity to rounding whenever the grid has more than 4 ceil(M/2) + 1
 points.  The ISE is then Parseval's sum on the grid's own truth
-coefficients c_j and norm ||f||_W^2 (ise_cross once per grid and truth,
-ise_profile per table, stacked or not).  The harness refuses the smaller
-grids, which alias the estimator's own frequencies.
+coefficients c_j and norm ||f||_W^2 (quadrature.simpson_projection once
+per grid and truth, ise_profile per table, stacked or not).  The harness
+refuses the smaller grids, which alias the estimator's own frequencies.
 """
 
 from __future__ import annotations
@@ -149,25 +149,15 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
                             theta_hat=theta, theta_sq_loo=sq_loo)
 
 
-def ise_cross(basis_grid: np.ndarray, truth_grid: np.ndarray,
-              weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """The truth part of the Simpson-grid ISE: c = B W f and ||f||_W^2 = f^T W f.
-
-    B is the basis rows j = 0..m_max on the grid, W the quadrature
-    weights and f the truth on the grid.
-    """
-    truth = np.asarray(truth_grid, dtype=float)
-    weighted = basis_grid * weights
-    return weighted @ truth, float(np.sum(truth * truth * weights))
-
-
 def ise_profile(table: CoefficientTable, cross: np.ndarray, norm_sq: float) -> np.ndarray:
     """ISE(m) for every m = 1..m_max at once.
 
-    cross and norm_sq come from ise_cross; entry m-1 is the Simpson-grid
-    ISE of the dimension-m estimator, the quadrature of (sum_{j<=m}
-    theta_j phi_j - f)^2 done by Parseval on a grid where the basis is
-    orthonormal (more than 4 ceil(M/2) + 1 points, module docstring):
+    cross and norm_sq are the truth's coefficients c_j on the grid and
+    its squared norm (quadrature.simpson_projection); entry m-1 is the
+    Simpson-grid ISE of the dimension-m estimator, the quadrature of
+    (sum_{j<=m} theta_j phi_j - f)^2 done by Parseval on a grid where the
+    basis is orthonormal (more than 4 ceil(M/2) + 1 points, module
+    docstring):
 
         ISE(m) = ||f||_W^2 + sum_{j<=m} theta_j (theta_j - 2 c_j),
 

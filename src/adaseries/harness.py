@@ -27,13 +27,13 @@ against the true function, one call of each per batch: every profile
 runs along the last axis, row by row as for one replication, so the
 batch changes no float.
 The sample-free parts of that ISE (the truth's coefficients on the grid
-and its squared norm, estimators.ise_cross) make the ISE of every
-dimension of a replication one cumulative sum by Parseval, stacked over
-the batch: the basis is orthonormal on any grid of more than
+and its squared norm, quadrature.simpson_projection) make the ISE of
+every dimension of a replication one cumulative sum by Parseval, stacked
+over the batch: the basis is orthonormal on any grid of more than
 4 ceil(M/2) + 1 points, and run_experiment and calibrate_constant refuse
-smaller ones (bands read no ISE and take any grid).  No cache holds a
-Gram matrix.  Each sample-free piece is built once per process, keyed by
-what it depends on, and ExperimentContext reads it from those caches:
+smaller ones (bands read no ISE and take any grid).  Each sample-free
+piece is built once per process, keyed by what it depends on, and
+ExperimentContext reads it from those caches:
 the grid and the basis rows on it by (grid_size, M); the target, its
 marginal law, its values on the grid, the coefficients and the norm by
 (model, target, grid_size, M), the law by target alone
@@ -81,8 +81,8 @@ import numpy as np
 
 from .basis import TrigBasis
 from .dependence import gen_density_sample, gen_regression_sample, stream
-from .estimators import CoefficientTable, empirical_coefficients, ise_cross, sigma_y_hat
-from .quadrature import simpson_weights, unit_grid
+from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
+from .quadrature import simpson_projection, unit_grid
 from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
                         select_with_pens, theorem_constant)
 from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, marginal_law
@@ -201,13 +201,13 @@ def _grid_pieces(grid_size: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _target_pieces(model: str, target: str, grid_size: int, m_max: int) -> tuple:
     """The target, its law (None for regression), its values on the grid, cross, norm_sq.
 
-    cross and norm_sq are the truth part of the ISE (estimators.ise_cross).
+    cross and norm_sq are the truth part of the ISE (quadrature.simpson_projection).
     """
     law = marginal_law(target) if model == "density" else None
     fn = law.density if law is not None else REGRESSION_TARGETS[target]()
     grid, basis_grid = _grid_pieces(grid_size, m_max)
     truth_grid = _frozen(np.asarray(fn.eval(grid), dtype=float))
-    cross, norm_sq = ise_cross(basis_grid, truth_grid, simpson_weights(grid_size))
+    cross, norm_sq = simpson_projection(basis_grid, truth_grid)
     return fn, law, truth_grid, _frozen(cross), norm_sq
 
 

@@ -37,8 +37,8 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import TrigBasis
-from .quadrature import DEFAULT_GRID, simpson_weights, unit_grid
-from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, marginal_law, true_coefficients
+from .quadrature import DEFAULT_GRID, simpson_projection, simpson_weights, unit_grid
+from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, marginal_law
 
 #: Lags summed in case 2; on the built-in targets E ISE(m) stops changing (to 1e-9) after 20.
 CASE2_LAGS = 40
@@ -99,10 +99,11 @@ def risk_decomposition(model: str, target: str, case: int, n: int,
     grid = unit_grid(DEFAULT_GRID)
     basis = TrigBasis()
     f_vals = np.asarray(fn.eval(grid), dtype=float)
+    design = basis.design_matrix(grid, m_max)
     if model == "density":
         psi = basis.design_matrix(marginal_law(target).quantile(grid), m_max)
     else:
-        psi = basis.design_matrix(grid, m_max) * f_vals
+        psi = design * f_vals
     # psi_0 is constant for densities, so the known coefficient 0 gets no variance
     lags = min(CASE2_LAGS, n - 1) if case == 2 else 0
     gamma = tent_autocovariances(psi, lags)
@@ -111,6 +112,6 @@ def risk_decomposition(model: str, target: str, case: int, n: int,
     if model == "regression":
         var += fn.noise_sigma**2 / n
 
-    theta = true_coefficients(fn.eval, m_max, DEFAULT_GRID)
-    bias_sq = float(f_vals**2 @ simpson_weights(DEFAULT_GRID)) - np.cumsum(theta**2)
+    theta, norm_sq = simpson_projection(design, f_vals)
+    bias_sq = norm_sq - np.cumsum(theta**2)
     return np.cumsum(var)[1:], bias_sq[1:]

@@ -151,7 +151,15 @@ def select_cv(table: CoefficientTable) -> int | np.ndarray:
 
 
 def oracle_criteria(table: CoefficientTable, cross: np.ndarray, norm_sq: float) -> np.ndarray:
-    """Realized ISE(m), m = 1..M, from the truth part of one Simpson grid (ise_cross)."""
+    """Realized ISE(m), m = 1..M, from the truth part of one Simpson grid.
+
+    cross and norm_sq come from quadrature.simpson_projection.  This is
+    ise_profile under a second name, and it exists for that name:
+    bench/tracing.py wraps harness.oracle_criteria (the harness's call)
+    and selection.ise_profile (the call inside) as two separate layers,
+    and tests/test_bench_layers.py requires both names.  Spans emitted by
+    the runner itself would make it unnecessary.
+    """
     return ise_profile(table, cross, norm_sq)
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import TrigBasis
-from .quadrature import DEFAULT_GRID, integrate_values, simpson_weights, unit_grid
+from .quadrature import DEFAULT_GRID, integrate_values, simpson_projection, unit_grid
 
 NOISE_SIGMA = 0.5  # regression noise level used throughout the study
 
@@ -269,6 +269,4 @@ def true_coefficients(fn: Callable[[np.ndarray], np.ndarray], m_max: int,
                       n_points: int = DEFAULT_GRID) -> np.ndarray:
     """Quadrature coefficients <fn, phi_j> for j = 0..m_max."""
     grid = unit_grid(n_points)
-    weighted = np.asarray(fn(grid), dtype=float) * simpson_weights(n_points)
-    design = TrigBasis().design_matrix(grid, m_max)
-    return np.sum(design * weighted, axis=1)
+    return simpson_projection(TrigBasis().design_matrix(grid, m_max), fn(grid))[0]

@@ -89,11 +89,12 @@ COMMON = ["--model", "density", "--target", "f1", "--case", "1", "--n", "100"]
     ["bands", *COMMON, "--reps", "5"],
     ["check", "--pens", "a,b"],
     ["check", "--pens", ""],
-    ["check", "--lemma-reps", "0"],
-    ["check", "--ks-draws", "0"],
-    ["check", "--case3-draws", "-5"],
-    ["check", "--fuzz-cases", "0"],
-    ["check", "--variance-reps", "1"],
+    # check runs at fixed sizes: its former size flags are unknown at any value
+    ["check", "--lemma-reps", "200"],
+    ["check", "--ks-draws", "100000"],
+    ["check", "--case3-draws", "1000000"],
+    ["check", "--fuzz-cases", "2000"],
+    ["check", "--variance-reps", "2000"],
     ["check", "--seed", "-1"],
 ], ids=["c-grid-zero", "c-grid-decreasing", "c-grid-text", "calib-reps", "bands-reps",
         "pens-text", "pens-empty", "lemma-reps", "ks-draws", "case3-draws", "fuzz-cases",
@@ -173,7 +174,8 @@ def test_unknown_config_section_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "[experiment]\nmodel = density\ntarget = f1\ncase = 1\nn = abc\n",
     "[experiment]\nmodel = density\ntarget = f1\ncase = 1\n[penalty]\nn = 5\n",
-], ids=["type-error", "misplaced-key"])
+    "[experiment]\nmodel = density\ntarget = f1\ncase = 1\n[check]\nlemma_reps = 200\n",
+], ids=["type-error", "misplaced-key", "check-size-key"])
 def test_bad_config_value_usage_error(tmp_path, text):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
@@ -199,11 +201,6 @@ OPTIONS = {
     "c_ms": ("penalty", "--c-pen-ms", "2.5"),
     "c_grid": ("calibration", "--c-grid", "1,2,4"),
     "calib_reps": ("calibration", "--calib-reps", "3"),
-    "ks_draws": ("check", "--ks-draws", "11"),
-    "case3_draws": ("check", "--case3-draws", "12"),
-    "lemma_reps": ("check", "--lemma-reps", "13"),
-    "fuzz_cases": ("check", "--fuzz-cases", "14"),
-    "variance_reps": ("check", "--variance-reps", "15"),
     "pens": ("check", "--pens", "0.1,0.2"),
 }
 
@@ -246,9 +243,7 @@ def test_every_check_setting_set_by_flag_or_ini(tmp_path, monkeypatch):
                         or [checks.CheckResult("stub", True, "")])
     assert main(["check", *_flags(dests)]) == 0
     assert main(["check", "--config", _shared_ini(tmp_path)]) == 0
-    assert calls[0] == calls[1] == {
-        "seed": 5, "ks_draws": 11, "case3_draws": 12, "lemma_reps": 13, "fuzz_cases": 14,
-        "variance_reps": 15, "pens": [0.1, 0.2]}
+    assert calls[0] == calls[1] == {"seed": 5, "pens": [0.1, 0.2]}
 
 
 @pytest.mark.parametrize("command", ["simulate", "bands", "calibrate", "check"])
@@ -291,15 +286,14 @@ def test_calibrate_writes_choice(tmp_path):
 def test_check_fast_config_passes(tmp_path):
     cfg = tmp_path / "check.ini"
     cfg.write_text("""
+[experiment]
+seed = 7
+
 [check]
-ks_draws = 20000
-case3_draws = 50000
-lemma_reps = 5
-fuzz_cases = 50
-variance_reps = 100
+pens = 0.3,0.1,0.2
 """)
     code = main(["check", "--config", str(cfg), "--seed", "0",
-                 "--ks-draws", "100000", "--out", str(tmp_path / "rep")])
+                 "--pens", "0.1,0.2,0.3", "--out", str(tmp_path / "rep")])
     assert code == 0
     report = tmp_path / "rep" / "check_report.csv"
     assert report.read_bytes().startswith(b"check,passed,detail\r\n")  # csv's CRLF
@@ -312,9 +306,7 @@ variance_reps = 100
 
 
 def test_check_bad_penalties_exit_one(tmp_path, capsys):
-    code = main(["check", "--ks-draws", "20000", "--case3-draws", "20000",
-                 "--lemma-reps", "2", "--fuzz-cases", "20", "--variance-reps", "50",
-                 "--pens", "0.3,0.1,0.2"])
+    code = main(["check", "--pens", "0.3,0.1,0.2"])
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "argument error" in out

@@ -81,10 +81,10 @@ def test_generator_ks_label_ignores_rounding_ties(monkeypatch):
     """Tied statistics keep the first pair's label; a clear excess moves it."""
     stats = iter([0.001, 0.002, 0.003, 0.002, 0.003 + 1e-15, 0.001, 0.002, 0.002, 0.001])
     monkeypatch.setattr(checks, "ks_statistic", lambda *a, **k: next(stats))
-    res = checks.check_generator_ks(draws=50, threshold=0.01)
+    res = checks.check_generator_ks()
     assert res.passed and "(case 3/f1)" in res.detail and "worst KS = 0.00300" in res.detail
     stats = iter([0.001, 0.002, 0.003, 0.002, 0.003 + 1e-9, 0.001, 0.002, 0.002, 0.001])
-    res = checks.check_generator_ks(draws=50, threshold=0.01)
+    res = checks.check_generator_ks()
     assert "(case 2/f2)" in res.detail
 
 

@@ -7,10 +7,9 @@ import pytest
 
 from adaseries.basis import SUP_NORM_SQ, TrigBasis
 from adaseries.dependence import gen_density_sample, gen_regression_sample, stream
-from adaseries.estimators import (CoefficientTable, empirical_coefficients, ise_cross,
-                                  ise_profile, sigma_y_hat)
+from adaseries.estimators import CoefficientTable, empirical_coefficients, ise_profile, sigma_y_hat
 from adaseries.harness import ExperimentConfig, ExperimentContext
-from adaseries.quadrature import integrate_values, simpson_weights, unit_grid
+from adaseries.quadrature import integrate_values, simpson_projection, unit_grid
 from adaseries.targets import MarginalLaw, density_f1, regression_f1, true_coefficients
 from reference import eval_one, grid_ise_profile, materialized_coefficients, outer_design_matrix
 
@@ -163,27 +162,16 @@ def test_complex_weight_product_is_the_real_products(K, n):
                     reason="pinned on numpy 2.x")
 @pytest.mark.parametrize("size", [*range(2, 41), 64, 101, 129, 258])
 @pytest.mark.parametrize("K", [1, 2, 3, 16, 64])
-def test_stacked_matvec_and_cumsum_are_the_row_ones(size, K):
+def test_last_axis_cumsum_is_the_row_cumsum(size, K):
     """The numpy behaviour that the batched ISE profile and selectors rest on.
 
     cumsum along the last axis of a (K, size) array gives the per-row
-    1-d cumsum.  np.matmul of a (size, size) matrix with a (K, size, 1)
-    stack gives every row the floats of the per-row matrix-vector
-    product, and so does the same matmul on one 1-d row; no code of the
-    package multiplies a matrix by a stack since the ISE is Parseval's
-    sum, so that half pins nothing it uses.  (The GEMM theta @ L.T and
-    einsum do not: they round differently.)  size is M + 1 of a table.
+    1-d cumsum.  size is M + 1 of a table.
     """
-    rng = np.random.default_rng(size * K)
-    lower = np.tril(rng.standard_normal((size, size)))
-    theta = rng.standard_normal((K, size))
-    products = np.matmul(lower, theta[..., None])[..., 0]
+    theta = np.random.default_rng(size * K).standard_normal((K, size))
     sums = np.cumsum(theta, axis=-1)
     for k in range(K):
-        row = theta[k].copy()
-        assert np.array_equal(products[k], lower @ row)
-        assert np.array_equal(np.matmul(lower, row[..., None])[..., 0], lower @ row)
-        assert np.array_equal(sums[k], np.cumsum(row))
+        assert np.array_equal(sums[k], np.cumsum(theta[k].copy()))
 
 
 def test_coefficient_memory_does_not_grow_with_m():
@@ -287,10 +275,10 @@ def simulated_profiles(model, target):
 
 def density_f1_profile(table, grid_size):
     """One density table profiled against f1 by ise_profile on a grid_size Simpson grid."""
-    grid, weights = unit_grid(grid_size), simpson_weights(grid_size)
+    grid = unit_grid(grid_size)
     design = TrigBasis().design_matrix(grid, table.m_max)
     truth = density_f1().eval(grid)
-    yield table.theta_hat, ise_profile(table, *ise_cross(design, truth, weights)), truth
+    yield table.theta_hat, ise_profile(table, *simpson_projection(design, truth)), truth
 
 
 #: name -> (the (theta_hat, Parseval-form profile, truth on the grid) inputs, relative tolerance)
@@ -318,8 +306,7 @@ def test_parseval_ise_matches_grid_form(name):
 def test_ise_profile_prefix_of_smaller_table():
     """A table cut at M gives the first M entries of the full profile."""
     design = TrigBasis().design_matrix(unit_grid(513), 20)
-    weights = simpson_weights(513)
-    pieces = ise_cross(design, density_f1().eval(unit_grid(513)), weights)
+    pieces = simpson_projection(design, density_f1().eval(unit_grid(513)))
     (table,) = empirical_coefficients(np.random.default_rng(2).uniform(size=(1, 90)), 20)
     cut = CoefficientTable(model="density", n=90, theta_hat=table.theta_hat[:8])
     np.testing.assert_array_equal(ise_profile(cut, *pieces), ise_profile(table, *pieces)[:7])

@@ -1,13 +1,12 @@
 """Golden theory-check report: a drift guard for the `check` suite.
 
-golden_check.csv holds the run_all_checks results at small settings
-(seed 0, 20000 KS and case-3 draws, 50 lemma replications, 300 fuzz
-tables, 200 variance replications, custom penalties 0.1, 0.2, 0.3) in
-the layout of the CLI's check_report.csv.  Names and PASS/FAIL must
-match exactly; the text of every detail must match once its numbers
-are masked, and each number must match within rel 1e-6 (the details
-print four to six significant digits) and abs 1e-12 (max |gram - I|
-sits at rounding level).  A change to a check's threshold, statistic
+golden_check.csv holds the run_all_checks results at seed 0 with custom
+penalties 0.1, 0.2, 0.3 in the layout of the CLI's check_report.csv: the
+report that `adaseries check --pens 0.1,0.2,0.3 --out DIR` writes.  Names
+and PASS/FAIL must match exactly; the text of every detail must match
+once its numbers are masked, and each number must match within rel 1e-6
+(the details print four to six significant digits) and abs 1e-12 (max
+|gram - I| sits at rounding level).  A change to a check's threshold, statistic
 or fixed setting fails here.
 
 golden_check_values.json holds each check's raw statistics
@@ -37,8 +36,7 @@ from adaseries.checks import run_all_checks
 
 GOLDEN = Path(__file__).with_name("golden_check.csv")
 GOLDEN_VALUES = Path(__file__).with_name("golden_check_values.json")
-SETTINGS = dict(seed=0, ks_draws=20000, case3_draws=20000, lemma_reps=50, fuzz_cases=300,
-                variance_reps=200, pens=[0.1, 0.2, 0.3])
+SETTINGS = dict(seed=0, pens=[0.1, 0.2, 0.3])
 NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 

@@ -441,12 +441,13 @@ def test_calibration_and_its_run_build_each_piece_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(hl, "ise_cross", counted("ise_cross", hl.ise_cross))
+    monkeypatch.setattr(hl, "simpson_projection",
+                        counted("simpson_projection", hl.simpson_projection))
     monkeypatch.setattr(MarginalLaw, "__init__", counted("law", MarginalLaw.__init__))
     for builder in (hl._grid_pieces, hl._target_pieces, hl.marginal_law):
         builder.cache_clear()
-    for model, target, pieces in (("density", "f1", dict(ise_cross=1, law=1)),
-                                  ("regression", "f1", dict(ise_cross=2, law=1))):
+    for model, target, pieces in (("density", "f1", dict(simpson_projection=1, law=1)),
+                                  ("regression", "f1", dict(simpson_projection=2, law=1))):
         cfg = small_cfg(model=model, target=target, reps=3)
         calib = calibrate_constant(cfg, c_grid=(1.0, 4.0), calib_reps=3)
         run_experiment(calibrated_config(cfg, calib))

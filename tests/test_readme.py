@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from adaseries import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -9,3 +11,24 @@ def test_library_sketch_runs():
     section = README.read_text().split("## Library sketch", 1)[1]
     (code,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
     exec(compile(code, f"{README}:library-sketch", "exec"), {})
+
+
+def command_line_section():
+    return README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_command_line_flags_are_cli_options():
+    """Every --flag the "Command line" section names is an option of some subcommand."""
+    _, commands, _ = cli._build_parser()
+    options = {flag for sub in commands.values() for flag in sub._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", command_line_section()))
+    assert named and not named - options, sorted(named - options)
+
+
+def test_command_line_ini_example_is_a_valid_config(tmp_path):
+    """The section's INI example passes the CLI's config reader."""
+    (example,) = re.findall(r"```ini\n(.*?)```", command_line_section(), re.S)
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    _, _, keys = cli._build_parser()
+    assert cli._read_config(str(path), keys)

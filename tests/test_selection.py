@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from adaseries.basis import TrigBasis
 from adaseries.dependence import gen_density_sample, stream
-from adaseries.estimators import CoefficientTable, empirical_coefficients, ise_cross
-from adaseries.quadrature import simpson_weights, unit_grid
+from adaseries.estimators import CoefficientTable, empirical_coefficients
+from adaseries.quadrature import simpson_projection, unit_grid
 from adaseries.selection import (cv_profile, lemma1_audit, oracle_criteria,
                                  penalized_profile, penalty_vector, select_cv, select_ms,
                                  select_with_pens, theorem_constant)
@@ -26,9 +26,7 @@ def oracle_profile(table, truth_fn, n_points=1025):
     """Realized ISE(m), m = 1..M, on an n_points Simpson grid."""
     grid = unit_grid(n_points)
     design = TrigBasis().design_matrix(grid, table.m_max)
-    weights = simpson_weights(n_points)
-    return oracle_criteria(table, *ise_cross(design, np.asarray(truth_fn(grid), dtype=float),
-                                             weights))
+    return oracle_criteria(table, *simpson_projection(design, truth_fn(grid)))
 
 
 def select_oracle(table, truth_fn, n_points=1025):
