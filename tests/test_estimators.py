@@ -162,16 +162,27 @@ def test_complex_weight_product_is_the_real_products(K, n):
                     reason="pinned on numpy 2.x")
 @pytest.mark.parametrize("size", [*range(2, 41), 64, 101, 129, 258])
 @pytest.mark.parametrize("K", [1, 2, 3, 16, 64])
-def test_last_axis_cumsum_is_the_row_cumsum(size, K):
+def test_stacked_matvec_and_cumsum_are_the_row_ones(size, K):
     """The numpy behaviour that the batched ISE profile and selectors rest on.
 
     cumsum along the last axis of a (K, size) array gives the per-row
-    1-d cumsum.  size is M + 1 of a table.
+    1-d cumsum.  np.matmul of a (size, size) matrix with a (K, size, 1)
+    stack gives every row the floats of the per-row matrix-vector
+    product, and so does the same matmul on one 1-d row; no code of the
+    package multiplies a matrix by a stack since the ISE is Parseval's
+    sum, so that half pins nothing it uses.  (The GEMM theta @ L.T and
+    einsum do not: they round differently.)  size is M + 1 of a table.
     """
-    theta = np.random.default_rng(size * K).standard_normal((K, size))
+    rng = np.random.default_rng(size * K)
+    lower = np.tril(rng.standard_normal((size, size)))
+    theta = rng.standard_normal((K, size))
+    products = np.matmul(lower, theta[..., None])[..., 0]
     sums = np.cumsum(theta, axis=-1)
     for k in range(K):
-        assert np.array_equal(sums[k], np.cumsum(theta[k].copy()))
+        row = theta[k].copy()
+        assert np.array_equal(products[k], lower @ row)
+        assert np.array_equal(np.matmul(lower, row[..., None])[..., 0], lower @ row)
+        assert np.array_equal(sums[k], np.cumsum(row))
 
 
 def test_coefficient_memory_does_not_grow_with_m():
