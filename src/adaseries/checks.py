@@ -39,11 +39,13 @@ ORTHONORMALITY_TOL = 1e-8
 SUP_NORM_POINTS = 10**4
 RATE_SLOPE_TOL = 0.02
 VARIANCE_HEADROOM = 1.1
+VARIANCE_DIMS = (5, 10, 20)
 KS_THRESHOLD = 0.006
 KS_DRAWS = 10**5
 CASE3_MARGINAL_THRESHOLD = 0.005
 CASE3_MARGINAL_DRAWS = 10**6
 CASE3_RESIDUAL_BOUND = 2.0**-37
+CASE3_RESIDUAL_DRAWS = 10**4
 DEPENDENCE_SCORE_SIGMAS = 5.0
 DEPENDENCE_SCORE_DRAWS = 10**5
 DEPENDENCE_SCORE_ROWS = 4  # basis scores phi_1..phi_4
@@ -128,17 +130,17 @@ def check_rate_slopes() -> CheckResult:
     return CheckResult("rate_slope", ok, "; ".join(details), values)
 
 
-def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
-                         dims=(5, 10, 20)) -> CheckResult:
+def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000) -> CheckResult:
     """Monte Carlo sum of coefficient variances against the (A1) bound.
 
     iid density samples from f1, drawn one after another from one
     generator on the experiments' sample path (gen_density_sample, then
     empirical_coefficients, one stack per batch of harness.batches);
     sum_{j<=m} Var(theta_hat_j) must stay below the bound
-    SUP_NORM_SQ * m / n with 10% headroom (VARIANCE_HEADROOM = 1.1).
+    SUP_NORM_SQ * m / n with 10% headroom (VARIANCE_HEADROOM = 1.1) at
+    each m of VARIANCE_DIMS = (5, 10, 20).
     """
-    m_top = max(dims)
+    m_top = max(VARIANCE_DIMS)
     law = marginal_law("f1")
     rng = np.random.default_rng(seed)
     thetas = np.concatenate([
@@ -149,7 +151,7 @@ def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000,
     ok = True
     ratios = []
     values = {}
-    for m in dims:
+    for m in VARIANCE_DIMS:
         total = float(np.sum(variances[:m]))
         bound = VARIANCE_HEADROOM * SUP_NORM_SQ * m / n
         ok &= total <= bound
@@ -203,17 +205,21 @@ def check_case3_marginal(seed: int = 0) -> CheckResult:
                        {"sup_gap": stat})
 
 
-def check_case3_residual(seed: int = 0, n: int = 10**4,
-                         bound: float = CASE3_RESIDUAL_BOUND) -> CheckResult:
-    """Plugging the truncated MA into the recursion leaves only truncation error."""
+def check_case3_residual(seed: int = 0) -> CheckResult:
+    """Plugging the truncated MA into the recursion leaves only truncation error.
+
+    The max |residual| over CASE3_RESIDUAL_DRAWS = 1e4 points must stay
+    below CASE3_RESIDUAL_BOUND = 2^-37.
+    """
+    n = CASE3_RESIDUAL_DRAWS
     rng = stream(seed, 3, namespace=CASE3_RESIDUAL_NS)
     zeta = rng.integers(0, 2, size=n + 2 * AR_TRUNCATION).astype(float)
     y = ar_path_from_innovations(zeta)
     inner = zeta[AR_TRUNCATION : AR_TRUNCATION + n]
     resid = y[1:-1] - 0.4 * (y[:-2] + y[2:]) - (5.0 / 21.0) * inner[1:-1]
     worst = float(np.max(np.abs(resid)))
-    return CheckResult("case3_recursion_residual", worst < bound,
-                       f"max |residual| = {worst:.3e}, bound {bound:.3e}",
+    return CheckResult("case3_recursion_residual", worst < CASE3_RESIDUAL_BOUND,
+                       f"max |residual| = {worst:.3e}, bound {CASE3_RESIDUAL_BOUND:.3e}",
                        {"max_residual": worst})
 
 

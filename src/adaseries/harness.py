@@ -7,16 +7,18 @@ one place that maps replications to their streams; the samplers it calls
 take the generators.  ExperimentContext.replications is the one kernel,
 shared by evaluation runs, bands, calibration and the oracle-inequality
 check: it makes a batch of K = max(1, BATCH_POINTS // n) consecutive
-replications at a time, with one sample call (a (K, n) stack, one
-stream per row, one quantile transform for densities), one pass over the
-basis rows (empirical_coefficients, one stacked table, one row per
-replication) and, for regression, one sigma_y_hat call (one sigma_hat^2
-per row), and yields (table, sigma_sq) per batch.  batches is the one
-place that knows where a batch starts and ends.  The psi^2 sums of the
-coefficient pass are made only when the config selects by
-cross-validation, the one selector that reads them: bands run their
-kernel on a config that selects by gl alone, calibration on one that
-selects by gl and ms, and theta_hat is the same float either way.
+replications at a time (32 at n = 1000, so a table operation of 20
+replications is one batch; one at a time from n = 2^15), with one
+sample call (a (K, n) stack, one stream per row, one quantile transform
+for densities), one pass over the basis rows (empirical_coefficients,
+one stacked table, one row per replication) and, for regression, one
+sigma_y_hat call (one sigma_hat^2 per row), and yields (table,
+sigma_sq) per batch.  batches is the one place that knows where a batch
+starts and ends.  The psi^2 sums of the coefficient pass are made only
+when the config selects by cross-validation, the one selector that
+reads them: bands run their kernel on a config that selects by gl
+alone, calibration on one that selects by gl and ms, and theta_hat is
+the same float either way.
 Every step before the sums is elementwise and every sum runs over one
 replication's row, so a replication's table and sigma_hat^2 are the same
 floats in any batch.  Nothing after the kernel reads the sample, and
@@ -103,9 +105,13 @@ MIN_BAND_REPS = 20
 
 #: Sample points per batch of the replication kernel: enough that each
 #: numpy call of the sample and coefficient steps serves many small-n
-#: replications, few enough that a batch's arrays stay in cache.  n = 1000
-#: runs batches of 16 replications, n >= BATCH_POINTS one at a time.
-BATCH_POINTS = 1 << 14
+#: replications, few enough that the (K, n) complex arrays of the psi pass
+#: stay in a 2 MB per-core L2 cache.  The time per replication of a
+#: one-batch run at n = 1000 is lowest from K = 20 to 32 and rises from
+#: K = 48; long runs pay a few percent for K = 32 (README, Performance).
+#: n = 1000 runs batches of 32 replications, so a table operation of 20
+#: is one batch; n >= BATCH_POINTS runs one at a time.
+BATCH_POINTS = 1 << 15
 
 
 class ConfigError(ValueError):
@@ -432,12 +438,19 @@ def _run_reps(ctx: ExperimentContext, kernel, reps: int, namespace: int,
 
 
 def summarize(cfg: ExperimentConfig, results: RunResults) -> list[SummaryRow]:
+    """One row per selector: each statistic is one call over the (S, R) columns.
+
+    Every reduction runs along a row, so each selector's mean and std are
+    the floats of the same call on its row alone.
+    """
     constants = {"gl": cfg.gl_constant, "ms": cfg.ms_constant}
+    columns = zip(cfg.selectors, results.ise.mean(axis=1).tolist(),
+                  results.ise.std(axis=1).tolist(), results.m_selected.mean(axis=1).tolist())
     return [SummaryRow(
         model=cfg.model, target=cfg.target, case=cfg.case, n=cfg.n, selector=sel,
-        c_pen=constants.get(sel, float("nan")), reps=ises.size,
-        mean_ise=float(ises.mean()), std_ise=float(ises.std(ddof=0)), mean_m=float(ms.mean()))
-        for sel, ises, ms in zip(cfg.selectors, results.ise, results.m_selected)]
+        c_pen=constants.get(sel, float("nan")), reps=results.ise.shape[1],
+        mean_ise=mean_ise, std_ise=std_ise, mean_m=mean_m)
+        for sel, mean_ise, std_ise, mean_m in columns]
 
 
 def _check_ise_grid(cfg: ExperimentConfig) -> None:

@@ -186,7 +186,7 @@ def test_criterion_4_lemma_audit():
 
 
 def test_criterion_5_variance_bound():
-    res = check_variance_bound(seed=SEED, n=500, reps=2000, dims=(5, 10, 20))
+    res = check_variance_bound(seed=SEED, n=500, reps=2000)
     assert report("criterion 5 (coefficient variance bound)", res.passed, res.detail)
 
 
@@ -212,7 +212,7 @@ def test_criterion_6_rate_slopes():
 def test_criterion_7_generators():
     ks = check_generator_ks(seed=SEED)
     marg = check_case3_marginal(seed=SEED)
-    resid = check_case3_residual(seed=SEED, n=10**4, bound=2.0**-37)
+    resid = check_case3_residual(seed=SEED)
     ok = ks.passed and marg.passed and resid.passed
     assert report("criterion 7 (generator correctness)", ok,
                   f"{ks.detail}; {marg.detail}; {resid.detail}"), (ks, marg, resid)

@@ -13,10 +13,11 @@ import pytest
 
 from adaseries.estimators import empirical_coefficients, sigma_y_hat
 from adaseries.harness import (BATCH_POINTS, CALIB_NS, MIN_BAND_REPS, BandTable, ConfigError,
-                               ExperimentConfig, ExperimentContext, batches, calibrate_constant,
-                               calibrated_config, compute_bands, default_c_grid, run_experiment,
-                               run_replication, write_bands_csv, write_calibration_csv,
-                               write_raw_csv, write_summary_csv)
+                               ExperimentConfig, ExperimentContext, RunResults, batches,
+                               calibrate_constant, calibrated_config, compute_bands,
+                               default_c_grid, run_experiment, run_replication, summarize,
+                               write_bands_csv, write_calibration_csv, write_raw_csv,
+                               write_summary_csv)
 from adaseries.selection import penalty_vector, select_ms, select_with_pens
 from reference import one_replication, reference_records, reference_summary
 
@@ -83,6 +84,28 @@ def test_single_rep_summary_matches_record():
     assert rows[0].mean_m == record.m_selected
 
 
+@pytest.mark.parametrize("reps", [1, 2, 7, 100, 1000, 8193])
+def test_summary_rows_are_the_per_selector_statistics(reps):
+    """Each summary row holds its selector's statistics, bit for bit.
+
+    summarize makes one call per statistic over the (S, R) columns; each
+    row must equal the mean, std and mean m of its selector's row alone.
+    """
+    rng = np.random.default_rng(reps)
+    cfg = small_cfg(reps=reps)
+    ise = rng.lognormal(-6.0, 2.0, size=(len(cfg.selectors), reps))
+    m_selected = rng.integers(1, cfg.m_grid + 1, size=ise.shape)
+    results = RunResults(selectors=cfg.selectors, m_selected=m_selected, ise=ise,
+                         sigma_y_hat=np.ones(reps), ise_by_m=np.empty((reps, 0)))
+    rows = summarize(cfg, results)
+    assert [row.selector for row in rows] == list(cfg.selectors)
+    for row, ises, ms in zip(rows, ise, m_selected, strict=True):
+        assert row.reps == reps
+        assert row.mean_ise.hex() == float(ises.mean()).hex()
+        assert row.std_ise.hex() == float(ises.std(ddof=0)).hex()
+        assert row.mean_m.hex() == float(ms.mean()).hex()
+
+
 def assert_columns_match_record_loop(cfg):
     rows, results = run_experiment(cfg)
     records, profiles = reference_records(cfg)
@@ -109,7 +132,7 @@ def test_columns_match_record_loop(model, target, selectors, reps):
                                           ("regression", "f1"), ("regression", "f2")])
 @pytest.mark.parametrize("n,reps,m_max", [(1000, 37, None), (1 << 14, 3, 12)])
 def test_columns_match_record_loop_at_batch_edges(model, target, n, reps, m_max):
-    """Uneven batches (37 = 16 + 16 + 5 at n = 1000) and batches of one (n = 2**14)."""
+    """Uneven batches: 37 = 32 + 5 at n = 1000 and 3 = 2 + 1 at n = 2**14."""
     assert_columns_match_record_loop(small_cfg(model=model, target=target, case=2, n=n,
                                                reps=reps, m_max=m_max, c_gl=3.0, c_ms=5.0))
 
@@ -290,15 +313,20 @@ def test_pool_exit_hook_shuts_each_pool_down(recording_pool, monkeypatch):
 
 
 @pytest.mark.parametrize("n,reps,workers", [(1000, 20, 2), (1000, 37, 2), (1000, 5, 3),
+                                            (BATCH_POINTS // 16, 20, 2),
                                             (BATCH_POINTS // 3, 17, 2), (1 << 14, 6, 2)])
 def test_parallel_chunks_are_whole_kernel_batches(recording_pool, n, reps, workers):
-    """Every pool chunk starts on a batch start, so the chunks cut the serial run's batches."""
+    """Every pool chunk starts on a batch start, so the chunks cut the serial run's batches.
+
+    At n = BATCH_POINTS // 16 the kernel batches 16 replications, so 20
+    run as a full batch and a short one: one chunk each on 2 workers.
+    """
     cfg = small_cfg(n=n, reps=reps, workers=workers, selectors=("oracle", "gl"))
     _, pooled = run_experiment(cfg)
     (pool,) = recording_pool
     cuts = [cut for _, _, start, stop, *_ in pool.tasks for cut in batches(start, stop, n)]
     assert cuts == list(batches(0, reps, n))
-    if (n, reps) == (1000, 20):
+    if (n, reps) == (BATCH_POINTS // 16, 20):
         assert [task[2:4] for task in pool.tasks] == [(0, 16), (16, 20)]
     _, serial = run_experiment(dataclasses.replace(cfg, workers=1))
     assert list(pooled) == list(serial)
@@ -369,16 +397,16 @@ def write_run_outputs(cfg, out: Path) -> None:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_line_counts_whole_batches(workers, capsys):
-    """37 replications at n = 1000: one progress line per batch of 16, 16 and 5."""
-    run_experiment(small_cfg(n=1000, reps=37, selectors=("oracle",), workers=workers),
-                   progress=True)
+    """37 replications at n = BATCH_POINTS // 16: one progress line per batch of 16, 16 and 5."""
+    cfg = small_cfg(n=BATCH_POINTS // 16, reps=37, selectors=("oracle",), workers=workers)
+    run_experiment(cfg, progress=True)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "\rreplication 16/37\rreplication 32/37\rreplication 37/37\n"
 
 
 def test_csv_outputs_identical_on_one_and_two_workers(tmp_path):
-    """37 replications at n = 1000: serial batches 16, 16, 5; two workers, chunks of 16."""
+    """37 replications at n = 1000: serial batches 32 and 5; two workers, one chunk each."""
     for model, target in (("density", "f2"), ("regression", "f1")):
         cfg = small_cfg(model=model, target=target, case=3, n=1000, reps=37, m_max=30)
         for workers in (1, 2):
@@ -474,6 +502,38 @@ def test_outputs_do_not_alias_the_cached_pieces():
         again = run()
         for name in names:
             np.testing.assert_array_equal(getattr(again, name), kept[name])
+
+
+@pytest.mark.parametrize("model,target", [("density", "f2"), ("regression", "f1")])
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.filterwarnings("ignore:mean ISE vs c not quasi-convex:UserWarning")
+def test_outputs_do_not_depend_on_the_batch_budget(model, target, case, monkeypatch):
+    """The outputs at n = 1000 are the same arrays under any batch budget.
+
+    Budgets 2**14, 2**15 and 1 run 20 replications as batches of 16 and 4,
+    as one batch of 20 and one at a time.  Every RunResults column, the
+    calibration curve, its constant and warnings, and the band percentiles
+    must not change.
+    """
+    from adaseries import harness as hl
+
+    cfg = ExperimentConfig(model=model, target=target, case=case, n=1000, reps=20, seed=6)
+    outputs, chosen = [], []
+    for budget in (1 << 14, 1 << 15, 1):
+        monkeypatch.setattr(hl, "BATCH_POINTS", budget)
+        _, results = run_experiment(cfg)
+        calib = calibrate_constant(cfg, calib_reps=cfg.reps)
+        bands = compute_bands(cfg)
+        outputs.append([*(getattr(results, name) for name in
+                          ("m_selected", "ise", "sigma_y_hat", "ise_by_m")),
+                        calib.mean_ise["gl"], calib.mean_ise["ms"],
+                        bands.median, bands.p05, bands.p95])
+        chosen.append((calib.chosen, calib.warnings))
+    first, *others = outputs
+    for other in others:
+        for one, two in zip(first, other, strict=True):
+            assert one.dtype == two.dtype and np.array_equal(one, two)
+    assert chosen[0] == chosen[1] == chosen[2]
 
 
 @pytest.mark.parametrize("model,target", [("density", "f1"), ("density", "f2"),
