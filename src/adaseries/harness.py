@@ -7,8 +7,8 @@ one place that maps replications to their streams; the samplers it calls
 take the generators.  ExperimentContext.replications is the one kernel,
 shared by evaluation runs, bands, calibration and the oracle-inequality
 check: it makes a batch of K = max(1, BATCH_POINTS // n) consecutive
-replications at a time (32 at n = 1000, so a table operation of 20
-replications is one batch; one at a time from n = 2^15), with one
+replications at a time (24 at n = 1000, so a table operation of 20
+replications is one batch; one at a time from n = 12289), with one
 sample call (a (K, n) stack, one stream per row, one quantile transform
 for densities), one pass over the basis rows (empirical_coefficients,
 one stacked table, one row per replication) and, for regression, one
@@ -106,12 +106,12 @@ MIN_BAND_REPS = 20
 #: Sample points per batch of the replication kernel: enough that each
 #: numpy call of the sample and coefficient steps serves many small-n
 #: replications, few enough that the (K, n) complex arrays of the psi pass
-#: stay in a 2 MB per-core L2 cache.  The time per replication of a
-#: one-batch run at n = 1000 is lowest from K = 20 to 32 and rises from
-#: K = 48; long runs pay a few percent for K = 32 (README, Performance).
-#: n = 1000 runs batches of 32 replications, so a table operation of 20
-#: is one batch; n >= BATCH_POINTS runs one at a time.
-BATCH_POINTS = 1 << 15
+#: stay in a 2 MB per-core L2 cache.  At n = 1000 a one-batch run costs
+#: least per replication near K = 24, and a long run costs no more per
+#: replication than at K = 16 (README, Performance).  So n = 1000 runs
+#: batches of 24 replications and a table operation of 20 is one batch;
+#: n > BATCH_POINTS // 2 runs one at a time.
+BATCH_POINTS = 24 << 10
 
 
 class ConfigError(ValueError):

@@ -28,6 +28,11 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def batch_sizes(reps, n):
+    """The sizes of the kernel's batches of a run of reps replications at n."""
+    return [last - first for first, last in batches(0, reps, n)]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(model="other")
@@ -132,7 +137,8 @@ def test_columns_match_record_loop(model, target, selectors, reps):
                                           ("regression", "f1"), ("regression", "f2")])
 @pytest.mark.parametrize("n,reps,m_max", [(1000, 37, None), (1 << 14, 3, 12)])
 def test_columns_match_record_loop_at_batch_edges(model, target, n, reps, m_max):
-    """Uneven batches: 37 = 32 + 5 at n = 1000 and 3 = 2 + 1 at n = 2**14."""
+    """Uneven batches: 37 = 24 + 13 at n = 1000 and 3 batches of one at n = 2**14."""
+    assert batch_sizes(reps, n) == {1000: [24, 13], 1 << 14: [1, 1, 1]}[n]
     assert_columns_match_record_loop(small_cfg(model=model, target=target, case=2, n=n,
                                                reps=reps, m_max=m_max, c_gl=3.0, c_ms=5.0))
 
@@ -320,7 +326,10 @@ def test_parallel_chunks_are_whole_kernel_batches(recording_pool, n, reps, worke
 
     At n = BATCH_POINTS // 16 the kernel batches 16 replications, so 20
     run as a full batch and a short one: one chunk each on 2 workers.
+    At n = 2**14 it runs batches of one.
     """
+    if n == 1 << 14:
+        assert batch_sizes(reps, n) == [1] * reps
     cfg = small_cfg(n=n, reps=reps, workers=workers, selectors=("oracle", "gl"))
     _, pooled = run_experiment(cfg)
     (pool,) = recording_pool
@@ -406,7 +415,7 @@ def test_progress_line_counts_whole_batches(workers, capsys):
 
 
 def test_csv_outputs_identical_on_one_and_two_workers(tmp_path):
-    """37 replications at n = 1000: serial batches 32 and 5; two workers, one chunk each."""
+    """37 replications at n = 1000: serial batches 24 and 13; two workers, one chunk each."""
     for model, target in (("density", "f2"), ("regression", "f1")):
         cfg = small_cfg(model=model, target=target, case=3, n=1000, reps=37, m_max=30)
         for workers in (1, 2):
@@ -510,16 +519,16 @@ def test_outputs_do_not_alias_the_cached_pieces():
 def test_outputs_do_not_depend_on_the_batch_budget(model, target, case, monkeypatch):
     """The outputs at n = 1000 are the same arrays under any batch budget.
 
-    Budgets 2**14, 2**15 and 1 run 20 replications as batches of 16 and 4,
-    as one batch of 20 and one at a time.  Every RunResults column, the
-    calibration curve, its constant and warnings, and the band percentiles
-    must not change.
+    Budgets 2**14, 24 * 2**10 (BATCH_POINTS), 2**15 and 1 run 20
+    replications as batches of 16 and 4, as one batch of 20 (twice) and
+    one at a time.  Every RunResults column, the calibration curve, its
+    constant and warnings, and the band percentiles must not change.
     """
     from adaseries import harness as hl
 
     cfg = ExperimentConfig(model=model, target=target, case=case, n=1000, reps=20, seed=6)
     outputs, chosen = [], []
-    for budget in (1 << 14, 1 << 15, 1):
+    for budget in (1 << 14, 24 << 10, 1 << 15, 1):
         monkeypatch.setattr(hl, "BATCH_POINTS", budget)
         _, results = run_experiment(cfg)
         calib = calibrate_constant(cfg, calib_reps=cfg.reps)
@@ -533,7 +542,7 @@ def test_outputs_do_not_depend_on_the_batch_budget(model, target, case, monkeypa
     for other in others:
         for one, two in zip(first, other, strict=True):
             assert one.dtype == two.dtype and np.array_equal(one, two)
-    assert chosen[0] == chosen[1] == chosen[2]
+    assert all(one == chosen[0] for one in chosen)
 
 
 @pytest.mark.parametrize("model,target", [("density", "f1"), ("density", "f2"),
@@ -707,11 +716,13 @@ def test_calibration_matches_per_constant_loop(model, target):
     """The (K x C x M) penalty block scores each constant as its own selection would.
 
     The reference runs one replication at a time (one_replication) and one
-    constant at a time, in batches of 6 (one batch), 37 (16 + 16 + 5) and
+    constant at a time, in batches of 6 (one batch), 37 (24 + 13) and
     3 at n = 2**14 (batches of one).
     """
     c_grid = default_c_grid()
-    for n, reps, m_max in ((300, 6, 40), (1000, 37, None), (1 << 14, 3, 12)):
+    for n, reps, m_max, sizes in ((300, 6, 40, [6]), (1000, 37, None, [24, 13]),
+                                  (1 << 14, 3, 12, [1, 1, 1])):
+        assert batch_sizes(reps, n) == sizes
         cfg = small_cfg(model=model, target=target, case=2, n=n, m_max=m_max)
         calib = calibrate_constant(cfg, c_grid, calib_reps=reps)
         ctx = ExperimentContext(cfg)

@@ -34,16 +34,13 @@ def test_command_line_ini_example_is_a_valid_config(tmp_path):
     assert cli._read_config(str(path), keys)
 
 
-SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
-
-
 def test_batches_bullet_states_the_batch_budget():
     """The "Batches" bullet's B, K at n = 1000 and first n of K = 1 follow harness.BATCH_POINTS."""
     bullet = README.read_text().split("- **Batches.**", 1)[1].split("\n- **", 1)[0]
-    text = " ".join(bullet.split()).translate(SUPERSCRIPTS)
-    (budget,) = re.findall(r"B = `harness\.BATCH_POINTS` = 2(\d+) ", text)
+    text = " ".join(bullet.split())
+    (budget,) = re.findall(r"B = `harness\.BATCH_POINTS` = (\d+)\b", text)
     (k_1000,) = re.findall(r"K = (\d+) at n = 1000\b", text)
-    (one_from,) = re.findall(r"K = 1 from n = 2(\d+)\b", text)
-    assert 1 << int(budget) == harness.BATCH_POINTS
+    (one_from,) = re.findall(r"K = 1 from n = (\d+)\b", text)
+    assert int(budget) == harness.BATCH_POINTS
     assert int(k_1000) == max(1, harness.BATCH_POINTS // 1000)
-    assert 1 << int(one_from) == harness.BATCH_POINTS
+    assert harness.BATCH_POINTS // int(one_from) == 1 < harness.BATCH_POINTS // (int(one_from) - 1)
