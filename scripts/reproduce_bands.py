@@ -46,8 +46,8 @@ def main() -> None:
     for case, bands in zip((1, 2, 3), all_bands):
         path = out_dir / f"bands_{args.model}_{args.target}_case{case}.csv"
         write_bands_csv(bands, path)
-        covered = float(((bands.p05 <= bands.truth) & (bands.truth <= bands.p95)).mean())
-        print(f"case {case}: wrote {path} (truth inside band on {100 * covered:.1f}% of grid)")
+        print(f"case {case}: wrote {path} "
+              f"(truth inside band on {100 * bands.coverage:.1f}% of grid)")
 
 
 if __name__ == "__main__":

@@ -6,13 +6,12 @@ runs every check at fixed sizes and with the thresholds of the acceptance
 gates (KS < 0.006 at 1e5 draws, closed-form Case-3 marginal within 0.005
 of 1e6 simulated draws, recursion residual below 2^-37, variance bound
 with 10% headroom, rate-slope within 0.02); only the seed and a custom
-penalty sequence are settable.  The acceptance gate runs the
-oracle-inequality audits larger (1000 replications, 1e4 random tables),
-and the basis tests run orthonormality and the sup norm to 400, through
-those checks' size parameters; the fixed tolerances and draw counts are
-module constants, named in each check's docstring.  Each CheckResult
-carries its detail line, rounded for reading, and its values: the raw
-statistics at full precision.
+penalty sequence are settable.  So `adaseries check` runs each
+acceptance gate at the gate's size: acceptance criteria 4-7 read their
+verdicts from the same run_all_checks(seed=0) call.  The fixed sizes,
+tolerances and draw counts are module constants, named in each check's
+docstring.  Each CheckResult carries its detail line, rounded for
+reading, and its values: the raw statistics at full precision.
 
 The checks draw with the samplers the experiments run (uniform_series,
 bernoulli_ar_path, gen_density_sample) and reduce with
@@ -35,11 +34,18 @@ from .quadrature import simpson_weights, unit_grid
 from .selection import lemma1_audit, penalty_vector
 from .targets import marginal_law, true_coefficients
 
+#: Highest basis index of the orthonormality and sup-norm checks.
+BASIS_DIMS = 400
 ORTHONORMALITY_TOL = 1e-8
 SUP_NORM_POINTS = 10**4
 RATE_SLOPE_TOL = 0.02
 VARIANCE_HEADROOM = 1.1
 VARIANCE_DIMS = (5, 10, 20)
+VARIANCE_N = 500
+VARIANCE_REPS = 2000
+LEMMA_N = 500
+LEMMA_REPS = 1000
+LEMMA_FUZZ_CASES = 10**4
 KS_THRESHOLD = 0.006
 KS_DRAWS = 10**5
 CASE3_MARGINAL_THRESHOLD = 0.005
@@ -82,30 +88,31 @@ def ks_statistic(draws: np.ndarray, cdf) -> float:
     return float(max(np.max(grid_hi - f), np.max(f - grid_lo)))
 
 
-def check_orthonormality(j_max: int = 30) -> CheckResult:
-    """Quadrature Gram matrix of the first basis functions equals identity.
+def check_orthonormality() -> CheckResult:
+    """Quadrature Gram matrix of phi_0..phi_J, J = BASIS_DIMS = 400, equals identity.
 
     Within ORTHONORMALITY_TOL = 1e-8.
     """
     grid = unit_grid()
-    design = TrigBasis().design_matrix(grid, j_max)
+    design = TrigBasis().design_matrix(grid, BASIS_DIMS)
     weighted = design * simpson_weights(grid.size)
     gram = weighted @ design.T
-    err = float(np.max(np.abs(gram - np.eye(j_max + 1))))
+    err = float(np.max(np.abs(gram - np.eye(BASIS_DIMS + 1))))
     return CheckResult("orthonormality", err <= ORTHONORMALITY_TOL,
                        f"max |gram - I| = {err:.2e}", {"max_gram_error": err})
 
 
-def check_sup_norm(m_limit: int = 100) -> CheckResult:
+def check_sup_norm() -> CheckResult:
     """sup_x sum_{j=1..m} phi_j(x)^2 <= 2 m, with equality to m at even m.
 
-    The sup is taken over SUP_NORM_POINTS = 10^4 equispaced points of [0, 1].
+    For m = 1..BASIS_DIMS = 400; the sup is taken over SUP_NORM_POINTS =
+    10^4 equispaced points of [0, 1].
     """
     x = np.linspace(0.0, 1.0, SUP_NORM_POINTS)
-    sq = TrigBasis().design_matrix(x, m_limit) ** 2
+    sq = TrigBasis().design_matrix(x, BASIS_DIMS) ** 2
     running = np.cumsum(sq[1:], axis=0)
     sups = running.max(axis=1)
-    m = np.arange(1, m_limit + 1)
+    m = np.arange(1, BASIS_DIMS + 1)
     bound_ok = bool(np.all(sups <= SUP_NORM_SQ * m + 1e-9))
     even = m % 2 == 0
     even_gap = float(np.max(np.abs(sups[even] - m[even]), initial=0.0))
@@ -130,35 +137,31 @@ def check_rate_slopes() -> CheckResult:
     return CheckResult("rate_slope", ok, "; ".join(details), values)
 
 
-def check_variance_bound(seed: int = 0, n: int = 500, reps: int = 2000) -> CheckResult:
+def check_variance_bound(seed: int = 0) -> CheckResult:
     """Monte Carlo sum of coefficient variances against the (A1) bound.
 
-    iid density samples from f1, drawn one after another from one
-    generator on the experiments' sample path (gen_density_sample, then
+    VARIANCE_REPS = 2000 iid density samples of n = VARIANCE_N = 500
+    points from f1, drawn one after another from one generator on the
+    experiments' sample path (gen_density_sample, then
     empirical_coefficients, one stack per batch of harness.batches);
     sum_{j<=m} Var(theta_hat_j) must stay below the bound
     SUP_NORM_SQ * m / n with 10% headroom (VARIANCE_HEADROOM = 1.1) at
     each m of VARIANCE_DIMS = (5, 10, 20).
     """
+    n = VARIANCE_N
     m_top = max(VARIANCE_DIMS)
     law = marginal_law("f1")
     rng = np.random.default_rng(seed)
     thetas = np.concatenate([
         empirical_coefficients(gen_density_sample(n, 1, law, [rng] * (last - first)),
                                m_top, loo=False).theta_hat[:, 1:]
-        for first, last in batches(0, reps, n)])
+        for first, last in batches(0, VARIANCE_REPS, n)])
     variances = np.var(thetas, axis=0, ddof=1)
-    ok = True
-    ratios = []
-    values = {}
-    for m in VARIANCE_DIMS:
-        total = float(np.sum(variances[:m]))
-        bound = VARIANCE_HEADROOM * SUP_NORM_SQ * m / n
-        ok &= total <= bound
-        ratios.append(f"m={m}: {total / (SUP_NORM_SQ * m / n):.3f}")
-        values[f"sum_var_m{m}"] = total
+    totals = {m: float(np.sum(variances[:m])) for m in VARIANCE_DIMS}
+    ok = all(total <= VARIANCE_HEADROOM * SUP_NORM_SQ * m / n for m, total in totals.items())
+    ratios = (f"m={m}: {total / (SUP_NORM_SQ * m / n):.3f}" for m, total in totals.items())
     return CheckResult("variance_bound", ok, "sum Var / (2 m / n): " + "; ".join(ratios),
-                       values)
+                       {f"sum_var_m{m}": total for m, total in totals.items()})
 
 
 def check_generator_ks(seed: int = 0) -> CheckResult:
@@ -223,29 +226,29 @@ def check_case3_residual(seed: int = 0) -> CheckResult:
                        {"max_residual": worst})
 
 
-def dependence_score(case: int, n: int = DEPENDENCE_SCORE_DRAWS, seed: int = 0) -> float:
-    """Largest |lag-1 cross-correlation| z-score among low-order basis scores.
+def dependence_score(seed: int = 0) -> tuple[float, float, float]:
+    """Largest |lag-1 cross-correlation| z-score among low-order basis scores, cases 1-3.
 
+    Each case's uniform series has DEPENDENCE_SCORE_DRAWS = 10^5 draws.
     Serial dependence is measured across basis-score pairs phi_j(V_i),
     phi_k(V_{i+1}), j, k = 1..4: for the logistic-map case plain
     autocorrelations of any single antisymmetric score (normal scores
     included) vanish identically, while cross pairs expose the
     deterministic frequency doubling.
     """
-    (v,) = uniform_series(case, n, [stream(seed, case, namespace=DEPENDENCE_NS)])
-    scores = TrigBasis().design_matrix(v, DEPENDENCE_SCORE_ROWS)[1:]
-    lead, lag = scores[:, :-1], scores[:, 1:]
-    z_max = 0.0
-    for a in lead:
-        for b in lag:
-            r = np.corrcoef(a, b)[0, 1]
-            z_max = max(z_max, abs(r) * np.sqrt(n - 1.0))
-    return float(z_max)
+    n = DEPENDENCE_SCORE_DRAWS
+    z = []
+    for case in (1, 2, 3):
+        (v,) = uniform_series(case, n, [stream(seed, case, namespace=DEPENDENCE_NS)])
+        scores = TrigBasis().design_matrix(v, DEPENDENCE_SCORE_ROWS)[1:]
+        r = max(abs(np.corrcoef(a, b)[0, 1]) for a in scores[:, :-1] for b in scores[:, 1:])
+        z.append(float(r * np.sqrt(n - 1.0)))
+    return tuple(z)
 
 
 def check_dependence_scores(seed: int = 0) -> CheckResult:
-    """Cases 2 and 3 show real serial dependence; case 1 does not (10^5 draws each)."""
-    z1, z2, z3 = (dependence_score(case, seed=seed) for case in (1, 2, 3))
+    """Cases 2 and 3 show real serial dependence; case 1 does not (dependence_score)."""
+    z1, z2, z3 = dependence_score(seed)
     ok = (z1 < DEPENDENCE_SCORE_SIGMAS and z2 > DEPENDENCE_SCORE_SIGMAS
           and z3 > DEPENDENCE_SCORE_SIGMAS)
     return CheckResult("dependence_scores", ok,
@@ -253,22 +256,26 @@ def check_dependence_scores(seed: int = 0) -> CheckResult:
                        {"z_case1": z1, "z_case2": z2, "z_case3": z3})
 
 
-def check_lemma1_simulation(seed: int = 0, reps: int = 200, n: int = 500) -> CheckResult:
-    """Audit the oracle inequality on simulated density replications, each row of each batch."""
-    cfg = ExperimentConfig(model="density", target="f1", case=1, n=n, reps=reps, seed=seed,
-                           selectors=("gl",))
+def check_lemma1_simulation(seed: int = 0) -> CheckResult:
+    """Audit the oracle inequality on simulated density replications, each row of each batch.
+
+    LEMMA_REPS = 1000 replications of n = LEMMA_N = 500 points from f1, case 1.
+    """
+    cfg = ExperimentConfig(model="density", target="f1", case=1, n=LEMMA_N, reps=LEMMA_REPS,
+                           seed=seed, selectors=("gl",))
     ctx = ExperimentContext(cfg)
     theta_true = true_coefficients(ctx.target.eval, 400)
-    pens = penalty_vector(cfg.gl_constant, cfg.m_grid, n)  # sigma^2 = 1 for densities
+    pens = penalty_vector(cfg.gl_constant, cfg.m_grid, cfg.n)  # sigma^2 = 1 for densities
     failures = 0
-    for table, _ in ctx.replications(0, reps, LEMMA_NS):
+    for table, _ in ctx.replications(0, cfg.reps, LEMMA_NS):
         failures += sum(not lemma1_audit(row, pens, theta_true).all_passed for row in table)
     return CheckResult("lemma1_simulation", failures == 0,
-                       f"{reps - failures}/{reps} replications satisfied the bound")
+                       f"{cfg.reps - failures}/{cfg.reps} replications satisfied the bound")
 
 
-def check_lemma1_fuzz(seed: int = 0, cases: int = 2000) -> CheckResult:
-    """Audit the oracle inequality on adversarial random tables."""
+def check_lemma1_fuzz(seed: int = 0) -> CheckResult:
+    """Audit the oracle inequality on LEMMA_FUZZ_CASES = 10^4 adversarial random tables."""
+    cases = LEMMA_FUZZ_CASES
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(cases):
@@ -281,8 +288,7 @@ def check_lemma1_fuzz(seed: int = 0, cases: int = 2000) -> CheckResult:
         if rng.uniform() < 0.2:
             steps[:] = 0.0
         table = CoefficientTable(model="regression", n=1, theta_hat=theta_hat)
-        if not lemma1_audit(table, np.cumsum(steps), theta_true).all_passed:
-            failures += 1
+        failures += not lemma1_audit(table, np.cumsum(steps), theta_true).all_passed
     return CheckResult("lemma1_fuzz", failures == 0,
                        f"{cases - failures}/{cases} random tables satisfied the bound")
 
@@ -310,18 +316,10 @@ def run_all_checks(seed: int = 0, pens=None) -> list[CheckResult]:
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    results = [
-        check_orthonormality(),
-        check_sup_norm(),
-        check_rate_slopes(),
-        check_variance_bound(seed=seed),
-        check_generator_ks(seed=seed),
-        check_case3_marginal(seed=seed),
-        check_case3_residual(seed=seed),
-        check_dependence_scores(seed=seed),
-        check_lemma1_simulation(seed=seed),
-        check_lemma1_fuzz(seed=seed),
-    ]
+    results = [check() for check in (check_orthonormality, check_sup_norm, check_rate_slopes)]
+    results += [check(seed=seed) for check in (
+        check_variance_bound, check_generator_ks, check_case3_marginal, check_case3_residual,
+        check_dependence_scores, check_lemma1_simulation, check_lemma1_fuzz)]
     if pens is not None:
         results.append(check_custom_pens(pens))
     return results

@@ -165,8 +165,7 @@ def _cmd_bands(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bands_csv(bands, out_dir / "bands.csv")
     _write_metadata(out_dir, cfg, "bands")
-    inside = float(((bands.p05 <= bands.truth) & (bands.truth <= bands.p95)).mean())
-    print(f"bands written; truth inside [5%, 95%] on {100 * inside:.1f}% of grid points")
+    print(f"bands written; truth inside [5%, 95%] on {100 * bands.coverage:.1f}% of grid points")
     return 0
 
 

@@ -330,6 +330,11 @@ class BandTable:
     p05: np.ndarray
     p95: np.ndarray
 
+    @property
+    def coverage(self) -> float:
+        """Fraction of grid points where the truth lies inside [p05, p95]."""
+        return float(((self.p05 <= self.truth) & (self.truth <= self.p95)).mean())
+
 
 def run_replication(ctx: ExperimentContext, table: CoefficientTable,
                     sigma_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -42,10 +42,7 @@ import os
 import numpy as np
 import pytest
 
-from adaseries.checks import (check_case3_marginal, check_case3_residual,
-                              check_generator_ks, check_lemma1_fuzz,
-                              check_lemma1_simulation, check_rate_slopes,
-                              check_variance_bound)
+from adaseries.checks import run_all_checks
 from adaseries.cli import main as cli_main
 from adaseries.harness import ExperimentConfig, run_experiment, table_study
 from adaseries.risk import risk_decomposition
@@ -98,6 +95,12 @@ def table_runs():
     return {(cfg.model, cfg.target, cfg.case): {"rows": {r.selector: r for r in rows},
                                                 "results": results}
             for cfg, rows, results in table_study(N, REPS, CALIB_REPS, SEED)}
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """The theory-check suite by name: the run `adaseries check` makes."""
+    return {r.name: r for r in run_all_checks(seed=SEED)}
 
 
 def _exact_cell(results, model, target, case):
@@ -177,21 +180,20 @@ def test_criterion_3_adaptive_columns(table_runs):
     assert report("criterion 3 (adaptive columns after calibration)", ok, detail), detail
 
 
-def test_criterion_4_lemma_audit():
-    sim = check_lemma1_simulation(seed=SEED, reps=1000, n=500)
-    fuzz = check_lemma1_fuzz(seed=SEED, cases=10**4)
+def test_criterion_4_lemma_audit(checks):
+    sim, fuzz = checks["lemma1_simulation"], checks["lemma1_fuzz"]
     ok = sim.passed and fuzz.passed
     assert report("criterion 4 (oracle-inequality audit)", ok,
                   f"{sim.detail}; {fuzz.detail}"), (sim, fuzz)
 
 
-def test_criterion_5_variance_bound():
-    res = check_variance_bound(seed=SEED, n=500, reps=2000)
+def test_criterion_5_variance_bound(checks):
+    res = checks["variance_bound"]
     assert report("criterion 5 (coefficient variance bound)", res.passed, res.detail)
 
 
-def test_criterion_6_rate_slopes():
-    rates = check_rate_slopes()
+def test_criterion_6_rate_slopes(checks):
+    rates = checks["rate_slope"]
     ok = rates.passed
     lines = [f"p={p:g}: slope {rates.values[f'slope_p{p:g}']:+.4f} "
              f"(target {-2.0 * p / (2.0 * p + 1.0):+.4f})" for p in (1.0, 2.0)]
@@ -209,10 +211,9 @@ def test_criterion_6_rate_slopes():
     assert report("criterion 6 (benchmark and empirical rates)", ok, detail), detail
 
 
-def test_criterion_7_generators():
-    ks = check_generator_ks(seed=SEED)
-    marg = check_case3_marginal(seed=SEED)
-    resid = check_case3_residual(seed=SEED)
+def test_criterion_7_generators(checks):
+    ks, marg, resid = (checks[name] for name in ("generator_ks", "case3_marginal_closed_form",
+                                                  "case3_recursion_residual"))
     ok = ks.passed and marg.passed and resid.passed
     assert report("criterion 7 (generator correctness)", ok,
                   f"{ks.detail}; {marg.detail}; {resid.detail}"), (ks, marg, resid)

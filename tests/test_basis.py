@@ -50,8 +50,8 @@ def test_recurrence_matches_angle_grid(x, m_max):
 
 
 def test_orthonormality_and_sup_norm_checks_at_400():
-    assert check_orthonormality(j_max=400).passed
-    assert check_sup_norm(m_limit=400).passed
+    assert check_orthonormality().passed
+    assert check_sup_norm().passed
 
 
 def test_orthonormality_by_quadrature():

@@ -238,6 +238,9 @@ def test_every_config_field_set_by_flag_or_ini(tmp_path):
 def test_every_check_setting_set_by_flag_or_ini(tmp_path, monkeypatch):
     dests = list(inspect.signature(checks.run_all_checks).parameters)
     assert set(dests) <= set(OPTIONS)  # a new check setting needs a flag here
+    for name, func in inspect.getmembers(checks, inspect.isfunction):
+        if name.startswith("check_") or name == "dependence_score":  # no test-only knobs
+            assert set(inspect.signature(func).parameters) <= set(dests), name
     calls = []
     monkeypatch.setattr(checks, "run_all_checks", lambda **settings: calls.append(settings)
                         or [checks.CheckResult("stub", True, "")])

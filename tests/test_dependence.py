@@ -177,9 +177,10 @@ def test_stream_namespaces_are_distinct():
 
 
 def test_dependence_scores_by_case():
-    assert dependence_score(1, n=10**5) < 5.0
-    assert dependence_score(2, n=10**5) > 5.0
-    assert dependence_score(3, n=10**5) > 5.0
+    z1, z2, z3 = dependence_score()
+    assert z1 < 5.0
+    assert z2 > 5.0
+    assert z3 > 5.0
 
 
 def test_draws_inside_unit_interval(law_f2):

@@ -97,6 +97,12 @@ def test_fixed_settings():
     assert checks.VARIANCE_HEADROOM == 1.1
     assert checks.DEPENDENCE_SCORE_DRAWS == 10**5
     assert checks.DEPENDENCE_SCORE_ROWS == 4
+    assert checks.BASIS_DIMS == 400
+    assert checks.VARIANCE_N == 500
+    assert checks.VARIANCE_REPS == 2000
+    assert checks.LEMMA_REPS == 1000
+    assert checks.LEMMA_N == 500
+    assert checks.LEMMA_FUZZ_CASES == 10**4
 
 
 if __name__ == "__main__":

@@ -378,8 +378,8 @@ def test_psi_squares_are_summed_only_for_cross_validation(asked_for_loo, recordi
         run_cfg = dataclasses.replace(cfg, selectors=selectors)
         consumers.append((partial(run_experiment, run_cfg), "cv" in selectors))
     if workers == 1:  # the checks run serially
-        consumers += [(partial(checks.check_lemma1_simulation, reps=5, n=300), False),
-                      (partial(checks.check_variance_bound, reps=5, n=300), False)]
+        consumers += [(checks.check_lemma1_simulation, False),
+                      (checks.check_variance_bound, False)]
 
     def tasks():
         return [task for pool in recording_pool for task in pool.tasks]
@@ -658,6 +658,8 @@ def test_bands_ordering_and_coverage():
     assert np.all(bands.median <= bands.p95 + 1e-12)
     covered = np.mean((bands.p05 <= bands.truth) & (bands.truth <= bands.p95))
     assert covered >= 0.8
+    inside = sum(lo <= t <= hi for lo, t, hi in zip(bands.p05, bands.truth, bands.p95))
+    assert bands.coverage == inside / bands.x.size
 
 
 def test_bands_constant_estimator_degenerate():

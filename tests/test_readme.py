@@ -1,7 +1,7 @@
 import re
 from pathlib import Path
 
-from adaseries import cli, harness
+from adaseries import checks, cli, harness
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +44,18 @@ def test_batches_bullet_states_the_batch_budget():
     assert int(budget) == harness.BATCH_POINTS
     assert int(k_1000) == max(1, harness.BATCH_POINTS // 1000)
     assert harness.BATCH_POINTS // int(one_from) == 1 < harness.BATCH_POINTS // (int(one_from) - 1)
+
+
+def test_check_paragraph_states_the_check_sizes():
+    """The `check` paragraph's audit, variance and basis sizes follow the checks constants."""
+    paragraph = command_line_section().split("`check` runs every check", 1)[1].split("\n\n", 1)[0]
+    text = " ".join(paragraph.split())
+    ((reps, n),) = re.findall(r"(\d+) simulated replications at n = (\d+)\b", text)
+    (fuzz_exp,) = re.findall(r"10(\S) random tables", text)
+    ((var_reps, var_n),) = re.findall(r"variances of (\d+) replications at n = (\d+)\b", text)
+    (dims,) = re.findall(r"up to index (\d+)\b", text)
+    assert (int(reps), int(n)) == (checks.LEMMA_REPS, checks.LEMMA_N)
+    assert 10 ** int(fuzz_exp.translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789"))) \
+        == checks.LEMMA_FUZZ_CASES
+    assert (int(var_reps), int(var_n)) == (checks.VARIANCE_REPS, checks.VARIANCE_N)
+    assert int(dims) == checks.BASIS_DIMS
