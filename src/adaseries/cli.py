@@ -1,19 +1,26 @@
-"""Command-line front end: simulate | bands | calibrate | check.
+"""Command-line front end: simulate | bands | calibrate | study | risk | check.
 
+simulate, bands and calibrate run one experiment config; study runs the
+paper's risk tables (harness.table_study: every config calibrated, then
+run); risk prints the exact expected risk curve of one config (cases 1
+and 2); check runs the theory-check suite.
 Each option is declared once, as a flag in the argument group named after
 its INI section: experiment, penalty, calibration or check.  A config file
 (--config) sets options under those sections, keyed by the flag's dest
 (c_gl for --c-pen); its values become the subcommand's defaults, so
 argparse converts them and flags override them.  One file serves every
 command: keys of options another command takes are accepted and ignored,
-and [experiment] seed also seeds check.  Every run writes a metadata file
-with the fully resolved configuration so raw CSVs can be reproduced byte
-for byte.  The output directory is created only once a command's results
-are computed, so a run the library rejects leaves no directory behind.
+and [experiment] seed also seeds check.  simulate, bands, calibrate and
+study write a metadata.json with the fully resolved settings, so raw CSVs
+can be reproduced byte for byte; check writes only its report, and risk
+writes nothing.  The output directory is created only once a command's
+results are computed, so a run the library rejects leaves no directory
+behind.
 
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error.  The
 last covers bad flags, unknown INI sections or keys, malformed INI files
-and any setting the library rejects before work (harness.ConfigError).
+and any setting the library rejects before work (harness.ConfigError, or
+the ValueError of risk.risk_decomposition).
 """
 
 from __future__ import annotations
@@ -28,13 +35,16 @@ from pathlib import Path
 from . import __version__
 from . import checks as checks_mod
 from .harness import (ConfigError, ExperimentConfig, calibrate_constant, compute_bands,
-                      run_experiment, write_bands_csv, write_calibration_csv, write_csv,
-                      write_raw_csv, write_summary_csv)
+                      run_experiment, table_study, write_bands_csv, write_calibration_csv,
+                      write_csv, write_raw_csv, write_summary_csv)
+from .risk import risk_decomposition
 
 _COMMANDS = {
     "simulate": "run replications, write raw + summary CSV",
     "bands": "write pointwise percentile bands CSV",
     "calibrate": "grid-search penalty constants",
+    "study": "calibrate and run every config of the risk tables, write tables CSV",
+    "risk": "print the exact expected risk curve (cases 1 and 2)",
     "check": "run the theory-check suite",
 }
 _SECTIONS = ("experiment", "penalty", "calibration", "check")
@@ -57,37 +67,50 @@ def _name_list(text: str) -> tuple:
 
 def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
     """Declare command's options on p, each in the group of its INI section,
-    and record each option's dest as a key of that section."""
-    groups = {section: p.add_argument_group(section) for section in _SECTIONS}
+    and record each option's dest as a key of that section.
 
-    def option(section, *flags, **kwargs):
-        keys[section].add(groups[section].add_argument(*flags, **kwargs).dest)
+    Each option names the commands that take it.  simulate, bands and
+    calibrate run one config and take every experiment and penalty option;
+    study and risk take what their library call reads, with the defaults
+    of the paper's tables (study) and of the exact risk curve (risk).
+    """
+    groups = {section: p.add_argument_group(section) for section in _SECTIONS}
+    one = ("simulate", "bands", "calibrate")  # the commands that run one config
+    study, risk = command == "study", command == "risk"
+
+    def option(section, takers, *flags, **kwargs):
+        if command in takers:
+            keys[section].add(groups[section].add_argument(*flags, **kwargs).dest)
 
     p.add_argument("--config", help="INI config file; flags override file values")
-    p.add_argument("--out", default=None if command == "check" else "out",
-                   help="output directory (default ./out; check writes a report only if given)")
-    option("experiment", "--seed", type=int)
-    if command == "check":
-        option("check", "--pens", type=_float_list,
-               help="comma list: audit a custom penalty sequence")
-        return
-    option("experiment", "--model", choices=("density", "regression"))
-    option("experiment", "--target", help="f1 | f2 (| uniform for densities)")
-    option("experiment", "--case", type=int, choices=(1, 2, 3))
-    option("experiment", "--n", type=int)
-    option("experiment", "--reps", type=int, default=None if command == "simulate" else 100)
-    option("experiment", "--selectors", type=_name_list, help="comma list from oracle,gl,ms,cv")
-    option("experiment", "--m-max", type=int)
-    option("experiment", "--grid-size", type=int)
-    option("experiment", "--workers", type=int)
-    option("penalty", "--c-pen", dest="c_gl", type=float,
+    if not risk:
+        p.add_argument("--out", default=None if command == "check" else "out",
+                       help="output directory (default ./out; check writes a report only if given)")
+    option("experiment", (*one, "study", "check"), "--seed", type=int, default=0 if study else None)
+    option("check", ("check",), "--pens", type=_float_list,
+           help="comma list: audit a custom penalty sequence")
+    option("experiment", (*one, "study", "risk"), "--model", choices=("density", "regression"),
+           default="density" if risk else None, help="default: both models" if study else None)
+    option("experiment", (*one, "risk"), "--target", default="f1" if risk else None,
+           help="f1 | f2 (| uniform for densities)")
+    option("experiment", (*one, "risk"), "--case", type=int, choices=(1, 2, 3),
+           default=1 if risk else None)
+    option("experiment", (*one, "study", "risk"), "--n", type=int,
+           default=None if command in one else 1000)
+    option("experiment", (*one, "study"), "--reps", type=int,
+           default={"simulate": None, "study": 501}.get(command, 100))
+    option("experiment", one, "--selectors", type=_name_list,
+           help="comma list from oracle,gl,ms,cv")
+    option("experiment", (*one, "risk"), "--m-max", type=int, default=200 if risk else None)
+    option("experiment", one, "--grid-size", type=int)
+    option("experiment", (*one, "study"), "--workers", type=int, default=1 if study else None)
+    option("penalty", one, "--c-pen", dest="c_gl", type=float,
            help="penalized-contrast constant (default: theorem preset)")
-    option("penalty", "--c-pen-ms", dest="c_ms", type=float,
+    option("penalty", one, "--c-pen-ms", dest="c_ms", type=float,
            help="model-selection constant (default: same as --c-pen)")
-    if command == "calibrate":
-        option("calibration", "--c-grid", type=_float_list,
-               help="comma list of candidate constants")
-        option("calibration", "--calib-reps", type=int, default=100)
+    option("calibration", ("calibrate",), "--c-grid", type=_float_list,
+           help="comma list of candidate constants")
+    option("calibration", ("calibrate", "study"), "--calib-reps", type=int, default=100)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
@@ -133,30 +156,39 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _write_metadata(out_dir: Path, cfg: ExperimentConfig, command: str,
-                    extra: dict | None = None) -> None:
+def _resolved(cfg: ExperimentConfig) -> dict:
+    """cfg's fields, with the defaults it resolves (M, both constants) filled in."""
     resolved = asdict(cfg)
     resolved["m_max"] = cfg.m_grid
     resolved["c_gl"] = cfg.gl_constant
     resolved["c_ms"] = cfg.ms_constant
     resolved["selectors"] = list(cfg.selectors)
-    payload = {"command": command, "version": __version__, "experiment": resolved}
-    if extra:
-        payload.update(extra)
+    return resolved
+
+
+def _write_metadata(out_dir: Path, command: str, **payload) -> None:
     with open(out_dir / "metadata.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"command": command, "version": __version__, **payload}, fh, indent=2,
+                  sort_keys=True)
         fh.write("\n")
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    rows, records = run_experiment(cfg, progress=True)
+    rows, results = run_experiment(cfg, progress=True)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_raw_csv(records, out_dir / "raw.csv")
+    write_raw_csv(results, out_dir / "raw.csv")
     write_summary_csv(rows, out_dir / "summary.csv")
-    _write_metadata(out_dir, cfg, "simulate")
+    _write_metadata(out_dir, "simulate", experiment=_resolved(cfg))
     for row in rows:
         print(f"{row.selector:>6}: mean ISE {row.mean_ise:.6f} "
               f"(std {row.std_ise:.6f}), mean m {row.mean_m:.2f}")
+    penalties = {"gl": ("--c-pen", cfg.gl_constant), "ms": ("--c-pen-ms", cfg.ms_constant)}
+    for sel, picks in zip(cfg.selectors, results.m_selected.tolist()):
+        if sel in penalties and len(set(picks)) == 1 and picks[0] in (1, cfg.m_grid):
+            flag, c = penalties[sel]
+            print(f"warning: {sel} chose m = {picks[0]}, an end of the grid 1..{cfg.m_grid}, "
+                  f"in every replication at c = {c:.10g}; choose c with `adaseries calibrate` "
+                  f"or set {flag}", file=sys.stderr)
     return 0
 
 
@@ -164,7 +196,7 @@ def _cmd_bands(cfg: ExperimentConfig, out_dir: Path) -> int:
     bands = compute_bands(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bands_csv(bands, out_dir / "bands.csv")
-    _write_metadata(out_dir, cfg, "bands")
+    _write_metadata(out_dir, "bands", experiment=_resolved(cfg))
     print(f"bands written; truth inside [5%, 95%] on {100 * bands.coverage:.1f}% of grid points")
     return 0
 
@@ -173,12 +205,49 @@ def _cmd_calibrate(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Pat
     calib = calibrate_constant(cfg, args.c_grid, args.calib_reps)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_calibration_csv(calib, out_dir / "calibration.csv")
-    _write_metadata(out_dir, cfg, "calibrate",
-                    extra={"calibrated": calib.chosen, "calib_reps": args.calib_reps,
-                           "c_grid": [float(c) for c in calib.c_grid],
-                           "warnings": list(calib.warnings)})
-    for sel, c in calib.chosen.items():
-        print(f"{sel}: calibrated c = {c:g}")
+    _write_metadata(out_dir, "calibrate", experiment=_resolved(cfg), calibrated=calib.chosen,
+                    calib_reps=args.calib_reps, c_grid=[float(c) for c in calib.c_grid],
+                    warnings=list(calib.warnings))
+    for sel, c in calib.chosen.items():  # as the CSVs write it, so it can be passed back
+        print(f"{sel}: calibrated c = {c:.10g}")
+    return 0
+
+
+def _cmd_study(args: argparse.Namespace, out_dir: Path) -> int:
+    settings = {"n": args.n, "reps": args.reps, "calib_reps": args.calib_reps,
+                "seed": args.seed, "workers": args.workers,
+                "models": [args.model] if args.model else ["density", "regression"]}
+    study = table_study(**settings)  # the tables are computed before anything is printed
+    for cfg, rows, _ in study:
+        if cfg.case == 1:
+            print(f"\n=== {cfg.model} {cfg.target} (n={cfg.n}, reps={cfg.reps}) ===")
+            print(f"{'':8s} {'oracle':>18s} {'gl':>18s} {'ms':>18s} {'cv':>18s}")
+        by_sel = {r.selector: r for r in rows}
+        cells = [f"{by_sel[s].mean_ise:.4f} ({by_sel[s].std_ise:.4f})"
+                 for s in ("oracle", "gl", "ms", "cv")]
+        print(f"Case {cfg.case:d}   " + " ".join(f"{c:>18s}" for c in cells))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_summary_csv([row for _, rows, _ in study for row in rows], out_dir / "tables.csv")
+    _write_metadata(out_dir, "study", **settings,
+                    experiments=[_resolved(cfg) for cfg, _, _ in study])
+    print(f"\nwrote {out_dir / 'tables.csv'}")
+    return 0
+
+
+def _cmd_risk(args: argparse.Namespace) -> int:
+    try:
+        variance, bias_sq = risk_decomposition(args.model, args.target, args.case, args.n,
+                                               args.m_max)
+    except ValueError as exc:  # a setting the library rejects before work: exit 2
+        raise ConfigError(str(exc)) from None
+    risk = variance + bias_sq
+    m_star = int(risk.argmin()) + 1
+    print(f"{args.model} {args.target}, case {args.case}, n = {args.n}: "
+          f"min_m E ISE(m) = {risk[m_star - 1]:.5f} at m = {m_star}")
+    print(f"{'m':>5s} {'E ISE':>10s} {'variance':>10s} {'bias^2':>10s}")
+    for m in sorted({1, 2, 3, 5, 8, 12, m_star, 17, 25, 40, 60, 100, args.m_max}):
+        if m <= args.m_max:
+            print(f"{m:5d} {risk[m - 1]:10.5f} {variance[m - 1]:10.5f} {bias_sq[m - 1]:10.5f}")
     return 0
 
 
@@ -205,8 +274,12 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if args.command == "check":  # check takes seed from [experiment]
             return _cmd_check(args)
-        cfg = _experiment_config(args)
+        if args.command == "risk":
+            return _cmd_risk(args)
         out_dir = Path(args.out)  # made once the command's results are in
+        if args.command == "study":
+            return _cmd_study(args, out_dir)
+        cfg = _experiment_config(args)
         if args.command == "simulate":
             return _cmd_simulate(cfg, out_dir)
         if args.command == "bands":

@@ -91,7 +91,7 @@ def fresh_report():
 
 @pytest.fixture(scope="session")
 def table_runs():
-    """The twelve calibrated 501-replication runs: the call reproduce_tables.py makes."""
+    """The twelve calibrated 501-replication runs: the call `adaseries study` makes."""
     return {(cfg.model, cfg.target, cfg.case): {"rows": {r.selector: r for r in rows},
                                                 "results": results}
             for cfg, rows, results in table_study(N, REPS, CALIB_REPS, SEED)}

@@ -12,7 +12,7 @@ import pytest
 import adaseries
 from adaseries import checks
 from adaseries.cli import main
-from adaseries.harness import ExperimentConfig
+from adaseries.harness import ExperimentConfig, table_study, write_summary_csv
 
 SIM_ARGS = ["simulate", "--model", "density", "--target", "f1", "--case", "1",
             "--n", "200", "--reps", "3", "--seed", "7"]
@@ -249,7 +249,7 @@ def test_every_check_setting_set_by_flag_or_ini(tmp_path, monkeypatch):
     assert calls[0] == calls[1] == {"seed": 5, "pens": [0.1, 0.2]}
 
 
-@pytest.mark.parametrize("command", ["simulate", "bands", "calibrate", "check"])
+@pytest.mark.parametrize("command", ["simulate", "bands", "calibrate", "check", "study", "risk"])
 def test_subcommand_help(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -284,6 +284,121 @@ def test_calibrate_writes_choice(tmp_path):
     body = (out / "calibration.csv").read_text().splitlines()
     assert body[0] == "selector,c,mean_ise"
     assert len(body) == 1 + 2 * 3
+
+
+def test_calibrate_prints_the_chosen_constant_to_the_digit(tmp_path, capsys):
+    """The printed constant is the one metadata.json records, not a 6-digit cut of it."""
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--model", "density", "--target", "f2", "--case", "1",
+                 "--n", "200", "--c-grid", "2.828427,5.656854", "--calib-reps", "3",
+                 "--out", str(out)]) == 0
+    chosen = json.loads((out / "metadata.json").read_text())["calibrated"]
+    printed = dict(line.split(": calibrated c = ")
+                   for line in capsys.readouterr().out.splitlines())
+    assert {sel: float(c) for sel, c in printed.items()} == chosen
+    assert all(f"{c:g}" != printed[sel] for sel, c in chosen.items())  # %g would cut them
+
+
+@pytest.mark.parametrize("args, warned", [
+    (["--model", "regression"], {"gl": 1, "ms": 1}),
+    (["--model", "regression", "--c-pen", "4"], {}),
+    (["--model", "density", "--c-pen", "0", "--selectors", "oracle,gl"], {"gl": 100}),
+], ids=["preset", "c-pen-4", "c-pen-0"])
+def test_simulate_warns_when_a_penalized_selector_sits_at_an_end(args, warned, tmp_path,
+                                                                 capsys):
+    """One stderr line per penalized selector whose every pick is m = 1 or m = M."""
+    assert main(["simulate", *args, "--target", "f1", "--case", "1", "--n", "200",
+                 "--reps", "5", "--seed", "7", "--out", str(tmp_path)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(lines) == len(warned)
+    for line, (sel, m) in zip(lines, warned.items()):
+        assert line.startswith(f"warning: {sel} chose m = {m},")
+        assert "adaseries calibrate" in line and "--c-pen" in line
+
+
+STUDY_ARGS = ["--n", "200", "--reps", "130", "--calib-reps", "2", "--model", "density"]
+
+
+def test_study_tiny(tmp_path, capsys):
+    """One model's tables; on 2 workers, whose pool serves all 12 calls, the same bytes.
+
+    At n = 200 a kernel batch holds 122 replications, so 130 of them make
+    two pool chunks per evaluation run.
+    """
+    csv_bytes = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"tables_w{workers}"
+        assert main(["study", *STUDY_ARGS, "--workers", workers, "--out", str(out)]) == 0
+        csv_bytes[workers] = (out / "tables.csv").read_bytes()
+        assert "=== density f2" in capsys.readouterr().out
+    body = csv_bytes["1"].decode().splitlines()
+    assert body[0].startswith("model,target,case,n,selector")
+    assert len(body) == 1 + 2 * 3 * 4  # f1, f2 x cases 1-3 x four selectors
+    assert csv_bytes["2"] == csv_bytes["1"]
+
+
+def test_study_writes_the_table_study_rows(tmp_path):
+    """tables.csv is the summary of table_study's rows; metadata.json its settings and configs."""
+    out = tmp_path / "study"
+    assert main(["study", "--n", "100", "--reps", "4", "--calib-reps", "2", "--seed", "3",
+                 "--model", "regression", "--out", str(out)]) == 0
+    study = table_study(100, 4, 2, 3, 1, ("regression",))
+    write_summary_csv([row for _, rows, _ in study for row in rows], tmp_path / "library.csv")
+    assert (out / "tables.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    meta = json.loads((out / "metadata.json").read_text())
+    assert {key: meta[key] for key in ("command", "n", "reps", "calib_reps", "seed", "workers",
+                                        "models")} == {
+        "command": "study", "n": 100, "reps": 4, "calib_reps": 2, "seed": 3, "workers": 1,
+        "models": ["regression"]}
+    assert [(e["target"], e["case"], e["c_gl"], e["c_ms"]) for e in meta["experiments"]] == [
+        (cfg.target, cfg.case, cfg.c_gl, cfg.c_ms) for cfg, _, _ in study]
+
+
+def test_study_and_risk_read_the_shared_config(tmp_path, capsys):
+    """The one INI file sets study's and risk's options as their flags do."""
+    ini = ["--config", _shared_ini(tmp_path)]
+    study_dests = ["model", "n", "reps", "seed", "workers", "calib_reps"]
+    assert main(["study", *_flags(study_dests), "--out", str(tmp_path / "flags")]) == 0
+    assert main(["study", *ini, "--out", str(tmp_path / "ini")]) == 0
+    for name in ("tables.csv", "metadata.json"):
+        assert ((tmp_path / "flags" / name).read_bytes()
+                == (tmp_path / "ini" / name).read_bytes())
+    assert json.loads((tmp_path / "ini" / "metadata.json").read_text())["models"] == [
+        "regression"]
+    capsys.readouterr()
+    assert main(["risk", *_flags(["model", "target", "case", "n", "m_max"])]) == 0
+    by_flag = capsys.readouterr().out
+    assert main(["risk", *ini]) == 0
+    assert capsys.readouterr().out == by_flag
+    assert by_flag.startswith("regression f2, case 2, n = 64: min_m E ISE(m) = ")
+
+
+def test_risk_tiny(capsys):
+    assert main(["risk", "--n", "500", "--m-max", "30"]) == 0
+    assert "min_m E ISE(m)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,message", [
+    (["study", "--n", "1"], "need n >= 2"),
+    (["study", "--n", "200", "--reps", "3", "--calib-reps", "0", "--model", "density"],
+     "need calib_reps >= 1"),
+    (["risk", "--target", "f3"], "unknown density target 'f3'"),
+    (["risk", "--model", "regression", "--target", "uniform"],
+     "unknown regression target 'uniform'"),
+    (["risk", "--case", "3"], "no exact risk for dependence case 3"),
+    (["risk", "--n", "0"], "need n >= 1"),
+], ids=["tables-n", "tables-calib-reps", "risk-density-target", "risk-regression-target",
+        "risk-case-3", "risk-n"])
+def test_bad_setting_exits_two_and_writes_nothing(args, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    takes_out = args[0] != "risk"
+    with pytest.raises(SystemExit) as exc:
+        main([*args, *(["--out", str(out)] if takes_out else [])])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_check_fast_config_passes(tmp_path):

@@ -25,6 +25,13 @@ def test_command_line_flags_are_cli_options():
     assert named and not named - options, sorted(named - options)
 
 
+def test_command_line_commands_are_the_subcommands():
+    """The "Command line" section names every subcommand, and only subcommands."""
+    _, commands, _ = cli._build_parser()
+    named = set(re.findall(r"\badaseries ([a-z]+)\b", command_line_section()))
+    assert named == set(commands), sorted(named ^ set(commands))
+
+
 def test_command_line_ini_example_is_a_valid_config(tmp_path):
     """The section's INI example passes the CLI's config reader."""
     (example,) = re.findall(r"```ini\n(.*?)```", command_line_section(), re.S)
