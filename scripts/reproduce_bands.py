@@ -13,6 +13,7 @@ Usage:
 import argparse
 from pathlib import Path
 
+from adaseries.dependence import CASES
 from adaseries.harness import (ConfigError, ExperimentConfig, calibrate_constant,
                                calibrated_config, compute_bands, write_bands_csv)
 
@@ -33,7 +34,7 @@ def main() -> None:
     try:
         cfgs = [ExperimentConfig(model=args.model, target=args.target, case=case, n=args.n,
                                  reps=args.reps, seed=args.seed, c_gl=args.c_pen)
-                for case in (1, 2, 3)]
+                for case in CASES]
         if args.c_pen is None:
             cfgs = [calibrated_config(cfg, calibrate_constant(cfg, calib_reps=args.calib_reps))
                     for cfg in cfgs]
@@ -43,7 +44,7 @@ def main() -> None:
 
     out_dir = Path(args.out)  # made once the bands are computed
     out_dir.mkdir(parents=True, exist_ok=True)
-    for case, bands in zip((1, 2, 3), all_bands):
+    for case, bands in zip(CASES, all_bands):
         path = out_dir / f"bands_{args.model}_{args.target}_case{case}.csv"
         write_bands_csv(bands, path)
         print(f"case {case}: wrote {path} "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import SUP_NORM_SQ, TrigBasis, WeightSequence, rate_slope
-from .dependence import (AR_TRUNCATION, ar_path_from_innovations, bernoulli_ar_path,
+from .dependence import (AR_TRUNCATION, CASES, ar_path_from_innovations, bernoulli_ar_path,
                          gen_density_sample, marginal_G_case3, stream, uniform_series)
 from .estimators import CoefficientTable, empirical_coefficients
 from .harness import ConfigError, ExperimentConfig, ExperimentContext, batches
@@ -175,7 +175,7 @@ def check_generator_ks(seed: int = 0) -> CheckResult:
     worst_pair = ""
     values = {}
     series = {case: uniform_series(case, KS_DRAWS, [stream(seed, case, namespace=KS_NS)])[0]
-              for case in (1, 2, 3)}
+              for case in CASES}
     for name, law in {"f1": marginal_law("f1"), "f2": marginal_law("f2"), "uniform": None}.items():
         for case, v in series.items():
             if law is None:
@@ -226,10 +226,11 @@ def check_case3_residual(seed: int = 0) -> CheckResult:
                        {"max_residual": worst})
 
 
-def dependence_score(seed: int = 0) -> tuple[float, float, float]:
-    """Largest |lag-1 cross-correlation| z-score among low-order basis scores, cases 1-3.
+def dependence_score(seed: int = 0) -> tuple[float, ...]:
+    """Largest |lag-1 cross-correlation| z-score among low-order basis scores, one per case.
 
-    Each case's uniform series has DEPENDENCE_SCORE_DRAWS = 10^5 draws.
+    The scores follow the order of dependence.CASES.  Each case's uniform
+    series has DEPENDENCE_SCORE_DRAWS = 10^5 draws.
     Serial dependence is measured across basis-score pairs phi_j(V_i),
     phi_k(V_{i+1}), j, k = 1..4: for the logistic-map case plain
     autocorrelations of any single antisymmetric score (normal scores
@@ -238,7 +239,7 @@ def dependence_score(seed: int = 0) -> tuple[float, float, float]:
     """
     n = DEPENDENCE_SCORE_DRAWS
     z = []
-    for case in (1, 2, 3):
+    for case in CASES:
         (v,) = uniform_series(case, n, [stream(seed, case, namespace=DEPENDENCE_NS)])
         scores = TrigBasis().design_matrix(v, DEPENDENCE_SCORE_ROWS)[1:]
         r = max(abs(np.corrcoef(a, b)[0, 1]) for a in scores[:, :-1] for b in scores[:, 1:])
@@ -247,13 +248,17 @@ def dependence_score(seed: int = 0) -> tuple[float, float, float]:
 
 
 def check_dependence_scores(seed: int = 0) -> CheckResult:
-    """Cases 2 and 3 show real serial dependence; case 1 does not (dependence_score)."""
-    z1, z2, z3 = dependence_score(seed)
-    ok = (z1 < DEPENDENCE_SCORE_SIGMAS and z2 > DEPENDENCE_SCORE_SIGMAS
-          and z3 > DEPENDENCE_SCORE_SIGMAS)
+    """Each dep case of dependence.CASES shows real serial dependence; each iid one does not.
+
+    The score of a dep case lies above DEPENDENCE_SCORE_SIGMAS = 5, that of
+    an iid case below (dependence_score).
+    """
+    z = dict(zip(CASES, dependence_score(seed)))
+    ok = all(s > DEPENDENCE_SCORE_SIGMAS if CASES[case].scheme == "dep"
+             else s < DEPENDENCE_SCORE_SIGMAS for case, s in z.items())
     return CheckResult("dependence_scores", ok,
-                       f"max |z|: case1 {z1:.1f}, case2 {z2:.1f}, case3 {z3:.1f}",
-                       {"z_case1": z1, "z_case2": z2, "z_case3": z3})
+                       "max |z|: " + ", ".join(f"case{case} {s:.1f}" for case, s in z.items()),
+                       {f"z_case{case}": s for case, s in z.items()})
 
 
 def check_lemma1_simulation(seed: int = 0) -> CheckResult:

@@ -3,7 +3,9 @@
 simulate, bands and calibrate run one experiment config; study runs the
 paper's risk tables (harness.table_study: every config calibrated, then
 run); risk prints the exact expected risk curve of one config (cases 1
-and 2); check runs the theory-check suite.
+and 2); check runs the theory-check suite.  --case takes the keys of the
+case registry, dependence.CASES, and study prints a table's header
+before its first case.
 Each option is declared once, as a flag in the argument group named after
 its INI section: experiment, penalty, calibration or check.  A config file
 (--config) sets options under those sections, keyed by the flag's dest
@@ -34,6 +36,7 @@ from pathlib import Path
 
 from . import __version__
 from . import checks as checks_mod
+from .dependence import CASES
 from .harness import (ConfigError, ExperimentConfig, calibrate_constant, compute_bands,
                       run_experiment, table_study, write_bands_csv, write_calibration_csv,
                       write_csv, write_raw_csv, write_summary_csv)
@@ -93,7 +96,7 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
            default="density" if risk else None, help="default: both models" if study else None)
     option("experiment", (*one, "risk"), "--target", default="f1" if risk else None,
            help="f1 | f2 (| uniform for densities)")
-    option("experiment", (*one, "risk"), "--case", type=int, choices=(1, 2, 3),
+    option("experiment", (*one, "risk"), "--case", type=int, choices=tuple(CASES),
            default=1 if risk else None)
     option("experiment", (*one, "study", "risk"), "--n", type=int,
            default=None if command in one else 1000)
@@ -219,7 +222,7 @@ def _cmd_study(args: argparse.Namespace, out_dir: Path) -> int:
                 "models": [args.model] if args.model else ["density", "regression"]}
     study = table_study(**settings)  # the tables are computed before anything is printed
     for cfg, rows, _ in study:
-        if cfg.case == 1:
+        if cfg.case == min(CASES):
             print(f"\n=== {cfg.model} {cfg.target} (n={cfg.n}, reps={cfg.reps}) ===")
             print(f"{'':8s} {'oracle':>18s} {'gl':>18s} {'ms':>18s} {'cv':>18s}")
         by_sel = {r.selector: r for r in rows}
@@ -285,8 +288,8 @@ def main(argv=None) -> int:
         if args.command == "bands":
             return _cmd_bands(cfg, out_dir)
         return _cmd_calibrate(cfg, args, out_dir)
-    except ConfigError as exc:
-        parser.error(str(exc))
+    except ConfigError as exc:  # reported with the subcommand's usage line
+        commands[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,11 @@
 """Sample generators: iid, logistic-map, and bilateral Bernoulli autoregression.
 
+CASES is the registry of dependence cases, keyed 1, 2, 3, and the one
+place where a case is declared: how a row is drawn, its map to uniform,
+its theorem scheme and the transfer operators of its exact risk.  The
+samplers, the configs, the command line, the exact risk, the penalty
+presets, the checks and the table study read it.
+
 All three cases produce a series V_1..V_n with uniform marginal on [0, 1];
 density samples apply the target marginal's quantile transform, regression
 samples use V directly as the design and add N(0, sigma^2) noise.  A
@@ -34,6 +40,8 @@ their streams.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -124,30 +132,61 @@ def marginal_G_case3(y) -> np.ndarray:
     return float(out) if scalar else out
 
 
+def _tent_transfer(g: np.ndarray) -> np.ndarray:
+    """(L g)(u) = [g(u/2) + g(1 - u/2)] / 2 on the rows of g: the tent-map transfer operator.
+
+    The uniformised logistic map is the tent map, G o T = tent o G, so L
+    moves case 2 one lag forward.  Rows hold values on the uniform grid
+    u_i = i h.  u_i / 2 and 1 - u_i / 2 fall on the grid refined by
+    midpoints, whose midpoint values are linearly interpolated.
+    """
+    size = g.shape[-1]
+    fine = np.empty(g.shape[:-1] + (2 * size - 1,))
+    fine[..., ::2] = g
+    fine[..., 1::2] = 0.5 * (g[..., :-1] + g[..., 1:])
+    return 0.5 * (fine[..., :size] + fine[..., size - 1:][..., ::-1])
+
+
+class Case(NamedTuple):
+    """One dependence case, as every module reads it."""
+
+    #: (n, rng) -> n values of one row, drawn from that row's generator alone
+    draw: Callable[[int, np.random.Generator], np.ndarray]
+    #: elementwise map of the whole stack to uniform; None for a uniform draw
+    to_uniform: Optional[Callable[[np.ndarray], np.ndarray]]
+    #: 'iid' or 'dep': the theorem's penalty preset and the dependence check's side
+    scheme: str
+    #: the exact risk's transfer operator of each lag k = 1, 2, ..., acting on
+    #: grid values (risk.autocovariances): () for iid, None for no exact risk
+    lags: Optional[tuple[Callable[[np.ndarray], np.ndarray], ...]]
+
+
+#: The dependence cases by number, in table order.  Case 2 sums 40 lags: on
+#: the built-in targets E ISE(m) stops changing (to 1e-9) after 20.
+CASES = {
+    1: Case(lambda n, rng: rng.random(n), None, "iid", ()),
+    2: Case(lambda n, rng: logistic_path(n, rng.uniform()), arcsine_cdf, "dep",
+            (_tent_transfer,) * 40),
+    3: Case(bernoulli_ar_path, marginal_G_case3, "dep", None),
+}
+
+
 def uniform_series(case: int, n: int, rngs) -> np.ndarray:
     """Series of length n with uniform marginal, one per generator in rngs.
 
     Shape (len(rngs), n), a stack like the samples built on it.  Each
-    series takes its draws from its own generator alone; the map to
-    uniform (arcsine_cdf, marginal_G_case3) runs once on the whole stack.
+    series takes its draws from its own generator alone (CASES[case].draw);
+    the case's map to uniform runs once on the whole stack.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    if case not in (1, 2, 3):
+    if case not in CASES:
         raise ValueError(f"unknown dependence case {case}")
+    entry = CASES[case]
     out = np.empty((len(rngs), n))
     for row, rng in zip(out, rngs):
-        if case == 1:
-            rng.random(out=row)
-        elif case == 2:
-            row[:] = logistic_path(n, rng.uniform())
-        else:
-            row[:] = bernoulli_ar_path(n, rng)
-    if case == 2:
-        out = arcsine_cdf(out)
-    elif case == 3:
-        out = marginal_G_case3(out)
-    return out
+        row[:] = entry.draw(n, rng)
+    return out if entry.to_uniform is None else entry.to_uniform(out)
 
 
 def gen_density_sample(n: int, case: int, law: MarginalLaw, rngs) -> np.ndarray:

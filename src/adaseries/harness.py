@@ -82,7 +82,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .basis import TrigBasis
-from .dependence import gen_density_sample, gen_regression_sample, stream
+from .dependence import CASES, gen_density_sample, gen_regression_sample, stream
 from .estimators import CoefficientTable, empirical_coefficients, sigma_y_hat
 from .quadrature import simpson_projection, unit_grid
 from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
@@ -124,7 +124,7 @@ class ExperimentConfig:
 
     model: str  # 'density' | 'regression'
     target: str  # 'f1' | 'f2' | 'uniform' (density only)
-    case: int  # 1 | 2 | 3
+    case: int  # a key of dependence.CASES
     n: int
     reps: int = 501
     selectors: tuple = SELECTORS
@@ -141,7 +141,7 @@ class ExperimentConfig:
         registry = DENSITY_TARGETS if self.model == "density" else REGRESSION_TARGETS
         if self.target not in registry:
             raise ConfigError(f"unknown {self.model} target {self.target!r}")
-        if self.case not in (1, 2, 3):
+        if self.case not in CASES:
             raise ConfigError(f"unknown dependence case {self.case}")
         if self.n < 2:
             raise ConfigError("need n >= 2")
@@ -526,12 +526,16 @@ def _calibration_grid(c_grid: Iterable[float] | None, calib_reps: int) -> np.nda
     """The candidate constants as an array (None -> default_c_grid()).
 
     Raises ConfigError unless the grid is nonempty, finite, positive and
-    strictly increasing and calib_reps >= 1.
+    strictly increasing, each value is its own %.10g (the digits printed
+    and written to calibration.csv, so a chosen constant can be passed
+    back as it reads) and calib_reps >= 1.
     """
     grid = default_c_grid() if c_grid is None else np.asarray(list(c_grid), dtype=float)
     if (grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] <= 0.0
             or not np.all(np.diff(grid) > 0.0)):
         raise ConfigError("calibration grid must be nonempty, positive and increasing")
+    if any(float(_fmt(c)) != c for c in grid.tolist()):
+        raise ConfigError("calibration grid values must have at most 10 significant digits")
     if calib_reps < 1:
         raise ConfigError("need calib_reps >= 1")
     return grid
@@ -586,15 +590,15 @@ def table_study(n: int = 1000, reps: int = 501, calib_reps: int = 100, seed: int
                 ) -> list[tuple[ExperimentConfig, list[SummaryRow], RunResults]]:
     """The paper's risk tables: (calibrated config, summary rows, columns) per config.
 
-    The configs run in table order: each model, targets f1 and f2,
-    dependence cases 1-3.  Each calibrates its GL/MS constant on
-    calib_reps replications of the calibration stream, then runs reps
-    evaluation replications with it.  Every config is built before any
+    The configs run in table order: each model, targets f1 and f2, the
+    dependence cases of dependence.CASES.  Each calibrates its GL/MS
+    constant on calib_reps replications of the calibration stream, then
+    runs reps evaluation replications with it.  Every config is built before any
     work starts, so a rejected setting raises ConfigError first.
     """
     cfgs = [ExperimentConfig(model=model, target=target, case=case, n=n, reps=reps,
                              seed=seed, workers=workers)
-            for model in models for target in ("f1", "f2") for case in (1, 2, 3)]
+            for model in models for target in ("f1", "f2") for case in CASES]
     study = []
     for cfg in cfgs:
         run_cfg = calibrated_config(cfg, calibrate_constant(cfg, calib_reps=calib_reps))

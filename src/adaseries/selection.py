@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SUP_NORM_SQ
+from .dependence import CASES
 from .estimators import CoefficientTable, ise_profile
 
 #: Theorem penalty constants c such that pen(m) = c * sigma^2 * m / n, with
@@ -46,8 +47,14 @@ PENALTY_PRESETS = {
 
 
 def theorem_constant(model: str, case: int) -> float:
-    """Theorem penalty constant for a (model, dependence case) pair; case 1 is iid."""
-    scheme = f"{model}_{'iid' if case == 1 else 'dep'}"
+    """Theorem penalty constant for a (model, dependence case) pair.
+
+    The preset of the case's scheme (iid or dep) in dependence.CASES;
+    raises ValueError for an unknown model or case.
+    """
+    if case not in CASES:
+        raise ValueError(f"unknown dependence case {case}")
+    scheme = f"{model}_{CASES[case].scheme}"
     if scheme not in PENALTY_PRESETS:
         raise ValueError(f"unknown model {model!r}")
     return PENALTY_PRESETS[scheme]

@@ -293,8 +293,8 @@ def brute_force_lag_covariances(psi, lags):
 
     tent maps the grid i / N (N a power of two) onto itself exactly, so
     the composed function is read off by index, without interpolation.
-    Checks risk.tent_autocovariances (on a 4097-point grid, against this
-    on 2^16 + 1 points) to 1e-5 absolute.
+    Checks risk.autocovariances with case 2's tent-map lags (on a
+    4097-point grid, against this on 2^16 + 1 points) to 1e-5 absolute.
     """
     size = psi.shape[-1]
     last = size - 1

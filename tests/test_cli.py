@@ -85,6 +85,8 @@ COMMON = ["--model", "density", "--target", "f1", "--case", "1", "--n", "100"]
     ["calibrate", *COMMON, "--c-grid", "0,1"],
     ["calibrate", *COMMON, "--c-grid", "2,1"],
     ["calibrate", *COMMON, "--c-grid", "1,x"],
+    # %.10g would print and write 1.414213562, another constant than the one run
+    ["calibrate", *COMMON, "--c-grid", "1.41421356237,2"],
     ["calibrate", *COMMON, "--calib-reps", "0"],
     ["bands", *COMMON, "--reps", "5"],
     ["check", "--pens", "a,b"],
@@ -96,9 +98,9 @@ COMMON = ["--model", "density", "--target", "f1", "--case", "1", "--n", "100"]
     ["check", "--fuzz-cases", "2000"],
     ["check", "--variance-reps", "2000"],
     ["check", "--seed", "-1"],
-], ids=["c-grid-zero", "c-grid-decreasing", "c-grid-text", "calib-reps", "bands-reps",
-        "pens-text", "pens-empty", "lemma-reps", "ks-draws", "case3-draws", "fuzz-cases",
-        "variance-reps", "check-seed"])
+], ids=["c-grid-zero", "c-grid-decreasing", "c-grid-text", "c-grid-digits", "calib-reps",
+        "bands-reps", "pens-text", "pens-empty", "lemma-reps", "ks-draws", "case3-draws",
+        "fuzz-cases", "variance-reps", "check-seed"])
 def test_bad_value_usage_error_other_commands(tmp_path, args):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -397,6 +399,7 @@ def test_bad_setting_exits_two_and_writes_nothing(args, message, tmp_path, capsy
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.err.startswith(f"usage: adaseries {args[0]} ")
     assert captured.out == ""
     assert not out.exists()
 

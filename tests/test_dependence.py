@@ -3,13 +3,16 @@ import pytest
 
 from adaseries import checks
 from adaseries.checks import dependence_score, ks_statistic
-from adaseries.dependence import (AR_SCALE, AR_TRUNCATION, arcsine_cdf,
+from adaseries.cli import _build_parser
+from adaseries.dependence import (AR_SCALE, AR_TRUNCATION, CASES, arcsine_cdf,
                                   ar_path_from_innovations, bernoulli_ar_path,
                                   gen_density_sample,
                                   gen_regression_sample, logistic_path,
                                   marginal_G_case3, stream, uniform_series)
-from adaseries.harness import CALIB_NS, EVAL_NS
+from adaseries.harness import CALIB_NS, EVAL_NS, ConfigError, ExperimentConfig
 from adaseries.quadrature import integrate_values, unit_grid
+from adaseries.risk import risk_decomposition
+from adaseries.selection import theorem_constant
 from adaseries.targets import regression_f1, regression_f2
 from reference import numpy_logistic_path
 
@@ -189,3 +192,29 @@ def test_draws_inside_unit_interval(law_f2):
         assert np.all((x >= 0.0) & (x <= 1.0))
         u, _ = gen_regression_sample(2000, case, regression_f1(), [stream(2, 1)])
         assert np.all((u >= 0.0) & (u <= 1.0))
+
+
+def test_every_module_reads_the_case_registry():
+    """The command line, the configs, the exact risk and the presets agree with CASES."""
+    _, commands, _ = _build_parser()
+    for name in ("simulate", "bands", "calibrate", "risk"):
+        assert commands[name]._option_string_actions["--case"].choices == tuple(CASES)
+    for case in CASES:
+        ExperimentConfig(model="density", target="f1", case=case, n=10)
+    for case in (0, max(CASES) + 1):
+        with pytest.raises(ConfigError, match=f"^unknown dependence case {case}$"):
+            ExperimentConfig(model="density", target="f1", case=case, n=10)
+    exact = [case for case, entry in CASES.items() if entry.lags is not None]
+    assert exact == [1, 2]
+    for case in (0, *CASES, max(CASES) + 1):
+        if case in exact:
+            variance, bias_sq = risk_decomposition("regression", "f1", case, 10, 2)
+            assert variance.shape == bias_sq.shape == (2,)
+        else:
+            with pytest.raises(ValueError, match=f"^no exact risk for dependence case {case}; "
+                                                 "only cases 1 and 2$"):
+                risk_decomposition("regression", "f1", case, 10, 2)
+    presets = {"iid": (72.0, 288.0), "dep": (576.0, 2304.0)}
+    for case, entry in CASES.items():
+        assert (theorem_constant("density", case),
+                theorem_constant("regression", case)) == presets[entry.scheme]

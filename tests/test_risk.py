@@ -3,7 +3,8 @@ import pytest
 
 from adaseries.basis import TrigBasis
 from adaseries.quadrature import unit_grid
-from adaseries.risk import risk_decomposition, tent_autocovariances
+from adaseries.dependence import CASES
+from adaseries.risk import autocovariances, risk_decomposition
 from adaseries.targets import DENSITY_TARGETS, REGRESSION_TARGETS, MarginalLaw
 from reference import brute_force_lag_covariances, iid_risk_reference
 
@@ -60,7 +61,7 @@ def _psi_regression_f1(size, j_max=20):
 @pytest.mark.parametrize("make_psi", [_psi_density_f2, _psi_regression_f1])
 def test_tent_autocovariances_match_brute_force(make_psi):
     lags = 6
-    got = tent_autocovariances(make_psi(4097), lags)
+    got = autocovariances(make_psi(4097), CASES[2].lags[:lags])
     want = brute_force_lag_covariances(make_psi(2**16 + 1), lags)
     assert got.shape == want.shape
     assert np.max(np.abs(want[1:])) > 0.01  # the lags carry real dependence

@@ -71,8 +71,9 @@ def test_theorem_presets():
     assert theorem_constant("regression", 1) == 288.0
     assert theorem_constant("density", 2) == 576.0
     assert theorem_constant("regression", 3) == 2304.0
-    with pytest.raises(ValueError):
-        theorem_constant("other", 1)
+    for model, case in (("other", 1), ("density", 7), ("regression", 0)):
+        with pytest.raises(ValueError):
+            theorem_constant(model, case)
 
 
 def test_gl_contrast_single_dimension():
