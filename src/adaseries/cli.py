@@ -2,10 +2,12 @@
 
 simulate, bands and calibrate run one experiment config; study runs the
 paper's risk tables (harness.table_study: every config calibrated, then
-run); risk prints the exact expected risk curve of one config (cases 1
-and 2); check runs the theory-check suite.  --case takes the keys of the
-case registry, dependence.CASES, and study prints a table's header
-before its first case.
+run) and, with --bands, the GL percentile bands of each calibrated config
+(harness.compute_bands); risk prints the exact expected risk curve of one
+config (the cases whose dependence.CASES entry has lags); check runs the
+theory-check suite.  --case takes the keys of the case registry,
+dependence.CASES, and study prints a table's header before its first
+case.
 Each option is declared once, as a flag in the argument group named after
 its INI section: experiment, penalty, calibration or check.  A config file
 (--config) sets options under those sections, keyed by the flag's dest
@@ -15,14 +17,18 @@ command: keys of options another command takes are accepted and ignored,
 and [experiment] seed also seeds check.  simulate, bands, calibrate and
 study write a metadata.json with the fully resolved settings, so raw CSVs
 can be reproduced byte for byte; check writes only its report, and risk
-writes nothing.  The output directory is created only once a command's
-results are computed, so a run the library rejects leaves no directory
-behind.
+writes nothing.  --bands chooses outputs, so it is a flag beside --out
+and not an INI key.  The output directory is created only once a
+command's results are computed, so a run the library rejects leaves no
+directory behind; an --out that cannot be a directory is refused before
+any work.  The library's notes (warnings.warn) go to stderr as one
+"warning: <note>" line each.
 
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error.  The
-last covers bad flags, unknown INI sections or keys, malformed INI files
-and any setting the library rejects before work (harness.ConfigError, or
-the ValueError of risk.risk_decomposition).
+last covers bad flags, unknown INI sections or keys, malformed INI files,
+an --out that is or lies under a file, and any setting the library
+rejects before work (harness.ConfigError, or the ValueError of
+risk.risk_decomposition).
 """
 
 from __future__ import annotations
@@ -31,23 +37,26 @@ import argparse
 import configparser
 import json
 import sys
+import warnings
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import __version__
 from . import checks as checks_mod
 from .dependence import CASES
-from .harness import (ConfigError, ExperimentConfig, calibrate_constant, compute_bands,
-                      run_experiment, table_study, write_bands_csv, write_calibration_csv,
-                      write_csv, write_raw_csv, write_summary_csv)
+from .harness import (MIN_BAND_REPS, ConfigError, ExperimentConfig, calibrate_constant,
+                      compute_bands, run_experiment, table_study, write_bands_csv,
+                      write_calibration_csv, write_csv, write_raw_csv, write_summary_csv)
 from .risk import risk_decomposition
 
+_EXACT_RISK_CASES = " and ".join(str(key) for key, entry in CASES.items()
+                                if entry.lags is not None)
 _COMMANDS = {
     "simulate": "run replications, write raw + summary CSV",
     "bands": "write pointwise percentile bands CSV",
     "calibrate": "grid-search penalty constants",
-    "study": "calibrate and run every config of the risk tables, write tables CSV",
-    "risk": "print the exact expected risk curve (cases 1 and 2)",
+    "study": "calibrate and run every config of the risk tables, write tables (and bands) CSV",
+    "risk": f"print the exact expected risk curve (cases {_EXACT_RISK_CASES})",
     "check": "run the theory-check suite",
 }
 _SECTIONS = ("experiment", "penalty", "calibration", "check")
@@ -89,6 +98,10 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
     if not risk:
         p.add_argument("--out", default=None if command == "check" else "out",
                        help="output directory (default ./out; check writes a report only if given)")
+    if study:
+        p.add_argument("--bands", action="store_true",
+                       help="also write each config's GL percentile bands, "
+                            "bands_{model}_{target}_case{case}.csv")
     option("experiment", (*one, "study", "check"), "--seed", type=int, default=0 if study else None)
     option("check", ("check",), "--pens", type=_float_list,
            help="comma list: audit a custom penalty sequence")
@@ -220,7 +233,10 @@ def _cmd_study(args: argparse.Namespace, out_dir: Path) -> int:
     settings = {"n": args.n, "reps": args.reps, "calib_reps": args.calib_reps,
                 "seed": args.seed, "workers": args.workers,
                 "models": [args.model] if args.model else ["density", "regression"]}
-    study = table_study(**settings)  # the tables are computed before anything is printed
+    if args.bands and args.reps < MIN_BAND_REPS:  # refused before calibration
+        raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
+    study = table_study(**settings)  # the outputs are computed before anything is printed
+    bands = [compute_bands(cfg) for cfg, _, _ in study] if args.bands else []
     for cfg, rows, _ in study:
         if cfg.case == min(CASES):
             print(f"\n=== {cfg.model} {cfg.target} (n={cfg.n}, reps={cfg.reps}) ===")
@@ -234,6 +250,11 @@ def _cmd_study(args: argparse.Namespace, out_dir: Path) -> int:
     _write_metadata(out_dir, "study", **settings,
                     experiments=[_resolved(cfg) for cfg, _, _ in study])
     print(f"\nwrote {out_dir / 'tables.csv'}")
+    for (cfg, _, _), table in zip(study, bands):
+        path = out_dir / f"bands_{cfg.model}_{cfg.target}_case{cfg.case}.csv"
+        write_bands_csv(table, path)
+        print(f"case {cfg.case}: wrote {path} "
+              f"(truth inside band on {100 * table.coverage:.1f}% of grid)")
     return 0
 
 
@@ -268,6 +289,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an --out that mkdir could not make: a file, or a path under one."""
+    if out:
+        nearest = next(p for p in (Path(out), *Path(out).parents)
+                       if p.exists() or p.is_symlink())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out {out}: {nearest} is not a directory")
+
+
+def _show_note(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser, commands, keys = _build_parser()
     args = parser.parse_args(argv)
@@ -275,19 +309,22 @@ def main(argv=None) -> int:
         if args.config:
             commands[args.command].set_defaults(**_read_config(args.config, keys))
             args = parser.parse_args(argv)
-        if args.command == "check":  # check takes seed from [experiment]
-            return _cmd_check(args)
         if args.command == "risk":
             return _cmd_risk(args)
-        out_dir = Path(args.out)  # made once the command's results are in
-        if args.command == "study":
-            return _cmd_study(args, out_dir)
-        cfg = _experiment_config(args)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, out_dir)
-        if args.command == "bands":
-            return _cmd_bands(cfg, out_dir)
-        return _cmd_calibrate(cfg, args, out_dir)
+        _check_out(args.out)
+        with warnings.catch_warnings():  # the library's notes, one line each
+            warnings.showwarning = _show_note
+            if args.command == "check":  # check takes seed from [experiment]
+                return _cmd_check(args)
+            out_dir = Path(args.out)  # made once the command's results are in
+            if args.command == "study":
+                return _cmd_study(args, out_dir)
+            cfg = _experiment_config(args)
+            if args.command == "simulate":
+                return _cmd_simulate(cfg, out_dir)
+            if args.command == "bands":
+                return _cmd_bands(cfg, out_dir)
+            return _cmd_calibrate(cfg, args, out_dir)
     except ConfigError as exc:  # reported with the subcommand's usage line
         commands[args.command].error(str(exc))
 

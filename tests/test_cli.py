@@ -321,22 +321,59 @@ def test_simulate_warns_when_a_penalized_selector_sits_at_an_end(args, warned, t
 STUDY_ARGS = ["--n", "200", "--reps", "130", "--calib-reps", "2", "--model", "density"]
 
 
+BANDS_CSVS = [f"bands_density_{target}_case{case}.csv" for target in ("f1", "f2")
+              for case in (1, 2, 3)]
+
+
 def test_study_tiny(tmp_path, capsys):
-    """One model's tables; on 2 workers, whose pool serves all 12 calls, the same bytes.
+    """One model's tables and bands; on 2 workers, whose pool serves all 18 calls, the same bytes.
 
     At n = 200 a kernel batch holds 122 replications, so 130 of them make
-    two pool chunks per evaluation run.
+    two pool chunks per evaluation and bands run.
     """
     csv_bytes = {}
     for workers in ("1", "2"):
         out = tmp_path / f"tables_w{workers}"
-        assert main(["study", *STUDY_ARGS, "--workers", workers, "--out", str(out)]) == 0
-        csv_bytes[workers] = (out / "tables.csv").read_bytes()
-        assert "=== density f2" in capsys.readouterr().out
-    body = csv_bytes["1"].decode().splitlines()
+        assert main(["study", *STUDY_ARGS, "--bands", "--workers", workers,
+                     "--out", str(out)]) == 0
+        csv_bytes[workers] = [(out / name).read_bytes() for name in ["tables.csv", *BANDS_CSVS]]
+        printed = capsys.readouterr().out
+        assert "=== density f2" in printed
+        assert f"case 3: wrote {out / BANDS_CSVS[-1]} (truth inside band on " in printed
+    body = csv_bytes["1"][0].decode().splitlines()
     assert body[0].startswith("model,target,case,n,selector")
     assert len(body) == 1 + 2 * 3 * 4  # f1, f2 x cases 1-3 x four selectors
+    for bands in csv_bytes["1"][1:]:
+        lines = bands.decode().splitlines()
+        assert lines[0] == "x,truth,median,p05,p95"
+        assert len(lines) == 1 + 1025
     assert csv_bytes["2"] == csv_bytes["1"]
+
+
+def test_study_bands_are_the_bands_command(tmp_path):
+    """Each study bands CSV is the bytes `adaseries bands` writes at the calibrated constant."""
+    settings = ["--model", "regression", "--n", "200", "--reps", "20", "--seed", "0"]
+    assert main(["study", *settings, "--calib-reps", "2", "--bands",
+                 "--out", str(tmp_path / "study")]) == 0
+    experiments = json.loads((tmp_path / "study" / "metadata.json").read_text())["experiments"]
+    assert len(experiments) == 6
+    for e in experiments:
+        name = f"bands_regression_{e['target']}_case{e['case']}.csv"
+        out = tmp_path / name
+        assert main(["bands", *settings, "--target", e["target"], "--case", str(e["case"]),
+                     "--c-pen", repr(e["c_gl"]), "--out", str(out)]) == 0
+        assert (tmp_path / "study" / name).read_bytes() == (out / "bands.csv").read_bytes()
+
+
+def test_bands_is_not_an_ini_key(tmp_path, capsys):
+    """--bands chooses outputs: a [experiment] bands key is unknown, as any other."""
+    cfg = tmp_path / "bands.ini"
+    cfg.write_text("[experiment]\nbands = false\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unknown key 'bands' in [experiment]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_study_writes_the_table_study_rows(tmp_path):
@@ -384,13 +421,17 @@ def test_risk_tiny(capsys):
     (["study", "--n", "1"], "need n >= 2"),
     (["study", "--n", "200", "--reps", "3", "--calib-reps", "0", "--model", "density"],
      "need calib_reps >= 1"),
+    # refused before calibration, which would reject --calib-reps 0
+    (["study", "--bands", "--reps", "19", "--calib-reps", "0"], "at least 20 replications"),
+    (["bands", "--model", "density", "--target", "zz", "--case", "1", "--n", "200"],
+     "unknown density target 'zz'"),
     (["risk", "--target", "f3"], "unknown density target 'f3'"),
     (["risk", "--model", "regression", "--target", "uniform"],
      "unknown regression target 'uniform'"),
     (["risk", "--case", "3"], "no exact risk for dependence case 3"),
     (["risk", "--n", "0"], "need n >= 1"),
-], ids=["tables-n", "tables-calib-reps", "risk-density-target", "risk-regression-target",
-        "risk-case-3", "risk-n"])
+], ids=["tables-n", "tables-calib-reps", "study-bands-reps", "bands-target",
+        "risk-density-target", "risk-regression-target", "risk-case-3", "risk-n"])
 def test_bad_setting_exits_two_and_writes_nothing(args, message, tmp_path, capsys):
     out = tmp_path / "out"
     takes_out = args[0] != "risk"
@@ -402,6 +443,43 @@ def test_bad_setting_exits_two_and_writes_nothing(args, message, tmp_path, capsy
     assert captured.err.startswith(f"usage: adaseries {args[0]} ")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("args", [
+    SIM_ARGS,
+    ["bands", *COMMON, "--reps", "20"],
+    ["calibrate", *COMMON, "--calib-reps", "2"],
+    ["study", *STUDY_ARGS],
+    ["check"],
+], ids=lambda args: args[0])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(args, under, tmp_path, capsys):
+    """An --out that is a file, or lies under one, exits 2 before any work."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "sub" if under else taken
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: adaseries {args[0]} ")
+    assert f"--out {out}: {taken} is not a directory" in captured.err
+    assert captured.out == ""
+    assert taken.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["calibrate", "--model", "density", "--target", "f2", "--case", "2", "--n", "1000",
+     "--calib-reps", "20", "--seed", "1"],
+    ["study", "--n", "200", "--reps", "3", "--calib-reps", "3", "--model", "density"],
+], ids=["calibrate", "study"])
+def test_calibration_notes_print_without_a_source_path(args, tmp_path, capsys):
+    """A calibration note is one `warning:` line on stderr, the same from any checkout."""
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: mean ISE vs c not quasi-convex for gl and ms (density f2 case 2 " in err
+    assert all(line.startswith("warning: ") for line in err.splitlines())
+    assert ".py:" not in err
 
 
 def test_check_fast_config_passes(tmp_path):

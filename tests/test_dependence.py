@@ -3,7 +3,7 @@ import pytest
 
 from adaseries import checks
 from adaseries.checks import dependence_score, ks_statistic
-from adaseries.cli import _build_parser
+from adaseries.cli import _COMMANDS, _build_parser
 from adaseries.dependence import (AR_SCALE, AR_TRUNCATION, CASES, arcsine_cdf,
                                   ar_path_from_innovations, bernoulli_ar_path,
                                   gen_density_sample,
@@ -206,6 +206,7 @@ def test_every_module_reads_the_case_registry():
             ExperimentConfig(model="density", target="f1", case=case, n=10)
     exact = [case for case, entry in CASES.items() if entry.lags is not None]
     assert exact == [1, 2]
+    assert _COMMANDS["risk"] == "print the exact expected risk curve (cases 1 and 2)"
     for case in (0, *CASES, max(CASES) + 1):
         if case in exact:
             variance, bias_sq = risk_decomposition("regression", "f1", case, 10, 2)
