@@ -350,6 +350,17 @@ def test_study_tiny(tmp_path, capsys):
     assert csv_bytes["2"] == csv_bytes["1"]
 
 
+def test_study_bands_tiny(tmp_path):
+    """study --bands at the fewest reps it takes writes one 1025-point band per case."""
+    out = tmp_path / "bands"
+    assert main(["study", "--model", "density", "--n", "200", "--reps", "20",
+                 "--calib-reps", "2", "--bands", "--out", str(out)]) == 0
+    for name in BANDS_CSVS:
+        body = (out / name).read_text().splitlines()
+        assert body[0] == "x,truth,median,p05,p95"
+        assert len(body) == 1 + 1025
+
+
 def test_study_bands_are_the_bands_command(tmp_path):
     """Each study bands CSV is the bytes `adaseries bands` writes at the calibrated constant."""
     settings = ["--model", "regression", "--n", "200", "--reps", "20", "--seed", "0"]
