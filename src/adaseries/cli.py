@@ -1,28 +1,29 @@
 """Command-line front end: simulate | bands | calibrate | study | risk | check.
 
-simulate, bands and calibrate run one experiment config; study runs the
-paper's risk tables (harness.table_study: every config calibrated, then
-run) and, with --bands, the GL percentile bands of each calibrated config
-(harness.compute_bands); risk prints the exact expected risk curve of one
-config (the cases whose dependence.CASES entry has lags); check runs the
-theory-check suite.  --case takes the keys of the case registry,
-dependence.CASES, and study prints a table's header before its first
-case.
+simulate, bands and calibrate run one experiment config (bands selects
+by gl alone, harness.compute_bands); study runs the paper's risk tables
+(harness.table_study: every config calibrated, then run) and, with
+--bands, reads the GL percentile bands of each calibrated config from
+its evaluation run (harness.bands_from_run); risk prints the exact
+expected risk curve of one config (the cases whose dependence.CASES
+entry has lags); check runs the theory-check suite.  --case takes the
+keys of the case registry, dependence.CASES, and study prints a table's
+header before its first case.
 Each option is declared once, as a flag in the argument group named after
 its INI section: experiment, penalty, calibration or check.  A config file
 (--config) sets options under those sections, keyed by the flag's dest
-(c_gl for --c-pen); its values become the subcommand's defaults, so
-argparse converts them and flags override them.  One file serves every
-command: keys of options another command takes are accepted and ignored,
-and [experiment] seed also seeds check.  simulate, bands, calibrate and
-study write a metadata.json with the fully resolved settings, so raw CSVs
-can be reproduced byte for byte; check writes only its report, and risk
-writes nothing.  --bands chooses outputs, so it is a flag beside --out
-and not an INI key.  The output directory is created only once a
-command's results are computed, so a run the library rejects leaves no
-directory behind; an --out that cannot be a directory is refused before
-any work.  The library's notes (warnings.warn) go to stderr as one
-"warning: <note>" line each.
+(c_gl for --c-pen); the values of the subcommand's own options become
+its defaults, so argparse converts them and flags override them.  One
+file serves every command: keys of options another command takes are
+accepted and ignored, and [experiment] seed also seeds check.
+simulate, bands, calibrate and study write a metadata.json with the
+fully resolved settings, so raw CSVs can be reproduced byte for byte;
+check writes only its report, and risk writes nothing.  --bands chooses
+outputs, so it is a flag beside --out and not an INI key.  The output
+directory is created only once a command's results are computed, so a
+run the library rejects leaves no directory behind; an --out that
+cannot be a directory is refused before any work.  The library's notes
+(warnings.warn) go to stderr as one "warning: <note>" line each.
 
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error.  The
 last covers bad flags, unknown INI sections or keys, malformed INI files,
@@ -38,15 +39,16 @@ import configparser
 import json
 import sys
 import warnings
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
 from . import checks as checks_mod
 from .dependence import CASES
-from .harness import (MIN_BAND_REPS, ConfigError, ExperimentConfig, calibrate_constant,
-                      compute_bands, run_experiment, table_study, write_bands_csv,
-                      write_calibration_csv, write_csv, write_raw_csv, write_summary_csv)
+from .harness import (MIN_BAND_REPS, ConfigError, ExperimentConfig, bands_from_run,
+                      calibrate_constant, compute_bands, run_experiment, table_study,
+                      write_bands_csv, write_calibration_csv, write_csv, write_raw_csv,
+                      write_summary_csv)
 from .risk import risk_decomposition
 
 _EXACT_RISK_CASES = " and ".join(str(key) for key, entry in CASES.items()
@@ -82,9 +84,11 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
     and record each option's dest as a key of that section.
 
     Each option names the commands that take it.  simulate, bands and
-    calibrate run one config and take every experiment and penalty option;
-    study and risk take what their library call reads, with the defaults
-    of the paper's tables (study) and of the exact risk curve (risk).
+    calibrate run one config and take every experiment and penalty option
+    but the two that bands, which selects by gl alone, does not read
+    (--selectors, --c-pen-ms); study and risk take what their library
+    call reads, with the defaults of the paper's tables (study) and of
+    the exact risk curve (risk).
     """
     groups = {section: p.add_argument_group(section) for section in _SECTIONS}
     one = ("simulate", "bands", "calibrate")  # the commands that run one config
@@ -115,14 +119,14 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
            default=None if command in one else 1000)
     option("experiment", (*one, "study"), "--reps", type=int,
            default={"simulate": None, "study": 501}.get(command, 100))
-    option("experiment", one, "--selectors", type=_name_list,
+    option("experiment", ("simulate", "calibrate"), "--selectors", type=_name_list,
            help="comma list from oracle,gl,ms,cv")
     option("experiment", (*one, "risk"), "--m-max", type=int, default=200 if risk else None)
     option("experiment", one, "--grid-size", type=int)
     option("experiment", (*one, "study"), "--workers", type=int, default=1 if study else None)
     option("penalty", one, "--c-pen", dest="c_gl", type=float,
            help="penalized-contrast constant (default: theorem preset)")
-    option("penalty", one, "--c-pen-ms", dest="c_ms", type=float,
+    option("penalty", ("simulate", "calibrate"), "--c-pen-ms", dest="c_ms", type=float,
            help="model-selection constant (default: same as --c-pen)")
     option("calibration", ("calibrate",), "--c-grid", type=_float_list,
            help="comma list of candidate constants")
@@ -165,7 +169,7 @@ def _read_config(path: str, keys: dict) -> dict:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     kwargs = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-              if getattr(args, f.name) is not None}
+              if getattr(args, f.name, None) is not None}
     for f in fields(ExperimentConfig):
         if f.default is MISSING and f.name not in kwargs:
             raise ConfigError(f"missing required option --{f.name}")
@@ -174,19 +178,13 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _resolved(cfg: ExperimentConfig) -> dict:
     """cfg's fields, with the defaults it resolves (M, both constants) filled in."""
-    resolved = asdict(cfg)
-    resolved["m_max"] = cfg.m_grid
-    resolved["c_gl"] = cfg.gl_constant
-    resolved["c_ms"] = cfg.ms_constant
-    resolved["selectors"] = list(cfg.selectors)
-    return resolved
+    return {**asdict(cfg), "m_max": cfg.m_grid, "c_gl": cfg.gl_constant,
+            "c_ms": cfg.ms_constant, "selectors": list(cfg.selectors)}
 
 
 def _write_metadata(out_dir: Path, command: str, **payload) -> None:
-    with open(out_dir / "metadata.json", "w") as fh:
-        json.dump({"command": command, "version": __version__, **payload}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    meta = {"command": command, "version": __version__, **payload}
+    (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -209,6 +207,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _cmd_bands(cfg: ExperimentConfig, out_dir: Path) -> int:
+    cfg = replace(cfg, selectors=("gl",))  # the one selector bands run
     bands = compute_bands(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bands_csv(bands, out_dir / "bands.csv")
@@ -236,7 +235,7 @@ def _cmd_study(args: argparse.Namespace, out_dir: Path) -> int:
     if args.bands and args.reps < MIN_BAND_REPS:  # refused before calibration
         raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
     study = table_study(**settings)  # the outputs are computed before anything is printed
-    bands = [compute_bands(cfg) for cfg, _, _ in study] if args.bands else []
+    bands = [bands_from_run(cfg, results) for cfg, _, results in study] if args.bands else []
     for cfg, rows, _ in study:
         if cfg.case == min(CASES):
             print(f"\n=== {cfg.model} {cfg.target} (n={cfg.n}, reps={cfg.reps}) ===")
@@ -307,7 +306,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            commands[args.command].set_defaults(**_read_config(args.config, keys))
+            values = _read_config(args.config, keys).items()  # args holds its own options
+            commands[args.command].set_defaults(**{k: v for k, v in values if k in vars(args)})
             args = parser.parse_args(argv)
         if args.command == "risk":
             return _cmd_risk(args)

@@ -5,10 +5,11 @@ stream(seed, rep_index, namespace) and reduces it to one coefficient
 table and the noise level sigma_hat^2.  ExperimentContext.sample is the
 one place that maps replications to their streams; the samplers it calls
 take the generators.  ExperimentContext.replications is the one kernel,
-shared by evaluation runs, bands, calibration and the oracle-inequality
-check: it makes a batch of K = max(1, BATCH_POINTS // n) consecutive
-replications at a time (24 at n = 1000, so a table operation of 20
-replications is one batch; one at a time from n = 12289), with one
+shared by evaluation runs (and so bands), calibration and the
+oracle-inequality check: it makes a batch of K = max(1, BATCH_POINTS //
+n) consecutive replications at a time (24 at n = 1000, so a table
+operation of 20 replications is one batch; one at a time from n =
+12289), with one
 sample call (a (K, n) stack, one stream per row, one quantile transform
 for densities), one pass over the basis rows (empirical_coefficients,
 one stacked table, one row per replication) and, for regression, one
@@ -18,7 +19,8 @@ starts and ends.  The psi^2 sums of the coefficient pass are made only
 when the config selects by cross-validation, the one selector that
 reads them: bands run their kernel on a config that selects by gl
 alone, calibration on one that selects by gl and ms, and theta_hat is
-the same float either way.
+the same float either way, so the bands of a four-selector run are
+those of its gl-only run.
 Every step before the sums is elementwise and every sum runs over one
 replication's row, so a replication's table and sigma_hat^2 are the same
 floats in any batch.  Nothing after the kernel reads the sample, and
@@ -33,7 +35,7 @@ and its squared norm, quadrature.simpson_projection) make the ISE of
 every dimension of a replication one cumulative sum by Parseval, stacked
 over the batch: the basis is orthonormal on any grid of more than
 4 ceil(M/2) + 1 points, and run_experiment and calibrate_constant refuse
-smaller ones (bands read no ISE and take any grid).  Each sample-free
+smaller ones (bands report no ISE and take any grid).  Each sample-free
 piece is built once per process, keyed by what it depends on, and
 ExperimentContext reads it from those caches:
 the grid and the basis rows on it by (grid_size, M); the target, its
@@ -43,20 +45,25 @@ marginal law, its values on the grid, the coefficients and the norm by
 No piece depends on the seed, case, n, replications or penalty
 constants, so every config of a risk table, and a calibration and the
 run of its calibrated config, share them.  The cached arrays are
-read-only; compute_bands hands out copies.
+read-only; bands_from_run hands out copies.
 
-One runner, _run_reps, loops over replications for evaluation, bands and
-calibration.  It maps a per-batch function of (ctx, table, sigma_sq)
-over the kernel's output, in process on the caller's ExperimentContext
-or, chunk by chunk, through one process pool per process, made by the
-first parallel run and reused by the next ones; each chunk is a group of
-whole kernel batches, carries its config, and a worker reads its context
-from its own caches.  The pool holds no more processes than there are
-chunks or CPUs this process may run on.  The runner returns the outputs
-as a list in replication order, one per batch, so results are byte for
-byte the same for any worker count.  Each consumer concatenates them:
-evaluation into columns (RunResults), whose iteration yields the raw
-rows.
+One runner, _run_reps, loops over replications for evaluation and
+calibration.  It maps a per-batch function of (ctx, table, sigma_sq),
+run_replication or _calibration_rows, over the kernel's output, in
+process on the caller's ExperimentContext or, chunk by chunk, through
+one process pool per process, made by the first parallel run and
+reused by the next ones; each chunk is a group of whole kernel batches,
+carries its config, and a worker reads its context from its own caches.
+The pool holds no more processes than there are chunks or CPUs this
+process may run on.  The runner returns the outputs as a list in
+replication order, one per batch, so results are byte for byte the same
+for any worker count.  Each consumer concatenates them: evaluation into
+columns (RunResults), whose iteration yields the raw rows, and
+calibration into one ISE row per replication.  Bands are a reading of
+the evaluation columns (bands_from_run): the percentiles of the GL
+estimates summed from each replication's GL pick and theta_hat.  So a
+study reads each config's bands from its evaluation run, and
+compute_bands is a gl-only run and that reading.
 
 Calibration searches a grid of penalty constants for the value minimizing
 mean ISE over replications drawn from a stream namespace disjoint from
@@ -287,14 +294,17 @@ class RepRecord(NamedTuple):
 class RunResults:
     """Columns of an evaluation run: m_selected and ise are (S x R), one row
     per selector; sigma_y_hat is (R,), each replication's sigma_hat^2 =
-    n^-1 sum y_i^2 (1.0 for densities), and ise_by_m, ISE(m) for m = 1..M,
-    is (R x M).  Iterating yields the RepRecord rows, replication-major."""
+    n^-1 sum y_i^2 (1.0 for densities); ise_by_m, ISE(m) for m = 1..M,
+    is (R x M); theta_hat, the coefficients theta_hat_0..M from which
+    bands_from_run sums the GL estimates, is (R x M+1).  Iterating yields
+    the RepRecord rows, replication-major."""
 
     selectors: tuple
     m_selected: np.ndarray
     ise: np.ndarray
     sigma_y_hat: np.ndarray
     ise_by_m: np.ndarray
+    theta_hat: np.ndarray
 
     def __len__(self) -> int:
         return self.ise.size
@@ -336,13 +346,13 @@ class BandTable:
         return float(((self.p05 <= self.truth) & (self.truth <= self.p95)).mean())
 
 
-def run_replication(ctx: ExperimentContext, table: CoefficientTable,
-                    sigma_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def run_replication(ctx: ExperimentContext, table: CoefficientTable, sigma_sq: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All requested selectors on one batch's stacked coefficient table of K rows.
 
     Returns the selected m, an (S, K) array with one row per selector in
     cfg.selectors order; the realized ISE(m), m = 1..M, a (K, M) array;
-    and the K values sigma_hat^2.
+    the K values sigma_hat^2; and the coefficients theta_hat, (K, M + 1).
     """
     cfg = ctx.cfg
     ise_by_m = ctx.ise_by_m(table)
@@ -359,7 +369,7 @@ def run_replication(ctx: ExperimentContext, table: CoefficientTable,
         else:
             row[:] = select_cv(table)
 
-    return chosen, ise_by_m, sigma_sq
+    return chosen, ise_by_m, sigma_sq, table.theta_hat
 
 
 def _chunk(ctx: ExperimentContext, kernel, start: int, stop: int, namespace: int):
@@ -470,43 +480,51 @@ def _check_ise_grid(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"grid_size must exceed 4 ceil(M/2) + 1 = {floor} (M = {cfg.m_grid})")
 
 
+def _evaluate(cfg: ExperimentConfig, progress: bool = False) -> RunResults:
+    """The columns of cfg.reps evaluation replications, one kernel pass."""
+    ms, profiles, sigmas, thetas = zip(*_run_reps(ExperimentContext(cfg), run_replication,
+                                                  cfg.reps, EVAL_NS, progress=progress))
+    m_selected, ise_by_m = np.concatenate(ms, axis=1), np.concatenate(profiles)
+    return RunResults(selectors=tuple(cfg.selectors), m_selected=m_selected,
+                      ise=ise_by_m[np.arange(cfg.reps), m_selected - 1],
+                      sigma_y_hat=np.concatenate(sigmas), ise_by_m=ise_by_m,
+                      theta_hat=np.concatenate(thetas))
+
+
 def run_experiment(cfg: ExperimentConfig,
                    progress: bool = False) -> tuple[list[SummaryRow], RunResults]:
     """Run cfg.reps replications: the summary rows and the columns they summarize."""
     _check_ise_grid(cfg)
     if "ms" in cfg.selectors and cfg.ms_constant <= 0.0:
         raise ConfigError("selector ms needs a positive constant: set c_ms")
-    ms, profiles, sigmas = zip(*_run_reps(ExperimentContext(cfg), run_replication, cfg.reps,
-                                          EVAL_NS, progress=progress))
-    m_selected, ise_by_m = np.concatenate(ms, axis=1), np.concatenate(profiles)
-    results = RunResults(selectors=tuple(cfg.selectors), m_selected=m_selected,
-                         ise=ise_by_m[np.arange(cfg.reps), m_selected - 1],
-                         sigma_y_hat=np.concatenate(sigmas), ise_by_m=ise_by_m)
+    results = _evaluate(cfg, progress)
     return summarize(cfg, results), results
 
 
-def _gl_estimates(ctx: ExperimentContext, table: CoefficientTable,
-                  sigma_sq: np.ndarray) -> np.ndarray:
-    """The GL estimates of one batch on the context's grid, one row per replication.
+def bands_from_run(cfg: ExperimentConfig, results: RunResults) -> BandTable:
+    """Pointwise percentile bands of the GL estimates of an evaluation run of cfg.
 
-    The dimensions come from one selection over the batch; each estimate
-    is summed on its own, over its replication's m + 1 basis rows.
+    Each replication's estimate sum_{j <= m} theta_hat_j phi_j, m its GL
+    pick, is summed on its own, on the context's grid.
     """
-    cfg = ctx.cfg
-    pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sigma_sq)
-    return np.array([np.sum(theta[: m + 1, None] * ctx.basis_grid[: m + 1], axis=0)
-                     for theta, m in zip(table.theta_hat, select_with_pens(table, pens))])
-
-
-def compute_bands(cfg: ExperimentConfig) -> BandTable:
-    """Pointwise percentile bands of the GL estimate over replications."""
-    if cfg.reps < MIN_BAND_REPS:
-        raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
-    ctx = ExperimentContext(replace(cfg, selectors=("gl",)))
-    estimates = np.concatenate(_run_reps(ctx, _gl_estimates, cfg.reps, EVAL_NS))
+    ctx = ExperimentContext(cfg)
+    picks = results.m_selected[results.selectors.index("gl")].tolist()
+    estimates = np.array([np.sum(theta[: m + 1, None] * ctx.basis_grid[: m + 1], axis=0)
+                          for theta, m in zip(results.theta_hat, picks)])
     p05, med, p95 = np.percentile(estimates, [5.0, 50.0, 95.0], axis=0)
     # copies: the context's arrays are shared and read-only
     return BandTable(ctx.grid.copy(), ctx.truth_grid.copy(), med, p05, p95)
+
+
+def compute_bands(cfg: ExperimentConfig) -> BandTable:
+    """Pointwise percentile bands of the GL estimate over replications.
+
+    The run selects by gl alone and takes any odd grid: it reports no ISE.
+    """
+    if cfg.reps < MIN_BAND_REPS:
+        raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
+    gl_cfg = replace(cfg, selectors=("gl",))
+    return bands_from_run(gl_cfg, _evaluate(gl_cfg))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,38 @@ def test_bands_output_shape(tmp_path):
         assert p05 <= med <= p95
 
 
+BANDS_ARGS = ["bands", *COMMON, "--reps", "20", "--c-pen", "2.0"]
+
+
+@pytest.mark.parametrize("flag", [["--selectors", "cv"], ["--c-pen-ms", "9"]],
+                         ids=["selectors", "c-pen-ms"])
+def test_bands_takes_no_option_it_does_not_read(flag, tmp_path, capsys):
+    """bands selects by gl alone: --selectors and --c-pen-ms are unknown to it."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*BANDS_ARGS, *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bands_records_gl_and_ignores_the_ini_keys_it_does_not_read(tmp_path):
+    """The metadata names gl, the one selector run.
+
+    [experiment] selectors and [penalty] c_ms are keys of options bands
+    does not take: accepted, and they change no byte.
+    """
+    ini = tmp_path / "run.ini"
+    ini.write_text("[experiment]\nselectors = cv\n[penalty]\nc_ms = 9\n")
+    for name, extra in (("plain", []), ("ini", ["--config", str(ini)])):
+        assert main([*BANDS_ARGS, *extra, "--out", str(tmp_path / name)]) == 0
+    plain, ini_run = ((tmp_path / name / "metadata.json").read_text() for name in ("plain", "ini"))
+    assert plain == ini_run
+    assert json.loads(plain)["experiment"]["selectors"] == ["gl"]
+    assert ((tmp_path / "plain" / "bands.csv").read_bytes()
+            == (tmp_path / "ini" / "bands.csv").read_bytes())
+
+
 def test_calibrate_writes_choice(tmp_path):
     out = tmp_path / "cal"
     code = main(["calibrate", "--model", "density", "--target", "f1", "--case", "1",
@@ -326,10 +359,10 @@ BANDS_CSVS = [f"bands_density_{target}_case{case}.csv" for target in ("f1", "f2"
 
 
 def test_study_tiny(tmp_path, capsys):
-    """One model's tables and bands; on 2 workers, whose pool serves all 18 calls, the same bytes.
+    """One model's tables and bands; on 2 workers, whose pool serves all 12 calls, the same bytes.
 
     At n = 200 a kernel batch holds 122 replications, so 130 of them make
-    two pool chunks per evaluation and bands run.
+    two pool chunks per evaluation run, from which the bands are read.
     """
     csv_bytes = {}
     for workers in ("1", "2"):
@@ -348,6 +381,27 @@ def test_study_tiny(tmp_path, capsys):
         assert lines[0] == "x,truth,median,p05,p95"
         assert len(lines) == 1 + 1025
     assert csv_bytes["2"] == csv_bytes["1"]
+
+
+def test_study_bands_draw_each_evaluation_replication_once(tmp_path, monkeypatch):
+    """study --bands reads the bands from the evaluation runs: one pass of batches per config.
+
+    Each of the 6 configs draws its 130 evaluation replications as two
+    kernel batches (122 and 8) and its 2 calibration replications as one.
+    """
+    from adaseries.harness import CALIB_NS, EVAL_NS, ExperimentContext, batches
+
+    calls = Counter()
+    sample = ExperimentContext.sample
+
+    def counted(self, rep_index, namespace=EVAL_NS, count=1):
+        calls[namespace] += 1
+        return sample(self, rep_index, namespace, count)
+
+    monkeypatch.setattr(ExperimentContext, "sample", counted)
+    assert main(["study", *STUDY_ARGS, "--bands", "--workers", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == {EVAL_NS: 6 * len(list(batches(0, 130, 200))), CALIB_NS: 6}
 
 
 def test_study_bands_tiny(tmp_path):

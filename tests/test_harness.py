@@ -13,8 +13,8 @@ import pytest
 
 from adaseries.estimators import empirical_coefficients, sigma_y_hat
 from adaseries.harness import (BATCH_POINTS, CALIB_NS, MIN_BAND_REPS, BandTable, ConfigError,
-                               ExperimentConfig, ExperimentContext, RunResults, batches,
-                               calibrate_constant, calibrated_config, compute_bands,
+                               ExperimentConfig, ExperimentContext, RunResults, bands_from_run,
+                               batches, calibrate_constant, calibrated_config, compute_bands,
                                default_c_grid, run_experiment, run_replication, summarize,
                                write_bands_csv, write_calibration_csv, write_raw_csv,
                                write_summary_csv)
@@ -61,11 +61,9 @@ def test_replication_deterministic():
         (table, sig_sq), = ctx.replications(index, index + 1)
         return run_replication(ctx, table, sig_sq)
 
-    (m_a, ise_a, sig_a), (m_b, ise_b, sig_b) = rep(3), rep(3)
-    np.testing.assert_array_equal(m_a, m_b)
-    np.testing.assert_array_equal(ise_a, ise_b)
-    np.testing.assert_array_equal(sig_a, sig_b)
-    assert not np.array_equal(ise_a, rep(4)[1])
+    for a, b in zip(rep(3), rep(3), strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(rep(3)[1], rep(4)[1])
 
 
 def test_oracle_dominates_per_replication():
@@ -101,7 +99,8 @@ def test_summary_rows_are_the_per_selector_statistics(reps):
     ise = rng.lognormal(-6.0, 2.0, size=(len(cfg.selectors), reps))
     m_selected = rng.integers(1, cfg.m_grid + 1, size=ise.shape)
     results = RunResults(selectors=cfg.selectors, m_selected=m_selected, ise=ise,
-                         sigma_y_hat=np.ones(reps), ise_by_m=np.empty((reps, 0)))
+                         sigma_y_hat=np.ones(reps), ise_by_m=np.empty((reps, 0)),
+                         theta_hat=np.empty((reps, 0)))
     rows = summarize(cfg, results)
     assert [row.selector for row in rows] == list(cfg.selectors)
     for row, ises, ms in zip(rows, ise, m_selected, strict=True):
@@ -167,7 +166,7 @@ def test_parallel_equals_serial():
     cfg = small_cfg(reps=17, n=BATCH_POINTS // 5)
     _, serial = run_experiment(cfg)
     _, parallel = run_experiment(dataclasses.replace(cfg, workers=2))
-    for name in ("m_selected", "ise", "sigma_y_hat", "ise_by_m"):
+    for name in ("m_selected", "ise", "sigma_y_hat", "ise_by_m", "theta_hat"):
         np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
         assert getattr(serial, name).dtype == getattr(parallel, name).dtype
     assert list(serial) == list(parallel)
@@ -189,7 +188,7 @@ def test_parallel_equals_serial():
     _, serial_no_cv = run_experiment(no_cv)
     _, parallel_no_cv = run_experiment(dataclasses.replace(no_cv, workers=2))
     rows = [cfg.selectors.index(sel) for sel in no_cv.selectors]
-    for name in ("m_selected", "ise", "sigma_y_hat", "ise_by_m"):
+    for name in ("m_selected", "ise", "sigma_y_hat", "ise_by_m", "theta_hat"):
         column = getattr(serial_no_cv, name)
         assert column.dtype == getattr(parallel_no_cv, name).dtype
         assert column.tobytes() == getattr(parallel_no_cv, name).tobytes()
@@ -503,7 +502,7 @@ def test_outputs_do_not_alias_the_cached_pieces():
             getattr(ctx, name)[0] = 0.0
     for run, names in ((lambda: compute_bands(cfg), ("x", "truth", "median", "p05", "p95")),
                        (lambda: run_experiment(cfg)[1],
-                        ("m_selected", "ise", "sigma_y_hat", "ise_by_m"))):
+                        ("m_selected", "ise", "sigma_y_hat", "ise_by_m", "theta_hat"))):
         first = run()
         kept = {name: getattr(first, name).copy() for name in names}
         for name in names:
@@ -534,7 +533,7 @@ def test_outputs_do_not_depend_on_the_batch_budget(model, target, case, monkeypa
         calib = calibrate_constant(cfg, calib_reps=cfg.reps)
         bands = compute_bands(cfg)
         outputs.append([*(getattr(results, name) for name in
-                          ("m_selected", "ise", "sigma_y_hat", "ise_by_m")),
+                          ("m_selected", "ise", "sigma_y_hat", "ise_by_m", "theta_hat")),
                         calib.mean_ise["gl"], calib.mean_ise["ms"],
                         bands.median, bands.p05, bands.p95])
         chosen.append((calib.chosen, calib.warnings))
@@ -615,8 +614,9 @@ def test_replication_kernel_matches_direct_path():
         np.testing.assert_array_equal(table.theta_sq_loo, reference.theta_sq_loo)
         np.testing.assert_array_equal(sig_sq, sigma_y_hat(y) if cfg.model == "regression"
                                       else [1.0])
-        m, ise_by_m, kernel_sig_sq = run_replication(ctx, table, sig_sq)
+        m, ise_by_m, kernel_sig_sq, theta = run_replication(ctx, table, sig_sq)
         assert m.shape == (len(cfg.selectors), 1) and kernel_sig_sq is sig_sq
+        assert theta is table.theta_hat
         np.testing.assert_array_equal(ise_by_m, ctx.ise_by_m(table))
 
 
@@ -673,6 +673,26 @@ def test_bands_constant_estimator_degenerate():
 def test_bands_need_enough_reps():
     with pytest.raises(ValueError):
         compute_bands(small_cfg(reps=10))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("model,target", [("density", "f1"), ("regression", "f2")])
+def test_bands_are_read_from_the_evaluation_run(model, target, case, workers):
+    """compute_bands is bands_from_run of a four-selector run's GL picks and theta_hat.
+
+    60 replications at n = 500 run as two kernel batches of 49 and 11, so
+    on 2 workers as two pool chunks.  The four-selector run makes the
+    psi^2 sums and the gl-only run of compute_bands does not; the bands
+    are the same arrays.
+    """
+    cfg = ExperimentConfig(model=model, target=target, case=case, n=500, reps=60, seed=5,
+                           c_gl=1.0, workers=workers)
+    _, results = run_experiment(cfg)
+    assert len(set(results.m_selected[cfg.selectors.index("gl")].tolist())) > 1
+    read, run = bands_from_run(cfg, results), compute_bands(cfg)
+    for name in ("x", "truth", "median", "p05", "p95"):
+        assert np.array_equal(getattr(read, name), getattr(run, name))
 
 
 def test_bands_constant_estimates_collapse(monkeypatch):
