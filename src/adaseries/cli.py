@@ -45,8 +45,8 @@ from pathlib import Path
 from . import __version__
 from . import checks as checks_mod
 from .dependence import CASES
-from .harness import (MIN_BAND_REPS, ConfigError, ExperimentConfig, bands_from_run,
-                      calibrate_constant, compute_bands, run_experiment, table_study,
+from .harness import (ConfigError, ExperimentConfig, bands_from_run, calibrate_constant,
+                      compute_bands, require_band_reps, run_experiment, table_study,
                       write_bands_csv, write_calibration_csv, write_csv, write_raw_csv,
                       write_summary_csv)
 from .risk import risk_decomposition
@@ -176,10 +176,17 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _resolved(cfg: ExperimentConfig) -> dict:
-    """cfg's fields, with the defaults it resolves (M, both constants) filled in."""
-    return {**asdict(cfg), "m_max": cfg.m_grid, "c_gl": cfg.gl_constant,
-            "c_ms": cfg.ms_constant, "selectors": list(cfg.selectors)}
+def _resolved(cfg: ExperimentConfig, selectors=None) -> dict:
+    """cfg's fields, with the defaults it resolves (M, the constants) filled in.
+
+    c_ms is recorded only when ms is among the selectors run, by default
+    cfg.selectors.
+    """
+    resolved = {**asdict(cfg), "m_max": cfg.m_grid, "c_gl": cfg.gl_constant,
+                "c_ms": cfg.ms_constant, "selectors": list(cfg.selectors)}
+    if "ms" not in (cfg.selectors if selectors is None else selectors):
+        del resolved["c_ms"]
+    return resolved
 
 
 def _write_metadata(out_dir: Path, command: str, **payload) -> None:
@@ -220,9 +227,10 @@ def _cmd_calibrate(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Pat
     calib = calibrate_constant(cfg, args.c_grid, args.calib_reps)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_calibration_csv(calib, out_dir / "calibration.csv")
-    _write_metadata(out_dir, "calibrate", experiment=_resolved(cfg), calibrated=calib.chosen,
-                    calib_reps=args.calib_reps, c_grid=[float(c) for c in calib.c_grid],
-                    warnings=list(calib.warnings))
+    # the calibration runs the selectors it calibrates, whatever cfg.selectors says
+    _write_metadata(out_dir, "calibrate", experiment=_resolved(cfg, calib.chosen),
+                    calibrated=calib.chosen, calib_reps=args.calib_reps,
+                    c_grid=[float(c) for c in calib.c_grid], warnings=list(calib.warnings))
     for sel, c in calib.chosen.items():  # as the CSVs write it, so it can be passed back
         print(f"{sel}: calibrated c = {c:.10g}")
     return 0
@@ -232,8 +240,8 @@ def _cmd_study(args: argparse.Namespace, out_dir: Path) -> int:
     settings = {"n": args.n, "reps": args.reps, "calib_reps": args.calib_reps,
                 "seed": args.seed, "workers": args.workers,
                 "models": [args.model] if args.model else ["density", "regression"]}
-    if args.bands and args.reps < MIN_BAND_REPS:  # refused before calibration
-        raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
+    if args.bands:
+        require_band_reps(args.reps)  # refused before calibration
     study = table_study(**settings)  # the outputs are computed before anything is printed
     bands = [bands_from_run(cfg, results) for cfg, _, results in study] if args.bands else []
     for cfg, rows, _ in study:

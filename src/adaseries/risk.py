@@ -55,7 +55,7 @@ def autocovariances(psi: np.ndarray, lags: tuple) -> np.ndarray:
     centred = psi - (psi @ w)[..., None]
     out = np.empty((len(lags) + 1,) + psi.shape[:-1])
     moved = centred
-    out[0] = (centred * centred) @ w
+    out[0] = np.square(centred) @ w
     for k, transfer in enumerate(lags, 1):
         moved = transfer(moved)
         out[k] = (centred * moved) @ w

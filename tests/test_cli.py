@@ -13,7 +13,7 @@ import pytest
 import adaseries
 from adaseries import checks
 from adaseries.cli import main
-from adaseries.harness import ExperimentConfig, table_study, write_summary_csv
+from adaseries.harness import MIN_BAND_REPS, ExperimentConfig, table_study, write_summary_csv
 
 SIM_ARGS = ["simulate", "--model", "density", "--target", "f1", "--case", "1",
             "--n", "200", "--reps", "3", "--seed", "7"]
@@ -305,6 +305,37 @@ def test_bands_records_gl_and_ignores_the_ini_keys_it_does_not_read(tmp_path):
     assert json.loads(plain)["experiment"]["selectors"] == ["gl"]
     assert ((tmp_path / "plain" / "bands.csv").read_bytes()
             == (tmp_path / "ini" / "bands.csv").read_bytes())
+
+
+def test_metadata_records_c_ms_only_when_ms_runs(tmp_path):
+    """bands run gl alone and record no c_ms; a run of ms records its resolved constant.
+
+    calibrate calibrates ms whatever --selectors says, so it records c_ms.
+    """
+    runs = {"bands": BANDS_ARGS, "simulate-gl": [*SIM_ARGS, "--selectors", "oracle,gl"],
+            "simulate": SIM_ARGS,
+            "calibrate-gl": ["calibrate", *COMMON, "--reps", "3", "--calib-reps", "2",
+                             "--c-grid", "1,2", "--selectors", "gl"]}
+    recorded = {}
+    for name, args in runs.items():
+        assert main([*args, "--out", str(tmp_path / name)]) == 0
+        experiment = json.loads((tmp_path / name / "metadata.json").read_text())["experiment"]
+        recorded[name] = experiment.get("c_ms")
+    assert recorded == {"bands": None, "simulate-gl": None, "simulate": 72.0,
+                        "calibrate-gl": 72.0}
+
+
+@pytest.mark.parametrize("args", [["bands", *COMMON, "--reps", "19"],
+                                  ["study", "--bands", "--reps", "19", "--calib-reps", "0"]],
+                         ids=["bands", "study-bands"])
+def test_too_few_band_replications_are_one_refusal(args, tmp_path, capsys):
+    """bands and study --bands refuse 19 replications with the one harness message."""
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"adaseries {args[0]}: error: bands need at least {MIN_BAND_REPS} replications")
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_writes_choice(tmp_path):

@@ -134,6 +134,37 @@ def test_strided_part_sum_is_the_row_sum(K, n):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 129, 1000, 20000])
 @pytest.mark.parametrize("K", [1, 3, 16])
+def test_square_is_the_self_product(K, n):
+    """The numpy behaviour that the psi^2 step rests on.
+
+    np.square of the float view of a complex (K, n) stack, into a (K, 2n)
+    buffer as the density pass makes it or in place as the regression
+    pass squares its scratch w, gives the bits of np.multiply(a, a), which
+    streams the same array in twice.  The floats include +-0, subnormals,
+    +-inf, NaN and values whose square is subnormal or overflows; NaN
+    squares to NaN in the same places, and every other float is equal
+    bit for bit, the sign of zero included.
+    """
+    rng = np.random.default_rng(n * K + 3)
+    p = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+    flat = p.view(float)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-308, np.inf, -np.inf, np.nan,
+                -np.nan, 3e-160, -1e200]
+    spots = rng.choice(flat.size, size=min(flat.size, 4 * len(specials)), replace=False)
+    flat.flat[spots] = np.resize(specials, spots.size)
+    buf, in_place = np.empty_like(flat), p.copy().view(float)
+    with np.errstate(over="ignore", under="ignore"):
+        expected = np.multiply(flat, flat)
+        np.square(flat, out=buf)
+        np.square(in_place, out=in_place)
+    nan = np.isnan(expected)
+    for squared in (buf, in_place):
+        assert np.array_equal(np.isnan(squared), nan)
+        assert np.array_equal(squared[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 129, 1000, 20000])
+@pytest.mark.parametrize("K", [1, 3, 16])
 def test_complex_weight_product_is_the_real_products(K, n):
     """The numpy behaviour that the regression coefficient pass rests on.
 
