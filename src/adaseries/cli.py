@@ -1,8 +1,11 @@
 """Command-line front end: simulate | bands | calibrate | study | risk | check.
 
-simulate, bands and calibrate run one experiment config (bands selects
-by gl alone, harness.compute_bands); study runs the paper's risk tables
-(harness.table_study: every config calibrated, then run) and, with
+simulate, bands and calibrate run one experiment config, and each takes
+only the options it reads (bands selects by gl alone,
+harness.compute_bands; calibrate grid-searches the gl and ms constant
+on --calib-reps replications, harness.calibrate_constant); study runs
+the paper's risk tables (harness.table_study: every config calibrated,
+then run) and, with
 --bands, reads the GL percentile bands of each calibrated config from
 its evaluation run (harness.bands_from_run); risk prints the exact
 expected risk curve of one config (the cases whose dependence.CASES
@@ -17,7 +20,9 @@ its defaults, so argparse converts them and flags override them.  One
 file serves every command: keys of options another command takes are
 accepted and ignored, and [experiment] seed also seeds check.
 simulate, bands, calibrate and study write a metadata.json with the
-fully resolved settings, so raw CSVs can be reproduced byte for byte;
+fully resolved settings they ran, so raw CSVs can be reproduced byte for
+byte: a penalty constant only for a penalized selector that ran, and
+calibrate only the experiment settings it takes;
 check writes only its report, and risk writes nothing.  --bands chooses
 outputs, so it is a flag beside --out and not an INI key.  The output
 directory is created only once a command's results are computed, so a
@@ -83,12 +88,14 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
     """Declare command's options on p, each in the group of its INI section,
     and record each option's dest as a key of that section.
 
-    Each option names the commands that take it.  simulate, bands and
-    calibrate run one config and take every experiment and penalty option
-    but the two that bands, which selects by gl alone, does not read
-    (--selectors, --c-pen-ms); study and risk take what their library
-    call reads, with the defaults of the paper's tables (study) and of
-    the exact risk curve (risk).
+    Each option names the commands that take it: each command takes only
+    what it reads.  simulate, bands and calibrate run one config.  bands
+    selects by gl alone, so it takes neither --selectors nor --c-pen-ms;
+    calibrate grid-searches the constant on its own --calib-reps
+    replications of gl and ms, so it takes none of --reps, --selectors,
+    --c-pen and --c-pen-ms.  study and risk take what their library call
+    reads, with the defaults of the paper's tables (study) and of the
+    exact risk curve (risk).
     """
     groups = {section: p.add_argument_group(section) for section in _SECTIONS}
     one = ("simulate", "bands", "calibrate")  # the commands that run one config
@@ -117,16 +124,16 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
            default=1 if risk else None)
     option("experiment", (*one, "study", "risk"), "--n", type=int,
            default=None if command in one else 1000)
-    option("experiment", (*one, "study"), "--reps", type=int,
-           default={"simulate": None, "study": 501}.get(command, 100))
-    option("experiment", ("simulate", "calibrate"), "--selectors", type=_name_list,
+    option("experiment", ("simulate", "bands", "study"), "--reps", type=int,
+           default={"bands": 100, "study": 501}.get(command))
+    option("experiment", ("simulate",), "--selectors", type=_name_list,
            help="comma list from oracle,gl,ms,cv")
     option("experiment", (*one, "risk"), "--m-max", type=int, default=200 if risk else None)
     option("experiment", one, "--grid-size", type=int)
     option("experiment", (*one, "study"), "--workers", type=int, default=1 if study else None)
-    option("penalty", one, "--c-pen", dest="c_gl", type=float,
+    option("penalty", ("simulate", "bands"), "--c-pen", dest="c_gl", type=float,
            help="penalized-contrast constant (default: theorem preset)")
-    option("penalty", ("simulate", "calibrate"), "--c-pen-ms", dest="c_ms", type=float,
+    option("penalty", ("simulate",), "--c-pen-ms", dest="c_ms", type=float,
            help="model-selection constant (default: same as --c-pen)")
     option("calibration", ("calibrate",), "--c-grid", type=_float_list,
            help="comma list of candidate constants")
@@ -176,17 +183,16 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _resolved(cfg: ExperimentConfig, selectors=None) -> dict:
+def _resolved(cfg: ExperimentConfig) -> dict:
     """cfg's fields, with the defaults it resolves (M, the constants) filled in.
 
-    c_ms is recorded only when ms is among the selectors run, by default
-    cfg.selectors.
+    A penalty constant is recorded only for a penalized selector that ran:
+    c_gl when gl is among cfg.selectors, c_ms when ms is.
     """
     resolved = {**asdict(cfg), "m_max": cfg.m_grid, "c_gl": cfg.gl_constant,
                 "c_ms": cfg.ms_constant, "selectors": list(cfg.selectors)}
-    if "ms" not in (cfg.selectors if selectors is None else selectors):
-        del resolved["c_ms"]
-    return resolved
+    ran = {"c_gl": "gl" in cfg.selectors, "c_ms": "ms" in cfg.selectors}
+    return {key: value for key, value in resolved.items() if ran.get(key, True)}
 
 
 def _write_metadata(out_dir: Path, command: str, **payload) -> None:
@@ -227,8 +233,9 @@ def _cmd_calibrate(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Pat
     calib = calibrate_constant(cfg, args.c_grid, args.calib_reps)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_calibration_csv(calib, out_dir / "calibration.csv")
-    # the calibration runs the selectors it calibrates, whatever cfg.selectors says
-    _write_metadata(out_dir, "calibrate", experiment=_resolved(cfg, calib.chosen),
+    # the experiment settings it takes, the ones calibrate_constant reads
+    experiment = {key: value for key, value in _resolved(cfg).items() if key in vars(args)}
+    _write_metadata(out_dir, "calibrate", experiment=experiment,
                     calibrated=calib.chosen, calib_reps=args.calib_reps,
                     c_grid=[float(c) for c in calib.c_grid], warnings=list(calib.warnings))
     for sel, c in calib.chosen.items():  # as the CSVs write it, so it can be passed back

@@ -195,7 +195,7 @@ OPTIONS = {
     "case": ("experiment", "--case", "2"),
     "n": ("experiment", "--n", "64"),
     "reps": ("experiment", "--reps", "3"),
-    "selectors": ("experiment", "--selectors", "gl,cv"),
+    "selectors": ("experiment", "--selectors", "gl,ms"),
     "m_max": ("experiment", "--m-max", "9"),
     "seed": ("experiment", "--seed", "5"),
     "grid_size": ("experiment", "--grid-size", "65"),
@@ -223,19 +223,26 @@ def _shared_ini(tmp_path):
 
 
 def test_every_config_field_set_by_flag_or_ini(tmp_path):
-    dests = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["c_grid", "calib_reps"]
-    assert set(dests) <= set(OPTIONS)  # a new config field needs a flag here
-    assert main(["calibrate", *_flags(dests), "--out", str(tmp_path / "flags")]) == 0
-    assert main(["calibrate", "--config", _shared_ini(tmp_path),
-                 "--out", str(tmp_path / "ini")]) == 0
-    by_flag, by_ini = (json.loads((tmp_path / d / "metadata.json").read_text())
-                       for d in ("flags", "ini"))
-    assert by_flag == by_ini
-    assert by_ini["experiment"] == {
-        "model": "regression", "target": "f2", "case": 2, "n": 64, "reps": 3,
-        "selectors": ["gl", "cv"], "m_max": 9, "seed": 5, "grid_size": 65, "workers": 2,
-        "c_gl": 1.5, "c_ms": 2.5}
-    assert by_ini["c_grid"] == [1.0, 2.0, 4.0] and by_ini["calib_reps"] == 3
+    """simulate reads every config field; calibrate eight of them, besides its own two."""
+    config_dests = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert set(config_dests) <= set(OPTIONS)  # a new config field needs a flag here
+    read = {"model": "regression", "target": "f2", "case": 2, "n": 64, "m_max": 9, "seed": 5,
+            "grid_size": 65, "workers": 2}
+    runs = {"simulate": config_dests, "calibrate": [*read, "c_grid", "calib_reps"]}
+    meta = {}
+    for command, dests in runs.items():
+        assert main([command, *_flags(dests), "--out", str(tmp_path / command / "flags")]) == 0
+        assert main([command, "--config", _shared_ini(tmp_path),
+                     "--out", str(tmp_path / command / "ini")]) == 0
+        by_flag, by_ini = (json.loads((tmp_path / command / d / "metadata.json").read_text())
+                           for d in ("flags", "ini"))
+        assert by_flag == by_ini
+        meta[command] = by_ini
+    assert meta["simulate"]["experiment"] == {
+        **read, "reps": 3, "selectors": ["gl", "ms"], "c_gl": 1.5, "c_ms": 2.5}
+    assert meta["calibrate"]["experiment"] == read
+    assert meta["calibrate"]["c_grid"] == [1.0, 2.0, 4.0]
+    assert meta["calibrate"]["calib_reps"] == 3
 
 
 def test_every_check_setting_set_by_flag_or_ini(tmp_path, monkeypatch):
@@ -276,53 +283,69 @@ def test_bands_output_shape(tmp_path):
 
 
 BANDS_ARGS = ["bands", *COMMON, "--reps", "20", "--c-pen", "2.0"]
+CALIBRATE_ARGS = ["calibrate", *COMMON, "--c-grid", "1,2", "--calib-reps", "2"]
 
 
-@pytest.mark.parametrize("flag", [["--selectors", "cv"], ["--c-pen-ms", "9"]],
-                         ids=["selectors", "c-pen-ms"])
-def test_bands_takes_no_option_it_does_not_read(flag, tmp_path, capsys):
-    """bands selects by gl alone: --selectors and --c-pen-ms are unknown to it."""
+@pytest.mark.parametrize("args, flag", [
+    (BANDS_ARGS, ["--selectors", "cv"]),
+    (BANDS_ARGS, ["--c-pen-ms", "9"]),
+    (CALIBRATE_ARGS, ["--reps", "7"]),
+    (CALIBRATE_ARGS, ["--selectors", "cv"]),
+    (CALIBRATE_ARGS, ["--c-pen", "3"]),
+    (CALIBRATE_ARGS, ["--c-pen-ms", "5"]),
+], ids=lambda value: value[0].lstrip("-"))
+def test_a_command_takes_no_option_it_does_not_read(args, flag, tmp_path, capsys):
+    """bands selects by gl alone, so --selectors and --c-pen-ms are unknown to it;
+    calibrate grid-searches gl and ms on --calib-reps replications, so --reps,
+    --selectors, --c-pen and --c-pen-ms are unknown to it.
+    """
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([*BANDS_ARGS, *flag, "--out", str(out)])
+        main([*args, *flag, "--out", str(out)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_bands_records_gl_and_ignores_the_ini_keys_it_does_not_read(tmp_path):
-    """The metadata names gl, the one selector run.
+def test_bands_records_gl_and_ignores_the_ini_keys_it_does_not_read(tmp_path, capsys):
+    """bands' metadata names gl, the one selector run.
 
-    [experiment] selectors and [penalty] c_ms are keys of options bands
-    does not take: accepted, and they change no byte.
+    Keys of options a command does not take are accepted, and they change
+    no byte of its files or stdout: [experiment] selectors and [penalty]
+    c_ms for bands; [experiment] reps (0, which a run would refuse) and
+    selectors and [penalty] c_gl and c_ms for calibrate.
     """
-    ini = tmp_path / "run.ini"
-    ini.write_text("[experiment]\nselectors = cv\n[penalty]\nc_ms = 9\n")
-    for name, extra in (("plain", []), ("ini", ["--config", str(ini)])):
-        assert main([*BANDS_ARGS, *extra, "--out", str(tmp_path / name)]) == 0
-    plain, ini_run = ((tmp_path / name / "metadata.json").read_text() for name in ("plain", "ini"))
-    assert plain == ini_run
-    assert json.loads(plain)["experiment"]["selectors"] == ["gl"]
-    assert ((tmp_path / "plain" / "bands.csv").read_bytes()
-            == (tmp_path / "ini" / "bands.csv").read_bytes())
+    runs = {"bands": (BANDS_ARGS, "[experiment]\nselectors = cv\n[penalty]\nc_ms = 9\n",
+                      "bands.csv"),
+            "calibrate": (CALIBRATE_ARGS, "[experiment]\nreps = 0\nselectors = cv\n"
+                                          "[penalty]\nc_gl = 3\nc_ms = 5\n", "calibration.csv")}
+    for command, (args, text, csv_name) in runs.items():
+        ini = tmp_path / f"{command}.ini"
+        ini.write_text(text)
+        written = {}
+        for name, extra in (("plain", []), ("ini", ["--config", str(ini)])):
+            out = tmp_path / command / name
+            assert main([*args, *extra, "--out", str(out)]) == 0
+            written[name] = [(out / f).read_bytes() for f in (csv_name, "metadata.json")]
+            written[name].append(capsys.readouterr().out)
+        assert written["plain"] == written["ini"], command
+    bands_meta = json.loads((tmp_path / "bands" / "plain" / "metadata.json").read_text())
+    assert bands_meta["experiment"]["selectors"] == ["gl"]
 
 
-def test_metadata_records_c_ms_only_when_ms_runs(tmp_path):
-    """bands run gl alone and record no c_ms; a run of ms records its resolved constant.
-
-    calibrate calibrates ms whatever --selectors says, so it records c_ms.
-    """
+def test_metadata_records_a_constant_only_when_its_selector_runs(tmp_path):
+    """c_gl is recorded only when gl runs, c_ms only when ms runs, each resolved."""
     runs = {"bands": BANDS_ARGS, "simulate-gl": [*SIM_ARGS, "--selectors", "oracle,gl"],
-            "simulate": SIM_ARGS,
-            "calibrate-gl": ["calibrate", *COMMON, "--reps", "3", "--calib-reps", "2",
-                             "--c-grid", "1,2", "--selectors", "gl"]}
+            "simulate-ms": [*SIM_ARGS, "--selectors", "ms,cv"],
+            "simulate-cv": [*SIM_ARGS, "--selectors", "oracle,cv"], "simulate": SIM_ARGS}
     recorded = {}
     for name, args in runs.items():
         assert main([*args, "--out", str(tmp_path / name)]) == 0
         experiment = json.loads((tmp_path / name / "metadata.json").read_text())["experiment"]
-        recorded[name] = experiment.get("c_ms")
-    assert recorded == {"bands": None, "simulate-gl": None, "simulate": 72.0,
-                        "calibrate-gl": 72.0}
+        recorded[name] = (experiment.get("c_gl"), experiment.get("c_ms"))
+    assert recorded == {"bands": (2.0, None), "simulate-gl": (72.0, None),
+                        "simulate-ms": (None, 72.0), "simulate-cv": (None, None),
+                        "simulate": (72.0, 72.0)}
 
 
 @pytest.mark.parametrize("args", [["bands", *COMMON, "--reps", "19"],
