@@ -2,12 +2,12 @@
 
 simulate, bands and calibrate run one experiment config, and each takes
 only the options it reads (bands selects by gl alone,
-harness.compute_bands; calibrate grid-searches the gl and ms constant
-on --calib-reps replications, harness.calibrate_constant); study runs
-the paper's risk tables (harness.table_study: every config calibrated,
-then run) and, with
---bands, reads the GL percentile bands of each calibrated config from
-its evaluation run (harness.bands_from_run); risk prints the exact
+harness.compute_bands; calibrate grid-searches the one constant of gl
+and ms on --calib-reps replications, harness.calibrate_constant); study
+runs the paper's risk tables (harness.table_study: every config
+calibrated, then run) and, with --bands, reads the GL percentile bands
+of each calibrated config from its evaluation run
+(harness.bands_from_run); risk prints the exact
 expected risk curve of one config (the cases whose dependence.CASES
 entry has lags); check runs the theory-check suite.  --case takes the
 keys of the case registry, dependence.CASES, and study prints a table's
@@ -15,14 +15,15 @@ header before its first case.
 Each option is declared once, as a flag in the argument group named after
 its INI section: experiment, penalty, calibration or check.  A config file
 (--config) sets options under those sections, keyed by the flag's dest
-(c_gl for --c-pen); the values of the subcommand's own options become
-its defaults, so argparse converts them and flags override them.  One
+(c_gl for --c-pen, the one constant of gl and ms); the values of the
+subcommand's own options become its defaults, so argparse converts them
+and flags override them.  One
 file serves every command: keys of options another command takes are
 accepted and ignored, and [experiment] seed also seeds check.
 simulate, bands, calibrate and study write a metadata.json with the
 fully resolved settings they ran, so raw CSVs can be reproduced byte for
-byte: a penalty constant only for a penalized selector that ran, and
-calibrate only the experiment settings it takes;
+byte: the penalty constant c_gl only when gl or ms ran, and calibrate
+only the experiment settings it takes;
 check writes only its report, and risk writes nothing.  --bands chooses
 outputs, so it is a flag beside --out and not an INI key.  The output
 directory is created only once a command's results are computed, so a
@@ -50,10 +51,10 @@ from pathlib import Path
 from . import __version__
 from . import checks as checks_mod
 from .dependence import CASES
-from .harness import (ConfigError, ExperimentConfig, bands_from_run, calibrate_constant,
-                      compute_bands, require_band_reps, run_experiment, table_study,
-                      write_bands_csv, write_calibration_csv, write_csv, write_raw_csv,
-                      write_summary_csv)
+from .harness import (PENALIZED, SELECTORS, ConfigError, ExperimentConfig, bands_from_run,
+                      calibrate_constant, compute_bands, require_band_reps, run_experiment,
+                      table_study, write_bands_csv, write_calibration_csv, write_csv,
+                      write_raw_csv, write_summary_csv)
 from .risk import risk_decomposition
 
 _EXACT_RISK_CASES = " and ".join(str(key) for key, entry in CASES.items()
@@ -89,13 +90,13 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
     and record each option's dest as a key of that section.
 
     Each option names the commands that take it: each command takes only
-    what it reads.  simulate, bands and calibrate run one config.  bands
-    selects by gl alone, so it takes neither --selectors nor --c-pen-ms;
-    calibrate grid-searches the constant on its own --calib-reps
-    replications of gl and ms, so it takes none of --reps, --selectors,
-    --c-pen and --c-pen-ms.  study and risk take what their library call
-    reads, with the defaults of the paper's tables (study) and of the
-    exact risk curve (risk).
+    what it reads.  simulate, bands and calibrate run one config.  gl and
+    ms are one rule, so --c-pen is the constant of both.  bands selects
+    by gl alone, so it takes no --selectors; calibrate grid-searches the
+    constant on its own --calib-reps replications of gl and ms, so it
+    takes none of --reps, --selectors and --c-pen.  study and risk take
+    what their library call reads, with the defaults of the paper's
+    tables (study) and of the exact risk curve (risk).
     """
     groups = {section: p.add_argument_group(section) for section in _SECTIONS}
     one = ("simulate", "bands", "calibrate")  # the commands that run one config
@@ -132,9 +133,7 @@ def _add_options(p: argparse.ArgumentParser, command: str, keys: dict) -> None:
     option("experiment", one, "--grid-size", type=int)
     option("experiment", (*one, "study"), "--workers", type=int, default=1 if study else None)
     option("penalty", ("simulate", "bands"), "--c-pen", dest="c_gl", type=float,
-           help="penalized-contrast constant (default: theorem preset)")
-    option("penalty", ("simulate",), "--c-pen-ms", dest="c_ms", type=float,
-           help="model-selection constant (default: same as --c-pen)")
+           help="penalty constant of gl and ms (default: theorem preset)")
     option("calibration", ("calibrate",), "--c-grid", type=_float_list,
            help="comma list of candidate constants")
     option("calibration", ("calibrate", "study"), "--calib-reps", type=int, default=100)
@@ -184,15 +183,16 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _resolved(cfg: ExperimentConfig) -> dict:
-    """cfg's fields, with the defaults it resolves (M, the constants) filled in.
+    """cfg's fields, with the defaults it resolves (M, the constant) filled in.
 
-    A penalty constant is recorded only for a penalized selector that ran:
-    c_gl when gl is among cfg.selectors, c_ms when ms is.
+    The penalty constant c_gl is recorded only when a penalized selector,
+    gl or ms, is among cfg.selectors.
     """
     resolved = {**asdict(cfg), "m_max": cfg.m_grid, "c_gl": cfg.gl_constant,
-                "c_ms": cfg.ms_constant, "selectors": list(cfg.selectors)}
-    ran = {"c_gl": "gl" in cfg.selectors, "c_ms": "ms" in cfg.selectors}
-    return {key: value for key, value in resolved.items() if ran.get(key, True)}
+                "selectors": list(cfg.selectors)}
+    if not set(PENALIZED) & set(cfg.selectors):
+        del resolved["c_gl"]
+    return resolved
 
 
 def _write_metadata(out_dir: Path, command: str, **payload) -> None:
@@ -209,13 +209,13 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     for row in rows:
         print(f"{row.selector:>6}: mean ISE {row.mean_ise:.6f} "
               f"(std {row.std_ise:.6f}), mean m {row.mean_m:.2f}")
-    penalties = {"gl": ("--c-pen", cfg.gl_constant), "ms": ("--c-pen-ms", cfg.ms_constant)}
     for sel, picks in zip(cfg.selectors, results.m_selected.tolist()):
-        if sel in penalties and len(set(picks)) == 1 and picks[0] in (1, cfg.m_grid):
-            flag, c = penalties[sel]
+        # at M = 1 every pick is both ends, whatever the constant
+        if (sel in PENALIZED and cfg.m_grid > 1 and len(set(picks)) == 1
+                and picks[0] in (1, cfg.m_grid)):
             print(f"warning: {sel} chose m = {picks[0]}, an end of the grid 1..{cfg.m_grid}, "
-                  f"in every replication at c = {c:.10g}; choose c with `adaseries calibrate` "
-                  f"or set {flag}", file=sys.stderr)
+                  f"in every replication at c = {cfg.gl_constant:.10g}; choose c with "
+                  f"`adaseries calibrate` or set --c-pen", file=sys.stderr)
     return 0
 
 
@@ -254,10 +254,9 @@ def _cmd_study(args: argparse.Namespace, out_dir: Path) -> int:
     for cfg, rows, _ in study:
         if cfg.case == min(CASES):
             print(f"\n=== {cfg.model} {cfg.target} (n={cfg.n}, reps={cfg.reps}) ===")
-            print(f"{'':8s} {'oracle':>18s} {'gl':>18s} {'ms':>18s} {'cv':>18s}")
+            print(f"{'':8s} " + " ".join(f"{s:>18s}" for s in SELECTORS))
         by_sel = {r.selector: r for r in rows}
-        cells = [f"{by_sel[s].mean_ise:.4f} ({by_sel[s].std_ise:.4f})"
-                 for s in ("oracle", "gl", "ms", "cv")]
+        cells = [f"{by_sel[s].mean_ise:.4f} ({by_sel[s].std_ise:.4f})" for s in SELECTORS]
         print(f"Case {cfg.case:d}   " + " ".join(f"{c:>18s}" for c in cells))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv([row for _, rows, _ in study for row in rows], out_dir / "tables.csv")

@@ -97,6 +97,8 @@ from .selection import (oracle_criteria, penalty_vector, select_cv, select_ms,
 from .targets import DENSITY_TARGETS, REGRESSION_TARGETS, marginal_law
 
 SELECTORS = ("oracle", "gl", "ms", "cv")
+#: The penalized selectors: one rule (selection), so one constant, c_gl.
+PENALIZED = ("gl", "ms")
 DEFAULT_M_CAP = 100
 #: Simpson grid of the per-replication work: realized ISE(m) and the band
 #: evaluation points.  Normalizers, true coefficients and the exact risk
@@ -138,8 +140,7 @@ class ExperimentConfig:
     m_max: Optional[int] = None  # default min(n, 100)
     seed: int = 0
     grid_size: int = DEFAULT_GRID_SIZE
-    c_gl: Optional[float] = None  # None -> theorem preset for (model, case)
-    c_ms: Optional[float] = None  # None -> same constant as GL
+    c_gl: Optional[float] = None  # gl and ms; None -> theorem preset for (model, case)
     workers: int = 1
 
     def __post_init__(self):
@@ -168,8 +169,6 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.c_gl is not None and not (math.isfinite(self.c_gl) and self.c_gl >= 0.0):
             raise ConfigError("c_gl must be finite and >= 0")
-        if self.c_ms is not None and not (math.isfinite(self.c_ms) and self.c_ms > 0.0):
-            raise ConfigError("c_ms must be finite and > 0")
 
     @property
     def m_grid(self) -> int:
@@ -180,10 +179,6 @@ class ExperimentConfig:
         if self.c_gl is not None:
             return self.c_gl
         return theorem_constant(self.model, self.case)
-
-    @property
-    def ms_constant(self) -> float:
-        return self.c_ms if self.c_ms is not None else self.gl_constant
 
 
 def batches(start: int, stop: int, n: int) -> Iterator[tuple[int, int]]:
@@ -365,7 +360,7 @@ def run_replication(ctx: ExperimentContext, table: CoefficientTable, sigma_sq: n
             pens = penalty_vector(cfg.gl_constant, table.m_max, cfg.n, sigma_sq)
             row[:] = select_with_pens(table, pens)
         elif sel == "ms":
-            row[:] = select_ms(table, cfg.ms_constant, sigma_sq)
+            row[:] = select_ms(table, cfg.gl_constant, sigma_sq)
         else:
             row[:] = select_cv(table)
 
@@ -458,12 +453,11 @@ def summarize(cfg: ExperimentConfig, results: RunResults) -> list[SummaryRow]:
     Every reduction runs along a row, so each selector's mean and std are
     the floats of the same call on its row alone.
     """
-    constants = {"gl": cfg.gl_constant, "ms": cfg.ms_constant}
     columns = zip(cfg.selectors, results.ise.mean(axis=1).tolist(),
                   results.ise.std(axis=1).tolist(), results.m_selected.mean(axis=1).tolist())
     return [SummaryRow(
         model=cfg.model, target=cfg.target, case=cfg.case, n=cfg.n, selector=sel,
-        c_pen=constants.get(sel, float("nan")), reps=results.ise.shape[1],
+        c_pen=cfg.gl_constant if sel in PENALIZED else float("nan"), reps=results.ise.shape[1],
         mean_ise=mean_ise, std_ise=std_ise, mean_m=mean_m)
         for sel, mean_ise, std_ise, mean_m in columns]
 
@@ -495,8 +489,8 @@ def run_experiment(cfg: ExperimentConfig,
                    progress: bool = False) -> tuple[list[SummaryRow], RunResults]:
     """Run cfg.reps replications: the summary rows and the columns they summarize."""
     _check_ise_grid(cfg)
-    if "ms" in cfg.selectors and cfg.ms_constant <= 0.0:
-        raise ConfigError("selector ms needs a positive constant: set c_ms")
+    if "ms" in cfg.selectors and cfg.gl_constant <= 0.0:
+        raise ConfigError("selector ms needs a positive constant: set c_gl (--c-pen)")
     results = _evaluate(cfg, progress)
     return summarize(cfg, results), results
 
@@ -577,20 +571,20 @@ def _calibration_rows(c_grid: np.ndarray, ctx: ExperimentContext, table: Coeffic
 
 def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = None,
                        calib_reps: int = 100) -> CalibrationResult:
-    """Grid-search penalty constants for GL and MS on a disjoint seed stream.
+    """Grid-search the penalty constant of GL and MS on a disjoint seed stream.
 
     The sample, coefficient table, and per-dimension ISE of a replication
     do not depend on the constant, so each batch of replications is
     generated once and scores the whole grid with one (K x C x M) penalty
     block.  The rows are summed one replication at a time, in order (a
     cumulative sum), so the sum is the same float in any batch.  GL and
-    MS are the same rule (see selection), so one curve serves both.  A
-    curve that is not quasi-convex gives one warning, which names the
-    config and is kept in the result's warnings.
+    MS are the same rule (see selection), so one curve and one constant
+    serve both (PENALIZED).  A curve that is not quasi-convex gives one
+    warning, which names the config and is kept in the result's warnings.
     """
     _check_ise_grid(cfg)
     c_grid = _calibration_grid(c_grid, calib_reps)
-    ctx = ExperimentContext(replace(cfg, selectors=("gl", "ms")))
+    ctx = ExperimentContext(replace(cfg, selectors=PENALIZED))
     rows = np.concatenate(_run_reps(ctx, partial(_calibration_rows, c_grid), calib_reps, CALIB_NS))
     curve = np.cumsum(rows, axis=0)[-1] / calib_reps
     k = int(np.argmin(curve))
@@ -599,13 +593,15 @@ def calibrate_constant(cfg: ExperimentConfig, c_grid: Iterable[float] | None = N
         notes.append(f"mean ISE vs c not quasi-convex for gl and ms "
                      f"({cfg.model} {cfg.target} case {cfg.case} n={cfg.n})")
         warnings.warn(notes[-1])
-    return CalibrationResult(c_grid=c_grid, mean_ise={"gl": curve, "ms": curve},
-                             chosen=dict.fromkeys(("gl", "ms"), float(c_grid[k])),
+    return CalibrationResult(c_grid=c_grid, mean_ise=dict.fromkeys(PENALIZED, curve),
+                             chosen=dict.fromkeys(PENALIZED, float(c_grid[k])),
                              warnings=tuple(notes))
 
 
 def calibrated_config(cfg: ExperimentConfig, calib: CalibrationResult) -> ExperimentConfig:
-    return replace(cfg, c_gl=calib.chosen["gl"], c_ms=calib.chosen["ms"])
+    """cfg at the one constant calibration chose for the penalized selectors."""
+    (c,) = {calib.chosen[sel] for sel in PENALIZED}
+    return replace(cfg, c_gl=c)
 
 
 def table_study(n: int = 1000, reps: int = 501, calib_reps: int = 100, seed: int = 0,

@@ -21,8 +21,8 @@ With S_m = sum_{j=1..m} theta_hat_j^2, nestedness gives Xi_m + pen(m) =
 max_{k >= m}(S_k - pen_k) - (S_m - pen_m): zero exactly at the suffix
 maxima of S_m - pen_m, so its smallest minimizer is the smallest argmin
 of pen_m - S_m, the model-selection criterion penalized_profile.  GL and
-MS are therefore one rule, select_with_pens, and runs that give MS the
-GL constant (the default) print equal gl and ms columns.  The contrast
+MS are therefore one rule, select_with_pens, with one constant (the
+harness's c_gl), so runs print equal gl and ms columns.  The contrast
 has no positive part; the README records why.
 """
 
@@ -164,8 +164,9 @@ def oracle_criteria(table: CoefficientTable, cross: np.ndarray, norm_sq: float) 
     ise_profile under a second name, and it exists for that name:
     bench/tracing.py wraps harness.oracle_criteria (the harness's call)
     and selection.ise_profile (the call inside) as two separate layers,
-    and tests/test_bench_layers.py requires both names.  Spans emitted by
-    the runner itself would make it unnecessary.
+    and tests/test_bench_layers.py requires both names.  It goes once the
+    benchmark reads its layers from a profiler, which needs no wrapped
+    name.
     """
     return ise_profile(table, cross, norm_sq)
 

@@ -374,7 +374,7 @@ def reference_records(cfg):
                 m = select_with_pens(table, penalty_vector(cfg.gl_constant, cfg.m_grid, cfg.n,
                                                            sig_sq))
             elif sel == "ms":
-                m = select_ms(table, cfg.ms_constant, sig_sq)
+                m = select_ms(table, cfg.gl_constant, sig_sq)
             else:
                 m = select_cv(table)
             records.append(RepRecord(rep, sel, m, float(ise_by_m[m - 1]), sig_sq))
@@ -391,7 +391,7 @@ def reference_summary(cfg, records):
     for sel in cfg.selectors:
         ises = np.array([r.ise for r in records if r.selector == sel])
         ms = np.array([r.m_selected for r in records if r.selector == sel])
-        c_pen = {"gl": cfg.gl_constant, "ms": cfg.ms_constant}.get(sel, float("nan"))
+        c_pen = cfg.gl_constant if sel in ("gl", "ms") else float("nan")
         rows.append(SummaryRow(
             model=cfg.model, target=cfg.target, case=cfg.case, n=cfg.n, selector=sel,
             c_pen=c_pen, reps=ises.size, mean_ise=float(ises.mean()),

@@ -62,14 +62,13 @@ def test_missing_target_usage_error(tmp_path):
 @pytest.mark.parametrize("flag, value", [("--case", "9"), ("--grid-size", "1024"),
                                          ("--grid-size", "201"),
                                          ("--seed", "-1"), ("--workers", "0"),
-                                         ("--c-pen", "-1"), ("--c-pen-ms", "0"),
-                                         ("--c-pen", "0"), ("--selectors", "gl,gl"),
-                                         ("--selectors", ",")],
+                                         ("--c-pen", "-1"), ("--c-pen", "0"),
+                                         ("--selectors", "gl,gl"), ("--selectors", ",")],
                          ids=["case", "grid-size", "grid-size-aliased", "seed", "workers",
-                              "c-pen", "c-pen-ms", "c-pen-zero-ms", "selectors-repeated",
+                              "c-pen", "c-pen-zero-ms", "selectors-repeated",
                               "selectors-empty"])
 def test_bad_flag_value_usage_error(tmp_path, flag, value):
-    # --c-pen 0 alone is a valid GL constant, but ms inherits it and needs c > 0;
+    # --c-pen 0 alone is a valid GL constant, but ms reads it too and needs c > 0;
     # 201 = 4 ceil(M/2) + 1 points at M = 100 alias the basis, so no ISE is computed on them
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -178,7 +177,9 @@ def test_unknown_config_section_usage_error(tmp_path, capsys):
     "[experiment]\nmodel = density\ntarget = f1\ncase = 1\nn = abc\n",
     "[experiment]\nmodel = density\ntarget = f1\ncase = 1\n[penalty]\nn = 5\n",
     "[experiment]\nmodel = density\ntarget = f1\ncase = 1\n[check]\nlemma_reps = 200\n",
-], ids=["type-error", "misplaced-key", "check-size-key"])
+    # gl and ms share c_gl; no c_ms key exists
+    "[experiment]\nmodel = density\ntarget = f1\ncase = 1\n[penalty]\nc_ms = 2\n",
+], ids=["type-error", "misplaced-key", "check-size-key", "c-ms-key"])
 def test_bad_config_value_usage_error(tmp_path, text):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
@@ -201,7 +202,6 @@ OPTIONS = {
     "grid_size": ("experiment", "--grid-size", "65"),
     "workers": ("experiment", "--workers", "2"),
     "c_gl": ("penalty", "--c-pen", "1.5"),
-    "c_ms": ("penalty", "--c-pen-ms", "2.5"),
     "c_grid": ("calibration", "--c-grid", "1,2,4"),
     "calib_reps": ("calibration", "--calib-reps", "3"),
     "pens": ("check", "--pens", "0.1,0.2"),
@@ -239,7 +239,7 @@ def test_every_config_field_set_by_flag_or_ini(tmp_path):
         assert by_flag == by_ini
         meta[command] = by_ini
     assert meta["simulate"]["experiment"] == {
-        **read, "reps": 3, "selectors": ["gl", "ms"], "c_gl": 1.5, "c_ms": 2.5}
+        **read, "reps": 3, "selectors": ["gl", "ms"], "c_gl": 1.5}
     assert meta["calibrate"]["experiment"] == read
     assert meta["calibrate"]["c_grid"] == [1.0, 2.0, 4.0]
     assert meta["calibrate"]["calib_reps"] == 3
@@ -293,11 +293,13 @@ CALIBRATE_ARGS = ["calibrate", *COMMON, "--c-grid", "1,2", "--calib-reps", "2"]
     (CALIBRATE_ARGS, ["--selectors", "cv"]),
     (CALIBRATE_ARGS, ["--c-pen", "3"]),
     (CALIBRATE_ARGS, ["--c-pen-ms", "5"]),
+    (SIM_ARGS, ["--c-pen-ms", "5"]),
 ], ids=lambda value: value[0].lstrip("-"))
 def test_a_command_takes_no_option_it_does_not_read(args, flag, tmp_path, capsys):
-    """bands selects by gl alone, so --selectors and --c-pen-ms are unknown to it;
-    calibrate grid-searches gl and ms on --calib-reps replications, so --reps,
-    --selectors, --c-pen and --c-pen-ms are unknown to it.
+    """bands selects by gl alone, so --selectors is unknown to it; calibrate
+    grid-searches gl and ms on --calib-reps replications, so --reps,
+    --selectors and --c-pen are unknown to it.  gl and ms share --c-pen, so
+    no command takes --c-pen-ms.
     """
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -311,14 +313,13 @@ def test_bands_records_gl_and_ignores_the_ini_keys_it_does_not_read(tmp_path, ca
     """bands' metadata names gl, the one selector run.
 
     Keys of options a command does not take are accepted, and they change
-    no byte of its files or stdout: [experiment] selectors and [penalty]
-    c_ms for bands; [experiment] reps (0, which a run would refuse) and
-    selectors and [penalty] c_gl and c_ms for calibrate.
+    no byte of its files or stdout: [experiment] selectors for bands;
+    [experiment] reps (0, which a run would refuse) and selectors and
+    [penalty] c_gl for calibrate.
     """
-    runs = {"bands": (BANDS_ARGS, "[experiment]\nselectors = cv\n[penalty]\nc_ms = 9\n",
-                      "bands.csv"),
+    runs = {"bands": (BANDS_ARGS, "[experiment]\nselectors = cv\n", "bands.csv"),
             "calibrate": (CALIBRATE_ARGS, "[experiment]\nreps = 0\nselectors = cv\n"
-                                          "[penalty]\nc_gl = 3\nc_ms = 5\n", "calibration.csv")}
+                                          "[penalty]\nc_gl = 3\n", "calibration.csv")}
     for command, (args, text, csv_name) in runs.items():
         ini = tmp_path / f"{command}.ini"
         ini.write_text(text)
@@ -334,7 +335,7 @@ def test_bands_records_gl_and_ignores_the_ini_keys_it_does_not_read(tmp_path, ca
 
 
 def test_metadata_records_a_constant_only_when_its_selector_runs(tmp_path):
-    """c_gl is recorded only when gl runs, c_ms only when ms runs, each resolved."""
+    """c_gl, resolved, is recorded only when gl or ms runs; c_ms never is."""
     runs = {"bands": BANDS_ARGS, "simulate-gl": [*SIM_ARGS, "--selectors", "oracle,gl"],
             "simulate-ms": [*SIM_ARGS, "--selectors", "ms,cv"],
             "simulate-cv": [*SIM_ARGS, "--selectors", "oracle,cv"], "simulate": SIM_ARGS}
@@ -344,8 +345,8 @@ def test_metadata_records_a_constant_only_when_its_selector_runs(tmp_path):
         experiment = json.loads((tmp_path / name / "metadata.json").read_text())["experiment"]
         recorded[name] = (experiment.get("c_gl"), experiment.get("c_ms"))
     assert recorded == {"bands": (2.0, None), "simulate-gl": (72.0, None),
-                        "simulate-ms": (None, 72.0), "simulate-cv": (None, None),
-                        "simulate": (72.0, 72.0)}
+                        "simulate-ms": (72.0, None), "simulate-cv": (None, None),
+                        "simulate": (72.0, None)}
 
 
 @pytest.mark.parametrize("args", [["bands", *COMMON, "--reps", "19"],
@@ -392,17 +393,19 @@ def test_calibrate_prints_the_chosen_constant_to_the_digit(tmp_path, capsys):
     (["--model", "regression"], {"gl": 1, "ms": 1}),
     (["--model", "regression", "--c-pen", "4"], {}),
     (["--model", "density", "--c-pen", "0", "--selectors", "oracle,gl"], {"gl": 100}),
-], ids=["preset", "c-pen-4", "c-pen-0"])
+    # every pick is m = 1 = M: no constant can change it
+    (["--model", "density", "--m-max", "1", "--c-pen", "4"], {}),
+], ids=["preset", "c-pen-4", "c-pen-0", "m-max-1"])
 def test_simulate_warns_when_a_penalized_selector_sits_at_an_end(args, warned, tmp_path,
                                                                  capsys):
-    """One stderr line per penalized selector whose every pick is m = 1 or m = M."""
+    """One stderr line per penalized selector whose every pick is m = 1 or m = M > 1."""
     assert main(["simulate", *args, "--target", "f1", "--case", "1", "--n", "200",
                  "--reps", "5", "--seed", "7", "--out", str(tmp_path)]) == 0
     lines = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
     assert len(lines) == len(warned)
     for line, (sel, m) in zip(lines, warned.items()):
         assert line.startswith(f"warning: {sel} chose m = {m},")
-        assert "adaseries calibrate" in line and "--c-pen" in line
+        assert line.endswith("choose c with `adaseries calibrate` or set --c-pen")
 
 
 STUDY_ARGS = ["--n", "200", "--reps", "130", "--calib-reps", "2", "--model", "density"]
@@ -508,8 +511,8 @@ def test_study_writes_the_table_study_rows(tmp_path):
                                         "models")} == {
         "command": "study", "n": 100, "reps": 4, "calib_reps": 2, "seed": 3, "workers": 1,
         "models": ["regression"]}
-    assert [(e["target"], e["case"], e["c_gl"], e["c_ms"]) for e in meta["experiments"]] == [
-        (cfg.target, cfg.case, cfg.c_gl, cfg.c_ms) for cfg, _, _ in study]
+    assert [(e["target"], e["case"], e["c_gl"]) for e in meta["experiments"]] == [
+        (cfg.target, cfg.case, cfg.c_gl) for cfg, _, _ in study]
 
 
 def test_study_and_risk_read_the_shared_config(tmp_path, capsys):

@@ -46,8 +46,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(m_max=0)
     for bad in (dict(grid_size=1024), dict(grid_size=1), dict(seed=-1), dict(workers=0),
-                dict(c_gl=-1.0), dict(c_gl=float("nan")), dict(c_ms=0.0),
-                dict(c_ms=float("inf"))):
+                dict(c_gl=-1.0), dict(c_gl=float("nan")), dict(c_gl=float("inf"))):
         with pytest.raises(ValueError):
             small_cfg(**bad)
     assert small_cfg(n=50).m_grid == 50
@@ -67,7 +66,7 @@ def test_replication_deterministic():
 
 
 def test_oracle_dominates_per_replication():
-    cfg = small_cfg(reps=12, c_gl=2.0, c_ms=2.0)
+    cfg = small_cfg(reps=12, c_gl=2.0)
     _, records = run_experiment(cfg)
     by_rep = {}
     for r in records:
@@ -139,7 +138,7 @@ def test_columns_match_record_loop_at_batch_edges(model, target, n, reps, m_max)
     """Uneven batches: 37 = 24 + 13 at n = 1000 and 3 batches of one at n = 2**14."""
     assert batch_sizes(reps, n) == {1000: [24, 13], 1 << 14: [1, 1, 1]}[n]
     assert_columns_match_record_loop(small_cfg(model=model, target=target, case=2, n=n,
-                                               reps=reps, m_max=m_max, c_gl=3.0, c_ms=5.0))
+                                               reps=reps, m_max=m_max, c_gl=3.0))
 
 
 def test_import_loads_no_process_pool():
@@ -429,7 +428,7 @@ def test_csv_outputs_identical_on_one_and_two_workers(tmp_path):
 #: Configs that differ in model, target, case, constants and M; none may
 #: leak into another through the per-process caches.
 LEAK_CONFIGS = (dict(model="density", target="f1", case=1, c_gl=2.0),
-                dict(model="regression", target="f2", case=3, c_gl=5.0, c_ms=3.0),
+                dict(model="regression", target="f2", case=3, c_gl=5.0),
                 dict(model="density", target="f2", case=2, m_max=20))
 
 
@@ -579,16 +578,6 @@ def test_batched_tables_equal_batches_of_one(model, target, case, monkeypatch):
                     assert np.array_equal(table.theta_hat, one.theta_hat[0])
                     assert np.array_equal(table.theta_sq_loo, one.theta_sq_loo[0])
                     assert row_sig_sq == one_sig_sq[0]
-
-
-def test_distinct_ms_constant_scored_on_its_own():
-    """A c_ms != c_gl config selects its own MS dimension, not GL's."""
-    cfg = small_cfg(model="regression", target="f1", case=2, n=400, reps=8, c_gl=1.0, c_ms=8.0)
-    _, results = run_experiment(cfg)
-    records, _ = reference_records(cfg)
-    assert list(results) == records
-    gl, ms = (results.m_selected[cfg.selectors.index(sel)] for sel in ("gl", "ms"))
-    assert np.any(gl != ms)
 
 
 def test_regression_records_sigma():
@@ -847,7 +836,7 @@ def test_single_replication_oracle_plausibility_band():
 
 def test_gl_ms_same_selection_in_harness():
     cfg = ExperimentConfig(model="regression", target="f1", case=2, n=400,
-                           reps=8, seed=5, c_gl=2.0, c_ms=2.0)
+                           reps=8, seed=5, c_gl=2.0)
     _, records = run_experiment(cfg)
     gl = {r.rep_index: r.m_selected for r in records if r.selector == "gl"}
     ms = {r.rep_index: r.m_selected for r in records if r.selector == "ms"}
