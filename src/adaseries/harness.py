@@ -81,7 +81,7 @@ import os
 import sys
 import warnings
 from contextlib import suppress
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -642,7 +642,8 @@ def write_raw_csv(records: Iterable[RepRecord], path) -> None:
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
-    write_csv(path, [f.name for f in fields(SummaryRow)], map(astuple, rows))
+    columns = [f.name for f in fields(SummaryRow)]
+    write_csv(path, columns, ([getattr(row, name) for name in columns] for row in rows))
 
 
 def write_bands_csv(bands: BandTable, path) -> None:

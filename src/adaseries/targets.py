@@ -13,9 +13,12 @@ Two regression functions:
 
 Both mixture weights (3/10 and 1/4) deliberately do not sum to one; the
 normalizer C always rescales whatever mass the raw form puts on [0, 1].
-MarginalLaw provides a quadrature-backed CDF and its inverse for
-quantile-transform sampling; marginal_law builds it once per process for
-each named density target.
+The raw densities build their values in place, in buffers they allocate,
+with the floats of the formulas above evaluated left to right: only the
+operands of a single + or * trade places.  A scalar or 0-d argument gives
+a numpy float, as the plain expression does.  MarginalLaw provides a
+quadrature-backed CDF and its inverse for quantile-transform sampling;
+marginal_law builds it once per process for each named density target.
 """
 
 from __future__ import annotations
@@ -40,8 +43,20 @@ def _check_unit_interval(x: np.ndarray, what: str = "argument outside the suppor
 
 
 def _gauss_pdf(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
-    z = (x - mu) / sd
-    return np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
+    """The N(mu, sd^2) density at x, always an array (0-d for scalar x).
+
+    The floats of exp(-0.5 * z * z) / (sd sqrt(2 pi)), z = (x - mu) / sd,
+    built in place: z and the result are the only arrays allocated.  Both
+    start as allocated arrays because a ufunc on 0-d input returns a numpy
+    scalar, which an in-place step cannot write to.
+    """
+    z = np.subtract(x, mu, out=np.empty(np.shape(x)))
+    z /= sd
+    g = np.multiply(z, -0.5, out=np.empty(z.shape))
+    g *= z
+    np.exp(g, out=g)
+    g /= sd * np.sqrt(2.0 * np.pi)
+    return g
 
 
 @dataclass(frozen=True)
@@ -75,11 +90,24 @@ class RegressionTarget:
 
 
 def _f1_raw(x: np.ndarray) -> np.ndarray:
-    return 0.3 * _gauss_pdf(x, 0.5, 0.1) + 0.25 * _gauss_pdf(x, 0.7, 0.06)
+    """0.3 * gauss(x; 0.5, 0.1) + 0.25 * gauss(x; 0.7, 0.06), in the first density's buffer."""
+    r = _gauss_pdf(x, 0.5, 0.1)
+    r *= 0.3
+    g = _gauss_pdf(x, 0.7, 0.06)
+    g *= 0.25
+    r += g
+    return r if r.ndim else r[()]
 
 
 def _f2_raw(x: np.ndarray) -> np.ndarray:
-    return (4.0 * (1.0 + np.abs(5.0 * (x - 0.5)))) ** -1.5
+    """(4 * (1 + |5 (x - 1/2)|)) ** -1.5, in one buffer."""
+    r = np.subtract(x, 0.5, out=np.empty(np.shape(x)))
+    r *= 5.0
+    np.abs(r, out=r)
+    r += 1.0
+    r *= 4.0
+    r **= -1.5
+    return r if r.ndim else r[()]
 
 
 def density_f1() -> DensityTarget:
@@ -124,8 +152,9 @@ assert _N_SEG & (_N_SEG - 1) == 0, "a power of two: u * _N_SEG is exact, so u's 
 #: the built-in targets; the third covers densities that vanish at an end
 #: of [0, 1], where the linear start is poorest.
 _NEWTON_STEPS = 3
-#: Points transformed at a time: bounds the temporaries (about 17 of 32 KB
-#: each) whatever the sample size, so a batch of samples adds no memory.
+#: Points transformed at a time: bounds the temporaries (under 1 MiB, most
+#: of it f1's stacked density call) whatever the sample size, so a batch of
+#: samples adds no memory.
 _QUANTILE_BLOCK = 2**12
 
 
@@ -152,17 +181,19 @@ class MarginalLaw:
     as the largest lift, so k stops at 4095 and no lift reads past its
     end.  From linear interpolation inside the segment the quantile takes
     three Newton steps on the same piecewise-Simpson partial mass, with
-    the density as the slope and every step clamped to the segment.  A
-    zero slope (a density that vanishes at the point) or an empty segment
-    leaves its point where it is; blocks with neither, which for the
-    built-in targets is nearly all, skip the masks.  The segment's left
-    end, table entry, knot density and mass are gathered once per point,
-    outside the Newton loop, and the points are transformed in blocks of
-    at most 2**12, so the temporaries stay bounded whatever the sample
-    size.  For the built-in targets quantile(u) satisfies |cdf(q) - u| <=
-    1e-15.  quantile and cdf check their argument once; the points they
-    derive from it stay in [0, 1], so the density is evaluated there
-    without a second check.
+    the density as the slope and every step clamped to the segment.  Each
+    step makes one density call, on the points stacked over their segment
+    midpoints, which gives both the slope and the mass, and builds the
+    mass in place.  A zero slope (a density that vanishes at the point) or
+    an empty segment leaves its point where it is; blocks with neither,
+    which for the built-in targets is nearly all, skip the masks.  The
+    segment's left end, table entry, knot density and mass are gathered
+    once per point, outside the Newton loop, and the points are
+    transformed in blocks of at most 2**12, so the temporaries stay
+    bounded whatever the sample size.  For the built-in targets
+    quantile(u) satisfies |cdf(q) - u| <= 1e-15.  quantile and cdf check
+    their argument once; the points they derive from it stay in [0, 1],
+    so the density is evaluated there without a second check.
     """
 
     def __init__(self, density: DensityTarget):
@@ -196,23 +227,35 @@ class MarginalLaw:
         return np.minimum(np.searchsorted(self._cum, t, side="right") - 1, _N_SEG - 1)
 
     def _partial_mass(self, lo: np.ndarray, cum_k: np.ndarray, f_k: np.ndarray,
-                      x: np.ndarray, f_x: np.ndarray) -> np.ndarray:
+                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unnormalized integral of the density from 0 to x, x in the segment
-        that starts at lo with table entry cum_k and knot density f_k.
+        that starts at lo with table entry cum_k and knot density f_k, and
+        the density at x.
 
-        f_x is the density at x.
+        cum_k + (d / 6) (f_k + 4 f(lo + d / 2) + f(x)), d = x - lo, from one
+        density call on x stacked over the midpoints; the mass is built in
+        place in the midpoint row of the densities.
         """
         d = x - lo
-        f_mid = self.density._eval_unchecked(lo + 0.5 * d)
-        return cum_k + (d / 6.0) * (f_k + 4.0 * f_mid + f_x)
+        points = np.empty((2,) + x.shape)
+        points[0] = x
+        mid = np.multiply(d, 0.5, out=points[1])
+        mid += lo
+        f_x, mass = np.asarray(self.density._eval_unchecked(points), dtype=float)
+        mass *= 4.0
+        mass += f_k
+        mass += f_x
+        d /= 6.0
+        mass *= d
+        mass += cum_k
+        return mass, f_x
 
     def cdf(self, x) -> np.ndarray:
         x = _check_unit_interval(x)
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(x)
         k = np.clip((x * _N_SEG).astype(int), 0, _N_SEG - 1)
-        mass = self._partial_mass(k * self._h, self._cum.take(k), self._f_knots.take(k),
-                                  x, self.density._eval_unchecked(x))
+        mass, _ = self._partial_mass(k * self._h, self._cum.take(k), self._f_knots.take(k), x)
         out = mass / self._total
         return float(out[0]) if scalar else out
 
@@ -238,11 +281,13 @@ class MarginalLaw:
         lo = k * self._h
         hi = lo + self._h
         cum_k, f_k, seg_k = self._cum.take(k), self._f_knots.take(k), self._seg.take(k)
-        np.minimum(np.maximum(lo + self._h * _ratio(t - cum_k, seg_k), lo, out=q), hi, out=q)
+        start = _ratio(t - cum_k, seg_k)
+        start *= self._h
+        start += lo
+        np.minimum(np.maximum(start, lo, out=q), hi, out=q)
         for _ in range(_NEWTON_STEPS):
-            f_q = self.density._eval_unchecked(q)
-            excess = self._partial_mass(lo, cum_k, f_k, q, f_q)
-            np.subtract(excess, t, out=excess)
+            excess, f_q = self._partial_mass(lo, cum_k, f_k, q)
+            excess -= t
             np.subtract(q, _ratio(excess, f_q), out=q)
             np.minimum(np.maximum(q, lo, out=q), hi, out=q)
 

@@ -199,6 +199,34 @@ def per_m_rhs(theta_hat, theta_true, pens, m):
     return 85.0 * max(bias_sq, pens[m - 1]) + 42.0 * max(dev, 0.0)
 
 
+# -- the target densities --------------------------------------------------------------
+
+
+def plain_gauss_pdf(x, mu, sd):
+    """The N(mu, sd^2) density with a fresh array for every operation.
+
+    Checks the in-place Gaussian of targets.py: the same floats.
+    """
+    z = (x - mu) / sd
+    return np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
+
+
+def plain_f1_raw(x):
+    """The raw mixture 0.3 N(0.5, 0.1^2) + 0.25 N(0.7, 0.06^2), with fresh arrays.
+
+    Checks density_f1().raw_fn: the same floats, and np.float64 for a scalar.
+    """
+    return 0.3 * plain_gauss_pdf(x, 0.5, 0.1) + 0.25 * plain_gauss_pdf(x, 0.7, 0.06)
+
+
+def plain_f2_raw(x):
+    """The raw form (4 (1 + |5 (x - 1/2)|))^(-3/2), with fresh arrays.
+
+    Checks density_f2().raw_fn: the same floats, and np.float64 for a scalar.
+    """
+    return (4.0 * (1.0 + np.abs(5.0 * (x - 0.5)))) ** -1.5
+
+
 # -- the quantile transform -----------------------------------------------------------
 
 
@@ -215,7 +243,8 @@ def partial_mass(law, k, x, f_x):
     """The unnormalized mass from 0 to x inside segment k: the table entry
     cum[k] plus Simpson's rule on [k h, x], f_x the density at x.
 
-    The piecewise-Simpson CDF that both quantile oracles invert.
+    The piecewise-Simpson CDF that both quantile oracles invert; divided
+    by the total it checks MarginalLaw.cdf: the same floats.
     """
     left = k * law._h
     d = x - left

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adaseries.quadrature import integrate_values, unit_grid
-from adaseries.targets import (_N_SEG, _QUANTILE_BLOCK, DensityTarget, MarginalLaw, density_f1,
-                               density_f2, regression_f1, regression_f2, true_coefficients,
-                               uniform_density)
-from reference import bisection_quantile, eval_one, searchsorted_quantile, searchsorted_segment
+from adaseries.targets import (_N_SEG, _QUANTILE_BLOCK, DensityTarget, MarginalLaw, _gauss_pdf,
+                               density_f1, density_f2, regression_f1, regression_f2,
+                               true_coefficients, uniform_density)
+from reference import (bisection_quantile, eval_one, partial_mass, plain_f1_raw, plain_f2_raw,
+                       plain_gauss_pdf, searchsorted_quantile, searchsorted_segment)
 
 
 def gauss_pdf(x, mu, sd):
@@ -48,6 +49,28 @@ def test_f2_symmetric_about_half():
     f2 = density_f2()
     t = np.linspace(0.0, 0.5, 101)
     np.testing.assert_allclose(f2.eval(0.5 + t), f2.eval(0.5 - t), rtol=1e-14)
+
+
+@pytest.mark.parametrize("raw, plain", [(density_f1().raw_fn, plain_f1_raw),
+                                        (density_f2().raw_fn, plain_f2_raw),
+                                        (lambda x: _gauss_pdf(x, 0.7, 0.06),
+                                         lambda x: plain_gauss_pdf(x, 0.7, 0.06))],
+                         ids=["f1", "f2", "gauss"])
+def test_in_place_densities_are_the_plain_expressions(raw, plain):
+    """The in-place forms give the floats of the fresh-array expressions at the
+    knots and midpoints of the marginal law's table, seeded uniforms, a
+    (K, n) stack, 0-d and Python-float input."""
+    knots = np.linspace(0.0, 1.0, _N_SEG + 1)
+    rand = np.random.default_rng(41).uniform(size=5000)
+    for x in (knots, knots[:-1] + 0.5 / _N_SEG, rand, rand.reshape(50, 100),
+              np.asarray(0.3), 0.5, 0.0, 1.0):
+        assert np.array_equal(raw(x), plain(x))
+
+
+def test_raw_densities_of_a_scalar_are_numpy_floats():
+    for target in (density_f1(), density_f2()):
+        for x in (0.5, np.asarray(0.3), np.float64(0.7)):
+            assert type(target.raw_fn(x)) is np.float64
 
 
 @pytest.mark.parametrize("target", [density_f1(), density_f2(), uniform_density()])
@@ -138,7 +161,9 @@ def knot_probes(law):
 def test_quantile_bit_identical_to_searchsorted_form(law_f1, law_f2, law_uniform, law_gap):
     assert np.sum(np.diff(law_gap._cum) == 0.0) > 1000
     rand = np.random.default_rng(31).uniform(size=5000)
-    for law in (law_f1, law_f2, law_uniform, law_gap):
+    # a float32 density: its mass is summed in float64, as the plain form does
+    single = MarginalLaw(DensityTarget(lambda x: (1.0 + x).astype(np.float32)))
+    for law in (law_f1, law_f2, law_uniform, law_gap, single):
         u = np.concatenate((knot_probes(law), rand))
         assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
         for end in (0.0, 1.0):
@@ -240,12 +265,13 @@ def test_law_of_a_negative_or_non_finite_density_is_refused(raw, law_gap):
 
 
 @pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1])
-def test_quantile_blocks_bit_identical(law_f2, size):
+def test_quantile_blocks_bit_identical(law_f1, law_f2, size):
     # 2**16 is a whole number of blocks: the last block is one point short,
     # full, or a single point
     assert 2**16 % _QUANTILE_BLOCK == 0
     u = np.random.default_rng(size).uniform(size=size)
-    assert np.array_equal(law_f2.quantile(u), searchsorted_quantile(law_f2, u))
+    for law in (law_f1, law_f2):
+        assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
 
 
 def test_quantile_zero_dim_and_shape(law_f1):
@@ -301,6 +327,20 @@ def test_quantile_meets_stated_tolerance(law_f1):
 
 def test_f2_median_is_half(law_f2):
     assert law_f2.quantile(0.5) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_cdf_is_the_partial_mass_bit_for_bit(law_f1, law_f2, law_uniform):
+    """cdf(x) is the piecewise-Simpson mass up to x in the segment of x, over the
+    total, to the bit: at every knot, seeded points, 0 and 1, and a scalar."""
+    rand = np.random.default_rng(43).uniform(size=20000)
+    for law in (law_f1, law_f2, law_uniform):
+        x = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, _N_SEG + 1), rand))
+        k = np.clip(np.floor(_N_SEG * x).astype(int), 0, _N_SEG - 1)
+        expected = partial_mass(law, k, x, law.density.eval(x)) / law._total
+        assert np.array_equal(law.cdf(x), expected)
+        for i in (0, 1, 2 + _N_SEG // 3, x.size - 1):
+            value = law.cdf(x[i])
+            assert isinstance(value, float) and value == expected[i]
 
 
 def test_cdf_against_scipy_quad(law_f1):
