@@ -49,6 +49,9 @@ from .targets import MarginalLaw, RegressionTarget
 
 AR_TRUNCATION = 40  # bilateral MA truncation order K
 AR_SCALE = 25.0 / 63.0
+#: the MA weights (25/63) 2^-|k|, |k| <= K, of ar_path_from_innovations
+_AR_KERNEL = AR_SCALE * 2.0 ** -np.abs(np.arange(-AR_TRUNCATION, AR_TRUNCATION + 1)).astype(float)
+_AR_KERNEL.flags.writeable = False
 
 
 def stream(seed: int, rep_index: int, namespace: int = 0) -> np.random.Generator:
@@ -101,11 +104,9 @@ def arcsine_cdf(y) -> np.ndarray:
 def ar_path_from_innovations(zeta: np.ndarray) -> np.ndarray:
     """Stationary bilateral-MA values from innovations zeta of length n + 2 K."""
     zeta = np.asarray(zeta, dtype=float)
-    k = AR_TRUNCATION
-    if zeta.size < 2 * k + 1:
-        raise ValueError(f"need len(zeta) >= {2 * k + 1}")
-    kernel = AR_SCALE * 2.0 ** -np.abs(np.arange(-k, k + 1)).astype(float)
-    return np.convolve(zeta, kernel, mode="valid")
+    if zeta.size < _AR_KERNEL.size:
+        raise ValueError(f"need len(zeta) >= {_AR_KERNEL.size}")
+    return np.convolve(zeta, _AR_KERNEL, mode="valid")
 
 
 def bernoulli_ar_path(n: int, rng: np.random.Generator) -> np.ndarray:

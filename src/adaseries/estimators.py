@@ -120,12 +120,14 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
     if m_max < 0:
         raise ValueError(f"m_max {m_max} must be >= 0")
     K, n = points.shape
+    k_max = (m_max + 1) // 2
     if y is not None:
         y = np.asarray(y, dtype=complex)  # y + 0j, cast once per batch
         if y.shape != points.shape:
             raise ValueError(f"responses of shape {y.shape} for points of shape {points.shape}")
-    totals = np.empty((m_max + 1, K))
-    squares = np.empty((m_max + 1, K)) if loo else None
+    # rows 0..2 k_max: an odd m_max also sums row m_max + 1, which is cut below
+    totals = np.empty((2 * k_max + 1, K))
+    squares = np.empty((2 * k_max + 1, K)) if loo else None
     add = np.add.reduce  # np.sum without its Python wrapper: the same reduction
     totals[0] = n if y is None else add(y.real, axis=-1)  # the sum of n ones, or of y
     if loo:
@@ -135,20 +137,30 @@ def empirical_coefficients(points, m_max: int, y=None, loo: bool = True) -> Coef
     # needs no buffer
     w = None if y is None else np.empty_like(y)
     buf = (np.empty((K, 2 * n)) if y is None else w.view(float)) if loo else None
-    for k, p in enumerate(TrigBasis().exponentials(points, (m_max + 1) // 2), start=1):
-        rows = range(2 * k - 1, min(2 * k, m_max) + 1)  # the last frequency may be cut
-        p = p if y is None else np.multiply(p, y, out=w)
-        for j, part in zip(rows, (p.real, p.imag)):
-            add(part, axis=-1, out=totals[j])
+    # every view the loop reads or writes is bound once per batch: the rows it
+    # sums into, the columns of the squares, and the parts of the one buffer the
+    # sums read (exponentials steps p_k in place, so p_1's views hold for every k)
+    cos_rows, sin_rows = list(totals[1::2]), list(totals[2::2])
+    if loo:
+        cos_sq_rows, sin_sq_rows = list(squares[1::2]), list(squares[2::2])
+        evens, odds = buf[:, 0::2], buf[:, 1::2]
+    for i, p in enumerate(TrigBasis().exponentials(points, k_max)):
+        if i == 0:
+            src = p if y is None else w
+            re, im, flat = src.real, src.imag, src.view(float)
+        if y is not None:
+            np.multiply(p, y, out=w)
+        add(re, axis=-1, out=cos_rows[i])
+        add(im, axis=-1, out=sin_rows[i])
         if loo:
-            np.square(p.view(float), out=buf)
-            for j, part in zip(rows, (buf[:, 0::2], buf[:, 1::2])):
-                add(part, axis=-1, out=squares[j])
-    totals = totals.T.copy()  # row k for sample k
+            np.square(flat, out=buf)
+            add(evens, axis=-1, out=cos_sq_rows[i])
+            add(odds, axis=-1, out=sin_sq_rows[i])
+    totals = totals[: m_max + 1].T.copy()  # row k for sample k
     theta = totals / n
     if y is None:
         theta[:, 0] = 1.0
-    sq_loo = (totals**2 - squares.T) / (n * (n - 1)) if loo and n > 1 else None
+    sq_loo = (totals**2 - squares[: m_max + 1].T) / (n * (n - 1)) if loo and n > 1 else None
     return CoefficientTable(model="density" if y is None else "regression", n=n,
                             theta_hat=theta, theta_sq_loo=sq_loo)
 

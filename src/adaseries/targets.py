@@ -33,6 +33,7 @@ from .basis import TrigBasis
 from .quadrature import DEFAULT_GRID, integrate_values, simpson_projection, unit_grid
 
 NOISE_SIGMA = 0.5  # regression noise level used throughout the study
+_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
 def _check_unit_interval(x: np.ndarray, what: str = "argument outside the support") -> np.ndarray:
@@ -55,7 +56,7 @@ def _gauss_pdf(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
     g = np.multiply(z, -0.5, out=np.empty(z.shape))
     g *= z
     np.exp(g, out=g)
-    g /= sd * np.sqrt(2.0 * np.pi)
+    g /= sd * _SQRT_2PI
     return g
 
 
@@ -67,7 +68,12 @@ class DensityTarget:
     normalizer: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        c = 1.0 / integrate_values(self.raw_fn(unit_grid()))
+        grid = unit_grid()
+        values = np.asarray(self.raw_fn(grid), dtype=float)
+        if values.shape != grid.shape:
+            raise ValueError(f"the raw density returned shape {values.shape} on points of shape "
+                             f"{grid.shape}: it must return one value per point")
+        c = 1.0 / integrate_values(values)
         object.__setattr__(self, "normalizer", c)
 
     def eval(self, x) -> np.ndarray:
@@ -152,10 +158,11 @@ assert _N_SEG & (_N_SEG - 1) == 0, "a power of two: u * _N_SEG is exact, so u's 
 #: the built-in targets; the third covers densities that vanish at an end
 #: of [0, 1], where the linear start is poorest.
 _NEWTON_STEPS = 3
-#: Points transformed at a time: bounds the temporaries (under 1 MiB, most
-#: of it f1's stacked density call) whatever the sample size, so a batch of
-#: samples adds no memory.
-_QUANTILE_BLOCK = 2**12
+#: Points transformed at a time: bounds the temporaries (a tracemalloc peak
+#: of 1.3 MiB, most of it f1's stacked density call) whatever the sample
+#: size, so a batch of samples adds no memory.  2**13 makes half the Newton
+#: loop's calls of 2**12; 2**11 was slower and 2**14 no faster.
+_QUANTILE_BLOCK = 2**13
 
 
 class MarginalLaw:
@@ -189,7 +196,7 @@ class MarginalLaw:
     which for the built-in targets is nearly all, skip the masks.  The
     segment's left end, table entry, knot density and mass are gathered
     once per point, outside the Newton loop, and the points are
-    transformed in blocks of at most 2**12, so the temporaries stay
+    transformed in blocks of at most 2**13, so the temporaries stay
     bounded whatever the sample size.  For the built-in targets
     quantile(u) satisfies |cdf(q) - u| <= 1e-15.  quantile and cdf check
     their argument once; the points they derive from it stay in [0, 1],

@@ -59,6 +59,20 @@ def outer_design_matrix(x, m_max):
     return np.array([eval_one(j, x) for j in range(m_max + 1)])
 
 
+def fresh_exponentials(x, k_max):
+    """[p_1, ..., p_k_max], the trig recurrence p_k = p_{k-1} z with a new array per step.
+
+    z = exp(2 pi i x) and p_1 = sqrt(2) z.  Checks TrigBasis.exponentials,
+    which steps one buffer in place, with np.array_equal on samples of more
+    than one point.
+    """
+    z = np.exp(2j * np.pi * np.asarray(x, dtype=float))
+    steps = [math.sqrt(2.0) * z]
+    while len(steps) < k_max:
+        steps.append(steps[-1] * z)
+    return steps
+
+
 def brute_force_rate(seq, n):
     """The smallest minimizer of max(gamma_m, m / n) over m = 1..n, one m at a time.
 

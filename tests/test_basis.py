@@ -10,7 +10,7 @@ from adaseries.basis import (SUP_NORM_SQ, TrigBasis, WeightSequence, optimal_dim
 from adaseries.checks import check_orthonormality, check_sup_norm
 from adaseries.estimators import empirical_coefficients
 from adaseries.quadrature import simpson_weights, unit_grid
-from reference import brute_force_rate, eval_one, outer_design_matrix
+from reference import brute_force_rate, eval_one, fresh_exponentials, outer_design_matrix
 
 
 def test_eval_basis_pinned_values():
@@ -47,6 +47,19 @@ def test_recurrence_matches_angle_grid(x, m_max):
         empirical_coefficients(np.atleast_2d(x), -1)
     with pytest.raises(ValueError):
         empirical_coefficients(np.atleast_2d(x), -1, y=np.atleast_2d(x))
+
+
+def test_exponentials_step_one_buffer_to_the_fresh_recurrence():
+    """empirical_coefficients binds the views of the first p_k once per batch:
+    every p_k must be the same array, holding the fresh-array recurrence."""
+    rng = np.random.default_rng(12)
+    for x in (np.linspace(0.0, 1.0, 1025), rng.uniform(size=(3, 257))):
+        yielded = []
+        for p, expected in zip(TrigBasis().exponentials(x, 60), fresh_exponentials(x, 60),
+                               strict=True):
+            assert np.array_equal(p, expected)
+            yielded.append(p)
+        assert all(p is yielded[0] for p in yielded)
 
 
 def test_orthonormality_and_sup_norm_checks_at_400():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ def test_normalizer_grid_refinement():
     c_4097 = 1.0 / integrate_values(raw(unit_grid(4097)))
     c_8193 = 1.0 / integrate_values(raw(unit_grid(8193)))
     assert abs(c_8193 - c_4097) / c_4097 < 1e-6
+
+
+@pytest.mark.parametrize("raw, shape", [(lambda x: 1.0, "()"),
+                                        (lambda x: np.ones(3), "(3,)"),
+                                        (lambda x: np.ones((2, x.size)), "(2, 4097)")],
+                         ids=["scalar", "short", "stacked"])
+def test_raw_density_of_the_wrong_shape_is_refused(raw, shape):
+    # a constant density written the obvious way used to die in the quadrature
+    # with IndexError: tuple index out of range
+    message = f"returned shape {shape} on points of shape (4097,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DensityTarget(raw)
 
 
 def test_regression_pinned_values():
@@ -220,7 +233,7 @@ def test_points_of_flagged_buckets_are_searched(law_f1):
         assert wide.size in (77, 121)
         inside = (np.repeat(wide, 60) + rng.uniform(size=60 * wide.size)) / _N_SEG
         edges = np.concatenate((wide / _N_SEG, np.nextafter((wide + 1) / _N_SEG, 0.0)))
-        u = np.clip(np.concatenate((rng.uniform(size=3000), inside, edges)), 0.0, 1.0)
+        u = np.clip(np.concatenate((rng.uniform(size=9000), inside, edges)), 0.0, 1.0)
         assert u.size > _QUANTILE_BLOCK and np.all(law._wide[(inside * _N_SEG).astype(int)])
         assert np.array_equal(law.quantile(u), searchsorted_quantile(law, u))
 
